@@ -2,24 +2,20 @@
 
 ``bench_dist_overhead`` measures the pure round-trip cost of the
 broker/worker path — trivial ``echo`` jobs through an in-process broker
-and two local worker processes — parametrized over the wire shape:
-``perjob`` is the legacy pre-batching baseline (FIFO leases, one
-``start()`` + one ``complete()`` RPC per job), ``batched`` the full
-fast path (``schedule="cost"``: the all-cheap batch comes back as one
-pinned bulk lease with zero per-job ``start()`` RPCs, and the worker
-uploads ``complete_many()`` envelopes of 8).  The acceptance bar for
-the transport work is the ratio between the two rows'
-``jobs_per_second``.
+and two local worker processes.  The warm-up map teaches the broker's
+cost model what an ``echo`` costs, so each measured batch comes back as
+one pinned bulk lease with zero per-job ``start()`` RPCs, and the
+worker uploads ``complete_many()`` envelopes of 8.
 
 ``bench_dist_makespan`` measures what cost scheduling is *for*: a
 skewed matrix (one long cell submitted last + many short cells) on a
-4-worker fleet.  Under FIFO the long job lands on one worker after the
-shorts drain, so its full runtime is serialized at the tail; under
-``schedule="cost"`` the warm cost model orders it first (LPT) and the
-shorts pack behind it.  Both rows report ``makespan_seconds`` and
-``jobs_per_second`` in ``extra_info`` so ``diff_bench.py`` tracks them
-run over run.  The equivalence assert (ordered merge equals the serial
-list) rides along like in every other bench.
+4-worker fleet.  The warm cost model orders the long cell first (LPT)
+and the shorts pack behind it, instead of the long cell running alone
+at the tail.  Both benches report ``jobs_per_second`` in
+``extra_info`` (the makespan row also ``makespan_seconds``) so
+``diff_bench.py`` tracks them run over run.  The equivalence assert
+(ordered merge equals the serial list) rides along like in every other
+bench.
 """
 
 import multiprocessing
@@ -33,29 +29,20 @@ from repro.dist.jobs import echo, sleep_block
 JOBS_PER_CALL = 32
 
 #: The skewed makespan matrix: many short cells plus one long cell
-#: submitted last (the FIFO worst case the scheduler exists to fix).
+#: submitted last (the arrival-order worst case the scheduler fixes).
 SHORT_JOBS = 64
 SHORT_SECONDS = 0.04
 LONG_SECONDS = 1.0
 
-#: Makespans per schedule, shared across the parametrized cases so the
-#: ``cost`` case can assert it actually beat ``fifo`` in-process.
-_makespans = {}
 
-
-def _start_fleet(workers, upload_batch, poll_interval=0.005,
-                 schedule="fifo"):
-    server = BrokerServer(
-        port=0, lease_timeout=30.0, schedule=schedule
-    ).start_in_thread()
+def _start_fleet(workers, poll_interval=0.005):
+    server = BrokerServer(port=0, lease_timeout=30.0).start_in_thread()
     context = multiprocessing.get_context()
     procs = [
         context.Process(
             target=worker_loop,
             args=(server.address,),
-            kwargs=dict(
-                poll_interval=poll_interval, upload_batch=upload_batch
-            ),
+            kwargs=dict(poll_interval=poll_interval),
             daemon=True,
         )
         for _ in range(workers)
@@ -65,25 +52,15 @@ def _start_fleet(workers, upload_batch, poll_interval=0.005,
     return server, procs
 
 
-@pytest.fixture(
-    scope="module",
-    params=[(1, "fifo"), (8, "cost")],
-    ids=["perjob", "batched"],
-)
-def fleet(request):
-    """A 2-worker fleet in one of the two wire shapes: the legacy
-    per-job RPC baseline, or the batched fast path (pinned bulk
-    leases + ``complete_many`` uploads)."""
-    upload_batch, schedule = request.param
-    server, procs = _start_fleet(
-        workers=2, upload_batch=upload_batch, poll_interval=0.002,
-        schedule=schedule,
-    )
+@pytest.fixture(scope="module")
+def fleet():
+    """A 2-worker fleet whose cost model has observed ``echo``."""
+    server, procs = _start_fleet(workers=2, poll_interval=0.002)
     executor = DistExecutor(
         server.address, poll_interval=0.002, timeout=120
     )
-    executor.map(echo, [0])  # connect + let the workers spin up
-    yield upload_batch, executor
+    executor.map(echo, [0])  # connect, spin the workers up, observe echo
+    yield executor
     for proc in procs:
         proc.terminate()
     server.stop()
@@ -91,33 +68,29 @@ def fleet(request):
 
 def test_bench_dist_overhead(benchmark, fleet):
     """Round-trips per second of the work-stealing queue (echo jobs)."""
-    upload_batch, executor = fleet
     items = list(range(JOBS_PER_CALL))
-    result = benchmark(lambda: executor.map(echo, items))
+    result = benchmark(lambda: fleet.map(echo, items))
     assert result == items  # the ordered-merge contract, measured path
     benchmark.extra_info["jobs_per_call"] = JOBS_PER_CALL
-    benchmark.extra_info["upload_batch"] = upload_batch
     benchmark.extra_info["jobs_per_second"] = round(
         JOBS_PER_CALL / benchmark.stats["mean"], 1
     )
-    stats = executor.stats()
-    benchmark.extra_info["steals"] = stats["steals"]
+    benchmark.extra_info["steals"] = fleet.stats()["steals"]
 
 
 @pytest.fixture(scope="module")
 def makespan_fleet():
     """A 4-worker fleet with a warm cost model.
 
-    The warm-up pass runs the skewed matrix once so the broker's EWMA
+    The warm-up passes run the skewed matrix so the broker's EWMA
     rates know the long cell from the shorts — the bench then measures
     scheduling quality, not cold-start learning.
     """
-    server, procs = _start_fleet(workers=4, upload_batch=8)
+    server, procs = _start_fleet(workers=4)
     executor = DistExecutor(
         server.address, poll_interval=0.005, timeout=120
     )
     executor.map(sleep_block, _matrix(scale=0.1))  # spin up + warm model
-    executor.schedule = "cost"
     executor.map(sleep_block, _matrix(scale=1.0))
     yield executor
     for proc in procs:
@@ -137,17 +110,14 @@ def _matrix(scale=1.0):
     return items
 
 
-@pytest.mark.parametrize("schedule", ["fifo", "cost"])
-def test_bench_dist_makespan(benchmark, makespan_fleet, schedule):
-    """Skewed-matrix makespan: FIFO tail-serializes the long cell,
-    cost/LPT front-loads it."""
+def test_bench_dist_makespan(benchmark, makespan_fleet):
+    """Skewed-matrix makespan: cost/LPT dispatch front-loads the long
+    cell."""
     items = _matrix()
     expected = [
         {"scenario": it["scenario"], "index": it["index"], "duration": it["duration"]}
         for it in items
     ]
-
-    makespan_fleet.schedule = schedule
 
     def run():
         return makespan_fleet.map(sleep_block, items)
@@ -155,15 +125,8 @@ def test_bench_dist_makespan(benchmark, makespan_fleet, schedule):
     result = benchmark.pedantic(run, iterations=1, rounds=2)
     assert result == expected  # scheduling cannot change the merge
     makespan = benchmark.stats["mean"]
-    _makespans[schedule] = makespan
-    benchmark.extra_info["schedule"] = schedule
     benchmark.extra_info["workers"] = 4
     benchmark.extra_info["makespan_seconds"] = round(makespan, 4)
     benchmark.extra_info["jobs_per_second"] = round(
         len(items) / makespan, 1
     )
-    if schedule == "cost" and "fifo" in _makespans:
-        # The real acceptance ratio (>= 1.4x) is asserted on the CI
-        # artifact; in-process we only guard against cost scheduling
-        # being flatly useless (timer noise makes a tight bound flaky).
-        assert makespan < _makespans["fifo"] / 1.25

@@ -46,8 +46,10 @@ def _populated_broker():
     broker = Broker(lease_timeout=60.0)
     broker.submit("bench", ["p%d" % i for i in range(64)])
     for worker in ("w1", "w2", "w3", "w4"):
-        for job_id, payload in broker.pull(worker, max_jobs=8):
-            broker.complete(worker, job_id, payload, runtime=0.01)
+        leased = [broker.lease_jobs(worker)["jobs"][0] for _ in range(8)]
+        broker.complete_many(
+            worker, [(job_id, payload, 0.01) for job_id, payload in leased]
+        )
         broker.heartbeat(
             worker,
             metrics={

@@ -5,9 +5,9 @@ backends, grouped per function so the heap-vs-batched ratio reads off
 the table directly), the compiled-kernel micro-benches, the
 execution-runtime benches (serial vs pooled replications, cold vs warm
 sweeps), the distributed-queue benches
-(``bench_dist_overhead`` per-job vs batched wire transport, and
-``bench_dist_makespan`` FIFO vs cost scheduling on a skewed matrix),
-and the observability hot-path bench
+(``bench_dist_overhead``: trivial jobs through pinned bulk leases and
+batched uploads, and ``bench_dist_makespan``: a skewed matrix under
+cost scheduling), and the observability hot-path bench
 (``bench_obs_overhead``: obs off vs metrics vs tracing) with
 ``--benchmark-min-rounds=3`` — a couple
 of minutes, meant

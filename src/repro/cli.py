@@ -117,7 +117,6 @@ def _context_from_args(
         cache_max_mb=getattr(args, "cache_max_mb", None),
         dist=getattr(args, "dist", None),
         dist_authkey=getattr(args, "authkey", None),
-        dist_schedule=getattr(args, "schedule", None),
         progress=(
             _progress_printer()
             if getattr(args, "progress", False)
@@ -183,15 +182,6 @@ def _add_runtime_flags(
         default=None,
         help="shared fleet secret for --dist (must match 'repro dist "
         "serve'; default: the fleet default)",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("fifo", "cost"),
-        default=None,
-        help="fleet dispatch policy for --dist: 'cost' = cost-model "
-        "longest-predicted-first with sized leases, 'fifo' = arrival "
-        "order (default: the broker's own policy); cannot change any "
-        "result",
     )
     parser.add_argument(
         "--progress",
@@ -401,18 +391,13 @@ def _cmd_dist_serve(args: argparse.Namespace) -> int:
     """Run the broker (work-stealing queue + shared cache store)."""
     from repro.dist import BrokerServer
 
-    server_kwargs = {}
-    if args.lease_target is not None:
-        server_kwargs["lease_target"] = args.lease_target
     server = BrokerServer(
         host=args.host,
         port=args.port,
         authkey=args.authkey.encode("utf-8"),
         lease_timeout=args.lease_timeout,
         cache_max_bytes=int(args.cache_max_mb * 1024 * 1024),
-        schedule=args.schedule,
         cost_model_path=args.cost_model,
-        **server_kwargs,
     )
     host, port = server.address
     log.info(f"repro dist broker listening on {host}:{port}")
@@ -479,10 +464,8 @@ def _cmd_dist_worker(args: argparse.Namespace) -> int:
         authkey=args.authkey.encode("utf-8"),
         cache_dir=args.cache_dir,
         cache_max_bytes=cache_max_bytes,
-        prefetch=args.prefetch,
         poll_interval=args.poll_interval,
         max_idle=args.max_idle,
-        upload_batch=args.upload_batch,
         compress_threshold=(
             int(args.compress_kb * 1024)
             if args.compress_kb is not None
@@ -525,7 +508,6 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
             authkey=args.authkey.encode("utf-8"),
             timeout=args.timeout,
             on_broker_loss=args.on_broker_loss,
-            schedule=args.schedule,
         )
     if executor is not None and journal is not None:
         # Warm-start the broker's cost model from the journal: a
@@ -655,7 +637,6 @@ def _cmd_dist_chaos(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         workers=args.workers,
         log_dir=args.log_dir,
-        schedule=args.schedule,
     )
     print(report.render())
     if args.json:
@@ -874,17 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound of the broker's in-memory shared cache store (MiB)",
     )
     p_serve.add_argument(
-        "--schedule", choices=("fifo", "cost"), default="fifo",
-        help="default dispatch policy: 'fifo' = arrival order, "
-        "'cost' = cost-model longest-predicted-first with sized "
-        "leases (drivers can override per batch)",
-    )
-    p_serve.add_argument(
-        "--lease-target", type=float, default=None,
-        help="predicted seconds of work granted per lease under "
-        "'cost' (default 0.5)",
-    )
-    p_serve.add_argument(
         "--cost-model", default=None, metavar="PATH",
         help="persist/warm-start the runtime cost model at this JSON "
         "path (loaded on start, saved periodically and on shutdown)",
@@ -919,17 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-max-mb", type=float, default=None,
         help="LRU bound of the local tier (requires --cache-dir)",
     )
-    p_worker.add_argument(
-        "--prefetch", type=int, default=2,
-        help="jobs leased per pull (the surplus is stealable by idle "
-        "peers)",
-    )
     p_worker.add_argument("--poll-interval", type=float, default=0.1)
-    p_worker.add_argument(
-        "--upload-batch", type=int, default=8,
-        help="completions buffered per complete_many() upload RPC "
-        "(1 = legacy one-RPC-per-job wire shape)",
-    )
     p_worker.add_argument(
         "--compress-kb", type=float, default=None,
         help="zlib-compress result envelopes above this size (KiB; "
@@ -1014,13 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
         "be identical)",
     )
     p_run.add_argument(
-        "--schedule", choices=("fifo", "cost"), default=None,
-        help="fleet dispatch policy: 'cost' = cost-model "
-        "longest-predicted-first with sized leases, 'fifo' = arrival "
-        "order (default: the broker's own policy); by the determinism "
-        "contract this cannot change any result",
-    )
-    p_run.add_argument(
         "--on-broker-loss", choices=("fallback", "fail"),
         default="fallback",
         help="when the broker dies mid-run: 'fallback' finishes the "
@@ -1091,11 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2,
         help="fleet size of the 'dist' mode (the first worker gets "
         "the fault plan)",
-    )
-    p_chaos.add_argument(
-        "--schedule", choices=("fifo", "cost"), default=None,
-        help="dispatch policy of the 'dist' mode (determinism must "
-        "hold under either; default: the broker's own policy)",
     )
     p_chaos.add_argument(
         "--log-dir", default=None, metavar="DIR",

@@ -9,12 +9,11 @@ of worker count, steal order, or worker death mid-job:
 
 * :mod:`repro.dist.queue` — the broker: a work-stealing job queue over
   TCP (stdlib ``multiprocessing.managers``; no new dependencies) with
-  heartbeats, dead-worker reaping, the shared cache store, the
-  ``schedule="fifo"|"cost"`` dispatch policy and the batched/compressed
-  wire transport;
+  heartbeats, dead-worker reaping, the shared cache store, cost-sized
+  leases and the batched/compressed wire transport;
 * :mod:`repro.dist.costmodel` — :class:`CostModel`, the per-job
   runtime predictor (bench-seeded, EWMA-refined, JSON-persisted)
-  behind cost scheduling and adaptive lease sizing;
+  behind longest-first dispatch and lease sizing;
 * :mod:`repro.dist.worker` — the worker loop (``repro dist worker``);
 * :mod:`repro.dist.executor` — :class:`DistExecutor`, the driver-side
   handle that plugs into :class:`~repro.exec.ExecutionContext` behind

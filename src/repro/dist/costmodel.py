@@ -6,8 +6,8 @@ mesh sizing takes minutes while a ``single-bus-4`` replication block is
 subsecond.  FIFO dispatch therefore leaves the classic makespan money
 on the table: a long cell pulled last keeps one worker grinding while
 the rest of the fleet idles.  :class:`CostModel` is the predictor the
-broker's ``schedule="cost"`` policy orders jobs with (longest predicted
-first — LPT) and sizes prefetch leases from.
+broker orders jobs with (longest predicted first — LPT) and sizes
+leases from.
 
 Prediction is deliberately simple and cheap (the broker holds its one
 lock while predicting):
@@ -29,7 +29,9 @@ lock while predicting):
   training data), and failing that to a flat default rate.  Jobs whose
   features are indistinguishable then predict equal costs, and because
   every sort in the scheduler is stable, cold-start cost scheduling
-  degrades to exactly FIFO order.
+  degrades to exactly FIFO order.  Only *observed* rates size leases
+  (:meth:`CostModel.observed_cost`): a job the fleet has never run
+  leases alone, so a cold batch spreads over every worker.
 
 The model is a pure *hint*: predictions order the queue and size
 leases, never touch a payload or a result, so a wildly wrong model can
@@ -111,7 +113,7 @@ def _feature_keys(features: Dict[str, Any]) -> List[str]:
 
 
 class CostModel:
-    """EWMA per-unit runtime model behind the ``cost`` schedule.
+    """EWMA per-unit runtime model behind the broker's scheduler.
 
     Not thread-safe by itself — the broker calls it under its queue
     lock, which is also what keeps predictions and observations
@@ -169,6 +171,28 @@ class CostModel:
             return self._global * units
         prior = self._priors.get(str(features.get("scenario")), 1.0)
         return self.default_unit_cost * prior * units
+
+    def observed_cost(
+        self, features: Optional[Dict[str, Any]]
+    ) -> Optional[float]:
+        """Predicted runtime from an *observed* rate, else ``None``.
+
+        The rate must be for the job's kind and, when the features
+        name a scenario, for that scenario too: a bare-kind rate learnt
+        on one scenario says nothing about another, and the global
+        rate, priors and default say nothing observed at all.  The
+        broker bulk-leases and pins only jobs this returns a cost for.
+        """
+        if not features:
+            return None
+        keys = _feature_keys(features)
+        if features.get("scenario") is not None:
+            keys = keys[:-1]
+        for key in keys:
+            entry = self._rates.get(key)
+            if entry is not None:
+                return entry[0] * (float(features.get("units", 1.0)) or 1.0)
+        return None
 
     def observe(
         self,

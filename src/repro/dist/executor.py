@@ -83,14 +83,6 @@ class DistExecutor:
     poll_max:
         Cap on the backed-off poll interval (default
         ``max(0.5, poll_interval)``).
-    schedule:
-        Per-batch scheduling policy shipped with every submit:
-        ``"cost"`` orders the batch longest-predicted-first and sizes
-        worker leases from the broker's cost model, ``"fifo"`` forces
-        arrival order, ``None`` (default) defers to the broker's own
-        configured policy.  Scheduling changes *when* jobs run, never
-        what :meth:`map` returns — the merge is by submission index
-        either way.
     compress_threshold:
         When set, payload items whose pickle is at least this many
         bytes ship as zlib wire envelopes (workers apply the same
@@ -132,7 +124,6 @@ class DistExecutor:
         retry: RetryPolicy = DEFAULT_RETRY,
         on_broker_loss: str = "fallback",
         fallback_jobs: Optional[int] = None,
-        schedule: Optional[str] = None,
         compress_threshold: Optional[int] = None,
         poll_max: Optional[float] = None,
     ) -> None:
@@ -140,11 +131,6 @@ class DistExecutor:
             raise ReproError(
                 f"on_broker_loss must be 'fallback' or 'fail', got "
                 f"{on_broker_loss!r}"
-            )
-        if schedule not in (None, "fifo", "cost"):
-            raise ReproError(
-                f"schedule must be 'fifo', 'cost' or None, got "
-                f"{schedule!r}"
             )
         self.address = parse_address(address)
         self.authkey = authkey
@@ -154,7 +140,6 @@ class DistExecutor:
             if poll_max is not None
             else max(0.5, self.poll_interval)
         )
-        self.schedule = schedule
         self.compress_threshold = compress_threshold
         self.timeout = timeout
         self.no_worker_grace = float(no_worker_grace)
@@ -360,12 +345,7 @@ class DistExecutor:
 
         def _submit(b):
             faults.fire("executor.submit", batch_id=batch_id)
-            return b.submit(
-                batch_id,
-                payloads,
-                features=features,
-                schedule=self.schedule,
-            )
+            return b.submit(batch_id, payloads, features=features)
 
         self._rpc("batch submit", _submit)
         deadline = (

@@ -197,7 +197,6 @@ def run_matrix(
     executor: Optional[Any] = None,
     on_result: Optional[Callable[[int, BlockOutcome], None]] = None,
     journal: Optional[Any] = None,
-    schedule: Optional[str] = None,
 ) -> FleetOutcome:
     """Run one scenario×budget×replication matrix, merged by cell.
 
@@ -207,14 +206,6 @@ def run_matrix(
     bitwise-identical outcomes.  ``on_result(index, block)`` streams
     completed blocks in submission order.
 
-    ``schedule`` ("fifo" or "cost") sets the fleet scheduling policy
-    on the executor for this matrix: "cost" dispatches cells
-    longest-predicted-first from the broker's cost model, which cuts
-    the makespan of skewed matrices (see docs/distributed.md,
-    Scheduling).  Dispatch order is invisible in the outcome — the
-    merge stays by submission index, so the bitwise contract above is
-    unaffected.  Ignored for local runs, which are already ordered.
-
     ``journal`` (a :class:`~repro.dist.journal.RunJournal`) makes the
     run resumable: it is bound to this matrix configuration (resume
     validates the config hash), already-journaled blocks are reused
@@ -223,8 +214,6 @@ def run_matrix(
     at most the blocks in flight.  ``on_result`` still fires for every
     block, journaled or fresh, in global submission order.
     """
-    if schedule is not None and executor is not None:
-        executor.schedule = schedule
     payloads = build_matrix(
         scenario_names,
         budgets=budgets,

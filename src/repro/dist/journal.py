@@ -199,10 +199,10 @@ class RunJournal:
 
         The journal directory is the natural home: a resumed run
         should warm-start scheduling with the rates the first attempt
-        observed.  ``repro dist run --journal --schedule cost`` seeds
-        the broker from this file before submitting and snapshots the
-        refined model back after the run (see the CLI); the file is a
-        plain :meth:`repro.dist.costmodel.CostModel.to_state` JSON, so
-        losing or corrupting it costs warm predictions, never results.
+        observed.  ``repro dist run --journal`` seeds the broker from
+        this file before submitting and snapshots the refined model
+        back after the run (see the CLI); the file is a plain
+        :meth:`repro.dist.costmodel.CostModel.to_state` JSON, so losing
+        or corrupting it costs warm predictions, never results.
         """
         return self.path / "costmodel.json"

@@ -8,33 +8,30 @@ workers as a picklingly thin RPC, with no new dependencies.
 Queue semantics
 ---------------
 * **submit** — a driver registers a *batch*: an ordered list of
-  picklable job payloads.  Job ids are ``(batch_id, index)``; results
-  are stored per index, so the driver's merge is by submission order no
-  matter which worker computed what (the determinism contract of
-  :mod:`repro.exec.pool`, extended across hosts).
-* **pull** — workers lease up to ``max_jobs`` payloads.  Leases over
-  the central queue make prefetched-but-unstarted jobs *stealable*: an
-  idle worker whose pull finds the queue empty steals an unstarted
-  lease from the most-loaded worker instead of idling.
-  :meth:`Broker.lease_jobs` is the cost-aware superset: under
-  ``schedule="cost"`` the broker *sizes* the lease from predicted
-  runtimes (enough work to amortise the RPC, little enough that steals
-  stay cheap) and may *pin* an all-cheap lease — pre-marking its jobs
-  started so the worker skips the per-job ``start()`` round-trips (a
-  reaped pinned lease is re-enqueued like any other; duplicate
-  completions were already idempotent).
-* **start** — a worker announces it is about to execute a leased job.
-  ``False`` means the job was stolen or reassigned in the meantime; the
-  worker just skips it (the thief runs it), so no job ever runs twice
-  because of a steal.
-* **complete** — stores the result and clears the lease.  Duplicate
-  completions (a presumed-dead worker that was merely slow) are
-  ignored; jobs are pure, so whichever result landed first is the same
-  bits.  :meth:`Broker.complete_many` is the batched form: workers
-  buffer finished jobs and upload them in one RPC, cutting the per-job
-  round-trip count without changing what is stored (each element lands
-  through the same idempotent path).  Completions carry the worker's
-  measured runtime, which feeds the scheduler's cost model.
+  picklable job payloads with their scheduler features.  Job ids are
+  ``(batch_id, index)``; results are stored per index, so the driver's
+  merge is by submission order no matter which worker computed what
+  (the determinism contract of :mod:`repro.exec.pool`, extended across
+  hosts).  The batch is *enqueued* longest-predicted-first.
+* **lease_jobs** — the broker sizes each lease from its cost model.
+  Jobs with an observed runtime rate lease in bulk, up to
+  :data:`DEFAULT_LEASE_TARGET` seconds of predicted work, and come back
+  *pinned*: pre-marked started, so the worker skips the per-job
+  ``start()`` round-trips (a reaped pinned lease is re-enqueued like
+  any other).  Every other job leases alone and unpinned, so a cold
+  batch spreads over the whole fleet; an idle worker whose lease finds
+  the queue empty steals such an unstarted job from the most-loaded
+  worker instead of idling.
+* **start** — a worker announces it is about to execute an unpinned
+  job.  ``False`` means the job was stolen or reassigned in the
+  meantime; the worker just skips it (the thief runs it), so no job
+  ever runs twice because of a steal.
+* **complete_many** — stores a worker's buffered results and clears
+  their leases.  Duplicate completions (a presumed-dead worker that was
+  merely slow, or an upload replayed after a reconnect) are ignored;
+  jobs are pure, so whichever result landed first is the same bits.
+  Completions carry the worker's measured runtime, which trains the
+  cost model.
 * **heartbeat / reaping** — workers beat while executing; any worker
   whose last beat is older than ``lease_timeout`` is reaped and its
   incomplete leases re-enqueued at the *front* of the queue (oldest
@@ -91,15 +88,15 @@ DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
 #: sampling cadence this is ~17 minutes of history in a few MB.
 DEFAULT_HISTORY_CAPACITY = 512
 
-#: Predicted seconds of work one cost-sized lease aims to hand out:
-#: several poll intervals' worth (so a worker rarely pulls twice per
-#: second of work) yet small enough that a reaped or stolen lease
-#: forfeits well under a second of predicted compute.
+#: Predicted seconds of work one bulk lease aims to hand out: several
+#: poll intervals' worth (so a worker rarely leases twice per second of
+#: work) yet small enough that a reaped lease forfeits well under a
+#: second of predicted compute.
 DEFAULT_LEASE_TARGET = 0.5
 
-#: Hard cap on jobs per cost-sized lease, whatever the predictions say
-#: — bounds both the pull RPC's payload bytes and the work a dead
-#: worker's reap re-enqueues.
+#: Hard cap on jobs per lease, whatever the predictions say — bounds
+#: both the lease RPC's payload bytes and the work a dead worker's reap
+#: re-enqueues.
 LEASE_MAX_JOBS = 32
 
 JobId = Tuple[str, int]
@@ -223,8 +220,6 @@ class Broker:
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
         clock: Callable[[], float] = time.monotonic,
         batch_ttl: Optional[float] = None,
-        schedule: str = "fifo",
-        lease_target: float = DEFAULT_LEASE_TARGET,
         cost_model: Optional[CostModel] = None,
         cost_model_path: Optional[str] = None,
         history_capacity: int = DEFAULT_HISTORY_CAPACITY,
@@ -233,22 +228,10 @@ class Broker:
             raise ReproError(
                 f"lease_timeout must be > 0, got {lease_timeout}"
             )
-        if schedule not in ("fifo", "cost"):
-            raise ReproError(
-                f"schedule must be 'fifo' or 'cost', got {schedule!r}"
-            )
-        if lease_target <= 0:
-            raise ReproError(
-                f"lease_target must be > 0, got {lease_target}"
-            )
         self.lease_timeout = float(lease_timeout)
-        self.schedule = schedule
-        self.lease_target = float(lease_target)
         # The scheduler's runtime predictor: warm-started from a saved
         # state when `cost_model_path` exists, refined by every
-        # completion (FIFO mode included — observing is free and makes
-        # the *next* cost-scheduled fleet start warm), and periodically
-        # re-persisted to the same path.
+        # completion, and periodically re-persisted to the same path.
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.cost_model_path = cost_model_path
         if cost_model_path is not None:
@@ -271,10 +254,8 @@ class Broker:
         self._payloads: Dict[JobId, JobPayload] = {}
         self._leases: Dict[JobId, str] = {}  # job id -> worker id
         self._started: set = set()  # leased jobs whose execution began
-        # Scheduler state: per-job features/predictions (cost batches
-        # only predict; features are kept for every batch that shipped
-        # them, so completions train the model under either policy) and
-        # start times for the runtime fallback when a completion
+        # Scheduler state: per-job features and submit-time predictions,
+        # and start times for the runtime fallback when a completion
         # arrives without a worker-measured runtime.
         self._features: Dict[JobId, Optional[Dict[str, Any]]] = {}
         self._predicted: Dict[JobId, float] = {}
@@ -301,7 +282,6 @@ class Broker:
         # Scheduler/transport telemetry (the `dist top` rows).
         self._c_lease_grants = self.metrics.counter("broker.lease_grants")
         self._c_lease_jobs = self.metrics.counter("broker.lease_jobs")
-        self._c_lease_resize = self.metrics.counter("broker.lease_resize")
         self._c_pinned_leases = self.metrics.counter("broker.pinned_leases")
         self._c_batched_uploads = self.metrics.counter(
             "broker.batched_uploads"
@@ -332,137 +312,106 @@ class Broker:
         batch_id: str,
         payloads: List[JobPayload],
         features: Optional[List[Optional[Dict[str, Any]]]] = None,
-        schedule: Optional[str] = None,
     ) -> int:
         """Register one ordered batch of jobs; returns the batch size.
 
         ``features`` (parallel to ``payloads``) are the driver-extracted
         scheduler features — the broker never introspects payloads,
-        which may cross the wire compressed.  ``schedule`` overrides
-        the broker's default policy for this batch; under ``"cost"``
-        the batch is *enqueued* longest-predicted-first (LPT), while
-        job ids, result indices and the driver's merge order stay the
-        submission order — dispatch order is scheduling, not
-        semantics.  Python's sort is stable, so jobs the model cannot
-        tell apart keep their submission order and a cold-start cost
-        batch dispatches exactly like FIFO.
+        which may cross the wire compressed.  The batch is *enqueued*
+        longest-predicted-first (LPT), while job ids, result indices
+        and the driver's merge order stay the submission order —
+        dispatch order is scheduling, not semantics.  Python's sort is
+        stable, so jobs the model cannot tell apart keep their
+        submission order and a cold-start batch dispatches exactly like
+        FIFO.
         """
-        if schedule is not None and schedule not in ("fifo", "cost"):
-            raise ReproError(
-                f"schedule must be 'fifo' or 'cost', got {schedule!r}"
-            )
         with self._lock:
             if batch_id in self._batch_totals:
                 raise ReproError(f"batch {batch_id!r} already submitted")
             self._batch_totals[batch_id] = len(payloads)
             self._results[batch_id] = {}
             self._batch_polled[batch_id] = self._clock()
-            policy = schedule if schedule is not None else self.schedule
             order = list(range(len(payloads)))
             if features is not None and len(features) == len(payloads):
                 for index in order:
                     self._features[(batch_id, index)] = features[index]
-            if policy == "cost":
-                for index in order:
-                    job_id = (batch_id, index)
-                    self._predicted[job_id] = self.cost_model.predict(
-                        self._features.get(job_id)
-                    )
-                order.sort(key=lambda i: -self._predicted[(batch_id, i)])
+            for index in order:
+                job_id = (batch_id, index)
+                self._predicted[job_id] = self.cost_model.predict(
+                    self._features.get(job_id)
+                )
+            order.sort(key=lambda i: -self._predicted[(batch_id, i)])
             for index in order:
                 job_id = (batch_id, index)
                 self._payloads[job_id] = payloads[index]
                 self._pending.append(job_id)
             return len(payloads)
 
-    def pull(
-        self, worker_id: str, max_jobs: int = 1
-    ) -> List[Tuple[JobId, JobPayload]]:
-        """Lease up to ``max_jobs`` jobs to one worker (steals if idle)."""
-        with self._lock:
-            self._beat(worker_id)
-            self._reap()
-            granted: List[Tuple[JobId, JobPayload]] = []
-            while len(granted) < max_jobs and self._pending:
-                job_id = self._pending.popleft()
-                if job_id not in self._payloads or job_id in self._leases:
-                    continue  # dropped batch / duplicate re-enqueue
-                self._leases[job_id] = worker_id
-                granted.append((job_id, self._payloads[job_id]))
-            if not granted:
-                stolen = self._steal_for(worker_id)
-                if stolen is not None:
-                    granted.append(stolen)
-            return granted
-
-    def lease_jobs(
-        self, worker_id: str, max_jobs: int = 1
-    ) -> Dict[str, Any]:
-        """Cost-aware lease: the broker sizes it, and may pin it.
+    def lease_jobs(self, worker_id: str) -> Dict[str, Any]:
+        """Lease work to one worker, sized by the cost model.
 
         Returns ``{"jobs": [(job_id, payload), ...], "pinned": bool}``.
-        For plain FIFO jobs this grants at most ``max_jobs`` — exactly
-        :meth:`pull`.  Jobs carrying a cost prediction are instead
-        granted until their predicted runtimes sum past
-        ``lease_target`` (or :data:`LEASE_MAX_JOBS`): long jobs lease
-        alone, cheap jobs lease in bulk, and either way one pull RPC
-        hands out ≈``lease_target`` seconds of work.
+        Jobs the model has an *observed* rate for
+        (:meth:`CostModel.observed_cost`) are granted until their
+        predicted runtimes would sum past :data:`DEFAULT_LEASE_TARGET`
+        (or :data:`LEASE_MAX_JOBS`): cheap jobs lease in bulk, and one
+        lease RPC hands out ≈``DEFAULT_LEASE_TARGET`` seconds of work.
+        Every other job — never observed, or predicted longer than the
+        target — leases alone.  A cold batch therefore spreads over
+        every worker, and its first completions train the model.
 
-        A lease whose jobs are all predicted-cheap (total ≤
-        ``lease_target``) comes back **pinned**: the broker marks the
-        jobs started here and now, so the worker skips one ``start()``
-        RPC per job.  The trade is deliberate and bounded — pinned
-        jobs are invisible to steals (they read as running), and a
-        worker death re-runs up to one lease_target of work after the
-        reap (re-enqueue and duplicate-completion paths are shared
-        with ``start()``-ed jobs, so the determinism contract is
-        untouched).  Stolen jobs are never pinned: the victim may race
-        the thief, and ``start()`` is the arbiter.
+        A lease of observed jobs within the target comes back
+        **pinned**: the broker marks the jobs started here and now, so
+        the worker skips one ``start()`` RPC per job.  The trade is
+        deliberate and bounded — pinned jobs are invisible to steals
+        (they read as running), and a worker death re-runs up to one
+        lease target of work after the reap (re-enqueue and
+        duplicate-completion paths are shared with ``start()``-ed
+        jobs, so the determinism contract is untouched).  Single
+        unpinned jobs stay stealable, with ``start()`` as the arbiter;
+        an idle worker that finds the queue empty steals one.
         """
         with self._lock:
             self._beat(worker_id)
             self._reap()
             granted: List[Tuple[JobId, JobPayload]] = []
             predicted_total = 0.0
-            cost_jobs = 0
+            pinned = True
             while self._pending and len(granted) < LEASE_MAX_JOBS:
                 job_id = self._pending[0]
                 if job_id not in self._payloads or job_id in self._leases:
                     self._pending.popleft()
                     continue  # dropped batch / duplicate re-enqueue
-                predicted = self._predicted.get(job_id)
-                if granted:
-                    if predicted is None:
-                        if len(granted) >= max_jobs:
-                            break
-                    elif predicted_total + predicted > self.lease_target:
-                        break
+                cost = self.cost_model.observed_cost(
+                    self._features.get(job_id)
+                )
+                if granted and (
+                    cost is None
+                    or predicted_total + cost > DEFAULT_LEASE_TARGET
+                ):
+                    break
                 self._pending.popleft()
                 self._leases[job_id] = worker_id
                 granted.append((job_id, self._payloads[job_id]))
-                if predicted is not None:
-                    predicted_total += predicted
-                    cost_jobs += 1
-            pinned = False
-            if granted:
-                self._c_lease_grants.inc()
-                self._c_lease_jobs.inc(len(granted))
-                if cost_jobs and len(granted) != max_jobs:
-                    self._c_lease_resize.inc()
-                if (
-                    cost_jobs == len(granted)
-                    and predicted_total <= self.lease_target
-                ):
-                    pinned = True
-                    self._c_pinned_leases.inc()
-                    now = self._clock()
-                    for job_id, _ in granted:
-                        self._started.add(job_id)
-                        self._started_at.setdefault(job_id, now)
-            else:
+                if cost is None:
+                    pinned = False
+                    break  # unobserved: leases alone
+                predicted_total += cost
+            if not granted:
                 stolen = self._steal_for(worker_id)
-                if stolen is not None:
-                    granted.append(stolen)
+                return {
+                    "jobs": [] if stolen is None else [stolen],
+                    "pinned": False,
+                }
+            self._c_lease_grants.inc()
+            self._c_lease_jobs.inc(len(granted))
+            pinned = pinned and predicted_total <= DEFAULT_LEASE_TARGET
+            if pinned:
+                self._c_pinned_leases.inc()
+                now = self._clock()
+                for job_id, _ in granted:
+                    self._started.add(job_id)
+                    self._started_at.setdefault(job_id, now)
             return {"jobs": granted, "pinned": pinned}
 
     def _steal_for(
@@ -476,7 +425,7 @@ class Broker:
         if not by_victim:
             return None
         victim = max(by_victim, key=lambda w: len(by_victim[w]))
-        # Steal the tail of the victim's lease (its last-pulled job):
+        # Steal the tail of the victim's lease (its last-leased job):
         # the victim works its lease front to back, so the tail is the
         # job it would reach last — the least likely to race a start().
         job_id = max(by_victim[victim])
@@ -489,7 +438,7 @@ class Broker:
 
         Refreshes liveness but never *registers*: a reaped worker
         announcing a stale job must not resurrect as a phantom (see
-        :meth:`complete`).
+        :meth:`complete_many`).
         """
         with self._lock:
             self._beat(worker_id, register=False)
@@ -500,36 +449,6 @@ class Broker:
             self._started_at.setdefault(job_id, self._clock())
             return True
 
-    def complete(
-        self,
-        worker_id: str,
-        job_id: JobId,
-        result: Any,
-        metrics: Optional[Dict[str, Any]] = None,
-        runtime: Optional[float] = None,
-    ) -> None:
-        """Store one job's result (idempotent across duplicate runs).
-
-        A worker reaped mid-result-upload lands here *after* its jobs
-        were re-enqueued: the late completion must neither resurrect
-        the reaped worker (``register=False`` — a phantom in
-        ``_workers`` would inflate the live-worker count the driver's
-        no-progress guard reads, and be "reaped" again next cycle) nor
-        double-count — the first result for an index wins and
-        increments ``completed`` exactly once; every duplicate returns
-        before any counter.  The worker re-registers honestly on its
-        next ``pull``.
-
-        ``runtime`` is the worker's measured wall time for the job; it
-        (or, failing that, the broker-clock ``start``→``complete``
-        span) trains the scheduler's cost model.
-        """
-        with self._lock:
-            self._beat(worker_id, register=False)
-            if metrics is not None:
-                self._merge_worker_metrics(worker_id, metrics)
-            self._complete_locked(job_id, result, runtime)
-
     def complete_many(
         self,
         worker_id: str,
@@ -538,12 +457,24 @@ class Broker:
     ) -> None:
         """Store a worker's buffered ``(job_id, result, runtime)`` batch.
 
-        One RPC replaces N ``complete()`` round-trips; each element
-        lands through the same idempotent per-job path, so a batch
-        replayed after a reconnect (the worker cannot know whether the
-        first upload landed before the connection died) stores nothing
-        twice.  Partial novelty is fine too: the duplicate elements
-        no-op, the new ones land.
+        Each element lands idempotently: the first result for an index
+        wins and increments ``completed`` exactly once, and every
+        duplicate returns before any counter.  So a batch replayed
+        after a reconnect (the worker cannot know whether the first
+        upload landed before the connection died) stores nothing twice,
+        and partial novelty is fine too: the duplicate elements no-op,
+        the new ones land.
+
+        A worker reaped mid-upload lands here *after* its jobs were
+        re-enqueued: the late completion must not resurrect the reaped
+        worker (``register=False`` — a phantom in ``_workers`` would
+        inflate the live-worker count the driver's no-progress guard
+        reads, and be "reaped" again next cycle).  The worker
+        re-registers honestly on its next lease.
+
+        ``runtime`` is the worker's measured wall time for the job; it
+        (or, failing that, the broker-clock ``start``→completion span)
+        trains the cost model.
         """
         with self._lock:
             self._beat(worker_id, register=False)
@@ -676,11 +607,7 @@ class Broker:
     def config(self) -> Dict[str, Any]:
         """Broker parameters workers read at connect time."""
         with self._lock:
-            return {
-                "lease_timeout": self.lease_timeout,
-                "schedule": self.schedule,
-                "lease_target": self.lease_target,
-            }
+            return {"lease_timeout": self.lease_timeout}
 
     def stats(self) -> Dict[str, Any]:
         """Queue diagnostics (tests, the fleet driver's summary line).
@@ -702,10 +629,8 @@ class Broker:
             "steals": self._c_steals.value,
             "reaped_jobs": self._c_reaped.value,
             "dropped_batches": self._c_dropped.value,
-            "schedule": self.schedule,
             "lease_grants": self._c_lease_grants.value,
             "lease_jobs": self._c_lease_jobs.value,
-            "lease_resizes": self._c_lease_resize.value,
             "pinned_leases": self._c_pinned_leases.value,
             "batched_uploads": self._c_batched_uploads.value,
             "batched_jobs": self._c_batched_jobs.value,
@@ -718,21 +643,14 @@ class Broker:
         the same lock hold — one metrics path, two renderings.
         """
         grants = self._c_lease_grants.value
-        completed = self._c_completed.value
-        batched = self._c_batched_jobs.value
         return {
-            "schedule": self.schedule,
-            "lease_target": self.lease_target,
+            "lease_target": DEFAULT_LEASE_TARGET,
             "cost": self.cost_model.stats(),
             "mean_lease_size": (
                 self._c_lease_jobs.value / grants if grants else None
             ),
-            "lease_resizes": self._c_lease_resize.value,
             "pinned_leases": self._c_pinned_leases.value,
             "batched_uploads": self._c_batched_uploads.value,
-            "batched_ratio": (
-                min(batched / completed, 1.0) if completed else None
-            ),
         }
 
     def obs_snapshot(self) -> Dict[str, Any]:
@@ -799,7 +717,7 @@ class Broker:
 
     def _beat(self, worker_id: str, register: bool = True) -> None:
         """Record liveness.  ``register=False`` only refreshes workers
-        already known — reaped workers stay reaped until they pull."""
+        already known — reaped workers stay reaped until they lease."""
         if register or worker_id in self._workers:
             self._workers[worker_id] = self._clock()
             record = self._worker_metrics.get(worker_id)
@@ -816,7 +734,7 @@ class Broker:
         successful ship — see ``_MetricsShipper``); gauges overwrite.
         A reaped worker shipping a late delta still lands — its work
         happened — but stays marked dead until it re-registers via
-        ``pull``.
+        ``lease_jobs``.
         """
         record = self._worker_metrics.get(worker_id)
         if record is None:
@@ -1045,16 +963,12 @@ class BrokerServer:
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
         batch_ttl: Optional[float] = None,
-        schedule: str = "fifo",
-        lease_target: float = DEFAULT_LEASE_TARGET,
         cost_model_path: Optional[str] = None,
     ) -> None:
         self.broker = Broker(
             lease_timeout=lease_timeout,
             cache_max_bytes=cache_max_bytes,
             batch_ttl=batch_ttl,
-            schedule=schedule,
-            lease_target=lease_target,
             cost_model_path=cost_model_path,
         )
         broker = self.broker

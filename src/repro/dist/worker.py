@@ -3,19 +3,18 @@
 ``repro dist worker HOST:PORT`` runs :func:`worker_loop` in the
 foreground.  The loop leases jobs via
 :meth:`~repro.dist.queue.Broker.lease_jobs` (the broker sizes the
-lease from its cost model when scheduling is ``cost``; leased surplus
-is what idle peers steal), announces each execution with ``start`` (a
-``False`` answer means the job was stolen — skip it; *pinned* leases
-arrive pre-started and skip the announcement round-trip entirely), and
-ships results (or a :class:`~repro.dist.queue.JobFailure` wrapping the
-exception, with its text bounded by
-:func:`~repro.dist.queue.truncate_failure_text`) back in batched
-``complete_many`` uploads of up to ``upload_batch`` finished jobs —
-one RPC instead of N, flushed at every lease boundary so results never
-wait on future work.  Each completion carries the job's measured wall
-time, which trains the broker's cost model.  Because completions are
-idempotent broker-side, a flush interrupted by a torn connection is
-simply replayed after the reconnect.
+lease from its cost model), announces each execution of an unpinned
+job with ``start`` (a ``False`` answer means the job was stolen — skip
+it; *pinned* leases arrive pre-started and skip the announcement
+round-trip entirely), and ships results (or a
+:class:`~repro.dist.queue.JobFailure` wrapping the exception, with its
+text bounded by :func:`~repro.dist.queue.truncate_failure_text`) back
+in ``complete_many`` uploads of up to :data:`UPLOAD_BATCH` finished
+jobs — one RPC instead of N, flushed at every lease boundary so
+results never wait on future work.  Each completion carries the job's
+measured wall time, which trains the broker's cost model.  Because
+completions are idempotent broker-side, a flush interrupted by a torn
+connection is simply replayed after the reconnect.
 
 Liveness is a side thread beating over its *own* broker connection
 (manager proxies are not thread-safe across threads), so a worker
@@ -24,7 +23,7 @@ beating and the broker re-enqueues its leases after ``lease_timeout``.
 
 Self-healing: connects run under the unified
 :class:`~repro.retry.RetryPolicy`, a heartbeat thread that died (torn
-connection) is restarted on the next pull, and a torn *main*
+connection) is restarted on the next lease, and a torn *main*
 connection triggers a reconnect attempt before the worker gives up —
 so a broker restart stalls a worker instead of killing it.  Fault
 plans (:mod:`repro.faults`) inject at the ``worker.execute`` and
@@ -73,6 +72,11 @@ __all__ = ["default_worker_id", "worker_loop"]
 #: Connection errors meaning "the broker went away" — a worker treats
 #: them as a reconnect signal first and a shutdown signal second.
 _BROKER_GONE = (ConnectionError, EOFError, BrokenPipeError, OSError)
+
+#: Finished jobs buffered per ``complete_many`` upload.  The buffer
+#: also flushes at every lease boundary, so a result waits on at most
+#: the jobs of its own lease, never on future work.
+UPLOAD_BATCH = 8
 
 
 def default_worker_id() -> str:
@@ -187,13 +191,11 @@ def worker_loop(
     authkey: bytes = DEFAULT_AUTHKEY,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
-    prefetch: int = 2,
     poll_interval: float = 0.1,
     max_idle: Optional[float] = None,
     worker_id: Optional[str] = None,
     retry: RetryPolicy = DEFAULT_RETRY,
     max_failure_text: int = MAX_FAILURE_TEXT,
-    upload_batch: int = 8,
     compress_threshold: Optional[int] = None,
 ) -> int:
     """Serve jobs from the broker at ``address`` until told to stop.
@@ -205,12 +207,8 @@ def worker_loop(
     cache_dir / cache_max_bytes:
         Optional local disk tier under the shared cache (a worker
         without one still reads/writes the broker's shared store).
-    prefetch:
-        Jobs requested per lease; the surplus beyond the one executing
-        is the stealable margin.  Under cost scheduling the broker may
-        resize the grant (see ``Broker.lease_jobs``).
     poll_interval:
-        Sleep between empty pulls.
+        Sleep between empty leases (a fixed interval, no backoff).
     max_idle:
         Exit after this many consecutive seconds without work
         (``None`` = serve forever); the number of jobs executed is
@@ -221,12 +219,6 @@ def worker_loop(
         loop cleanly).
     max_failure_text:
         Per-field bound on shipped :class:`JobFailure` text.
-    upload_batch:
-        Finished jobs buffered per ``complete_many`` upload; the
-        buffer also flushes at every lease boundary, so a result
-        waits on at most the jobs of its own lease, never on future
-        work.  ``1`` restores the one-``complete()``-per-job wire
-        behaviour (the PR 8 baseline, kept for comparison benches).
     compress_threshold:
         When set, results whose pickle is at least this many bytes
         ship as zlib wire envelopes (``None`` disables — the
@@ -295,20 +287,8 @@ def worker_loop(
     outbox: list = []
 
     def _flush() -> None:
-        """Upload every buffered completion (one RPC when batching)."""
+        """Upload every buffered completion in one RPC."""
         if not outbox:
-            return
-        if upload_batch <= 1:
-            # Legacy wire shape: one complete() per job.  Pop as we
-            # go so a mid-flush disconnect replays only the remainder.
-            while outbox:
-                job_id, result, runtime = outbox[0]
-                shipper.ship(
-                    lambda env: broker.complete(
-                        worker_id, job_id, result, env, runtime
-                    )
-                )
-                outbox.pop(0)
             return
         batch = list(outbox)
         shipper.ship(
@@ -341,7 +321,7 @@ def worker_loop(
             if not heartbeat.is_alive():
                 heartbeat = _start_heartbeat()
             try:
-                lease = broker.lease_jobs(worker_id, max_jobs=prefetch)
+                lease = broker.lease_jobs(worker_id)
             except _BROKER_GONE:
                 if _reconnect():
                     continue
@@ -359,7 +339,7 @@ def worker_loop(
             idle_since = None
             for job_id, payload in leased:
                 try:
-                    # Pinned leases were marked started at pull time —
+                    # Pinned leases were marked started at lease time —
                     # the broker already guarantees nobody steals them,
                     # so the per-job announcement round-trip is skipped.
                     if not pinned and not broker.start(worker_id, job_id):
@@ -386,7 +366,7 @@ def worker_loop(
                     # jobs' counters.
                     outbox.append((job_id, result, runtime))
                     executed += 1
-                    if len(outbox) >= max(upload_batch, 1):
+                    if len(outbox) >= UPLOAD_BATCH:
                         _flush()
                 except _BROKER_GONE:
                     if not _reconnect():

@@ -161,7 +161,6 @@ class ExecutionContext:
         scenario: Optional[Any] = None,
         dist: Optional[str] = None,
         dist_authkey: Optional[str] = None,
-        dist_schedule: Optional[str] = None,
         progress: Optional[Any] = None,
     ) -> "ExecutionContext":
         """Build a context from plain CLI-style values.
@@ -173,11 +172,6 @@ class ExecutionContext:
         ``--dist``): batches fan out over that fleet via a
         :class:`repro.dist.DistExecutor` instead of the local pool,
         authenticated with ``dist_authkey`` (``--authkey``) when given.
-        ``dist_schedule`` (``--schedule``) selects the fleet's dispatch
-        policy — ``"cost"`` for cost-model LPT ordering with sized
-        leases, ``"fifo"`` to force arrival order, ``None`` for the
-        broker's default; by the fleet determinism contract it cannot
-        change any result.
         """
         if cache_max_mb is not None and cache_dir is None:
             raise ReproError("cache_max_mb requires a cache directory")
@@ -190,7 +184,7 @@ class ExecutionContext:
         if dist is not None:
             from repro.dist import DistExecutor
 
-            dist_kwargs: Dict[str, Any] = {"schedule": dist_schedule}
+            dist_kwargs: Dict[str, Any] = {}
             if dist_authkey is not None:
                 dist_kwargs["authkey"] = dist_authkey.encode("utf-8")
             executor = DistExecutor(dist, **dist_kwargs)

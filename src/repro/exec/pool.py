@@ -113,11 +113,11 @@ def parallel_map(
     obs.counter("pool.jobs").inc(len(job_list))
     if executor is not None:
         # Fleet path: the executor owns dispatch — including the
-        # cost-model LPT schedule and lease sizing when it carries
-        # ``schedule="cost"`` (see repro.dist.costmodel) — but merges
-        # by submission index, so the determinism contract above is
-        # its contract too.  Counted separately from local maps so
-        # `repro obs dump` shows how much work left the host.
+        # cost-model LPT schedule and lease sizing (see
+        # repro.dist.costmodel) — but merges by submission index, so
+        # the determinism contract above is its contract too.  Counted
+        # separately from local maps so `repro obs dump` shows how much
+        # work left the host.
         obs.counter("pool.dist_maps").inc()
         obs.counter("pool.dist_jobs").inc(len(job_list))
         return executor.map(fn, job_list, on_result=on_result)

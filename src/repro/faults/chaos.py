@@ -14,8 +14,9 @@ Modes:
   contract (a no-op plan must also change nothing).
 * ``dist`` — a real in-process :class:`~repro.dist.queue.BrokerServer`
   plus forked worker processes.  The *first* worker receives the fault
-  plan through ``REPRO_FAULT_PLAN`` (so one worker crashes, stalls, or
-  corrupts blobs while the rest of the fleet heals around it); the
+  plan through ``REPRO_FAULT_PLAN`` and runs alone until the first
+  block lands (so it crashes, stalls, or corrupts blobs on work it
+  really holds, and the rest of the fleet joins to heal around it); the
   driver installs the same plan in-process for the connect/executor
   hooks; ``broker_loss`` plans make the harness stop the broker after
   ``after`` completed blocks, forcing the executor's local fallback.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -113,13 +113,16 @@ def _worker_entry(address, close_fileno: Optional[int], kwargs) -> None:
     The child inherits the in-process broker's *listening* socket fd;
     left open it keeps the port accepting into a kernel backlog nobody
     serves after the harness stops the broker (a zombie listener the
-    probe in :mod:`repro.dist.queue` would have to time out on).
+    probe in :mod:`repro.dist.queue` would have to time out on).  It
+    also inherits the driver's installed injector when forked mid-run:
+    a worker's plan must come from its environment only.
     """
     if close_fileno is not None:
         try:
             os.close(close_fileno)
         except OSError:
             pass
+    install(None)
     from repro.dist.worker import worker_loop
 
     worker_loop(address, **kwargs)
@@ -144,17 +147,10 @@ def _spawn_worker(
     try:
         process = _FORK.Process(
             target=_worker_entry,
-            # prefetch=1 so blocks spread across the fleet instead of
-            # one fast worker leasing everything — the faulted worker
-            # must actually receive work for its plan to fire.
             args=(
                 address,
                 close_fileno,
-                {
-                    "poll_interval": 0.02,
-                    "prefetch": 1,
-                    "cache_dir": cache_dir,
-                },
+                {"poll_interval": 0.02, "cache_dir": cache_dir},
             ),
             daemon=True,
         )
@@ -189,7 +185,6 @@ def _run_dist_mode(
     workers: int,
     log_path: Optional[Path],
     matrix_kwargs,
-    schedule: Optional[str] = None,
 ) -> Tuple[Any, FaultInjector, int]:
     from repro.dist.executor import DistExecutor
     from repro.dist.fleet import run_matrix
@@ -222,9 +217,6 @@ def _run_dist_mode(
             )
             server.stop()
 
-    # The faulted worker starts first with a head start, so it is
-    # pulling jobs before its clean peers connect — otherwise a fast
-    # clean worker can drain a small matrix and the plan never fires.
     listen_fd = server.listen_fileno()
     # Per-worker disk caches: cache-site plans need the local
     # ResultCache tier live so ``cache.entry`` damage has something to
@@ -234,28 +226,37 @@ def _run_dist_mode(
     # Cache damage is healed *locally* (quarantine + recompute), so a
     # pure cache plan rides in every worker — injection then cannot
     # depend on which worker wins the lease race.  Process-level faults
-    # stay confined to the first worker, whose head start guarantees it
-    # leases work before its clean peers connect.
+    # stay confined to the first worker.
     cache_only = all(event.site in _CACHE_SITES for event in plan.events)
     plan_env = _worker_env(plan, log_path)
-    processes = [
-        _spawn_worker(
+
+    def _spawn(index: int, env: Optional[Dict[str, str]]):
+        return _spawn_worker(
             server.address,
-            extra_env=plan_env,
-            close_fileno=listen_fd,
-            cache_dir=os.path.join(tmp.name, "w0"),
-        )
-    ]
-    time.sleep(0.4)
-    processes.extend(
-        _spawn_worker(
-            server.address,
-            extra_env=plan_env if cache_only else None,
+            extra_env=env,
             close_fileno=listen_fd,
             cache_dir=os.path.join(tmp.name, f"w{index}"),
         )
-        for index in range(1, max(1, workers))
-    )
+
+    # The first worker runs alone until the first block lands.  Its
+    # first job trains the broker's cost model, so its next lease is
+    # the warm, pinned bulk of that scenario and a plan striking its
+    # second job (``after=1``) really fires; a peer polling alongside
+    # could win that lease and leave the plan nothing to strike.  The
+    # peers join then, to heal what the plan breaks.
+    processes = [_spawn(0, plan_env)]
+
+    def _join_peers(index: int, block: Any) -> None:
+        if len(processes) == 1 and not stopped[0]:
+            processes.extend(
+                _spawn(peer, plan_env if cache_only else None)
+                for peer in range(1, max(1, workers))
+            )
+
+    def _on_result(index: int, block: Any) -> None:
+        _maybe_stop_broker(index, block)
+        _join_peers(index, block)
+
     previous = install(injector)
     try:
         executor = DistExecutor(
@@ -265,7 +266,6 @@ def _run_dist_mode(
             no_worker_grace=60,
             on_broker_loss="fallback",
             fallback_jobs=1,
-            schedule=schedule,
         )
         if any(event.site in _CACHE_SITES for event in plan.events):
             # Warm pass: populate worker caches and the broker's shared
@@ -273,11 +273,11 @@ def _run_dist_mode(
             # actually *reads* (and the plan corrupts those reads).
             # Corruption strikes lookups only, so the warm pass stores
             # pristine bytes even with the plan active.
-            run_matrix(executor=executor, **matrix_kwargs)
+            run_matrix(
+                executor=executor, on_result=_join_peers, **matrix_kwargs
+            )
         outcome = run_matrix(
-            executor=executor,
-            on_result=_maybe_stop_broker,
-            **matrix_kwargs,
+            executor=executor, on_result=_on_result, **matrix_kwargs
         )
         fallbacks = executor.fallbacks
     finally:
@@ -306,7 +306,6 @@ def run_chaos_matrix(
     jobs: int = 2,
     workers: int = 2,
     log_dir: Optional[Any] = None,
-    schedule: Optional[str] = None,
 ) -> ChaosReport:
     """Run the fault matrix; every cell must reproduce the reference.
 
@@ -314,10 +313,7 @@ def run_chaos_matrix(
     workload itself; ``plans`` defaults to
     :func:`~repro.faults.plan.standard_plans`, ``modes`` selects the
     execution lanes, and ``log_dir`` (optional) collects one fault log
-    per (plan, mode) case.  ``schedule`` sets the dist lane's fleet
-    scheduling policy (``"cost"`` exercises LPT ordering, sized and
-    pinned leases, and batched uploads under every fault plan — the
-    scheduler's own determinism gate).
+    per (plan, mode) case.
     """
     bad = [mode for mode in modes if mode not in ("serial", "jobs", "dist")]
     if bad:
@@ -348,8 +344,7 @@ def run_chaos_matrix(
             )
             if mode == "dist":
                 jsonable, injector, fallbacks = _run_dist_mode(
-                    plan, workers, log_path, matrix_kwargs,
-                    schedule=schedule,
+                    plan, workers, log_path, matrix_kwargs
                 )
             else:
                 jsonable, injector, fallbacks = _run_local_mode(

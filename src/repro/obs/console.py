@@ -136,15 +136,12 @@ def render_top(
         cost = scheduler.get("cost", {})
         err = cost.get("mean_abs_rel_err")
         mean_lease = scheduler.get("mean_lease_size")
-        ratio = scheduler.get("batched_ratio")
+        uploads = queue.get("batched_uploads", 0)
         lines.append(
-            "scheduler: %s  pred-err %s  mean-lease %s  resizes %d  "
-            "pinned %d"
+            "scheduler: pred-err %s  mean-lease %s  pinned %d"
             % (
-                scheduler.get("schedule", "?"),
                 "%.0f%%" % (100.0 * err) if err is not None else "-",
                 "%.1f" % mean_lease if mean_lease is not None else "-",
-                scheduler.get("lease_resizes", 0),
                 scheduler.get("pinned_leases", 0),
             )
         )
@@ -152,8 +149,10 @@ def render_top(
             "transport: batched uploads %d  jobs/upload %s  "
             "model obs %d entr %d"
             % (
-                scheduler.get("batched_uploads", 0),
-                "%.1f" % ratio if ratio is not None else "-",
+                uploads,
+                "%.1f" % (queue.get("batched_jobs", 0) / uploads)
+                if uploads
+                else "-",
                 cost.get("observations", 0),
                 cost.get("entries", 0),
             )

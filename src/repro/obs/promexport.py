@@ -51,7 +51,6 @@ _QUEUE_COUNTERS = (
     "dropped_batches",
     "lease_grants",
     "lease_jobs",
-    "lease_resizes",
     "pinned_leases",
     "batched_uploads",
     "batched_jobs",
@@ -177,7 +176,7 @@ def render_prometheus(
 
     for key, value in snapshot.get("scheduler", {}).items():
         if not _is_number(value):
-            continue  # schedule strings, None ratios, the cost sub-dict
+            continue  # None ratios, the cost sub-dict
         name = "repro_scheduler_%s" % _sanitize(key)
         out.family(name, "gauge", "Cost scheduler gauge: %s." % key)
         out.sample(name, value)

@@ -211,10 +211,10 @@ class TestDistCli:
         assert args.port == 0 and args.lease_timeout == 2.5
         args = build_parser().parse_args([
             "dist", "worker", "host:7070",
-            "--cache-dir", "/tmp/c", "--prefetch", "3", "--max-idle", "5",
+            "--cache-dir", "/tmp/c", "--max-idle", "5",
         ])
         assert args.address == "host:7070"
-        assert args.prefetch == 3 and args.max_idle == 5.0
+        assert args.max_idle == 5.0
         args = build_parser().parse_args([
             "dist", "run", "--scenario", "amba", "--scenario", "fig1",
             "--budgets", "8,12", "--reps", "2", "--verify-local",

@@ -86,6 +86,21 @@ class TestPredict:
         # A different scenario only has kind-level and global data.
         assert model.predict(coarse) == pytest.approx(2.0)
 
+    def test_observed_cost_needs_an_observed_rate(self):
+        model = CostModel()
+        fine = {"kind": "k", "scenario": "s", "budget": 8, "units": 3.0}
+        assert model.observed_cost(fine) is None  # cold: a guess only
+        model.observe(fine, 6.0)
+        # The scenario's rate covers its other budgets, scaled by units.
+        assert model.observed_cost(dict(fine, budget=16)) == pytest.approx(6.0)
+        assert model.observed_cost({"kind": "k", "units": 1.0}) == (
+            pytest.approx(2.0)
+        )
+        # Kind-level and global rates say nothing about another
+        # scenario or a featureless job.
+        assert model.observed_cost(dict(fine, scenario="other")) is None
+        assert model.observed_cost(None) is None
+
     def test_prior_scales_the_default(self):
         model = CostModel()
         model.seed_from_bench(

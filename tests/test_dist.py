@@ -86,6 +86,16 @@ class _FakeClock:
         self.now += dt
 
 
+def _lease_each(broker, worker_id, count):
+    """Lease ``count`` never-observed jobs: one unpinned job per call."""
+    leased = []
+    for _ in range(count):
+        lease = broker.lease_jobs(worker_id)
+        assert len(lease["jobs"]) == 1 and not lease["pinned"]
+        leased.extend(lease["jobs"])
+    return leased
+
+
 def _start_worker(address, **kwargs):
     kwargs.setdefault("poll_interval", 0.02)
     process = _FORK.Process(
@@ -121,37 +131,43 @@ class TestBrokerProtocol:
     def test_submit_pull_complete_roundtrip(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        leased = broker.pull("w1", max_jobs=3)
+        leased = _lease_each(broker, "w1", 3)
         assert [job_id for job_id, _ in leased] == [
             ("b", 0), ("b", 1), ("b", 2)
         ]
-        for job_id, payload in leased:
+        for job_id, _ in leased:
             assert broker.start("w1", job_id)
-            broker.complete("w1", job_id, payload.fn(payload.item))
+        broker.complete_many(
+            "w1",
+            [
+                (job_id, payload.fn(payload.item), None)
+                for job_id, payload in leased
+            ],
+        )
         assert broker.fetch_ready("b", 0) == [0, 1, 2]
         assert broker.batch_status("b") == (3, 3)
 
     def test_fetch_ready_is_contiguous_prefix(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        leased = broker.pull("w1", max_jobs=3)
+        leased = _lease_each(broker, "w1", 3)
         # Complete out of order: index 2 first.
         broker.start("w1", leased[2][0])
-        broker.complete("w1", leased[2][0], 2)
+        broker.complete_many("w1", [(leased[2][0], 2, None)])
         assert broker.fetch_ready("b", 0) == []
         broker.start("w1", leased[0][0])
-        broker.complete("w1", leased[0][0], 0)
+        broker.complete_many("w1", [(leased[0][0], 0, None)])
         assert broker.fetch_ready("b", 0) == [0]
 
     def test_idle_worker_steals_unstarted_lease(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(4)])
-        leased = broker.pull("w1", max_jobs=4)
-        assert len(leased) == 4
-        stolen = broker.pull("w2", max_jobs=1)
-        # The tail of the victim's lease is stolen — the job w1 would
+        _lease_each(broker, "w1", 4)
+        stolen = broker.lease_jobs("w2")
+        # The tail of the victim's leases is stolen — the job w1 would
         # reach last.
-        assert [job_id for job_id, _ in stolen] == [("b", 3)]
+        assert [job_id for job_id, _ in stolen["jobs"]] == [("b", 3)]
+        assert not stolen["pinned"]
         assert broker.stats()["steals"] == 1
         # The victim's start on the stolen job is refused; the thief's
         # is granted.  No job can run twice because of a steal.
@@ -161,18 +177,18 @@ class TestBrokerProtocol:
     def test_started_jobs_are_not_stealable(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, _), = broker.pull("w1", max_jobs=1)
+        (job_id, _), = _lease_each(broker, "w1", 1)
         assert broker.start("w1", job_id)
-        assert broker.pull("w2", max_jobs=1) == []
+        assert broker.lease_jobs("w2")["jobs"] == []
 
     def test_dead_worker_jobs_reenqueued_in_index_order(self):
         clock = _FakeClock()
         broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        leased = broker.pull("w1", max_jobs=2)
+        leased = _lease_each(broker, "w1", 2)
         assert broker.start("w1", leased[0][0])  # dies mid-execution
         clock.advance(1.5)
-        granted = broker.pull("w2", max_jobs=3)
+        granted = _lease_each(broker, "w2", 3)
         # Both of w1's leases (started or not) come back, at the front
         # of the queue and in index order, ahead of the never-leased
         # job 2.
@@ -186,25 +202,25 @@ class TestBrokerProtocol:
         clock = _FakeClock()
         broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, _), = broker.pull("w1", max_jobs=1)
+        (job_id, _), = _lease_each(broker, "w1", 1)
         broker.start("w1", job_id)
         clock.advance(1.5)  # w1 presumed dead
-        (rejob, _), = broker.pull("w2", max_jobs=1)
+        (rejob, _), = _lease_each(broker, "w2", 1)
         assert rejob == job_id
-        broker.complete("w2", job_id, "w2-result")
+        broker.complete_many("w2", [(job_id, "w2-result", None)])
         # The slow-but-alive w1 finishes too; jobs are pure so both
         # results are the same bits — first one in wins, harmlessly.
-        broker.complete("w1", job_id, "w1-result")
+        broker.complete_many("w1", [(job_id, "w1-result", None)])
         assert broker.fetch_ready("b", 0) == ["w2-result"]
 
     def test_drop_batch_forgets_everything(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        broker.pull("w1", max_jobs=1)
+        broker.lease_jobs("w1")
         broker.drop_batch("b")
         with pytest.raises(ReproError):
             broker.batch_status("b")
-        assert broker.pull("w1", max_jobs=3) == []
+        assert broker.lease_jobs("w1")["jobs"] == []
 
     def test_duplicate_batch_id_rejected(self):
         broker = Broker(lease_timeout=10.0)
@@ -674,7 +690,7 @@ class TestDriverDeathAndStalls:
         # Any traffic triggers the reap; the dead driver's batch (jobs,
         # results, bookkeeping) is gone and workers get nothing to burn
         # CPU on.
-        assert broker.pull("w1", max_jobs=3) == []
+        assert broker.lease_jobs("w1")["jobs"] == []
         assert broker.stats()["dropped_batches"] == 1
         assert broker.stats()["batches"] == 0
         with pytest.raises(ReproError):
@@ -748,7 +764,7 @@ class _TricklingBroker:
         self.dropped = False
         self._count = 0
 
-    def submit(self, batch_id, payloads, features=None, schedule=None):
+    def submit(self, batch_id, payloads, features=None):
         self.total = len(payloads)
 
     def fetch_ready(self, batch_id, start):
@@ -944,9 +960,7 @@ class TestReaperIdempotence:
 
     def _lease_one(self, broker):
         broker.submit("b", [JobPayload(echo, 1)])
-        granted = broker.pull("stalled-worker", max_jobs=1)
-        assert len(granted) == 1
-        job_id = granted[0][0]
+        (job_id, _), = _lease_each(broker, "stalled-worker", 1)
         assert broker.start("stalled-worker", job_id)
         return job_id
 
@@ -965,15 +979,17 @@ class TestReaperIdempotence:
         # The stalled worker was killed mid-upload — its completion
         # lands late.  It must store the result exactly once and must
         # NOT re-register the reaped worker as live.
-        broker.complete("stalled-worker", job_id, "late-result")
+        broker.complete_many("stalled-worker", [(job_id, "late-result", None)])
         stats = broker.stats()
         assert stats["completed"] == 1
         assert stats["workers"] == 0  # no phantom resurrection
-        # The re-enqueued copy is now moot: a second worker pulling it
+        # The re-enqueued copy is now moot: a second worker leasing it
         # gets nothing (the payload is settled), and its own late
         # "completion" of the same job is ignored.
-        assert broker.pull("healthy-worker", max_jobs=4) == []
-        broker.complete("healthy-worker", job_id, "duplicate-result")
+        assert broker.lease_jobs("healthy-worker")["jobs"] == []
+        broker.complete_many(
+            "healthy-worker", [(job_id, "duplicate-result", None)]
+        )
         stats = broker.stats()
         assert stats["completed"] == 1  # not double-counted
         assert stats["steals"] == 0
@@ -992,8 +1008,8 @@ class TestReaperIdempotence:
         assert broker.stats()["workers"] == 0
         # start() on a reaped lease refuses (the job was re-enqueued)
         # and does not resurrect either.
-        granted = broker.pull("stalled-worker", max_jobs=1)
-        assert len(granted) == 1  # honest re-registration via pull
+        granted = broker.lease_jobs("stalled-worker")["jobs"]
+        assert len(granted) == 1  # honest re-registration via a lease
         assert broker.stats()["workers"] == 1
 
 
@@ -1037,17 +1053,16 @@ def _sleepy(item):
 
 
 class TestCostScheduling:
-    """The schedule="cost" policy: LPT dispatch, sized leases, pinning.
+    """The broker's scheduler: LPT dispatch, sized leases, pinning.
 
     Every test here is about *when* jobs run, never *what* they
     return — the determinism matrix below pins down that the answers
     are bitwise the serial ones regardless.
     """
 
-    def _trained_broker(self, unit_cost=0.1, **kwargs):
-        """A cost-mode broker whose model predicts ``unit_cost``/unit."""
-        kwargs.setdefault("schedule", "cost")
-        broker = Broker(lease_timeout=10.0, **kwargs)
+    def _trained_broker(self, unit_cost=0.1):
+        """A broker whose model has observed ``unit_cost``/unit."""
+        broker = Broker(lease_timeout=10.0)
         for _ in range(10):
             broker.cost_model.observe({"kind": "echo", "units": 1.0}, unit_cost)
         return broker
@@ -1056,6 +1071,16 @@ class TestCostScheduling:
     def _features(units_list):
         return [{"kind": "echo", "units": float(u)} for u in units_list]
 
+    @staticmethod
+    def _drain(broker, worker_id):
+        """Job indices in lease order, leasing until the queue is dry."""
+        order = []
+        while True:
+            jobs = broker.lease_jobs(worker_id)["jobs"]
+            if not jobs:
+                return order
+            order.extend(job_id[1] for job_id, _ in jobs)
+
     def test_cost_batch_dispatches_longest_first(self):
         broker = self._trained_broker()
         units = [1, 8, 2, 5]
@@ -1063,95 +1088,120 @@ class TestCostScheduling:
             "b",
             [JobPayload(echo, i) for i in range(4)],
             features=self._features(units),
-            schedule="cost",
         )
-        order = [
-            broker.pull("w", max_jobs=1)[0][0][1] for _ in range(4)
-        ]
-        assert order == [1, 3, 2, 0]  # indices by descending units
+        assert self._drain(broker, "w") == [1, 3, 2, 0]  # by descending units
 
     def test_cold_start_cost_order_equals_fifo(self):
         # No observations, identical features: predictions tie, the
         # stable sort keeps submission order — exactly FIFO.
-        broker = Broker(lease_timeout=10.0, schedule="cost")
+        broker = Broker(lease_timeout=10.0)
         broker.submit(
             "b",
             [JobPayload(echo, i) for i in range(5)],
             features=self._features([1, 1, 1, 1, 1]),
-            schedule="cost",
         )
-        order = [
-            broker.pull("w", max_jobs=1)[0][0][1] for _ in range(5)
-        ]
-        assert order == [0, 1, 2, 3, 4]
+        assert self._drain(broker, "w") == [0, 1, 2, 3, 4]
 
-    def test_fifo_batches_ignore_the_cost_order(self):
-        broker = self._trained_broker()
+    def test_cold_jobs_lease_alone_until_observed(self):
+        # A cold replicate() batch: unit-less features of one kind.
+        # Bulk-leasing it would pin all ten jobs to the first worker.
+        broker = Broker(lease_timeout=10.0)
+        features = [{"kind": "_simulate_job", "units": 1.0}] * 10
         broker.submit(
-            "b",
-            [JobPayload(echo, i) for i in range(3)],
-            features=self._features([1, 9, 1]),
-            schedule="fifo",
+            "b", [JobPayload(echo, i) for i in range(10)], features=features
         )
-        order = [
-            broker.pull("w", max_jobs=1)[0][0][1] for _ in range(3)
+        (first, _), = _lease_each(broker, "w1", 1)
+        (second, _), = _lease_each(broker, "w2", 1)
+        assert (first, second) == (("b", 0), ("b", 1))
+        # The first completion trains the model: the rest of the batch
+        # is now cheap and known, so it leases in bulk and pinned.
+        assert broker.start("w1", first)
+        broker.complete_many("w1", [(first, 0, 0.01)])
+        lease = broker.lease_jobs("w1")
+        assert [job_id[1] for job_id, _ in lease["jobs"]] == list(range(2, 10))
+        assert lease["pinned"]
+
+    def test_observed_kind_must_match_the_scenario(self):
+        # A rate learnt on one scenario says nothing about another.
+        broker = Broker(lease_timeout=10.0)
+        broker.cost_model.observe(
+            {"kind": "run_block", "scenario": "amba", "units": 1.0}, 0.01
+        )
+        features = [
+            {"kind": "run_block", "scenario": scenario, "units": 1.0}
+            for scenario in ("fig1", "fig1", "amba", "amba")
         ]
-        assert order == [0, 1, 2]
+        broker.submit(
+            "b", [JobPayload(echo, i) for i in range(4)], features=features
+        )
+        assert self._drain(broker, "w") == [0, 1, 2, 3]
+        stats = broker.stats()
+        assert stats["lease_grants"] == 3  # fig1 alone twice, amba in bulk
+        assert stats["pinned_leases"] == 1
 
     def test_cheap_jobs_lease_in_bulk_and_pinned(self):
-        # unit cost 0.1, lease_target 0.5 -> five 1-unit jobs per lease.
-        broker = self._trained_broker(unit_cost=0.1, lease_target=0.5)
+        # unit cost 0.1, lease target 0.5 -> five 1-unit jobs per lease.
+        broker = self._trained_broker(unit_cost=0.1)
         broker.submit(
             "b",
             [JobPayload(echo, i) for i in range(8)],
             features=self._features([1] * 8),
-            schedule="cost",
         )
-        lease = broker.lease_jobs("w1", max_jobs=2)
+        lease = broker.lease_jobs("w1")
         assert len(lease["jobs"]) == 5
         assert lease["pinned"]
-        stats = broker.stats()
-        assert stats["lease_resizes"] == 1  # granted 5, requested 2
-        assert stats["pinned_leases"] == 1
-        # Pinned jobs read as started: an idle peer cannot steal them.
-        assert broker.pull("w2", max_jobs=1)[0][0][1] == 5
+        assert broker.stats()["pinned_leases"] == 1
+        # Pinned jobs read as started: idle peers cannot steal them.
+        tail = broker.lease_jobs("w2")
+        assert [job_id[1] for job_id, _ in tail["jobs"]] == [5, 6, 7]
+        assert broker.lease_jobs("w3")["jobs"] == []
+        assert broker.stats()["steals"] == 0
 
     def test_long_job_leases_alone_unpinned(self):
-        broker = self._trained_broker(unit_cost=0.1, lease_target=0.5)
+        broker = self._trained_broker(unit_cost=0.1)
         broker.submit(
             "b",
             [JobPayload(echo, i) for i in range(3)],
             features=self._features([50, 1, 1]),
-            schedule="cost",
         )
-        lease = broker.lease_jobs("w1", max_jobs=4)
+        lease = broker.lease_jobs("w1")
         assert [job_id for job_id, _ in lease["jobs"]] == [("b", 0)]
         assert not lease["pinned"]  # predicted 5s > target: stealable
         # Drain the cheap tail to w1 too (it leases pinned), leaving
         # the long job as the only unstarted lease: a thief CAN take
         # it, unlike the pinned pair.
-        tail = broker.lease_jobs("w1", max_jobs=4)
+        tail = broker.lease_jobs("w1")
         assert tail["pinned"] and len(tail["jobs"]) == 2
-        assert broker.pull("w2", max_jobs=1)[0][0] == ("b", 0)
+        assert broker.lease_jobs("w2")["jobs"][0][0] == ("b", 0)
 
-    def test_featureless_lease_respects_requested_max_jobs(self):
-        broker = Broker(lease_timeout=10.0)  # fifo, no features
-        broker.submit("b", [JobPayload(echo, i) for i in range(6)])
-        lease = broker.lease_jobs("w1", max_jobs=2)
-        assert len(lease["jobs"]) == 2
-        assert not lease["pinned"]
-        assert broker.stats()["lease_resizes"] == 0
-
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ReproError):
-            Broker(lease_timeout=10.0, schedule="random")
-        broker = Broker(lease_timeout=10.0)
-        with pytest.raises(ReproError):
-            broker.submit("b", [JobPayload(echo, 0)], schedule="lifo")
-        with pytest.raises(ReproError):
-            Broker(lease_timeout=10.0, lease_target=0.0)
-        with pytest.raises(ReproError):
-            DistExecutor("127.0.0.1:1", schedule="random")
+    def test_cold_replicate_spreads_over_two_workers(self, server, amba):
+        workers = [_start_worker(server.address) for _ in range(2)]
+        try:
+            # Both workers poll before the batch lands; each ~0.1 s job
+            # outlasts a poll interval, so each takes a cold job.
+            deadline = time.monotonic() + 30
+            while server.broker.stats()["workers"] < 2:
+                assert time.monotonic() < deadline, "workers never leased"
+                time.sleep(0.02)
+            executor = DistExecutor(
+                server.address, poll_interval=0.02, timeout=120
+            )
+            capacities = {name: 3 for name in amba.processors}
+            kwargs = dict(replications=10, duration=2000.0)
+            distributed = replicate(
+                amba, capacities, executor=executor, **kwargs
+            )
+            fleet = server.broker.obs_snapshot()["workers"]
+        finally:
+            for worker in workers:
+                worker.terminate()
+        assert len(fleet) == 2
+        assert all(
+            record["counters"].get("worker.jobs", 0) > 0
+            for record in fleet.values()
+        )
+        serial = replicate(amba, capacities, **kwargs)
+        assert distributed.results == serial.results
 
 
 class TestBatchedTransport:
@@ -1176,7 +1226,7 @@ class TestBatchedTransport:
     def test_complete_many_is_idempotent_under_replay(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        leased = broker.lease_jobs("w", max_jobs=3)["jobs"]
+        leased = _lease_each(broker, "w", 3)
         batch = [
             (job_id, payload.item, 0.01) for job_id, payload in leased
         ]
@@ -1191,7 +1241,7 @@ class TestBatchedTransport:
         assert broker.fetch_ready("b", 0) == [0, 1, 2]
 
     def test_worker_ships_batched_uploads(self, server):
-        worker = _start_worker(server.address, upload_batch=4)
+        worker = _start_worker(server.address)
         try:
             executor = DistExecutor(
                 server.address, poll_interval=0.02, timeout=60
@@ -1201,17 +1251,6 @@ class TestBatchedTransport:
             stats = server.broker.stats()
             assert stats["batched_uploads"] >= 1
             assert stats["batched_jobs"] >= len(items)
-        finally:
-            worker.terminate()
-
-    def test_upload_batch_one_keeps_legacy_wire_shape(self, server):
-        worker = _start_worker(server.address, upload_batch=1)
-        try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=60
-            )
-            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-            assert server.broker.stats()["batched_uploads"] == 0
         finally:
             worker.terminate()
 
@@ -1239,8 +1278,7 @@ class TestAdaptivePolling:
                 self.fetches = 0
                 self.total = 0
 
-            def submit(self, batch_id, payloads, features=None,
-                       schedule=None):
+            def submit(self, batch_id, payloads, features=None):
                 self.total = len(payloads)
 
             def fetch_ready(self, batch_id, start):
@@ -1317,23 +1355,23 @@ class TestAdaptivePolling:
 class TestCostModelPersistenceEndToEnd:
     def test_broker_saves_and_warm_starts_from_path(self, tmp_path):
         path = tmp_path / "costmodel.json"
-        broker = Broker(
-            lease_timeout=10.0, schedule="cost", cost_model_path=str(path)
-        )
+        broker = Broker(lease_timeout=10.0, cost_model_path=str(path))
         features = {"kind": "echo", "units": 1.0}
         broker.submit(
             "b",
             [JobPayload(echo, i) for i in range(2)],
             features=[features, features],
-            schedule="cost",
         )
-        for job_id, payload in broker.lease_jobs("w", max_jobs=2)["jobs"]:
-            broker.complete("w", job_id, payload.item, runtime=0.2)
+        broker.complete_many(
+            "w",
+            [
+                (job_id, payload.item, 0.2)
+                for job_id, payload in _lease_each(broker, "w", 2)
+            ],
+        )
         assert broker.cost_save()
         assert path.exists()
-        reborn = Broker(
-            lease_timeout=10.0, schedule="cost", cost_model_path=str(path)
-        )
+        reborn = Broker(lease_timeout=10.0, cost_model_path=str(path))
         assert reborn.cost_model.predict(features) == pytest.approx(
             broker.cost_model.predict(features)
         )
@@ -1343,7 +1381,6 @@ class TestCostModelPersistenceEndToEnd:
         server = BrokerServer(
             port=0,
             lease_timeout=LEASE_TIMEOUT,
-            schedule="cost",
             cost_model_path=str(path),
         ).start_in_thread()
         server.broker.cost_model.observe(
@@ -1383,7 +1420,7 @@ class TestCostModelPersistenceEndToEnd:
 
 
 class TestCostDeterminismMatrix:
-    """schedule="cost" cannot change a single bit of any result."""
+    """Cost scheduling cannot change a single bit of any result."""
 
     MATRIX = dict(budgets=[8, 16], replications=2, duration=100.0)
 
@@ -1391,6 +1428,10 @@ class TestCostDeterminismMatrix:
     def test_cost_fifo_serial_identical_under_worker_death(
         self, server, sim_backend
     ):
+        # The first pass meets a cold model, which dispatches in
+        # arrival (FIFO) order with one unpinned job per lease; a
+        # worker dies during it.  The second pass runs warm: cost
+        # order and pinned bulk leases.
         matrix = dict(self.MATRIX, sim_backend=sim_backend)
         serial = run_matrix(["single-bus-4"], jobs=1, **matrix)
         workers = [_start_worker(server.address) for _ in range(2)]
@@ -1400,24 +1441,14 @@ class TestCostDeterminismMatrix:
             executor = DistExecutor(
                 server.address, poll_interval=0.02, timeout=240
             )
-            cost = run_matrix(
-                ["single-bus-4"],
-                executor=executor,
-                schedule="cost",
-                **matrix,
-            )
-            fifo = run_matrix(
-                ["single-bus-4"],
-                executor=executor,
-                schedule="fifo",
-                **matrix,
-            )
+            cold = run_matrix(["single-bus-4"], executor=executor, **matrix)
+            warm = run_matrix(["single-bus-4"], executor=executor, **matrix)
         finally:
             killer.cancel()
             for worker in workers:
                 worker.terminate()
-        assert cost.to_jsonable() == serial.to_jsonable()
-        assert fifo.to_jsonable() == serial.to_jsonable()
+        assert cold.to_jsonable() == serial.to_jsonable()
+        assert warm.to_jsonable() == serial.to_jsonable()
 
     def test_cost_schedule_with_steals_matches_serial_map(self, server):
         # Skewed sleeps + two workers: the second worker drains the
@@ -1426,10 +1457,7 @@ class TestCostDeterminismMatrix:
         workers = [_start_worker(server.address) for _ in range(2)]
         try:
             executor = DistExecutor(
-                server.address,
-                poll_interval=0.02,
-                timeout=60,
-                schedule="cost",
+                server.address, poll_interval=0.02, timeout=60
             )
             items = [
                 {"index": i, "duration": 0.2 if i == 7 else 0.01}

@@ -324,8 +324,8 @@ class TestBrokerAggregation:
         broker = Broker(lease_timeout=10.0)
         assert set(broker.stats()) == {
             "workers", "pending", "leased", "batches", "completed",
-            "steals", "reaped_jobs", "dropped_batches", "schedule",
-            "lease_grants", "lease_jobs", "lease_resizes",
+            "steals", "reaped_jobs", "dropped_batches",
+            "lease_grants", "lease_jobs",
             "pinned_leases", "batched_uploads", "batched_jobs",
         }
         assert set(broker.cache_stats()) == {
@@ -335,13 +335,13 @@ class TestBrokerAggregation:
     def test_heartbeat_and_complete_merge_deltas(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, payload), = broker.pull("w1", max_jobs=1)
+        (job_id, payload), = broker.lease_jobs("w1")["jobs"]
         broker.heartbeat(
             "w1", _envelope({"worker.jobs": 1}, {"rss_mb": 10.0})
         )
         broker.start("w1", job_id)
-        broker.complete(
-            "w1", job_id, payload.fn(payload.item),
+        broker.complete_many(
+            "w1", [(job_id, payload.fn(payload.item), None)],
             _envelope({"worker.jobs": 2, "sim.windows": 5}, {"rss_mb": 12.0}),
         )
         snap = broker.obs_snapshot()
@@ -358,10 +358,10 @@ class TestBrokerAggregation:
         clock = _FakeClock()
         broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("b", [JobPayload(echo, i) for i in range(2)])
-        broker.pull("w1", max_jobs=1)
+        broker.lease_jobs("w1")
         broker.heartbeat("w1", _envelope({"worker.jobs": 3}))
         clock.advance(1.5)  # w1 presumed dead
-        broker.pull("w2", max_jobs=1)  # triggers the reap
+        broker.lease_jobs("w2")  # triggers the reap
         broker.heartbeat("w2", _envelope({"worker.jobs": 2}))
         snap = broker.obs_snapshot()
         assert snap["workers"]["w1"]["alive"] is False
@@ -375,10 +375,10 @@ class TestBrokerAggregation:
         clock = _FakeClock()
         broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("b", [JobPayload(echo, 0)])
-        broker.pull("w1", max_jobs=1)
+        broker.lease_jobs("w1")
         broker.heartbeat("w1", _envelope({"worker.jobs": 1}))
         clock.advance(1.5)
-        broker.pull("w2", max_jobs=1)  # reaps w1
+        broker.lease_jobs("w2")  # reaps w1
         assert broker.obs_snapshot()["workers"]["w1"]["alive"] is False
         # The slow-but-alive worker beats again: marked up, totals kept.
         broker.heartbeat("w1", _envelope({"worker.jobs": 1}))
@@ -410,9 +410,9 @@ class TestBrokerAggregation:
         clock = _FakeClock()
         broker = Broker(lease_timeout=10.0, clock=clock)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, payload), = broker.pull("w1", max_jobs=1)
+        (job_id, payload), = broker.lease_jobs("w1")["jobs"]
         broker.start("w1", job_id)
-        broker.complete("w1", job_id, 0, runtime=0.25)
+        broker.complete_many("w1", [(job_id, 0, 0.25)])
         hist = broker.obs_snapshot()["broker"]["histograms"][
             "broker.job_runtime_seconds"
         ]
@@ -568,6 +568,18 @@ class TestConsole:
             "(n=12)" in frame
         )
         assert "latency:" not in render_top(self.SNAPSHOT)
+
+    def test_render_top_transport_row_shows_jobs_per_upload(self):
+        snapshot = dict(
+            self.SNAPSHOT,
+            queue=dict(
+                self.SNAPSHOT["queue"], batched_uploads=2, batched_jobs=16
+            ),
+            scheduler={"cost": {}, "mean_lease_size": 4.0, "pinned_leases": 3},
+        )
+        frame = render_top(snapshot)
+        assert "batched uploads 2  jobs/upload 8.0" in frame
+        assert "scheduler: pred-err -  mean-lease 4.0  pinned 3" in frame
 
 
 class TestCli:

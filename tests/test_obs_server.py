@@ -64,10 +64,12 @@ def _start_worker(address, **kwargs):
 def _populate(broker):
     """Drive a broker through enough protocol to light every section."""
     broker.submit("batch-1", ["p0", "p1", "p2"])
-    granted = broker.pull("w1", max_jobs=2)
-    for job_id, payload in granted:
+    granted = [broker.lease_jobs("w1")["jobs"][0] for _ in range(2)]
+    for job_id, _ in granted:
         broker.start("w1", job_id)
-        broker.complete("w1", job_id, payload.upper(), runtime=0.2)
+    broker.complete_many(
+        "w1", [(job_id, payload.upper(), 0.2) for job_id, payload in granted]
+    )
     broker.heartbeat(
         "w1",
         metrics={
@@ -219,7 +221,7 @@ class TestCounterDeltas:
     def test_non_numeric_and_bool_leaves_are_skipped(self):
         deltas = counter_deltas(
             {"queue": {}},
-            {"queue": {"completed": 2, "schedule": "cost", "alive": True}},
+            {"queue": {"completed": 2, "address": "host:1", "alive": True}},
         )
         assert deltas == {"queue.completed": 2}
 
