@@ -1,4 +1,5 @@
-"""Benchmarks for the distributed queue (repro.dist): overhead + makespan.
+"""Benchmarks for the distributed queue (repro.dist): overhead, RPC
+latency by message size, and makespan.
 
 ``bench_dist_overhead`` measures the pure round-trip cost of the
 broker/worker path — trivial ``echo`` jobs through an in-process broker
@@ -7,11 +8,20 @@ cost model what an ``echo`` costs, so each measured batch comes back as
 one pinned bulk lease with zero per-job ``start()`` RPCs, and the
 worker uploads ``complete_many()`` envelopes of 8.
 
+``bench_dist_rpc_latency`` times ``cache_get`` round trips through a
+real ``BrokerServer`` at three message sizes: 1 KiB, then 24 KiB and
+96 KiB, past the 16 KiB at which ``multiprocessing.connection`` writes
+a message as a header and a separate body.  The echo jobs above never
+cross that size; a broker socket with Nagle's algorithm on stalls such
+a body ~40 ms on the peer's delayed ACK.  Each row reports
+``round_trips_per_second`` in ``extra_info``.
+
 ``bench_dist_makespan`` measures what cost scheduling is *for*: a
 skewed matrix (one long cell submitted last + many short cells) on a
 4-worker fleet.  The warm cost model orders the long cell first (LPT)
 and the shorts pack behind it, instead of the long cell running alone
-at the tail.  Both benches report ``jobs_per_second`` in
+at the tail.  The overhead and makespan benches report
+``jobs_per_second`` in
 ``extra_info`` (the makespan row also ``makespan_seconds``) so
 ``diff_bench.py`` tracks them run over run.  The equivalence assert
 (ordered merge equals the serial list) rides along like in every other
@@ -22,11 +32,17 @@ import multiprocessing
 
 import pytest
 
-from repro.dist import BrokerServer, DistExecutor, worker_loop
+from repro.dist import BrokerServer, DistExecutor, connect, worker_loop
 from repro.dist.jobs import echo, sleep_block
 
 #: Trivial jobs per measured overhead map call.
 JOBS_PER_CALL = 32
+
+#: Message sizes of the RPC latency bench (bytes of the fetched blob).
+RPC_MESSAGE_BYTES = (1024, 24 * 1024, 96 * 1024)
+
+#: ``cache_get`` round trips per measured latency call.
+RPC_ROUND_TRIPS = 20
 
 #: The skewed makespan matrix: many short cells plus one long cell
 #: submitted last (the arrival-order worst case the scheduler fixes).
@@ -76,6 +92,35 @@ def test_bench_dist_overhead(benchmark, fleet):
         JOBS_PER_CALL / benchmark.stats["mean"], 1
     )
     benchmark.extra_info["steals"] = fleet.stats()["steals"]
+
+
+@pytest.fixture(scope="module")
+def rpc_broker():
+    """A broker on TCP and one driver-side proxy connected to it."""
+    server = BrokerServer(port=0).start_in_thread()
+    yield server.broker, connect(server.address).broker
+    server.stop()
+
+
+@pytest.mark.parametrize(
+    "size", RPC_MESSAGE_BYTES, ids=lambda size: f"{size // 1024}KiB"
+)
+def test_bench_dist_rpc_latency(benchmark, rpc_broker, size):
+    """``cache_get`` round trips per second at one message size."""
+    broker, proxy = rpc_broker
+    key = f"blob-{size}"
+    blob = bytes(range(256)) * (size // 256)
+    broker.cache_put(key, blob)
+
+    def run():
+        return [proxy.cache_get(key) for _ in range(RPC_ROUND_TRIPS)]
+
+    fetched = benchmark(run)
+    assert fetched == [blob] * RPC_ROUND_TRIPS  # bytes survive the wire
+    benchmark.extra_info["message_bytes"] = size
+    benchmark.extra_info["round_trips_per_second"] = round(
+        RPC_ROUND_TRIPS / benchmark.stats["mean"], 1
+    )
 
 
 @pytest.fixture(scope="module")

@@ -12,11 +12,20 @@ caches transparently — but behind that interface sit *two* stores:
   (:meth:`repro.dist.queue.Broker.cache_get` / ``cache_put``), keyed by
   the *same* content addresses, consulted on a local miss.
 
-Read-through: a shared hit is written back into the local store, so a
-worker pays the network round-trip once per key.  Write-through: every
-``put`` lands in both stores, so the first worker to converge a sizing
-publishes it and every other worker (and every later CI run against
-the same broker) reuses it instead of recomputing.
+In front of both sits a **memo**: the last :data:`MEMO_ENTRIES`
+verified, decoded hits, kept in memory.  A worker runs every block of
+a cell against the same sizing, so it pays that sizing's fetch, sha256
+check and unpickle once, not once per block, with or without a local
+store.  Like :class:`repro.dist.jobs.ProcessMemo`, a memo hit hands
+back the very object an earlier hit returned: cached values are
+read-only to their callers.
+
+Read-through: a shared hit is also written back into the local store,
+so a restarted worker with a ``--cache-dir`` still skips the network.
+Write-through: every ``put`` lands in both stores, so the first worker
+to converge a sizing publishes it and every other worker (and every
+later CI run against the same broker) reuses it instead of
+recomputing.
 
 What gets published is decided by the *callers* exactly as for the
 local cache — ``fetch(..., should_store=...)`` still gates
@@ -40,6 +49,7 @@ and damage bytes at the ``cachetier.blob`` transform hook.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
@@ -50,9 +60,16 @@ from repro.exec.cache import ResultCache, entry_key, pack_entry, unpack_entry
 
 __all__ = ["CacheTier"]
 
+#: Decoded hits one tier keeps in memory, least recently used evicted
+#: first.  Covers the cells a worker interleaves (a fleet matrix leases
+#: each cell's blocks together), while bounding the memory a
+#: long-lived worker spends on it.
+MEMO_ENTRIES = 32
+
 
 class CacheTier:
-    """Two-level result cache: local disk first, broker store second.
+    """Two-level result cache behind a memo of decoded hits: local
+    disk first, broker store second.
 
     Parameters
     ----------
@@ -76,9 +93,9 @@ class CacheTier:
     ----------
     hits / misses:
         Combined counters in :class:`ResultCache`'s meaning (a hit in
-        either tier is a hit), so context-level accounting and tests
-        work unchanged on a tier.
-    local_hits / shared_hits / publishes:
+        the memo or either store is a hit), so context-level
+        accounting and tests work unchanged on a tier.
+    memo_hits / local_hits / shared_hits / publishes:
         Tier-resolved diagnostics.
     quarantined:
         Shared blobs that failed envelope verification (damaged on the
@@ -100,17 +117,20 @@ class CacheTier:
         self.degrade_on_loss = degrade_on_loss
         self.hits = 0
         self.misses = 0
+        self.memo_hits = 0
         self.local_hits = 0
         self.shared_hits = 0
         self.publishes = 0
         self.quarantined = 0
         self.remote_down = False
+        self._memo: "OrderedDict[str, Any]" = OrderedDict()
         # The instance counters above are the tier's API (contexts and
         # tests read them); these mirror every increment into the
         # process registry so the fleet view aggregates them.  No-op
         # stubs when metrics are off.
         self._c_hits = obs.counter("cachetier.hits")
         self._c_misses = obs.counter("cachetier.misses")
+        self._c_memo_hits = obs.counter("cachetier.memo_hits")
         self._c_local_hits = obs.counter("cachetier.local_hits")
         self._c_shared_hits = obs.counter("cachetier.shared_hits")
         self._c_publishes = obs.counter("cachetier.publishes")
@@ -144,13 +164,20 @@ class CacheTier:
         return entry_key(kind, payload)
 
     def lookup(self, key: str) -> Tuple[bool, Any]:
-        """``(hit, value)`` — local first, then the shared store."""
+        """``(hit, value)`` — the memo, then local, then the shared store."""
         with obs.span("cachetier.lookup") as span:
             hit, value, tier = self._lookup(key)
             span.set("tier", tier)
             return hit, value
 
     def _lookup(self, key: str) -> Tuple[bool, Any, str]:
+        if key in self._memo:
+            self._memo.move_to_end(key)
+            self.hits += 1
+            self.memo_hits += 1
+            self._c_hits.inc()
+            self._c_memo_hits.inc()
+            return True, self._memo[key], "memo"
         if self.local is not None:
             hit, value = self.local.get(key)
             if hit:
@@ -158,6 +185,7 @@ class CacheTier:
                 self.local_hits += 1
                 self._c_hits.inc()
                 self._c_local_hits.inc()
+                self._remember(key, value)
                 return True, value, "local"
         blob = None
         if not self.remote_down:
@@ -184,10 +212,17 @@ class CacheTier:
             self._c_shared_hits.inc()
             if self.local is not None:
                 self.local.put(key, value)
+            self._remember(key, value)
             return True, value, "shared"
         self.misses += 1
         self._c_misses.inc()
         return False, None, "miss"
+
+    def _remember(self, key: str, value: Any) -> None:
+        """Memoise one verified hit, evicting past :data:`MEMO_ENTRIES`."""
+        self._memo[key] = value
+        if len(self._memo) > MEMO_ENTRIES:
+            self._memo.popitem(last=False)
 
     def put(self, key: str, value: Any) -> None:
         """Write-through: the local store and the shared store."""

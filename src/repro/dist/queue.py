@@ -58,7 +58,8 @@ import time
 import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from multiprocessing.managers import BaseManager, Server
+from multiprocessing.connection import Client, Connection, Listener
+from multiprocessing.managers import BaseManager, Server, listener_client
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dist.costmodel import CostModel
@@ -852,6 +853,37 @@ class Broker:
 # Manager plumbing: export one Broker over TCP / connect to one.
 
 
+def _set_nodelay(conn: Connection) -> None:
+    """Turn Nagle's algorithm off on one manager connection's socket.
+
+    ``multiprocessing.connection`` writes a message over 16 KiB as a
+    4-byte header and then a separate body.  With Nagle on, the body
+    waits for the peer to ACK the header, and the peer delays that ACK
+    by ~40 ms: every such RPC (a shared-cache blob, a large lease or
+    upload) would stall that long, where it takes a fraction of a
+    millisecond with the option set.
+    """
+    with socket.socket(fileno=os.dup(conn.fileno())) as raw:
+        raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _nodelay_client(address, family=None, authkey=None):
+    """The stdlib ``Client``, with Nagle off on the connected socket."""
+    conn = Client(address, family=family, authkey=authkey)
+    _set_nodelay(conn)
+    return conn
+
+
+#: The ``serializer`` both ends of every broker connection name.  The
+#: stdlib picks a manager's client factory (its own, every proxy's, and
+#: every per-thread proxy reconnect's) from
+#: ``listener_client[serializer]``; this entry keeps the pickle wire
+#: format and sets ``TCP_NODELAY`` on every client socket.  The broker
+#: sets it on the sockets it accepts (``_StoppableServer.accepter``).
+_SERIALIZER = "repro-nodelay"
+listener_client[_SERIALIZER] = (Listener, _nodelay_client)
+
+
 class _StoppableServer(Server):
     """A manager server whose accepter thread can actually terminate.
 
@@ -880,6 +912,7 @@ class _StoppableServer(Server):
         while True:
             try:
                 connection = self.listener.accept()
+                _set_nodelay(connection)
             except OSError:
                 stop_event = getattr(self, "stop_event", None)
                 if stop_event is not None and stop_event.is_set():
@@ -982,7 +1015,7 @@ class BrokerServer:
         # the listener), so build the stoppable server directly from
         # the same registry.
         self._server = _StoppableServer(
-            _Manager._registry, (host, port), authkey, "pickle"
+            _Manager._registry, (host, port), authkey, _SERIALIZER
         )
         self.address: Tuple[str, int] = self._server.address
         self._thread: Optional[threading.Thread] = None
@@ -1141,7 +1174,9 @@ class BrokerConnection:
             pass
 
         _Manager.register("get_broker")
-        self._manager = _Manager(address=self.address, authkey=authkey)
+        self._manager = _Manager(
+            address=self.address, authkey=authkey, serializer=_SERIALIZER
+        )
         faults.fire("connect", address=self.address)
         _probe_listener(self.address)
         self._manager.connect()

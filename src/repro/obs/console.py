@@ -110,7 +110,7 @@ def render_top(
         )
     )
     lines.append(
-        "worker caches: tier hit %s (local %d + shared %d / %d)  "
+        "worker caches: tier hit %s (memo %d + local %d + shared %d / %d)  "
         "publishes %d  remote-down %d"
         % (
             _rate(
@@ -122,6 +122,7 @@ def render_top(
                 "hits",
                 "gets",
             ),
+            fleet.get("cachetier.memo_hits", 0),
             fleet.get("cachetier.local_hits", 0),
             fleet.get("cachetier.shared_hits", 0),
             fleet.get("cachetier.hits", 0) + fleet.get("cachetier.misses", 0),
