@@ -1,14 +1,16 @@
 """Infrastructure bench: discrete-event simulator throughput.
 
-Not a paper artefact — tracks the events-per-second of both simulation
-backends (the heap reference engine and the array-native batched lane)
-over a scenario subset (the paper's netproc testbed plus two template
-scenarios from the registry) so performance regressions in the
-substrate, and the batched lane's speedup over the reference, are
-visible in benchmark runs across architecture shapes.  Each throughput
-bench reports ``events_per_second`` in its ``extra_info`` (arrivals
-plus service starts over mean wall time); ``make bench-quick`` groups
-the backends per scenario so the ratio reads off directly.
+Not a paper artefact — tracks the events-per-second of every simulation
+backend (the heap reference engine, the array-native batched lane and
+the mega-batch kernel) over a scenario subset (the paper's netproc
+testbed plus two template scenarios from the registry) so performance
+regressions in the substrate, and each lane's speedup over the
+reference, are visible in benchmark runs across architecture shapes.
+Each throughput bench reports ``events_per_second`` in its
+``extra_info`` (arrivals plus service starts over mean wall time);
+``make bench-quick`` groups the backends per scenario so the ratio
+reads off directly.  ``test_fleet_cell_latency`` times the per-job
+work of a fleet worker instead, in ``ms_per_cell``.
 """
 
 import pytest
@@ -139,6 +141,47 @@ def test_replication_throughput(benchmark, backend, replications):
         )
 
 
+#: Horizon of one fleet job in the ``fleet-small`` benchmark matrix.
+FLEET_CELL_DURATION = 200.0
+
+
+@pytest.mark.parametrize("backend", ("batched", "megabatch"))
+def test_fleet_cell_latency(benchmark, backend):
+    """Milliseconds per fleet cell: the per-job work of a fleet worker.
+
+    Shaped like :func:`repro.dist.jobs.run_block` once the cell's
+    sizing is cached: build the scenario topology fresh, then simulate
+    one replication of amba at horizon 200.  Topology routing and lane
+    construction are inside the timed region, as they are on a worker.
+    """
+    from repro.core.sizing import BufferSizer
+
+    benchmark.group = "fleet_cell_latency[amba]"
+    spec = scenarios.get("amba")
+    capacities = (
+        BufferSizer(total_budget=spec.default_budget, **spec.sizer_kwargs)
+        .size(spec.topology())
+        .allocation.as_capacities()
+    )
+
+    def cell():
+        return simulate(
+            spec.topology(),
+            capacities,
+            duration=FLEET_CELL_DURATION,
+            seed=3,
+            backend=backend,
+        )
+
+    result = benchmark(cell)
+    assert result.total_offered > 0
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["scenario"] = "amba"
+        benchmark.extra_info["ms_per_cell"] = round(
+            1e3 * benchmark.stats["mean"], 3
+        )
+
+
 @pytest.mark.parametrize("scenario", BENCH_SCENARIOS)
 def test_backend_equivalence_smoke(scenario):
     """All three backends agree bitwise on the bench workloads.
@@ -148,7 +191,9 @@ def test_backend_equivalence_smoke(scenario):
     comparison above is apples to apples — on every bench scenario.
     """
     topology, capacities = _setup(scenario)
-    heap = simulate(topology, capacities, duration=150.0, seed=3)
+    heap = simulate(
+        topology, capacities, duration=150.0, seed=3, backend="heap"
+    )
     batched = simulate(
         topology, capacities, duration=150.0, seed=3, backend="batched"
     )

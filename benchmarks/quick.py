@@ -1,8 +1,10 @@
 """Quick perf smoke target: ``python -m benchmarks.quick``.
 
-Runs the simulator/sizing throughput benchmarks (both simulation
-backends, grouped per function so the heap-vs-batched ratio reads off
-the table directly), the compiled-kernel micro-benches, the
+Runs the simulator/sizing throughput benchmarks (every simulation
+backend, grouped per function so the ratios read off the table
+directly, plus ``test_fleet_cell_latency``: one fleet job's topology
+build and single-replication amba run, batched vs megabatch, in
+``ms_per_cell``), the compiled-kernel micro-benches, the
 execution-runtime benches (serial vs pooled replications, cold vs warm
 sweeps), the distributed-queue benches
 (``bench_dist_overhead``: trivial jobs through pinned bulk leases and

@@ -13,6 +13,13 @@ The topology exposes the two queries the split method needs:
   after *cutting every bridge*; each cluster becomes one linear subsystem.
 * :meth:`Topology.route` — the sequence of clusters and bridges a flow
   traverses from its source processor to its destination.
+
+Both are memoised: the derived bus structure (clusters, bus→cluster
+map, cluster multigraph) once per structural state, and each flow's
+route once per structure and endpoint buses.  The memo keys are
+snapshots of the structure itself, so neither an ``add_*`` call nor a
+direct edit of ``buses``/``links``/``bridges``/``processors``/``flows``
+can ever be served a stale answer; the memos stay out of pickles.
 """
 
 from __future__ import annotations
@@ -179,6 +186,16 @@ class Topology:
         self.bridges: Dict[str, Bridge] = {}
         self.links: List[BusLink] = []
         self.flows: Dict[str, Flow] = {}
+        self._memo: Optional[_Derived] = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -283,24 +300,41 @@ class Topology:
                 )
         return graph
 
+    def _derived(self) -> "_Derived":
+        """The derived bus structure of the current structural state.
+
+        Keyed by a snapshot of everything it depends on — bus names,
+        links and bridges — so any change to those (through ``add_*`` or
+        a direct edit) rebuilds it, routes included.
+        """
+        key = (
+            tuple(self.buses),
+            tuple(self.links),
+            tuple(self.bridges.values()),
+        )
+        memo = self._memo
+        if memo is None or memo.key != key:
+            graph = self.bus_graph(include_bridges=False)
+            clusters = [frozenset(c) for c in nx.connected_components(graph)]
+            memo = self._memo = _Derived(
+                key, sorted(clusters, key=lambda c: min(c))
+            )
+        return memo
+
     def bus_clusters(self) -> List[frozenset]:
         """Bus clusters: components after cutting every bridge.
 
         Each cluster is one linear subsystem of the split method;
         deterministic order (by smallest bus name) for reproducibility.
+        Every call returns a fresh list.
         """
-        graph = self.bus_graph(include_bridges=False)
-        clusters = [frozenset(c) for c in nx.connected_components(graph)]
-        return sorted(clusters, key=lambda c: min(c))
+        return list(self._derived().clusters)
 
     def cluster_of_bus(self, bus: str) -> frozenset:
         """The cluster containing a bus."""
         if bus not in self.buses:
             raise TopologyError(f"unknown bus {bus!r}")
-        for cluster in self.bus_clusters():
-            if bus in cluster:
-                return cluster
-        raise TopologyError(f"bus {bus!r} not in any cluster")  # pragma: no cover
+        return self._derived().cluster_by_bus[bus]
 
     def cluster_processors(self, cluster: frozenset) -> List[Processor]:
         """Processors attached to any bus of a cluster, sorted by name."""
@@ -329,6 +363,9 @@ class Topology:
         flows balance over the alternatives, matching the paper's setup
         where both intermediate buses carry traffic.
 
+        Computed once per flow and structural state: the memo entry is
+        keyed by the buses of the flow's two endpoint processors.
+
         Raises
         ------
         TopologyError
@@ -337,25 +374,39 @@ class Topology:
         if flow_name not in self.flows:
             raise TopologyError(f"unknown flow {flow_name!r}")
         flow = self.flows[flow_name]
-        src_cluster = self.cluster_of_bus(self.processors[flow.source].bus)
-        dst_cluster = self.cluster_of_bus(
-            self.processors[flow.destination].bus
+        ends = (
+            self.processors[flow.source].bus,
+            self.processors[flow.destination].bus,
         )
+        memo = self._derived()
+        cached = memo.routes.get(flow_name)
+        if cached is not None and cached[0] == ends:
+            return cached[1]
+        route = self._find_route(flow_name, memo, *ends)
+        memo.routes[flow_name] = (ends, route)
+        return route
+
+    def _find_route(
+        self, flow_name: str, memo: "_Derived", src_bus: str, dst_bus: str
+    ) -> Route:
+        """The uncached body of :meth:`route`."""
+        src_cluster = self.cluster_of_bus(src_bus)
+        dst_cluster = self.cluster_of_bus(dst_bus)
         if src_cluster == dst_cluster:
             return Route(clusters=(src_cluster,), bridges=())
-        cluster_graph = nx.MultiGraph()
-        clusters = self.bus_clusters()
-        cluster_by_bus = {}
-        for cluster in clusters:
-            cluster_graph.add_node(cluster)
-            for bus in cluster:
-                cluster_by_bus[bus] = cluster
-        for bridge in sorted(self.bridges.values(), key=lambda b: b.name):
-            cluster_graph.add_edge(
-                cluster_by_bus[bridge.bus_a],
-                cluster_by_bus[bridge.bus_b],
-                key=bridge.name,
-            )
+        if memo.cluster_graph is None:
+            cluster_graph = nx.MultiGraph()
+            cluster_graph.add_nodes_from(memo.clusters)
+            for bridge in sorted(
+                self.bridges.values(), key=lambda b: b.name
+            ):
+                cluster_graph.add_edge(
+                    memo.cluster_by_bus[bridge.bus_a],
+                    memo.cluster_by_bus[bridge.bus_b],
+                    key=bridge.name,
+                )
+            memo.cluster_graph = cluster_graph
+        cluster_graph = memo.cluster_graph
         try:
             node_paths = list(
                 nx.all_shortest_paths(cluster_graph, src_cluster, dst_cluster)
@@ -438,6 +489,28 @@ class Topology:
             f"{len(self.processors)} processors, "
             f"{len(self.bridges)} bridges, {len(self.flows)} flows)"
         )
+
+
+class _Derived:
+    """One structural state's derived bus structure and route memo.
+
+    ``key`` is the snapshot :meth:`Topology._derived` compares against;
+    the cluster multigraph is built on the first bridge-crossing route,
+    so a topology whose bridges are never routed never needs it.
+    """
+
+    __slots__ = (
+        "key", "clusters", "cluster_by_bus", "cluster_graph", "routes",
+    )
+
+    def __init__(self, key: tuple, clusters: List[frozenset]) -> None:
+        self.key = key
+        self.clusters = clusters
+        self.cluster_by_bus = {
+            bus: cluster for cluster in clusters for bus in cluster
+        }
+        self.cluster_graph: Optional[nx.MultiGraph] = None
+        self.routes: Dict[str, Tuple[Tuple[str, str], Route]] = {}
 
 
 def processor_names(topology: Topology) -> List[str]:

@@ -26,8 +26,9 @@ enumerates them).  The runtime flags ``--jobs`` / ``--cache-dir`` /
 the :mod:`repro.exec` execution runtime; none of them changes any
 reported number, except that the simulation backends are only
 statistically equivalent under randomised arbitration (the default is
-the batched array lane; ``--sim-backend heap`` selects the reference
-event loop — see ``docs/execution.md``).
+the mega-batch kernel; ``--sim-backend batched`` selects the array lane
+and ``--sim-backend heap`` the reference event loop — see
+``docs/execution.md``).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _context_from_args(
         jobs=getattr(args, "jobs", 1),
         cache_dir=getattr(args, "cache_dir", None),
         warm_start=not getattr(args, "no_warm_start", False),
-        sim_backend=getattr(args, "sim_backend", "batched"),
+        sim_backend=getattr(args, "sim_backend", "megabatch"),
         cache_max_mb=getattr(args, "cache_max_mb", None),
         dist=getattr(args, "dist", None),
         dist_authkey=getattr(args, "authkey", None),
@@ -154,20 +155,14 @@ def _add_runtime_flags(
     parser.add_argument(
         "--sim-backend",
         choices=("heap", "batched", "megabatch"),
-        default="batched",
-        help="simulation engine for replication batches: 'batched' "
-        "(default) is the array-native lane, 'heap' the reference "
-        "event loop, 'megabatch' the replication-stacked kernel "
-        "(one array program per cell; bitwise-identical fixed-seed "
-        "metrics for deterministic arbiters, statistically "
-        "equivalent for randomised ones)",
-    )
-    parser.add_argument(
-        "--sim-jit",
-        action="store_true",
-        help="prefer the numba-jitted mega-batch kernel when numba is "
-        "importable (sets REPRO_SIM_JIT=1; falls back to the C or "
-        "numpy engine otherwise — never changes any number)",
+        default="megabatch",
+        help="simulation engine for replication batches: 'megabatch' "
+        "(default) is the replication-stacked C kernel, one array "
+        "program per cell (cells it cannot replay, and hosts with no "
+        "C compiler, run the batched lane per seed); 'batched' is the "
+        "array-native lane, 'heap' the reference event loop.  "
+        "Bitwise-identical fixed-seed metrics for deterministic "
+        "arbiters, statistically equivalent for randomised ones",
     )
     parser.add_argument(
         "--dist",
@@ -931,9 +926,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--sim-backend",
         choices=("heap", "batched", "megabatch"),
-        default="batched",
+        default="megabatch",
+        help="simulation engine of every block (default: megabatch)",
     )
-    p_run.add_argument("--sim-jit", action="store_true")
     p_run.add_argument(
         "--block-reps", type=int, default=1,
         help="replications per job block (smaller = more stealable "
@@ -1022,9 +1017,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--sim-backend",
         choices=("heap", "batched", "megabatch"),
-        default="batched",
+        default="megabatch",
+        help="simulation engine of every block (default: megabatch)",
     )
-    p_chaos.add_argument("--sim-jit", action="store_true")
     p_chaos.add_argument("--block-reps", type=int, default=1)
     p_chaos.add_argument(
         "--fault", action="append", default=None, metavar="PLAN",
@@ -1128,8 +1123,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sim_jit", False):
-        os.environ["REPRO_SIM_JIT"] = "1"
     trace_path = _apply_obs_args(args)
     try:
         return args.func(args)

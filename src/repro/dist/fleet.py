@@ -86,7 +86,7 @@ def build_matrix(
     duration: float = 500.0,
     base_seed: int = 0,
     seed_scheme: str = "legacy",
-    sim_backend: str = "batched",
+    sim_backend: str = "megabatch",
     block_reps: int = 1,
 ) -> List[Dict[str, Any]]:
     """The ordered job payload list of one matrix.
@@ -191,7 +191,7 @@ def run_matrix(
     duration: float = 500.0,
     base_seed: int = 0,
     seed_scheme: str = "legacy",
-    sim_backend: str = "batched",
+    sim_backend: str = "megabatch",
     block_reps: int = 1,
     jobs: int = 1,
     executor: Optional[Any] = None,

@@ -18,10 +18,11 @@ number they produce:
 :class:`ExecutionContext` bundles the runtime knobs (``jobs``,
 ``cache``, ``warm_start``, ``sim_backend``, ``scenario``) into the
 single object the drivers and the CLI pass around.  The default context
-is serial, uncached, warm and batched-engined (the array lane is the
-experiment default since it soaked; ``sim_backend="heap"`` selects the
-reference event loop, which produces bitwise-identical fixed-seed
-metrics for deterministic arbiters).
+is serial, uncached, warm and mega-batch-engined (the replication-
+stacked C kernel, the one default backend; ``sim_backend="batched"``
+selects the array lane and ``"heap"`` the reference event loop, all
+three bitwise-identical in fixed-seed metrics for deterministic
+arbiters).
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ class ExecutionContext:
         Chain budget sweeps through converged bridge rates / LP bases
         (the ``--no-warm-start`` escape hatch clears this).
     sim_backend:
-        Simulation engine for replication batches — ``"batched"`` (the
-        array lane, default since it soaked) or ``"heap"`` (the
-        reference event loop; ``--sim-backend heap`` escape hatch); see
+        Simulation engine for replication batches — ``"megabatch"``
+        (the default: one kernel cell per replication batch, with a
+        counted per-seed batched fallback), ``"batched"`` (the array
+        lane) or ``"heap"`` (the reference event loop); see
         :data:`repro.sim.runner.SIM_BACKENDS`.  Unlike ``jobs``, the
         backend *is* part of replication cache keys: randomised
         arbiters are only statistically equivalent across backends.
@@ -139,7 +141,7 @@ class ExecutionContext:
     jobs: int = 1
     cache: Optional[ResultCache] = None
     warm_start: bool = True
-    sim_backend: str = "batched"
+    sim_backend: str = "megabatch"
     scenario: Optional[Any] = None
     executor: Optional[Any] = None
     progress: Optional[Any] = None
@@ -156,7 +158,7 @@ class ExecutionContext:
         jobs: Optional[int] = 1,
         cache_dir: Optional[str] = None,
         warm_start: bool = True,
-        sim_backend: str = "batched",
+        sim_backend: str = "megabatch",
         cache_max_mb: Optional[float] = None,
         scenario: Optional[Any] = None,
         dist: Optional[str] = None,

@@ -299,7 +299,7 @@ def run_chaos_matrix(
     duration: float = 60.0,
     base_seed: int = 0,
     seed_scheme: str = "legacy",
-    sim_backend: str = "batched",
+    sim_backend: str = "megabatch",
     block_reps: int = 1,
     plans: Optional[Dict[str, FaultPlan]] = None,
     modes: Sequence[str] = ("serial", "jobs", "dist"),

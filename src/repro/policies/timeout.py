@@ -23,7 +23,7 @@ def calibrate_timeout_threshold(
     seed: int = 0,
     floor: float = 1e-6,
     multiplier: float = 1.0,
-    backend: str = "heap",
+    backend: str = "megabatch",
 ) -> float:
     """Mean buffer waiting time of a calibration simulation.
 

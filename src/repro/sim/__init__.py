@@ -9,9 +9,9 @@ that exceed the timeout threshold under the timeout policy — are lost.
 Public surface:
 
 * :func:`repro.sim.runner.simulate` — run one topology + allocation
-  (``backend="heap"`` reference loop, ``backend="batched"`` array
-  lane, or ``backend="megabatch"`` replication-stacked kernel; see
-  :data:`repro.sim.runner.SIM_BACKENDS`).
+  (``backend="megabatch"`` replication-stacked kernel, the default;
+  ``backend="batched"`` array lane, or ``backend="heap"`` reference
+  loop; see :data:`repro.sim.runner.SIM_BACKENDS`).
 * :func:`repro.sim.runner.simulate_block` — one mega-batch kernel cell:
   many seeds of the same configuration in a single array program.
 * :func:`repro.sim.runner.replicate` — n seeds, aggregated statistics.

@@ -6,8 +6,9 @@ transliteration as an embedded source string, compiles it once with
 whatever system C compiler is present (``$CC``, else ``cc``/``gcc``/
 ``clang`` on PATH), caches the shared object under a content hash, and
 exposes it through :mod:`ctypes`.  No compiler, a failed build, or
-``REPRO_SIM_CC=0`` all degrade silently to ``None`` — the lane then
-falls back to the numpy lockstep engine, so the C path is a pure
+``REPRO_SIM_CC=0`` all degrade to ``None`` — mega-batch cells then run
+through the batched lane per seed (bitwise the same results, counted
+in ``sim.megabatch.fallback.no_kernel``), so the C path is a pure
 speedup, never a dependency.
 
 Bitwise contract: the kernel is compiled with ``-ffp-contract=off`` so
@@ -35,64 +36,26 @@ import threading
 import warnings
 from typing import Optional
 
+from repro.sim._mbkernel import ARRAYS
+
 _I64 = ctypes.c_longlong
 _F64 = ctypes.c_double
-_PI64 = ctypes.POINTER(_I64)
-_PF64 = ctypes.POINTER(_F64)
 
 
 class MBState(ctypes.Structure):
-    """Mirror of the C ``mb_state`` struct — keep field order in sync."""
+    """Mirror of the C ``mb_state`` struct — keep field order in sync.
 
-    _fields_ = [
-        ("R", _I64),
-        ("S", _I64),
-        ("B", _I64),
-        ("G", _I64),
-        ("P", _I64),
-        ("W", _I64),
-        ("D", _I64),
-        ("L", _I64),
-        ("H", _I64),
-        ("timeout", _F64),
-        ("cap", _PI64),
-        ("slot_off", _PI64),
-        ("ring_bus", _PI64),
-        ("cl_off", _PI64),
-        ("arb_kind", _PI64),
-        ("flow_src", _PI64),
-        ("flow_last", _PI64),
-        ("flow_ring", _PI64),
-        ("flow_scale", _PF64),
-        ("first_bus", _PI64),
-        ("ev_time", _PF64),
-        ("ev_seq", _PI64),
-        ("next_id", _PI64),
-        ("head", _PI64),
-        ("cnt", _PI64),
-        ("busy", _PI64),
-        ("granted", _PI64),
-        ("rr_last", _PI64),
-        ("sflow", _PI64),
-        ("shop", _PI64),
-        ("screa", _PF64),
-        ("senq", _PF64),
-        ("sscale", _PF64),
-        ("svc", _PF64),
-        ("svc_idx", _PI64),
-        ("gaps", _PF64),
-        ("gap_idx", _PI64),
-        ("gap_len", _PI64),
-        ("offered", _PI64),
-        ("lost", _PI64),
-        ("timed_out", _PI64),
-        ("delivered", _PI64),
-        ("wait_sum", _PF64),
-        ("wait_cnt", _PI64),
-        ("e2e_sum", _PF64),
-        ("paused", _PI64),
-        ("T", _I64),
-    ]
+    Array fields hold raw addresses (``ndarray.ctypes.data``): cheaper
+    to assign per lane than typed pointers, and no less checked — the
+    lane fixes every array's dtype and layout at construction.
+    """
+
+    _fields_ = (
+        [(name, _I64) for name in "RSBGPWDLH"]
+        + [("timeout", _F64)]
+        + [(name, ctypes.c_void_p) for name in ARRAYS]
+        + [("T", _I64)]
+    )
 
 
 _SOURCE = r"""
@@ -374,12 +337,12 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             lib.mb_advance.argtypes = [ctypes.POINTER(MBState), _F64]
             lib.mb_advance.restype = _I64
             _cached = lib
-        except Exception as exc:  # degrade to the numpy engine
+        except Exception as exc:  # degrade to the batched lane
             if not _warned:
                 _warned = True
                 warnings.warn(
                     f"mega-batch C kernel unavailable ({exc}); "
-                    "falling back to the numpy engine",
+                    "falling back to the batched lane",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -1,4 +1,4 @@
-"""The mega-batch time-step kernel, in numba-compatible scalar form.
+"""The mega-batch time-step kernel, in C-transliterable scalar form.
 
 :func:`advance` drains every replication of one fleet cell through its
 event calendar up to ``end_time``, operating exclusively on the flat
@@ -17,11 +17,10 @@ drain loop with a leading replication axis ``R``:
   operation order, keeping fixed-seed metrics bitwise identical.
 
 The function body is restricted to scalar arithmetic and array
-subscripts so the *same source* runs three ways: interpreted (the
-always-available correctness oracle), under ``numba.njit`` when
-``REPRO_SIM_JIT=1`` and numba is importable, and as the reference for
-the C transliteration in :mod:`repro.sim._mbcc` (kept in sync by the
-engine cross-equality tests).
+subscripts so the *same source* serves two ways: interpreted (the
+always-available correctness oracle, ``engine="python"``), and as the
+reference for the C transliteration in :mod:`repro.sim._mbcc` (kept in
+sync by the engine cross-equality tests).
 
 Refill protocol — the kernel never draws randomness.  Before
 dispatching an event it checks that every pre-drawn buffer the dispatch
@@ -42,6 +41,18 @@ import numpy as np
 #: Sequence sentinel for idle completion slots: larger than any real
 #: event id, so an idle slot can never win a ``(time, seq)`` tie.
 SEQ_SENTINEL = np.int64(2**62)
+
+#: The lane arrays :func:`advance` takes after ``end_time`` and
+#: ``timeout``, in argument order — also the pointer-field order of the
+#: C kernel's ``mb_state`` struct (:mod:`repro.sim._mbcc`).
+ARRAYS = (
+    "cap", "slot_off", "ring_bus", "cl_off", "arb_kind", "flow_src",
+    "flow_last", "flow_ring", "flow_scale", "first_bus", "ev_time",
+    "ev_seq", "next_id", "head", "cnt", "busy", "granted", "rr_last",
+    "sflow", "shop", "screa", "senq", "sscale", "svc", "svc_idx",
+    "gaps", "gap_idx", "gap_len", "offered", "lost", "timed_out",
+    "delivered", "wait_sum", "wait_cnt", "e2e_sum", "paused",
+)
 
 
 def advance(

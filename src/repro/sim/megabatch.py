@@ -23,27 +23,26 @@ batched lane ``R`` times:
   event calendar is a fixed ``(R, S + B)`` array (see
   :mod:`repro.sim._mbkernel`).
 
-Three interchangeable engines execute the same kernel — ``numba``
-(``REPRO_SIM_JIT=1``, only when numba is importable), ``cc`` (the
-:mod:`repro.sim._mbcc` C build, default when a system compiler exists),
-``numpy`` (the :mod:`repro.sim._mblockstep` lockstep fallback) — plus
+Two engines execute the same kernel: ``cc``, the :mod:`repro.sim._mbcc`
+C build (the default, whenever a system compiler exists), and
 ``python``, the interpreted scalar kernel kept as the correctness
-oracle.  ``REPRO_SIM_ENGINE`` forces one explicitly.  The engine choice
-never affects results (bitwise, test-enforced) and is therefore *not*
-part of scenario cache keys; the backend is.
+oracle (selected with ``engine="python"``).  The engine choice never
+affects results (bitwise, test-enforced) and is therefore *not* part of
+scenario cache keys; the backend is.
 
 The lane only takes the kernel path for configurations it can replay
 exactly: deterministic arbiters (:data:`~repro.sim.arbiter
 .KERNEL_ARBITERS`) and stateless traffic descriptors
 (:attr:`~repro.arch.traffic.TrafficDescriptor.stateless_sampling`).
-:func:`megabatch_supported` is the gate; unsupported cells fall back to
+:func:`megabatch_supported` is the gate.  Unsupported cells — and every
+cell on a host where no C kernel could be built — fall back to
 sequential per-replication ``backend="batched"`` runs in
-:func:`repro.sim.runner.simulate_block`.
+:func:`repro.sim.runner.simulate_block`, which counts each fallback.
 """
 
 from __future__ import annotations
 
-import os
+import ctypes
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -73,70 +72,34 @@ GAP_CHUNKS = 4
 #: round-trips rare.
 SVC_DEPTH = 2048
 
-#: Engine names accepted by :func:`resolve_engine` / REPRO_SIM_ENGINE.
-ENGINES = ("numba", "cc", "numpy", "python")
-
-_numba_advance = None
-_numba_failed = False
-
-
-def _load_numba():
-    """The njit-compiled kernel, or ``None`` when numba is absent."""
-    global _numba_advance, _numba_failed
-    if _numba_advance is not None or _numba_failed:
-        return _numba_advance
-    try:
-        import numba
-
-        _numba_advance = numba.njit(_mbkernel.advance)
-    except Exception:
-        _numba_failed = True
-        return None
-    return _numba_advance
+#: Engine names accepted by :func:`resolve_engine`.
+ENGINES = ("cc", "python")
 
 
 def available_engines() -> Dict[str, bool]:
     """Availability of each mega-batch engine in this environment."""
-    return {
-        "numba": _load_numba() is not None,
-        "cc": _mbcc.load_kernel() is not None,
-        "numpy": True,
-        "python": True,
-    }
+    return {"cc": _mbcc.load_kernel() is not None, "python": True}
 
 
 def resolve_engine(requested: Optional[str] = None) -> str:
-    """Pick the kernel engine.
+    """Pick the kernel engine: ``requested``, else the C build.
 
-    Priority: explicit ``requested`` > ``REPRO_SIM_ENGINE`` >
-    ``REPRO_SIM_JIT=1`` (numba when importable) > the C build when a
-    system compiler exists > numpy.  Forcing an unavailable engine
-    raises :class:`SimulationError`; the automatic path only ever
-    degrades.
+    Raises :class:`SimulationError` for an unknown name, and when the C
+    build is wanted but unavailable —
+    :func:`repro.sim.runner.simulate_block` checks for that case first
+    and takes its counted batched fallback instead.
     """
-    name = requested or os.environ.get("REPRO_SIM_ENGINE") or ""
-    if name:
-        if name not in ENGINES:
-            raise SimulationError(
-                f"unknown mega-batch engine {name!r}; "
-                f"choose from {ENGINES}"
-            )
-        if name == "numba" and _load_numba() is None:
-            raise SimulationError(
-                "mega-batch engine 'numba' requested but numba is not "
-                "importable"
-            )
-        if name == "cc" and _mbcc.load_kernel() is None:
-            raise SimulationError(
-                "mega-batch engine 'cc' requested but no C kernel could "
-                "be built (no compiler, failed build, or REPRO_SIM_CC=0)"
-            )
-        return name
-    if os.environ.get("REPRO_SIM_JIT") == "1" and _load_numba() is not None:
-        return "numba"
-    if _mbcc.load_kernel() is not None:
-        return "cc"
-    return "numpy"
+    name = requested or "cc"
+    if name not in ENGINES:
+        raise SimulationError(
+            f"unknown mega-batch engine {name!r}; choose from {ENGINES}"
+        )
+    if name == "cc" and _mbcc.load_kernel() is None:
+        raise SimulationError(
+            "mega-batch engine 'cc' requested but no C kernel could "
+            "be built (no compiler, failed build, or REPRO_SIM_CC=0)"
+        )
+    return name
 
 
 def megabatch_supported(topology: Topology, arbiter_kind: str) -> bool:
@@ -328,63 +291,24 @@ class MegaBatchLane:
     # ------------------------------------------------------------------
 
     def _setup_engine(self) -> None:
-        if self.engine in ("python", "numba"):
-            fn = (
-                _mbkernel.advance
-                if self.engine == "python"
-                else _load_numba()
-            )
-            kargs = (
-                self.cap, self.slot_off, self.ring_bus, self.cl_off,
-                self.arb_kind, self.flow_src, self.flow_last,
-                self.flow_ring, self.flow_scale, self.first_bus,
-                self.ev_time, self.ev_seq, self.next_id, self.head,
-                self.cnt, self.busy, self.granted, self.rr_last,
-                self.sflow, self.shop, self.screa, self.senq,
-                self.sscale, self.svc, self.svc_idx, self.gaps,
-                self.gap_idx, self.gap_len, self.offered, self.lost,
-                self.timed_out, self.delivered, self.wait_sum,
-                self.wait_cnt, self.e2e_sum, self.paused,
-            )
+        if self.engine == "python":
+            kargs = tuple(getattr(self, name) for name in _mbkernel.ARRAYS)
             timeout = self.timeout
-            self._advance = lambda end: int(fn(end, timeout, *kargs))
-        elif self.engine == "cc":
-            lib = _mbcc.load_kernel()
-            st = _mbcc.MBState()
-            st.R, st.S, st.B, st.G, st.P = (
-                self.R, self.S, self.B, self.G, self.P,
+            self._advance = lambda end: int(
+                _mbkernel.advance(end, timeout, *kargs)
             )
-            st.W, st.D = self.W, self.svc_depth
-            st.L, st.H, st.T = self.gap_depth, self.Hmax, self.T
-            st.timeout = self.timeout
-            pi64 = _mbcc._PI64
-            pf64 = _mbcc._PF64
-            for name, ptype in (
-                ("cap", pi64), ("slot_off", pi64), ("ring_bus", pi64),
-                ("cl_off", pi64), ("arb_kind", pi64), ("flow_src", pi64),
-                ("flow_last", pi64), ("flow_ring", pi64),
-                ("flow_scale", pf64), ("first_bus", pi64),
-                ("ev_time", pf64), ("ev_seq", pi64), ("next_id", pi64),
-                ("head", pi64), ("cnt", pi64), ("busy", pi64),
-                ("granted", pi64), ("rr_last", pi64), ("sflow", pi64),
-                ("shop", pi64), ("screa", pf64), ("senq", pf64),
-                ("sscale", pf64), ("svc", pf64), ("svc_idx", pi64),
-                ("gaps", pf64), ("gap_idx", pi64), ("gap_len", pi64),
-                ("offered", pi64), ("lost", pi64), ("timed_out", pi64),
-                ("delivered", pi64), ("wait_sum", pf64),
-                ("wait_cnt", pi64), ("e2e_sum", pf64), ("paused", pi64),
-            ):
-                arr = getattr(self, name)
-                setattr(st, name, arr.ctypes.data_as(ptype))
-            self._cstate = st  # keeps the array pointers alive
-            import ctypes
-
-            ref = ctypes.byref(st)
-            self._advance = lambda end: int(lib.mb_advance(ref, end))
-        else:  # numpy lockstep
-            from repro.sim import _mblockstep
-
-            self._advance = lambda end: _mblockstep.advance(self, end)
+            return
+        lib = _mbcc.load_kernel()
+        st = _mbcc.MBState(
+            self.R, self.S, self.B, self.G, self.P, self.W,
+            self.svc_depth, self.gap_depth, self.Hmax, self.timeout,
+            *(getattr(self, name).ctypes.data for name in _mbkernel.ARRAYS),
+            self.T,
+        )
+        # The byref keeps the struct alive; the arrays it points at are
+        # lane attributes, so they outlive every kernel call.
+        ref = ctypes.byref(st)
+        self._advance = lambda end: int(lib.mb_advance(ref, end))
 
     # ------------------------------------------------------------------
 

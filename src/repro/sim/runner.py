@@ -59,16 +59,16 @@ class SimulationResult:
         return self.total_lost / self.total_offered
 
 
-#: Simulation backends accepted by :func:`simulate`.  ``"heap"`` is the
-#: reference engine (one callback per event); ``"batched"`` is the
-#: array-native lane of :mod:`repro.sim.batched`, which produces
-#: bitwise-identical fixed-seed metrics for deterministic arbiters and
-#: statistically equivalent ones under randomised arbitration;
-#: ``"megabatch"`` is the replication-stacked kernel of
-#: :mod:`repro.sim.megabatch` — one array program advances every
-#: replication of a cell at once, with the same bitwise fixed-seed
-#: contract as ``"batched"`` (configurations the kernel cannot replay
-#: exactly fall back to per-replication batched runs).
+#: Simulation backends accepted by :func:`simulate`.  ``"megabatch"``
+#: (the default everywhere) is the replication-stacked kernel of
+#: :mod:`repro.sim.megabatch` — one compiled array program advances
+#: every replication of a cell at once; configurations the kernel cannot
+#: replay exactly, and hosts with no C kernel, fall back to
+#: per-replication batched runs.  ``"batched"`` is the array-native
+#: lane of :mod:`repro.sim.batched`; ``"heap"`` is the reference engine
+#: (one callback per event).  All three produce bitwise-identical
+#: fixed-seed metrics for deterministic arbiters, and statistically
+#: equivalent ones under randomised arbitration.
 SIM_BACKENDS = ("heap", "batched", "megabatch")
 
 
@@ -81,7 +81,7 @@ def simulate(
     arbiter_weights: Optional[Dict[str, float]] = None,
     timeout_threshold: Optional[float] = None,
     warmup: float = 0.0,
-    backend: str = "heap",
+    backend: str = "megabatch",
 ) -> SimulationResult:
     """Run one simulation and collect per-processor statistics.
 
@@ -196,20 +196,30 @@ def simulate_block(
     timeout); one :class:`~repro.sim.megabatch.MegaBatchLane` advances
     every replication per kernel invocation.  Results are returned in
     seed order and are bitwise identical to running
-    ``simulate(..., backend="batched")`` per seed — configurations the
-    kernel cannot replay exactly (randomised arbiters, stateful traffic
-    descriptors) take exactly that per-seed path as a fallback, so the
-    equality is universal.  ``engine`` forces a kernel engine (see
-    :func:`repro.sim.megabatch.resolve_engine`).
+    ``simulate(..., backend="batched")`` per seed.  Cells the kernel
+    cannot replay exactly (randomised arbiters, stateful traffic
+    descriptors) take exactly that per-seed path as a fallback, counted
+    once per block in ``sim.megabatch.fallback.unsupported``; so does
+    every cell when no C kernel could be built and no ``engine`` was
+    forced, counted in ``sim.megabatch.fallback.no_kernel``.  The
+    equality is therefore universal.  ``engine="python"`` forces the
+    interpreted kernel (see :func:`repro.sim.megabatch.resolve_engine`).
     """
     if warmup < 0:
         raise SimulationError(f"warmup must be >= 0, got {warmup}")
     seed_list = [int(s) for s in seeds]
     if not seed_list:
         raise SimulationError("simulate_block needs at least one seed")
+    from repro.sim import _mbcc
     from repro.sim.megabatch import MegaBatchLane, megabatch_supported
 
+    fallback = None
     if not megabatch_supported(topology, arbiter_kind):
+        fallback = "sim.megabatch.fallback.unsupported"
+    elif engine is None and _mbcc.load_kernel() is None:
+        fallback = "sim.megabatch.fallback.no_kernel"
+    if fallback is not None:
+        obs.counter(fallback).inc()
         return [
             simulate(
                 topology,
@@ -402,10 +412,10 @@ def replicate(
     replication order as runs complete.  ``seed_scheme`` selects how
     per-replication seeds are derived (see :func:`replication_seeds`).
     Remaining keyword arguments — including the simulation ``backend``
-    — pass through to :func:`simulate`.
+    (default ``"megabatch"``) — pass through to :func:`simulate`.
     """
     seeds = replication_seeds(replications, base_seed, seed_scheme)
-    if kwargs.get("backend") == "megabatch":
+    if kwargs.get("backend", "megabatch") == "megabatch":
         # Block dispatch: partition the seed list into contiguous
         # blocks — one mega-batch kernel cell per worker — and flatten
         # the per-block result lists back in replication order.  The

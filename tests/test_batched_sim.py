@@ -255,7 +255,7 @@ class TestHeapBatchedEquivalence:
             timeout_threshold=timeout,
             warmup=warmup,
         )
-        heap = simulate(netproc, netproc_caps, **kwargs)
+        heap = simulate(netproc, netproc_caps, backend="heap", **kwargs)
         batched = simulate(
             netproc, netproc_caps, backend="batched", **kwargs
         )
@@ -264,7 +264,7 @@ class TestHeapBatchedEquivalence:
     @pytest.mark.parametrize("arbiter", DETERMINISTIC_ARBITERS)
     def test_bridged_figure1(self, fig1, fig1_caps, arbiter):
         kwargs = dict(duration=400.0, seed=11, arbiter_kind=arbiter)
-        assert simulate(fig1, fig1_caps, **kwargs) == simulate(
+        assert simulate(fig1, fig1_caps, backend="heap", **kwargs) == simulate(
             fig1, fig1_caps, backend="batched", **kwargs
         )
 
@@ -278,7 +278,7 @@ class TestHeapBatchedEquivalence:
             timeout_threshold=1.2,
             warmup=40.0,
         )
-        assert simulate(topology, caps, **kwargs) == simulate(
+        assert simulate(topology, caps, backend="heap", **kwargs) == simulate(
             topology, caps, backend="batched", **kwargs
         )
 
@@ -288,7 +288,7 @@ class TestHeapBatchedEquivalence:
         # "forgot the bridge buffers" regime must match too.
         caps = {p: 8 for p in netproc.processors}
         kwargs = dict(duration=120.0, seed=2)
-        assert simulate(netproc, caps, **kwargs) == simulate(
+        assert simulate(netproc, caps, backend="heap", **kwargs) == simulate(
             netproc, caps, backend="batched", **kwargs
         )
 
@@ -327,7 +327,8 @@ class TestHeapBatchedEquivalence:
             )
             assert sum(warmed.offered.values()) <= sum(full.offered.values())
         heap = simulate(
-            netproc, netproc_caps, duration=150.0, warmup=50.0, seed=6
+            netproc, netproc_caps, duration=150.0, warmup=50.0, seed=6,
+            backend="heap",
         )
         batched = simulate(
             netproc,
@@ -352,7 +353,7 @@ class TestRandomisedArbiterEquivalence:
             arbiter_kind="weighted_random",
             arbiter_weights=weights,
         )
-        heap = replicate(netproc, netproc_caps, **kwargs)
+        heap = replicate(netproc, netproc_caps, backend="heap", **kwargs)
         batched = replicate(
             netproc, netproc_caps, backend="batched", **kwargs
         )
@@ -374,7 +375,7 @@ class TestRandomisedArbiterEquivalence:
             arbiter_kind="weighted_random",
             arbiter_weights=weights,
         )
-        assert simulate(fig1, fig1_caps, **kwargs) == simulate(
+        assert simulate(fig1, fig1_caps, backend="heap", **kwargs) == simulate(
             fig1, fig1_caps, backend="batched", **kwargs
         )
 
@@ -392,7 +393,7 @@ class TestPooledBatchedReplication:
 
     def test_batched_replication_matches_heap(self, fig1, fig1_caps):
         kwargs = dict(replications=3, duration=100.0, base_seed=1)
-        heap = replicate(fig1, fig1_caps, **kwargs)
+        heap = replicate(fig1, fig1_caps, backend="heap", **kwargs)
         batched = replicate(fig1, fig1_caps, backend="batched", **kwargs)
         for a, b in zip(heap.results, batched.results):
             assert a == b
@@ -421,7 +422,9 @@ class TestTraceWorkloads:
             replay_topology(fig1, trace), 40
         ).as_capacities()
         kwargs = dict(duration=200.0, seed=0)
-        heap = simulate(replay_topology(fig1, trace), caps, **kwargs)
+        heap = simulate(
+            replay_topology(fig1, trace), caps, backend="heap", **kwargs
+        )
         batched = simulate(
             replay_topology(fig1, trace), caps, backend="batched", **kwargs
         )
@@ -442,7 +445,9 @@ class TestTraceWorkloads:
             replay_topology(fig1, trace), 12
         ).as_capacities()
         kwargs = dict(duration=30.0, seed=0, arbiter_kind="fixed_priority")
-        heap = simulate(replay_topology(fig1, trace), caps, **kwargs)
+        heap = simulate(
+            replay_topology(fig1, trace), caps, backend="heap", **kwargs
+        )
         batched = simulate(
             replay_topology(fig1, trace), caps, backend="batched", **kwargs
         )

@@ -128,14 +128,15 @@ class TestRuntimeFlags:
             "simulate", arch_file, "--budget", "12",
             "--policy", "uniform", "--duration", "200", "--reps", "2",
         ]
-        # The default is the batched array lane; --sim-backend heap is
-        # the reference-engine escape hatch.  The default longest-queue
-        # arbiter is deterministic, so the two must report
-        # byte-identical statistics.
+        # The default is the mega-batch kernel; --sim-backend batched
+        # and heap select the array lane and the reference engine.  The
+        # default longest-queue arbiter is deterministic, so all three
+        # must report byte-identical statistics.
         assert main(base) == 0
-        batched_out = capsys.readouterr().out
-        assert main(base + ["--sim-backend", "heap"]) == 0
-        assert capsys.readouterr().out == batched_out
+        default_out = capsys.readouterr().out
+        for backend in ("batched", "heap"):
+            assert main(base + ["--sim-backend", backend]) == 0
+            assert capsys.readouterr().out == default_out
 
     def test_sim_backend_choices_enforced(self, arch_file):
         with pytest.raises(SystemExit):

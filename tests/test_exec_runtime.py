@@ -397,11 +397,40 @@ class TestCacheEviction:
 class TestSimBackendThreading:
     """ExecutionContext.sim_backend reaches replicate() and cache keys."""
 
-    def test_default_backend_is_batched(self):
-        # Promoted to the experiment default after soaking (heap stays
-        # the reference engine, selected via sim_backend="heap").
-        assert ExecutionContext().sim_backend == "batched"
-        assert ExecutionContext.create().sim_backend == "batched"
+    def test_default_backend_is_megabatch_everywhere(self):
+        # One default backend: every entry point that takes a backend
+        # defaults to the mega-batch kernel (batched and heap stay
+        # selectable as the per-seed lane and the reference engine).
+        import argparse
+        import inspect
+
+        from repro.cli import build_parser
+        from repro.dist import build_matrix, run_matrix
+        from repro.policies.timeout import calibrate_timeout_threshold
+        from repro.sim.runner import simulate
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert default(simulate, "backend") == "megabatch"
+        assert default(calibrate_timeout_threshold, "backend") == "megabatch"
+        assert default(build_matrix, "sim_backend") == "megabatch"
+        assert default(run_matrix, "sim_backend") == "megabatch"
+        assert ExecutionContext().sim_backend == "megabatch"
+        assert ExecutionContext.create().sim_backend == "megabatch"
+
+        def backend_defaults(parser, path=()):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from backend_defaults(sub, path + (name,))
+                elif action.dest == "sim_backend":
+                    yield " ".join(path), action.default
+
+        found = dict(backend_defaults(build_parser()))
+        commands = {"simulate", "figure3", "table1", "dist run", "dist chaos"}
+        assert commands <= set(found)
+        assert set(found.values()) == {"megabatch"}, found
 
     def test_backend_injected_into_replication(self, amba, amba_caps):
         heap_ctx = ExecutionContext.create(sim_backend="heap")

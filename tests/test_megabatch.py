@@ -45,6 +45,11 @@ AVAILABLE_ENGINES = tuple(
     name for name, ok in available_engines().items() if ok
 )
 
+#: The fastest engine this host has.  Tests about the kernel path
+#: itself force it, so they exercise a kernel even where the default
+#: takes the no-kernel fallback (``REPRO_SIM_CC=0``).
+KERNEL = AVAILABLE_ENGINES[0]
+
 
 def _cell(name):
     spec = scenarios.get(name)
@@ -163,21 +168,6 @@ class TestEngines:
             )
             assert got == ref, engine
 
-    @pytest.mark.skipif(
-        not available_engines()["numba"], reason="numba not installed"
-    )
-    def test_numba_jit_engine_matches(self):
-        topology, capacities = _cell("fig1")
-        block = simulate_block(
-            topology, capacities, duration=150.0, seeds=[3],
-            engine="numba",
-        )
-        ref = simulate(
-            topology, capacities, duration=150.0, seed=3,
-            backend="batched",
-        )
-        assert block[0] == ref
-
     def test_forced_unavailable_engine_is_an_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_CC", "0")
         from repro.sim import _mbcc
@@ -191,11 +181,11 @@ class TestEngines:
         with pytest.raises(SimulationError, match="unknown"):
             resolve_engine("fortran")
 
-    def test_env_var_forces_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "python")
-        assert resolve_engine() == "python"
-        monkeypatch.delenv("REPRO_SIM_ENGINE")
-        assert resolve_engine() in ENGINES
+    def test_two_engines_cc_by_default(self):
+        assert ENGINES == ("cc", "python")
+        assert resolve_engine("python") == "python"
+        if available_engines()["cc"]:
+            assert resolve_engine() == "cc"
 
 
 # -- kernel-path gating and fallback ------------------------------------
@@ -245,7 +235,7 @@ class TestSupportGate:
 
     def test_lane_window_protocol_errors(self):
         topology, capacities = _cell("fig1")
-        lane = MegaBatchLane(topology, capacities, [3])
+        lane = MegaBatchLane(topology, capacities, [3], engine=KERNEL)
         with pytest.raises(SimulationError, match="start"):
             lane.run_until(10.0)
         lane.start()
@@ -254,6 +244,80 @@ class TestSupportGate:
         lane.run_until(10.0)
         with pytest.raises(SimulationError, match="before now"):
             lane.run_until(5.0)
+
+
+# -- counted fallbacks --------------------------------------------------
+
+
+def _fallback_counts(run):
+    """``(results, {kind: count})`` of ``run()`` under live metrics."""
+    obs.enable_metrics()
+    try:
+        results = run()
+        counters = obs.registry().counters_snapshot()
+    finally:
+        obs.reset()
+    return results, {
+        kind: counters.get("sim.megabatch.fallback." + kind, 0)
+        for kind in ("unsupported", "no_kernel")
+    }
+
+
+class TestCountedFallbacks:
+    """No path degrades silently: each fallback counts once per block."""
+
+    SEEDS = [3, 1003, 77]
+
+    def _batched(self, topology, capacities, **kwargs):
+        return [
+            simulate(
+                topology, capacities, duration=100.0, seed=seed,
+                backend="batched", **kwargs,
+            )
+            for seed in self.SEEDS
+        ]
+
+    def test_unsupported_cell_counts_and_matches_batched(self):
+        topology, capacities = _cell("fig1")
+        kwargs = dict(
+            arbiter_kind="weighted_random",
+            arbiter_weights={"p1": 2.0, "p3": 0.5},
+        )
+        got, counts = _fallback_counts(
+            lambda: simulate_block(
+                topology, capacities, duration=100.0, seeds=self.SEEDS,
+                **kwargs,
+            )
+        )
+        assert counts == {"unsupported": 1, "no_kernel": 0}
+        assert got == self._batched(topology, capacities, **kwargs)
+
+    def test_no_kernel_counts_and_matches_batched(self, monkeypatch):
+        from repro.sim import _mbcc
+
+        monkeypatch.setenv("REPRO_SIM_CC", "0")
+        monkeypatch.setattr(_mbcc, "_tried", False)
+        monkeypatch.setattr(_mbcc, "_cached", None)
+        topology, capacities = _cell("amba")
+        got, counts = _fallback_counts(
+            lambda: simulate_block(
+                topology, capacities, duration=100.0, seeds=self.SEEDS,
+                timeout_threshold=3.0,
+            )
+        )
+        assert counts == {"unsupported": 0, "no_kernel": 1}
+        assert got == self._batched(
+            topology, capacities, timeout_threshold=3.0
+        )
+        # A forced engine never falls back: the interpreted oracle runs.
+        forced, counts = _fallback_counts(
+            lambda: simulate_block(
+                topology, capacities, duration=100.0, seeds=self.SEEDS,
+                timeout_threshold=3.0, engine="python",
+            )
+        )
+        assert counts == {"unsupported": 0, "no_kernel": 0}
+        assert forced == got
 
 
 # -- block dispatch: replicate / jobs=N / dist --------------------------
@@ -417,7 +481,8 @@ class TestObservability:
         obs.enable_tracing()
         try:
             simulate_block(
-                topology, capacities, duration=100.0, seeds=[3, 1003]
+                topology, capacities, duration=100.0, seeds=[3, 1003],
+                engine=KERNEL,
             )
             counters = obs.registry().counters_snapshot()
             assert counters["sim.megabatch.invocations"] >= 1
@@ -435,7 +500,7 @@ class TestObservability:
         topology, capacities = _cell("fig1")
         run = lambda: simulate_block(
             topology, capacities, duration=200.0, seeds=[3],
-            warmup=50.0,
+            warmup=50.0, engine=KERNEL,
         )
         run()  # warm lazy imports, the compiled kernel, and caches
         obs_dir = os.path.dirname(obs.__file__)

@@ -1,7 +1,12 @@
 """Tests for repro.arch.topology and templates."""
 
+import copy
+import pickle
+
+import networkx as nx
 import pytest
 
+from repro import scenarios
 from repro.arch.templates import (
     amba_like,
     coreconnect_like,
@@ -9,7 +14,13 @@ from repro.arch.templates import (
     single_bus,
 )
 from repro.arch.netproc import network_processor, processor_names
-from repro.arch.topology import Bridge, Topology
+from repro.arch.topology import (
+    Bridge,
+    BusLink,
+    Flow,
+    Processor,
+    Topology,
+)
 from repro.arch.traffic import PoissonTraffic
 from repro.arch.validate import assert_not_overloaded, cluster_loads
 from repro.errors import TopologyError
@@ -289,3 +300,161 @@ class TestClusterLoads:
         topo.add_poisson_flow("ab", "a", "b", 10.0)
         with pytest.raises(TopologyError, match="utilisation"):
             assert_not_overloaded(topo)
+
+
+# -- derived-structure and route memos ----------------------------------
+
+#: Every registry scenario plus generated random-mesh members of
+#: several sizes (one is the 8-cluster benchmark mesh).
+MEMO_SCENARIOS = tuple(scenarios.names()) + (
+    "random-mesh-2-7",
+    "random-mesh-4-3",
+    "random-mesh-8-1",
+    "single-bus-4",
+)
+
+
+def _fresh_copy(topology):
+    """A structurally equal topology that has never been queried."""
+    copy = Topology(topology.name)
+    for name in topology.buses:
+        copy.add_bus(name)
+    for link in topology.links:
+        copy.add_link(link.bus_a, link.bus_b)
+    for bridge in topology.bridges.values():
+        copy.add_bridge(
+            bridge.name, bridge.bus_a, bridge.bus_b, bridge.service_rate
+        )
+    for proc in topology.processors.values():
+        copy.add_processor(proc.name, proc.bus, proc.service_rate)
+    for flow in topology.flows.values():
+        copy.add_flow(flow.name, flow.source, flow.destination, flow.traffic)
+    return copy
+
+
+def _assert_matches_fresh(topology):
+    """Every answer equals a cold computation on a never-queried copy.
+
+    Each route is checked against its own fresh copy, so the reference
+    is never served by a memo of any kind.
+    """
+    assert topology.bus_clusters() == _fresh_copy(topology).bus_clusters()
+    for name in topology.flows:
+        assert topology.route(name) == _fresh_copy(topology).route(name)
+
+
+def _chain():
+    """Buses x - y - z joined by bridges b1, b2; flow ac crosses both."""
+    topo = Topology("chain")
+    for bus in ("x", "y", "z"):
+        topo.add_bus(bus)
+    topo.add_bridge("b1", "x", "y", service_rate=3.0)
+    topo.add_bridge("b2", "y", "z", service_rate=3.0)
+    topo.add_processor("a", "x", service_rate=2.0)
+    topo.add_processor("b", "y", service_rate=2.0)
+    topo.add_processor("c", "z", service_rate=2.0)
+    topo.add_poisson_flow("ac", "a", "c", 0.5)
+    topo.add_poisson_flow("ab", "a", "b", 0.5)
+    return topo
+
+
+class TestMemo:
+    @pytest.mark.parametrize("name", MEMO_SCENARIOS)
+    def test_memoised_answers_match_fresh_topology(self, name):
+        topology = scenarios.get(name).topology()
+        # Query repeatedly, in both orders, before comparing.
+        for flow in list(topology.flows) + list(reversed(topology.flows)):
+            topology.route(flow)
+        topology.bus_clusters()
+        _assert_matches_fresh(topology)
+
+    def test_add_calls_after_query_recompute(self):
+        topo = _chain()
+        assert topo.route("ac").bridges == ("b1", "b2")
+        topo.add_bridge("b3", "x", "z", service_rate=3.0)
+        assert topo.route("ac").bridges == ("b3",)
+        _assert_matches_fresh(topo)
+
+        topo.add_bus("w")
+        assert frozenset({"w"}) in topo.bus_clusters()
+        topo.add_link("z", "w")
+        assert frozenset({"z", "w"}) in topo.bus_clusters()
+        assert topo.cluster_of_bus("w") == frozenset({"z", "w"})
+        assert topo.route("ac").clusters[-1] == frozenset({"z", "w"})
+        _assert_matches_fresh(topo)
+
+    def test_direct_edits_after_query_recompute(self):
+        topo = _chain()
+        _assert_matches_fresh(topo)
+        # Same endpoints, new traffic: the edit tests/test_exec_runtime.py
+        # makes when it perturbs a flow in place.
+        flow = topo.flows["ac"]
+        topo.flows["ac"] = type(flow)(
+            name=flow.name,
+            source=flow.source,
+            destination=flow.destination,
+            traffic=flow.traffic.scaled(1.01),
+        )
+        _assert_matches_fresh(topo)
+        # New endpoints: the route must follow them.
+        topo.flows["ac"] = Flow("ac", "b", "c", flow.traffic)
+        assert topo.route("ac").bridges == ("b2",)
+        _assert_matches_fresh(topo)
+        # A processor moved to another bus.
+        topo.processors["b"] = Processor("b", "x", 2.0)
+        assert topo.route("ac").bridges == ("b1", "b2")
+        assert not topo.route("ab").crosses_bridge
+        _assert_matches_fresh(topo)
+        # Links, bridges and buses edited in place.
+        topo.links.append(BusLink("y", "z"))
+        assert topo.route("ac").bridges == ("b1",)
+        _assert_matches_fresh(topo)
+        topo.bridges["b1"] = Bridge("b1", "x", "z", 3.0)
+        assert topo.route("ac").bridges == ("b1",)
+        assert topo.route("ac").clusters[-1] == frozenset({"y", "z"})
+        topo.buses["v"] = topo.buses["x"]
+        assert frozenset({"v"}) in topo.bus_clusters()
+        _assert_matches_fresh(topo)
+
+    def test_each_caller_gets_its_own_cluster_list(self):
+        topo = _chain()
+        first = topo.bus_clusters()
+        first.clear()
+        assert len(topo.bus_clusters()) == 3
+        assert topo.bus_clusters() is not topo.bus_clusters()
+
+    def test_memo_stays_out_of_pickles(self):
+        topology = scenarios.get("netproc").topology()
+        blank = pickle.dumps(_fresh_copy(topology))
+        before = len(pickle.dumps(topology))
+        for flow in topology.flows:
+            topology.route(flow)
+        topology.bus_clusters()
+        assert len(pickle.dumps(topology)) == before == len(blank)
+        restored = pickle.loads(pickle.dumps(topology))
+        _assert_matches_fresh(restored)
+        flow = next(iter(topology.flows))
+        assert copy.copy(topology).route(flow) == topology.route(flow)
+
+    def test_netproc_system_build_computes_components_once(
+        self, monkeypatch
+    ):
+        from repro.policies.uniform import UniformSizing
+        from repro.sim.system import CommunicationSystem
+
+        spec = scenarios.get("netproc")
+        capacities = (
+            UniformSizing()
+            .allocate(spec.topology(), spec.default_budget)
+            .as_capacities()
+        )
+        calls = []
+        real = nx.connected_components
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(nx, "connected_components", counting)
+        CommunicationSystem(spec.topology(), capacities, seed=0)
+        assert len(calls) == 1
