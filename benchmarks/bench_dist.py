@@ -16,11 +16,18 @@ cross that size; a broker socket with Nagle's algorithm on stalls such
 a body ~40 ms on the peer's delayed ACK.  Each row reports
 ``round_trips_per_second`` in ``extra_info``.
 
+``bench_dist_matrix_pass`` times one warm ``run_matrix`` pass (amba
+and single-bus-4 at their declared budgets, 16 replications, horizon
+200) through an in-process broker and one worker process: the fleet's
+real workload, where pinned leases reach the worker as one mega-batch
+block per leased cell and the driver's long poll returns on the last
+upload.  The pass must equal the serial run.
+
 ``bench_dist_makespan`` measures what cost scheduling is *for*: a
 skewed matrix (one long cell submitted last + many short cells) on a
 4-worker fleet.  The warm cost model orders the long cell first (LPT)
 and the shorts pack behind it, instead of the long cell running alone
-at the tail.  The overhead and makespan benches report
+at the tail.  The overhead, matrix-pass and makespan benches report
 ``jobs_per_second`` in
 ``extra_info`` (the makespan row also ``makespan_seconds``) so
 ``diff_bench.py`` tracks them run over run.  The equivalence assert
@@ -32,7 +39,14 @@ import multiprocessing
 
 import pytest
 
-from repro.dist import BrokerServer, DistExecutor, connect, worker_loop
+from repro.dist import (
+    BrokerServer,
+    DistExecutor,
+    build_matrix,
+    connect,
+    run_matrix,
+    worker_loop,
+)
 from repro.dist.jobs import echo, sleep_block
 
 #: Trivial jobs per measured overhead map call.
@@ -44,6 +58,13 @@ RPC_MESSAGE_BYTES = (1024, 24 * 1024, 96 * 1024)
 #: ``cache_get`` round trips per measured latency call.
 RPC_ROUND_TRIPS = 20
 
+#: The matrix-pass bench's workload (each scenario's budget axis).
+MATRIX = dict(
+    scenario_names=("amba", "single-bus-4"),
+    replications=16,
+    duration=200.0,
+)
+
 #: The skewed makespan matrix: many short cells plus one long cell
 #: submitted last (the arrival-order worst case the scheduler fixes).
 SHORT_JOBS = 64
@@ -51,15 +72,12 @@ SHORT_SECONDS = 0.04
 LONG_SECONDS = 1.0
 
 
-def _start_fleet(workers, poll_interval=0.005):
+def _start_fleet(workers):
     server = BrokerServer(port=0, lease_timeout=30.0).start_in_thread()
     context = multiprocessing.get_context()
     procs = [
         context.Process(
-            target=worker_loop,
-            args=(server.address,),
-            kwargs=dict(poll_interval=poll_interval),
-            daemon=True,
+            target=worker_loop, args=(server.address,), daemon=True
         )
         for _ in range(workers)
     ]
@@ -71,10 +89,8 @@ def _start_fleet(workers, poll_interval=0.005):
 @pytest.fixture(scope="module")
 def fleet():
     """A 2-worker fleet whose cost model has observed ``echo``."""
-    server, procs = _start_fleet(workers=2, poll_interval=0.002)
-    executor = DistExecutor(
-        server.address, poll_interval=0.002, timeout=120
-    )
+    server, procs = _start_fleet(workers=2)
+    executor = DistExecutor(server.address, timeout=120)
     executor.map(echo, [0])  # connect, spin the workers up, observe echo
     yield executor
     for proc in procs:
@@ -92,6 +108,35 @@ def test_bench_dist_overhead(benchmark, fleet):
         JOBS_PER_CALL / benchmark.stats["mean"], 1
     )
     benchmark.extra_info["steals"] = fleet.stats()["steals"]
+
+
+@pytest.fixture(scope="module")
+def matrix_fleet():
+    """One worker behind a warm broker, and the serial reference.
+
+    The warm-up pass publishes every cell's sizing to the shared store
+    and teaches the cost model each cell's rate, so measured passes
+    lease pinned bulk, as a long fleet run does after its first cells.
+    """
+    server, procs = _start_fleet(workers=1)
+    executor = DistExecutor(server.address, timeout=120)
+    run_matrix(executor=executor, **MATRIX)
+    yield executor, run_matrix(**MATRIX).to_jsonable()
+    for proc in procs:
+        proc.terminate()
+    server.stop()
+
+
+def test_bench_dist_matrix_pass(benchmark, matrix_fleet):
+    """Replication blocks per second of one warm fleet matrix pass."""
+    executor, expected = matrix_fleet
+    outcome = benchmark(lambda: run_matrix(executor=executor, **MATRIX))
+    assert outcome.to_jsonable() == expected  # bitwise the serial run
+    jobs = len(build_matrix(**MATRIX))
+    benchmark.extra_info["jobs_per_pass"] = jobs
+    benchmark.extra_info["jobs_per_second"] = round(
+        jobs / benchmark.stats["mean"], 1
+    )
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +177,7 @@ def makespan_fleet():
     scheduling quality, not cold-start learning.
     """
     server, procs = _start_fleet(workers=4)
-    executor = DistExecutor(
-        server.address, poll_interval=0.005, timeout=120
-    )
+    executor = DistExecutor(server.address, timeout=120)
     executor.map(sleep_block, _matrix(scale=0.1))  # spin up + warm model
     executor.map(sleep_block, _matrix(scale=1.0))
     yield executor

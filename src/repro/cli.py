@@ -459,7 +459,6 @@ def _cmd_dist_worker(args: argparse.Namespace) -> int:
         authkey=args.authkey.encode("utf-8"),
         cache_dir=args.cache_dir,
         cache_max_bytes=cache_max_bytes,
-        poll_interval=args.poll_interval,
         max_idle=args.max_idle,
         compress_threshold=(
             int(args.compress_kb * 1024)
@@ -884,7 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-max-mb", type=float, default=None,
         help="LRU bound of the local tier (requires --cache-dir)",
     )
-    p_worker.add_argument("--poll-interval", type=float, default=0.1)
     p_worker.add_argument(
         "--compress-kb", type=float, default=None,
         help="zlib-compress result envelopes above this size (KiB; "

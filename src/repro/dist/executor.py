@@ -9,10 +9,11 @@ API change anywhere above the pool** — and, by the same contract, no
 change to any number: results are merged by submission index, never by
 completion order or worker identity.
 
-The map is a poll loop over :meth:`Broker.fetch_ready`: results stream
-back as a growing contiguous prefix (firing ``on_result`` in order),
-polling drives the broker's dead-worker reaping, and a
-:class:`~repro.dist.queue.JobFailure` shipped back by any worker
+The map is a long-poll loop over :meth:`Broker.fetch_ready`: each call
+returns as soon as the next result lands, so results stream back as a
+growing contiguous prefix (firing ``on_result`` in order) with no
+sleeps in between; every call drives the broker's dead-worker reaping,
+and a :class:`~repro.dist.queue.JobFailure` shipped back by any worker
 re-raises here with the worker-side traceback attached.
 
 Robustness: every broker RPC runs under a
@@ -46,6 +47,7 @@ from repro import obs
 from repro.dist.costmodel import job_features
 from repro.dist.queue import (
     DEFAULT_AUTHKEY,
+    LONG_POLL_WAIT,
     BrokerConnection,
     JobFailure,
     JobPayload,
@@ -73,16 +75,6 @@ class DistExecutor:
         Broker address (``"host:port"`` or an ``(host, port)`` pair).
     authkey:
         Shared secret of the fleet (must match ``repro dist serve``).
-    poll_interval:
-        Seconds between result polls while results are flowing.  While
-        the fleet is *quiet* the interval backs off exponentially up
-        to ``poll_max`` and snaps back to ``poll_interval`` on the
-        first result — an idle driver stops hammering ``fetch_ready``
-        without ever going deaf (every poll, backed-off or not, still
-        drives the broker's dead-worker reaping).
-    poll_max:
-        Cap on the backed-off poll interval (default
-        ``max(0.5, poll_interval)``).
     compress_threshold:
         When set, payload items whose pickle is at least this many
         bytes ship as zlib wire envelopes (workers apply the same
@@ -118,14 +110,12 @@ class DistExecutor:
         self,
         address,
         authkey: bytes = DEFAULT_AUTHKEY,
-        poll_interval: float = 0.05,
         timeout: Optional[float] = None,
         no_worker_grace: float = 60.0,
         retry: RetryPolicy = DEFAULT_RETRY,
         on_broker_loss: str = "fallback",
         fallback_jobs: Optional[int] = None,
         compress_threshold: Optional[int] = None,
-        poll_max: Optional[float] = None,
     ) -> None:
         if on_broker_loss not in ("fallback", "fail"):
             raise ReproError(
@@ -134,12 +124,6 @@ class DistExecutor:
             )
         self.address = parse_address(address)
         self.authkey = authkey
-        self.poll_interval = float(poll_interval)
-        self.poll_max = (
-            float(poll_max)
-            if poll_max is not None
-            else max(0.5, self.poll_interval)
-        )
         self.compress_threshold = compress_threshold
         self.timeout = timeout
         self.no_worker_grace = float(no_worker_grace)
@@ -339,7 +323,13 @@ class DistExecutor:
         on_result: Optional[Callable[[int, Any], None]],
         features: Optional[List[dict]] = None,
     ) -> List[Any]:
-        """The fleet poll loop; appends to ``results`` as it merges."""
+        """The fleet result loop; appends to ``results`` as it merges.
+
+        Never sleeps: each ``fetch_ready`` long-polls for at most
+        :data:`LONG_POLL_WAIT` seconds (less when the ``timeout`` is
+        nearer), so the deadline and no-worker checks below run at
+        least that often.
+        """
         broker = self._broker()
         batch_id = uuid.uuid4().hex
 
@@ -352,13 +342,15 @@ class DistExecutor:
             None if self.timeout is None else time.monotonic() + self.timeout
         )
         last_progress = time.monotonic()
-        delay = self.poll_interval
         try:
             while len(results) < len(payloads):
+                wait = LONG_POLL_WAIT
+                if deadline is not None:
+                    wait = min(wait, max(deadline - time.monotonic(), 0.0))
 
                 def _fetch(b):
                     faults.fire("executor.fetch_ready", batch_id=batch_id)
-                    return b.fetch_ready(batch_id, len(results))
+                    return b.fetch_ready(batch_id, len(results), wait)
 
                 ready = self._rpc(
                     "result fetch", _fetch, none_is_loss=True
@@ -398,8 +390,7 @@ class DistExecutor:
                     )
                 if ready:
                     last_progress = now
-                    delay = self.poll_interval  # results flow: poll tight
-                    continue  # keep draining while results flow
+                    continue
                 if now - last_progress > self.no_worker_grace:
                     # Stalled: fine while live workers grind a long
                     # job, an error once nobody is left to make
@@ -421,12 +412,6 @@ class DistExecutor:
                             f"this broker"
                         )
                     last_progress = now
-                # Quiet iteration: back off (capped) so an idle driver
-                # does not hammer fetch_ready; the loop still wakes to
-                # poll — and thereby drive broker reaping and the
-                # deadline/no-worker checks — at least every poll_max.
-                time.sleep(delay)
-                delay = min(delay * 2, self.poll_max)
         finally:
             # Best-effort: if the broker is gone (or already dropped
             # the batch), failing the cleanup RPC must not mask the

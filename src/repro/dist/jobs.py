@@ -8,7 +8,7 @@ bitwise-identical to the local one.
 
 The one piece of ambient state is the **active cache**: the worker
 loop installs its :class:`~repro.dist.cachetier.CacheTier` process-wide
-before serving jobs, and :func:`run_block` builds its
+before serving jobs, and :func:`run_blocks` builds its
 :class:`~repro.exec.ExecutionContext` on whatever is installed
 (``None`` on a plain local run).  The cache can only skip recomputing
 pure results, so its presence or absence never changes a number —
@@ -18,7 +18,7 @@ that is asserted by the fleet equality tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro import obs, scenarios
 from repro.exec import ExecutionContext
@@ -136,6 +136,20 @@ class BlockOutcome:
     results: List[Any]
 
 
+def block_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A block payload without its replication slice.
+
+    Equal for every block of one scenario×budget cell (same layout,
+    horizon and backend): blocks with equal cells share one topology,
+    one sizing and one simulation call in :func:`run_blocks`.
+    """
+    return {
+        key: value
+        for key, value in payload.items()
+        if key not in ("start", "stop")
+    }
+
+
 def run_block(payload: Dict[str, Any]) -> BlockOutcome:
     """Size one scenario×budget cell and simulate one replication slice.
 
@@ -149,69 +163,106 @@ def run_block(payload: Dict[str, Any]) -> BlockOutcome:
     publishes it and every other block reuses it); for local runs,
     ``run_matrix`` installs a run-scoped :class:`ProcessMemo` instead.
     """
+    return run_blocks([payload])[0]
+
+
+def run_blocks(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
+    """:func:`run_block` over many payloads, set up once per cell.
+
+    Each run of consecutive payloads with equal :func:`block_cell`
+    builds the topology, looks up the sizing and simulates once: the
+    slices' seeds are concatenated into one call, whose results are
+    split back into one :class:`BlockOutcome` per payload, in order.
+    A seed's result does not depend on which seeds share its
+    simulation (the :func:`~repro.sim.runner.simulate_block`
+    contract), so the outcomes equal ``[run_block(p) for p in
+    payloads]`` bit for bit.  A fleet worker runs each pinned lease's
+    consecutive blocks of a cell through here.
+    """
+    outcomes: List[BlockOutcome] = []
+    begin = 0
+    while begin < len(payloads):
+        cell = block_cell(payloads[begin])
+        end = begin + 1
+        while end < len(payloads) and block_cell(payloads[end]) == cell:
+            end += 1
+        outcomes.extend(_run_cell(payloads[begin:end]))
+        begin = end
+    return outcomes
+
+
+def _run_cell(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
+    """The blocks of one cell: one set-up, one simulation call."""
     from repro.sim.runner import (
         replication_seeds,
         simulate,
         simulate_block,
     )
 
-    spec = scenarios.get(payload["scenario"])
+    cell = payloads[0]
+    spec = scenarios.get(cell["scenario"])
     topology = spec.topology()
     context = ExecutionContext(
         jobs=1,
         cache=active_cache(),
-        sim_backend=payload["sim_backend"],
+        sim_backend=cell["sim_backend"],
     ).scoped(spec)
     sizing = context.size(
-        topology, payload["budget"], sizer_kwargs=dict(spec.sizer_kwargs)
+        topology, cell["budget"], sizer_kwargs=dict(spec.sizer_kwargs)
     )
     capacities = sizing.allocation.as_capacities()
     seeds = replication_seeds(
-        payload["replications"],
-        payload["base_seed"],
-        payload["seed_scheme"],
+        cell["replications"], cell["base_seed"], cell["seed_scheme"]
     )
-    if payload["sim_backend"] == "megabatch":
-        # One kernel cell per block: every replication of the slice
-        # advances in lockstep.  Per-replication streams are derived
-        # from the global seed list, so the block results are bitwise
-        # the per-seed batched runs the serial path would produce.
+    slices = [
+        [seeds[r] for r in range(payload["start"], payload["stop"])]
+        for payload in payloads
+    ]
+    cell_seeds = [seed for block in slices for seed in block]
+    if cell["sim_backend"] == "megabatch":
+        # One kernel cell for every replication of every slice: they
+        # advance in lockstep.  Per-replication streams are derived
+        # from the global seed list, so each result is bitwise the
+        # per-seed batched run the serial path would produce.
         results = simulate_block(
             topology,
             capacities,
-            duration=payload["duration"],
-            seeds=[
-                seeds[r]
-                for r in range(payload["start"], payload["stop"])
-            ],
+            duration=cell["duration"],
+            seeds=cell_seeds,
         )
     else:
         results = [
             simulate(
                 topology,
                 capacities,
-                duration=payload["duration"],
-                seed=seeds[r],
-                backend=payload["sim_backend"],
+                duration=cell["duration"],
+                seed=seed,
+                backend=cell["sim_backend"],
             )
-            for r in range(payload["start"], payload["stop"])
+            for seed in cell_seeds
         ]
-    # Scenario-labeled fleet telemetry: shipped to the broker with the
-    # worker's other counters, split out by the Prometheus exposition
-    # as repro_fleet_scenario_*_total{scenario=...}.  Counters only —
-    # a disabled registry hands back shared no-op stubs, so the
-    # zero-overhead contract holds.
-    obs.counter("scenario.blocks.%s" % spec.name).inc()
-    obs.counter("scenario.replications.%s" % spec.name).inc(
-        int(payload["stop"]) - int(payload["start"])
-    )
-    return BlockOutcome(
-        scenario=spec.name,
-        budget=int(payload["budget"]),
-        start=int(payload["start"]),
-        stop=int(payload["stop"]),
-        sizes=dict(sizing.allocation.sizes),
-        expected_loss_rate=sizing.expected_loss_rate,
-        converged=sizing.converged,
-        results=results,
-    )
+    outcomes: List[BlockOutcome] = []
+    offset = 0
+    for payload, block in zip(payloads, slices):
+        # Scenario-labeled fleet telemetry, per block: shipped to the
+        # broker with the worker's other counters, split out by the
+        # Prometheus exposition as
+        # repro_fleet_scenario_*_total{scenario=...}.  Counters only —
+        # a disabled registry hands back shared no-op stubs, so the
+        # zero-overhead contract holds.
+        obs.counter("scenario.blocks.%s" % spec.name).inc()
+        obs.counter("scenario.replications.%s" % spec.name).inc(len(block))
+        outcomes.append(
+            BlockOutcome(
+                scenario=spec.name,
+                budget=int(payload["budget"]),
+                start=int(payload["start"]),
+                stop=int(payload["stop"]),
+                sizes=dict(sizing.allocation.sizes),
+                expected_loss_rate=sizing.expected_loss_rate,
+                converged=sizing.converged,
+                results=results[offset:offset + len(block)],
+            )
+        )
+        offset += len(block)
+    return outcomes

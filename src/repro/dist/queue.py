@@ -32,6 +32,13 @@ Queue semantics
   jobs are pure, so whichever result landed first is the same bits.
   Completions carry the worker's measured runtime, which trains the
   cost model.
+* **long polls** — ``fetch_ready`` and ``lease_jobs`` take a ``wait``:
+  with nothing to hand out they block on one :class:`threading.Condition`
+  over the queue lock, and every state change that could answer them
+  (a submit, a completion, a reap, a dropped batch, the server
+  stopping) wakes them.  :data:`LONG_POLL_WAIT` bounds every
+  wait, so reaping and the callers' own deadline checks still run at
+  least that often.
 * **heartbeat / reaping** — workers beat while executing; any worker
   whose last beat is older than ``lease_timeout`` is reaped and its
   incomplete leases re-enqueued at the *front* of the queue (oldest
@@ -89,11 +96,17 @@ DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
 #: sampling cadence this is ~17 minutes of history in a few MB.
 DEFAULT_HISTORY_CAPACITY = 512
 
-#: Predicted seconds of work one bulk lease aims to hand out: several
-#: poll intervals' worth (so a worker rarely leases twice per second of
-#: work) yet small enough that a reaped lease forfeits well under a
-#: second of predicted compute.
+#: Predicted seconds of work one bulk lease aims to hand out: enough
+#: that a worker rarely leases twice per second of work, yet small
+#: enough that a reaped lease forfeits well under a second of
+#: predicted compute.
 DEFAULT_LEASE_TARGET = 0.5
+
+#: Upper bound (seconds) of every long-poll wait in ``fetch_ready`` and
+#: ``lease_jobs``: how long one call may hold a server thread, and so
+#: the longest a driver's deadline and no-worker checks, or a waiting
+#: call's reaping, can go without running.
+LONG_POLL_WAIT = 0.5
 
 #: Hard cap on jobs per lease, whatever the predictions say — bounds
 #: both the lease RPC's payload bytes and the work a dead worker's reap
@@ -207,12 +220,38 @@ class JobFailure:
     traceback: str
 
 
+def _wait_deadline(wait: float) -> float:
+    """The monotonic instant a long poll of ``wait`` seconds gives up."""
+    return time.monotonic() + min(max(float(wait), 0.0), LONG_POLL_WAIT)
+
+
+#: The manager connection the current server thread serves (unset for
+#: in-process callers), set by :meth:`_StoppableServer.serve_client`.
+_serving = threading.local()
+
+
+def _caller_gone() -> bool:
+    """Whether this thread's remote caller has hung up.
+
+    A proxy sends nothing while it waits for a reply, so a readable
+    connection means end of file: the caller closed it, or died.
+    """
+    conn = getattr(_serving, "conn", None)
+    if conn is None:
+        return False
+    try:
+        return conn.poll()
+    except OSError:
+        return True  # closed under us (server stopping)
+
+
 class Broker:
     """The broker's whole state machine, one lock around all of it.
 
     Methods are invoked concurrently from the manager server's
     per-connection threads; every public method takes the lock, mutates
-    under it, and returns plain picklable values.
+    under it, and returns plain picklable values.  The long-poll calls
+    wait on :attr:`_changed`, a condition over that same lock.
     """
 
     def __init__(
@@ -238,8 +277,8 @@ class Broker:
         if cost_model_path is not None:
             self.cost_model.load(cost_model_path)
         self._unsaved_observations = 0
-        # A live driver polls its batch every few hundredths of a
-        # second, so a batch unpolled for this long belongs to a dead
+        # A live driver polls its batch at least every LONG_POLL_WAIT
+        # seconds, so a batch unpolled for this long belongs to a dead
         # (or partitioned) driver: drop it, or a long-lived broker
         # accumulates orphaned payloads/results until OOM while
         # workers burn CPU on jobs nobody will fetch.
@@ -250,6 +289,9 @@ class Broker:
         )
         self._clock = clock
         self._lock = threading.Lock()
+        # Signalled on every change a long poll may be waiting for.
+        self._changed = threading.Condition(self._lock)
+        self._closed = False  # set by close(): waits return at once
         # Queue state.
         self._pending: deque = deque()  # job ids awaiting a lease
         self._payloads: Dict[JobId, JobPayload] = {}
@@ -346,9 +388,12 @@ class Broker:
                 job_id = (batch_id, index)
                 self._payloads[job_id] = payloads[index]
                 self._pending.append(job_id)
+            self._changed.notify_all()
             return len(payloads)
 
-    def lease_jobs(self, worker_id: str) -> Dict[str, Any]:
+    def lease_jobs(
+        self, worker_id: str, wait: float = 0.0
+    ) -> Dict[str, Any]:
         """Lease work to one worker, sized by the cost model.
 
         Returns ``{"jobs": [(job_id, payload), ...], "pinned": bool}``.
@@ -371,49 +416,66 @@ class Broker:
         jobs, so the determinism contract is untouched).  Single
         unpinned jobs stay stealable, with ``start()`` as the arbiter;
         an idle worker that finds the queue empty steals one.
+
+        With nothing to lease or steal, the call long-polls: it waits
+        up to ``wait`` seconds (at most :data:`LONG_POLL_WAIT`) for a
+        submit or a reap to queue work, and returns an empty lease if
+        none comes.  Only the call's first look steals: idle waiters
+        woken together by one submit would otherwise steal its jobs
+        from each other in a cascade before any owner could start one.
         """
+        deadline = _wait_deadline(wait)
+        steal = True
         with self._lock:
-            self._beat(worker_id)
-            self._reap()
-            granted: List[Tuple[JobId, JobPayload]] = []
-            predicted_total = 0.0
-            pinned = True
-            while self._pending and len(granted) < LEASE_MAX_JOBS:
-                job_id = self._pending[0]
-                if job_id not in self._payloads or job_id in self._leases:
-                    self._pending.popleft()
-                    continue  # dropped batch / duplicate re-enqueue
-                cost = self.cost_model.observed_cost(
-                    self._features.get(job_id)
-                )
-                if granted and (
-                    cost is None
-                    or predicted_total + cost > DEFAULT_LEASE_TARGET
-                ):
-                    break
+            while True:
+                self._beat(worker_id)
+                self._reap()
+                lease = self._lease_locked(worker_id, steal)
+                if lease["jobs"] or not self._wait_locked(deadline):
+                    return lease
+                steal = False
+
+    def _lease_locked(self, worker_id: str, steal: bool) -> Dict[str, Any]:
+        """One lease attempt: grant from the queue, else maybe steal."""
+        granted: List[Tuple[JobId, JobPayload]] = []
+        predicted_total = 0.0
+        pinned = True
+        while self._pending and len(granted) < LEASE_MAX_JOBS:
+            job_id = self._pending[0]
+            if job_id not in self._payloads or job_id in self._leases:
                 self._pending.popleft()
-                self._leases[job_id] = worker_id
-                granted.append((job_id, self._payloads[job_id]))
-                if cost is None:
-                    pinned = False
-                    break  # unobserved: leases alone
-                predicted_total += cost
-            if not granted:
-                stolen = self._steal_for(worker_id)
-                return {
-                    "jobs": [] if stolen is None else [stolen],
-                    "pinned": False,
-                }
-            self._c_lease_grants.inc()
-            self._c_lease_jobs.inc(len(granted))
-            pinned = pinned and predicted_total <= DEFAULT_LEASE_TARGET
-            if pinned:
-                self._c_pinned_leases.inc()
-                now = self._clock()
-                for job_id, _ in granted:
-                    self._started.add(job_id)
-                    self._started_at.setdefault(job_id, now)
-            return {"jobs": granted, "pinned": pinned}
+                continue  # dropped batch / duplicate re-enqueue
+            cost = self.cost_model.observed_cost(
+                self._features.get(job_id)
+            )
+            if granted and (
+                cost is None
+                or predicted_total + cost > DEFAULT_LEASE_TARGET
+            ):
+                break
+            self._pending.popleft()
+            self._leases[job_id] = worker_id
+            granted.append((job_id, self._payloads[job_id]))
+            if cost is None:
+                pinned = False
+                break  # unobserved: leases alone
+            predicted_total += cost
+        if not granted:
+            stolen = self._steal_for(worker_id) if steal else None
+            return {
+                "jobs": [] if stolen is None else [stolen],
+                "pinned": False,
+            }
+        self._c_lease_grants.inc()
+        self._c_lease_jobs.inc(len(granted))
+        pinned = pinned and predicted_total <= DEFAULT_LEASE_TARGET
+        if pinned:
+            self._c_pinned_leases.inc()
+            now = self._clock()
+            for job_id, _ in granted:
+                self._started.add(job_id)
+                self._started_at.setdefault(job_id, now)
+        return {"jobs": granted, "pinned": pinned}
 
     def _steal_for(
         self, thief: str
@@ -485,6 +547,7 @@ class Broker:
             self._c_batched_jobs.inc(len(completions))
             for job_id, result, runtime in completions:
                 self._complete_locked(job_id, result, runtime)
+            self._changed.notify_all()
 
     def _complete_locked(
         self, job_id: JobId, result: Any, runtime: Optional[float]
@@ -570,24 +633,33 @@ class Broker:
             if metrics is not None:
                 self._merge_worker_metrics(worker_id, metrics)
 
-    def fetch_ready(self, batch_id: str, start: int) -> List[Any]:
+    def fetch_ready(
+        self, batch_id: str, start: int, wait: float = 0.0
+    ) -> List[Any]:
         """The contiguous completed results from index ``start`` on.
 
-        The driver's poll loop; also drives reaping, so dead workers
-        are detected even while every surviving worker is busy.
+        The driver's result loop; also drives reaping, so dead workers
+        are detected even while every surviving worker is busy.  While
+        result ``start`` is missing the call long-polls: it returns as
+        soon as a completion fills it, or ``[]`` after ``wait`` seconds
+        (at most :data:`LONG_POLL_WAIT`).  A batch dropped meanwhile
+        raises, as it would on a fresh call.
         """
+        deadline = _wait_deadline(wait)
         with self._lock:
-            self._reap()
-            results = self._results.get(batch_id)
-            if results is None:
-                raise ReproError(f"unknown batch {batch_id!r}")
-            self._batch_polled[batch_id] = self._clock()
-            ready: List[Any] = []
-            index = start
-            while index in results:
-                ready.append(results[index])
-                index += 1
-            return ready
+            while True:
+                self._reap()
+                results = self._results.get(batch_id)
+                if results is None:
+                    raise ReproError(f"unknown batch {batch_id!r}")
+                self._batch_polled[batch_id] = self._clock()
+                ready: List[Any] = []
+                index = start
+                while index in results:
+                    ready.append(results[index])
+                    index += 1
+                if ready or not self._wait_locked(deadline):
+                    return ready
 
     def batch_status(self, batch_id: str) -> Tuple[int, int]:
         """``(completed, total)`` for one batch."""
@@ -604,6 +676,17 @@ class Broker:
         """Forget one batch entirely (results, pending and leased jobs)."""
         with self._lock:
             self._drop_batch(batch_id)
+
+    def close(self) -> None:
+        """Release every waiting long poll; later calls wait no more.
+
+        :meth:`BrokerServer.stop` calls this first, so a server thread
+        parked in a wait answers at once instead of holding up the
+        shutdown.  Every other method keeps working.
+        """
+        with self._lock:
+            self._closed = True
+            self._changed.notify_all()
 
     def config(self) -> Dict[str, Any]:
         """Broker parameters workers read at connect time."""
@@ -716,6 +799,22 @@ class Broker:
 
     # -- internals (call with the lock held) ---------------------------
 
+    def _wait_locked(self, deadline: float) -> bool:
+        """Wait for a state change until ``deadline``.
+
+        ``False`` once the deadline passed, the broker closed or the
+        remote caller hung up: the caller then returns what it has
+        instead of looking again.
+        """
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or self._closed:
+            return False
+        self._changed.wait(remaining)
+        # A caller that hung up while parked must not be handed work it
+        # can never receive: a dead worker's lease would sit until the
+        # reaper frees it, a whole lease_timeout later.
+        return not _caller_gone()
+
     def _beat(self, worker_id: str, register: bool = True) -> None:
         """Record liveness.  ``register=False`` only refreshes workers
         already known — reaped workers stay reaped until they lease."""
@@ -756,6 +855,7 @@ class Broker:
         self._batch_polled.pop(batch_id, None)
         for job_id in [j for j in self._payloads if j[0] == batch_id]:
             self._forget_job(job_id)
+        self._changed.notify_all()  # a fetch waiting on it must raise
 
     def _reap(self) -> None:
         """Re-enqueue every incomplete lease of heartbeat-dead workers,
@@ -789,6 +889,8 @@ class Broker:
             # is picked up before fresh work, bounding its extra delay.
             self._pending.extendleft(reversed(orphaned))
             self._c_reaped.inc(len(orphaned))
+            if orphaned:
+                self._changed.notify_all()
             # Keep the dead worker's shipped metric totals — fleet
             # sums must not shrink when a worker dies — but mark it so
             # the console shows it gone.
@@ -906,6 +1008,10 @@ class _StoppableServer(Server):
         self._client_threads: list = []
         self._client_lock = threading.Lock()
         self._accepter_thread: Optional[threading.Thread] = None
+
+    def serve_client(self, conn):
+        _serving.conn = conn  # for _caller_gone() in long polls
+        super().serve_client(conn)
 
     def accepter(self):
         self._accepter_thread = threading.current_thread()
@@ -1076,6 +1182,9 @@ class BrokerServer:
                 self.broker.cost_save()
             except OSError:
                 pass
+        # Wake the long polls first: their serve threads then answer
+        # and close instead of waiting out LONG_POLL_WAIT below.
+        self.broker.close()
         stop_event = getattr(self._server, "stop_event", None)
         if stop_event is not None:
             stop_event.set()

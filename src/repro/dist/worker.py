@@ -3,10 +3,14 @@
 ``repro dist worker HOST:PORT`` runs :func:`worker_loop` in the
 foreground.  The loop leases jobs via
 :meth:`~repro.dist.queue.Broker.lease_jobs` (the broker sizes the
-lease from its cost model), announces each execution of an unpinned
-job with ``start`` (a ``False`` answer means the job was stolen — skip
-it; *pinned* leases arrive pre-started and skip the announcement
-round-trip entirely), and ships results (or a
+lease from its cost model; an idle worker's lease call long-polls, so
+new work starts the moment it is submitted, with no sleeps), announces
+each execution of an unpinned job with ``start`` (a ``False`` answer
+means the job was stolen — skip it; *pinned* leases arrive pre-started
+and skip the announcement round-trip entirely), runs each pinned
+lease's consecutive :func:`~repro.dist.jobs.run_block` jobs of one
+cell as one mega-batch block (:func:`~repro.dist.jobs.run_blocks`),
+and ships results (or a
 :class:`~repro.dist.queue.JobFailure` wrapping the exception, with its
 text bounded by :func:`~repro.dist.queue.truncate_failure_text`) back
 in ``complete_many`` uploads of up to :data:`UPLOAD_BATCH` finished
@@ -45,7 +49,7 @@ import time
 import traceback
 import uuid
 from multiprocessing import AuthenticationError
-from typing import Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ReproError
@@ -56,7 +60,9 @@ from repro.dist import jobs as dist_jobs
 from repro.dist.cachetier import CacheTier
 from repro.dist.queue import (
     DEFAULT_AUTHKEY,
+    LONG_POLL_WAIT,
     JobFailure,
+    JobId,
     JobPayload,
     MAX_FAILURE_TEXT,
     connect,
@@ -73,10 +79,14 @@ __all__ = ["default_worker_id", "worker_loop"]
 #: them as a reconnect signal first and a shutdown signal second.
 _BROKER_GONE = (ConnectionError, EOFError, BrokenPipeError, OSError)
 
-#: Finished jobs buffered per ``complete_many`` upload.  The buffer
+#: Finished jobs buffered per ``complete_many`` upload (a coalesced
+#: group's results, which finish together, ship together).  The buffer
 #: also flushes at every lease boundary, so a result waits on at most
 #: the jobs of its own lease, never on future work.
 UPLOAD_BATCH = 8
+
+#: A leased job with its payload, as ``lease_jobs`` hands it out.
+Job = Tuple[JobId, JobPayload]
 
 
 def default_worker_id() -> str:
@@ -105,6 +115,73 @@ def _execute(payload: JobPayload, max_failure_text: int = MAX_FAILURE_TEXT):
                 traceback.format_exc(), max_failure_text
             ),
         )
+
+
+def _block_cell(payload: JobPayload) -> Optional[Dict[str, Any]]:
+    """The cell of a ``run_block`` job; ``None`` for any other job."""
+    if payload.fn is not dist_jobs.run_block:
+        return None
+    try:
+        return dist_jobs.block_cell(wire_unpack(payload.item))
+    except Exception:
+        return None  # malformed: it runs alone and _execute reports it
+
+
+def _groups(leased: List[Job], pinned: bool) -> List[List[Job]]:
+    """Split one lease into execution groups, in lease order.
+
+    In a pinned lease, each run of consecutive ``run_block`` jobs of
+    one cell is one group, simulated as one mega-batch block.  Every
+    other job is a group of its own: only pinned jobs coalesce, since
+    they are started already and no ``start()`` can refuse one of
+    them (an unpinned lease is a single job anyway).
+    """
+    groups: List[List[Job]] = []
+    previous = None
+    for job in leased:
+        cell = _block_cell(job[1]) if pinned else None
+        if cell is not None and cell == previous:
+            groups[-1].append(job)
+        else:
+            groups.append([job])
+        previous = cell
+    return groups
+
+
+def _execute_group(
+    group: List[Job], max_failure_text: int, fallbacks
+) -> List[Tuple[Any, float]]:
+    """Run one group; ``(result, runtime)`` per job, in group order.
+
+    Several blocks run as one :func:`~repro.dist.jobs.run_blocks` call,
+    and each job reports its share of the call's wall time, split by
+    replications, so the broker's cost model keeps learning per-job
+    rates.  If the call raises, every job of the group re-runs alone
+    through :func:`_execute`, so a failure stays one job's own
+    :class:`JobFailure`; each such fallback bumps ``fallbacks``.
+    """
+    if len(group) > 1:
+        t0 = time.monotonic()
+        try:
+            outcomes = dist_jobs.run_blocks(
+                [wire_unpack(payload.item) for _, payload in group]
+            )
+        except Exception:
+            fallbacks.inc()
+        else:
+            wall = time.monotonic() - t0
+            reps = [outcome.stop - outcome.start for outcome in outcomes]
+            total = sum(reps) or 1
+            return [
+                (outcome, wall * count / total)
+                for outcome, count in zip(outcomes, reps)
+            ]
+    timed = []
+    for _, payload in group:
+        t0 = time.monotonic()
+        result = _execute(payload, max_failure_text)
+        timed.append((result, time.monotonic() - t0))
+    return timed
 
 
 class _MetricsShipper:
@@ -191,7 +268,6 @@ def worker_loop(
     authkey: bytes = DEFAULT_AUTHKEY,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
-    poll_interval: float = 0.1,
     max_idle: Optional[float] = None,
     worker_id: Optional[str] = None,
     retry: RetryPolicy = DEFAULT_RETRY,
@@ -207,12 +283,12 @@ def worker_loop(
     cache_dir / cache_max_bytes:
         Optional local disk tier under the shared cache (a worker
         without one still reads/writes the broker's shared store).
-    poll_interval:
-        Sleep between empty leases (a fixed interval, no backoff).
     max_idle:
         Exit after this many consecutive seconds without work
         (``None`` = serve forever); the number of jobs executed is
-        returned.
+        returned.  An idle worker long-polls its lease call for at
+        most :data:`~repro.dist.queue.LONG_POLL_WAIT` seconds, and
+        never past this budget.
     retry:
         Backoff policy for broker connects and reconnects (a broker
         restart is survivable; a permanently dead broker ends the
@@ -256,6 +332,7 @@ def worker_loop(
     c_jobs = obs.counter("worker.jobs")
     c_failed = obs.counter("worker.jobs_failed")
     c_skipped = obs.counter("worker.jobs_stolen_away")
+    c_fallbacks = obs.counter("worker.group_fallbacks")
     shipper = _MetricsShipper()
 
     def _start_heartbeat() -> _Heartbeat:
@@ -279,7 +356,7 @@ def worker_loop(
         CacheTier(remote=broker, local=local)
     )
     executed = 0
-    idle_since: Optional[float] = None
+    idle_since = time.monotonic()  # end of the last lease's work
     # Finished-but-unshipped completions: (job_id, result, runtime).
     # Broker-side completion is idempotent, so this buffer is safe to
     # replay wholesale after a reconnect — losing it to a worker death
@@ -320,8 +397,13 @@ def worker_loop(
             # transient drop costs at most one reap, not the worker.
             if not heartbeat.is_alive():
                 heartbeat = _start_heartbeat()
+            # Long-poll for work, never past the idle budget left.
+            wait = LONG_POLL_WAIT
+            if max_idle is not None:
+                left = idle_since + max_idle - time.monotonic()
+                wait = min(wait, max(left, 0.0))
             try:
-                lease = broker.lease_jobs(worker_id)
+                lease = broker.lease_jobs(worker_id, wait)
             except _BROKER_GONE:
                 if _reconnect():
                     continue
@@ -329,43 +411,46 @@ def worker_loop(
             leased = lease["jobs"]
             pinned = lease["pinned"]
             if not leased:
-                now = time.monotonic()
-                if idle_since is None:
-                    idle_since = now
-                elif max_idle is not None and now - idle_since > max_idle:
+                if (
+                    max_idle is not None
+                    and time.monotonic() - idle_since >= max_idle
+                ):
                     break
-                time.sleep(poll_interval)
                 continue
-            idle_since = None
-            for job_id, payload in leased:
+            for group in _groups(leased, pinned):
                 try:
                     # Pinned leases were marked started at lease time —
                     # the broker already guarantees nobody steals them,
                     # so the per-job announcement round-trip is skipped.
-                    if not pinned and not broker.start(worker_id, job_id):
+                    if not pinned and not broker.start(
+                        worker_id, group[0][0]
+                    ):
                         c_skipped.inc()
                         continue  # stolen while leased — the thief runs it
-                    faults.fire(
-                        "worker.execute",
-                        worker_id=worker_id,
-                        job_id=job_id,
-                    )
+                    for job_id, _ in group:
+                        faults.fire(
+                            "worker.execute",
+                            worker_id=worker_id,
+                            job_id=job_id,
+                        )
                     with obs.span("worker.job") as job_span:
-                        job_span.set("job", list(job_id))
-                        t0 = time.monotonic()
-                        result = _execute(payload, max_failure_text)
-                        runtime = time.monotonic() - t0
-                    c_jobs.inc()
-                    if isinstance(result, JobFailure):
-                        c_failed.inc()
-                    else:
-                        result = wire_pack(result, compress_threshold)
-                    # Buffered upload: the flush RPC carries the
-                    # metric delta too, so a worker that dies right
-                    # after its last flush has already shipped those
-                    # jobs' counters.
-                    outbox.append((job_id, result, runtime))
-                    executed += 1
+                        job_span.set("job", list(group[0][0]))
+                        job_span.set("jobs", len(group))
+                        timed = _execute_group(
+                            group, max_failure_text, c_fallbacks
+                        )
+                    for (job_id, _), (result, runtime) in zip(group, timed):
+                        c_jobs.inc()
+                        if isinstance(result, JobFailure):
+                            c_failed.inc()
+                        else:
+                            result = wire_pack(result, compress_threshold)
+                        # Buffered upload: the flush RPC carries the
+                        # metric delta too, so a worker that dies right
+                        # after its last flush has already shipped
+                        # those jobs' counters.
+                        outbox.append((job_id, result, runtime))
+                        executed += 1
                     if len(outbox) >= UPLOAD_BATCH:
                         _flush()
                 except _BROKER_GONE:
@@ -388,6 +473,7 @@ def worker_loop(
                     _flush()
                 except _BROKER_GONE:
                     pass
+            idle_since = time.monotonic()
     finally:
         heartbeat.stop()
         dist_jobs.set_active_cache(previous_cache)

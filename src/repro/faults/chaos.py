@@ -150,7 +150,7 @@ def _spawn_worker(
             args=(
                 address,
                 close_fileno,
-                {"poll_interval": 0.02, "cache_dir": cache_dir},
+                {"cache_dir": cache_dir},
             ),
             daemon=True,
         )
@@ -261,7 +261,6 @@ def _run_dist_mode(
     try:
         executor = DistExecutor(
             server.address,
-            poll_interval=0.02,
             timeout=300,
             no_worker_grace=60,
             on_broker_loss="fallback",

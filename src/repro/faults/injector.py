@@ -90,7 +90,8 @@ class FaultInjector:
         ]
 
     def _record(self, event: FaultEvent, site: str, occurrence: int,
-                detail: str) -> None:
+                detail: str, context: Optional[Dict[str, Any]] = None
+                ) -> None:
         record = {
             "plan": self.plan.name,
             "kind": event.kind,
@@ -98,15 +99,22 @@ class FaultInjector:
             "occurrence": occurrence,
             "detail": detail,
             "pid": os.getpid(),
+            "context": dict(context or {}),
         }
         obs.counter("faults.injected").inc()
         with self._lock:
             self.records.append(record)
             if self.log_path:
+                # The hook's context (job id, worker id, ...) as
+                # space-free key=value tokens after the detail.
+                tokens = "".join(
+                    " %s=%s" % (key, repr(value).replace(" ", ""))
+                    for key, value in record["context"].items()
+                )
                 line = (
                     f"plan={record['plan']} kind={record['kind']} "
                     f"site={site} occurrence={occurrence} "
-                    f"pid={record['pid']} {detail}\n"
+                    f"pid={record['pid']} {detail}{tokens}\n"
                 )
                 try:
                     with open(self.log_path, "a") as fh:
@@ -125,27 +133,31 @@ class FaultInjector:
             raise ConnectionResetError("injected: heartbeat frozen")
         for event in self._matching(site, occurrence):
             if event.kind == "worker_crash":
-                self._record(event, site, occurrence, "os._exit(17)")
+                self._record(event, site, occurrence, "os._exit(17)", context)
                 os._exit(17)
             if event.kind == "worker_stall":
                 seconds = float(event.args.get("seconds", 600.0))
-                self._record(event, site, occurrence, f"stall {seconds}s")
+                self._record(
+                    event, site, occurrence, f"stall {seconds}s", context
+                )
                 self.stalled = True
                 time.sleep(seconds)
                 self.stalled = False
                 continue
             if event.kind == "worker_slow":
                 seconds = float(event.args.get("seconds", 0.05))
-                self._record(event, site, occurrence, f"slow {seconds}s")
+                self._record(
+                    event, site, occurrence, f"slow {seconds}s", context
+                )
                 time.sleep(seconds)
                 continue
             if event.kind == "connect_refuse":
-                self._record(event, site, occurrence, "refused")
+                self._record(event, site, occurrence, "refused", context)
                 raise ConnectionRefusedError(
                     f"injected: connection refused at {site}"
                 )
             if event.kind == "connection_drop":
-                self._record(event, site, occurrence, "dropped")
+                self._record(event, site, occurrence, "dropped", context)
                 raise ConnectionResetError(
                     f"injected: connection dropped at {site}"
                 )

@@ -97,7 +97,6 @@ def _lease_each(broker, worker_id, count):
 
 
 def _start_worker(address, **kwargs):
-    kwargs.setdefault("poll_interval", 0.02)
     process = _FORK.Process(
         target=worker_loop, args=(address,), kwargs=kwargs, daemon=True
     )
@@ -232,6 +231,159 @@ class TestBrokerProtocol:
         with pytest.raises(ReproError):
             Broker(lease_timeout=0)
 
+
+def _in_thread(call):
+    """Run ``call`` on a thread; the box gets its outcome and return time."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = call()
+        except Exception as exc:
+            box["error"] = exc
+        box["at"] = time.monotonic()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, box
+
+
+class TestBrokerLongPoll:
+    def test_fetch_returns_on_the_completion_that_fills_start(self):
+        broker = Broker(lease_timeout=10.0)
+        broker.submit("b", [JobPayload(echo, i) for i in range(2)])
+        _lease_each(broker, "w", 2)
+        thread, box = _in_thread(lambda: broker.fetch_ready("b", 0, wait=5))
+        time.sleep(0.1)
+        # Index 1 alone leaves the prefix empty: the fetch keeps waiting.
+        broker.complete_many("w", [(("b", 1), "r1", None)])
+        time.sleep(0.1)
+        assert thread.is_alive()
+        filled_at = time.monotonic()
+        broker.complete_many("w", [(("b", 0), "r0", None)])
+        thread.join(5)
+        assert not thread.is_alive()
+        assert box["value"] == ["r0", "r1"]
+        assert box["at"] - filled_at < 0.05
+
+    def test_lease_returns_on_submit(self):
+        broker = Broker(lease_timeout=10.0)
+        thread, box = _in_thread(lambda: broker.lease_jobs("w", wait=5))
+        time.sleep(0.1)
+        assert thread.is_alive()
+        submitted_at = time.monotonic()
+        broker.submit("b", [JobPayload(echo, 0)])
+        thread.join(5)
+        assert not thread.is_alive()
+        assert [job_id for job_id, _ in box["value"]["jobs"]] == [("b", 0)]
+        assert box["at"] - submitted_at < 0.05
+
+    def test_waiters_woken_together_do_not_steal_from_each_other(self):
+        broker = Broker(lease_timeout=10.0)
+        waiters = [
+            _in_thread(lambda w=w: broker.lease_jobs(w, wait=0.3))
+            for w in ("w1", "w2", "w3")
+        ]
+        time.sleep(0.1)
+        broker.submit("b", [JobPayload(echo, 0)])
+        for thread, _ in waiters:
+            thread.join(5)
+            assert not thread.is_alive()
+        sizes = sorted(len(box["value"]["jobs"]) for _, box in waiters)
+        assert sizes == [0, 0, 1]
+        assert broker.stats()["steals"] == 0
+
+    def test_waits_return_empty_when_nothing_arrives(self):
+        broker = Broker(lease_timeout=10.0)
+        broker.submit("b", [JobPayload(echo, 0)])
+        (job_id, _), = _lease_each(broker, "w1", 1)
+        assert broker.start("w1", job_id)  # running: nothing to steal
+        start = time.monotonic()
+        assert broker.fetch_ready("b", 0, wait=0.1) == []
+        assert broker.lease_jobs("w2", wait=0.1) == {
+            "jobs": [], "pinned": False
+        }
+        assert 0.2 <= time.monotonic() - start < 1.0
+
+    def test_fetch_waiting_on_a_dropped_batch_raises(self):
+        broker = Broker(lease_timeout=10.0)
+        broker.submit("b", [JobPayload(echo, 0)])
+        thread, box = _in_thread(lambda: broker.fetch_ready("b", 0, wait=5))
+        time.sleep(0.1)
+        dropped_at = time.monotonic()
+        broker.drop_batch("b")
+        thread.join(5)
+        assert not thread.is_alive()
+        assert "unknown batch" in str(box["error"])
+        assert box["at"] - dropped_at < 0.05
+
+    def test_reap_wakes_a_waiting_lease_with_the_orphaned_job(self):
+        clock = _FakeClock()
+        broker = Broker(lease_timeout=5.0, clock=clock)
+        broker.submit("b", [JobPayload(echo, 0)])
+        (job_id, _), = _lease_each(broker, "dead", 1)
+        assert broker.start("dead", job_id)
+        thread, box = _in_thread(lambda: broker.lease_jobs("idle", wait=5))
+        time.sleep(0.1)
+        assert thread.is_alive()
+        clock.advance(6.0)
+        reaped_at = time.monotonic()
+        broker.fetch_ready("b", 0)  # the driver's call reaps "dead"
+        thread.join(5)
+        assert not thread.is_alive()
+        assert [j for j, _ in box["value"]["jobs"]] == [job_id]
+        assert box["at"] - reaped_at < 0.05
+        assert broker.stats()["reaped_jobs"] == 1
+
+
+    def test_concurrent_long_polls_run_every_job_exactly_once(self):
+        import sys
+
+        broker = Broker(lease_timeout=10.0)
+        batches = {f"b{n}": 50 for n in range(4)}
+        runs = {}
+        runs_lock = threading.Lock()
+        done = threading.Event()
+
+        def work(worker_id):
+            while not done.is_set():
+                lease = broker.lease_jobs(worker_id, wait=0.2)
+                for job_id, payload in lease["jobs"]:
+                    if lease["pinned"] or broker.start(worker_id, job_id):
+                        with runs_lock:
+                            runs[job_id] = runs.get(job_id, 0) + 1
+                        broker.complete_many(
+                            worker_id, [(job_id, payload.item, 0.0)]
+                        )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        workers = [
+            threading.Thread(target=work, args=(f"w{n}",), daemon=True)
+            for n in range(8)
+        ]
+        try:
+            for worker in workers:
+                worker.start()
+            for batch_id, size in batches.items():
+                broker.submit(
+                    batch_id, [JobPayload(echo, i) for i in range(size)]
+                )
+            deadline = time.monotonic() + 30
+            for batch_id, size in batches.items():
+                ready = []
+                while len(ready) < size:
+                    assert time.monotonic() < deadline, "jobs went missing"
+                    ready += broker.fetch_ready(batch_id, len(ready), 0.2)
+                assert ready == list(range(size))
+        finally:
+            done.set()
+            for worker in workers:
+                worker.join(5)
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(runs) == sum(batches.values())
+        assert set(runs.values()) == {1}
 
 class TestBrokerCacheStore:
     def test_get_put_roundtrip_and_stats(self):
@@ -491,9 +643,7 @@ class TestDistExecutor:
     def test_map_matches_serial_any_worker_count(self, server):
         workers = [_start_worker(server.address) for _ in range(2)]
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=60
-            )
+            executor = DistExecutor(server.address, timeout=60)
             items = list(range(23))
             assert executor.map(_double, items) == [2 * x for x in items]
         finally:
@@ -503,9 +653,7 @@ class TestDistExecutor:
     def test_on_result_streams_in_index_order(self, server):
         worker = _start_worker(server.address)
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=60
-            )
+            executor = DistExecutor(server.address, timeout=60)
             seen = []
             executor.map(
                 _double,
@@ -523,9 +671,7 @@ class TestDistExecutor:
     def test_job_exception_reraises_with_worker_traceback(self, server):
         worker = _start_worker(server.address)
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=60
-            )
+            executor = DistExecutor(server.address, timeout=60)
             with pytest.raises(ReproError) as excinfo:
                 executor.map(_boom, [5])
             assert "kaboom on 5" in str(excinfo.value)
@@ -534,9 +680,7 @@ class TestDistExecutor:
             worker.terminate()
 
     def test_timeout_without_workers_is_an_error_not_a_hang(self, server):
-        executor = DistExecutor(
-            server.address, poll_interval=0.02, timeout=0.4
-        )
+        executor = DistExecutor(server.address, timeout=0.4)
         with pytest.raises(ReproError) as excinfo:
             executor.map(_double, [1, 2])
         assert "worker" in str(excinfo.value)
@@ -544,9 +688,7 @@ class TestDistExecutor:
     def test_plugs_into_parallel_map_and_replicate(self, server, amba):
         worker = _start_worker(server.address)
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=120
-            )
+            executor = DistExecutor(server.address, timeout=120)
             assert parallel_map(_double, range(5), executor=executor) == [
                 2 * x for x in range(5)
             ]
@@ -590,9 +732,7 @@ class TestWorkerFailureRecovery:
         outcome = {}
 
         def drive():
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=90
-            )
+            executor = DistExecutor(server.address, timeout=90)
             outcome["result"] = executor.map(
                 _stall_once_then_cache, [item]
             )
@@ -665,9 +805,7 @@ class TestFleetMatrix:
         killer = threading.Timer(0.4, workers[0].kill)
         killer.start()
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=240
-            )
+            executor = DistExecutor(server.address, timeout=240)
             distributed = run_matrix(
                 ["single-bus-4"], executor=executor, **self.MATRIX
             )
@@ -682,9 +820,7 @@ class TestFleetMatrix:
         """The shared-tier contract: cross-worker sizing reuse."""
         matrix = dict(budgets=[8], replications=2, duration=100.0)
         first = _start_worker(server.address)
-        executor = DistExecutor(
-            server.address, poll_interval=0.02, timeout=240
-        )
+        executor = DistExecutor(server.address, timeout=240)
         try:
             run_one = run_matrix(
                 ["single-bus-4"], executor=executor, **matrix
@@ -755,9 +891,7 @@ class TestExecutionContextIntegration:
     def test_context_replicate_runs_on_fleet(self, server, amba):
         worker = _start_worker(server.address)
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=120
-            )
+            executor = DistExecutor(server.address, timeout=120)
             context = ExecutionContext(executor=executor)
             capacities = {name: 3 for name in amba.processors}
             distributed = context.replicate(
@@ -799,9 +933,7 @@ class TestDriverDeathAndStalls:
     def test_no_workers_errors_after_grace_instead_of_hanging(
         self, server
     ):
-        executor = DistExecutor(
-            server.address, poll_interval=0.02, no_worker_grace=0.3
-        )
+        executor = DistExecutor(server.address, no_worker_grace=0.3)
         with pytest.raises(ReproError) as excinfo:
             executor.map(_double, [1, 2])
         assert "no live workers" in str(excinfo.value)
@@ -857,7 +989,7 @@ class _TricklingBroker:
     def submit(self, batch_id, payloads, features=None):
         self.total = len(payloads)
 
-    def fetch_ready(self, batch_id, start):
+    def fetch_ready(self, batch_id, start, wait=0.0):
         time.sleep(self.delay)
         self._count = min(self._count + 1, self.total)
         return list(range(start, self._count))
@@ -873,7 +1005,7 @@ class _TricklingBroker:
 
 
 class _DyingBroker(_TricklingBroker):
-    def fetch_ready(self, batch_id, start):
+    def fetch_ready(self, batch_id, start, wait=0.0):
         raise ConnectionResetError("broker went away")
 
     def drop_batch(self, batch_id):
@@ -892,9 +1024,7 @@ class TestDriverRobustness:
         # Every poll yields one result, so the batch is never idle;
         # the overall bound must still fire instead of letting the run
         # exceed it indefinitely.
-        executor = DistExecutor(
-            "127.0.0.1:1", poll_interval=0.01, timeout=0.1
-        )
+        executor = DistExecutor("127.0.0.1:1", timeout=0.1)
         fake = _TricklingBroker(delay=0.04)
         _plant_fake_broker(executor, fake)
         with pytest.raises(ReproError) as excinfo:
@@ -1006,6 +1136,52 @@ class TestBrokerShutdown:
         dead = DistExecutor(server.address, retry=_FAST_RETRY)
         with pytest.raises(ReproError, match="cannot connect"):
             dead.stats()
+
+    def test_stop_releases_a_blocked_long_poll(self):
+        from repro.dist import connect
+
+        server = BrokerServer(
+            port=0, lease_timeout=LEASE_TIMEOUT
+        ).start_in_thread()
+        host, port = server.address
+        proxy = connect(server.address).broker
+        proxy.config()  # connected before the long poll starts
+        thread, box = _in_thread(lambda: proxy.lease_jobs("w", 5))
+        time.sleep(0.1)
+        assert thread.is_alive()  # parked in the broker's wait
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < 0.4  # not LONG_POLL_WAIT later
+        thread.join(2)
+        assert not thread.is_alive()
+        rebound = BrokerServer(
+            host=host, port=port, lease_timeout=LEASE_TIMEOUT
+        )
+        assert rebound.address == (host, port)
+        rebound.stop()
+
+    def test_a_caller_that_hangs_up_mid_poll_is_never_leased_work(
+        self, server
+    ):
+        from repro.dist import connect
+
+        def park():
+            connect(server.address).broker.lease_jobs("ghost", 5)
+
+        ghost = _FORK.Process(target=park, daemon=True)
+        ghost.start()
+        deadline = time.monotonic() + 30
+        while server.broker.stats()["workers"] == 0:
+            assert time.monotonic() < deadline, "ghost never polled"
+            time.sleep(0.01)
+        ghost.kill()  # dies while its lease call is parked
+        ghost.join(5)
+        assert not ghost.is_alive()
+        time.sleep(0.05)
+        server.broker.submit("b", [JobPayload(echo, 0)])
+        time.sleep(0.1)  # the woken call looks, and answers nothing
+        stats = server.broker.stats()
+        assert (stats["pending"], stats["leased"]) == (1, 0)
 
     def test_stop_is_idempotent(self):
         server = BrokerServer(
@@ -1273,9 +1449,7 @@ class TestCostScheduling:
             while server.broker.stats()["workers"] < 2:
                 assert time.monotonic() < deadline, "workers never leased"
                 time.sleep(0.02)
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=120
-            )
+            executor = DistExecutor(server.address, timeout=120)
             capacities = {name: 3 for name in amba.processors}
             kwargs = dict(replications=10, duration=2000.0)
             distributed = replicate(
@@ -1333,9 +1507,7 @@ class TestBatchedTransport:
     def test_worker_ships_batched_uploads(self, server):
         worker = _start_worker(server.address)
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=60
-            )
+            executor = DistExecutor(server.address, timeout=60)
             items = list(range(12))
             assert executor.map(_double, items) == [2 * x for x in items]
             stats = server.broker.stats()
@@ -1349,7 +1521,6 @@ class TestBatchedTransport:
         try:
             executor = DistExecutor(
                 server.address,
-                poll_interval=0.02,
                 timeout=60,
                 compress_threshold=64,
             )
@@ -1405,87 +1576,208 @@ class TestBatchedTransport:
         assert time.perf_counter() - start < 0.4
 
 
-class TestAdaptivePolling:
-    def _quiet_broker(self, quiet_polls):
-        class _QuietThenDone:
-            """No results for ``quiet_polls`` fetches, then everything."""
+class _QuietThenDone:
+    """Fake broker: ``quiet_polls`` unanswered long polls, then every
+    result.  It waits with an ``Event``, so a patched-out
+    ``time.sleep`` cannot hide a wait."""
 
-            def __init__(self):
-                self.fetches = 0
-                self.total = 0
+    def __init__(self, quiet_polls=float("inf"), workers=1):
+        self.quiet_polls = quiet_polls
+        self.workers = workers
+        self.waits = []
+        self.total = 0
 
-            def submit(self, batch_id, payloads, features=None):
-                self.total = len(payloads)
+    def submit(self, batch_id, payloads, features=None):
+        self.total = len(payloads)
 
-            def fetch_ready(self, batch_id, start):
-                self.fetches += 1
-                if self.fetches <= quiet_polls:
-                    return []
-                return list(range(start, self.total))
+    def fetch_ready(self, batch_id, start, wait=0.0):
+        self.waits.append(wait)
+        if len(self.waits) <= self.quiet_polls:
+            threading.Event().wait(wait)
+            return []
+        return list(range(start, self.total))
 
-            def batch_status(self, batch_id):
-                return (0, self.total)
+    def batch_status(self, batch_id):
+        return (0, self.total)
 
-            def stats(self):
-                return {"workers": 1}
+    def stats(self):
+        return {"workers": self.workers}
 
-            def drop_batch(self, batch_id):
-                pass
+    def drop_batch(self, batch_id):
+        pass
 
-        return _QuietThenDone()
 
-    def test_quiet_polls_back_off_and_progress_resets(self, monkeypatch):
+class TestLongPollDriver:
+    def test_map_never_sleeps_and_still_enforces_its_bounds(
+        self, monkeypatch
+    ):
         from repro.dist import executor as executor_module
+        from repro.dist.queue import LONG_POLL_WAIT
 
-        sleeps = []
-        monkeypatch.setattr(
-            executor_module.time, "sleep", lambda s: sleeps.append(s)
-        )
-        executor = DistExecutor(
-            "127.0.0.1:1", poll_interval=0.01, poll_max=0.05, timeout=60
-        )
-        fake = self._quiet_broker(quiet_polls=6)
-        _plant_fake_broker(executor, fake)
-        # The fake fabricates results as indices, hence echo over 0..1.
-        assert executor.map(echo, [0, 1]) == [0, 1]
-        # Backoff doubles from poll_interval and saturates at poll_max.
-        assert sleeps == [0.01, 0.02, 0.04, 0.05, 0.05, 0.05]
-        # Every quiet iteration still polled (fetch_ready drives broker
-        # reaping and the deadline checks) — backoff never skips polls.
-        assert fake.fetches == len(sleeps) + 1
+        def _no_sleep(seconds):
+            raise AssertionError(f"the map loop slept {seconds}s")
 
-    def test_backoff_resets_after_results_flow(self, monkeypatch):
-        from repro.dist import executor as executor_module
-
-        class _QuietBurstQuiet(self._quiet_broker(0).__class__):
-            # 3 quiet polls, one result, 3 more quiet polls, the rest.
-            def fetch_ready(self, batch_id, start):
-                self.fetches += 1
-                if self.fetches in (1, 2, 3, 5, 6, 7):
-                    return []
-                if self.fetches == 4:
-                    return [0] if start == 0 else []
-                return list(range(start, self.total))
-
-        sleeps = []
-        monkeypatch.setattr(
-            executor_module.time, "sleep", lambda s: sleeps.append(s)
-        )
-        executor = DistExecutor(
-            "127.0.0.1:1", poll_interval=0.01, poll_max=0.08, timeout=60
-        )
-        fake = _QuietBurstQuiet()
+        monkeypatch.setattr(executor_module.time, "sleep", _no_sleep)
+        # Quiet, then done: each quiet iteration is one long poll.
+        executor = DistExecutor("127.0.0.1:1", timeout=60)
+        fake = _QuietThenDone(quiet_polls=1)
         _plant_fake_broker(executor, fake)
         assert executor.map(echo, [0, 1]) == [0, 1]
-        # The delay climbed, snapped back to poll_interval on progress,
-        # then climbed again.
-        assert sleeps == [0.01, 0.02, 0.04, 0.01, 0.02, 0.04]
+        assert fake.waits == [LONG_POLL_WAIT, LONG_POLL_WAIT]
+        # The overall timeout fires, and no wait outlasts it.
+        executor = DistExecutor("127.0.0.1:1", timeout=0.3)
+        fake = _QuietThenDone()
+        _plant_fake_broker(executor, fake)
+        start = time.monotonic()
+        with pytest.raises(ReproError, match="timed out"):
+            executor.map(echo, [0, 1])
+        assert time.monotonic() - start < 1.0
+        assert max(fake.waits) <= 0.3
+        # A fleet with no live worker fails after the grace period.
+        executor = DistExecutor("127.0.0.1:1", no_worker_grace=0.2)
+        _plant_fake_broker(executor, _QuietThenDone(workers=0))
+        with pytest.raises(ReproError, match="no live workers"):
+            executor.map(echo, [0, 1])
 
-    def test_poll_max_defaults_sanely(self):
-        assert DistExecutor("127.0.0.1:1").poll_max >= 0.5
-        assert DistExecutor(
-            "127.0.0.1:1", poll_interval=2.0
-        ).poll_max == pytest.approx(2.0)
+
+class TestCoalescedBlocks:
+    """One mega-batch block per leased cell: ``run_blocks``, and the
+    worker's groups of pinned ``run_block`` jobs."""
+
+    @pytest.fixture()
+    def memo(self):
+        from repro.dist import jobs as dist_jobs
+
+        previous = dist_jobs.set_active_cache(dist_jobs.ProcessMemo())
+        yield
+        dist_jobs.set_active_cache(previous)
+
+    @pytest.mark.parametrize("backend", ["megabatch", "batched"])
+    def test_run_blocks_equals_per_block_runs(self, memo, backend):
+        from repro.dist.jobs import run_blocks
+        from repro.exec.cache import canonicalize
+
+        payloads = build_matrix(
+            ["amba", "single-bus-4"], budgets=[12], replications=5,
+            duration=100.0, block_reps=2, sim_backend=backend,
+        )
+        # Two cells of three blocks each, the last one short.
+        assert [p["stop"] - p["start"] for p in payloads] == [2, 2, 1] * 2
+        assert canonicalize(run_blocks(payloads)) == canonicalize(
+            [run_block(p) for p in payloads]
+        )
+
+    @staticmethod
+    def _run_pinned(broker, payloads, costs):
+        """Submit ``run_block`` payloads as one pinned lease (the model
+        has observed each job's cost); returns every result."""
+        from repro.dist import job_features
+
+        features = [job_features(run_block, p) for p in payloads]
+        for feature, cost in zip(features, costs):
+            broker.cost_model.observe(feature, cost)
+        broker.submit(
+            "b", [JobPayload(run_block, p) for p in payloads],
+            features=features,
+        )
+        results = []
+        deadline = time.monotonic() + 60
+        while len(results) < len(payloads):
+            assert time.monotonic() < deadline, "fleet never finished"
+            results.extend(broker.fetch_ready("b", len(results), wait=0.5))
+        assert broker.stats()["pinned_leases"] == 1
+        return results
+
+    def test_a_failing_block_falls_back_to_per_job_runs(self, server, memo):
+        from repro.dist import JobFailure
+        from repro.exec.cache import canonicalize
+
+        payloads = build_matrix(
+            ["amba"], budgets=[12], replications=3, duration=100.0
+        )
+        # Same cell, but a replication the cell does not have.
+        payloads.insert(2, dict(payloads[0], start=3, stop=4))
+        worker = _start_worker(server.address)
+        try:
+            results = self._run_pinned(
+                server.broker, payloads, [0.001] * len(payloads)
+            )
+        finally:
+            worker.terminate()
+        assert isinstance(results[2], JobFailure)
+        assert "IndexError" in results[2].error
+        del results[2], payloads[2]
+        assert canonicalize(results) == canonicalize(
+            [run_block(p) for p in payloads]
+        )
+        counters = server.broker.obs_snapshot()["fleet"]["counters"]
+        assert counters["worker.group_fallbacks"] == 1
+        assert counters["worker.jobs"] == 4
+        assert counters["worker.jobs_failed"] == 1
+
+    def test_execute_hook_fires_once_per_job_in_lease_order(
+        self, server, tmp_path, monkeypatch
+    ):
+        import ast
+
+        from repro.faults import FaultEvent, FaultPlan
+        from repro.faults.injector import ENV_VAR
+
+        log = tmp_path / "faults.log"
+        plan = FaultPlan(
+            events=(
+                FaultEvent(
+                    "worker_slow", "worker.execute", count=-1,
+                    args={"seconds": 0.0},
+                ),
+            ),
+            name="log-every-execute",
+        )
+        monkeypatch.setenv(ENV_VAR, plan.to_json())
+        monkeypatch.setenv("REPRO_FAULT_LOG", str(log))
+        granted = []
+        lease_jobs = server.broker.lease_jobs
+
+        def recording_lease_jobs(*args, **kwargs):
+            lease = lease_jobs(*args, **kwargs)
+            granted.extend(job_id for job_id, _ in lease["jobs"])
+            return lease
+
+        monkeypatch.setattr(server.broker, "lease_jobs", recording_lease_jobs)
+        payloads = build_matrix(
+            ["amba"], budgets=[12, 16], replications=2, duration=100.0
+        )
+        worker = _start_worker(server.address)
+        try:
+            # The budget-16 cell costs more, so it leases first: lease
+            # order is not submission order.
+            self._run_pinned(
+                server.broker, payloads, [0.001, 0.001, 0.002, 0.002]
+            )
+        finally:
+            worker.terminate()
+        fired = [
+            ast.literal_eval(token.split("=", 1)[1])
+            for line in log.read_text().splitlines()
+            for token in line.split()
+            if token.startswith("job_id=")
+        ]
+        assert granted == [("b", 2), ("b", 3), ("b", 0), ("b", 1)]
+        assert fired == granted
+
+    def test_fleet_matrix_with_pinned_leases_equals_serial(self, server):
+        matrix = dict(budgets=[12], replications=6, duration=100.0)
+        worker = _start_worker(server.address)
+        try:
+            executor = DistExecutor(server.address, timeout=240)
+            fleet = run_matrix(
+                ["amba", "single-bus-4"], executor=executor, **matrix
+            )
+        finally:
+            worker.terminate()
+        assert server.broker.stats()["pinned_leases"] > 0
+        serial = run_matrix(["amba", "single-bus-4"], **matrix)
+        assert fleet.to_jsonable() == serial.to_jsonable()
 
 
 class TestCostModelPersistenceEndToEnd:
@@ -1574,9 +1866,7 @@ class TestCostDeterminismMatrix:
         killer = threading.Timer(0.4, workers[0].kill)
         killer.start()
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=240
-            )
+            executor = DistExecutor(server.address, timeout=240)
             cold = run_matrix(["single-bus-4"], executor=executor, **matrix)
             warm = run_matrix(["single-bus-4"], executor=executor, **matrix)
         finally:
@@ -1592,9 +1882,7 @@ class TestCostDeterminismMatrix:
         # the long job the LPT order put first.
         workers = [_start_worker(server.address) for _ in range(2)]
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=60
-            )
+            executor = DistExecutor(server.address, timeout=60)
             items = [
                 {"index": i, "duration": 0.2 if i == 7 else 0.01}
                 for i in range(8)

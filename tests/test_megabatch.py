@@ -381,14 +381,11 @@ class TestDistMerge:
         worker = fork.Process(
             target=worker_loop,
             args=(server.address,),
-            kwargs={"poll_interval": 0.02},
             daemon=True,
         )
         worker.start()
         try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=120
-            )
+            executor = DistExecutor(server.address, timeout=120)
             topology, capacities = _cell("amba")
             kwargs = dict(replications=5, duration=120.0)
             distributed = replicate(

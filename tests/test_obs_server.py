@@ -53,7 +53,6 @@ def _slow_double(x):
 
 
 def _start_worker(address, **kwargs):
-    kwargs.setdefault("poll_interval", 0.02)
     process = _FORK.Process(
         target=worker_loop, args=(address,), kwargs=kwargs, daemon=True
     )
