@@ -1,5 +1,5 @@
 """Benchmarks for the distributed queue (repro.dist): overhead, RPC
-latency by message size, and makespan.
+latency by message size, connect latency, and makespan.
 
 ``bench_dist_overhead`` measures the pure round-trip cost of the
 broker/worker path — trivial ``echo`` jobs through an in-process broker
@@ -15,6 +15,12 @@ a message as a header and a separate body.  The echo jobs above never
 cross that size; a broker socket with Nagle's algorithm on stalls such
 a body ~40 ms on the peer's delayed ACK.  Each row reports
 ``round_trips_per_second`` in ``extra_info``.
+
+``bench_dist_connect_latency`` times one ``connect()`` plus its first
+call (``config()``) against an in-process ``BrokerServer``: the TCP
+connect, the mutual HMAC handshake and one round trip, which every
+worker, heartbeat thread and reconnect pays.  It reports
+``connects_per_second`` in ``extra_info``.
 
 ``bench_dist_matrix_pass`` times one warm ``run_matrix`` pass (amba
 and single-bus-4 at their declared budgets, 16 replications, horizon
@@ -165,6 +171,19 @@ def test_bench_dist_rpc_latency(benchmark, rpc_broker, size):
     benchmark.extra_info["message_bytes"] = size
     benchmark.extra_info["round_trips_per_second"] = round(
         RPC_ROUND_TRIPS / benchmark.stats["mean"], 1
+    )
+
+
+def test_bench_dist_connect_latency(benchmark):
+    """Connects per second: one ``connect()`` plus its first call."""
+    server = BrokerServer(port=0).start_in_thread()
+    try:
+        config = benchmark(lambda: connect(server.address).broker.config())
+    finally:
+        server.stop()
+    assert config == server.broker.config()
+    benchmark.extra_info["connects_per_second"] = round(
+        1.0 / benchmark.stats["mean"], 1
     )
 
 

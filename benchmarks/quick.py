@@ -9,7 +9,8 @@ execution-runtime benches (serial vs pooled replications, cold vs warm
 sweeps), the distributed-queue benches
 (``bench_dist_overhead``: trivial jobs through pinned bulk leases and
 batched uploads, ``bench_dist_rpc_latency``: broker round trips at
-1, 24 and 96 KiB, ``bench_dist_matrix_pass``: one warm ``run_matrix``
+1, 24 and 96 KiB, ``bench_dist_connect_latency``: one ``connect()``
+plus its first call, ``bench_dist_matrix_pass``: one warm ``run_matrix``
 pass through a broker and one worker, in ``jobs_per_second``, and
 ``bench_dist_makespan``: a skewed matrix under cost scheduling), and the observability hot-path bench
 (``bench_obs_overhead``: obs off vs metrics vs tracing) with

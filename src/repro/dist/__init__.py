@@ -8,7 +8,8 @@ bitwise-identical results vs the serial/pooled local paths, regardless
 of worker count, steal order, or worker death mid-job:
 
 * :mod:`repro.dist.queue` — the broker: a work-stealing job queue over
-  TCP (stdlib ``multiprocessing.managers``; no new dependencies) with
+  TCP (one authenticated socket per connection, framed by the stdlib's
+  ``multiprocessing.connection``; no new dependencies) with
   heartbeats, dead-worker reaping, the shared cache store, cost-sized
   leases and the batched/compressed wire transport;
 * :mod:`repro.dist.costmodel` — :class:`CostModel`, the per-job

@@ -40,12 +40,12 @@ from __future__ import annotations
 import time
 import uuid
 from multiprocessing import AuthenticationError
-from multiprocessing.managers import RemoteError
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro import obs
 from repro.dist.costmodel import job_features
 from repro.dist.queue import (
+    _BROKER_GONE,
     DEFAULT_AUTHKEY,
     LONG_POLL_WAIT,
     BrokerConnection,
@@ -61,9 +61,6 @@ from repro.faults import injector as faults
 from repro.retry import DEFAULT_RETRY, RetryPolicy
 
 __all__ = ["DistExecutor"]
-
-#: Transport errors meaning "the broker went away mid-conversation".
-_BROKER_GONE = (ConnectionError, EOFError, OSError)
 
 
 class DistExecutor:
@@ -158,40 +155,23 @@ class DistExecutor:
                 f"with a matching --authkey?"
             )
 
-    def _rpc(
-        self,
-        describe: str,
-        call: Callable[[Any], Any],
-        none_is_loss: bool = False,
-    ) -> Any:
+    def _rpc(self, describe: str, call: Callable[[Any], Any]) -> Any:
         """One broker RPC under the retry policy.
 
         A transport failure drops the cached connection, so the next
         attempt reconnects from scratch — the only way back to a
-        restarted broker, since a manager proxy never outlives its
-        TCP connection.  Exhausted retries raise
+        restarted broker, since a proxy never outlives its TCP
+        connection.  Exhausted retries raise
         :class:`BrokerUnavailableError` for :meth:`map` to translate
         into the ``on_broker_loss`` policy.
-
-        ``none_is_loss``: a manager server caught mid-shutdown answers
-        the in-flight call with a bare ``None`` before the connection
-        dies; for RPCs whose real return is never ``None`` that reply
-        is itself a loss signal.
         """
 
         def attempt():
             try:
-                reply = call(self._connect_raw())
+                return call(self._connect_raw())
             except _BROKER_GONE:
                 self._connection = None
                 raise
-            if none_is_loss and reply is None:
-                self._connection = None
-                raise ConnectionResetError(
-                    f"broker returned no reply to {describe} "
-                    f"(shutting down)"
-                )
-            return reply
 
         try:
             return self.retry.call(attempt, describe=describe)
@@ -210,15 +190,11 @@ class DistExecutor:
         transient refusals the map loop already shrugs off); exhausted
         retries raise :class:`BrokerUnavailableError`.
         """
-        return self._rpc(
-            "broker stats", lambda b: b.stats(), none_is_loss=True
-        )
+        return self._rpc("broker stats", lambda b: b.stats())
 
     def cache_stats(self) -> dict:
         """Shared-cache-store diagnostics of the connected broker."""
-        return self._rpc(
-            "cache stats", lambda b: b.cache_stats(), none_is_loss=True
-        )
+        return self._rpc("cache stats", lambda b: b.cache_stats())
 
     def obs_snapshot(self) -> dict:
         """The broker's consistent fleet telemetry view (one RPC).
@@ -227,9 +203,7 @@ class DistExecutor:
         counter totals, all read under one broker lock hold — what
         ``repro dist top`` and ``repro obs dump --dist`` render.
         """
-        return self._rpc(
-            "obs snapshot", lambda b: b.obs_snapshot(), none_is_loss=True
-        )
+        return self._rpc("obs snapshot", lambda b: b.obs_snapshot())
 
     def obs_sample(self) -> dict:
         """One snapshot, recorded into the broker's history ring.
@@ -237,16 +211,12 @@ class DistExecutor:
         The HTTP service's sampling RPC: the returned snapshot carries
         the ring-stamped ``seq``, so SSE clients can resume from it.
         """
-        return self._rpc(
-            "obs sample", lambda b: b.obs_sample(), none_is_loss=True
-        )
+        return self._rpc("obs sample", lambda b: b.obs_sample())
 
     def obs_history(self, since: int = 0, limit: Optional[int] = None):
         """Ring-recorded snapshots with ``seq`` greater than ``since``."""
         return self._rpc(
-            "obs history",
-            lambda b: b.obs_history(since, limit),
-            none_is_loss=True,
+            "obs history", lambda b: b.obs_history(since, limit)
         )
 
     def cost_snapshot(self) -> dict:
@@ -255,9 +225,7 @@ class DistExecutor:
         Drivers persist this next to their journal so a later fleet
         warm-starts scheduling with the rates this run observed.
         """
-        return self._rpc(
-            "cost snapshot", lambda b: b.cost_snapshot(), none_is_loss=True
-        )
+        return self._rpc("cost snapshot", lambda b: b.cost_snapshot())
 
     def cost_seed(self, state: dict) -> bool:
         """Seed the broker's cost model before submitting.
@@ -303,11 +271,9 @@ class DistExecutor:
                 return self._map_fleet(
                     fn, payloads, results, on_result, features
                 )
-        except (BrokerUnavailableError, RemoteError) as exc:
-            # Broker loss: gone for good, or restarted and no longer
-            # knows the batch (a RemoteError also covers a TTL-dropped
-            # batch — same remedy).  ``results`` holds the contiguous
-            # completed prefix at the moment of loss.
+        except BrokerUnavailableError as exc:
+            # Broker loss: ``results`` holds the contiguous completed
+            # prefix at the moment of loss.
             if self.on_broker_loss != "fallback":
                 raise ReproError(
                     f"broker lost with {len(results)}/{len(payloads)} "
@@ -330,7 +296,7 @@ class DistExecutor:
         nearer), so the deadline and no-worker checks below run at
         least that often.
         """
-        broker = self._broker()
+        self._broker()  # connect first: a clear error if nobody listens
         batch_id = uuid.uuid4().hex
 
         def _submit(b):
@@ -352,9 +318,7 @@ class DistExecutor:
                     faults.fire("executor.fetch_ready", batch_id=batch_id)
                     return b.fetch_ready(batch_id, len(results), wait)
 
-                ready = self._rpc(
-                    "result fetch", _fetch, none_is_loss=True
-                )
+                ready = self._rpc("result fetch", _fetch)
                 for result in ready:
                     result = wire_unpack(result)
                     if isinstance(result, JobFailure):
@@ -374,14 +338,9 @@ class DistExecutor:
                 # dodge it indefinitely.
                 if deadline is not None and now > deadline:
                     done, total = self._rpc(
-                        "batch status",
-                        lambda b: b.batch_status(batch_id),
-                        none_is_loss=True,
+                        "batch status", lambda b: b.batch_status(batch_id)
                     )
-                    stats = self._rpc(
-                        "broker stats", lambda b: b.stats(),
-                        none_is_loss=True,
-                    )
+                    stats = self._rpc("broker stats", lambda b: b.stats())
                     raise ReproError(
                         f"distributed batch timed out after "
                         f"{self.timeout:.1f}s with {done}/{total} jobs "
@@ -396,13 +355,11 @@ class DistExecutor:
                     # job, an error once nobody is left to make
                     # progress — hanging forever helps no one.
                     if self._rpc(
-                        "broker stats", lambda b: b.stats(),
-                        none_is_loss=True,
+                        "broker stats", lambda b: b.stats()
                     )["workers"] == 0:
                         done, total = self._rpc(
                             "batch status",
                             lambda b: b.batch_status(batch_id),
-                            none_is_loss=True,
                         )
                         raise ReproError(
                             f"no live workers for "
@@ -416,8 +373,10 @@ class DistExecutor:
             # Best-effort: if the broker is gone (or already dropped
             # the batch), failing the cleanup RPC must not mask the
             # propagating error — the TTL reaps undropped batches.
+            # Through the current connection: the loop may have
+            # reconnected since the submit.
             try:
-                broker.drop_batch(batch_id)
+                self._connect_raw().drop_batch(batch_id)
             except Exception:
                 pass
         return results

@@ -1,9 +1,13 @@
 """Work-stealing job queue over TCP: the broker and its wire protocol.
 
 One :class:`Broker` lives in the broker process (``repro dist serve``)
-and is exported over TCP through a :class:`multiprocessing.managers`
-manager — every method call below is therefore available to drivers and
-workers as a picklingly thin RPC, with no new dependencies.
+and :class:`BrokerServer` serves it over TCP: every public method below
+is available to drivers and workers as an RPC over one authenticated
+socket per :class:`BrokerConnection`.  The wire reuses the stdlib's
+:mod:`multiprocessing.connection` framing and HMAC handshake, so it
+needs no new dependencies; a request is a pickled ``(name, args,
+kwargs)`` frame and its reply an ``(ok, value)`` frame.  A broker and
+its drivers and workers must run the same version of this module.
 
 Queue semantics
 ---------------
@@ -56,6 +60,7 @@ clock, so multi-host fleets need no cross-host clock agreement.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import socket
@@ -65,8 +70,12 @@ import time
 import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import Client, Connection, Listener
-from multiprocessing.managers import BaseManager, Server, listener_client
+from multiprocessing import AuthenticationError
+from multiprocessing.connection import (
+    Connection,
+    answer_challenge,
+    deliver_challenge,
+)
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dist.costmodel import CostModel
@@ -75,7 +84,7 @@ from repro.faults import injector as faults
 from repro.obs.history import SnapshotHistory
 from repro.obs.metrics import MetricsRegistry
 
-#: Shared-secret default for the manager handshake.  Every process of a
+#: Shared-secret default for the connection handshake.  Every process of a
 #: fleet must agree on it (``--authkey``); it authenticates peers, it is
 #: *not* an encryption or trust boundary — run fleets on trusted
 #: networks only.
@@ -225,8 +234,8 @@ def _wait_deadline(wait: float) -> float:
     return time.monotonic() + min(max(float(wait), 0.0), LONG_POLL_WAIT)
 
 
-#: The manager connection the current server thread serves (unset for
-#: in-process callers), set by :meth:`_StoppableServer.serve_client`.
+#: The connection the current server thread serves (unset for
+#: in-process callers), set by :meth:`BrokerServer._serve_client`.
 _serving = threading.local()
 
 
@@ -248,7 +257,7 @@ def _caller_gone() -> bool:
 class Broker:
     """The broker's whole state machine, one lock around all of it.
 
-    Methods are invoked concurrently from the manager server's
+    Methods are invoked concurrently from :class:`BrokerServer`'s
     per-connection threads; every public method takes the lock, mutates
     under it, and returns plain picklable values.  The long-poll calls
     wait on :attr:`_changed`, a condition over that same lock.
@@ -952,11 +961,33 @@ class Broker:
 
 
 # ----------------------------------------------------------------------
-# Manager plumbing: export one Broker over TCP / connect to one.
+# Wire: one Broker over TCP, one authenticated socket per connection.
+
+#: Seconds a client waits for the TCP connect to a broker.
+CONNECT_TIMEOUT = 5.0
+
+#: Seconds a connected client waits for the broker's challenge.  A live
+#: server sends it the moment it accepts, so a silent peer is not a
+#: broker: typically a *zombie backlog*, a closed listener whose fd a
+#: forked child still holds, so the kernel keeps accepting connections
+#: that nobody serves.
+CHALLENGE_TIMEOUT = 2.0
+
+#: The names a client may call: the public methods of :class:`Broker`.
+_CALLABLE = frozenset(
+    name
+    for name in dir(Broker)
+    if not name.startswith("_") and callable(getattr(Broker, name))
+)
+
+#: Transport errors meaning "the broker went away mid-conversation": a
+#: refused, reset or closed connection (``OSError``, which includes the
+#: ``ConnectionError`` family), or one torn mid-frame (``EOFError``).
+_BROKER_GONE = (OSError, EOFError)
 
 
-def _set_nodelay(conn: Connection) -> None:
-    """Turn Nagle's algorithm off on one manager connection's socket.
+def _set_nodelay(sock: socket.socket) -> None:
+    """Turn Nagle's algorithm off on one broker socket.
 
     ``multiprocessing.connection`` writes a message over 16 KiB as a
     4-byte header and then a separate body.  With Nagle on, the body
@@ -965,124 +996,38 @@ def _set_nodelay(conn: Connection) -> None:
     upload) would stall that long, where it takes a fraction of a
     millisecond with the option set.
     """
-    with socket.socket(fileno=os.dup(conn.fileno())) as raw:
-        raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
-def _nodelay_client(address, family=None, authkey=None):
-    """The stdlib ``Client``, with Nagle off on the connected socket."""
-    conn = Client(address, family=family, authkey=authkey)
-    _set_nodelay(conn)
-    return conn
+def _answer(broker: Broker, request: bytes) -> Tuple[bool, Any]:
+    """Run one ``(name, args, kwargs)`` frame; the ``(ok, value)`` reply.
 
-
-#: The ``serializer`` both ends of every broker connection name.  The
-#: stdlib picks a manager's client factory (its own, every proxy's, and
-#: every per-thread proxy reconnect's) from
-#: ``listener_client[serializer]``; this entry keeps the pickle wire
-#: format and sets ``TCP_NODELAY`` on every client socket.  The broker
-#: sets it on the sockets it accepts (``_StoppableServer.accepter``).
-_SERIALIZER = "repro-nodelay"
-listener_client[_SERIALIZER] = (Listener, _nodelay_client)
-
-
-class _StoppableServer(Server):
-    """A manager server whose accepter thread can actually terminate.
-
-    The stdlib accepter loops ``continue`` on *any* accept error, so
-    closing the listener socket turns the (daemon) accepter into a busy
-    spin — which is why PR 5 left the listener open on ``stop()``.
-    This subclass makes a closed listener a clean exit signal instead:
-    once :attr:`stop_event` is set, an accept failure means "shut
-    down", so :meth:`BrokerServer.stop` can close the socket, free the
-    port, and end the thread.
+    The method is looked up on the instance at call time, so a method
+    replaced on the instance (a tracer wrapping ``complete_many``) is
+    the one that runs.  A failed call replies with the exception
+    object, which the client re-raises.
     """
+    try:
+        name, args, kwargs = pickle.loads(request)
+        if name not in _CALLABLE:
+            raise ReproError(f"{name!r} is not a public Broker method")
+        return True, getattr(broker, name)(*args, **kwargs)
+    except Exception as exc:
+        return False, exc
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # Accepted client connections and their serve threads, so
-        # stop() can shut them down: a server-side socket whose serve
-        # thread is blocked in recv() otherwise outlives close() and
-        # keeps the port unbindable for a restarted broker.
-        self._client_connections: set = set()
-        self._client_threads: list = []
-        self._client_lock = threading.Lock()
-        self._accepter_thread: Optional[threading.Thread] = None
 
-    def serve_client(self, conn):
-        _serving.conn = conn  # for _caller_gone() in long polls
-        super().serve_client(conn)
+def _abort(sock: socket.socket) -> None:
+    """Reset ``sock``: wake its blocked readers, RST on the last close.
 
-    def accepter(self):
-        self._accepter_thread = threading.current_thread()
-        while True:
-            try:
-                connection = self.listener.accept()
-                _set_nodelay(connection)
-            except OSError:
-                stop_event = getattr(self, "stop_event", None)
-                if stop_event is not None and stop_event.is_set():
-                    return  # listener closed by stop(): clean shutdown
-                if getattr(self.listener, "_listener", None) is None:
-                    return  # listener closed outright: nothing to accept
-                continue
-            handler = threading.Thread(
-                target=self.handle_request, args=(connection,)
-            )
-            handler.daemon = True
-            with self._client_lock:
-                self._client_connections = {
-                    c for c in self._client_connections if not c.closed
-                }
-                self._client_connections.add(connection)
-                self._client_threads = [
-                    t for t in self._client_threads if t.is_alive()
-                ]
-                self._client_threads.append(handler)
-            handler.start()
-
-    def close_clients(self) -> None:
-        """Abort every live client connection and join its thread.
-
-        Plain ``close()`` is not enough twice over.  First, on Linux a
-        serve thread blocked in ``recv()`` holds a kernel reference to
-        the socket, so closing the fd neither wakes the thread nor
-        destroys the socket — ``shutdown(SHUT_RDWR)`` does wake it.
-        Second, the close must be *abortive* (``SO_LINGER`` zero, RST
-        instead of FIN): a graceful close parks the socket in
-        FIN_WAIT2 until the remote driver notices, and FIN_WAIT2 —
-        unlike TIME_WAIT — keeps the port unbindable, defeating
-        "stop, then restart on the same port".  The woken serve thread
-        closes its connection on exit (with the linger option already
-        set, producing the RST); joining it makes "port is free" true
-        by the time stop() returns, not merely eventually.  Clients
-        see ``ConnectionResetError``, the exact transient signal their
-        retry policies already handle.
-        """
-        with self._client_lock:
-            connections, self._client_connections = (
-                self._client_connections,
-                set(),
-            )
-            threads, self._client_threads = self._client_threads, []
-        for connection in connections:
-            try:
-                raw = socket.socket(fileno=os.dup(connection.fileno()))
-            except OSError:
-                continue  # already closed by its serve thread
-            try:
-                raw.setsockopt(
-                    socket.SOL_SOCKET,
-                    socket.SO_LINGER,
-                    struct.pack("ii", 1, 0),
-                )
-                raw.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            finally:
-                raw.close()
-        for thread in threads:
-            thread.join(timeout=1.0)
+    See :meth:`BrokerServer.stop` for why a plain close is not enough.
+    """
+    try:
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the peer reset it first
 
 
 class BrokerServer:
@@ -1091,7 +1036,10 @@ class BrokerServer:
     ``port=0`` binds an ephemeral port; the actual address is
     :attr:`address` either way.  ``serve_forever`` blocks (the CLI's
     ``repro dist serve``); ``start_in_thread`` runs the accept loop on
-    a daemon thread (tests, benchmarks, in-process fleets).
+    a daemon thread (tests, benchmarks, in-process fleets).  Each
+    accepted connection gets one daemon thread, which runs the mutual
+    HMAC handshake of :mod:`multiprocessing.connection` and then
+    answers the client's calls one at a time.
     """
 
     def __init__(
@@ -1110,25 +1058,58 @@ class BrokerServer:
             batch_ttl=batch_ttl,
             cost_model_path=cost_model_path,
         )
-        broker = self.broker
-
-        class _Manager(BaseManager):
-            pass
-
-        _Manager.register("get_broker", callable=lambda: broker)
-        # BaseManager.get_server() hard-codes the stdlib Server class
-        # (its busy-spinning accepter is the reason stop() used to leak
-        # the listener), so build the stoppable server directly from
-        # the same registry.
-        self._server = _StoppableServer(
-            _Manager._registry, (host, port), authkey, _SERIALIZER
-        )
-        self.address: Tuple[str, int] = self._server.address
+        self._authkey = authkey
+        self._listener = socket.create_server((host, port))
+        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._thread: Optional[threading.Thread] = None
+        # Live client sockets and their threads, and the stop flag,
+        # all under _lock: stop() aborts exactly the sockets still
+        # open, and no connection registers after it ran.
+        self._lock = threading.Lock()
+        self._clients: Dict[socket.socket, threading.Thread] = {}
+        self._stopped = False
 
     def serve_forever(self) -> None:
         """Run the accept loop in this thread (blocks until stopped)."""
-        self._server.serve_forever()
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                if self._stopped:
+                    return
+                continue  # a connection reset before accept() returned
+            thread = threading.Thread(
+                target=self._serve_client,
+                args=(sock,),
+                name="repro-dist-connection",
+                daemon=True,
+            )
+            with self._lock:
+                if self._stopped:
+                    _abort(sock)
+                    sock.close()
+                    return
+                self._clients[sock] = thread
+                thread.start()
+
+    def _serve_client(self, sock: socket.socket) -> None:
+        """Authenticate one client, then answer its calls in order."""
+        try:
+            with Connection(os.dup(sock.fileno())) as conn:
+                _set_nodelay(sock)
+                deliver_challenge(conn, self._authkey)
+                answer_challenge(conn, self._authkey)
+                _serving.conn = conn  # for _caller_gone() in long polls
+                while True:
+                    conn.send(_answer(self.broker, conn.recv_bytes()))
+        except (*_BROKER_GONE, AuthenticationError):
+            pass  # hung up, failed the handshake, or aborted by stop()
+        finally:
+            # Deregistered before the close, so stop() only ever
+            # shuts down a socket that is still open.
+            with self._lock:
+                del self._clients[sock]
+            sock.close()
 
     def listen_fileno(self) -> Optional[int]:
         """The listener socket's fd, or ``None`` once closed.
@@ -1136,28 +1117,16 @@ class BrokerServer:
         Anyone forking children out of the broker's process must close
         this fd in the child: an inherited copy keeps the port's kernel
         backlog accepting connections after :meth:`stop`, turning a
-        cleanly stopped broker into a half-open zombie (see
-        ``_probe_listener``).
+        cleanly stopped broker into a zombie that clients only refuse
+        after :data:`CHALLENGE_TIMEOUT`.
         """
-        try:
-            return self._server.listener._listener._socket.fileno()
-        except (AttributeError, OSError):
-            return None
+        fileno = self._listener.fileno()
+        return None if fileno < 0 else fileno
 
     def start_in_thread(self) -> "BrokerServer":
         """Run the accept loop on a daemon thread; returns ``self``."""
-
-        def _serve() -> None:
-            try:
-                self._server.serve_forever()
-            except SystemExit:
-                # The manager's accept loop exits via sys.exit(0) when
-                # stop() sets its event — a clean shutdown, not an
-                # error to surface from a daemon thread.
-                pass
-
         self._thread = threading.Thread(
-            target=_serve,
+            target=self.serve_forever,
             name="repro-dist-broker",
             daemon=True,
         )
@@ -1165,14 +1134,17 @@ class BrokerServer:
         return self
 
     def stop(self) -> None:
-        """Stop the serve loop and close the listener (port freed).
+        """Stop serving; on return the port is free, every thread joined.
 
-        Ordering matters: the stop event is set *first*, so when
-        closing the listener wakes the blocked accepter its accept
-        error reads as "shut down" (:class:`_StoppableServer`) instead
-        of the stdlib's busy-spinning ``continue``.  After ``stop()``
-        the port is immediately rebindable and no thread is left
-        spinning — asserted by the shutdown regression tests.
+        Idempotent.  Each client connection is aborted, not closed.  On
+        Linux a thread blocked in ``recv()`` or ``accept()`` holds the
+        socket alive through ``close()``; ``shutdown(SHUT_RDWR)`` wakes
+        it.  The close must also be abortive (``SO_LINGER`` zero: RST
+        instead of FIN), because a graceful close parks the socket in
+        FIN_WAIT2 until the remote peer notices, and that keeps the
+        port unbindable for a broker restarted on it.  Clients see a
+        reset or end of file, the transient signals their retry
+        policies already handle.
         """
         # Final cost-model checkpoint: the periodic save only fires
         # every N observations, and the whole point of persistence is
@@ -1182,114 +1154,93 @@ class BrokerServer:
                 self.broker.cost_save()
             except OSError:
                 pass
-        # Wake the long polls first: their serve threads then answer
-        # and close instead of waiting out LONG_POLL_WAIT below.
+        # Wake the long polls first: their threads then answer at once
+        # instead of waiting out LONG_POLL_WAIT.
         self.broker.close()
-        stop_event = getattr(self._server, "stop_event", None)
-        if stop_event is not None:
-            stop_event.set()
-        # shutdown() before close(): on Linux, close() does not wake a
-        # thread blocked in accept() — the in-flight syscall keeps the
-        # socket alive (and the port in LISTEN) until a connection
-        # arrives.  shutdown(SHUT_RDWR) wakes it immediately.
-        try:
-            listener_socket = self._server.listener._listener._socket
-        except AttributeError:
-            listener_socket = None
-        if listener_socket is not None:
+        with self._lock:
+            self._stopped = True
             try:
-                listener_socket.shutdown(socket.SHUT_RDWR)
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass
-        # A closed listener is itself an exit condition for the
-        # accepter (covers stop() before serve_forever ever ran).
-        try:
-            self._server.listener.close()
-        except OSError:
-            pass
-        # Server-side sockets of live clients must go too, or their
-        # blocked serve threads keep the port busy and a restarted
-        # broker cannot bind it.
-        self._server.close_clients()
-        accepter = getattr(self._server, "_accepter_thread", None)
-        if accepter is not None:
-            accepter.join(timeout=2.0)
+                pass  # not listening any more (stopped before)
+            self._listener.close()
+            threads = list(self._clients.values())
+            for sock in self._clients:
+                _abort(sock)
+        for thread in threads:
+            thread.join(timeout=1.0)
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
 
 
-def _probe_listener(
-    address: Tuple[str, int],
-    timeout: float = 5.0,
-    challenge_timeout: float = 2.0,
-) -> None:
-    """Reject dead, zombie, or self-connected endpoints pre-handshake.
+class _BrokerProxy:
+    """The public :class:`Broker` methods, called over one connection.
 
-    A dead broker must read as :class:`ConnectionRefusedError` —
-    transient, retryable, fast — never as a hang, but two TCP artifacts
-    can turn the manager handshake into exactly that:
-
-    * On Linux, ``connect()`` to a just-freed ephemeral port can land
-      on the connecting socket *itself* (source port == destination
-      port, a TCP self-connect) — detected by comparing the probe's
-      own address pair.
-    * A *zombie backlog*: when another process still holds an inherited
-      copy of a closed listener fd (forked workers of an in-process
-      broker), the kernel keeps accepting connections into the backlog
-      with nobody left to serve them.  A live manager server sends its
-      ``#CHALLENGE`` message the moment it accepts, so a peer that
-      stays silent for ``challenge_timeout`` is not a broker.
-
-    The probe connection is discarded either way; the manager makes
-    its own afterwards (safe from self-connect because a verified
-    listener holds the port in LISTEN state).
+    ``proxy.name(*args, **kwargs)`` sends one ``(name, args, kwargs)``
+    frame and blocks for the ``(ok, value)`` reply; a failed call
+    re-raises the broker's exception here.
     """
-    with socket.create_connection(address, timeout=timeout) as probe:
-        if probe.getsockname() == probe.getpeername():
-            raise ConnectionRefusedError(
-                f"no listener at {address[0]}:{address[1]} "
-                f"(self-connected socket)"
-            )
-        probe.settimeout(challenge_timeout)
-        try:
-            greeting = probe.recv(1)
-        except socket.timeout:
-            raise ConnectionRefusedError(
-                f"listener at {address[0]}:{address[1]} accepted but "
-                f"never sent a challenge (stale backlog, no server)"
-            ) from None
-        if not greeting:
-            raise ConnectionRefusedError(
-                f"listener at {address[0]}:{address[1]} closed the "
-                f"probe connection without a challenge"
-            )
+
+    def __init__(self, conn: Connection) -> None:
+        self._conn = conn
+
+    def __getattr__(self, name: str) -> Callable[..., Any]:
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return functools.partial(self._call, name)
+
+    def _call(self, name: str, *args: Any, **kwargs: Any) -> Any:
+        self._conn.send((name, args, kwargs))
+        ok, value = self._conn.recv()
+        if not ok:
+            raise value
+        return value
 
 
 class BrokerConnection:
-    """One client connection to a broker (driver or worker side).
+    """One authenticated TCP connection to a broker (driver or worker side).
 
-    Holds the manager object alive for as long as the proxy is used;
-    a proxy must only be used from the thread that created it (workers'
-    heartbeat threads open their own connection).
+    :attr:`broker` calls the broker's methods over it.  A connection
+    serves one thread at a time (workers' heartbeat threads open their
+    own).  A dead, zombie or self-connected endpoint is refused fast
+    with :class:`ConnectionRefusedError`, never a hang.
     """
 
     def __init__(
         self, address, authkey: bytes = DEFAULT_AUTHKEY
     ) -> None:
         self.address = parse_address(address)
-
-        class _Manager(BaseManager):
-            pass
-
-        _Manager.register("get_broker")
-        self._manager = _Manager(
-            address=self.address, authkey=authkey, serializer=_SERIALIZER
-        )
+        host, port = self.address
         faults.fire("connect", address=self.address)
-        _probe_listener(self.address)
-        self._manager.connect()
-        self.broker = self._manager.get_broker()
+        with socket.create_connection(
+            self.address, timeout=CONNECT_TIMEOUT
+        ) as sock:
+            # On Linux, connecting to a just-freed ephemeral port can
+            # land on the connecting socket itself (a TCP self-connect).
+            if sock.getsockname() == sock.getpeername():
+                raise ConnectionRefusedError(
+                    f"no listener at {host}:{port} (self-connected socket)"
+                )
+            _set_nodelay(sock)
+            sock.settimeout(None)  # calls block; long polls are bounded
+            self._conn = Connection(sock.detach())
+        try:
+            if not self._conn.poll(CHALLENGE_TIMEOUT):
+                raise ConnectionRefusedError(
+                    f"listener at {host}:{port} accepted but never sent "
+                    f"a challenge (stale backlog, no server)"
+                )
+            answer_challenge(self._conn, authkey)
+            deliver_challenge(self._conn, authkey)
+        except BaseException:
+            self._conn.close()
+            raise
+        self.broker = _BrokerProxy(self._conn)
+
+    def close(self) -> None:
+        """Close the socket; the broker's thread for it then exits."""
+        self._conn.close()
 
 
 def connect(address, authkey: bytes = DEFAULT_AUTHKEY) -> BrokerConnection:

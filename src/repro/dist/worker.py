@@ -21,9 +21,9 @@ completions are idempotent broker-side, a flush interrupted by a torn
 connection is simply replayed after the reconnect.
 
 Liveness is a side thread beating over its *own* broker connection
-(manager proxies are not thread-safe across threads), so a worker
-stays alive through arbitrarily long jobs; a worker that dies stops
-beating and the broker re-enqueues its leases after ``lease_timeout``.
+(a connection serves one thread at a time), so a worker stays alive
+through arbitrarily long jobs; a worker that dies stops beating and the
+broker re-enqueues its leases after ``lease_timeout``.
 
 Self-healing: connects run under the unified
 :class:`~repro.retry.RetryPolicy`, a heartbeat thread that died (torn
@@ -59,6 +59,7 @@ from repro.retry import DEFAULT_RETRY, RetryPolicy
 from repro.dist import jobs as dist_jobs
 from repro.dist.cachetier import CacheTier
 from repro.dist.queue import (
+    _BROKER_GONE,
     DEFAULT_AUTHKEY,
     LONG_POLL_WAIT,
     JobFailure,
@@ -74,10 +75,6 @@ from repro.dist.queue import (
 from repro.exec.cache import ResultCache
 
 __all__ = ["default_worker_id", "worker_loop"]
-
-#: Connection errors meaning "the broker went away" — a worker treats
-#: them as a reconnect signal first and a shutdown signal second.
-_BROKER_GONE = (ConnectionError, EOFError, BrokenPipeError, OSError)
 
 #: Finished jobs buffered per ``complete_many`` upload (a coalesced
 #: group's results, which finish together, ship together).  The buffer

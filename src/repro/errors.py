@@ -10,7 +10,7 @@ taxonomy: a broker connection reset is worth retrying (the broker may
 be restarting, the network may be flaky), a wrong authkey or a
 malformed scenario never is.  :class:`TransientError` marks the
 retryable family, :func:`is_transient` classifies arbitrary exceptions
-(including the stdlib connection errors the manager protocol raises),
+(including the stdlib connection errors the broker transport raises),
 and :class:`repro.retry.RetryPolicy` consumes the classification.
 """
 
@@ -87,10 +87,10 @@ class CacheCorruptionError(ReproError):
     """
 
 
-#: Exception types the stdlib networking / manager stack raises for
-#: conditions that are plausibly temporary.  ``OSError`` covers
+#: Exception types the stdlib networking stack raises for conditions
+#: that are plausibly temporary.  ``OSError`` covers
 #: ``ConnectionRefusedError`` (broker restarting) and kin; ``EOFError``
-#: is the manager protocol's torn-connection signature.
+#: is the broker transport's torn-connection signature.
 TRANSIENT_EXCEPTIONS = (
     TransientError,
     ConnectionError,

@@ -21,7 +21,7 @@ Two deployment modes, same server:
   :class:`LocalBrokerSource` calls the :class:`Broker` object directly,
   no extra sockets between sampler and queue.
 * **standalone** (``repro serve --broker host:port``) — a
-  :class:`RemoteBrokerSource` samples over the manager RPC through a
+  :class:`RemoteBrokerSource` samples over the broker RPC through a
   :class:`~repro.dist.executor.DistExecutor`, inheriting its
   ``RetryPolicy``-wrapped reconnects.  When the broker stays gone the
   service *degrades instead of dying*: ``/healthz`` flips to 503,
@@ -34,8 +34,8 @@ The HTTP side is deliberately minimal (GET only, ``Connection:
 close`` except for the event stream) — it is an observability
 endpoint, not a web framework.  Broker RPCs never run on the event
 loop: they are funneled through a dedicated single-thread executor,
-both to keep the loop responsive and because manager proxies must not
-be shared across concurrently calling threads.
+both to keep the loop responsive and because one broker connection
+serves one thread at a time.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class LocalBrokerSource:
 
 
 class RemoteBrokerSource:
-    """Sample a remote broker over the manager RPC.
+    """Sample a remote broker over the broker RPC.
 
     Built on :class:`~repro.dist.executor.DistExecutor`, so every
     sample inherits its retry policy: transient refusals are retried
@@ -167,9 +167,9 @@ class ObsServer:
         self._mirror: List[Dict[str, Any]] = []
         self._mirror_cap = 512
         self._subscribers: List[asyncio.Queue] = []
-        # All broker RPCs go through this one thread (manager proxies
-        # are not safe under concurrent multi-thread use, and a slow
-        # RPC must not stall the accept loop).
+        # All broker RPCs go through this one thread (a broker
+        # connection serves one thread at a time, and a slow RPC must
+        # not stall the accept loop).
         self._rpc_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-obs-rpc"
         )

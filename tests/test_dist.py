@@ -1183,6 +1183,62 @@ class TestBrokerShutdown:
         stats = server.broker.stats()
         assert (stats["pending"], stats["leased"]) == (1, 0)
 
+    def test_stop_under_connection_churn_joins_every_thread(self):
+        # More client threads than cores sit in long polls, or connect,
+        # call and hang up, while stop() runs: it must release them
+        # all, and no connection may outlive it.
+        import sys
+
+        from repro.dist import connect
+
+        before = set(threading.enumerate())
+        server = BrokerServer(
+            port=0, lease_timeout=LEASE_TIMEOUT
+        ).start_in_thread()
+        done = threading.Event()
+
+        def churn():
+            while not done.is_set():
+                try:
+                    connect(server.address).broker.stats()
+                except (OSError, EOFError):
+                    return  # stopped under us
+
+        def park(worker_id):
+            try:
+                broker = connect(server.address).broker
+                while True:
+                    broker.lease_jobs(worker_id, 5)
+            except (OSError, EOFError):
+                return  # aborted by stop()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [
+                threading.Thread(target=churn, daemon=True)
+                for _ in range(4)
+            ] + [
+                threading.Thread(target=park, args=(f"w{i}",), daemon=True)
+                for i in range(8)
+            ]
+            for client in clients:
+                client.start()
+            time.sleep(0.2)
+            server.stop()
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        for client in clients:
+            client.join(5)
+            assert not client.is_alive()
+        assert server._clients == {}
+        assert not [
+            thread
+            for thread in set(threading.enumerate()) - before
+            if thread.name == "repro-dist-connection"
+        ]
+
     def test_stop_is_idempotent(self):
         server = BrokerServer(
             port=0, lease_timeout=LEASE_TIMEOUT
@@ -1199,23 +1255,23 @@ class TestBrokerShutdown:
         )
         rebound.stop()
 
-    def test_probe_rejects_listener_that_never_answers(self):
+    def test_probe_rejects_listener_that_never_answers(self, monkeypatch):
         # A kernel backlog kept alive by a leaked listener fd accepts
-        # connections nobody will serve; the pre-handshake probe must
-        # turn that into a fast refusal instead of letting the manager
-        # handshake block forever.
+        # connections nobody will serve; connect() must turn that into
+        # a fast refusal instead of letting the handshake block forever.
         import socket as socket_module
 
-        from repro.dist.queue import _probe_listener
+        from repro.dist import connect, queue
 
+        monkeypatch.setattr(queue, "CHALLENGE_TIMEOUT", 0.1)
         silent = socket_module.socket()
         silent.bind(("127.0.0.1", 0))
         silent.listen(1)
         try:
+            start = time.monotonic()
             with pytest.raises(ConnectionRefusedError, match="challenge"):
-                _probe_listener(
-                    silent.getsockname(), challenge_timeout=0.1
-                )
+                connect(silent.getsockname())
+            assert time.monotonic() - start < 1.0
         finally:
             silent.close()
 
@@ -1544,19 +1600,16 @@ class TestBatchedTransport:
     def test_both_ends_of_a_broker_connection_set_nodelay(self, server):
         from repro.dist import connect
 
-        proxy = connect(server.address).broker
-        proxy.config()  # opens the proxy's own connection
-        local, _, client_nodelay = self._nodelay(proxy._tls.connection)
-        with server._server._client_lock:
-            accepted = list(server._server._client_connections)
-        server_nodelay = []
-        for conn in accepted:
-            try:
-                _, peer, nodelay = self._nodelay(conn)
-            except OSError:
-                continue  # a handshake connection, already closed
-            if peer == local:
-                server_nodelay.append(nodelay)
+        connection = connect(server.address)
+        connection.broker.config()  # the server thread set its end
+        local, _, client_nodelay = self._nodelay(connection._conn)
+        with server._lock:
+            accepted = list(server._clients)
+        server_nodelay = [
+            nodelay
+            for _, peer, nodelay in map(self._nodelay, accepted)
+            if peer == local
+        ]
         assert client_nodelay == 1
         assert server_nodelay == [1]
 
@@ -1574,6 +1627,80 @@ class TestBatchedTransport:
         for _ in range(20):
             assert proxy.cache_get("k-24k") == blob
         assert time.perf_counter() - start < 0.4
+
+
+class TestBrokerWire:
+    """The broker's own RPC layer: one socket, public methods only."""
+
+    def test_one_connect_is_one_tcp_connection(self, monkeypatch):
+        import socket
+
+        from repro.dist import connect
+
+        accepted = []
+        accept = socket.socket.accept
+
+        def counting_accept(sock):
+            pair = accept(sock)
+            accepted.append(pair[1])
+            return pair
+
+        monkeypatch.setattr(socket.socket, "accept", counting_accept)
+        server = BrokerServer(
+            port=0, lease_timeout=LEASE_TIMEOUT
+        ).start_in_thread()
+        try:
+            connect(server.address).broker.config()
+            assert len(accepted) == 1
+        finally:
+            server.stop()
+
+    def test_only_public_broker_methods_are_callable(self, server):
+        from repro.dist import connect
+
+        server.broker.submit("b", [JobPayload(echo, 0)])
+        before = server.broker.stats()
+        proxy = connect(server.address).broker
+        for name, args in (
+            ("_reap", ()),
+            ("_drop_batch", ("b",)),
+            ("__init__", ()),
+            ("no_such_method", ()),
+        ):
+            with pytest.raises(ReproError, match="not a public Broker"):
+                proxy._call(name, *args)
+        assert server.broker.stats() == before
+        assert proxy.stats() == before  # the connection still works
+
+    def test_broker_errors_reraise_on_the_client(self, server):
+        from repro.dist import connect
+
+        proxy = connect(server.address).broker
+        with pytest.raises(ReproError, match="no-such-batch"):
+            proxy.fetch_ready("no-such-batch", 0)
+        assert proxy.stats()["batches"] == 0
+
+    def test_a_map_that_reconnects_still_drops_its_batch(self, server):
+        # Job 0 finishes first, so the map fetches again after the
+        # socket under it closed: it must reconnect, finish, and drop
+        # the batch through the new connection.
+        worker = _start_worker(server.address)
+        try:
+            executor = DistExecutor(server.address, timeout=60)
+            items = [{"index": 0, "duration": 0.0}] + [
+                {"index": i, "duration": 0.05} for i in range(1, 6)
+            ]
+
+            def close_socket(index, result):
+                if index == 0:
+                    executor._connection.close()
+
+            assert executor.map(_sleepy, items, on_result=close_socket) == (
+                list(range(6))
+            )
+            assert server.broker.stats()["batches"] == 0
+        finally:
+            worker.terminate()
 
 
 class _QuietThenDone:
