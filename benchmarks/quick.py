@@ -12,8 +12,11 @@ batched uploads, ``bench_dist_rpc_latency``: broker round trips at
 1, 24 and 96 KiB, ``bench_dist_connect_latency``: one ``connect()``
 plus its first call, ``bench_dist_matrix_pass``: one warm ``run_matrix``
 pass through a broker and one worker, in ``jobs_per_second``, and
-``bench_dist_makespan``: a skewed matrix under cost scheduling), and the observability hot-path bench
-(``bench_obs_overhead``: obs off vs metrics vs tracing) with
+``bench_dist_makespan``: a skewed matrix under cost scheduling), the observability hot-path bench
+(``bench_obs_overhead``: obs off vs metrics vs tracing), and the
+start-up benches (``bench_startup``: ``import repro.cli``, the imports
+of ``repro dist worker`` and a whole ``scenarios list``, each in a
+fresh interpreter) with
 ``--benchmark-min-rounds=3`` — a couple
 of minutes, meant
 to run on every PR so perf regressions in the hot paths are visible
@@ -38,6 +41,7 @@ def main() -> int:
         str(bench_dir / "bench_exec_runtime.py"),
         str(bench_dir / "bench_dist.py"),
         str(bench_dir / "bench_obs_overhead.py"),
+        str(bench_dir / "bench_startup.py"),
         "--benchmark-min-rounds=3",
         # Group by (explicit group, function): the scenario-parametrized
         # simulator benches set one group per scenario, so heap vs

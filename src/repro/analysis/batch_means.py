@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
+from repro.analysis.stats import t_half_width
 from repro.arch.topology import Topology
 from repro.errors import ReproError
 from repro.sim.system import CommunicationSystem
@@ -62,9 +62,7 @@ def batch_means(
         raise ReproError(f"confidence must be in (0, 1), got {confidence}")
     mean = float(data.mean())
     sem = float(data.std(ddof=1) / np.sqrt(data.size))
-    half = float(
-        scipy_stats.t.ppf(0.5 + confidence / 2.0, df=data.size - 1) * sem
-    )
+    half = t_half_width(sem, data.size, confidence)
     centred = data - mean
     denom = float(centred @ centred)
     if denom <= 0:

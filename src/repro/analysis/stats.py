@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from repro.errors import ReproError
 
@@ -46,10 +46,18 @@ def confidence_interval(
     sem = float(np.std(data, ddof=1) / np.sqrt(data.size))
     if sem == 0.0:
         return (mean, mean)
-    half = float(
-        scipy_stats.t.ppf(0.5 + confidence / 2.0, df=data.size - 1) * sem
-    )
+    half = t_half_width(sem, data.size, confidence)
     return (mean - half, mean + half)
+
+
+def t_half_width(sem: float, count: int, confidence: float) -> float:
+    """Student-t interval half-width for a mean of ``count`` values.
+
+    ``t_{(1 + confidence) / 2, count - 1} * sem``.  ``stdtrit`` is the
+    t quantile ``scipy.stats.t.ppf`` evaluates, without importing
+    ``scipy.stats``.
+    """
+    return float(stdtrit(count - 1, 0.5 + confidence / 2.0) * sem)
 
 
 def relative_improvement(baseline: float, improved: float) -> float:

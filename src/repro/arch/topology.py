@@ -14,20 +14,19 @@ The topology exposes the two queries the split method needs:
 * :meth:`Topology.route` — the sequence of clusters and bridges a flow
   traverses from its source processor to its destination.
 
-Both are memoised: the derived bus structure (clusters, bus→cluster
-map, cluster multigraph) once per structural state, and each flow's
-route once per structure and endpoint buses.  The memo keys are
-snapshots of the structure itself, so neither an ``add_*`` call nor a
-direct edit of ``buses``/``links``/``bridges``/``processors``/``flows``
-can ever be served a stale answer; the memos stay out of pickles.
+Both are breadth-first searches, and both are memoised: the derived
+bus structure (clusters, bus→cluster map, bridges between clusters)
+once per structural state, and each flow's route once per structure
+and endpoint buses.  The memo keys are snapshots of the structure
+itself, so neither an ``add_*`` call nor a direct edit of
+``buses``/``links``/``bridges``/``processors``/``flows`` can ever be
+served a stale answer; the memos stay out of pickles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.traffic import PoissonTraffic, TrafficDescriptor
 from repro.errors import TopologyError
@@ -287,19 +286,6 @@ class Topology:
     # Graph queries
     # ------------------------------------------------------------------
 
-    def bus_graph(self, include_bridges: bool = True) -> nx.Graph:
-        """Undirected bus graph; edges carry ``kind``/``bridge`` attributes."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.buses)
-        for link in self.links:
-            graph.add_edge(link.bus_a, link.bus_b, kind="link", bridge=None)
-        if include_bridges:
-            for bridge in self.bridges.values():
-                graph.add_edge(
-                    bridge.bus_a, bridge.bus_b, kind="bridge", bridge=bridge.name
-                )
-        return graph
-
     def _derived(self) -> "_Derived":
         """The derived bus structure of the current structural state.
 
@@ -314,10 +300,8 @@ class Topology:
         )
         memo = self._memo
         if memo is None or memo.key != key:
-            graph = self.bus_graph(include_bridges=False)
-            clusters = [frozenset(c) for c in nx.connected_components(graph)]
             memo = self._memo = _Derived(
-                key, sorted(clusters, key=lambda c: min(c))
+                key, _link_components(self.buses, self.links)
             )
         return memo
 
@@ -394,42 +378,21 @@ class Topology:
         dst_cluster = self.cluster_of_bus(dst_bus)
         if src_cluster == dst_cluster:
             return Route(clusters=(src_cluster,), bridges=())
-        if memo.cluster_graph is None:
-            cluster_graph = nx.MultiGraph()
-            cluster_graph.add_nodes_from(memo.clusters)
-            for bridge in sorted(
-                self.bridges.values(), key=lambda b: b.name
-            ):
-                cluster_graph.add_edge(
-                    memo.cluster_by_bus[bridge.bus_a],
-                    memo.cluster_by_bus[bridge.bus_b],
-                    key=bridge.name,
-                )
-            memo.cluster_graph = cluster_graph
-        cluster_graph = memo.cluster_graph
-        try:
-            node_paths = list(
-                nx.all_shortest_paths(cluster_graph, src_cluster, dst_cluster)
-            )
-        except nx.NetworkXNoPath:
+        if memo.bridge_adjacency is None:
+            adjacency: _Adjacency = {cluster: [] for cluster in memo.clusters}
+            for bridge in self.bridges.values():
+                a = memo.cluster_by_bus[bridge.bus_a]
+                b = memo.cluster_by_bus[bridge.bus_b]
+                adjacency[a].append((bridge.name, b))
+                adjacency[b].append((bridge.name, a))
+            memo.bridge_adjacency = adjacency
+        candidates = _shortest_bridge_paths(
+            memo.bridge_adjacency, src_cluster, dst_cluster
+        )
+        if not candidates:
             raise TopologyError(
                 f"flow {flow_name!r}: no bridge path between clusters"
-            ) from None
-        # Expand node paths into concrete bridge sequences (parallel
-        # bridges between the same cluster pair count as distinct paths).
-        candidates: List[Tuple[Tuple[frozenset, ...], Tuple[str, ...]]] = []
-        for node_path in node_paths:
-            bridge_options = [
-                sorted(cluster_graph[a][b])
-                for a, b in zip(node_path, node_path[1:])
-            ]
-            expansions: List[List[str]] = [[]]
-            for options in bridge_options:
-                expansions = [
-                    prefix + [key] for prefix in expansions for key in options
-                ]
-            for bridges in expansions:
-                candidates.append((tuple(node_path), tuple(bridges)))
+            )
         candidates.sort(key=lambda item: item[1])
         digest = sum(flow_name.encode("utf-8")) * 2654435761 % 2**32
         chosen_clusters, chosen_bridges = candidates[digest % len(candidates)]
@@ -491,16 +454,86 @@ class Topology:
         )
 
 
+#: Cluster -> every ``(bridge name, cluster at its other end)``.
+_Adjacency = Dict[frozenset, List[Tuple[str, frozenset]]]
+
+
+def _link_components(
+    buses: Iterable[str], links: Iterable[BusLink]
+) -> List[frozenset]:
+    """Bus clusters: the components of the link graph, by smallest bus.
+
+    Bridges are not edges here; cutting every bridge is what makes each
+    component one linear subsystem.  A breadth-first search from each
+    bus not yet reached collects its component.
+    """
+    neighbours: Dict[str, List[str]] = {bus: [] for bus in buses}
+    for link in links:
+        neighbours.setdefault(link.bus_a, []).append(link.bus_b)
+        neighbours.setdefault(link.bus_b, []).append(link.bus_a)
+    reached = set()
+    clusters = []
+    for start in neighbours:
+        if start in reached:
+            continue
+        reached.add(start)
+        component = [start]
+        for bus in component:  # grows while iterated: breadth-first
+            for other in neighbours[bus]:
+                if other not in reached:
+                    reached.add(other)
+                    component.append(other)
+        clusters.append(frozenset(component))
+    return sorted(clusters, key=min)
+
+
+def _shortest_bridge_paths(
+    adjacency: _Adjacency, source: frozenset, target: frozenset
+) -> List[Tuple[Tuple[frozenset, ...], Tuple[str, ...]]]:
+    """Every shortest ``(clusters, bridges)`` path from source to target.
+
+    A breadth-first search records, for each cluster, every
+    ``(previous cluster, bridge)`` edge that reaches it at its level.
+    Walking those edges back from ``target`` yields each shortest path
+    once per choice of bridge, so parallel bridges between one cluster
+    pair are distinct paths.  Empty if ``target`` is unreachable.
+    """
+    level = {source: 0}
+    predecessors: Dict[frozenset, List[Tuple[frozenset, str]]] = {source: []}
+    frontier = [source]
+    while frontier and target not in level:
+        following = []
+        for cluster in frontier:
+            for bridge, other in adjacency[cluster]:
+                if other not in level:
+                    level[other] = level[cluster] + 1
+                    predecessors[other] = []
+                    following.append(other)
+                if level[other] == level[cluster] + 1:
+                    predecessors[other].append((cluster, bridge))
+        frontier = following
+    if target not in level:
+        return []
+    paths = [((target,), ())]
+    for _ in range(level[target]):
+        paths = [
+            ((previous,) + clusters, (bridge,) + bridges)
+            for clusters, bridges in paths
+            for previous, bridge in predecessors[clusters[0]]
+        ]
+    return paths
+
+
 class _Derived:
     """One structural state's derived bus structure and route memo.
 
     ``key`` is the snapshot :meth:`Topology._derived` compares against;
-    the cluster multigraph is built on the first bridge-crossing route,
+    the bridge adjacency is built on the first bridge-crossing route,
     so a topology whose bridges are never routed never needs it.
     """
 
     __slots__ = (
-        "key", "clusters", "cluster_by_bus", "cluster_graph", "routes",
+        "key", "clusters", "cluster_by_bus", "bridge_adjacency", "routes",
     )
 
     def __init__(self, key: tuple, clusters: List[frozenset]) -> None:
@@ -509,7 +542,7 @@ class _Derived:
         self.cluster_by_bus = {
             bus: cluster for cluster in clusters for bus in cluster
         }
-        self.cluster_graph: Optional[nx.MultiGraph] = None
+        self.bridge_adjacency: Optional[_Adjacency] = None
         self.routes: Dict[str, Tuple[Tuple[str, str], Route]] = {}
 
 

@@ -37,32 +37,41 @@ import argparse
 import os
 import sys
 import time
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro import obs, scenarios
-from repro.obs import log
-from repro.arch.dsl import parse_topology
-from repro.arch.validate import cluster_loads
-from repro.core.sizing import BufferSizer
+from repro import obs
 from repro.errors import ReproError
-from repro.exec import ExecutionContext
-from repro.policies.analytic import AnalyticGreedySizing
-from repro.policies.ctmdp_policy import CTMDPSizing
-from repro.policies.proportional import ProportionalSizing
-from repro.policies.uniform import UniformSizing
+from repro.obs import log
 
+if TYPE_CHECKING:
+    from repro.exec import ExecutionContext
+
+# Each ``_cmd_*`` imports the layers it runs, so a command starts only
+# what it needs: ``dist worker``, ``scenarios``, ``inspect`` and
+# ``--help`` never load the sizing layer or its LP solver.
+
+#: ``--policy`` name -> its class in :mod:`repro.policies`, looked up
+#: by :func:`_policy` when a command runs.
 _POLICIES = {
-    "uniform": UniformSizing,
-    "proportional": ProportionalSizing,
-    "analytic": AnalyticGreedySizing,
-    "ctmdp": CTMDPSizing,
+    "uniform": "UniformSizing",
+    "proportional": "ProportionalSizing",
+    "analytic": "AnalyticGreedySizing",
+    "ctmdp": "CTMDPSizing",
 }
 
 
+def _policy(name: str):
+    """The allocation policy class registered as ``name``."""
+    from repro import policies
+
+    return getattr(policies, _POLICIES[name])
+
+
 def _load_topology(path: str):
-    text = Path(path).read_text()
-    return parse_topology(text)
+    from repro.arch.dsl import parse_topology
+
+    with open(path) as fh:
+        return parse_topology(fh.read())
 
 
 def _resolve_architecture(args: argparse.Namespace):
@@ -81,6 +90,8 @@ def _resolve_architecture(args: argparse.Namespace):
         )
     budget = getattr(args, "budget", None)
     if name:
+        from repro import scenarios
+
         spec = scenarios.get(name)
         return spec.topology(), spec, (
             spec.default_budget if budget is None else budget
@@ -105,11 +116,13 @@ def _progress_printer():
 
 def _context_from_args(
     args: argparse.Namespace, spec=None
-) -> ExecutionContext:
+) -> "ExecutionContext":
     """Build the execution runtime from the shared runtime flags.
 
     ``spec`` (a resolved scenario) scopes the context's cache keys.
     """
+    from repro.exec import ExecutionContext
+
     context = ExecutionContext.create(
         jobs=getattr(args, "jobs", 1),
         cache_dir=getattr(args, "cache_dir", None),
@@ -266,6 +279,8 @@ def _add_scenario_flag(parser: argparse.ArgumentParser, default=None) -> None:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.arch.validate import cluster_loads
+
     topology = _load_topology(args.architecture)
     print(f"{topology!r}")
     print("clusters:")
@@ -287,6 +302,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     """List the scenario registry (fixed names + parametric families)."""
+    from repro import scenarios
+
     print("registered scenarios:")
     for name in scenarios.names():
         spec = scenarios.get(name)
@@ -315,6 +332,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_size(args: argparse.Namespace) -> int:
+    from repro.core.sizing import BufferSizer
+
     topology, spec, budget = _resolve_architecture(args)
     sizer_kwargs = dict(spec.sizer_kwargs) if spec is not None else {}
     sizer = BufferSizer(total_budget=budget, **sizer_kwargs)
@@ -323,8 +342,12 @@ def _cmd_size(args: argparse.Namespace) -> int:
     for name in sorted(result.allocation.sizes):
         print(f"{name} {result.allocation.sizes[name]}")
     print(f"# expected loss rate {result.expected_loss_rate:.6f}")
+    # An unconverged fixed point depends on where it started (the
+    # result cache refuses to store one), so say which it was.
+    status = "converged" if result.converged else "not converged"
     print(
-        f"# bridge fixed point: {result.fixed_point_iterations} iteration(s)"
+        f"# bridge fixed point: {result.fixed_point_iterations} "
+        f"iteration(s), {status}"
     )
     return 0
 
@@ -334,9 +357,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.policy == "ctmdp" and spec is not None:
         # The scenario's declared sizer knobs apply to every sizing run
         # of that scenario — keep `simulate` consistent with `size`.
-        policy = CTMDPSizing(**spec.sizer_kwargs)
+        policy = _policy("ctmdp")(**spec.sizer_kwargs)
     else:
-        policy = _POLICIES[args.policy]()
+        policy = _policy(args.policy)()
     allocation = policy.allocate(topology, budget)
     context = _context_from_args(args, spec)
     summary = context.replicate(
@@ -484,6 +507,7 @@ def _parse_budgets(text):
 
 def _cmd_dist_run(args: argparse.Namespace) -> int:
     """Run a scenario×budget×replication matrix (fleet or local)."""
+    from repro import scenarios
     from repro.dist import DistExecutor, RunJournal, run_matrix
 
     scenario_names = args.scenario or [scenarios.DEFAULT_SCENARIO]
@@ -605,6 +629,7 @@ def _cmd_dist_chaos(args: argparse.Namespace) -> int:
     """Run the fault-injection matrix; non-zero exit on any mismatch."""
     import json as json_module
 
+    from repro import scenarios
     from repro.faults.chaos import run_chaos_matrix
     from repro.faults.plan import standard_plans
 

@@ -779,6 +779,8 @@ class BufferSizer:
             fp_span.set("iterations", iterations)
             fp_span.set("converged", converged)
         obs.histogram("solver.fixed_point_iterations").observe(iterations)
+        if not converged:
+            obs.counter("solver.fixed_point.unconverged").inc()
         assert x is not None  # loop runs at least once
         solution = program.lp_solution(x, achieved, lp_iterations)
         state = WarmStartState(
@@ -835,6 +837,8 @@ class BufferSizer:
             fp_span.set("iterations", iterations)
             fp_span.set("converged", converged)
         obs.histogram("solver.fixed_point_iterations").observe(iterations)
+        if not converged:
+            obs.counter("solver.fixed_point.unconverged").inc()
         assert solution is not None  # loop runs at least once
         state = WarmStartState(
             bridge_rates=self._bridge_rates_of(split_system)

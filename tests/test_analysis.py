@@ -9,6 +9,7 @@ from repro.analysis.stats import (
     confidence_interval,
     relative_improvement,
     summarise,
+    t_half_width,
 )
 from repro.analysis.sweep import budget_sweep, load_sweep
 from repro.arch.templates import single_bus
@@ -19,6 +20,16 @@ from repro.policies.uniform import UniformSizing
 
 
 class TestStats:
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+    def test_t_half_width_equals_scipy_stats_quantile(self, confidence):
+        from scipy import stats as scipy_stats
+
+        for count in (2, 3, 5, 11, 31, 200, 5001):
+            expected = scipy_stats.t.ppf(
+                0.5 + confidence / 2.0, df=count - 1
+            ) * 0.25
+            assert t_half_width(0.25, count, confidence) == expected
+
     def test_summarise(self):
         s = summarise([1.0, 2.0, 3.0])
         assert s.mean == pytest.approx(2.0)

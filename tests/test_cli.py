@@ -55,6 +55,40 @@ class TestCommands:
         ]
         assert sum(sizes) == 14
 
+    def test_size_reports_converged_fixed_point(self, arch_file, capsys):
+        assert main(["size", arch_file, "--budget", "14"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "# bridge fixed point: 3 iteration(s), converged"
+
+    def test_size_reports_and_counts_unconverged_fixed_point(
+        self, monkeypatch, capsys
+    ):
+        import dataclasses
+
+        from repro import obs, scenarios
+
+        real_get = scenarios.get
+
+        def capped(name):
+            # One fixed-point step cannot converge amba's bridge rates.
+            return dataclasses.replace(
+                real_get(name), sizer_kwargs={"max_fixed_point_iterations": 1}
+            )
+
+        monkeypatch.setattr(scenarios, "get", capped)
+        obs.reset()
+        obs.enable_metrics()
+        try:
+            assert main(["size", "--scenario", "amba", "--budget", "14"]) == 0
+            counters = obs.registry().counters_snapshot()
+        finally:
+            obs.reset()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == (
+            "# bridge fixed point: 1 iteration(s), not converged"
+        )
+        assert counters["solver.fixed_point.unconverged"] == 1
+
     def test_simulate(self, arch_file, capsys):
         code = main([
             "simulate", arch_file, "--budget", "12",

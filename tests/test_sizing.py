@@ -107,6 +107,31 @@ class TestBridgedSizing:
         result = BufferSizer(total_budget=24).size(topo)
         assert result.fixed_point_iterations < 25
 
+    @pytest.mark.parametrize("use_compiled", [True, False])
+    def test_unconverged_runs_are_counted(self, use_compiled):
+        from repro import obs
+
+        obs.reset()
+        obs.enable_metrics()
+        try:
+            converged = BufferSizer(
+                total_budget=14, use_compiled=use_compiled
+            ).size(amba_like())
+            assert converged.converged
+            assert obs.registry().counters_snapshot().get(
+                "solver.fixed_point.unconverged", 0
+            ) == 0
+            capped = BufferSizer(
+                total_budget=14,
+                max_fixed_point_iterations=1,
+                use_compiled=use_compiled,
+            ).size(amba_like())
+            assert not capped.converged
+            counters = obs.registry().counters_snapshot()
+            assert counters["solver.fixed_point.unconverged"] == 1
+        finally:
+            obs.reset()
+
     def test_blocking_probabilities_valid(self):
         topo = amba_like()
         result = BufferSizer(total_budget=16).size(topo)

@@ -3,10 +3,10 @@
 import copy
 import pickle
 
-import networkx as nx
 import pytest
 
 from repro import scenarios
+from repro.arch import topology as topology_module
 from repro.arch.templates import (
     amba_like,
     coreconnect_like,
@@ -449,12 +449,156 @@ class TestMemo:
             .as_capacities()
         )
         calls = []
-        real = nx.connected_components
+        real = topology_module._link_components
 
-        def counting(graph):
-            calls.append(graph)
-            return real(graph)
+        def counting(buses, links):
+            calls.append(buses)
+            return real(buses, links)
 
-        monkeypatch.setattr(nx, "connected_components", counting)
+        monkeypatch.setattr(topology_module, "_link_components", counting)
         CommunicationSystem(spec.topology(), capacities, seed=0)
         assert len(calls) == 1
+
+
+# -- routing oracle ------------------------------------------------------
+
+#: Every registry scenario (fig1 among them), two single-bus members
+#: and 35 generated meshes of 2 to 8 clusters.
+ORACLE_SCENARIOS = (
+    tuple(scenarios.names())
+    + ("single-bus-4", "single-bus-6")
+    + tuple(
+        f"random-mesh-{clusters}-{seed}"
+        for clusters in range(2, 9)
+        for seed in range(1, 6)
+    )
+)
+
+
+def _ladder():
+    """Parallel bridges on consecutive hops, a diamond, and a bridge
+    whose two buses are linked into one cluster.  The link names its
+    later bus first, so a search that follows links one way only
+    splits the cluster."""
+    topo = Topology("ladder")
+    for bus in ("u", "v", "w", "x", "y", "z"):
+        topo.add_bus(bus)
+    topo.add_link("v", "u")
+    topo.add_bridge("inner", "u", "v", service_rate=3.0)
+    topo.add_bridge("p1", "v", "x", service_rate=3.0)
+    topo.add_bridge("p2", "u", "x", service_rate=3.0)
+    topo.add_bridge("q1", "x", "z", service_rate=3.0)
+    topo.add_bridge("q2", "x", "z", service_rate=3.0)
+    topo.add_bridge("d1", "u", "w", service_rate=3.0)
+    topo.add_bridge("d2", "w", "y", service_rate=3.0)
+    topo.add_bridge("d3", "x", "y", service_rate=3.0)
+    for name, bus in (("a", "u"), ("b", "z"), ("c", "y"), ("d", "w")):
+        topo.add_processor(name, bus, service_rate=2.0)
+    for src in "abcd":
+        for dst in "abcd":
+            if src != dst:
+                topo.add_poisson_flow(f"{src}{dst}", src, dst, 0.1)
+    return topo
+
+
+def _union_find_clusters(topology):
+    """Bus clusters by union-find over the links, by smallest bus."""
+    parent = {bus: bus for bus in topology.buses}
+
+    def root(bus):
+        while parent[bus] != bus:
+            bus = parent[bus]
+        return bus
+
+    for link in topology.links:
+        parent[root(link.bus_a)] = root(link.bus_b)
+    groups = {}
+    for bus in topology.buses:
+        groups.setdefault(root(bus), set()).add(bus)
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+def _brute_force_route(topology, flow_name):
+    """The route of a flow from every simple bridge path, enumerated.
+
+    A depth-first search lists every bridge sequence that never revisits
+    a cluster; the shortest ones, sorted by bridge names, are the
+    candidates, and the flow-name digest picks one, as the routing
+    contract specifies.  Parallel bridges are distinct sequences.
+    """
+    flow = topology.flows[flow_name]
+    cluster_of = {
+        bus: cluster
+        for cluster in _union_find_clusters(topology)
+        for bus in cluster
+    }
+    source = cluster_of[topology.processors[flow.source].bus]
+    target = cluster_of[topology.processors[flow.destination].bus]
+    paths = []
+
+    def extend(clusters, bridges):
+        if clusters[-1] == target:
+            paths.append((tuple(clusters), tuple(bridges)))
+            return
+        for bridge in topology.bridges.values():
+            for near, far in (
+                (bridge.bus_a, bridge.bus_b),
+                (bridge.bus_b, bridge.bus_a),
+            ):
+                nxt = cluster_of[far]
+                if cluster_of[near] == clusters[-1] and nxt not in clusters:
+                    extend(clusters + [nxt], bridges + [bridge.name])
+
+    extend([source], [])
+    if not paths:
+        raise TopologyError(f"flow {flow_name!r}: no bridge path")
+    shortest = min(len(bridges) for _, bridges in paths)
+    candidates = sorted(
+        (path for path in paths if len(path[1]) == shortest),
+        key=lambda path: path[1],
+    )
+    digest = sum(flow_name.encode("utf-8")) * 2654435761 % 2**32
+    return candidates[digest % len(candidates)]
+
+
+class TestRoutingOracle:
+    @pytest.mark.parametrize("name", ORACLE_SCENARIOS + ("ladder",))
+    def test_routes_equal_brute_force_enumeration(self, name):
+        topology = (
+            _ladder() if name == "ladder" else scenarios.get(name).topology()
+        )
+        assert topology.bus_clusters() == _union_find_clusters(topology)
+        for flow in topology.flows:
+            route = topology.route(flow)
+            assert (route.clusters, route.bridges) == _brute_force_route(
+                topology, flow
+            )
+
+    def test_ladder_spreads_flows_over_parallel_bridges(self):
+        # Between cluster {u, v} and bus z lie four shortest paths (p1
+        # or p2, then q1 or q2); the inner bridge is on no shortest path.
+        topology = _ladder()
+        used = {
+            bridge
+            for flow in topology.flows
+            for bridge in topology.route(flow).bridges
+        }
+        assert "inner" not in used
+        assert {"p1", "p2", "q1", "q2"} <= used
+
+    def test_no_bridge_path_between_bridged_islands_raises(self):
+        topo = Topology("islands")
+        for bus in ("a1", "a2", "b1", "b2"):
+            topo.add_bus(bus)
+        topo.add_bridge("ab", "a1", "a2", service_rate=3.0)
+        topo.add_bridge("cd", "b1", "b2", service_rate=3.0)
+        topo.add_processor("p", "a1", service_rate=2.0)
+        topo.add_processor("q", "a2", service_rate=2.0)
+        topo.add_processor("r", "b2", service_rate=2.0)
+        topo.add_poisson_flow("pq", "p", "q", 0.5)
+        topo.add_poisson_flow("pr", "p", "r", 0.5)
+        assert topo.route("pq").bridges == ("ab",)
+        with pytest.raises(TopologyError, match="no bridge path"):
+            topo.route("pr")
+        with pytest.raises(TopologyError, match="no bridge path"):
+            _brute_force_route(topo, "pr")
