@@ -2,13 +2,17 @@
 
 Each round starts a fresh interpreter, so the time includes the
 interpreter's own start (tens of ms) plus every import the entry point
-makes.  Three entry points:
+makes.  Five entry points:
 
 * ``import repro.cli`` — what every command pays before parsing;
 * the imports of ``repro dist worker`` — what a fleet host pays before
   its first lease;
 * ``python -m repro.cli scenarios list`` — a whole command that builds
-  every registry topology but sizes nothing.
+  every registry topology but sizes nothing;
+* ``import repro.core.sizing`` — the sizing layer with its LP solver,
+  which a worker imports for its first cell;
+* ``python -m repro.cli size --scenario amba`` — a whole command that
+  sizes, dominated by its imports (the LPs take milliseconds).
 
 ``diff_bench.py`` compares these on ``1 / mean``, so CI's bench diff
 flags a start-up regression like any other slowdown.
@@ -31,6 +35,8 @@ ENTRY_POINTS = {
         "import repro.cli\nfrom repro.dist import worker_loop",
     ],
     "scenarios_list": ["-m", "repro.cli", "scenarios", "list"],
+    "import_sizing": ["-c", "import repro.core.sizing"],
+    "size_amba": ["-m", "repro.cli", "size", "--scenario", "amba"],
 }
 
 

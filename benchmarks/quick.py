@@ -15,7 +15,8 @@ pass through a broker and one worker, in ``jobs_per_second``, and
 ``bench_dist_makespan``: a skewed matrix under cost scheduling), the observability hot-path bench
 (``bench_obs_overhead``: obs off vs metrics vs tracing), and the
 start-up benches (``bench_startup``: ``import repro.cli``, the imports
-of ``repro dist worker`` and a whole ``scenarios list``, each in a
+of ``repro dist worker``, a whole ``scenarios list``, ``import
+repro.core.sizing`` and a whole ``size --scenario amba``, each in a
 fresh interpreter) with
 ``--benchmark-min-rounds=3`` — a couple
 of minutes, meant

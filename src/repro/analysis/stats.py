@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import stdtrit
 
 from repro.errors import ReproError
 
@@ -57,6 +56,8 @@ def t_half_width(sem: float, count: int, confidence: float) -> float:
     t quantile ``scipy.stats.t.ppf`` evaluates, without importing
     ``scipy.stats``.
     """
+    from scipy.special import stdtrit
+
     return float(stdtrit(count - 1, 0.5 + confidence / 2.0) * sem)
 
 

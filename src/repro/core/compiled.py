@@ -4,14 +4,15 @@ The dict-of-lists :class:`~repro.core.ctmdp.CTMDP` is convenient to build
 but slow to solve against: every sweep of a DP solver or every LP
 assembly walks Python dictionaries.  This module freezes a built model
 into flat arrays once, after which the hot paths — uniformization,
-Bellman sweeps, occupation-measure LP assembly — are pure numpy/scipy
+Bellman sweeps, occupation-measure LP assembly — are pure numpy
 operations:
 
 :class:`CompiledCTMDP`
     A read-only array view of any CTMDP: per-pair transition triplets,
     exit rates, cost and constraint vectors, plus a **sparse**
     uniformization (``scipy.sparse.csr_matrix`` instead of the dense
-    ``(pairs, states)`` matrix of :meth:`CTMDP.uniformized`).
+    ``(pairs, states)`` matrix of :meth:`CTMDP.uniformized`; it imports
+    ``scipy.sparse`` when called).
 
 :class:`CompiledBusLattice`
     The joint bus occupancy model of
@@ -32,8 +33,11 @@ operations:
 :func:`solve_sparse_lp`
     A thin wrapper over the HiGHS solver (scipy's vendored bindings)
     that keeps the simplex **basis** between solves, so successive LPs
-    that differ only in coefficients warm-start in milliseconds.  Falls
-    back to ``scipy.optimize.linprog`` when the bindings are missing.
+    that differ only in coefficients warm-start in milliseconds.  It
+    takes :class:`COOMatrix` coordinate arrays and builds HiGHS's
+    column-wise matrix with numpy.  Falls back to
+    ``scipy.optimize.linprog`` (counted as
+    ``solver.lp.linprog_fallbacks``) when the bindings are missing.
 
 Exact reproducibility note: every accumulation below (exit rates, loss
 cost rates) is performed in the same client order and with the same IEEE
@@ -43,18 +47,70 @@ are bitwise identical to the reference assembly.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
 
+from repro import obs
 from repro.errors import ModelError
 
-# The HiGHS bindings scipy vendors for its `method="highs"` family.  They
-# expose basis warm-starting, which scipy.optimize.linprog does not.
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
+#: The HiGHS bindings scipy vendors for its `method="highs"` family.  They
+#: expose basis warm-starting, which scipy.optimize.linprog does not.
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS extension, loaded without importing scipy.optimize.
+
+    ``scipy.optimize`` takes ~0.4 s to import; the extension alone takes
+    a few ms.  The module is registered under its scipy name before it
+    runs, so a later ``import scipy.optimize`` (linprog, SLSQP) reuses
+    this object: a pybind11 extension must not be initialised twice.
+    Where scipy keeps the file elsewhere, it is imported the normal way.
+    """
+    module = sys.modules.get(HIGHS_MODULE)
+    if module is not None:
+        return module
+    import scipy
+
+    base = os.path.join(
+        os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core"
+    )
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if not os.path.isfile(base + suffix):
+            continue
+        spec = importlib.util.spec_from_file_location(
+            HIGHS_MODULE, base + suffix
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[HIGHS_MODULE] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[HIGHS_MODULE]
+            raise
+        return module
+    return importlib.import_module(HIGHS_MODULE)
+
+
 try:  # pragma: no cover - exercised implicitly by every LP solve
-    from scipy.optimize._highspy import _core as _highs
+    _highs = _load_highs()
     HAVE_HIGHS = True
 except Exception:  # pragma: no cover - fallback container without bindings
     _highs = None
@@ -211,7 +267,7 @@ class CompiledCTMDP:
 
     def uniformized_sparse(
         self, rate: Optional[float] = None, tol: float = 1e-6
-    ) -> Tuple[csr_matrix, np.ndarray, float]:
+    ) -> Tuple["csr_matrix", np.ndarray, float]:
         """Sparse uniformization: CSR one-step matrix over (pairs, states).
 
         Same semantics as the dense :meth:`CTMDP.uniformized` — rows are
@@ -220,6 +276,8 @@ class CompiledCTMDP:
         ``scipy.sparse.csr_matrix`` whose only stored entries are the
         rated transitions plus the diagonal self-loop slack.
         """
+        from scipy.sparse import csr_matrix
+
         max_exit = self.max_exit_rate
         if rate is None:
             rate = max_exit * (1.0 + 1e-9) if max_exit > 0 else 1.0
@@ -688,6 +746,17 @@ class CompiledClientChain:
 # ----------------------------------------------------------------------
 
 
+class COOMatrix(NamedTuple):
+    """A sparse matrix as coordinate arrays: entry ``e`` is
+    ``vals[e]`` at ``(rows[e], cols[e])``.  Duplicate coordinates sum.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: Tuple[int, int]
+
+
 @dataclass
 class SparseLPResult:
     """Raw result of :func:`solve_sparse_lp`.
@@ -704,9 +773,40 @@ class SparseLPResult:
     basis: object = None
 
 
+def column_arrays(
+    a_eq: COOMatrix, a_ub: Optional[COOMatrix]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """HiGHS's column-wise ``(start, index, value)`` of ``[a_eq; a_ub]``.
+
+    Entries are ordered by column, then row, and duplicate coordinates
+    are summed: the ``indptr``, ``indices`` and ``data`` that
+    ``scipy.sparse.vstack([a_eq, a_ub]).tocsc()`` stores, explicit zeros
+    included.  One stable sort of the key ``col * n_rows + row`` gives
+    the order ``np.lexsort((rows, cols))`` would, at under half its cost.
+    """
+    rows, cols, vals = a_eq.rows, a_eq.cols, a_eq.vals
+    n_rows, n_cols = a_eq.shape
+    if a_ub is not None:
+        rows = np.concatenate([rows, a_ub.rows + n_rows])
+        cols = np.concatenate([cols, a_ub.cols])
+        vals = np.concatenate([vals, a_ub.vals])
+        n_rows += a_ub.shape[0]
+    key = np.asarray(cols, dtype=np.int64) * n_rows + rows
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    vals = np.asarray(vals, dtype=float)[order]
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        first = np.flatnonzero(np.concatenate([[True], ~repeat]))
+        vals = np.add.reduceat(vals, first)
+        key = key[first]
+    start = np.searchsorted(key, np.arange(n_cols + 1) * n_rows)
+    return start.astype(np.int32), (key % n_rows).astype(np.int32), vals
+
+
 def _run_highs(
     cost: np.ndarray,
-    a: csc_matrix,
+    columns: Tuple[np.ndarray, np.ndarray, np.ndarray],
     row_lower: np.ndarray,
     row_upper: np.ndarray,
     warm_basis: object,
@@ -717,16 +817,14 @@ def _run_highs(
     n = len(cost)
     lp = _highs.HighsLp()
     lp.num_col_ = n
-    lp.num_row_ = a.shape[0]
+    lp.num_row_ = len(row_lower)
     lp.col_cost_ = np.asarray(cost, dtype=float)
     lp.col_lower_ = np.zeros(n)
     lp.col_upper_ = np.full(n, np.inf)
     lp.row_lower_ = row_lower
     lp.row_upper_ = row_upper
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = columns
     h.passModel(lp)
     if warm_basis is not None:
         h.setBasis(warm_basis)
@@ -762,9 +860,9 @@ def _run_highs(
 
 def solve_sparse_lp(
     cost: np.ndarray,
-    a_eq: csc_matrix,
+    a_eq: COOMatrix,
     b_eq: np.ndarray,
-    a_ub: Optional[csc_matrix],
+    a_ub: Optional[COOMatrix],
     b_ub: Optional[np.ndarray],
     warm_basis: object = None,
 ) -> SparseLPResult:
@@ -774,29 +872,30 @@ def solve_sparse_lp(
     interior point (with crossover, matching scipy's ``highs-ipm``) and
     warm starts via simplex from the supplied basis; both fall back to a
     plain simplex run on non-infeasible failures.  Without the bindings
-    it degrades to ``scipy.optimize.linprog`` (no warm starts).
+    it degrades to ``scipy.optimize.linprog`` (no warm starts) and bumps
+    ``solver.lp.linprog_fallbacks``.
     """
-    from scipy.sparse import vstack
-
     if a_ub is not None and a_ub.shape[0] > 0:
-        a = vstack([a_eq, a_ub]).tocsc()
         row_lower = np.concatenate(
             [b_eq, np.full(len(b_ub), -np.inf)]
         )
         row_upper = np.concatenate([b_eq, b_ub])
     else:
-        a = a_eq.tocsc()
+        a_ub = b_ub = None
         row_lower = np.asarray(b_eq, dtype=float)
         row_upper = np.asarray(b_eq, dtype=float)
 
     if HAVE_HIGHS:
+        columns = column_arrays(a_eq, a_ub)
         try:
             result = _run_highs(
-                cost, a, row_lower, row_upper, warm_basis, "ipm"
+                cost, columns, row_lower, row_upper, warm_basis, "ipm"
             )
             if result.status == "error":
                 # Mirror scipy-path behaviour: retry with (cold) simplex.
-                result = _run_highs(cost, a, row_lower, row_upper, None, None)
+                result = _run_highs(
+                    cost, columns, row_lower, row_upper, None, None
+                )
             return result
         except (AttributeError, TypeError):
             # The vendored bindings are private scipy API; if a scipy
@@ -807,27 +906,23 @@ def solve_sparse_lp(
 
     # Fallback: scipy linprog, IPM first then simplex — the historical
     # BlockLP behaviour.  No warm starts are possible on this path.
+    obs.counter("solver.lp.linprog_fallbacks").inc()
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
-    result = linprog(
-        cost,
-        A_ub=a_ub,
+    def matrix(coo: COOMatrix) -> csr_matrix:
+        return csr_matrix((coo.vals, (coo.rows, coo.cols)), shape=coo.shape)
+
+    problem = dict(
+        A_ub=None if a_ub is None else matrix(a_ub),
         b_ub=b_ub,
-        A_eq=a_eq,
+        A_eq=matrix(a_eq),
         b_eq=b_eq,
         bounds=(0, None),
-        method="highs-ipm",
     )
+    result = linprog(cost, method="highs-ipm", **problem)
     if not result.success and result.status not in (2,):
-        result = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0, None),
-            method="highs",
-        )
+        result = linprog(cost, method="highs", **problem)
     if result.success:
         status = "optimal"
     elif result.status == 2 or "infeasible" in str(result.message).lower():

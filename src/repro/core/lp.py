@@ -44,9 +44,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from repro.core.compiled import SparseLPResult, solve_sparse_lp
+from repro.core.compiled import COOMatrix, SparseLPResult, solve_sparse_lp
 from repro.core.ctmdp import CTMDP, Action, State
 from repro.core.policy import StationaryPolicy, policy_from_occupation_measure
 from repro.errors import InfeasibleError, SolverError
@@ -218,7 +217,7 @@ class BlockProgram:
 
     # ------------------------------------------------------------------
 
-    def _assemble_equalities(self) -> Tuple[csr_matrix, np.ndarray]:
+    def _assemble_equalities(self) -> Tuple[COOMatrix, np.ndarray]:
         rows: List[np.ndarray] = []
         cols: List[np.ndarray] = []
         vals: List[np.ndarray] = []
@@ -242,12 +241,11 @@ class BlockProgram:
                 np.full(provider.n_pairs, self.num_balance + b, dtype=np.int64)
             )
             vals.append(np.ones(provider.n_pairs))
-        a_eq = csr_matrix(
-            (
-                np.concatenate(vals),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
-            shape=(self.num_balance + len(self.providers), self.num_vars),
+        a_eq = COOMatrix(
+            np.concatenate(rows),
+            np.concatenate(cols),
+            np.concatenate(vals),
+            (self.num_balance + len(self.providers), self.num_vars),
         )
         b_eq = np.zeros(self.num_balance + len(self.providers))
         b_eq[self.num_balance:] = 1.0
@@ -256,7 +254,7 @@ class BlockProgram:
     def _assemble_inequalities(
         self, bound_overrides: Optional[Dict[object, float]]
     ) -> Tuple[
-        Optional[csr_matrix],
+        Optional[COOMatrix],
         Optional[np.ndarray],
         List[Tuple[object, np.ndarray, np.ndarray]],
     ]:
@@ -295,9 +293,7 @@ class BlockProgram:
         )
         c = np.concatenate([cols for (_k, cols, _v, _b) in ub_rows])
         v = np.concatenate([vals for (_k, _c, vals, _b) in ub_rows])
-        a_ub = csr_matrix(
-            (v, (r, c)), shape=(len(ub_rows), self.num_vars)
-        )
+        a_ub = COOMatrix(r, c, v, (len(ub_rows), self.num_vars))
         b_ub = np.array([bound for (_k, _c, _v, bound) in ub_rows])
         return a_ub, b_ub, [(k, cols, vals) for (k, cols, vals, _b) in ub_rows]
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.arch.topology import Topology
 from repro.core.splitting import SplitSystem, split
@@ -213,6 +212,8 @@ class QuadraticCoupledSizer:
         Returns diagnostics whether or not SLSQP succeeded — the ablation
         bench reports both paths.
         """
+        from scipy.optimize import minimize
+
         system, subsystem_states, bridge_clients = self._prepare(topology)
         rate_index = {name: i for i, name in enumerate(bridge_clients)}
         num_pi = sum(len(s) for s in subsystem_states)

@@ -10,10 +10,13 @@ and on the paper's testbeds.
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
+from repro import obs, scenarios
 from repro.arch.netproc import network_processor
 from repro.arch.templates import amba_like, paper_figure1
+from repro.core import compiled
+from repro.core import lp as lp_module
 from repro.core.bus_model import (
     BUS_TIME,
     SPACE,
@@ -23,9 +26,11 @@ from repro.core.bus_model import (
     joint_client_marginals,
 )
 from repro.core.compiled import (
+    COOMatrix,
     CompiledBusLattice,
     CompiledClientChain,
     CompiledCTMDP,
+    column_arrays,
     solve_sparse_lp,
 )
 from repro.core.ctmdp import CTMDP, Transition
@@ -496,29 +501,167 @@ class TestCachedAccessors:
             m.transitions_ro("a", "zzz")
 
 
+def dense_coo(dense):
+    """The nonzeros of a dense 2-D array as a :class:`COOMatrix`."""
+    a = np.asarray(dense, dtype=float)
+    rows, cols = np.nonzero(a)
+    return COOMatrix(rows, cols, a[rows, cols], a.shape)
+
+
 class TestSolveSparseLPFallback:
     def test_backend_smoke(self):
         # min x0 + 2 x1 s.t. x0 + x1 = 1, x >= 0.
-        from scipy.sparse import csc_matrix
-
-        a_eq = csc_matrix(np.array([[1.0, 1.0]]))
         result = solve_sparse_lp(
-            np.array([1.0, 2.0]), a_eq, np.array([1.0]), None, None
+            np.array([1.0, 2.0]),
+            dense_coo([[1.0, 1.0]]),
+            np.array([1.0]),
+            None,
+            None,
         )
         assert result.status == "optimal"
         assert result.objective == pytest.approx(1.0)
         np.testing.assert_allclose(result.x, [1.0, 0.0], atol=1e-9)
 
     def test_infeasible_detected(self):
-        from scipy.sparse import csc_matrix
-
-        a_eq = csc_matrix(np.array([[1.0, 1.0]]))
-        a_ub = csc_matrix(np.array([[1.0, 1.0]]))
         result = solve_sparse_lp(
             np.array([1.0, 2.0]),
-            a_eq,
+            dense_coo([[1.0, 1.0]]),
             np.array([1.0]),
-            a_ub,
+            dense_coo([[1.0, 1.0]]),
             np.array([0.5]),
         )
         assert result.status == "infeasible"
+
+    @pytest.fixture
+    def fallbacks(self):
+        """Reads ``solver.lp.linprog_fallbacks``, with metrics on."""
+        obs.reset()
+        obs.enable_metrics()
+        yield lambda: obs.registry().counters_snapshot().get(
+            "solver.lp.linprog_fallbacks", 0
+        )
+        obs.reset()
+
+    def test_linprog_fallback_finds_the_highs_optimum(
+        self, monkeypatch, fallbacks
+    ):
+        # A joint bus LP whose shared space row binds at its optimum.
+        model = build_joint_bus_ctmdp(random_clients(3, n=3))
+        free = AverageCostLP(model).solve()
+        space = model.compiled().constraint_vector(SPACE)
+        bound = 0.9 * (np.array(list(free.occupations[0].values())) @ space)
+        block = BlockLP()
+        block.add_block(model)
+        block.add_shared_budget("budget", SPACE, bound=bound)
+        expected = block.solve()
+        assert expected.constraint_values["budget"] == pytest.approx(bound)
+        assert fallbacks() == 0
+        monkeypatch.setattr(compiled, "HAVE_HIGHS", False)
+        fallback = block.solve()
+        assert fallbacks() == 1
+        assert fallback.objective == pytest.approx(
+            expected.objective, rel=1e-9
+        )
+        assert fallback.constraint_values["budget"] == pytest.approx(bound)
+
+    def test_linprog_fallback_reports_infeasible(
+        self, monkeypatch, fallbacks
+    ):
+        monkeypatch.setattr(compiled, "HAVE_HIGHS", False)
+        result = solve_sparse_lp(
+            np.array([1.0, 2.0]),
+            dense_coo([[1.0, 1.0]]),
+            np.array([1.0]),
+            dense_coo([[1.0, 1.0]]),
+            np.array([0.5]),
+        )
+        assert result.status == "infeasible"
+        assert fallbacks() == 1
+
+
+class _Captured(Exception):
+    """Raised by :func:`first_lp`'s stub once it holds the LP."""
+
+
+def first_lp(monkeypatch, run):
+    """The arguments of the first ``solve_sparse_lp`` call ``run()`` makes.
+
+    The stub raises instead of solving, so no LP is ever solved.
+    """
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append(args)
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_module, "solve_sparse_lp", capture)
+        with pytest.raises(_Captured):
+            run()
+    return calls[0]
+
+
+def scipy_columns(a_eq, a_ub):
+    """``(indptr, indices, data)`` of scipy's ``vstack([a_eq, a_ub])``."""
+    blocks = [
+        csr_matrix((m.vals, (m.rows, m.cols)), shape=m.shape)
+        for m in (a_eq, a_ub)
+        if m is not None
+    ]
+    a = vstack(blocks).tocsc()
+    return a.indptr, a.indices, a.data
+
+
+def assert_bitwise(ours, reference):
+    for got, want in zip(ours, reference):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+#: Every registry scenario at its default budget, plus the fleet's
+#: single bus and the benchmark's unconverged mesh.
+ORACLE_PROGRAMS = [
+    (name, scenarios.get(name).default_budget) for name in scenarios.names()
+] + [("single-bus-6", 48), ("random-mesh-8-1", 96)]
+
+
+class TestColumnArrays:
+    """HiGHS's column-wise matrix, built with numpy, against scipy."""
+
+    @pytest.mark.parametrize("name,budget", ORACLE_PROGRAMS)
+    def test_sizing_lp_matches_scipy_bitwise(self, monkeypatch, name, budget):
+        spec = scenarios.get(name)
+        sizer = BufferSizer(total_budget=budget, **spec.sizer_kwargs)
+        _cost, a_eq, _b_eq, a_ub, _b_ub = first_lp(
+            monkeypatch, lambda: sizer.size(spec.topology())
+        )
+        assert a_ub is not None and a_ub.shape[0] > 0
+        assert_bitwise(
+            column_arrays(a_eq, a_ub), scipy_columns(a_eq, a_ub)
+        )
+
+    @staticmethod
+    def two_state_model(fast_transitions):
+        m = CTMDP()
+        m.add_action("a", "fast", fast_transitions, cost_rate=4.0)
+        m.add_action("a", "slow", [("b", 0.5)], cost_rate=1.0)
+        m.add_action("b", "back", [("a", 2.0)], cost_rate=3.0)
+        m.add_action("b", "wait", [("a", 0.25)], cost_rate=0.5)
+        return m
+
+    def test_duplicate_coordinates_are_summed(self, monkeypatch):
+        listed = self.two_state_model([("b", 2.0), ("b", 1.0)])
+        merged = self.two_state_model([("b", 3.0)])
+        listed_eq = first_lp(monkeypatch, AverageCostLP(listed).solve)[1]
+        merged_eq = first_lp(monkeypatch, AverageCostLP(merged).solve)[1]
+        assert len(listed_eq.vals) == len(merged_eq.vals) + 1
+        start, index, value = column_arrays(listed_eq, None)
+        assert_bitwise((start, index, value), column_arrays(merged_eq, None))
+        assert_bitwise((start, index, value), scipy_columns(listed_eq, None))
+        # Column 0 is ("a", "fast"): into b at 2 + 1, out of a at 3.
+        assert value[start[0]:start[1]].tolist() == [-3.0, 3.0, 1.0]
+        assert (
+            AverageCostLP(listed).solve().objective
+            == AverageCostLP(merged).solve().objective
+        )

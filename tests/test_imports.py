@@ -1,10 +1,10 @@
 """Import boundaries: what a fresh interpreter loads for each entry point.
 
 Each check runs in its own interpreter, since this test process has
-long since imported everything.  The two dependencies the pipeline does
-not need (``scipy.stats`` and ``networkx``) must stay out of every
-module, and the commands that neither size nor solve must not load the
-sizing layer or the LP solver behind it.
+long since imported everything.  The pipeline runs on numpy and scipy's
+HiGHS extension alone: no module imports another scipy subpackage or
+``networkx``, and the commands that neither size nor solve must not
+load the sizing layer or the LP solver behind it.
 """
 
 import ast
@@ -17,7 +17,17 @@ import repro
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 #: Modules a command that neither sizes nor solves must not load.
-SIZING = ("repro.core.sizing", "scipy.optimize")
+SIZING = ("repro.core.sizing", "scipy.optimize._highspy._core")
+
+#: Libraries no module loads on import; a function that calls one imports it.
+UNUSED = (
+    "scipy.sparse",
+    "scipy.optimize",
+    "scipy.special",
+    "scipy.linalg",
+    "scipy.stats",
+    "networkx",
+)
 
 
 def _loaded_after(code, probes):
@@ -47,9 +57,65 @@ def test_no_module_imports_scipy_stats_or_networkx():
         "    importlib.import_module(info.name)"
     )
     # The walk does reach the solver, so the probes are live.
-    assert _loaded_after(
-        walk, ("scipy.stats", "networkx") + SIZING
-    ) == sorted(SIZING)
+    assert _loaded_after(walk, UNUSED + SIZING) == sorted(SIZING)
+
+
+def test_sizing_loads_the_highs_extension_alone():
+    size = (
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['size', '--scenario', 'amba']) == 0"
+    )
+    assert _loaded_after(size, UNUSED + SIZING) == sorted(SIZING)
+
+
+def test_scipy_optimize_reuses_the_loaded_extension():
+    reuse = (
+        "import sys\n"
+        "from repro.core import compiled\n"
+        "assert compiled.HAVE_HIGHS\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "from scipy.optimize._highspy import _core\n"
+        "assert _core is compiled._highs\n"
+        "from scipy.optimize import linprog\n"
+        "r = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], "
+        "method='highs')\n"
+        "assert r.status == 0 and r.fun == 1.0, r\n"
+        "assert sys.modules[compiled.HIGHS_MODULE] is compiled._highs"
+    )
+    assert _loaded_after(reuse, ("scipy.optimize",)) == ["scipy.optimize"]
+
+
+def test_extension_already_imported_by_scipy_is_reused():
+    reuse = (
+        "import sys\n"
+        "import scipy.optimize\n"
+        "from repro.core import compiled\n"
+        "assert compiled._highs is sys.modules[compiled.HIGHS_MODULE]\n"
+        "assert compiled._highs is scipy.optimize._highspy._core"
+    )
+    _loaded_after(reuse, ())
+
+
+def test_extension_outside_scipys_layout_is_imported_normally():
+    # No suffix matches a file, so the loader falls back to a plain
+    # import, which brings scipy.optimize with it; solves still work.
+    fallback = (
+        "import importlib.machinery\n"
+        "importlib.machinery.EXTENSION_SUFFIXES = ['.missing']\n"
+        "from repro.core import compiled\n"
+        "assert compiled.HAVE_HIGHS\n"
+        "from repro.core.lp import BlockLP\n"
+        "from repro.core.ctmdp import CTMDP\n"
+        "m = CTMDP()\n"
+        "m.add_action('a', 'go', [('b', 1.0)], cost_rate=1.0)\n"
+        "m.add_action('b', 'go', [('a', 1.0)], cost_rate=3.0)\n"
+        "block = BlockLP()\n"
+        "block.add_block(m)\n"
+        "assert block.solve().objective == 2.0"
+    )
+    assert _loaded_after(fallback, ("scipy.optimize",)) == ["scipy.optimize"]
 
 
 def test_cli_module_imports_no_pipeline_layer():
