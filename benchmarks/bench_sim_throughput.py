@@ -1,14 +1,15 @@
 """Infrastructure bench: discrete-event simulator throughput.
 
 Not a paper artefact — tracks the events-per-second of every simulation
-backend (the heap reference engine, the array-native batched lane and
-the mega-batch kernel) over a scenario subset (the paper's netproc
-testbed plus two template scenarios from the registry) so performance
+lane (the heap oracle, the array-native batched lane that is the
+mega-batch kernel's counted fallback, and the mega-batch kernel) over a
+scenario subset (the paper's netproc testbed plus two template
+scenarios from the registry) so performance
 regressions in the substrate, and each lane's speedup over the
 reference, are visible in benchmark runs across architecture shapes.
 Each throughput bench reports ``events_per_second`` in its
 ``extra_info`` (arrivals plus service starts over mean wall time);
-``make bench-quick`` groups the backends per scenario so the ratio
+``make bench-quick`` groups the lanes per scenario so the ratio
 reads off directly.  ``test_fleet_cell_latency`` times the per-job
 work of a fleet worker instead, in ``ms_per_cell``.
 """
@@ -17,8 +18,11 @@ import pytest
 
 from repro import scenarios
 from repro.policies.uniform import UniformSizing
-from repro.sim.runner import SIM_BACKENDS, simulate
+from repro.sim.runner import _simulate_seed, simulate
 from repro.sim.system import CommunicationSystem
+
+#: The bench rows: the two per-seed lanes and the mega-batch kernel.
+BACKENDS = ("heap", "batched", "megabatch")
 
 #: Simulated horizon of the throughput benches.  Long enough that the
 #: event loop dominates one-time system construction.
@@ -64,7 +68,7 @@ def _run(topology, capacities, backend):
 
 
 @pytest.mark.parametrize("scenario", BENCH_SCENARIOS)
-@pytest.mark.parametrize("backend", SIM_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_simulator_throughput(benchmark, scenario, backend):
     benchmark.group = f"simulator_throughput[{scenario}]"
     topology, capacities = _setup(scenario)
@@ -164,13 +168,14 @@ def test_fleet_cell_latency(benchmark, backend):
         .allocation.as_capacities()
     )
 
+    run = simulate if backend == "megabatch" else _simulate_seed
+
     def cell():
-        return simulate(
+        return run(
             spec.topology(),
             capacities,
             duration=FLEET_CELL_DURATION,
             seed=3,
-            backend=backend,
         )
 
     result = benchmark(cell)
@@ -184,22 +189,20 @@ def test_fleet_cell_latency(benchmark, backend):
 
 @pytest.mark.parametrize("scenario", BENCH_SCENARIOS)
 def test_backend_equivalence_smoke(scenario):
-    """All three backends agree bitwise on the bench workloads.
+    """All three lanes agree bitwise on the bench workloads.
 
     Guards the determinism contract right where the speedup is
     measured: identical fixed-seed metrics, so the throughput
     comparison above is apples to apples — on every bench scenario.
     """
     topology, capacities = _setup(scenario)
-    heap = simulate(
-        topology, capacities, duration=150.0, seed=3, backend="heap"
+    heap = _simulate_seed(
+        topology, capacities, duration=150.0, seed=3, lane="heap"
     )
-    batched = simulate(
-        topology, capacities, duration=150.0, seed=3, backend="batched"
+    batched = _simulate_seed(
+        topology, capacities, duration=150.0, seed=3, lane="batched"
     )
-    megabatch = simulate(
-        topology, capacities, duration=150.0, seed=3, backend="megabatch"
-    )
+    megabatch = simulate(topology, capacities, duration=150.0, seed=3)
     assert heap == batched
     assert heap == megabatch
 

@@ -1,7 +1,7 @@
 """Quick perf smoke target: ``python -m benchmarks.quick``.
 
 Runs the simulator/sizing throughput benchmarks (every simulation
-backend, grouped per function so the ratios read off the table
+lane, grouped per function so the ratios read off the table
 directly, plus ``test_fleet_cell_latency``: one fleet job's topology
 build and single-replication amba run, batched vs megabatch, in
 ``ms_per_cell``), the compiled-kernel micro-benches, the

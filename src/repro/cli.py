@@ -22,12 +22,8 @@ script entry point)::
 ``--scenario`` flag resolves a named scenario from the
 :mod:`repro.scenarios` registry instead (``repro scenarios list``
 enumerates them).  The runtime flags ``--jobs`` / ``--cache-dir`` /
-``--cache-max-mb`` / ``--no-warm-start`` / ``--sim-backend`` control
-the :mod:`repro.exec` execution runtime; none of them changes any
-reported number, except that the simulation backends are only
-statistically equivalent under randomised arbitration (the default is
-the mega-batch kernel; ``--sim-backend batched`` selects the array lane
-and ``--sim-backend heap`` the reference event loop — see
+``--cache-max-mb`` / ``--no-warm-start`` control the :mod:`repro.exec`
+execution runtime; none of them changes any reported number (see
 ``docs/execution.md``).
 """
 
@@ -127,7 +123,6 @@ def _context_from_args(
         jobs=getattr(args, "jobs", 1),
         cache_dir=getattr(args, "cache_dir", None),
         warm_start=not getattr(args, "no_warm_start", False),
-        sim_backend=getattr(args, "sim_backend", "megabatch"),
         cache_max_mb=getattr(args, "cache_max_mb", None),
         dist=getattr(args, "dist", None),
         dist_authkey=getattr(args, "authkey", None),
@@ -164,18 +159,6 @@ def _add_runtime_flags(
         default=None,
         help="bound the cache directory to this many MiB with "
         "least-recently-used eviction (requires --cache-dir)",
-    )
-    parser.add_argument(
-        "--sim-backend",
-        choices=("heap", "batched", "megabatch"),
-        default="megabatch",
-        help="simulation engine for replication batches: 'megabatch' "
-        "(default) is the replication-stacked C kernel, one array "
-        "program per cell (cells it cannot replay, and hosts with no "
-        "C compiler, run the batched lane per seed); 'batched' is the "
-        "array-native lane, 'heap' the reference event loop.  "
-        "Bitwise-identical fixed-seed metrics for deterministic "
-        "arbiters, statistically equivalent for randomised ones",
     )
     parser.add_argument(
         "--dist",
@@ -555,7 +538,6 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
         duration=args.duration,
         base_seed=args.seed,
         seed_scheme=args.seed_scheme,
-        sim_backend=args.sim_backend,
         block_reps=args.block_reps,
     )
     # Broker counters are lifetime-cumulative (the broker is long-
@@ -649,7 +631,6 @@ def _cmd_dist_chaos(args: argparse.Namespace) -> int:
         replications=args.reps,
         duration=args.duration,
         base_seed=args.seed,
-        sim_backend=args.sim_backend,
         block_reps=args.block_reps,
         plans=plans,
         modes=tuple(args.mode) if args.mode else ("serial", "jobs", "dist"),
@@ -947,12 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed-scheme", choices=("legacy", "spawn"), default="legacy"
     )
     p_run.add_argument(
-        "--sim-backend",
-        choices=("heap", "batched", "megabatch"),
-        default="megabatch",
-        help="simulation engine of every block (default: megabatch)",
-    )
-    p_run.add_argument(
         "--block-reps", type=int, default=1,
         help="replications per job block (smaller = more stealable "
         "blocks sharing each cell's cached sizing)",
@@ -1037,12 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--reps", type=int, default=2)
     p_chaos.add_argument("--duration", type=float, default=60.0)
     p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument(
-        "--sim-backend",
-        choices=("heap", "batched", "megabatch"),
-        default="megabatch",
-        help="simulation engine of every block (default: megabatch)",
-    )
     p_chaos.add_argument("--block-reps", type=int, default=1)
     p_chaos.add_argument(
         "--fault", action="append", default=None, metavar="PLAN",

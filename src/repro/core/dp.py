@@ -6,12 +6,13 @@ and policy iteration on the uniformized chain must agree with the LP —
 tests and the solver-ablation bench (`benchmarks/bench_ablation_solvers.py`)
 rely on this cross-check, which guards both implementations.
 
-Both solvers work on the uniformized discrete-time MDP.  By default they
-run on the **compiled** sparse form
+Both solvers work on the uniformized discrete-time MDP, in the
+**compiled** sparse form
 (:meth:`repro.core.compiled.CompiledCTMDP.uniformized_sparse`) with fully
-vectorised Bellman sweeps; ``use_compiled=False`` selects the original
-dense, per-state-loop reference implementation, which the equivalence
-tests in ``tests/test_compiled.py`` hold the fast path against.
+vectorised Bellman sweeps.  The original dense, per-state-loop
+implementations stay as private oracles (``_reference_rvi`` and
+``_reference_pi``), which the equivalence tests in
+``tests/test_compiled.py`` hold the fast path against.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ def relative_value_iteration(
     model: CTMDP,
     tol: float = 1e-10,
     max_iter: int = 500_000,
-    use_compiled: bool = True,
 ) -> DPSolution:
     """Relative value iteration for the average-cost criterion.
 
@@ -92,16 +92,12 @@ def relative_value_iteration(
     ``tol``.  Requires the uniformized chain to be aperiodic, which the
     self-loop slack introduced by strict uniformization guarantees.
 
-    ``use_compiled=False`` runs the dense per-state reference loops.
-
     Raises
     ------
     SolverError
         If the span fails to contract within ``max_iter`` sweeps.
     """
     model.validate()
-    if not use_compiled:
-        return _reference_rvi(model, tol, max_iter)
     comp = model.compiled()
     p, c, rate = comp.uniformized_sparse()
     group_start = comp.group_start[:-1]
@@ -133,8 +129,11 @@ def relative_value_iteration(
     )
 
 
-def _reference_rvi(model: CTMDP, tol: float, max_iter: int) -> DPSolution:
+def _reference_rvi(
+    model: CTMDP, tol: float = 1e-10, max_iter: int = 500_000
+) -> DPSolution:
     """Original dense per-state implementation (equivalence reference)."""
+    model.validate()
     p, c, pairs, rate = model.uniformized()
     grouped = _grouped_pairs(model)
     n = model.num_states
@@ -171,7 +170,6 @@ def _reference_rvi(model: CTMDP, tol: float, max_iter: int) -> DPSolution:
 def policy_iteration(
     model: CTMDP,
     max_iter: int = 10_000,
-    use_compiled: bool = True,
 ) -> DPSolution:
     """Howard policy iteration for the average-cost criterion.
 
@@ -181,16 +179,12 @@ def policy_iteration(
     this library because arrivals and services keep the occupancy lattice
     connected.
 
-    ``use_compiled=False`` runs the dense per-state reference loops.
-
     Raises
     ------
     SolverError
         If no stable policy is found within ``max_iter`` improvements.
     """
     model.validate()
-    if not use_compiled:
-        return _reference_pi(model, max_iter)
     comp = model.compiled()
     p, c, rate = comp.uniformized_sparse()
     group_start = comp.group_start[:-1]
@@ -234,8 +228,9 @@ def policy_iteration(
     raise SolverError(f"policy iteration did not converge in {max_iter} steps")
 
 
-def _reference_pi(model: CTMDP, max_iter: int) -> DPSolution:
+def _reference_pi(model: CTMDP, max_iter: int = 10_000) -> DPSolution:
     """Original dense per-state implementation (equivalence reference)."""
+    model.validate()
     p, c, pairs, rate = model.uniformized()
     grouped = _grouped_pairs(model)
     n = model.num_states

@@ -11,7 +11,7 @@
 3. **Solve one joint LP** over all subsystems — "all the equations ...
    in one go and not sequentially" — with a single shared buffer-space
    row tying the blocks to the scarce total budget
-   (:class:`repro.core.lp.BlockLP`).
+   (:class:`repro.core.lp.BlockProgram`).
 4. **Iterate the bridge-rate fixed point**: recompute carried rates into
    every bridge buffer from the blocking probabilities of the latest
    solution, refresh, resolve, until rates converge.
@@ -19,14 +19,14 @@
    allocation via the K-switching machinery
    (:mod:`repro.core.kswitching`).
 
-By default the pipeline runs on the compiled kernel layer
+The pipeline runs on the compiled kernel layer
 (:mod:`repro.core.compiled`): each joint subsystem is built once as a
 :class:`~repro.core.compiled.CompiledBusLattice`, the joint LP structure
 is assembled once into a :class:`~repro.core.lp.BlockProgram`, and each
 bridge-rate iteration only refreshes arrival-rate coefficients and
-re-solves from the previous optimal basis.  ``use_compiled=False``
-selects the original rebuild-everything reference path, which the
-equivalence tests hold the fast path against.
+re-solves from the previous optimal basis.  The tests hold this loop
+against itself solved cold at every step, and its LP against the one
+:class:`~repro.core.lp.BlockLP` assembles from the dict-built CTMDPs.
 
 The result plugs directly into the simulator:
 ``simulate(topology, result.allocation.as_capacities(), ...)`` — the
@@ -43,20 +43,10 @@ import numpy as np
 
 from repro import obs
 from repro.arch.topology import Topology
-from repro.core.bus_model import (
-    BUS_TIME,
-    SPACE,
-    BusClient,
-    build_client_chain_ctmdp,
-    build_joint_bus_ctmdp,
-    bus_time_coefficients,
-    chain_client_marginal,
-    joint_client_marginals,
-    joint_state_space_size,
-)
+from repro.core.bus_model import BUS_TIME, SPACE, BusClient
 from repro.core.compiled import CompiledBusLattice, CompiledClientChain
 from repro.core.kswitching import ClientDemand, allocate_greedy
-from repro.core.lp import BlockLP, BlockProgram, LPSolution
+from repro.core.lp import BlockProgram, LPSolution
 from repro.core.splitting import (
     SplitSystem,
     Subsystem,
@@ -153,8 +143,7 @@ class SizingResult:
         The expected-space bound of the final LP (after any adaptive
         relaxation).
     lp_solution:
-        Full LP solution (occupations; policies only on the reference
-        path) of the final solve.
+        Full LP solution (occupations, no policies) of the final solve.
     split_system:
         The subsystem decomposition (with converged bridge rates).
     """
@@ -249,13 +238,7 @@ class _SizingProgram:
 
     @staticmethod
     def _chain_holding(client: BusClient) -> float:
-        """The degeneracy-breaking holding cost of one chain block.
-
-        Single source of truth: the reference path
-        (:meth:`BufferSizer._build_blocks`) evaluates the same function,
-        so the compiled chain coefficients match it bitwise by
-        construction.
-        """
+        """The degeneracy-breaking holding cost of one chain block."""
         return 1e-5 * (client.loss_weight * client.arrival_rate + 1.0)
 
     @classmethod
@@ -369,8 +352,8 @@ class _SizingProgram:
 
         Occupation dicts are materialised here once (they are only
         needed for the result object, not for the fixed point); policy
-        extraction needs CTMDP objects the compiled path never builds,
-        so ``policies`` is empty.
+        extraction needs CTMDP objects the sizing loop never builds, so
+        ``policies`` is empty.
         """
         offsets = self.program.pair_offsets
         occupations = []
@@ -417,9 +400,6 @@ class BufferSizer:
         Bridge-rate outer loop controls.
     min_size:
         Minimum slots per client (default 1).
-    use_compiled:
-        Run the compiled/warm-started solver path (default).  ``False``
-        selects the original rebuild-every-iteration reference path.
     """
 
     def __init__(
@@ -432,7 +412,6 @@ class BufferSizer:
         fixed_point_tol: float = 1e-3,
         damping: float = 1.0,
         min_size: int = 1,
-        use_compiled: bool = True,
     ) -> None:
         if total_budget < 1:
             raise SolverError(
@@ -452,7 +431,6 @@ class BufferSizer:
         self.fixed_point_tol = float(fixed_point_tol)
         self.damping = float(damping)
         self.min_size = int(min_size)
-        self.use_compiled = bool(use_compiled)
 
     # ------------------------------------------------------------------
 
@@ -487,66 +465,6 @@ class BufferSizer:
             cap -= 1
         return cap if cap >= 2 else None
 
-    def _build_blocks(
-        self, split_system: SplitSystem, requested_cap: int
-    ) -> Tuple[BlockLP, List[Tuple[Subsystem, str, List[BusClient]]]]:
-        """One BlockLP with all subsystems; returns block bookkeeping.
-
-        Reference-path equivalent of :class:`_SizingProgram` — rebuilt
-        from scratch on every call.  Each subsystem uses the **exact
-        joint occupancy model** at the deepest per-client capacity its
-        lattice budget affords (the shared-bus contention is what shapes
-        queue tails, so the joint model is strongly preferred; its
-        marginals are geometrically extrapolated past the model cap by
-        :meth:`_extend_marginal`).  Subsystems with too many clients for
-        even a depth-2 lattice fall back to decomposed per-client chains
-        with a shared bus-time row and a small holding cost that removes
-        the parking degeneracy.
-
-        Bookkeeping entries are ``(subsystem, kind, model_clients)`` with
-        kind ``"joint"`` or ``"chain"``; ``model_clients`` carry the
-        (possibly reduced) model capacities.
-        """
-        block_lp = BlockLP()
-        bookkeeping: List[Tuple[Subsystem, str, List[BusClient]]] = []
-        for sub in split_system.subsystems:
-            if not sub.clients:
-                # A cluster no flow touches (e.g. a redundant bridge path)
-                # needs no buffers and contributes nothing to the LP.
-                continue
-            model_cap = self._model_cap(len(sub.clients), requested_cap)
-            if model_cap is not None:
-                model_clients = [
-                    c.with_capacity(model_cap) for c in sub.clients
-                ]
-                model = build_joint_bus_ctmdp(model_clients)
-                block_lp.add_block(model)
-                bookkeeping.append((sub, "joint", model_clients))
-            else:
-                chain_cap = min(requested_cap, 30)
-                model_clients = [
-                    c.with_capacity(chain_cap) for c in sub.clients
-                ]
-                chain_models = []
-                for client in model_clients:
-                    model = build_client_chain_ctmdp(
-                        client,
-                        holding_cost_rate=_SizingProgram._chain_holding(
-                            client
-                        ),
-                    )
-                    block_lp.add_block(model)
-                    chain_models.append(model)
-                bookkeeping.append((sub, "chain", model_clients))
-                # Shared bus-time row over just this subsystem's blocks.
-                coefficients = [
-                    {} for _ in range(block_lp.num_blocks - len(chain_models))
-                ] + [bus_time_coefficients(m) for m in chain_models]
-                block_lp.add_shared_constraint(
-                    f"bus_time[{sub.index}]", coefficients, bound=1.0
-                )
-        return block_lp, bookkeeping
-
     @staticmethod
     def _extend_marginal(marginal: np.ndarray, length: int) -> np.ndarray:
         """Geometrically extrapolate a queue-length marginal.
@@ -572,54 +490,6 @@ class BufferSizer:
         if total <= 0:
             raise SolverError("marginal extrapolation lost all mass")
         return out / total
-
-    def _solve_with_adaptive_bound(
-        self, split_system: SplitSystem, requested_cap: int
-    ) -> Tuple[LPSolution, float, List[Tuple[Subsystem, str, List[BusClient]]]]:
-        """Solve the joint LP, relaxing the space bound if infeasible.
-
-        Reference-path counterpart of
-        :meth:`_SizingProgram.solve_adaptive` — rebuilds every CTMDP and
-        the whole LP on each attempt.
-        """
-        bound = self.space_fraction * self.total_budget
-        last_error: Optional[InfeasibleError] = None
-        for _attempt in range(6):
-            block_lp, bookkeeping = self._build_blocks(
-                split_system, requested_cap
-            )
-            block_lp.add_shared_budget("budget", SPACE, bound=bound)
-            try:
-                return block_lp.solve(), bound, bookkeeping
-            except InfeasibleError as exc:
-                last_error = exc
-                bound *= 1.5
-        raise InfeasibleError(
-            "joint LP remained infeasible after relaxing the space bound; "
-            f"last error: {last_error}"
-        )
-
-    def _extract_marginals(
-        self,
-        solution: LPSolution,
-        bookkeeping: List[Tuple[Subsystem, str, List[BusClient]]],
-    ) -> Dict[str, np.ndarray]:
-        """Per-client queue-length marginals from the block solutions."""
-        marginals: Dict[str, np.ndarray] = {}
-        block_index = 0
-        for sub, kind, clients in bookkeeping:
-            if kind == "joint":
-                occ = solution.occupations[block_index]
-                block_index += 1
-                marginals.update(joint_client_marginals(clients, occ))
-            else:
-                for client in clients:
-                    occ = solution.occupations[block_index]
-                    block_index += 1
-                    marginals[client.name] = chain_client_marginal(
-                        client, occ
-                    )
-        return marginals
 
     # ------------------------------------------------------------------
 
@@ -651,10 +521,10 @@ class BufferSizer:
         """:meth:`size` plus the state that warm-starts the next run.
 
         The returned :class:`WarmStartState` carries the converged
-        bridge rates and (on the compiled path) the final optimal LP
-        basis.  Feeding it into the next ``size_warm`` call of a budget
-        sweep starts that run's fixed point at the previous converged
-        iterate, which typically saves most outer iterations; the final
+        bridge rates and the final optimal LP basis.  Feeding it into the
+        next ``size_warm`` call of a budget sweep starts that run's fixed
+        point at the previous converged iterate, which typically saves
+        most outer iterations; the final
         :class:`SizingResult` is the same fixed point either way (the
         outer loop iterates to the same tolerance from any start).
         """
@@ -679,11 +549,7 @@ class BufferSizer:
                 split_system.subsystems = [
                     sub.with_rates(rates) for sub in split_system.subsystems
                 ]
-        if self.use_compiled:
-            return self._size_compiled(
-                split_system, cap, num_clients, warm_start
-            )
-        return self._size_reference(split_system, cap, num_clients)
+        return self._fixed_point(split_system, cap, num_clients, warm_start)
 
     @staticmethod
     def _bridge_rates_of(split_system: SplitSystem) -> Dict[str, float]:
@@ -721,14 +587,14 @@ class BufferSizer:
         }
         return blocking, damped, max_delta
 
-    def _size_compiled(
+    def _fixed_point(
         self,
         split_system: SplitSystem,
         cap: int,
         num_clients: int,
         warm_start: Optional[WarmStartState] = None,
     ) -> Tuple[SizingResult, WarmStartState]:
-        """Fixed point on the compiled, warm-started program."""
+        """Bridge-rate fixed point on the compiled, warm-started program."""
         program = _SizingProgram(self, split_system, cap)
         if (
             warm_start is not None
@@ -746,7 +612,6 @@ class BufferSizer:
         iterations = 0
         converged = False
         with obs.span("solver.fixed_point") as fp_span:
-            fp_span.set("path", "compiled")
             for iterations in range(1, self.max_fixed_point_iterations + 1):
                 with obs.span("solver.lp_solve") as lp_span:
                     lp_span.set("iteration", iterations)
@@ -787,61 +652,6 @@ class BufferSizer:
             bridge_rates=self._bridge_rates_of(split_system),
             basis=program.program.last_basis,
             structure=program.program.structure_signature,
-        )
-        return (
-            self._finalise(
-                split_system,
-                solution,
-                marginals,
-                iterations,
-                bound_used,
-                converged,
-            ),
-            state,
-        )
-
-    def _size_reference(
-        self, split_system: SplitSystem, cap: int, num_clients: int
-    ) -> Tuple[SizingResult, WarmStartState]:
-        """Original rebuild-every-iteration path (equivalence reference)."""
-        fair_share = max(self.total_budget // num_clients, 1)
-        solution: Optional[LPSolution] = None
-        bound_used = self.space_fraction * self.total_budget
-        marginals: Dict[str, np.ndarray] = {}
-        iterations = 0
-        converged = False
-        with obs.span("solver.fixed_point") as fp_span:
-            fp_span.set("path", "reference")
-            for iterations in range(1, self.max_fixed_point_iterations + 1):
-                with obs.span("solver.lp_solve") as lp_span:
-                    lp_span.set("iteration", iterations)
-                    solution, bound_used, bookkeeping = (
-                        self._solve_with_adaptive_bound(split_system, cap)
-                    )
-                obs.counter("solver.lp_solves").inc()
-                marginals = {
-                    name: self._extend_marginal(marg, self.total_budget)
-                    for name, marg in self._extract_marginals(
-                        solution, bookkeeping
-                    ).items()
-                }
-                _blocking, damped, max_delta = self._fixed_point_step(
-                    split_system, marginals, fair_share
-                )
-                if max_delta < self.fixed_point_tol:
-                    converged = True
-                    break
-                split_system.subsystems = [
-                    sub.with_rates(damped) for sub in split_system.subsystems
-                ]
-            fp_span.set("iterations", iterations)
-            fp_span.set("converged", converged)
-        obs.histogram("solver.fixed_point_iterations").observe(iterations)
-        if not converged:
-            obs.counter("solver.fixed_point.unconverged").inc()
-        assert solution is not None  # loop runs at least once
-        state = WarmStartState(
-            bridge_rates=self._bridge_rates_of(split_system)
         )
         return (
             self._finalise(

@@ -14,12 +14,12 @@ lock while predicting):
 
 * every job payload is reduced to a small **feature** dict
   (:func:`job_features`): a ``kind`` (the job function's name), the
-  scenario/backend/budget when the payload carries them, and ``units``
+  scenario and budget when the payload carries them, and ``units``
   — the job's linear work measure (``duration × replications`` for
   ``run_block`` blocks, the declared duration otherwise);
 * the model keeps an EWMA of observed *per-unit* runtime under a
-  hierarchy of keys — ``(kind, scenario, backend, budget)`` down to
-  bare ``kind`` — and predicts with the most specific level that has
+  hierarchy of keys — ``(kind, scenario, budget)`` down to bare
+  ``kind`` — and predicts with the most specific level that has
   data, times the job's units.  Every observation refines all levels,
   so one completed block of a new budget already inherits its
   scenario's rate;
@@ -65,8 +65,9 @@ DEFAULT_UNIT_COST = 1e-2
 DEFAULT_ALPHA = 0.25
 
 #: Bump when the persisted-state layout changes; a mismatched file is
-#: ignored (cold start) instead of misread.
-STATE_SCHEMA = 1
+#: ignored (cold start) instead of misread.  Schema 2 dropped the
+#: simulation backend from the rate keys.
+STATE_SCHEMA = 2
 
 
 def job_features(fn: Any, item: Any) -> Dict[str, Any]:
@@ -82,7 +83,7 @@ def job_features(fn: Any, item: Any) -> Dict[str, Any]:
     kind = getattr(fn, "__name__", None) or str(fn)
     features: Dict[str, Any] = {"kind": kind, "units": 1.0}
     if isinstance(item, dict):
-        for key in ("scenario", "sim_backend", "budget"):
+        for key in ("scenario", "budget"):
             value = item.get(key)
             if value is not None:
                 features[key] = value
@@ -101,13 +102,12 @@ def _feature_keys(features: Dict[str, Any]) -> List[str]:
     """The model's key hierarchy, most specific first."""
     kind = str(features.get("kind", "?"))
     scenario = features.get("scenario")
-    backend = features.get("sim_backend")
     budget = features.get("budget")
     keys = []
     if scenario is not None:
         if budget is not None:
-            keys.append(f"{kind}|{scenario}|{backend}|{budget}")
-        keys.append(f"{kind}|{scenario}|{backend}")
+            keys.append(f"{kind}|{scenario}|{budget}")
+        keys.append(f"{kind}|{scenario}")
     keys.append(kind)
     return keys
 

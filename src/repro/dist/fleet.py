@@ -86,7 +86,6 @@ def build_matrix(
     duration: float = 500.0,
     base_seed: int = 0,
     seed_scheme: str = "legacy",
-    sim_backend: str = "megabatch",
     block_reps: int = 1,
 ) -> List[Dict[str, Any]]:
     """The ordered job payload list of one matrix.
@@ -135,7 +134,6 @@ def build_matrix(
                         "duration": float(duration),
                         "base_seed": int(base_seed),
                         "seed_scheme": seed_scheme,
-                        "sim_backend": sim_backend,
                     }
                 )
     return payloads
@@ -191,7 +189,6 @@ def run_matrix(
     duration: float = 500.0,
     base_seed: int = 0,
     seed_scheme: str = "legacy",
-    sim_backend: str = "megabatch",
     block_reps: int = 1,
     jobs: int = 1,
     executor: Optional[Any] = None,
@@ -221,7 +218,6 @@ def run_matrix(
         duration=duration,
         base_seed=base_seed,
         seed_scheme=seed_scheme,
-        sim_backend=sim_backend,
         block_reps=block_reps,
     )
     blocks: List[Optional[BlockOutcome]] = [None] * len(payloads)

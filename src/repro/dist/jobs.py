@@ -139,8 +139,8 @@ class BlockOutcome:
 def block_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     """A block payload without its replication slice.
 
-    Equal for every block of one scenario×budget cell (same layout,
-    horizon and backend): blocks with equal cells share one topology,
+    Equal for every block of one scenario×budget cell (same layout
+    and horizon): blocks with equal cells share one topology,
     one sizing and one simulation call in :func:`run_blocks`.
     """
     return {
@@ -156,8 +156,8 @@ def run_block(payload: Dict[str, Any]) -> BlockOutcome:
     The payload fully determines the outcome: scenario name, budget,
     the *global* replication layout (count, base seed, scheme — seeds
     are derived for the whole cell and indexed by the slice, so the
-    block decomposition can never change a seed), horizon and
-    simulation backend.  The sizing runs through the active cache when
+    block decomposition can never change a seed) and horizon.  The
+    sizing runs through the active cache when
     one is installed: on a fleet, the worker loop installs its
     :class:`CacheTier` (the first worker to converge a cell's sizing
     publishes it and every other block reuses it); for local runs,
@@ -193,20 +193,12 @@ def run_blocks(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
 
 def _run_cell(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
     """The blocks of one cell: one set-up, one simulation call."""
-    from repro.sim.runner import (
-        replication_seeds,
-        simulate,
-        simulate_block,
-    )
+    from repro.sim.runner import replication_seeds, simulate_block
 
     cell = payloads[0]
     spec = scenarios.get(cell["scenario"])
     topology = spec.topology()
-    context = ExecutionContext(
-        jobs=1,
-        cache=active_cache(),
-        sim_backend=cell["sim_backend"],
-    ).scoped(spec)
+    context = ExecutionContext(jobs=1, cache=active_cache()).scoped(spec)
     sizing = context.size(
         topology, cell["budget"], sizer_kwargs=dict(spec.sizer_kwargs)
     )
@@ -219,28 +211,16 @@ def _run_cell(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
         for payload in payloads
     ]
     cell_seeds = [seed for block in slices for seed in block]
-    if cell["sim_backend"] == "megabatch":
-        # One kernel cell for every replication of every slice: they
-        # advance in lockstep.  Per-replication streams are derived
-        # from the global seed list, so each result is bitwise the
-        # per-seed batched run the serial path would produce.
-        results = simulate_block(
-            topology,
-            capacities,
-            duration=cell["duration"],
-            seeds=cell_seeds,
-        )
-    else:
-        results = [
-            simulate(
-                topology,
-                capacities,
-                duration=cell["duration"],
-                seed=seed,
-                backend=cell["sim_backend"],
-            )
-            for seed in cell_seeds
-        ]
+    # One kernel cell for every replication of every slice: they
+    # advance in lockstep.  Per-replication streams are derived from
+    # the global seed list, so each result is bitwise the per-seed run
+    # the serial path would produce.
+    results = simulate_block(
+        topology,
+        capacities,
+        duration=cell["duration"],
+        seeds=cell_seeds,
+    )
     outcomes: List[BlockOutcome] = []
     offset = 0
     for payload, block in zip(payloads, slices):

@@ -121,7 +121,7 @@ class RunJournal:
                     f"journal {self.path} records a different matrix "
                     f"configuration; --resume requires identical "
                     f"scenarios, budgets, replications, seeds and "
-                    f"backend"
+                    f"horizon"
                 )
         else:
             if self.resume and self.path.exists():

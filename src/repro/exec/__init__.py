@@ -16,13 +16,10 @@ number they produce:
   store keyed by topology + configuration + code version.
 
 :class:`ExecutionContext` bundles the runtime knobs (``jobs``,
-``cache``, ``warm_start``, ``sim_backend``, ``scenario``) into the
-single object the drivers and the CLI pass around.  The default context
-is serial, uncached, warm and mega-batch-engined (the replication-
-stacked C kernel, the one default backend; ``sim_backend="batched"``
-selects the array lane and ``"heap"`` the reference event loop, all
-three bitwise-identical in fixed-seed metrics for deterministic
-arbiters).
+``cache``, ``warm_start``, ``scenario``) into the single object the
+drivers and the CLI pass around.  The default context is serial,
+uncached and warm; replication batches always run on the mega-batch
+kernel (:func:`repro.sim.runner.simulate_block`).
 """
 
 from __future__ import annotations
@@ -110,14 +107,6 @@ class ExecutionContext:
     warm_start:
         Chain budget sweeps through converged bridge rates / LP bases
         (the ``--no-warm-start`` escape hatch clears this).
-    sim_backend:
-        Simulation engine for replication batches — ``"megabatch"``
-        (the default: one kernel cell per replication batch, with a
-        counted per-seed batched fallback), ``"batched"`` (the array
-        lane) or ``"heap"`` (the reference event loop); see
-        :data:`repro.sim.runner.SIM_BACKENDS`.  Unlike ``jobs``, the
-        backend *is* part of replication cache keys: randomised
-        arbiters are only statistically equivalent across backends.
     scenario:
         Optional scenario scope (``ScenarioSpec.cache_scope()`` or any
         canonicalisable value).  When set, every cache payload this
@@ -141,7 +130,6 @@ class ExecutionContext:
     jobs: int = 1
     cache: Optional[ResultCache] = None
     warm_start: bool = True
-    sim_backend: str = "megabatch"
     scenario: Optional[Any] = None
     executor: Optional[Any] = None
     progress: Optional[Any] = None
@@ -158,7 +146,6 @@ class ExecutionContext:
         jobs: Optional[int] = 1,
         cache_dir: Optional[str] = None,
         warm_start: bool = True,
-        sim_backend: str = "megabatch",
         cache_max_mb: Optional[float] = None,
         scenario: Optional[Any] = None,
         dist: Optional[str] = None,
@@ -198,7 +185,6 @@ class ExecutionContext:
                 else None
             ),
             warm_start=bool(warm_start),
-            sim_backend=sim_backend,
             executor=executor,
             progress=progress,
         )
@@ -274,16 +260,13 @@ class ExecutionContext:
         """A cached, pooled replication batch (`ReplicationSummary`).
 
         Accepts exactly the keyword arguments of
-        :func:`repro.sim.runner.replicate`; ``jobs`` and the simulation
-        ``backend`` are injected from the context (an explicit
-        ``backend`` kwarg wins).  The cache key covers everything that
-        determines the statistics — never ``jobs``, which by the pool's
-        determinism contract cannot change them, but always ``backend``,
-        which can (randomised arbiters).
+        :func:`repro.sim.runner.replicate`; ``jobs`` is injected from
+        the context.  The cache key covers everything that determines
+        the statistics — never ``jobs``, which by the pool's
+        determinism contract cannot change them.
         """
         from repro.sim.runner import replicate
 
-        kwargs.setdefault("backend", self.sim_backend)
         # Execution-path knobs never reach the cache payload: they are
         # pure observation (on_result) or answer-preserving (executor,
         # jobs) by the pool/fleet determinism contract.

@@ -130,7 +130,6 @@ class ScenarioExperiment:
                 if timeout_multiplier is None
                 else timeout_multiplier
             ),
-            backend=context.sim_backend,
         )
         return cls(
             scenario=spec,

@@ -298,7 +298,6 @@ def run_chaos_matrix(
     duration: float = 60.0,
     base_seed: int = 0,
     seed_scheme: str = "legacy",
-    sim_backend: str = "megabatch",
     block_reps: int = 1,
     plans: Optional[Dict[str, FaultPlan]] = None,
     modes: Sequence[str] = ("serial", "jobs", "dist"),
@@ -324,7 +323,6 @@ def run_chaos_matrix(
         duration=duration,
         base_seed=base_seed,
         seed_scheme=seed_scheme,
-        sim_backend=sim_backend,
         block_reps=block_reps,
     )
     from repro.dist.fleet import run_matrix

@@ -23,7 +23,6 @@ def calibrate_timeout_threshold(
     seed: int = 0,
     floor: float = 1e-6,
     multiplier: float = 1.0,
-    backend: str = "megabatch",
 ) -> float:
     """Mean buffer waiting time of a calibration simulation.
 
@@ -34,10 +33,6 @@ def calibrate_timeout_threshold(
         pre-sizing allocation).
     duration / seed:
         Calibration run controls.
-    backend:
-        Simulation engine for the calibration run (see
-        :data:`repro.sim.runner.SIM_BACKENDS`); the experiment drivers
-        pass their context's backend through.
     floor:
         Lower bound to keep the threshold usable when the calibration
         sees almost no queueing.
@@ -53,7 +48,5 @@ def calibrate_timeout_threshold(
         raise PolicyError(f"duration must be > 0, got {duration}")
     if multiplier <= 0:
         raise PolicyError(f"multiplier must be > 0, got {multiplier}")
-    result = simulate(
-        topology, capacities, duration=duration, seed=seed, backend=backend
-    )
+    result = simulate(topology, capacities, duration=duration, seed=seed)
     return max(result.mean_waiting_time * multiplier, floor)

@@ -9,16 +9,16 @@ that exceed the timeout threshold under the timeout policy — are lost.
 Public surface:
 
 * :func:`repro.sim.runner.simulate` — run one topology + allocation
-  (``backend="megabatch"`` replication-stacked kernel, the default;
-  ``backend="batched"`` array lane, or ``backend="heap"`` reference
-  loop; see :data:`repro.sim.runner.SIM_BACKENDS`).
+  (one seed of :func:`~repro.sim.runner.simulate_block`).
 * :func:`repro.sim.runner.simulate_block` — one mega-batch kernel cell:
-  many seeds of the same configuration in a single array program.
+  many seeds of the same configuration in a single array program, with
+  a counted per-seed fallback to the batched lane for cells the kernel
+  cannot replay and hosts without a C kernel.
 * :func:`repro.sim.runner.replicate` — n seeds, aggregated statistics.
 * :class:`repro.sim.runner.SimulationResult` — per-processor losses etc.
 * Arbiters in :mod:`repro.sim.arbiter`.
-* :class:`repro.sim.batched.BatchedSystem` — the array-native lane
-  itself, for callers that drive windows manually.
+* :class:`repro.sim.batched.BatchedSystem` — the array-native per-seed
+  lane (the counted fallback), for callers that drive windows manually.
 * :class:`repro.sim.megabatch.MegaBatchLane` — the replication-stacked
   lane, for callers that drive windows manually.
 """
@@ -35,7 +35,6 @@ from repro.sim.batched import BatchedSystem
 from repro.sim.engine import BatchedSimulator, Simulator
 from repro.sim.megabatch import MegaBatchLane, megabatch_supported
 from repro.sim.runner import (
-    SIM_BACKENDS,
     ReplicationSummary,
     SimulationResult,
     replicate,
@@ -54,7 +53,6 @@ __all__ = [
     "MegaBatchLane",
     "ReplicationSummary",
     "RoundRobinArbiter",
-    "SIM_BACKENDS",
     "SimulationResult",
     "Simulator",
     "WeightedRandomArbiter",

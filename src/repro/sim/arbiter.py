@@ -216,18 +216,21 @@ def kernel_tag(arbiter: Arbiter) -> int:
     return ARB_GENERIC
 
 
+def check_arbiter_kind(kind: str) -> None:
+    """Raise :class:`PolicyError` unless ``make_arbiter`` knows ``kind``."""
+    if kind != "weighted_random" and kind not in _ARBITERS:
+        raise PolicyError(
+            f"unknown arbiter {kind!r}; choose from "
+            f"{sorted(_ARBITERS) + ['weighted_random']}"
+        )
+
+
 def make_arbiter(kind: str = "longest_queue", **kwargs) -> Arbiter:
     """Factory from a string name (used by runner/experiment configs).
 
     ``kind='weighted_random'`` additionally accepts ``weights=...``.
     """
+    check_arbiter_kind(kind)
     if kind == "weighted_random":
         return WeightedRandomArbiter(kwargs.get("weights", {}))
-    try:
-        cls = _ARBITERS[kind]
-    except KeyError:
-        raise PolicyError(
-            f"unknown arbiter {kind!r}; choose from "
-            f"{sorted(_ARBITERS) + ['weighted_random']}"
-        ) from None
-    return cls()
+    return _ARBITERS[kind]()

@@ -28,7 +28,7 @@ C build (the default, whenever a system compiler exists), and
 ``python``, the interpreted scalar kernel kept as the correctness
 oracle (selected with ``engine="python"``).  The engine choice never
 affects results (bitwise, test-enforced) and is therefore *not* part of
-scenario cache keys; the backend is.
+scenario cache keys.
 
 The lane only takes the kernel path for configurations it can replay
 exactly: deterministic arbiters (:data:`~repro.sim.arbiter
@@ -36,7 +36,7 @@ exactly: deterministic arbiters (:data:`~repro.sim.arbiter
 (:attr:`~repro.arch.traffic.TrafficDescriptor.stateless_sampling`).
 :func:`megabatch_supported` is the gate.  Unsupported cells — and every
 cell on a host where no C kernel could be built — fall back to
-sequential per-replication ``backend="batched"`` runs in
+sequential per-replication batched-lane runs in
 :func:`repro.sim.runner.simulate_block`, which counts each fallback.
 """
 
@@ -108,8 +108,9 @@ def megabatch_supported(topology: Topology, arbiter_kind: str) -> bool:
     Requires a deterministic arbiter (the kernel inlines those three
     policies) and stateless traffic descriptors (a stateful descriptor
     like TraceTraffic shares its replay cursor across replications, so
-    draws must not be interleaved).  Unsupported cells still run under
-    ``backend="megabatch"`` — via the sequential batched fallback.
+    draws must not be interleaved).  Unsupported cells still run through
+    :func:`~repro.sim.runner.simulate_block` — via the sequential
+    batched fallback.
     """
     if arbiter_kind not in KERNEL_ARBITERS:
         return False

@@ -59,19 +59,6 @@ class SimulationResult:
         return self.total_lost / self.total_offered
 
 
-#: Simulation backends accepted by :func:`simulate`.  ``"megabatch"``
-#: (the default everywhere) is the replication-stacked kernel of
-#: :mod:`repro.sim.megabatch` — one compiled array program advances
-#: every replication of a cell at once; configurations the kernel cannot
-#: replay exactly, and hosts with no C kernel, fall back to
-#: per-replication batched runs.  ``"batched"`` is the array-native
-#: lane of :mod:`repro.sim.batched`; ``"heap"`` is the reference engine
-#: (one callback per event).  All three produce bitwise-identical
-#: fixed-seed metrics for deterministic arbiters, and statistically
-#: equivalent ones under randomised arbitration.
-SIM_BACKENDS = ("heap", "batched", "megabatch")
-
-
 def simulate(
     topology: Topology,
     capacities: Dict[str, int],
@@ -81,37 +68,48 @@ def simulate(
     arbiter_weights: Optional[Dict[str, float]] = None,
     timeout_threshold: Optional[float] = None,
     warmup: float = 0.0,
-    backend: str = "megabatch",
 ) -> SimulationResult:
     """Run one simulation and collect per-processor statistics.
 
-    ``warmup`` discards an initial transient: statistics are measured only
-    on the ``[warmup, warmup + duration]`` window by running a first
-    segment and snapshotting counters.  Partially consumed RNG buffers
-    (interarrival chunks, service pools) are carried across the window
-    boundary on both backends, so the split windows consume the bit
-    stream exactly like one continuous run.
-
-    ``backend`` selects the event engine (see :data:`SIM_BACKENDS`).
+    One seed of :func:`simulate_block`: the mega-batch kernel, or its
+    counted per-seed fallback.  ``warmup`` discards an initial
+    transient: statistics are measured only on the
+    ``[warmup, warmup + duration]`` window.
     """
-    if warmup < 0:
-        raise SimulationError(f"warmup must be >= 0, got {warmup}")
-    if backend not in SIM_BACKENDS:
-        raise SimulationError(
-            f"unknown simulation backend {backend!r}; "
-            f"choose from {SIM_BACKENDS}"
-        )
-    if backend == "megabatch":
-        return simulate_block(
-            topology,
-            capacities,
-            duration=duration,
-            seeds=[seed],
-            arbiter_kind=arbiter_kind,
-            arbiter_weights=arbiter_weights,
-            timeout_threshold=timeout_threshold,
-            warmup=warmup,
-        )[0]
+    return simulate_block(
+        topology,
+        capacities,
+        duration=duration,
+        seeds=[seed],
+        arbiter_kind=arbiter_kind,
+        arbiter_weights=arbiter_weights,
+        timeout_threshold=timeout_threshold,
+        warmup=warmup,
+    )[0]
+
+
+def _simulate_seed(
+    topology: Topology,
+    capacities: Dict[str, int],
+    duration: float = 10_000.0,
+    seed: int = 0,
+    arbiter_kind: str = "longest_queue",
+    arbiter_weights: Optional[Dict[str, float]] = None,
+    timeout_threshold: Optional[float] = None,
+    warmup: float = 0.0,
+    lane: str = "batched",
+) -> SimulationResult:
+    """One seed on a per-seed lane: ``"batched"`` or the ``"heap"`` oracle.
+
+    :func:`simulate_block`'s fallback runs the batched lane; the
+    equivalence tests run both.  Warm-up runs a first window and
+    snapshots the counters.  Partially consumed RNG buffers
+    (interarrival chunks, service pools) are carried across the window
+    boundary on both lanes, so the split windows consume the bit stream
+    exactly like one continuous run.
+    """
+    if lane not in ("heap", "batched"):
+        raise SimulationError(f"unknown per-seed lane {lane!r}")
     system = CommunicationSystem(
         topology,
         capacities,
@@ -120,12 +118,12 @@ def simulate(
         timeout_threshold=timeout_threshold,
         seed=seed,
     )
-    if backend == "batched":
+    if lane == "batched":
         from repro.sim.batched import BatchedSystem
 
-        lane = BatchedSystem(system)
-        lane.start()
-        advance = lane.run_until
+        batched = BatchedSystem(system)
+        batched.start()
+        advance = batched.run_until
     else:
         for source in system.sources:
             source.start()
@@ -139,7 +137,7 @@ def simulate(
     # zero-allocation test in tests/test_obs.py pins this).
     if warmup > 0:
         with obs.span("sim.window") as span:
-            span.set("backend", backend)
+            span.set("backend", lane)
             span.set("phase", "warmup")
             advance(warmup)
         baseline_offered = dict(system.monitor.offered)
@@ -147,7 +145,7 @@ def simulate(
         baseline_timeout = dict(system.monitor.timed_out)
         baseline_delivered = dict(system.monitor.delivered)
     with obs.span("sim.window") as span:
-        span.set("backend", backend)
+        span.set("backend", lane)
         span.set("phase", "measure")
         advance(warmup + duration)
     obs.counter("sim.windows").inc()
@@ -195,13 +193,13 @@ def simulate_block(
     All seeds share one cell (same topology, capacities, arbiter and
     timeout); one :class:`~repro.sim.megabatch.MegaBatchLane` advances
     every replication per kernel invocation.  Results are returned in
-    seed order and are bitwise identical to running
-    ``simulate(..., backend="batched")`` per seed.  Cells the kernel
-    cannot replay exactly (randomised arbiters, stateful traffic
-    descriptors) take exactly that per-seed path as a fallback, counted
-    once per block in ``sim.megabatch.fallback.unsupported``; so does
-    every cell when no C kernel could be built and no ``engine`` was
-    forced, counted in ``sim.megabatch.fallback.no_kernel``.  The
+    seed order and are bitwise identical to running the batched lane
+    per seed (``_simulate_seed``).  Cells the kernel cannot replay
+    exactly (randomised arbiters, stateful traffic descriptors) take
+    exactly that per-seed path as a fallback, counted once per block in
+    ``sim.megabatch.fallback.unsupported``; so does every cell when no
+    C kernel could be built (or ``REPRO_SIM_CC=0``) and no ``engine``
+    was forced, counted in ``sim.megabatch.fallback.no_kernel``.  The
     equality is therefore universal.  ``engine="python"`` forces the
     interpreted kernel (see :func:`repro.sim.megabatch.resolve_engine`).
     """
@@ -211,7 +209,11 @@ def simulate_block(
     if not seed_list:
         raise SimulationError("simulate_block needs at least one seed")
     from repro.sim import _mbcc
+    from repro.sim.arbiter import check_arbiter_kind
     from repro.sim.megabatch import MegaBatchLane, megabatch_supported
+
+    # A typo'd arbiter is an error, not an unsupported cell.
+    check_arbiter_kind(arbiter_kind)
 
     fallback = None
     if not megabatch_supported(topology, arbiter_kind):
@@ -221,16 +223,15 @@ def simulate_block(
     if fallback is not None:
         obs.counter(fallback).inc()
         return [
-            simulate(
+            _simulate_seed(
                 topology,
                 capacities,
-                duration=duration,
-                seed=s,
+                duration,
+                s,
                 arbiter_kind=arbiter_kind,
                 arbiter_weights=arbiter_weights,
                 timeout_threshold=timeout_threshold,
                 warmup=warmup,
-                backend="batched",
             )
             for s in seed_list
         ]
@@ -279,7 +280,7 @@ def simulate_block(
                 timed_out=window(lane.timed_out, base_timeout),
                 delivered=window(lane.delivered, base_delivered),
                 # Means are cumulative (warmup included), matching
-                # simulate()'s monitor-level means on every backend.
+                # the per-seed lanes' monitor-level means.
                 mean_waiting_time=monitor.mean_waiting_time(),
                 mean_end_to_end=monitor.mean_end_to_end(),
             )
@@ -363,16 +364,6 @@ def replication_seeds(
     )
 
 
-def _simulate_job(
-    job: Tuple[Topology, Dict[str, int], float, int, dict]
-) -> SimulationResult:
-    """Pool worker: one independent simulation (pure in its arguments)."""
-    topology, capacities, duration, seed, kwargs = job
-    return simulate(
-        topology, capacities, duration=duration, seed=seed, **kwargs
-    )
-
-
 def _simulate_block_job(
     job: Tuple[Topology, Dict[str, int], float, List[int], dict]
 ) -> List[SimulationResult]:
@@ -403,60 +394,44 @@ def replicate(
 ) -> ReplicationSummary:
     """Run ``replications`` independent simulations (the paper's 10 iterations).
 
-    ``jobs`` fans the independent-seed runs over a process pool via
-    :mod:`repro.exec.pool` — or over a distributed fleet when
-    ``executor`` (e.g. :class:`repro.dist.DistExecutor`) is given;
-    seeds are derived up front and results are merged in replication
-    order, so any ``jobs``/executor choice produces a bitwise-identical
+    The seed list is partitioned into contiguous blocks, one
+    :func:`simulate_block` cell each.  ``jobs`` fans the blocks over a
+    process pool via :mod:`repro.exec.pool` — or over a distributed
+    fleet when ``executor`` (e.g. :class:`repro.dist.DistExecutor`) is
+    given.  Seeds are derived up front, the per-replication streams are
+    independent, and results are merged in replication order, so any
+    ``jobs``/executor choice produces a bitwise-identical
     :class:`ReplicationSummary`.  ``on_result(index, result)`` fires in
     replication order as runs complete.  ``seed_scheme`` selects how
     per-replication seeds are derived (see :func:`replication_seeds`).
-    Remaining keyword arguments — including the simulation ``backend``
-    (default ``"megabatch"``) — pass through to :func:`simulate`.
+    Remaining keyword arguments pass through to :func:`simulate_block`.
     """
     seeds = replication_seeds(replications, base_seed, seed_scheme)
-    if kwargs.get("backend", "megabatch") == "megabatch":
-        # Block dispatch: partition the seed list into contiguous
-        # blocks — one mega-batch kernel cell per worker — and flatten
-        # the per-block result lists back in replication order.  The
-        # per-replication streams are independent, so every partition
-        # (serial, jobs=N, distributed) merges bitwise-identically.
-        sim_kwargs = {k: v for k, v in kwargs.items() if k != "backend"}
-        if executor is not None:
-            nblocks = -(-replications // MEGABATCH_DIST_BLOCK)
-        else:
-            nblocks = min(resolve_jobs(jobs), replications)
-        spans = partition_blocks(replications, nblocks)
-        block_jobs = [
-            (topology, capacities, duration, seeds[lo:hi], sim_kwargs)
-            for lo, hi in spans
-        ]
-        block_on_result = None
-        if on_result is not None:
-            starts = [lo for lo, _ in spans]
+    if executor is not None:
+        nblocks = -(-replications // MEGABATCH_DIST_BLOCK)
+    else:
+        nblocks = min(resolve_jobs(jobs), replications)
+    spans = partition_blocks(replications, nblocks)
+    block_jobs = [
+        (topology, capacities, duration, seeds[lo:hi], kwargs)
+        for lo, hi in spans
+    ]
+    block_on_result = None
+    if on_result is not None:
+        starts = [lo for lo, _ in spans]
 
-            def block_on_result(block_index, block):
-                # Explode block results into per-replication progress
-                # events; blocks complete in submission order, so the
-                # global indices fire in replication order.
-                for offset, result in enumerate(block):
-                    on_result(starts[block_index] + offset, result)
+        def block_on_result(block_index, block):
+            # Explode block results into per-replication progress
+            # events; blocks complete in submission order, so the
+            # global indices fire in replication order.
+            for offset, result in enumerate(block):
+                on_result(starts[block_index] + offset, result)
 
-        blocks = parallel_map(
-            _simulate_block_job,
-            block_jobs,
-            jobs=jobs,
-            executor=executor,
-            on_result=block_on_result,
-        )
-        return ReplicationSummary(
-            [result for block in blocks for result in block]
-        )
-    results = parallel_map(
-        _simulate_job,
-        [(topology, capacities, duration, seed, kwargs) for seed in seeds],
+    blocks = parallel_map(
+        _simulate_block_job,
+        block_jobs,
         jobs=jobs,
         executor=executor,
-        on_result=on_result,
+        on_result=block_on_result,
     )
-    return ReplicationSummary(results)
+    return ReplicationSummary([result for block in blocks for result in block])

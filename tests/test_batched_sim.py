@@ -1,6 +1,8 @@
 """Equivalence suite for the batched simulation lane (repro.sim.batched).
 
-The batched backend must be a pure speedup: for deterministic arbiters
+The batched lane, the counted fallback of ``simulate_block``, must be a
+pure speedup over the heap oracle; both run through the private per-seed
+function ``_simulate_seed``.  For deterministic arbiters
 (fixed priority, round robin, longest queue) fixed-seed metrics are
 bitwise identical to the heap engine across timeout/warmup configs and
 topologies; for randomised arbitration it must agree within batch-means
@@ -8,6 +10,8 @@ confidence tolerance.  The lane's building blocks — the same-timestamp
 drain core, the occupancy-count grant surface, the block RNG draws, the
 packet ring — are each pinned to their object-engine references here.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -27,7 +31,13 @@ from repro.sim.buffer import FiniteBuffer, PacketRing
 from repro.sim.engine import BatchedSimulator
 from repro.sim.fastpath import ExponentialPool
 from repro.sim.packet import Hop, Packet
-from repro.sim.runner import SIM_BACKENDS, replicate, simulate
+from repro.sim.runner import (
+    ReplicationSummary,
+    _simulate_seed,
+    replicate,
+    replication_seeds,
+    simulate,
+)
 from repro.sim.system import CommunicationSystem
 from repro.sim.workloads import (
     RequestTrace,
@@ -37,6 +47,18 @@ from repro.sim.workloads import (
 )
 
 DETERMINISTIC_ARBITERS = ("fixed_priority", "round_robin", "longest_queue")
+
+
+def replicate_lane(lane, topology, capacities, replications, base_seed=0,
+                   **kwargs):
+    """:func:`replicate`'s seeds, each run on one per-seed lane."""
+    return ReplicationSummary(
+        [
+            _simulate_seed(topology, capacities, seed=seed, lane=lane,
+                           **kwargs)
+            for seed in replication_seeds(replications, base_seed)
+        ]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -216,11 +238,8 @@ class TestPacketRing:
 
 class TestBackendValidation:
     def test_unknown_backend_rejected(self, fig1, fig1_caps):
-        with pytest.raises(SimulationError, match="backend"):
-            simulate(fig1, fig1_caps, duration=10.0, backend="quantum")
-
-    def test_backends_registry(self):
-        assert SIM_BACKENDS == ("heap", "batched", "megabatch")
+        with pytest.raises(SimulationError, match="lane"):
+            _simulate_seed(fig1, fig1_caps, duration=10.0, lane="quantum")
 
     def test_lane_rejects_started_system(self, fig1, fig1_caps):
         system = CommunicationSystem(fig1, fig1_caps)
@@ -255,18 +274,18 @@ class TestHeapBatchedEquivalence:
             timeout_threshold=timeout,
             warmup=warmup,
         )
-        heap = simulate(netproc, netproc_caps, backend="heap", **kwargs)
-        batched = simulate(
-            netproc, netproc_caps, backend="batched", **kwargs
+        heap = _simulate_seed(netproc, netproc_caps, lane="heap", **kwargs)
+        batched = _simulate_seed(
+            netproc, netproc_caps, lane="batched", **kwargs
         )
         assert heap == batched
 
     @pytest.mark.parametrize("arbiter", DETERMINISTIC_ARBITERS)
     def test_bridged_figure1(self, fig1, fig1_caps, arbiter):
         kwargs = dict(duration=400.0, seed=11, arbiter_kind=arbiter)
-        assert simulate(fig1, fig1_caps, backend="heap", **kwargs) == simulate(
-            fig1, fig1_caps, backend="batched", **kwargs
-        )
+        heap = _simulate_seed(fig1, fig1_caps, lane="heap", **kwargs)
+        batched = _simulate_seed(fig1, fig1_caps, lane="batched", **kwargs)
+        assert heap == batched
 
     def test_amba_with_timeout_and_warmup(self):
         topology = amba_like()
@@ -278,9 +297,9 @@ class TestHeapBatchedEquivalence:
             timeout_threshold=1.2,
             warmup=40.0,
         )
-        assert simulate(topology, caps, backend="heap", **kwargs) == simulate(
-            topology, caps, backend="batched", **kwargs
-        )
+        heap = _simulate_seed(topology, caps, lane="heap", **kwargs)
+        batched = _simulate_seed(topology, caps, lane="batched", **kwargs)
+        assert heap == batched
 
     def test_zero_capacity_bridge_buffers(self, netproc):
         # Processor-only allocation: every bridge entry defaults to 0
@@ -288,16 +307,16 @@ class TestHeapBatchedEquivalence:
         # "forgot the bridge buffers" regime must match too.
         caps = {p: 8 for p in netproc.processors}
         kwargs = dict(duration=120.0, seed=2)
-        assert simulate(netproc, caps, backend="heap", **kwargs) == simulate(
-            netproc, caps, backend="batched", **kwargs
-        )
+        heap = _simulate_seed(netproc, caps, lane="heap", **kwargs)
+        batched = _simulate_seed(netproc, caps, lane="batched", **kwargs)
+        assert heap == batched
 
     def test_different_seeds_differ(self, netproc, netproc_caps):
-        a = simulate(
-            netproc, netproc_caps, duration=120.0, seed=1, backend="batched"
+        a = _simulate_seed(
+            netproc, netproc_caps, duration=120.0, seed=1, lane="batched"
         )
-        b = simulate(
-            netproc, netproc_caps, duration=120.0, seed=2, backend="batched"
+        b = _simulate_seed(
+            netproc, netproc_caps, duration=120.0, seed=2, lane="batched"
         )
         assert a != b
 
@@ -307,36 +326,30 @@ class TestHeapBatchedEquivalence:
         A warmed run and an unwarmed run over the same total horizon
         consume the bit stream identically, so the warmed run's offered
         counts plus its discarded baseline must reproduce the full-run
-        counts — on both backends, and identically across them.
+        counts — on every lane, and identically across them.
         """
-        for backend in SIM_BACKENDS:
-            full = simulate(
-                netproc,
-                netproc_caps,
-                duration=200.0,
-                seed=6,
-                backend=backend,
-            )
-            warmed = simulate(
-                netproc,
-                netproc_caps,
-                duration=150.0,
-                warmup=50.0,
-                seed=6,
-                backend=backend,
+        runs = (
+            functools.partial(_simulate_seed, lane="heap"),
+            functools.partial(_simulate_seed, lane="batched"),
+            simulate,
+        )
+        for run in runs:
+            full = run(netproc, netproc_caps, duration=200.0, seed=6)
+            warmed = run(
+                netproc, netproc_caps, duration=150.0, warmup=50.0, seed=6
             )
             assert sum(warmed.offered.values()) <= sum(full.offered.values())
-        heap = simulate(
+        heap = _simulate_seed(
             netproc, netproc_caps, duration=150.0, warmup=50.0, seed=6,
-            backend="heap",
+            lane="heap",
         )
-        batched = simulate(
+        batched = _simulate_seed(
             netproc,
             netproc_caps,
             duration=150.0,
             warmup=50.0,
             seed=6,
-            backend="batched",
+            lane="batched",
         )
         assert heap == batched
 
@@ -353,9 +366,9 @@ class TestRandomisedArbiterEquivalence:
             arbiter_kind="weighted_random",
             arbiter_weights=weights,
         )
-        heap = replicate(netproc, netproc_caps, backend="heap", **kwargs)
-        batched = replicate(
-            netproc, netproc_caps, backend="batched", **kwargs
+        heap = replicate_lane("heap", netproc, netproc_caps, **kwargs)
+        batched = replicate_lane(
+            "batched", netproc, netproc_caps, **kwargs
         )
         spread = max(heap.std_total_loss(), 1.0)
         assert abs(
@@ -365,7 +378,7 @@ class TestRandomisedArbiterEquivalence:
     def test_weighted_random_bitwise_today(self, fig1, fig1_caps):
         # Stronger than the contract: grant_counts mirrors the exact
         # generator calls of grant, so even randomised arbitration is
-        # currently bitwise across backends.  If a future lane change
+        # currently bitwise across lanes.  If a future lane change
         # legitimately breaks this, demote the test to the CI-tolerance
         # contract above.
         weights = {"p1": 2.0, "p3": 0.5}
@@ -375,16 +388,18 @@ class TestRandomisedArbiterEquivalence:
             arbiter_kind="weighted_random",
             arbiter_weights=weights,
         )
-        assert simulate(fig1, fig1_caps, backend="heap", **kwargs) == simulate(
-            fig1, fig1_caps, backend="batched", **kwargs
-        )
+        heap = _simulate_seed(fig1, fig1_caps, lane="heap", **kwargs)
+        batched = _simulate_seed(fig1, fig1_caps, lane="batched", **kwargs)
+        assert heap == batched
 
 
 class TestPooledBatchedReplication:
-    def test_jobs_bitwise_identical_to_serial(self, fig1, fig1_caps):
-        kwargs = dict(
-            replications=4, duration=120.0, base_seed=7, backend="batched"
-        )
+    def test_jobs_bitwise_identical_to_serial(
+        self, monkeypatch, fig1, fig1_caps
+    ):
+        # The counted no-kernel fallback: the batched lane per seed.
+        monkeypatch.setenv("REPRO_SIM_CC", "0")
+        kwargs = dict(replications=4, duration=120.0, base_seed=7)
         serial = replicate(fig1, fig1_caps, jobs=1, **kwargs)
         pooled = replicate(fig1, fig1_caps, jobs=2, **kwargs)
         assert len(serial.results) == len(pooled.results)
@@ -393,8 +408,8 @@ class TestPooledBatchedReplication:
 
     def test_batched_replication_matches_heap(self, fig1, fig1_caps):
         kwargs = dict(replications=3, duration=100.0, base_seed=1)
-        heap = replicate(fig1, fig1_caps, backend="heap", **kwargs)
-        batched = replicate(fig1, fig1_caps, backend="batched", **kwargs)
+        heap = replicate_lane("heap", fig1, fig1_caps, **kwargs)
+        batched = replicate_lane("batched", fig1, fig1_caps, **kwargs)
         for a, b in zip(heap.results, batched.results):
             assert a == b
 
@@ -415,18 +430,18 @@ class TestTraceWorkloads:
 
     def test_trace_replay_equivalent_across_backends(self, fig1):
         # TraceTraffic replay cursors are stateful across runs (a
-        # pre-existing property of the descriptor, backend-independent),
-        # so each backend gets its own freshly replayed topology.
+        # pre-existing property of the descriptor, lane-independent),
+        # so each lane gets its own freshly replayed topology.
         trace = record_trace(fig1, duration=200.0, seed=4)
         caps = UniformSizing().allocate(
             replay_topology(fig1, trace), 40
         ).as_capacities()
         kwargs = dict(duration=200.0, seed=0)
-        heap = simulate(
-            replay_topology(fig1, trace), caps, backend="heap", **kwargs
+        heap = _simulate_seed(
+            replay_topology(fig1, trace), caps, lane="heap", **kwargs
         )
-        batched = simulate(
-            replay_topology(fig1, trace), caps, backend="batched", **kwargs
+        batched = _simulate_seed(
+            replay_topology(fig1, trace), caps, lane="batched", **kwargs
         )
         assert heap == batched
 
@@ -445,11 +460,11 @@ class TestTraceWorkloads:
             replay_topology(fig1, trace), 12
         ).as_capacities()
         kwargs = dict(duration=30.0, seed=0, arbiter_kind="fixed_priority")
-        heap = simulate(
-            replay_topology(fig1, trace), caps, backend="heap", **kwargs
+        heap = _simulate_seed(
+            replay_topology(fig1, trace), caps, lane="heap", **kwargs
         )
-        batched = simulate(
-            replay_topology(fig1, trace), caps, backend="batched", **kwargs
+        batched = _simulate_seed(
+            replay_topology(fig1, trace), caps, lane="batched", **kwargs
         )
         assert heap == batched
 
@@ -466,8 +481,8 @@ class TestLaneInternals:
             assert len(ring.snapshot()) == ring.count
 
     def test_monitor_balance(self, netproc, netproc_caps):
-        result = simulate(
-            netproc, netproc_caps, duration=150.0, seed=0, backend="batched"
+        result = _simulate_seed(
+            netproc, netproc_caps, duration=150.0, seed=0, lane="batched"
         )
         # Conservation: everything offered is delivered, lost, or still
         # in flight (bounded by total buffer space + in-service slots).

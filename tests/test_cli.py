@@ -157,28 +157,6 @@ class TestRuntimeFlags:
         ]) == 0
         assert "mean total loss" in capsys.readouterr().out
 
-    def test_sim_backend_flag(self, arch_file, capsys):
-        base = [
-            "simulate", arch_file, "--budget", "12",
-            "--policy", "uniform", "--duration", "200", "--reps", "2",
-        ]
-        # The default is the mega-batch kernel; --sim-backend batched
-        # and heap select the array lane and the reference engine.  The
-        # default longest-queue arbiter is deterministic, so all three
-        # must report byte-identical statistics.
-        assert main(base) == 0
-        default_out = capsys.readouterr().out
-        for backend in ("batched", "heap"):
-            assert main(base + ["--sim-backend", backend]) == 0
-            assert capsys.readouterr().out == default_out
-
-    def test_sim_backend_choices_enforced(self, arch_file):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([
-                "simulate", arch_file, "--budget", "8",
-                "--sim-backend", "quantum",
-            ])
-
     def test_cache_max_mb_flag(self, arch_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         argv = [

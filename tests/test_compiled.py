@@ -23,6 +23,7 @@ from repro.core.bus_model import (
     BusClient,
     build_client_chain_ctmdp,
     build_joint_bus_ctmdp,
+    bus_time_coefficients,
     joint_client_marginals,
 )
 from repro.core.compiled import (
@@ -34,9 +35,15 @@ from repro.core.compiled import (
     solve_sparse_lp,
 )
 from repro.core.ctmdp import CTMDP, Transition
-from repro.core.dp import policy_iteration, relative_value_iteration
-from repro.core.lp import AverageCostLP, BlockLP
+from repro.core.dp import (
+    _reference_pi,
+    _reference_rvi,
+    policy_iteration,
+    relative_value_iteration,
+)
+from repro.core.lp import AverageCostLP, BlockLP, BlockProgram
 from repro.core.sizing import BufferSizer
+from repro.core.splitting import split
 from repro.errors import ModelError
 
 
@@ -117,7 +124,7 @@ class TestVectorizedDP:
     def test_rvi_matches_reference(self, seed):
         model = build_joint_bus_ctmdp(random_clients(seed))
         fast = relative_value_iteration(model, tol=1e-11)
-        ref = relative_value_iteration(model, tol=1e-11, use_compiled=False)
+        ref = _reference_rvi(model, tol=1e-11)
         assert fast.average_cost_rate == pytest.approx(
             ref.average_cost_rate, abs=1e-9
         )
@@ -131,7 +138,7 @@ class TestVectorizedDP:
     def test_pi_matches_reference(self, seed):
         model = build_joint_bus_ctmdp(random_clients(seed))
         fast = policy_iteration(model)
-        ref = policy_iteration(model, use_compiled=False)
+        ref = _reference_pi(model)
         assert fast.average_cost_rate == pytest.approx(
             ref.average_cost_rate, abs=1e-9
         )
@@ -311,26 +318,130 @@ class TestCompiledBlockLP:
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
+#: The cases the sizing loop is held to its oracles on: joint
+#: subsystems, the per-client chain fallback, and a joint-state limit
+#: small enough that every subsystem falls back to chains (its cold
+#: loop runs in ``test_sizing_builds_each_chain_once``).
+SIZER_CASES = {
+    "fig1@24": (paper_figure1, dict(total_budget=24)),
+    "amba@16": (amba_like, dict(total_budget=16)),
+    "amba@40-chain": (
+        amba_like,
+        dict(total_budget=40, capacity_cap=5, joint_state_limit=1),
+    ),
+    "fig1@24-limit2": (
+        paper_figure1, dict(total_budget=24, joint_state_limit=2)
+    ),
+}
+
+
+def assert_same_sizing(warm, cold):
+    """Same allocation, and objectives within the fixed point's reach."""
+    assert warm.allocation.sizes == cold.allocation.sizes
+    assert warm.expected_loss_rate == pytest.approx(
+        cold.expected_loss_rate, abs=1e-6
+    )
+
+
+def size_cold(monkeypatch, sizer, topology):
+    """``sizer.size(topology)`` with every LP of the loop solved cold."""
+    solve = BlockProgram.solve
+
+    def cold(self, *args, **kwargs):
+        kwargs["warm"] = False
+        return solve(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BlockProgram, "solve", cold)
+        return sizer.size(topology)
+
+
+def dict_block_lp(sizer, topology):
+    """The sizing loop's first LP, assembled by :class:`BlockLP` from the
+    dict builders.
+
+    An independent construction of the same program: dict-built CTMDPs,
+    ``bus_time_coefficients`` rows and ``add_shared_budget``.  Joint
+    models register their states in lattice order
+    (:func:`joint_bus_model_in_lattice_order`) so that columns line up.
+    """
+    cap = sizer._derive_cap(topology)
+    block_lp = BlockLP()
+    for sub in split(topology, cap).subsystems:
+        if not sub.clients:
+            continue
+        model_cap = sizer._model_cap(len(sub.clients), cap)
+        if model_cap is not None:
+            block_lp.add_block(
+                joint_bus_model_in_lattice_order(
+                    [c.with_capacity(model_cap) for c in sub.clients]
+                )
+            )
+            continue
+        chains = [
+            build_client_chain_ctmdp(
+                client, holding_cost_rate=chain_holding(client)
+            )
+            for client in (c.with_capacity(min(cap, 30)) for c in sub.clients)
+        ]
+        for model in chains:
+            block_lp.add_block(model)
+        coefficients = [
+            {} for _ in range(block_lp.num_blocks - len(chains))
+        ] + [bus_time_coefficients(model) for model in chains]
+        block_lp.add_shared_constraint(
+            f"bus_time[{sub.index}]", coefficients, bound=1.0
+        )
+    block_lp.add_shared_budget(
+        "budget", SPACE, bound=sizer.space_fraction * sizer.total_budget
+    )
+    return block_lp
+
+
 class TestCompiledSizerEquivalence:
+    """The one fixed-point loop against its two oracles: itself with
+    every LP solved cold, and its first LP against the one
+    :class:`BlockLP` assembles from the dict builders."""
+
+    @staticmethod
+    def assert_matches_cold(monkeypatch, factory, kwargs):
+        assert_same_sizing(
+            BufferSizer(**kwargs).size(factory()),
+            size_cold(monkeypatch, BufferSizer(**kwargs), factory()),
+        )
+
     @pytest.mark.parametrize(
         "topology_factory,budget",
         [(paper_figure1, 24), (amba_like, 16)],
     )
-    def test_allocations_match_reference_path(self, topology_factory, budget):
-        fast = BufferSizer(total_budget=budget).size(topology_factory())
-        ref = BufferSizer(
-            total_budget=budget, use_compiled=False
-        ).size(topology_factory())
-        assert fast.allocation.sizes == ref.allocation.sizes
-        assert fast.expected_loss_rate == pytest.approx(
-            ref.expected_loss_rate, abs=1e-6
+    def test_allocations_match_reference_path(
+        self, monkeypatch, topology_factory, budget
+    ):
+        self.assert_matches_cold(
+            monkeypatch, topology_factory, dict(total_budget=budget)
         )
 
-    def test_chain_fallback_allocations_match(self):
-        kwargs = dict(total_budget=40, capacity_cap=5, joint_state_limit=1)
-        fast = BufferSizer(**kwargs).size(amba_like())
-        ref = BufferSizer(use_compiled=False, **kwargs).size(amba_like())
-        assert fast.allocation.sizes == ref.allocation.sizes
+    def test_chain_fallback_allocations_match(self, monkeypatch):
+        self.assert_matches_cold(monkeypatch, *SIZER_CASES["amba@40-chain"])
+
+    @pytest.mark.parametrize("case", sorted(SIZER_CASES))
+    def test_first_lp_matches_dict_assembly(self, monkeypatch, case):
+        factory, kwargs = SIZER_CASES[case]
+        sizer = BufferSizer(**kwargs)
+        topology = factory()
+        cost, a_eq, b_eq, a_ub, b_ub = first_lp(
+            monkeypatch, lambda: sizer.size(topology)
+        )
+        ref_cost, ref_eq, ref_b_eq, ref_ub, ref_b_ub = first_lp(
+            monkeypatch, dict_block_lp(sizer, topology).solve
+        )
+        assert (a_eq.shape, a_ub.shape) == (ref_eq.shape, ref_ub.shape)
+        # Bitwise on every case, which is stronger than the 1e-12
+        # relative agreement the two constructions need.
+        assert_bitwise(
+            (cost, b_eq, b_ub, *column_arrays(a_eq, a_ub)),
+            (ref_cost, ref_b_eq, ref_b_ub, *column_arrays(ref_eq, ref_ub)),
+        )
 
 
 def chain_holding(client):
@@ -417,7 +528,7 @@ class TestCompiledClientChain:
         The ROADMAP acceptance: chain-path sizing must construct each
         per-client block exactly once however many bridge-rate
         iterations run, while producing the same allocation as the
-        rebuild-everything reference path.
+        same loop solved cold at every step.
         """
         from repro.core import sizing as sizing_mod
 
@@ -436,8 +547,8 @@ class TestCompiledClientChain:
         num_clients = len(fast.split_system.all_client_names())
         assert fast.fixed_point_iterations >= 2
         assert sum(built) == num_clients
-        ref = BufferSizer(use_compiled=False, **kwargs).size(paper_figure1())
-        assert fast.allocation.sizes == ref.allocation.sizes
+        cold = size_cold(monkeypatch, BufferSizer(**kwargs), paper_figure1())
+        assert_same_sizing(fast, cold)
 
 
 class TestFixedSeedRegression:

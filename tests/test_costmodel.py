@@ -15,6 +15,7 @@ import pytest
 
 from repro.dist.costmodel import (
     DEFAULT_UNIT_COST,
+    STATE_SCHEMA,
     CostModel,
     job_features,
 )
@@ -26,7 +27,6 @@ class TestJobFeatures:
         payload = {
             "scenario": "amba",
             "budget": 16,
-            "sim_backend": "batched",
             "duration": 500.0,
             "start": 2,
             "stop": 6,
@@ -35,7 +35,6 @@ class TestJobFeatures:
         assert features["kind"] == "run_block"
         assert features["scenario"] == "amba"
         assert features["budget"] == 16
-        assert features["sim_backend"] == "batched"
         assert features["units"] == 500.0 * 4
 
     def test_sleep_block_payload_units_are_duration(self):
@@ -72,13 +71,10 @@ class TestPredict:
 
     def test_most_specific_key_wins(self):
         model = CostModel()
-        fine = {
-            "kind": "k", "scenario": "s", "sim_backend": "b",
-            "budget": 8, "units": 1.0,
-        }
+        fine = {"kind": "k", "scenario": "s", "budget": 8, "units": 1.0}
         coarse = {"kind": "k", "scenario": "other", "units": 1.0}
         model.observe(fine, 2.0)
-        # The same scenario+backend at a *new* budget inherits the
+        # The same scenario at a *new* budget inherits the
         # scenario-level rate from that one observation.
         sibling = dict(fine, budget=16)
         assert model.predict(fine) == pytest.approx(2.0)
@@ -233,11 +229,41 @@ class TestPersistence:
         model = CostModel()
         model.observe({"kind": "k", "units": 1.0}, 1.0)
         assert not model.from_state(
-            {"schema": 1, "rates": {"k": ["not-a-number", 1]}}
+            {"schema": STATE_SCHEMA, "rates": {"k": ["not-a-number", 1]}}
         )
         assert model.predict({"kind": "k", "units": 1.0}) == (
             pytest.approx(DEFAULT_UNIT_COST)
         )
+
+    def test_schema_1_snapshot_is_a_cold_start(self):
+        # Schema 1 keyed rates by (kind, scenario, backend, budget).
+        # Read as schema 2, "run_block|amba|megabatch" would pass for
+        # amba's rate at a budget named "megabatch".
+        from repro.dist.queue import Broker
+
+        snapshot = {
+            "schema": 1,
+            "alpha": 0.25,
+            "default_unit_cost": DEFAULT_UNIT_COST,
+            "rates": {
+                "run_block|amba|megabatch|16": [2.0, 3],
+                "run_block|amba|megabatch": [2.0, 3],
+                "run_block": [2.0, 3],
+            },
+            "priors": {},
+            "global": 2.0,
+            "observations": 3,
+        }
+        broker = Broker(lease_timeout=10.0)
+        assert not broker.cost_seed(snapshot)
+        model = broker.cost_model
+        assert model.observations == 0
+        features = {
+            "kind": "run_block", "scenario": "amba", "budget": 16,
+            "units": 1.0,
+        }
+        assert model.predict(features) == pytest.approx(DEFAULT_UNIT_COST)
+        assert model.observed_cost(features) is None
 
     def test_invalid_alpha_rejected(self):
         for alpha in (0.0, -0.5, 1.5):

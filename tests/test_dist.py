@@ -860,7 +860,6 @@ class TestFleetMatrix:
             "duration": 100.0,
             "base_seed": 0,
             "seed_scheme": "legacy",
-            "sim_backend": "batched",
         }
         first = run_block(dict(payload))
         second = run_block(dict(payload))
@@ -1428,7 +1427,7 @@ class TestCostScheduling:
         # A cold replicate() batch: unit-less features of one kind.
         # Bulk-leasing it would pin all ten jobs to the first worker.
         broker = Broker(lease_timeout=10.0)
-        features = [{"kind": "_simulate_job", "units": 1.0}] * 10
+        features = [{"kind": "_simulate_block_job", "units": 1.0}] * 10
         broker.submit(
             "b", [JobPayload(echo, i) for i in range(10)], features=features
         )
@@ -1779,14 +1778,17 @@ class TestCoalescedBlocks:
         yield
         dist_jobs.set_active_cache(previous)
 
-    @pytest.mark.parametrize("backend", ["megabatch", "batched"])
-    def test_run_blocks_equals_per_block_runs(self, memo, backend):
+    @pytest.mark.parametrize("lane", ["megabatch", "batched"])
+    def test_run_blocks_equals_per_block_runs(self, memo, monkeypatch, lane):
         from repro.dist.jobs import run_blocks
         from repro.exec.cache import canonicalize
 
+        if lane == "batched":
+            # The counted no-kernel fallback: the batched lane per seed.
+            monkeypatch.setenv("REPRO_SIM_CC", "0")
         payloads = build_matrix(
             ["amba", "single-bus-4"], budgets=[12], replications=5,
-            duration=100.0, block_reps=2, sim_backend=backend,
+            duration=100.0, block_reps=2,
         )
         # Two cells of three blocks each, the last one short.
         assert [p["stop"] - p["start"] for p in payloads] == [2, 2, 1] * 2
@@ -1979,23 +1981,30 @@ class TestCostDeterminismMatrix:
 
     MATRIX = dict(budgets=[8, 16], replications=2, duration=100.0)
 
-    @pytest.mark.parametrize("sim_backend", ["batched", "megabatch"])
+    @pytest.mark.parametrize("lane", ["batched", "megabatch"])
     def test_cost_fifo_serial_identical_under_worker_death(
-        self, server, sim_backend
+        self, server, monkeypatch, lane
     ):
         # The first pass meets a cold model, which dispatches in
         # arrival (FIFO) order with one unpinned job per lease; a
         # worker dies during it.  The second pass runs warm: cost
         # order and pinned bulk leases.
-        matrix = dict(self.MATRIX, sim_backend=sim_backend)
-        serial = run_matrix(["single-bus-4"], jobs=1, **matrix)
+        if lane == "batched":
+            # The counted no-kernel fallback, in the driver and in the
+            # forked workers alike.
+            monkeypatch.setenv("REPRO_SIM_CC", "0")
+        serial = run_matrix(["single-bus-4"], jobs=1, **self.MATRIX)
         workers = [_start_worker(server.address) for _ in range(2)]
         killer = threading.Timer(0.4, workers[0].kill)
         killer.start()
         try:
             executor = DistExecutor(server.address, timeout=240)
-            cold = run_matrix(["single-bus-4"], executor=executor, **matrix)
-            warm = run_matrix(["single-bus-4"], executor=executor, **matrix)
+            cold = run_matrix(
+                ["single-bus-4"], executor=executor, **self.MATRIX
+            )
+            warm = run_matrix(
+                ["single-bus-4"], executor=executor, **self.MATRIX
+            )
         finally:
             killer.cancel()
             for worker in workers:

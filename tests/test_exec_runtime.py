@@ -394,85 +394,46 @@ class TestCacheEviction:
         assert context.cache.max_bytes == int(2.5 * 1024 * 1024)
 
 
-class TestSimBackendThreading:
-    """ExecutionContext.sim_backend reaches replicate() and cache keys."""
-
-    def test_default_backend_is_megabatch_everywhere(self):
-        # One default backend: every entry point that takes a backend
-        # defaults to the mega-batch kernel (batched and heap stay
-        # selectable as the per-seed lane and the reference engine).
+class TestOnePath:
+    def test_no_entry_point_takes_a_selector(self):
+        """Simulation and sizing each run one path: no entry point, and
+        no CLI subcommand, chooses an engine."""
         import argparse
         import inspect
 
         from repro.cli import build_parser
+        from repro.core.dp import policy_iteration, relative_value_iteration
         from repro.dist import build_matrix, run_matrix
+        from repro.faults.chaos import run_chaos_matrix
         from repro.policies.timeout import calibrate_timeout_threshold
         from repro.sim.runner import simulate
 
-        def default(fn, name):
-            return inspect.signature(fn).parameters[name].default
+        selectors = {"backend", "sim_backend", "use_compiled"}
+        for fn in (
+            simulate,
+            replicate,
+            calibrate_timeout_threshold,
+            ExecutionContext,
+            ExecutionContext.create,
+            build_matrix,
+            run_matrix,
+            run_chaos_matrix,
+            BufferSizer,
+            relative_value_iteration,
+            policy_iteration,
+        ):
+            params = set(inspect.signature(fn).parameters)
+            assert not params & selectors, fn
 
-        assert default(simulate, "backend") == "megabatch"
-        assert default(calibrate_timeout_threshold, "backend") == "megabatch"
-        assert default(build_matrix, "sim_backend") == "megabatch"
-        assert default(run_matrix, "sim_backend") == "megabatch"
-        assert ExecutionContext().sim_backend == "megabatch"
-        assert ExecutionContext.create().sim_backend == "megabatch"
-
-        def backend_defaults(parser, path=()):
+        def dests(parser):
             for action in parser._actions:
                 if isinstance(action, argparse._SubParsersAction):
-                    for name, sub in action.choices.items():
-                        yield from backend_defaults(sub, path + (name,))
-                elif action.dest == "sim_backend":
-                    yield " ".join(path), action.default
+                    for sub in action.choices.values():
+                        yield from dests(sub)
+                else:
+                    yield action.dest
 
-        found = dict(backend_defaults(build_parser()))
-        commands = {"simulate", "figure3", "table1", "dist run", "dist chaos"}
-        assert commands <= set(found)
-        assert set(found.values()) == {"megabatch"}, found
-
-    def test_backend_injected_into_replication(self, amba, amba_caps):
-        heap_ctx = ExecutionContext.create(sim_backend="heap")
-        batched_ctx = ExecutionContext.create(sim_backend="batched")
-        a = heap_ctx.replicate(
-            amba, amba_caps, replications=2, duration=120.0
-        )
-        b = batched_ctx.replicate(
-            amba, amba_caps, replications=2, duration=120.0
-        )
-        # Deterministic default arbiter: backends agree bitwise.
-        assert a.results == b.results
-
-    def test_backend_is_part_of_cache_key(self, tmp_path, amba, amba_caps):
-        heap_ctx = ExecutionContext.create(
-            cache_dir=tmp_path, sim_backend="heap"
-        )
-        heap_ctx.replicate(amba, amba_caps, replications=2, duration=120.0)
-        batched_ctx = ExecutionContext.create(
-            cache_dir=tmp_path, sim_backend="batched"
-        )
-        batched_ctx.replicate(
-            amba, amba_caps, replications=2, duration=120.0
-        )
-        # Unlike jobs, the backend keys separately (randomised arbiters
-        # are only statistically equivalent across backends).
-        assert batched_ctx.cache.hits == 0
-        assert batched_ctx.cache.misses == 1
-
-    def test_explicit_backend_kwarg_wins(self, amba, amba_caps):
-        context = ExecutionContext.create(sim_backend="batched")
-        summary = context.replicate(
-            amba,
-            amba_caps,
-            replications=2,
-            duration=120.0,
-            backend="heap",
-        )
-        reference = replicate(
-            amba, amba_caps, replications=2, duration=120.0
-        )
-        assert summary.results == reference.results
+        assert "sim_backend" not in set(dests(build_parser()))
 
 
 class TestExecutionContext:
@@ -500,7 +461,7 @@ class TestExecutionContext:
     def test_size_explicit_defaults_share_cache_entry(self, tmp_path, amba):
         context = ExecutionContext.create(cache_dir=tmp_path)
         context.size(amba, 12)
-        context.size(amba, 12, sizer_kwargs={"use_compiled": True})
+        context.size(amba, 12, sizer_kwargs={"damping": 1.0})
         assert context.cache.hits == 1
 
     def test_jobs_do_not_affect_cache_key(self, tmp_path, amba, amba_caps):

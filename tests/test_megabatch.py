@@ -1,4 +1,4 @@
-"""Tests for the mega-batch replication kernel (``backend="megabatch"``).
+"""Tests for the mega-batch replication kernel (``simulate_block``).
 
 The lane's whole value rests on one claim: stacking ``R`` replications
 into one array program changes *nothing* about the numbers.  So the
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import obs, scenarios
-from repro.errors import SimulationError
+from repro.errors import PolicyError, SimulationError
 from repro.exec.pool import parallel_map, partition_blocks
 from repro.policies.uniform import UniformSizing
 from repro.sim.arbiter import KERNEL_ARBITERS
@@ -31,8 +31,9 @@ from repro.sim.megabatch import (
     resolve_engine,
 )
 from repro.sim.runner import (
-    SIM_BACKENDS,
+    _simulate_seed,
     replicate,
+    replication_seeds,
     simulate,
     simulate_block,
 )
@@ -49,6 +50,16 @@ AVAILABLE_ENGINES = tuple(
 #: itself force it, so they exercise a kernel even where the default
 #: takes the no-kernel fallback (``REPRO_SIM_CC=0``).
 KERNEL = AVAILABLE_ENGINES[0]
+
+
+def batched_runs(topology, capacities, seeds, **kwargs):
+    """One batched-lane run per seed: the per-seed reference."""
+    return [
+        _simulate_seed(
+            topology, capacities, seed=seed, lane="batched", **kwargs
+        )
+        for seed in seeds
+    ]
 
 
 def _cell(name):
@@ -121,7 +132,7 @@ class TestEquivalenceMatrix:
             warmup=warmup,
         )
         for seed, got in zip(seeds, block):
-            ref = simulate(
+            ref = _simulate_seed(
                 topology,
                 capacities,
                 duration=120.0,
@@ -129,18 +140,15 @@ class TestEquivalenceMatrix:
                 arbiter_kind=arbiter,
                 timeout_threshold=timeout,
                 warmup=warmup,
-                backend="batched",
+                lane="batched",
             )
             assert got == ref, (name, arbiter, timeout, warmup, seed)
 
     def test_megabatch_matches_heap(self, cell):
         name, topology, capacities = cell
-        got = simulate(
-            topology, capacities, duration=100.0, seed=3,
-            backend="megabatch",
-        )
-        ref = simulate(
-            topology, capacities, duration=100.0, seed=3, backend="heap"
+        got = simulate(topology, capacities, duration=100.0, seed=3)
+        ref = _simulate_seed(
+            topology, capacities, duration=100.0, seed=3, lane="heap"
         )
         assert got == ref, name
 
@@ -162,9 +170,9 @@ class TestEngines:
             engine=engine,
         )
         for seed, got in zip(seeds, block):
-            ref = simulate(
+            ref = _simulate_seed(
                 topology, capacities, duration=150.0, seed=seed,
-                timeout_threshold=3.0, backend="batched",
+                timeout_threshold=3.0, lane="batched",
             )
             assert got == ref, engine
 
@@ -212,11 +220,11 @@ class TestSupportGate:
         topology, capacities = _cell("fig1")
         got = simulate(
             topology, capacities, duration=100.0, seed=3,
-            arbiter_kind="weighted_random", backend="megabatch",
+            arbiter_kind="weighted_random",
         )
-        ref = simulate(
+        ref = _simulate_seed(
             topology, capacities, duration=100.0, seed=3,
-            arbiter_kind="weighted_random", backend="batched",
+            arbiter_kind="weighted_random", lane="batched",
         )
         assert got == ref
 
@@ -269,13 +277,9 @@ class TestCountedFallbacks:
     SEEDS = [3, 1003, 77]
 
     def _batched(self, topology, capacities, **kwargs):
-        return [
-            simulate(
-                topology, capacities, duration=100.0, seed=seed,
-                backend="batched", **kwargs,
-            )
-            for seed in self.SEEDS
-        ]
+        return batched_runs(
+            topology, capacities, self.SEEDS, duration=100.0, **kwargs
+        )
 
     def test_unsupported_cell_counts_and_matches_batched(self):
         topology, capacities = _cell("fig1")
@@ -319,6 +323,18 @@ class TestCountedFallbacks:
         assert counts == {"unsupported": 0, "no_kernel": 0}
         assert forced == got
 
+    def test_unknown_arbiter_is_an_error_not_a_fallback(self):
+        topology, capacities = _cell("fig1")
+
+        def run():
+            with pytest.raises(PolicyError, match="bogus"):
+                simulate(
+                    topology, capacities, duration=10.0, arbiter_kind="bogus"
+                )
+
+        _, counts = _fallback_counts(run)
+        assert counts == {"unsupported": 0, "no_kernel": 0}
+
 
 # -- block dispatch: replicate / jobs=N / dist --------------------------
 
@@ -334,15 +350,13 @@ class TestBlockDispatch:
     def test_replicate_matches_batched_serial_and_pooled(self):
         topology, capacities = _cell("amba")
         kwargs = dict(replications=5, duration=150.0)
-        ref = replicate(topology, capacities, backend="batched", **kwargs)
-        serial = replicate(
-            topology, capacities, backend="megabatch", **kwargs
+        ref = batched_runs(
+            topology, capacities, replication_seeds(5), duration=150.0
         )
-        pooled = replicate(
-            topology, capacities, backend="megabatch", jobs=2, **kwargs
-        )
-        assert serial.results == ref.results
-        assert pooled.results == ref.results
+        serial = replicate(topology, capacities, **kwargs)
+        pooled = replicate(topology, capacities, jobs=2, **kwargs)
+        assert serial.results == ref
+        assert pooled.results == ref
 
     def test_on_result_streams_per_replication_in_index_order(self):
         # Parity with the per-replication streaming contract: a block
@@ -355,7 +369,6 @@ class TestBlockDispatch:
                 capacities,
                 replications=5,
                 duration=100.0,
-                backend="megabatch",
                 jobs=jobs,
                 on_result=lambda i, r: events.append((i, r)),
             )
@@ -391,14 +404,13 @@ class TestDistMerge:
             distributed = replicate(
                 topology,
                 capacities,
-                backend="megabatch",
                 executor=executor,
                 **kwargs,
             )
-            serial = replicate(
-                topology, capacities, backend="batched", **kwargs
+            serial = batched_runs(
+                topology, capacities, replication_seeds(5), duration=120.0
             )
-            assert distributed.results == serial.results
+            assert distributed.results == serial
         finally:
             worker.terminate()
 
@@ -414,7 +426,6 @@ class TestChaosSmoke:
             budgets=[8],
             replications=2,
             duration=20.0,
-            sim_backend="megabatch",
             plans=plans,
             modes=("serial", "jobs"),
             jobs=2,
@@ -426,34 +437,13 @@ class TestChaosSmoke:
 
 
 class TestCacheKey:
-    def test_backend_in_replicate_cache_key(self):
-        from repro.dist.jobs import ProcessMemo
-        from repro.exec import ExecutionContext
-
-        topology, capacities = _cell("fig1")
-        memo = ProcessMemo()
-        kwargs = dict(replications=2, duration=80.0)
-        batched = ExecutionContext(
-            jobs=1, cache=memo, sim_backend="batched"
-        ).replicate(topology, capacities, **kwargs)
-        mega = ExecutionContext(
-            jobs=1, cache=memo, sim_backend="megabatch"
-        ).replicate(topology, capacities, **kwargs)
-        # Same numbers (deterministic arbiters), but distinct entries:
-        # the backend is part of the key, the engine never is.
-        assert mega.results == batched.results
-        assert memo.hits == 0
-        assert memo.misses == 2
-
     def test_cache_hit_still_streams_per_replication(self):
         from repro.dist.jobs import ProcessMemo
         from repro.exec import ExecutionContext
 
         topology, capacities = _cell("fig1")
         memo = ProcessMemo()
-        context = ExecutionContext(
-            jobs=1, cache=memo, sim_backend="megabatch"
-        )
+        context = ExecutionContext(jobs=1, cache=memo)
         kwargs = dict(replications=3, duration=80.0)
         context.replicate(topology, capacities, **kwargs)
         events = []
@@ -493,6 +483,32 @@ class TestObservability:
         finally:
             obs.reset()
 
+    def test_window_span_names_the_lane_that_ran(self, monkeypatch):
+        topology, capacities = _cell("fig1")
+
+        def window_lanes(**kwargs):
+            obs.enable_tracing()
+            try:
+                simulate(
+                    topology, capacities, duration=50.0, seed=3, **kwargs
+                )
+                return {
+                    args["backend"]
+                    for name, _start, _dur, args in obs.recorder().spans()
+                    if name == "sim.window"
+                }
+            finally:
+                obs.reset()
+
+        assert window_lanes(
+            arbiter_kind="weighted_random", arbiter_weights={"p1": 2.0}
+        ) == {"batched"}
+        monkeypatch.setenv("REPRO_SIM_CC", "0")
+        assert window_lanes() == {"batched"}
+        monkeypatch.delenv("REPRO_SIM_CC")
+        if available_engines()["cc"]:
+            assert window_lanes() == {"megabatch"}
+
     def test_kernel_allocates_nothing_in_obs_when_disabled(self):
         topology, capacities = _cell("fig1")
         run = lambda: simulate_block(
@@ -519,9 +535,6 @@ class TestObservability:
 
 
 class TestRegistry:
-    def test_backend_registered(self):
-        assert "megabatch" in SIM_BACKENDS
-
     def test_parallel_map_unaffected(self):
         # Block dispatch reuses parallel_map; the plain path stays put.
         assert parallel_map(len, [[1], [1, 2]]) == [1, 2]

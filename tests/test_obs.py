@@ -34,7 +34,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import FlightRecorder, NOOP_SPAN
 from repro.scenarios import get as get_scenario
-from repro.sim.runner import replicate, simulate
+from repro.sim.runner import _simulate_seed, replicate
 
 
 @pytest.fixture(autouse=True)
@@ -270,9 +270,9 @@ class TestDisabledIsFree:
         spec = get_scenario("single-bus-4")
         topology = spec.topology()
         capacities = {p: 8 for p in topology.processors}
-        run = lambda: simulate(
+        run = lambda: _simulate_seed(
             topology, capacities, duration=300.0, seed=3,
-            warmup=50.0, backend="batched",
+            warmup=50.0, lane="batched",
         )
         run()  # warm lazy imports and caches outside the measurement
         obs_dir = os.path.dirname(obs.__file__)
@@ -294,11 +294,15 @@ class TestDisabledIsFree:
 
 
 class TestNeverLoadBearing:
-    def test_replication_identical_with_tracing_and_metrics_on(self):
+    def test_replication_identical_with_tracing_and_metrics_on(
+        self, monkeypatch
+    ):
+        # The counted fallback: each seed runs the batched drain loop.
+        monkeypatch.setenv("REPRO_SIM_CC", "0")
         spec = get_scenario("single-bus-4")
         topology = spec.topology()
         capacities = {p: 8 for p in topology.processors}
-        kwargs = dict(replications=2, duration=200.0, backend="batched")
+        kwargs = dict(replications=2, duration=200.0)
         reference = replicate(topology, capacities, **kwargs)
         obs.enable_metrics()
         obs.enable_tracing()

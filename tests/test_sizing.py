@@ -107,24 +107,29 @@ class TestBridgedSizing:
         result = BufferSizer(total_budget=24).size(topo)
         assert result.fixed_point_iterations < 25
 
-    @pytest.mark.parametrize("use_compiled", [True, False])
-    def test_unconverged_runs_are_counted(self, use_compiled):
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_unconverged_runs_are_counted(self, monkeypatch, warm):
         from repro import obs
+        from repro.core.lp import BlockProgram
 
+        if not warm:
+            # The cold-solved loop, the sizing oracle, counts too.
+            solve = BlockProgram.solve
+            monkeypatch.setattr(
+                BlockProgram,
+                "solve",
+                lambda self, *a, **k: solve(self, *a, **dict(k, warm=False)),
+            )
         obs.reset()
         obs.enable_metrics()
         try:
-            converged = BufferSizer(
-                total_budget=14, use_compiled=use_compiled
-            ).size(amba_like())
+            converged = BufferSizer(total_budget=14).size(amba_like())
             assert converged.converged
             assert obs.registry().counters_snapshot().get(
                 "solver.fixed_point.unconverged", 0
             ) == 0
             capped = BufferSizer(
-                total_budget=14,
-                max_fixed_point_iterations=1,
-                use_compiled=use_compiled,
+                total_budget=14, max_fixed_point_iterations=1
             ).size(amba_like())
             assert not capped.converged
             counters = obs.registry().counters_snapshot()
