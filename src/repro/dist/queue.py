@@ -375,8 +375,14 @@ class Broker:
         dispatch order is scheduling, not semantics.  Python's sort is
         stable, so jobs the model cannot tell apart keep their
         submission order and a cold-start batch dispatches exactly like
-        FIFO.
+        FIFO.  A ``features`` list of another length is an error, raised
+        before any state changes.
         """
+        if features is not None and len(features) != len(payloads):
+            raise ReproError(
+                f"batch {batch_id!r}: {len(features)} feature entries "
+                f"for {len(payloads)} payloads"
+            )
         with self._lock:
             if batch_id in self._batch_totals:
                 raise ReproError(f"batch {batch_id!r} already submitted")
@@ -384,7 +390,7 @@ class Broker:
             self._results[batch_id] = {}
             self._batch_polled[batch_id] = self._clock()
             order = list(range(len(payloads)))
-            if features is not None and len(features) == len(payloads):
+            if features is not None:
                 for index in order:
                     self._features[(batch_id, index)] = features[index]
             for index in order:

@@ -9,22 +9,26 @@ instead of several — and, when the LP structure is unchanged across the
 sweep (fixed ``capacity_cap``), re-uses the previous optimal simplex
 basis too.
 
-Equivalence guarantee: warm starting changes only the *initial iterate*
-of a fixed point that runs to the same tolerance, so the sweep produces
-the same allocations as per-budget cold solves (asserted by the test
-suite and reported by ``benchmarks/bench_exec_runtime.py``).  The
-guarantee requires the fixed point to actually converge: a run that
-exhausts ``max_fixed_point_iterations`` returns whatever iterate it
-reached, which *does* depend on the start — such results are flagged
+Warm starting changes only the *initial iterate* of a fixed point that
+runs to the same tolerance, so on most cells the sweep produces the
+same allocations as per-budget cold solves (asserted on the Figure 1
+axis by the test suite and ``benchmarks/bench_exec_runtime.py``).  It
+is not a guarantee.  Where an LP block is degenerate (several optimal
+occupation measures), the warm basis can land on another optimal
+vertex: on single-bus-6 at budgets 36 and 48 warm and cold allocations
+differ although every run converges.  A run that exhausts
+``max_fixed_point_iterations`` returns whatever iterate it reached,
+which depends on the start — such results are flagged
 (``SizingResult.converged == False``) and never cached.
-``warm_start=False`` is the escape hatch that forces cold solves — and,
-because cold points are independent, lets them fan out over a process
-pool.
+``warm_start=False`` forces cold solves — and, because cold points are
+independent, lets them fan out over a process pool.  Whether that is
+faster depends on the axis: ``docs/execution.md`` has the measurements.
 
 Results are content-addressed through an optional
 :class:`~repro.exec.cache.ResultCache`: the key covers the topology,
 the budget and every sizer knob, but *not* the solve path (warm/cold,
-serial/pooled), which by contract does not change the result.
+serial/pooled).  So on a degenerate cell the cached allocation is
+whichever path ran first.
 """
 
 from __future__ import annotations

@@ -1,22 +1,47 @@
-"""On-demand C build of the mega-batch kernel (ctypes, no new deps).
+"""The mega-batch kernel: C source, on-demand build, ctypes binding.
 
-The scalar kernel in :mod:`repro.sim._mbkernel` is deliberately written
-so a C transliteration is mechanical; this module carries that
-transliteration as an embedded source string, compiles it once with
-whatever system C compiler is present (``$CC``, else ``cc``/``gcc``/
-``clang`` on PATH), caches the shared object under a content hash, and
-exposes it through :mod:`ctypes`.  No compiler, a failed build, or
-``REPRO_SIM_CC=0`` all degrade to ``None`` — mega-batch cells then run
-through the batched lane per seed (bitwise the same results, counted
-in ``sim.megabatch.fallback.no_kernel``), so the C path is a pure
-speedup, never a dependency.
+``mb_advance`` drains every replication of one fleet cell through its
+event calendar up to ``end_time``, operating exclusively on the flat
+arrays laid out by :class:`repro.sim.megabatch.MegaBatchLane`.  It is a
+transliteration of the batched lane's drain loop
+(:meth:`repro.sim.batched.BatchedSystem.run_until`) with a leading
+replication axis ``R``:
+
+* the event calendar is a fixed ``(R, S + B)`` array — one pending
+  arrival per source (columns ``0..S-1``) and at most one pending
+  completion per bus (columns ``S..S+B-1``, ``+inf`` when idle) — so
+  "pop the heap" becomes a linear ``(time, seq)`` scan;
+* sequence numbers are assigned at exactly the batched lane's logical
+  scheduling points, so same-timestamp ties dispatch identically;
+* every float expression (``now + gap``, ``variate * scale``,
+  ``now - enqueued`` accumulations) matches the batched lane's
+  operation order, keeping fixed-seed metrics bitwise identical.
+
+Refill protocol — the kernel never draws randomness.  Before
+dispatching an event it checks that every pre-drawn buffer the dispatch
+could consume (the source's gap row; the service row of each bus a
+grant might start on) still has a value.  If not, it sets
+``paused[r]`` and moves to the next replication; the lane refills
+exactly the exhausted rows (index == fill length, so no stream tail is
+ever discarded) and re-enters.  The conservative pre-check can pause on
+a draw the grant would not have made — harmless, because a refill only
+moves draws earlier in wall time, never changes their order within a
+stream.
+
+The source is compiled once with whatever system C compiler is present
+(``$CC``, else ``cc``/``gcc``/``clang`` on PATH), cached under a
+content hash, and exposed through :mod:`ctypes`.  No compiler, a failed
+build, or ``REPRO_SIM_CC=0`` all degrade to ``None`` — mega-batch cells
+then run through the batched lane per seed (bitwise the same results,
+counted in ``sim.megabatch.fallback.no_kernel``), so the C path is a
+pure speedup, never a dependency.
 
 Bitwise contract: the kernel is compiled with ``-ffp-contract=off`` so
 no multiply-add is fused, and every float expression mirrors the
-Python kernel's operation order on IEEE doubles — x86-64 SSE2 double
-arithmetic then reproduces numpy float64 results bit for bit.  The
-engine cross-equality tests in ``tests/test_megabatch.py`` hold the
-compiled kernel to that standard against the interpreted one.
+batched drain loop's operation order on IEEE doubles — x86-64 SSE2
+double arithmetic then reproduces numpy float64 results bit for bit.
+``tests/test_megabatch.py`` holds the kernel to that standard against
+the batched lane and the heap engine.
 
 All state crosses the boundary as one :class:`MBState` struct of
 dimensions and array pointers, built once per lane; per-invocation
@@ -36,7 +61,16 @@ import threading
 import warnings
 from typing import Optional
 
-from repro.sim._mbkernel import ARRAYS
+#: The lane arrays in the pointer-field order of the C ``mb_state``
+#: struct, after the dimensions and ``timeout``.
+ARRAYS = (
+    "cap", "slot_off", "ring_bus", "cl_off", "arb_kind", "flow_src",
+    "flow_last", "flow_ring", "flow_scale", "first_bus", "ev_time",
+    "ev_seq", "next_id", "head", "cnt", "busy", "granted", "rr_last",
+    "sflow", "shop", "screa", "senq", "sscale", "svc", "svc_idx",
+    "gaps", "gap_idx", "gap_len", "offered", "lost", "timed_out",
+    "delivered", "wait_sum", "wait_cnt", "e2e_sum", "paused",
+)
 
 _I64 = ctypes.c_longlong
 _F64 = ctypes.c_double
@@ -62,9 +96,11 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 
-/* Transliteration of repro/sim/_mbkernel.py:advance.  Field order must
- * match the ctypes MBState mirror.  All 2-D/3-D arrays are flat with
- * C-contiguous strides taken from the dimensions below. */
+/* Transliteration of the batched lane's drain loop
+ * (repro/sim/batched.py:BatchedSystem.run_until) over R replications.
+ * Field order must match the ctypes MBState mirror.  All 2-D/3-D
+ * arrays are flat with C-contiguous strides taken from the dimensions
+ * below. */
 
 typedef struct {
     int64_t R, S, B, G, P, W, D, L, H;
@@ -269,7 +305,7 @@ int64_t mb_advance(mb_state *st, double end_time)
 
 #: Flags chosen for speed *and* float fidelity: -ffp-contract=off
 #: forbids fused multiply-add so C doubles follow the exact IEEE
-#: operation sequence of the Python kernel.
+#: operation sequence of the batched drain loop.
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 _lock = threading.Lock()

@@ -15,8 +15,6 @@ to hold — callers that interleave other draws on the same generator
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -60,9 +58,9 @@ class ExponentialPool:
         Stream-identical to ``count`` successive :meth:`next` calls —
         the pool still refills in ``chunk``-sized batches, so mixing
         :meth:`take` and :meth:`next` on one pool consumes the generator
-        exactly like scalar draws would.  The batched simulation lane
-        uses this to pre-draw service variates into a flat array it then
-        indexes without any per-event method call.
+        exactly like scalar draws would.  The batched and mega-batch
+        simulation lanes use this to pre-draw service variates into flat
+        arrays they then index without any per-event method call.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
@@ -80,53 +78,3 @@ class ExponentialPool:
             filled += step
         return out
 
-
-class ExponentialBlockPool:
-    """A replication-stacked bank of :class:`ExponentialPool` rows.
-
-    The mega-batch simulation lane advances ``R`` replications of one
-    fleet cell in a single array program, so it needs the service
-    variates of bus ``b`` for *every* replication as one 2-D ``(R,
-    count)`` block.  Each row is backed by its own generator — the same
-    per-replication substream the serial lanes would hand to that bus —
-    and is consumed through a private :class:`ExponentialPool`, so row
-    ``r`` of every block is **bitwise identical** to the draws an
-    independent pool on the same generator state would produce.  That
-    row identity is the RNG-layout contract the mega-batch kernel
-    relies on (and the one ``tests/test_megabatch.py`` pins).
-
-    Rows refill independently: :meth:`take_row` advances one
-    replication's stream without touching the others, which is what the
-    kernel's exact-exhaustion refill protocol requires.
-    """
-
-    __slots__ = ("_pools",)
-
-    def __init__(
-        self,
-        rngs: Sequence[np.random.Generator],
-        chunk: int = 512,
-    ) -> None:
-        if not rngs:
-            raise ValueError("block pool needs at least one generator")
-        self._pools = [ExponentialPool(rng, chunk) for rng in rngs]
-
-    @property
-    def rows(self) -> int:
-        """Number of replication rows (independent streams)."""
-        return len(self._pools)
-
-    def take_block(self, count: int) -> np.ndarray:
-        """The next ``count`` variates of every row as an (R, count) array.
-
-        Row ``r`` equals ``ExponentialPool(rng_r).take(count)`` on a
-        generator in the same state — streams never mix across rows.
-        """
-        out = np.empty((len(self._pools), count))
-        for r, pool in enumerate(self._pools):
-            out[r] = pool.take(count)
-        return out
-
-    def take_row(self, row: int, count: int) -> np.ndarray:
-        """The next ``count`` variates of one row (a per-replication refill)."""
-        return self._pools[row].take(count)

@@ -15,20 +15,19 @@ batched lane ``R`` times:
   ``sample_interarrivals(rng, batch)`` call sequence the heap engine's
   :class:`~repro.sim.processor.FlowSource` makes, which matters for
   descriptors that re-randomise per call;
-* service variates are pre-taken per bus through
-  :class:`~repro.sim.fastpath.ExponentialBlockPool`, one row per
-  replication, stream-identical to each replication's own pool;
+* service variates are pre-taken through one
+  :class:`~repro.sim.fastpath.ExponentialPool` per (bus, replication),
+  stream-identical to the pool inside each replication's own bus;
 * queued packets live in replication-stacked
   :func:`~repro.sim.buffer.replicated_slot_arrays` slot arrays, and the
   event calendar is a fixed ``(R, S + B)`` array (see
-  :mod:`repro.sim._mbkernel`).
+  :mod:`repro.sim._mbcc`).
 
-Two engines execute the same kernel: ``cc``, the :mod:`repro.sim._mbcc`
-C build (the default, whenever a system compiler exists), and
-``python``, the interpreted scalar kernel kept as the correctness
-oracle (selected with ``engine="python"``).  The engine choice never
-affects results (bitwise, test-enforced) and is therefore *not* part of
-scenario cache keys.
+The kernel has one body, the :mod:`repro.sim._mbcc` C build.  The lane
+needs it: with no C kernel (no compiler, a failed build, or
+``REPRO_SIM_CC=0``) construction raises :class:`SimulationError`.
+The tests hold the kernel bitwise to the batched lane and to the heap
+engine, so the kernel is *not* part of scenario cache keys.
 
 The lane only takes the kernel path for configurations it can replay
 exactly: deterministic arbiters (:data:`~repro.sim.arbiter
@@ -50,14 +49,13 @@ import numpy as np
 from repro import obs
 from repro.arch.topology import Topology
 from repro.errors import SimulationError
-from repro.sim import _mbcc, _mbkernel
+from repro.sim import _mbcc
 from repro.sim.arbiter import KERNEL_ARBITERS
 from repro.sim.batched import BatchedSystem
 from repro.sim.buffer import replicated_slot_arrays
-from repro.sim.fastpath import ExponentialBlockPool
+from repro.sim.fastpath import ExponentialPool
 from repro.sim.monitor import Monitor
 from repro.sim.system import CommunicationSystem
-from repro.sim._mbkernel import SEQ_SENTINEL
 
 #: Gap chunks pre-drawn per (replication, source) between kernel
 #: invocations.  Each chunk is one ``sample_interarrivals(rng, batch)``
@@ -72,34 +70,9 @@ GAP_CHUNKS = 4
 #: round-trips rare.
 SVC_DEPTH = 2048
 
-#: Engine names accepted by :func:`resolve_engine`.
-ENGINES = ("cc", "python")
-
-
-def available_engines() -> Dict[str, bool]:
-    """Availability of each mega-batch engine in this environment."""
-    return {"cc": _mbcc.load_kernel() is not None, "python": True}
-
-
-def resolve_engine(requested: Optional[str] = None) -> str:
-    """Pick the kernel engine: ``requested``, else the C build.
-
-    Raises :class:`SimulationError` for an unknown name, and when the C
-    build is wanted but unavailable —
-    :func:`repro.sim.runner.simulate_block` checks for that case first
-    and takes its counted batched fallback instead.
-    """
-    name = requested or "cc"
-    if name not in ENGINES:
-        raise SimulationError(
-            f"unknown mega-batch engine {name!r}; choose from {ENGINES}"
-        )
-    if name == "cc" and _mbcc.load_kernel() is None:
-        raise SimulationError(
-            "mega-batch engine 'cc' requested but no C kernel could "
-            "be built (no compiler, failed build, or REPRO_SIM_CC=0)"
-        )
-    return name
+#: Sequence sentinel for idle completion slots: larger than any real
+#: event id, so an idle slot can never win a ``(time, seq)`` tie.
+SEQ_SENTINEL = np.int64(2**62)
 
 
 def megabatch_supported(topology: Topology, arbiter_kind: str) -> bool:
@@ -130,7 +103,10 @@ class MegaBatchLane:
     :meth:`run_until` advances every replication with kernel
     invocations, refilling pre-drawn buffers between them;
     :meth:`monitor_for` folds one replication's counters into a
-    :class:`Monitor` for result extraction.
+    :class:`Monitor` for result extraction.  Raises
+    :class:`SimulationError` when no C kernel can be built —
+    :func:`repro.sim.runner.simulate_block` checks for that case first
+    and takes its counted batched fallback instead.
     """
 
     def __init__(
@@ -141,7 +117,6 @@ class MegaBatchLane:
         arbiter_kind: str = "longest_queue",
         arbiter_weights: Optional[Dict[str, float]] = None,
         timeout_threshold: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if not seeds:
             raise SimulationError("mega-batch lane needs at least one seed")
@@ -150,7 +125,12 @@ class MegaBatchLane:
                 "mega-batch kernel requires a deterministic arbiter "
                 f"({KERNEL_ARBITERS}) and stateless traffic descriptors"
             )
-        self.engine = resolve_engine(engine)
+        lib = _mbcc.load_kernel()
+        if lib is None:
+            raise SimulationError(
+                "mega-batch engine 'cc' requested but no C kernel could "
+                "be built (no compiler, failed build, or REPRO_SIM_CC=0)"
+            )
         self.seeds = [int(s) for s in seeds]
         R = len(self.seeds)
         self.R = R
@@ -184,8 +164,8 @@ class MegaBatchLane:
         self.cap = np.asarray(ref._cap, dtype=np.int64)
         self.ring_bus = np.asarray(ref._ring_cluster, dtype=np.int64)
         # Rings are registered cluster by cluster, so each cluster's
-        # ring ids are one contiguous ascending span — the kernels
-        # depend on it, so verify rather than assume.
+        # ring ids are one contiguous ascending span — the kernel
+        # depends on it, so verify rather than assume.
         cl_off = np.zeros(B + 1, dtype=np.int64)
         for b, ids in enumerate(ref._cl_rings):
             if list(ids) != list(range(ids[0], ids[0] + len(ids))):
@@ -200,14 +180,12 @@ class MegaBatchLane:
         if int(cl_off[-1]) != G:
             raise SimulationError("cluster ring spans do not cover all rings")
         self.cl_off = cl_off
-        self.cl_width = np.diff(cl_off)
         arb = np.asarray(ref._arb_kind, dtype=np.int64)
         if arb.size and (arb.min() != arb.max()):
             raise SimulationError(
                 "mega-batch kernel requires one arbiter policy per cell"
             )
         self.arb_kind = arb
-        self.arb_tag = int(arb[0]) if arb.size else 0
 
         Hmax = max(len(bufs) for bufs in ref._flow_bufs)
         self.Hmax = Hmax
@@ -260,50 +238,30 @@ class MegaBatchLane:
         self.wait_cnt = np.zeros(R, dtype=np.int64)
         self.e2e_sum = np.zeros(R)
         self.paused = np.zeros(R, dtype=np.int64)
-        self._cols = np.arange(int(self.cl_width.max()) if B else 1)[
-            None, :
-        ]
 
         # -- per-replication RNG streams: the exact CommunicationSystem
         # layout — SeedSequence(seed).spawn(B + S), bus streams first,
-        # then flow streams in sources order.
+        # then flow streams in sources order.  Each bus stream feeds one
+        # ExponentialPool, which draws its first chunk at construction,
+        # exactly like the pool inside every replication's ClusterBus.
         self._flow_rngs: List[List[np.random.Generator]] = []
-        bus_rngs: List[List[np.random.Generator]] = []
+        self._svc_pools: List[List[ExponentialPool]] = []
         for seed in self.seeds:
             children = np.random.SeedSequence(seed).spawn(B + S)
-            bus_rngs.append(
-                [np.random.default_rng(c) for c in children[:B]]
+            self._svc_pools.append(
+                [ExponentialPool(np.random.default_rng(c))
+                 for c in children[:B]]
             )
             self._flow_rngs.append(
                 [np.random.default_rng(c) for c in children[B:]]
             )
-        # One block pool per bus, one row per replication.  Each pool
-        # draws its first chunk at construction, exactly like the
-        # ExponentialPool inside every replication's ClusterBus.
-        self._svc_pools = [
-            ExponentialBlockPool([bus_rngs[r][b] for r in range(R)])
-            for b in range(B)
-        ]
 
         self._started = False
         self._now = 0.0
-        self._setup_engine()
-
-    # ------------------------------------------------------------------
-
-    def _setup_engine(self) -> None:
-        if self.engine == "python":
-            kargs = tuple(getattr(self, name) for name in _mbkernel.ARRAYS)
-            timeout = self.timeout
-            self._advance = lambda end: int(
-                _mbkernel.advance(end, timeout, *kargs)
-            )
-            return
-        lib = _mbcc.load_kernel()
         st = _mbcc.MBState(
             self.R, self.S, self.B, self.G, self.P, self.W,
             self.svc_depth, self.gap_depth, self.Hmax, self.timeout,
-            *(getattr(self, name).ctypes.data for name in _mbkernel.ARRAYS),
+            *(getattr(self, name).ctypes.data for name in _mbcc.ARRAYS),
             self.T,
         )
         # The byref keeps the struct alive; the arrays it points at are
@@ -334,9 +292,7 @@ class MegaBatchLane:
         for r, s in np.argwhere(self.gap_idx >= self.gap_len):
             self._refill_gaps(int(r), int(s))
         for r, b in np.argwhere(self.svc_idx >= self.svc_depth):
-            self.svc[r, b] = self._svc_pools[b].take_row(
-                int(r), self.svc_depth
-            )
+            self.svc[r, b] = self._svc_pools[r][b].take(self.svc_depth)
             self.svc_idx[r, b] = 0
 
     # ------------------------------------------------------------------
@@ -357,8 +313,9 @@ class MegaBatchLane:
                 self.ev_seq[r, s] = s
                 self.gap_idx[r, s] = 1
             self.next_id[r] = self.S
-        for b, pool in enumerate(self._svc_pools):
-            self.svc[:, b, :] = pool.take_block(self.svc_depth)
+        for b in range(self.B):
+            for r in range(self.R):
+                self.svc[r, b] = self._svc_pools[r][b].take(self.svc_depth)
 
     def run_until(self, end_time: float) -> None:
         """Advance every replication through ``end_time``.
@@ -367,7 +324,7 @@ class MegaBatchLane:
         exactly at ``end_time`` execute.  Each kernel invocation runs
         until every replication is drained or paused for a refill; the
         wrapper refills exactly the exhausted rows and re-enters.
-        Instrumentation is per invocation — the kernels themselves stay
+        Instrumentation is per invocation — the kernel itself stays
         allocation-free with obs disabled.
         """
         if not self._started:
@@ -379,7 +336,6 @@ class MegaBatchLane:
         while True:
             self.paused[:] = 0
             with obs.span("sim.megabatch.kernel") as span:
-                span.set("engine", self.engine)
                 span.set("replications", self.R)
                 npaused = self._advance(end_time)
             obs.counter("sim.megabatch.invocations").inc()

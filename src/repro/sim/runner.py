@@ -6,6 +6,7 @@ is that loop, with independent seeds and mean/confidence aggregation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -186,25 +187,30 @@ def simulate_block(
     arbiter_weights: Optional[Dict[str, float]] = None,
     timeout_threshold: Optional[float] = None,
     warmup: float = 0.0,
-    engine: Optional[str] = None,
 ) -> List[SimulationResult]:
     """Run one simulation per seed through the mega-batch kernel.
 
     All seeds share one cell (same topology, capacities, arbiter and
     timeout); one :class:`~repro.sim.megabatch.MegaBatchLane` advances
-    every replication per kernel invocation.  Results are returned in
+    every replication per C kernel invocation.  Results are returned in
     seed order and are bitwise identical to running the batched lane
     per seed (``_simulate_seed``).  Cells the kernel cannot replay
     exactly (randomised arbiters, stateful traffic descriptors) take
     exactly that per-seed path as a fallback, counted once per block in
     ``sim.megabatch.fallback.unsupported``; so does every cell when no
-    C kernel could be built (or ``REPRO_SIM_CC=0``) and no ``engine``
-    was forced, counted in ``sim.megabatch.fallback.no_kernel``.  The
-    equality is therefore universal.  ``engine="python"`` forces the
-    interpreted kernel (see :func:`repro.sim.megabatch.resolve_engine`).
+    C kernel could be built (or ``REPRO_SIM_CC=0``), counted in
+    ``sim.megabatch.fallback.no_kernel``.  The equality is therefore
+    universal.  ``duration`` must be finite and positive, ``warmup``
+    finite and non-negative.
     """
-    if warmup < 0:
-        raise SimulationError(f"warmup must be >= 0, got {warmup}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise SimulationError(
+            f"duration must be finite and > 0, got {duration}"
+        )
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise SimulationError(
+            f"warmup must be finite and >= 0, got {warmup}"
+        )
     seed_list = [int(s) for s in seeds]
     if not seed_list:
         raise SimulationError("simulate_block needs at least one seed")
@@ -218,7 +224,7 @@ def simulate_block(
     fallback = None
     if not megabatch_supported(topology, arbiter_kind):
         fallback = "sim.megabatch.fallback.unsupported"
-    elif engine is None and _mbcc.load_kernel() is None:
+    elif _mbcc.load_kernel() is None:
         fallback = "sim.megabatch.fallback.no_kernel"
     if fallback is not None:
         obs.counter(fallback).inc()
@@ -242,7 +248,6 @@ def simulate_block(
         arbiter_kind=arbiter_kind,
         arbiter_weights=arbiter_weights,
         timeout_threshold=timeout_threshold,
-        engine=engine,
     )
     lane.start()
     base_offered = base_lost = base_timeout = base_delivered = None

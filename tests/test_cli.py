@@ -109,6 +109,12 @@ class TestCommands:
         assert main(["inspect", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_simulate_rejects_non_finite_duration(self, arch_file, capsys):
+        argv = ["simulate", arch_file, "--budget", "18", "--policy",
+                "uniform", "--reps", "2", "--duration", "nan"]
+        assert main(argv) == 2
+        assert "error: duration" in capsys.readouterr().err
+
     def test_infeasible_budget(self, arch_file, capsys):
         assert main(["size", arch_file, "--budget", "1"]) == 2
         assert "error:" in capsys.readouterr().err

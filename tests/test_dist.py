@@ -1412,6 +1412,20 @@ class TestCostScheduling:
         )
         assert self._drain(broker, "w") == [1, 3, 2, 0]  # by descending units
 
+    def test_mismatched_features_rejected_before_registering(self):
+        broker = self._trained_broker()
+        payloads = [JobPayload(echo, i) for i in range(3)]
+        with pytest.raises(ReproError, match="1 feature entries for 3"):
+            broker.submit("b", payloads, features=self._features([8]))
+        assert broker.stats()["batches"] == 0
+        # Nothing was registered, so the same batch id submits cleanly.
+        assert broker.submit(
+            "b", payloads, features=self._features([1, 8, 2])
+        ) == 3
+        assert self._drain(broker, "w") == [1, 2, 0]
+        assert broker.submit("c", payloads, features=None) == 3
+        assert broker.stats()["batches"] == 2
+
     def test_cold_start_cost_order_equals_fifo(self):
         # No observations, identical features: predictions tie, the
         # stable sort keeps submission order — exactly FIFO.

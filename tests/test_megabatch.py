@@ -2,34 +2,30 @@
 
 The lane's whole value rests on one claim: stacking ``R`` replications
 into one array program changes *nothing* about the numbers.  So the
-suite is mostly equality matrices — megabatch vs batched vs heap across
-scenarios, arbiters, timeout and warmup; every available engine against
-the interpreted oracle; serial vs ``jobs=N`` vs distributed merges —
-plus the supporting contracts: block-pool stream identity, fallback
-gating, progress-event ordering, obs instrumentation, and the
-allocation-free hot path.
+suite is mostly equality matrices — the C kernel vs batched vs heap
+across scenarios, arbiters, timeout and warmup, including horizons
+long enough to cross the kernel's pause-and-refill path; serial vs
+``jobs=N`` vs distributed merges — plus the supporting contracts:
+argument validation, fallback gating, progress-event ordering, obs
+instrumentation, and the allocation-free hot path.  Tests of the
+kernel path itself skip, with a reason, where no C kernel can be built
+(no compiler, or ``REPRO_SIM_CC=0``).
 """
 
+import math
 import multiprocessing
 import os
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from repro import obs, scenarios
 from repro.errors import PolicyError, SimulationError
 from repro.exec.pool import parallel_map, partition_blocks
 from repro.policies.uniform import UniformSizing
+from repro.sim import _mbcc
 from repro.sim.arbiter import KERNEL_ARBITERS
-from repro.sim.fastpath import ExponentialBlockPool, ExponentialPool
-from repro.sim.megabatch import (
-    ENGINES,
-    MegaBatchLane,
-    available_engines,
-    megabatch_supported,
-    resolve_engine,
-)
+from repro.sim.megabatch import MegaBatchLane, megabatch_supported
 from repro.sim.runner import (
     _simulate_seed,
     replicate,
@@ -42,14 +38,15 @@ from repro.sim.runner import (
 #: plus one generated random-mesh family member.
 SCENARIOS = ("netproc", "fig1", "amba", "random-mesh-2-7")
 
-AVAILABLE_ENGINES = tuple(
-    name for name, ok in available_engines().items() if ok
-)
+HAS_KERNEL = _mbcc.load_kernel() is not None
 
-#: The fastest engine this host has.  Tests about the kernel path
-#: itself force it, so they exercise a kernel even where the default
-#: takes the no-kernel fallback (``REPRO_SIM_CC=0``).
-KERNEL = AVAILABLE_ENGINES[0]
+#: Marks a test of the kernel path itself: without a C kernel every
+#: cell takes the batched fallback, so there is no kernel to test.
+needs_kernel = pytest.mark.skipif(
+    not HAS_KERNEL,
+    reason="no C kernel could be built (no compiler, failed build, "
+    "or REPRO_SIM_CC=0)",
+)
 
 
 def batched_runs(topology, capacities, seeds, **kwargs):
@@ -75,40 +72,6 @@ def _cell(name):
 @pytest.fixture(scope="module", params=SCENARIOS)
 def cell(request):
     return request.param, *_cell(request.param)
-
-
-# -- satellite: the 2-D block-draw API ----------------------------------
-
-
-class TestExponentialBlockPool:
-    def test_each_row_bitwise_matches_an_independent_pool(self):
-        seeds = [3, 1003, 77, 2**40 + 5]
-        pool = ExponentialBlockPool(
-            [np.random.default_rng(s) for s in seeds]
-        )
-        block = pool.take_block(700)  # spans multiple refill chunks
-        assert block.shape == (len(seeds), 700)
-        for row, seed in enumerate(seeds):
-            solo = ExponentialPool(np.random.default_rng(seed))
-            expected = solo.take(700)
-            assert block[row].tolist() == expected.tolist()
-
-    def test_take_row_continues_the_row_stream(self):
-        seeds = [11, 12]
-        pool = ExponentialBlockPool(
-            [np.random.default_rng(s) for s in seeds]
-        )
-        first = pool.take_block(100)
-        more = pool.take_row(1, 50)
-        solo = ExponentialPool(np.random.default_rng(12))
-        assert first[1].tolist() == solo.take(100).tolist()
-        assert more.tolist() == solo.take(50).tolist()
-
-    def test_rows_property_and_empty_rejected(self):
-        pool = ExponentialBlockPool([np.random.default_rng(0)])
-        assert pool.rows == 1
-        with pytest.raises(ValueError):
-            ExponentialBlockPool([])
 
 
 # -- the bitwise equivalence matrix -------------------------------------
@@ -152,12 +115,45 @@ class TestEquivalenceMatrix:
         )
         assert got == ref, name
 
+    @needs_kernel
+    @pytest.mark.parametrize("arbiter", KERNEL_ARBITERS)
+    @pytest.mark.parametrize(
+        "timeout,warmup", [(None, 0.0), (4.0, 50.0)]
+    )
+    def test_refill_path_matches_batched(self, arbiter, timeout, warmup):
+        # At horizon 1000 netproc exhausts pre-drawn gap and service
+        # rows mid-window, so the kernel pauses, the lane refills and
+        # the kernel re-enters: the path where stream identity is
+        # subtlest.
+        topology, capacities = _cell("netproc")
+        seeds = [3, 1003, 77]
+        kwargs = dict(
+            duration=1000.0,
+            arbiter_kind=arbiter,
+            timeout_threshold=timeout,
+            warmup=warmup,
+        )
+        obs.enable_metrics()
+        try:
+            block = simulate_block(
+                topology, capacities, seeds=seeds, **kwargs
+            )
+            counters = obs.registry().counters_snapshot()
+        finally:
+            obs.reset()
+        # Without a refill each window (warm-up, measure) is exactly
+        # one kernel invocation.
+        windows = 2 if warmup > 0 else 1
+        assert counters["sim.megabatch.invocations"] > windows
+        assert block == batched_runs(topology, capacities, seeds, **kwargs)
 
-# -- engine cross-equality ----------------------------------------------
+
+# -- the kernel's one body ----------------------------------------------
 
 
 class TestEngines:
-    @pytest.mark.parametrize("engine", AVAILABLE_ENGINES)
+    @needs_kernel
+    @pytest.mark.parametrize("engine", ["cc"])
     def test_engine_bitwise_matches_batched(self, engine):
         topology, capacities = _cell("netproc")
         seeds = [3, 1003]
@@ -167,7 +163,6 @@ class TestEngines:
             duration=150.0,
             seeds=seeds,
             timeout_threshold=3.0,
-            engine=engine,
         )
         for seed, got in zip(seeds, block):
             ref = _simulate_seed(
@@ -177,23 +172,14 @@ class TestEngines:
             assert got == ref, engine
 
     def test_forced_unavailable_engine_is_an_error(self, monkeypatch):
+        # A lane is the kernel path: with no C kernel it refuses to
+        # build rather than run anything else.
         monkeypatch.setenv("REPRO_SIM_CC", "0")
-        from repro.sim import _mbcc
-
         monkeypatch.setattr(_mbcc, "_tried", False)
         monkeypatch.setattr(_mbcc, "_cached", None)
-        with pytest.raises(SimulationError, match="cc"):
-            resolve_engine("cc")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError, match="unknown"):
-            resolve_engine("fortran")
-
-    def test_two_engines_cc_by_default(self):
-        assert ENGINES == ("cc", "python")
-        assert resolve_engine("python") == "python"
-        if available_engines()["cc"]:
-            assert resolve_engine() == "cc"
+        topology, capacities = _cell("fig1")
+        with pytest.raises(SimulationError, match="no C kernel"):
+            MegaBatchLane(topology, capacities, [3])
 
 
 # -- kernel-path gating and fallback ------------------------------------
@@ -241,9 +227,10 @@ class TestSupportGate:
         with pytest.raises(SimulationError, match="seed"):
             MegaBatchLane(topology, capacities, [])
 
+    @needs_kernel
     def test_lane_window_protocol_errors(self):
         topology, capacities = _cell("fig1")
-        lane = MegaBatchLane(topology, capacities, [3], engine=KERNEL)
+        lane = MegaBatchLane(topology, capacities, [3])
         with pytest.raises(SimulationError, match="start"):
             lane.run_until(10.0)
         lane.start()
@@ -297,8 +284,6 @@ class TestCountedFallbacks:
         assert got == self._batched(topology, capacities, **kwargs)
 
     def test_no_kernel_counts_and_matches_batched(self, monkeypatch):
-        from repro.sim import _mbcc
-
         monkeypatch.setenv("REPRO_SIM_CC", "0")
         monkeypatch.setattr(_mbcc, "_tried", False)
         monkeypatch.setattr(_mbcc, "_cached", None)
@@ -313,15 +298,33 @@ class TestCountedFallbacks:
         assert got == self._batched(
             topology, capacities, timeout_threshold=3.0
         )
-        # A forced engine never falls back: the interpreted oracle runs.
-        forced, counts = _fallback_counts(
-            lambda: simulate_block(
-                topology, capacities, duration=100.0, seeds=self.SEEDS,
-                timeout_threshold=3.0, engine="python",
-            )
-        )
+
+    @pytest.mark.parametrize(
+        "argument,value",
+        [
+            ("duration", 0.0),
+            ("duration", -5.0),
+            ("duration", math.nan),
+            ("duration", math.inf),
+            ("warmup", -1.0),
+            ("warmup", math.nan),
+            ("warmup", math.inf),
+        ],
+    )
+    def test_invalid_window_is_an_error_not_a_fallback(self, argument, value):
+        # A non-finite window never ends; a non-positive one measures
+        # nothing.  Both are rejected before any lane is chosen.
+        topology, capacities = _cell("amba")
+        kwargs = {"duration": 100.0, "warmup": 0.0, argument: value}
+
+        def run():
+            with pytest.raises(SimulationError, match=argument):
+                simulate_block(
+                    topology, capacities, seeds=self.SEEDS, **kwargs
+                )
+
+        _, counts = _fallback_counts(run)
         assert counts == {"unsupported": 0, "no_kernel": 0}
-        assert forced == got
 
     def test_unknown_arbiter_is_an_error_not_a_fallback(self):
         topology, capacities = _cell("fig1")
@@ -462,6 +465,7 @@ class TestCacheKey:
 
 
 class TestObservability:
+    @needs_kernel
     def test_kernel_spans_and_metrics_fire(self):
         topology, capacities = _cell("fig1")
         obs.enable_metrics()
@@ -469,7 +473,6 @@ class TestObservability:
         try:
             simulate_block(
                 topology, capacities, duration=100.0, seeds=[3, 1003],
-                engine=KERNEL,
             )
             counters = obs.registry().counters_snapshot()
             assert counters["sim.megabatch.invocations"] >= 1
@@ -506,14 +509,15 @@ class TestObservability:
         monkeypatch.setenv("REPRO_SIM_CC", "0")
         assert window_lanes() == {"batched"}
         monkeypatch.delenv("REPRO_SIM_CC")
-        if available_engines()["cc"]:
+        if HAS_KERNEL:
             assert window_lanes() == {"megabatch"}
 
+    @needs_kernel
     def test_kernel_allocates_nothing_in_obs_when_disabled(self):
         topology, capacities = _cell("fig1")
         run = lambda: simulate_block(
             topology, capacities, duration=200.0, seeds=[3],
-            warmup=50.0, engine=KERNEL,
+            warmup=50.0,
         )
         run()  # warm lazy imports, the compiled kernel, and caches
         obs_dir = os.path.dirname(obs.__file__)
