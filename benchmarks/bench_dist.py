@@ -4,9 +4,9 @@ latency by message size, connect latency, and makespan.
 ``bench_dist_overhead`` measures the pure round-trip cost of the
 broker/worker path — trivial ``echo`` jobs through an in-process broker
 and two local worker processes.  The warm-up map teaches the broker's
-cost model what an ``echo`` costs, so each measured batch comes back as
-one pinned bulk lease with zero per-job ``start()`` RPCs, and the
-worker uploads ``complete_many()`` envelopes of 8.
+cost model what an ``echo`` costs, so each measured batch leases as
+one bulk lease, and the worker uploads ``complete_many()`` envelopes
+of 8.
 
 ``bench_dist_rpc_latency`` times ``cache_get`` round trips through a
 real ``BrokerServer`` at three message sizes: 1 KiB, then 24 KiB and
@@ -25,7 +25,7 @@ worker, heartbeat thread and reconnect pays.  It reports
 ``bench_dist_matrix_pass`` times one warm ``run_matrix`` pass (amba
 and single-bus-4 at their declared budgets, 16 replications, horizon
 200) through an in-process broker and one worker process: the fleet's
-real workload, where pinned leases reach the worker as one mega-batch
+real workload, where bulk leases reach the worker as one mega-batch
 block per leased cell and the driver's long poll returns on the last
 upload.  The pass must equal the serial run.
 
@@ -105,7 +105,7 @@ def fleet():
 
 
 def test_bench_dist_overhead(benchmark, fleet):
-    """Round-trips per second of the work-stealing queue (echo jobs)."""
+    """Round-trips per second of the job queue (echo jobs)."""
     items = list(range(JOBS_PER_CALL))
     result = benchmark(lambda: fleet.map(echo, items))
     assert result == items  # the ordered-merge contract, measured path
@@ -113,7 +113,6 @@ def test_bench_dist_overhead(benchmark, fleet):
     benchmark.extra_info["jobs_per_second"] = round(
         JOBS_PER_CALL / benchmark.stats["mean"], 1
     )
-    benchmark.extra_info["steals"] = fleet.stats()["steals"]
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +121,7 @@ def matrix_fleet():
 
     The warm-up pass publishes every cell's sizing to the shared store
     and teaches the cost model each cell's rate, so measured passes
-    lease pinned bulk, as a long fleet run does after its first cells.
+    lease in bulk, as a long fleet run does after its first cells.
     """
     server, procs = _start_fleet(workers=1)
     executor = DistExecutor(server.address, timeout=120)

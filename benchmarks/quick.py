@@ -7,7 +7,7 @@ build and single-replication amba run, batched vs megabatch, in
 ``ms_per_cell``), the compiled-kernel micro-benches, the
 execution-runtime benches (serial vs pooled replications, cold vs warm
 sweeps), the distributed-queue benches
-(``bench_dist_overhead``: trivial jobs through pinned bulk leases and
+(``bench_dist_overhead``: trivial jobs through bulk leases and
 batched uploads, ``bench_dist_rpc_latency``: broker round trips at
 1, 24 and 96 KiB, ``bench_dist_connect_latency``: one ``connect()``
 plus its first call, ``bench_dist_matrix_pass``: one warm ``run_matrix``

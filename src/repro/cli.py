@@ -185,7 +185,9 @@ def _add_runtime_flags(
             "--no-warm-start",
             action="store_true",
             help="solve every sweep budget cold instead of chaining "
-            "bridge-rate/LP warm starts (results are identical)",
+            "bridge-rate/LP warm starts (which is faster depends on the "
+            "axis, and a degenerate cell can allocate differently; see "
+            "docs/execution.md)",
         )
 
 
@@ -389,7 +391,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist_serve(args: argparse.Namespace) -> int:
-    """Run the broker (work-stealing queue + shared cache store)."""
+    """Run the broker (job queue + shared cache store)."""
     from repro.dist import BrokerServer
 
     server = BrokerServer(
@@ -542,7 +544,7 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
     )
     # Broker counters are lifetime-cumulative (the broker is long-
     # lived and shared); snapshot them so the summary reports *this
-    # run's* jobs/steals/cache traffic, not history.
+    # run's* jobs/re-enqueues/cache traffic, not history.
     stats_before = executor.stats() if executor is not None else None
     cache_before = executor.cache_stats() if executor is not None else None
     outcome = run_matrix(
@@ -593,8 +595,7 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
         log.info(
             f"# fleet: "
             f"{stats['completed'] - stats_before['completed']} job(s) "
-            f"completed, {stats['steals'] - stats_before['steals']} "
-            f"steal(s), "
+            f"completed, "
             f"{stats['reaped_jobs'] - stats_before['reaped_jobs']} "
             f"re-enqueued; shared cache "
             f"{cache_stats['hits'] - cache_before['hits']}/"
@@ -834,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist_sub = p_dist.add_subparsers(dest="dist_command", required=True)
 
     p_serve = dist_sub.add_parser(
-        "serve", help="run the work-stealing broker + shared cache store"
+        "serve", help="run the broker: job queue + shared cache store"
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -929,8 +930,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--block-reps", type=int, default=1,
-        help="replications per job block (smaller = more stealable "
-        "blocks sharing each cell's cached sizing)",
+        help="replications per job block (smaller = more blocks to "
+        "spread over the fleet, sharing each cell's cached sizing)",
     )
     p_run.add_argument(
         "--jobs", type=int, default=1,
@@ -979,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top = dist_sub.add_parser(
         "top",
         help="live fleet console: queue depth, per-worker throughput, "
-        "steal/reap/retry/fault counters, cache hit rates (press q to "
+        "reap/retry/fault counters, cache hit rates (press q to "
         "quit)",
     )
     p_top.add_argument("address", help="broker address (host:port)")

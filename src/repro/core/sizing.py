@@ -523,10 +523,12 @@ class BufferSizer:
         The returned :class:`WarmStartState` carries the converged
         bridge rates and the final optimal LP basis.  Feeding it into the
         next ``size_warm`` call of a budget sweep starts that run's fixed
-        point at the previous converged iterate, which typically saves
-        most outer iterations; the final
-        :class:`SizingResult` is the same fixed point either way (the
-        outer loop iterates to the same tolerance from any start).
+        point at the previous converged iterate, which often saves
+        outer iterations.  The final :class:`SizingResult` meets the
+        same fixed-point tolerance from any start, but it is not always
+        the same result: on a degenerate LP block the warm basis can
+        land on another optimal vertex, and so on another allocation
+        (docs/execution.md, "When warm starting pays").
         """
         cap = self._derive_cap(topology)
         split_system = split(topology, cap)

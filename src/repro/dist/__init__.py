@@ -1,19 +1,19 @@
-"""``repro.dist`` — distributed work-stealing execution for fleets.
+"""``repro.dist`` — distributed execution for fleets.
 
 The experiment surface (scenarios × budgets × replications × policies)
 is embarrassingly parallel but :mod:`repro.exec.pool` is pinned to one
 host.  This package scales the same job payloads over many hosts with
 the same determinism contract — a distributed run merges to
 bitwise-identical results vs the serial/pooled local paths, regardless
-of worker count, steal order, or worker death mid-job:
+of worker count, lease order, or worker death mid-job:
 
-* :mod:`repro.dist.queue` — the broker: a work-stealing job queue over
+* :mod:`repro.dist.queue` — the broker: a job queue over
   TCP (one authenticated socket per connection, framed by the stdlib's
   ``multiprocessing.connection``; no new dependencies) with
   heartbeats, dead-worker reaping, the shared cache store, cost-sized
   leases and the batched/compressed wire transport;
 * :mod:`repro.dist.costmodel` — :class:`CostModel`, the per-job
-  runtime predictor (bench-seeded, EWMA-refined, JSON-persisted)
+  runtime predictor (EWMA-refined, JSON-persisted)
   behind longest-first dispatch and lease sizing;
 * :mod:`repro.dist.worker` — the worker loop (``repro dist worker``);
 * :mod:`repro.dist.executor` — :class:`DistExecutor`, the driver-side

@@ -50,13 +50,13 @@ and damage bytes at the ``cachetier.blob`` transform hook.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro import obs
 from repro.errors import is_transient
 from repro.faults import injector as faults
 from repro.retry import DEFAULT_RETRY, RetryPolicy
-from repro.exec.cache import ResultCache, entry_key, pack_entry, unpack_entry
+from repro.exec.cache import ResultCache, ResultStore, pack_entry, unpack_entry
 
 __all__ = ["CacheTier"]
 
@@ -67,7 +67,7 @@ __all__ = ["CacheTier"]
 MEMO_ENTRIES = 32
 
 
-class CacheTier:
+class CacheTier(ResultStore):
     """Two-level result cache behind a memo of decoded hits: local
     disk first, broker store second.
 
@@ -81,13 +81,11 @@ class CacheTier:
         Optional :class:`ResultCache`; ``None`` makes the shared store
         the only tier (a worker launched without ``--cache-dir``).
     retry:
-        Backoff policy for remote store calls.
-    degrade_on_loss:
-        When ``True`` (default), a remote call that still fails with a
-        transient transport error after the retries are exhausted marks
-        the remote store down (:attr:`remote_down`) and the tier keeps
-        serving from the local store alone; ``False`` re-raises, for
-        callers that would rather fail than silently lose pooling.
+        Backoff policy for remote store calls.  A remote call that
+        still fails with a transient transport error after the retries
+        are exhausted marks the remote store down (:attr:`remote_down`,
+        counted in ``cachetier.remote_down``), and the tier keeps
+        serving from the local store alone.
 
     Attributes
     ----------
@@ -109,12 +107,10 @@ class CacheTier:
         remote,
         local: Optional[ResultCache] = None,
         retry: RetryPolicy = DEFAULT_RETRY,
-        degrade_on_loss: bool = True,
     ) -> None:
         self.remote = remote
         self.local = local
         self.retry = retry
-        self.degrade_on_loss = degrade_on_loss
         self.hits = 0
         self.misses = 0
         self.memo_hits = 0
@@ -142,26 +138,21 @@ class CacheTier:
     def _remote_call(self, describe: str, call: Callable[[], Any]) -> Any:
         """Run one remote-store RPC under the retry policy.
 
-        Exhausted transient failures either degrade the tier to
-        local-only (``degrade_on_loss``) or re-raise; the sentinel
-        return ``None`` is indistinguishable from a miss by design —
-        a lost shared store *is* a missing tier.
+        Exhausted transient failures degrade the tier to local-only;
+        the sentinel return ``None`` is indistinguishable from a miss by
+        design — a lost shared store *is* a missing tier.  Any other
+        failure re-raises.
         """
         try:
             return self.retry.call(call, describe=describe)
         except Exception as exc:
-            if self.degrade_on_loss and is_transient(exc):
+            if is_transient(exc):
                 self.remote_down = True
                 self._c_remote_down.inc()
                 return None
             raise
 
     # -- the ResultCache interface -------------------------------------
-
-    def key(self, kind: str, payload: Dict[str, Any]) -> str:
-        """Content address — identical to the disk store's for the same
-        payload, which is what makes the tiers interchangeable."""
-        return entry_key(kind, payload)
 
     def lookup(self, key: str) -> Tuple[bool, Any]:
         """``(hit, value)`` — the memo, then local, then the shared store."""
@@ -240,26 +231,3 @@ class CacheTier:
         if self._remote_call(f"shared cache put {key[:12]}", _put):
             self.publishes += 1
             self._c_publishes.inc()
-
-    def fetch(
-        self,
-        kind: str,
-        payload: Dict[str, Any],
-        compute: Callable[[], Any],
-        should_store: Optional[Callable[[Any], bool]] = None,
-    ) -> Any:
-        """Memoise ``compute()`` through both tiers.
-
-        Same contract as :meth:`ResultCache.fetch`: ``should_store``
-        vetoes publishing (non-converged sizing results stay local to
-        the computing process — they are not pure functions of the
-        payload and must never pool).
-        """
-        key = self.key(kind, payload)
-        hit, value = self.lookup(key)
-        if hit:
-            return value
-        value = compute()
-        if should_store is None or should_store(value):
-            self.put(key, value)
-        return value

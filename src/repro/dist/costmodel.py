@@ -23,15 +23,13 @@ lock while predicting):
   data, times the job's units.  Every observation refines all levels,
   so one completed block of a new budget already inherits its
   scenario's rate;
-* with no observations at all the model falls back to per-scenario
-  **priors** seeded from ``BENCH_*.json`` artifacts
-  (:meth:`CostModel.seed_from_bench` — the bench files are, in effect,
-  training data), and failing that to a flat default rate.  Jobs whose
-  features are indistinguishable then predict equal costs, and because
-  every sort in the scheduler is stable, cold-start cost scheduling
-  degrades to exactly FIFO order.  Only *observed* rates size leases
-  (:meth:`CostModel.observed_cost`): a job the fleet has never run
-  leases alone, so a cold batch spreads over every worker.
+* with no observations at all the model falls back to a flat default
+  rate.  Jobs whose features are indistinguishable then predict equal
+  costs, and because every sort in the scheduler is stable, cold-start
+  cost scheduling degrades to exactly FIFO order.  Only *observed*
+  rates size leases (:meth:`CostModel.observed_cost`): a job the fleet
+  has never run leases alone, so a cold batch spreads over every
+  worker.
 
 The model is a pure *hint*: predictions order the queue and size
 leases, never touch a payload or a result, so a wildly wrong model can
@@ -140,8 +138,6 @@ class CostModel:
         self.default_unit_cost = float(default_unit_cost)
         # key -> [ewma unit cost, observation count]
         self._rates: Dict[str, List[float]] = {}
-        # scenario -> relative weight, seeded from bench artifacts.
-        self._priors: Dict[str, float] = {}
         self._global: Optional[float] = None
         self.observations = 0
         self.mean_abs_rel_err: Optional[float] = None
@@ -169,8 +165,7 @@ class CostModel:
                 return entry[0] * units
         if self._global is not None:
             return self._global * units
-        prior = self._priors.get(str(features.get("scenario")), 1.0)
-        return self.default_unit_cost * prior * units
+        return self.default_unit_cost * units
 
     def observed_cost(
         self, features: Optional[Dict[str, Any]]
@@ -180,8 +175,8 @@ class CostModel:
         The rate must be for the job's kind and, when the features
         name a scenario, for that scenario too: a bare-kind rate learnt
         on one scenario says nothing about another, and the global
-        rate, priors and default say nothing observed at all.  The
-        broker bulk-leases and pins only jobs this returns a cost for.
+        rate and the default say nothing observed at all.  The broker
+        bulk-leases only jobs this returns a cost for.
         """
         if not features:
             return None
@@ -230,51 +225,10 @@ class CostModel:
                 entry[0] = (1 - self.alpha) * entry[0] + self.alpha * unit_cost
                 entry[1] += 1
 
-    # -- bench seeding --------------------------------------------------
-
-    def seed_from_bench(self, source: Any) -> int:
-        """Seed per-scenario priors from a ``BENCH_*.json`` artifact.
-
-        ``source`` is a pytest-benchmark JSON path or its parsed dict.
-        Benchmarks tagged with an ``extra_info.scenario`` contribute
-        their mean wall time; each scenario's prior is its mean
-        relative to the cross-scenario mean, so a scenario the benches
-        show 5× slower predicts 5× longer before the fleet has run a
-        single block.  Returns the number of scenarios seeded; any
-        malformed artifact seeds nothing (cold start, never a crash).
-        """
-        try:
-            if isinstance(source, (str, os.PathLike)):
-                with open(source) as fh:
-                    report = json.load(fh)
-            else:
-                report = source
-            per_scenario: Dict[str, List[float]] = {}
-            for bench in report.get("benchmarks", []):
-                extra = bench.get("extra_info") or {}
-                scenario = extra.get("scenario")
-                mean = (bench.get("stats") or {}).get("mean")
-                if scenario and isinstance(mean, (int, float)) and mean > 0:
-                    per_scenario.setdefault(str(scenario), []).append(
-                        float(mean)
-                    )
-            if not per_scenario:
-                return 0
-            means = {
-                scenario: sum(values) / len(values)
-                for scenario, values in per_scenario.items()
-            }
-            overall = sum(means.values()) / len(means)
-            for scenario, mean in means.items():
-                self._priors[scenario] = mean / overall
-            return len(means)
-        except (OSError, ValueError, TypeError, AttributeError):
-            return 0
-
     # -- persistence ----------------------------------------------------
 
     def to_state(self) -> Dict[str, Any]:
-        """JSON-compatible snapshot of the learned rates and priors."""
+        """JSON-compatible snapshot of the learned rates."""
         return {
             "schema": STATE_SCHEMA,
             "alpha": self.alpha,
@@ -283,13 +237,15 @@ class CostModel:
                 key: [entry[0], int(entry[1])]
                 for key, entry in self._rates.items()
             },
-            "priors": dict(self._priors),
             "global": self._global,
             "observations": self.observations,
         }
 
     def from_state(self, state: Dict[str, Any]) -> bool:
-        """Restore a :meth:`to_state` snapshot; ``False`` = ignored."""
+        """Restore a :meth:`to_state` snapshot; ``False`` = ignored.
+
+        A ``priors`` key, which older saved states carry, is ignored.
+        """
         if not isinstance(state, dict) or state.get("schema") != STATE_SCHEMA:
             return False
         try:
@@ -297,15 +253,11 @@ class CostModel:
                 str(key): [float(value[0]), int(value[1])]
                 for key, value in state.get("rates", {}).items()
             }
-            self._priors = {
-                str(key): float(value)
-                for key, value in state.get("priors", {}).items()
-            }
             raw = state.get("global")
             self._global = None if raw is None else float(raw)
             self.observations = int(state.get("observations", 0))
         except (TypeError, ValueError, IndexError):
-            self._rates, self._priors, self._global = {}, {}, None
+            self._rates, self._global = {}, None
             self.observations = 0
             return False
         return True
@@ -334,6 +286,5 @@ class CostModel:
         return {
             "observations": self.observations,
             "entries": len(self._rates),
-            "priors": len(self._priors),
             "mean_abs_rel_err": self.mean_abs_rel_err,
         }

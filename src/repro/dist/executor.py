@@ -230,10 +230,9 @@ class DistExecutor:
     def cost_seed(self, state: dict) -> bool:
         """Seed the broker's cost model before submitting.
 
-        Accepts either a prior :meth:`cost_snapshot` state or a
-        ``BENCH_*.json`` pytest-benchmark document; returns whether
-        the broker absorbed anything.  Purely advisory — predictions
-        shape dispatch order and lease sizes, never results.
+        Accepts a prior :meth:`cost_snapshot` state; returns whether
+        the broker absorbed it.  Purely advisory — predictions shape
+        dispatch order and lease sizes, never results.
         """
         return self._rpc("cost seed", lambda b: b.cost_seed(state))
 
@@ -249,7 +248,7 @@ class DistExecutor:
 
         Equivalent to ``[fn(item) for item in items]`` for pure ``fn``
         (the :mod:`repro.exec.pool` determinism contract), for any
-        number of workers, steal order, or worker death mid-job — and,
+        number of workers, lease order, or worker death mid-job — and,
         under ``on_broker_loss="fallback"``, for broker death too.
         ``on_result(index, result)`` fires in index order as the
         completed prefix grows.

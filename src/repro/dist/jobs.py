@@ -22,10 +22,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro import obs, scenarios
 from repro.exec import ExecutionContext
-from repro.exec.cache import entry_key
+from repro.exec.cache import ResultStore
 
 
-class ProcessMemo:
+class ProcessMemo(ResultStore):
     """In-process fallback store behind the ``fetch`` cache interface.
 
     A local (non-fleet) matrix run has no worker tier installed, yet
@@ -44,12 +44,9 @@ class ProcessMemo:
         self.hits = 0
         self.misses = 0
 
-    # The full ResultCache store interface (key/lookup/put/fetch), so
-    # a memo-backed context supports every runtime path — sweeps and
-    # replicate address the store piecewise, not only through fetch.
-
-    def key(self, kind, payload) -> str:
-        return entry_key(kind, payload)
+    # The full store interface (key/lookup/put/fetch), so a memo-backed
+    # context supports every runtime path — sweeps and replicate
+    # address the store piecewise, not only through fetch.
 
     def lookup(self, key):
         if key in self._store:
@@ -60,16 +57,6 @@ class ProcessMemo:
 
     def put(self, key, value) -> None:
         self._store[key] = value
-
-    def fetch(self, kind, payload, compute, should_store=None):
-        key = self.key(kind, payload)
-        hit, value = self.lookup(key)
-        if hit:
-            return value
-        value = compute()
-        if should_store is None or should_store(value):
-            self.put(key, value)
-        return value
 
 
 #: Process-wide cache the worker loop installs (a CacheTier), consulted
@@ -176,7 +163,7 @@ def run_blocks(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
     A seed's result does not depend on which seeds share its
     simulation (the :func:`~repro.sim.runner.simulate_block`
     contract), so the outcomes equal ``[run_block(p) for p in
-    payloads]`` bit for bit.  A fleet worker runs each pinned lease's
+    payloads]`` bit for bit.  A fleet worker runs each lease's
     consecutive blocks of a cell through here.
     """
     outcomes: List[BlockOutcome] = []

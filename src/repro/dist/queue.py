@@ -1,4 +1,4 @@
-"""Work-stealing job queue over TCP: the broker and its wire protocol.
+"""Job queue over TCP: the broker and its wire protocol.
 
 One :class:`Broker` lives in the broker process (``repro dist serve``)
 and :class:`BrokerServer` serves it over TCP: every public method below
@@ -19,17 +19,13 @@ Queue semantics
   hosts).  The batch is *enqueued* longest-predicted-first.
 * **lease_jobs** — the broker sizes each lease from its cost model.
   Jobs with an observed runtime rate lease in bulk, up to
-  :data:`DEFAULT_LEASE_TARGET` seconds of predicted work, and come back
-  *pinned*: pre-marked started, so the worker skips the per-job
-  ``start()`` round-trips (a reaped pinned lease is re-enqueued like
-  any other).  Every other job leases alone and unpinned, so a cold
-  batch spreads over the whole fleet; an idle worker whose lease finds
-  the queue empty steals such an unstarted job from the most-loaded
-  worker instead of idling.
-* **start** — a worker announces it is about to execute an unpinned
-  job.  ``False`` means the job was stolen or reassigned in the
-  meantime; the worker just skips it (the thief runs it), so no job
-  ever runs twice because of a steal.
+  :data:`DEFAULT_LEASE_TARGET` seconds of predicted work; every other
+  job leases alone, so a cold batch spreads over the whole fleet.  A
+  job starts when it is granted: it is queued, leased or done.  A
+  worker holds at most one lease, so its next ``lease_jobs`` call
+  first hands back whatever it still holds, to the front of the queue:
+  a lease whose reply was lost on a torn connection comes back as soon
+  as its worker asks again.
 * **complete_many** — stores a worker's buffered results and clears
   their leases.  Duplicate completions (a presumed-dead worker that was
   merely slow, or an upload replayed after a reconnect) are ignored;
@@ -39,13 +35,13 @@ Queue semantics
 * **long polls** — ``fetch_ready`` and ``lease_jobs`` take a ``wait``:
   with nothing to hand out they block on one :class:`threading.Condition`
   over the queue lock, and every state change that could answer them
-  (a submit, a completion, a reap, a dropped batch, the server
+  (a submit, a completion, a re-enqueue, a dropped batch, the server
   stopping) wakes them.  :data:`LONG_POLL_WAIT` bounds every
   wait, so reaping and the callers' own deadline checks still run at
   least that often.
 * **heartbeat / reaping** — workers beat while executing; any worker
   whose last beat is older than ``lease_timeout`` is reaped and its
-  incomplete leases re-enqueued at the *front* of the queue (oldest
+  incomplete lease re-enqueued at the *front* of the queue (oldest
   index first), so a worker death mid-job delays that job, never loses
   or reorders it.
 
@@ -76,7 +72,7 @@ from multiprocessing.connection import (
     answer_challenge,
     deliver_challenge,
 )
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.dist.costmodel import CostModel
 from repro.errors import ReproError
@@ -103,7 +99,7 @@ DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
 #: Snapshots the broker-side :class:`~repro.obs.history.SnapshotHistory`
 #: ring retains for SSE backfill — at the HTTP service's default 2s
 #: sampling cadence this is ~17 minutes of history in a few MB.
-DEFAULT_HISTORY_CAPACITY = 512
+HISTORY_CAPACITY = 512
 
 #: Predicted seconds of work one bulk lease aims to hand out: enough
 #: that a worker rarely leases twice per second of work, yet small
@@ -271,7 +267,6 @@ class Broker:
         batch_ttl: Optional[float] = None,
         cost_model: Optional[CostModel] = None,
         cost_model_path: Optional[str] = None,
-        history_capacity: int = DEFAULT_HISTORY_CAPACITY,
     ) -> None:
         if lease_timeout <= 0:
             raise ReproError(
@@ -305,13 +300,9 @@ class Broker:
         self._pending: deque = deque()  # job ids awaiting a lease
         self._payloads: Dict[JobId, JobPayload] = {}
         self._leases: Dict[JobId, str] = {}  # job id -> worker id
-        self._started: set = set()  # leased jobs whose execution began
-        # Scheduler state: per-job features and submit-time predictions,
-        # and start times for the runtime fallback when a completion
-        # arrives without a worker-measured runtime.
+        # Scheduler state: per-job features and submit-time predictions.
         self._features: Dict[JobId, Optional[Dict[str, Any]]] = {}
         self._predicted: Dict[JobId, float] = {}
-        self._started_at: Dict[JobId, float] = {}
         self._batch_totals: Dict[str, int] = {}
         self._results: Dict[str, Dict[int, Any]] = {}
         self._batch_polled: Dict[str, float] = {}  # batch -> last poll
@@ -327,14 +318,12 @@ class Broker:
         # paths below just .inc() them (all mutation happens under
         # self._lock, which is what makes each snapshot consistent).
         self.metrics = MetricsRegistry(enabled=True)
-        self._c_steals = self.metrics.counter("broker.steals")
         self._c_reaped = self.metrics.counter("broker.reaped_jobs")
         self._c_completed = self.metrics.counter("broker.completed")
         self._c_dropped = self.metrics.counter("broker.dropped_batches")
         # Scheduler/transport telemetry (the `dist top` rows).
         self._c_lease_grants = self.metrics.counter("broker.lease_grants")
         self._c_lease_jobs = self.metrics.counter("broker.lease_jobs")
-        self._c_pinned_leases = self.metrics.counter("broker.pinned_leases")
         self._c_batched_uploads = self.metrics.counter(
             "broker.batched_uploads"
         )
@@ -345,13 +334,12 @@ class Broker:
         self._c_cache_evictions = self.metrics.counter(
             "broker.cache.evictions"
         )
-        # Completion latency distribution (worker-measured runtimes,
-        # broker-clock fallback) — the `dist top` latency row and the
-        # /metrics summary quantiles.
+        # Completion latency distribution (worker-measured runtimes) —
+        # the `dist top` latency row and the /metrics summary quantiles.
         self._h_runtime = self.metrics.histogram("broker.job_runtime_seconds")
         # Sampled-snapshot ring: obs_sample() records here so SSE
         # clients reconnecting mid-stream can backfill what they missed.
-        self.history = SnapshotHistory(history_capacity)
+        self.history = SnapshotHistory(HISTORY_CAPACITY)
         # Fleet telemetry: per-worker metric deltas shipped on
         # heartbeats/completions.  Reaped workers keep their totals
         # (marked dead) so fleet sums stay correct across deaths.
@@ -408,53 +396,48 @@ class Broker:
 
     def lease_jobs(
         self, worker_id: str, wait: float = 0.0
-    ) -> Dict[str, Any]:
+    ) -> List[Tuple[JobId, JobPayload]]:
         """Lease work to one worker, sized by the cost model.
 
-        Returns ``{"jobs": [(job_id, payload), ...], "pinned": bool}``.
-        Jobs the model has an *observed* rate for
-        (:meth:`CostModel.observed_cost`) are granted until their
-        predicted runtimes would sum past :data:`DEFAULT_LEASE_TARGET`
-        (or :data:`LEASE_MAX_JOBS`): cheap jobs lease in bulk, and one
-        lease RPC hands out ≈``DEFAULT_LEASE_TARGET`` seconds of work.
-        Every other job — never observed, or predicted longer than the
-        target — leases alone.  A cold batch therefore spreads over
-        every worker, and its first completions train the model.
+        Returns the granted ``(job_id, payload)`` pairs, each started
+        the moment it is granted.  Jobs the model has an *observed*
+        rate for (:meth:`CostModel.observed_cost`) are granted until
+        their predicted runtimes would sum past
+        :data:`DEFAULT_LEASE_TARGET` (or :data:`LEASE_MAX_JOBS`): cheap
+        jobs lease in bulk, and one lease RPC hands out
+        ≈``DEFAULT_LEASE_TARGET`` seconds of work.  Every other job —
+        never observed, or predicted longer than the target — leases
+        alone.  A cold batch therefore spreads over every worker, and
+        its first completions train the model.
 
-        A lease of observed jobs within the target comes back
-        **pinned**: the broker marks the jobs started here and now, so
-        the worker skips one ``start()`` RPC per job.  The trade is
-        deliberate and bounded — pinned jobs are invisible to steals
-        (they read as running), and a worker death re-runs up to one
-        lease target of work after the reap (re-enqueue and
-        duplicate-completion paths are shared with ``start()``-ed
-        jobs, so the determinism contract is untouched).  Single
-        unpinned jobs stay stealable, with ``start()`` as the arbiter;
-        an idle worker that finds the queue empty steals one.
+        A worker id holds at most one lease.  The worker loop keeps
+        that contract: it leases again only after running its previous
+        lease and flushing the results.  So the call first hands back
+        every job ``worker_id`` still holds, to the front of the queue
+        in index order, counted in ``broker.reaped_jobs`` like a reap.
+        A lease whose reply was lost on a torn connection therefore
+        comes back on the worker's next call; a reap would never free
+        it, since the worker keeps beating.
 
-        With nothing to lease or steal, the call long-polls: it waits
-        up to ``wait`` seconds (at most :data:`LONG_POLL_WAIT`) for a
-        submit or a reap to queue work, and returns an empty lease if
-        none comes.  Only the call's first look steals: idle waiters
-        woken together by one submit would otherwise steal its jobs
-        from each other in a cascade before any owner could start one.
+        With nothing to lease, the call long-polls: it waits up to
+        ``wait`` seconds (at most :data:`LONG_POLL_WAIT`) for a submit
+        or a reap to queue work, and returns an empty lease if none
+        comes.
         """
         deadline = _wait_deadline(wait)
-        steal = True
         with self._lock:
+            self._requeue_leases({worker_id})
             while True:
                 self._beat(worker_id)
                 self._reap()
-                lease = self._lease_locked(worker_id, steal)
-                if lease["jobs"] or not self._wait_locked(deadline):
-                    return lease
-                steal = False
+                granted = self._lease_locked(worker_id)
+                if granted or not self._wait_locked(deadline):
+                    return granted
 
-    def _lease_locked(self, worker_id: str, steal: bool) -> Dict[str, Any]:
-        """One lease attempt: grant from the queue, else maybe steal."""
+    def _lease_locked(self, worker_id: str) -> List[Tuple[JobId, JobPayload]]:
+        """One lease attempt: grant from the front of the queue."""
         granted: List[Tuple[JobId, JobPayload]] = []
         predicted_total = 0.0
-        pinned = True
         while self._pending and len(granted) < LEASE_MAX_JOBS:
             job_id = self._pending[0]
             if job_id not in self._payloads or job_id in self._leases:
@@ -472,60 +455,12 @@ class Broker:
             self._leases[job_id] = worker_id
             granted.append((job_id, self._payloads[job_id]))
             if cost is None:
-                pinned = False
                 break  # unobserved: leases alone
             predicted_total += cost
-        if not granted:
-            stolen = self._steal_for(worker_id) if steal else None
-            return {
-                "jobs": [] if stolen is None else [stolen],
-                "pinned": False,
-            }
-        self._c_lease_grants.inc()
-        self._c_lease_jobs.inc(len(granted))
-        pinned = pinned and predicted_total <= DEFAULT_LEASE_TARGET
-        if pinned:
-            self._c_pinned_leases.inc()
-            now = self._clock()
-            for job_id, _ in granted:
-                self._started.add(job_id)
-                self._started_at.setdefault(job_id, now)
-        return {"jobs": granted, "pinned": pinned}
-
-    def _steal_for(
-        self, thief: str
-    ) -> Optional[Tuple[JobId, JobPayload]]:
-        """Reassign one unstarted lease from the most-loaded worker."""
-        by_victim: Dict[str, List[JobId]] = {}
-        for job_id, owner in self._leases.items():
-            if owner != thief and job_id not in self._started:
-                by_victim.setdefault(owner, []).append(job_id)
-        if not by_victim:
-            return None
-        victim = max(by_victim, key=lambda w: len(by_victim[w]))
-        # Steal the tail of the victim's lease (its last-leased job):
-        # the victim works its lease front to back, so the tail is the
-        # job it would reach last — the least likely to race a start().
-        job_id = max(by_victim[victim])
-        self._leases[job_id] = thief
-        self._c_steals.inc()
-        return job_id, self._payloads[job_id]
-
-    def start(self, worker_id: str, job_id: JobId) -> bool:
-        """Whether ``worker_id`` still owns the lease and may execute.
-
-        Refreshes liveness but never *registers*: a reaped worker
-        announcing a stale job must not resurrect as a phantom (see
-        :meth:`complete_many`).
-        """
-        with self._lock:
-            self._beat(worker_id, register=False)
-            job_id = tuple(job_id)
-            if self._leases.get(job_id) != worker_id:
-                return False  # stolen, reaped or already completed
-            self._started.add(job_id)
-            self._started_at.setdefault(job_id, self._clock())
-            return True
+        if granted:
+            self._c_lease_grants.inc()
+            self._c_lease_jobs.inc(len(granted))
+        return granted
 
     def complete_many(
         self,
@@ -550,9 +485,9 @@ class Broker:
         reads, and be "reaped" again next cycle).  The worker
         re-registers honestly on its next lease.
 
-        ``runtime`` is the worker's measured wall time for the job; it
-        (or, failing that, the broker-clock ``start``→completion span)
-        trains the cost model.
+        ``runtime`` is the worker's measured wall time for the job,
+        which trains the cost model; a completion without one trains
+        nothing.
         """
         with self._lock:
             self._beat(worker_id, register=False)
@@ -570,20 +505,17 @@ class Broker:
         """Store one result and train the cost model (lock held)."""
         batch_id, index = job_id
         job_id = (batch_id, index)
-        observed = runtime
-        if observed is None and job_id in self._started_at:
-            observed = self._clock() - self._started_at[job_id]
         results = self._results.get(batch_id)
         if results is None or index in results:
             self._forget_job(job_id)  # dropped batch / duplicate
             return
         results[index] = result
         self._c_completed.inc()
-        if observed is not None:
-            self._h_runtime.observe(observed)
+        if runtime is not None:
+            self._h_runtime.observe(runtime)
             self.cost_model.observe(
                 self._features.get(job_id),
-                observed,
+                runtime,
                 predicted=self._predicted.get(job_id),
             )
             self._maybe_save_cost_model()
@@ -612,15 +544,9 @@ class Broker:
             return self.cost_model.to_state()
 
     def cost_seed(self, state: Dict[str, Any]) -> bool:
-        """Warm-start the model from a driver-supplied state or bench.
-
-        Accepts either a :meth:`CostModel.to_state` snapshot (journaled
-        by a previous ``repro dist run``) or a pytest-benchmark JSON
-        dict (``BENCH_*.json``) to seed scenario priors from.
-        """
+        """Warm-start the model from a :meth:`CostModel.to_state`
+        snapshot (journaled by a previous ``repro dist run``)."""
         with self._lock:
-            if isinstance(state, dict) and "benchmarks" in state:
-                return self.cost_model.seed_from_bench(state) > 0
             return self.cost_model.from_state(state)
 
     def cost_save(self) -> bool:
@@ -716,7 +642,9 @@ class Broker:
         attributes readable mid-update between RPCs).
         """
         with self._lock:
-            return self._stats_locked()
+            stats = self._stats_locked()
+        stats["steals"] = 0  # nothing steals; perfbench still reads it
+        return stats
 
     def _stats_locked(self) -> Dict[str, Any]:
         return {
@@ -725,12 +653,10 @@ class Broker:
             "leased": len(self._leases),
             "batches": len(self._batch_totals),
             "completed": self._c_completed.value,
-            "steals": self._c_steals.value,
             "reaped_jobs": self._c_reaped.value,
             "dropped_batches": self._c_dropped.value,
             "lease_grants": self._c_lease_grants.value,
             "lease_jobs": self._c_lease_jobs.value,
-            "pinned_leases": self._c_pinned_leases.value,
             "batched_uploads": self._c_batched_uploads.value,
             "batched_jobs": self._c_batched_jobs.value,
         }
@@ -748,7 +674,6 @@ class Broker:
             "mean_lease_size": (
                 self._c_lease_jobs.value / grants if grants else None
             ),
-            "pinned_leases": self._c_pinned_leases.value,
             "batched_uploads": self._c_batched_uploads.value,
         }
 
@@ -890,36 +815,36 @@ class Broker:
         ]
         for worker_id in dead:
             del self._workers[worker_id]
-            orphaned = sorted(
-                j for j, owner in self._leases.items() if owner == worker_id
-            )
-            for job_id in orphaned:
-                del self._leases[job_id]
-                self._started.discard(job_id)
-                # Drop the start timestamp too: the job will run again
-                # elsewhere, and its observed runtime must not include
-                # the dead worker's stall.
-                self._started_at.pop(job_id, None)
-            # Front of the queue, oldest index first: a re-enqueued job
-            # is picked up before fresh work, bounding its extra delay.
-            self._pending.extendleft(reversed(orphaned))
-            self._c_reaped.inc(len(orphaned))
-            if orphaned:
-                self._changed.notify_all()
             # Keep the dead worker's shipped metric totals — fleet
             # sums must not shrink when a worker dies — but mark it so
             # the console shows it gone.
             record = self._worker_metrics.get(worker_id)
             if record is not None:
                 record["alive"] = False
+        if dead:
+            self._requeue_leases(set(dead))
+
+    def _requeue_leases(self, worker_ids: Set[str]) -> None:
+        """Re-enqueue every job still leased to one of ``worker_ids``.
+
+        Front of the queue, oldest index first: a re-enqueued job is
+        picked up before fresh work, bounding its extra delay.
+        """
+        held = sorted(
+            j for j, owner in self._leases.items() if owner in worker_ids
+        )
+        for job_id in held:
+            del self._leases[job_id]
+        self._pending.extendleft(reversed(held))
+        self._c_reaped.inc(len(held))
+        if held:
+            self._changed.notify_all()
 
     def _forget_job(self, job_id: JobId) -> None:
         self._payloads.pop(job_id, None)
         self._leases.pop(job_id, None)
-        self._started.discard(job_id)
         self._features.pop(job_id, None)
         self._predicted.pop(job_id, None)
-        self._started_at.pop(job_id, None)
 
     # -- shared cache store --------------------------------------------
 

@@ -1,24 +1,25 @@
-"""The worker loop: lease, start, execute, upload — and heartbeat.
+"""The worker loop: lease, execute, upload — and heartbeat.
 
 ``repro dist worker HOST:PORT`` runs :func:`worker_loop` in the
 foreground.  The loop leases jobs via
 :meth:`~repro.dist.queue.Broker.lease_jobs` (the broker sizes the
-lease from its cost model; an idle worker's lease call long-polls, so
-new work starts the moment it is submitted, with no sleeps), announces
-each execution of an unpinned job with ``start`` (a ``False`` answer
-means the job was stolen — skip it; *pinned* leases arrive pre-started
-and skip the announcement round-trip entirely), runs each pinned
-lease's consecutive :func:`~repro.dist.jobs.run_block` jobs of one
-cell as one mega-batch block (:func:`~repro.dist.jobs.run_blocks`),
-and ships results (or a
+lease from its cost model and starts every job it grants; an idle
+worker's lease call long-polls, so new work starts the moment it is
+submitted, with no sleeps), runs each lease's consecutive
+:func:`~repro.dist.jobs.run_block` jobs of one cell as one mega-batch
+block (:func:`~repro.dist.jobs.run_blocks`), and ships results (or a
 :class:`~repro.dist.queue.JobFailure` wrapping the exception, with its
 text bounded by :func:`~repro.dist.queue.truncate_failure_text`) back
 in ``complete_many`` uploads of up to :data:`UPLOAD_BATCH` finished
-jobs — one RPC instead of N, flushed at every lease boundary so
+jobs — one RPC instead of N, flushed before every lease call so
 results never wait on future work.  Each completion carries the job's
 measured wall time, which trains the broker's cost model.  Because
 completions are idempotent broker-side, a flush interrupted by a torn
-connection is simply replayed after the reconnect.
+connection is simply replayed after the reconnect.  The worker leases
+again only after its previous lease ran and flushed: the broker's
+one-lease-per-worker contract, under which the next lease call hands
+back whatever a torn connection left unfinished (or a lost reply left
+unseen).
 
 Liveness is a side thread beating over its *own* broker connection
 (a connection serves one thread at a time), so a worker stays alive
@@ -30,9 +31,10 @@ Self-healing: connects run under the unified
 connection) is restarted on the next lease, and a torn *main*
 connection triggers a reconnect attempt before the worker gives up —
 so a broker restart stalls a worker instead of killing it.  Fault
-plans (:mod:`repro.faults`) inject at the ``worker.execute`` and
-``worker.heartbeat`` hooks; the plan arrives through the
-``REPRO_FAULT_PLAN`` environment variable for forked fleet workers.
+plans (:mod:`repro.faults`) inject at the ``worker.lease``,
+``worker.execute`` and ``worker.heartbeat`` hooks; the plan arrives
+through the ``REPRO_FAULT_PLAN`` environment variable for forked fleet
+workers.
 
 Each worker installs a :class:`~repro.dist.cachetier.CacheTier`
 (optional local disk + the broker's shared store) as the process-wide
@@ -78,7 +80,7 @@ __all__ = ["default_worker_id", "worker_loop"]
 
 #: Finished jobs buffered per ``complete_many`` upload (a coalesced
 #: group's results, which finish together, ship together).  The buffer
-#: also flushes at every lease boundary, so a result waits on at most
+#: also flushes before every lease call, so a result waits on at most
 #: the jobs of its own lease, never on future work.
 UPLOAD_BATCH = 8
 
@@ -124,19 +126,17 @@ def _block_cell(payload: JobPayload) -> Optional[Dict[str, Any]]:
         return None  # malformed: it runs alone and _execute reports it
 
 
-def _groups(leased: List[Job], pinned: bool) -> List[List[Job]]:
+def _groups(leased: List[Job]) -> List[List[Job]]:
     """Split one lease into execution groups, in lease order.
 
-    In a pinned lease, each run of consecutive ``run_block`` jobs of
-    one cell is one group, simulated as one mega-batch block.  Every
-    other job is a group of its own: only pinned jobs coalesce, since
-    they are started already and no ``start()`` can refuse one of
-    them (an unpinned lease is a single job anyway).
+    Each run of consecutive ``run_block`` jobs of one cell is one
+    group, simulated as one mega-batch block.  Every other job is a
+    group of its own.
     """
     groups: List[List[Job]] = []
     previous = None
     for job in leased:
-        cell = _block_cell(job[1]) if pinned else None
+        cell = _block_cell(job[1])
         if cell is not None and cell == previous:
             groups[-1].append(job)
         else:
@@ -328,7 +328,6 @@ def worker_loop(
     obs.enable_metrics()
     c_jobs = obs.counter("worker.jobs")
     c_failed = obs.counter("worker.jobs_failed")
-    c_skipped = obs.counter("worker.jobs_stolen_away")
     c_fallbacks = obs.counter("worker.group_fallbacks")
     shipper = _MetricsShipper()
 
@@ -400,13 +399,20 @@ def worker_loop(
                 left = idle_since + max_idle - time.monotonic()
                 wait = min(wait, max(left, 0.0))
             try:
-                lease = broker.lease_jobs(worker_id, wait)
+                # Results first: a lease call hands back every job this
+                # worker still holds, so none may wait in the outbox.
+                _flush()
+                leased = broker.lease_jobs(worker_id, wait)
+                if leased:
+                    # Only granted leases count: how many empty long
+                    # polls an idle worker makes depends on timing.
+                    faults.fire(
+                        "worker.lease", worker_id=worker_id, jobs=len(leased)
+                    )
             except _BROKER_GONE:
                 if _reconnect():
-                    continue
+                    continue  # the next lease call hands this one back
                 break
-            leased = lease["jobs"]
-            pinned = lease["pinned"]
             if not leased:
                 if (
                     max_idle is not None
@@ -414,16 +420,8 @@ def worker_loop(
                 ):
                     break
                 continue
-            for group in _groups(leased, pinned):
+            for group in _groups(leased):
                 try:
-                    # Pinned leases were marked started at lease time —
-                    # the broker already guarantees nobody steals them,
-                    # so the per-job announcement round-trip is skipped.
-                    if not pinned and not broker.start(
-                        worker_id, group[0][0]
-                    ):
-                        c_skipped.inc()
-                        continue  # stolen while leased — the thief runs it
                     for job_id, _ in group:
                         faults.fire(
                             "worker.execute",
@@ -457,19 +455,9 @@ def worker_loop(
                         _flush()  # idempotent replay of the outbox
                     except _BROKER_GONE:
                         pass  # next lease iteration reconnects again
-                    continue  # a reaped lease re-runs elsewhere; move on
-            # Lease boundary: ship whatever the batch threshold left
-            # behind — a completed result must never wait on jobs the
-            # worker has not even leased yet.
-            try:
-                _flush()
-            except _BROKER_GONE:
-                if not _reconnect():
-                    return executed
-                try:
-                    _flush()
-                except _BROKER_GONE:
-                    pass
+                    # Run the rest of the lease; a group this left
+                    # unfinished is handed back on the next lease call.
+                    continue
             idle_since = time.monotonic()
     finally:
         heartbeat.stop()

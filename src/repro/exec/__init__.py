@@ -10,8 +10,10 @@ number they produce:
 * :mod:`repro.exec.pool` — deterministic process-pool fan-out with an
   ordered merge (``jobs=N`` is bitwise-identical to ``jobs=1``);
 * :mod:`repro.exec.sweeps` — budget-sweep chaining with bridge-rate and
-  LP-basis warm starts (equivalent to cold solves, far fewer fixed-point
-  iterations);
+  LP-basis warm starts (fewer fixed-point iterations to the same
+  tolerance as cold solves, but not always faster, and a degenerate
+  cell can allocate differently: docs/execution.md, "When warm
+  starting pays");
 * :mod:`repro.exec.cache` — a disk-backed content-addressed result
   store keyed by topology + configuration + code version.
 

@@ -199,7 +199,45 @@ def topology_fingerprint(topology) -> Dict[str, Any]:
     }
 
 
-class ResultCache:
+class ResultStore:
+    """The ``key`` and ``fetch`` every result store shares.
+
+    A store supplies ``lookup(key) -> (hit, value)`` and ``put(key,
+    value)``.  Three do: :class:`ResultCache` on disk,
+    :class:`repro.dist.cachetier.CacheTier` over a broker, and
+    :class:`repro.dist.jobs.ProcessMemo` in one run's memory.
+    """
+
+    def key(self, kind: str, payload: Dict[str, Any]) -> str:
+        """The content address of one computation (:func:`entry_key`),
+        the same in every store, which is what lets stores pool."""
+        return entry_key(kind, payload)
+
+    def fetch(
+        self,
+        kind: str,
+        payload: Dict[str, Any],
+        compute: Callable[[], Any],
+        should_store: Optional[Callable[[Any], bool]] = None,
+    ) -> Any:
+        """Memoise ``compute()`` under the content address of the payload.
+
+        ``should_store`` vetoes storing a freshly computed value (e.g. a
+        sizing run whose fixed point did not converge, whose result is
+        therefore not a pure function of the payload and must never
+        pool); the value is still returned, just recomputed next time.
+        """
+        key = self.key(kind, payload)
+        hit, value = self.lookup(key)
+        if hit:
+            return value
+        value = compute()
+        if should_store is None or should_store(value):
+            self.put(key, value)
+        return value
+
+
+class ResultCache(ResultStore):
     """A content-addressed pickle store rooted at one directory.
 
     Parameters
@@ -257,15 +295,6 @@ class ResultCache:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-
-    def key(self, kind: str, payload: Dict[str, Any]) -> str:
-        """The content address of one computation.
-
-        The envelope pins the computation kind, the cache schema and the
-        code version alongside the payload, so keys from different
-        kinds/versions can never collide.
-        """
-        return entry_key(kind, payload)
 
     def path_for(self, key: str) -> Path:
         """On-disk location of one entry."""
@@ -454,26 +483,3 @@ class ResultCache:
                 self.evictions += 1
                 self._c_evictions.inc()
         self._approx_bytes = total
-
-    def fetch(
-        self,
-        kind: str,
-        payload: Dict[str, Any],
-        compute: Callable[[], Any],
-        should_store: Optional[Callable[[Any], bool]] = None,
-    ) -> Any:
-        """Memoise ``compute()`` under the content address of the payload.
-
-        ``should_store`` vetoes persisting a freshly computed value
-        (e.g. a sizing run whose fixed point did not converge, whose
-        result is therefore not a pure function of the payload); the
-        value is still returned, just recomputed next time.
-        """
-        key = self.key(kind, payload)
-        hit, value = self.lookup(key)
-        if hit:
-            return value
-        value = compute()
-        if should_store is None or should_store(value):
-            self.put(key, value)
-        return value

@@ -75,7 +75,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: Optional[int] = 1,
-    chunksize: int = 1,
     executor: Optional[object] = None,
     on_result: Optional[Callable[[int, R], None]] = None,
 ) -> List[R]:
@@ -89,10 +88,8 @@ def parallel_map(
         Job descriptions; each must be picklable when ``jobs > 1``.
     jobs:
         Worker process count.  ``1`` (default) runs serially in-process;
-        ``None``/``0`` uses every core.
-    chunksize:
-        Jobs shipped per worker round-trip (larger amortises IPC for
-        many small jobs).
+        ``None``/``0`` uses every core.  Each job ships to a worker
+        on its own.
     executor:
         Optional remote executor — any object with
         ``map(fn, items, on_result=...) -> list`` merging by submission
@@ -142,7 +139,7 @@ def parallel_map(
             # contract requires.
             results = []
             for index, result in enumerate(
-                pool.map(fn, job_list, chunksize=chunksize)
+                pool.map(fn, job_list)
             ):
                 if on_result is not None:
                     on_result(index, result)

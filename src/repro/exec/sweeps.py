@@ -90,11 +90,12 @@ def sizing_result_cacheable(result: SizingResult) -> bool:
 
     A fixed point that exhausted its iteration budget returns whatever
     iterate it reached — start-dependent, so never stored.  Converged
-    results are stored with one documented caveat: the *allocation* is
-    solve-path-independent (the equivalence contract), while diagnostic
-    fields (``fixed_point_iterations``, LP internals, blocking
-    estimates) agree only to fixed-point tolerance and reflect
-    whichever path populated the entry first.
+    results are stored, and an entry reflects whichever path populated
+    it first: diagnostic fields (``fixed_point_iterations``, LP
+    internals, blocking estimates) agree across paths only to
+    fixed-point tolerance, and on a cell whose LP block is degenerate
+    the *allocation* itself can differ between the warm chain and a
+    cold solve (docs/execution.md, "When warm starting pays").
     """
     return bool(result.converged)
 

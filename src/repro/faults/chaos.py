@@ -240,10 +240,10 @@ def _run_dist_mode(
 
     # The first worker runs alone until the first block lands.  Its
     # first job trains the broker's cost model, so its next lease is
-    # the warm, pinned bulk of that scenario and a plan striking its
-    # second job (``after=1``) really fires; a peer polling alongside
-    # could win that lease and leave the plan nothing to strike.  The
-    # peers join then, to heal what the plan breaks.
+    # the warm bulk of that scenario, and a plan striking its second
+    # job or second lease (``after=1``) really fires; a peer polling
+    # alongside could win that lease and leave the plan nothing to
+    # strike.  The peers join then, to heal what the plan breaks.
     processes = [_spawn(0, plan_env)]
 
     def _join_peers(index: int, block: Any) -> None:

@@ -55,7 +55,8 @@ FAULT_KINDS = (
 #: broker process); every other site is an inline hook.
 SITES = (
     "connect",              # BrokerConnection establishment
-    "worker.execute",       # worker about to run a started job
+    "worker.lease",         # worker holding a lease just granted to it
+    "worker.execute",       # worker about to run a leased job
     "worker.heartbeat",     # worker's liveness beat
     "executor.submit",      # driver submitting a batch
     "executor.fetch_ready", # driver polling results
@@ -229,6 +230,10 @@ def standard_plans(seed: int = 0) -> Dict[str, FaultPlan]:
             FaultEvent(
                 "connection_drop", "executor.fetch_ready", after=2, count=2
             ),
+        ),
+        "lease-reply-drop": plan(
+            "lease-reply-drop",
+            FaultEvent("connection_drop", "worker.lease", after=1),
         ),
         "broker-loss": plan(
             "broker-loss",

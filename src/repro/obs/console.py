@@ -87,10 +87,9 @@ def render_top(
         )
     )
     lines.append(
-        "queue: steals %d  reaped %d  dropped-batches %d    "
+        "queue: reaped %d  dropped-batches %d    "
         "faults: injected %d  retries %d"
         % (
-            queue.get("steals", 0),
             queue.get("reaped_jobs", 0),
             queue.get("dropped_batches", 0),
             fleet.get("faults.injected", 0),
@@ -139,11 +138,10 @@ def render_top(
         mean_lease = scheduler.get("mean_lease_size")
         uploads = queue.get("batched_uploads", 0)
         lines.append(
-            "scheduler: pred-err %s  mean-lease %s  pinned %d"
+            "scheduler: pred-err %s  mean-lease %s"
             % (
                 "%.0f%%" % (100.0 * err) if err is not None else "-",
                 "%.1f" % mean_lease if mean_lease is not None else "-",
-                scheduler.get("pinned_leases", 0),
             )
         )
         lines.append(

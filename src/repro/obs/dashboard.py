@@ -150,8 +150,6 @@ var TILES = [
   {id: "hitrate", label: "Cache hit rate",
    kind: "ratio", num: function (s) { return s.cache.hits || 0; },
    den: function (s) { return s.cache.gets || 0; }},
-  {id: "steals", label: "Steals",
-   kind: "counter", source: function (s) { return s.queue.steals || 0; }},
   {id: "reaped", label: "Reaped jobs",
    kind: "counter", source: function (s) {
      return s.queue.reaped_jobs || 0;

@@ -46,12 +46,10 @@ __all__ = ["render_prometheus", "parse_prometheus", "PromFormatError"]
 #: every other numeric key in those sections is a level (gauge).
 _QUEUE_COUNTERS = (
     "completed",
-    "steals",
     "reaped_jobs",
     "dropped_batches",
     "lease_grants",
     "lease_jobs",
-    "pinned_leases",
     "batched_uploads",
     "batched_jobs",
 )

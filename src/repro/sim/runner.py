@@ -380,8 +380,9 @@ def _simulate_block_job(
 
 
 #: Replications per mega-batch block on a distributed executor: small
-#: enough that a fleet with more workers than blocks still load-balances
-#: through work stealing, large enough to amortise one kernel per block.
+#: enough that a batch splits into blocks for every worker (a cold block
+#: leases alone, so each idle worker takes one), large enough to
+#: amortise one kernel per block.
 MEGABATCH_DIST_BLOCK = 8
 
 

@@ -97,26 +97,6 @@ class TestPredict:
         assert model.observed_cost(dict(fine, scenario="other")) is None
         assert model.observed_cost(None) is None
 
-    def test_prior_scales_the_default(self):
-        model = CostModel()
-        model.seed_from_bench(
-            {
-                "benchmarks": [
-                    {
-                        "extra_info": {"scenario": "slow"},
-                        "stats": {"mean": 3.0},
-                    },
-                    {
-                        "extra_info": {"scenario": "fast"},
-                        "stats": {"mean": 1.0},
-                    },
-                ]
-            }
-        )
-        slow = model.predict({"kind": "k", "scenario": "slow", "units": 1.0})
-        fast = model.predict({"kind": "k", "scenario": "fast", "units": 1.0})
-        assert slow == pytest.approx(3 * fast)
-
     def test_featureless_prediction_is_finite(self):
         model = CostModel()
         assert model.predict(None) == pytest.approx(DEFAULT_UNIT_COST)
@@ -151,58 +131,20 @@ class TestObserve:
         assert model.predict(features) == pytest.approx(DEFAULT_UNIT_COST)
 
 
-class TestBenchSeeding:
-    def test_seed_from_bench_file(self, tmp_path):
-        path = tmp_path / "BENCH_quick.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "benchmarks": [
-                        {
-                            "extra_info": {"scenario": "amba"},
-                            "stats": {"mean": 4.0},
-                        },
-                        {
-                            "extra_info": {"scenario": "netproc"},
-                            "stats": {"mean": 2.0},
-                        },
-                    ]
-                }
-            )
-        )
-        model = CostModel()
-        assert model.seed_from_bench(path) == 2
-        assert model.stats()["priors"] == 2
-
-    def test_malformed_sources_seed_nothing(self, tmp_path):
-        model = CostModel()
-        assert model.seed_from_bench(tmp_path / "missing.json") == 0
-        assert model.seed_from_bench({"benchmarks": "nope"}) == 0
-        assert model.seed_from_bench(
-            {"benchmarks": [{"extra_info": {}, "stats": {"mean": 1.0}}]}
-        ) == 0
-        assert model.seed_from_bench(None) == 0
-
-
 class TestPersistence:
     def test_state_roundtrip_preserves_predictions(self):
         model = CostModel()
         features = {"kind": "k", "scenario": "s", "units": 3.0}
         model.observe(features, 1.5)
-        model.seed_from_bench(
-            {
-                "benchmarks": [
-                    {
-                        "extra_info": {"scenario": "x"},
-                        "stats": {"mean": 1.0},
-                    }
-                ]
-            }
-        )
         restored = CostModel()
         assert restored.from_state(model.to_state())
         assert restored.predict(features) == model.predict(features)
         assert restored.observations == model.observations
+        # States saved by earlier versions carry per-scenario "priors":
+        # they load, and scale no prediction.
+        cold = CostModel()
+        assert cold.from_state(dict(CostModel().to_state(), priors={"s": 3.0}))
+        assert cold.predict(features) == pytest.approx(3.0 * DEFAULT_UNIT_COST)
 
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "costmodel.json"
@@ -275,5 +217,5 @@ class TestStats:
     def test_stats_keys(self):
         model = CostModel()
         assert set(model.stats()) == {
-            "observations", "entries", "priors", "mean_abs_rel_err",
+            "observations", "entries", "mean_abs_rel_err",
         }

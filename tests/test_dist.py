@@ -1,13 +1,14 @@
-"""Tests for repro.dist — distributed work-stealing execution.
+"""Tests for repro.dist — distributed execution.
 
-Covers the broker protocol (lease/steal/reap state machine, with an
-injectable clock), the shared cache tier (read-through, write-through,
-publish gating), and the end-to-end contracts: a fleet map merges
-bitwise-identically to the serial loop for any worker count, steal
-order, or worker death mid-job, and a second worker reuses the first
-worker's converged sizing through the shared store.
+Covers the broker protocol (lease/re-enqueue/reap state machine, with
+an injectable clock), the shared cache tier (read-through,
+write-through, publish gating), and the end-to-end contracts: a fleet
+map merges bitwise-identically to the serial loop for any worker
+count, lease order, or worker death mid-job, and a second worker
+reuses the first worker's converged sizing through the shared store.
 """
 
+import itertools
 import multiprocessing
 import threading
 import time
@@ -87,12 +88,16 @@ class _FakeClock:
 
 
 def _lease_each(broker, worker_id, count):
-    """Lease ``count`` never-observed jobs: one unpinned job per call."""
+    """Lease ``count`` never-observed jobs, one per call.
+
+    A worker id holds one lease at a time (its next call hands the
+    lease back), so call ``n`` leases as ``{worker_id}.{n}``.
+    """
     leased = []
-    for _ in range(count):
-        lease = broker.lease_jobs(worker_id)
-        assert len(lease["jobs"]) == 1 and not lease["pinned"]
-        leased.extend(lease["jobs"])
+    for n in range(count):
+        lease = broker.lease_jobs(f"{worker_id}.{n}")
+        assert len(lease) == 1
+        leased.extend(lease)
     return leased
 
 
@@ -134,8 +139,6 @@ class TestBrokerProtocol:
         assert [job_id for job_id, _ in leased] == [
             ("b", 0), ("b", 1), ("b", 2)
         ]
-        for job_id, _ in leased:
-            assert broker.start("w1", job_id)
         broker.complete_many(
             "w1",
             [
@@ -151,60 +154,56 @@ class TestBrokerProtocol:
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
         leased = _lease_each(broker, "w1", 3)
         # Complete out of order: index 2 first.
-        broker.start("w1", leased[2][0])
         broker.complete_many("w1", [(leased[2][0], 2, None)])
         assert broker.fetch_ready("b", 0) == []
-        broker.start("w1", leased[0][0])
         broker.complete_many("w1", [(leased[0][0], 0, None)])
         assert broker.fetch_ready("b", 0) == [0]
-
-    def test_idle_worker_steals_unstarted_lease(self):
-        broker = Broker(lease_timeout=10.0)
-        broker.submit("b", [JobPayload(echo, i) for i in range(4)])
-        _lease_each(broker, "w1", 4)
-        stolen = broker.lease_jobs("w2")
-        # The tail of the victim's leases is stolen — the job w1 would
-        # reach last.
-        assert [job_id for job_id, _ in stolen["jobs"]] == [("b", 3)]
-        assert not stolen["pinned"]
-        assert broker.stats()["steals"] == 1
-        # The victim's start on the stolen job is refused; the thief's
-        # is granted.  No job can run twice because of a steal.
-        assert broker.start("w1", ("b", 3)) is False
-        assert broker.start("w2", ("b", 3)) is True
-
-    def test_started_jobs_are_not_stealable(self):
-        broker = Broker(lease_timeout=10.0)
-        broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, _), = _lease_each(broker, "w1", 1)
-        assert broker.start("w1", job_id)
-        assert broker.lease_jobs("w2")["jobs"] == []
 
     def test_dead_worker_jobs_reenqueued_in_index_order(self):
         clock = _FakeClock()
         broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        leased = _lease_each(broker, "w1", 2)
-        assert broker.start("w1", leased[0][0])  # dies mid-execution
-        clock.advance(1.5)
+        _lease_each(broker, "w1", 2)
+        clock.advance(1.5)  # both holders die mid-execution
         granted = _lease_each(broker, "w2", 3)
-        # Both of w1's leases (started or not) come back, at the front
-        # of the queue and in index order, ahead of the never-leased
-        # job 2.
+        # Both dead leases come back, at the front of the queue and in
+        # index order, ahead of the never-leased job 2.
         assert [job_id for job_id, _ in granted] == [
             ("b", 0), ("b", 1), ("b", 2)
         ]
         assert broker.stats()["reaped_jobs"] == 2
-        assert broker.stats()["workers"] == 1
+        assert broker.stats()["workers"] == 3  # the dead holders are gone
+
+    def test_lost_lease_is_re_leased_on_the_workers_next_call(self):
+        clock = _FakeClock()
+        broker = Broker(lease_timeout=1.0, clock=clock)
+        features = {"kind": "echo", "units": 1.0}
+        broker.cost_model.observe(features, 0.01)
+        broker.submit(
+            "b", [JobPayload(echo, i) for i in range(4)],
+            features=[features] * 4,
+        )
+        lost = broker.lease_jobs("w1")  # the reply never reaches w1
+        assert len(lost) == 4
+        # w1 lives on, so no reap frees the lease it never saw.
+        for _ in range(3):
+            clock.advance(0.9)
+            broker.heartbeat("w1")
+            assert broker.fetch_ready("b", 0) == []
+        stats = broker.stats()
+        assert (stats["pending"], stats["leased"]) == (0, 4)
+        assert stats["reaped_jobs"] == 0
+        # Its next lease call hands the lost lease back, and gets it.
+        assert broker.lease_jobs("w1") == lost
+        assert broker.stats()["reaped_jobs"] == 4
 
     def test_duplicate_completion_is_ignored(self):
         clock = _FakeClock()
         broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, _), = _lease_each(broker, "w1", 1)
-        broker.start("w1", job_id)
+        (job_id, _), = broker.lease_jobs("w1")
         clock.advance(1.5)  # w1 presumed dead
-        (rejob, _), = _lease_each(broker, "w2", 1)
+        (rejob, _), = broker.lease_jobs("w2")
         assert rejob == job_id
         broker.complete_many("w2", [(job_id, "w2-result", None)])
         # The slow-but-alive w1 finishes too; jobs are pure so both
@@ -219,7 +218,7 @@ class TestBrokerProtocol:
         broker.drop_batch("b")
         with pytest.raises(ReproError):
             broker.batch_status("b")
-        assert broker.lease_jobs("w1")["jobs"] == []
+        assert broker.lease_jobs("w1") == []
 
     def test_duplicate_batch_id_rejected(self):
         broker = Broker(lease_timeout=10.0)
@@ -275,7 +274,7 @@ class TestBrokerLongPoll:
         broker.submit("b", [JobPayload(echo, 0)])
         thread.join(5)
         assert not thread.is_alive()
-        assert [job_id for job_id, _ in box["value"]["jobs"]] == [("b", 0)]
+        assert [job_id for job_id, _ in box["value"]] == [("b", 0)]
         assert box["at"] - submitted_at < 0.05
 
     def test_waiters_woken_together_do_not_steal_from_each_other(self):
@@ -289,20 +288,16 @@ class TestBrokerLongPoll:
         for thread, _ in waiters:
             thread.join(5)
             assert not thread.is_alive()
-        sizes = sorted(len(box["value"]["jobs"]) for _, box in waiters)
+        sizes = sorted(len(box["value"]) for _, box in waiters)
         assert sizes == [0, 0, 1]
-        assert broker.stats()["steals"] == 0
 
     def test_waits_return_empty_when_nothing_arrives(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, _), = _lease_each(broker, "w1", 1)
-        assert broker.start("w1", job_id)  # running: nothing to steal
+        broker.lease_jobs("w1")  # running: nothing left to lease
         start = time.monotonic()
         assert broker.fetch_ready("b", 0, wait=0.1) == []
-        assert broker.lease_jobs("w2", wait=0.1) == {
-            "jobs": [], "pinned": False
-        }
+        assert broker.lease_jobs("w2", wait=0.1) == []
         assert 0.2 <= time.monotonic() - start < 1.0
 
     def test_fetch_waiting_on_a_dropped_batch_raises(self):
@@ -321,8 +316,7 @@ class TestBrokerLongPoll:
         clock = _FakeClock()
         broker = Broker(lease_timeout=5.0, clock=clock)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, _), = _lease_each(broker, "dead", 1)
-        assert broker.start("dead", job_id)
+        (job_id, _), = broker.lease_jobs("dead")
         thread, box = _in_thread(lambda: broker.lease_jobs("idle", wait=5))
         time.sleep(0.1)
         assert thread.is_alive()
@@ -331,7 +325,7 @@ class TestBrokerLongPoll:
         broker.fetch_ready("b", 0)  # the driver's call reaps "dead"
         thread.join(5)
         assert not thread.is_alive()
-        assert [j for j, _ in box["value"]["jobs"]] == [job_id]
+        assert [j for j, _ in box["value"]] == [job_id]
         assert box["at"] - reaped_at < 0.05
         assert broker.stats()["reaped_jobs"] == 1
 
@@ -347,14 +341,12 @@ class TestBrokerLongPoll:
 
         def work(worker_id):
             while not done.is_set():
-                lease = broker.lease_jobs(worker_id, wait=0.2)
-                for job_id, payload in lease["jobs"]:
-                    if lease["pinned"] or broker.start(worker_id, job_id):
-                        with runs_lock:
-                            runs[job_id] = runs.get(job_id, 0) + 1
-                        broker.complete_many(
-                            worker_id, [(job_id, payload.item, 0.0)]
-                        )
+                for job_id, payload in broker.lease_jobs(worker_id, wait=0.2):
+                    with runs_lock:
+                        runs[job_id] = runs.get(job_id, 0) + 1
+                    broker.complete_many(
+                        worker_id, [(job_id, payload.item, 0.0)]
+                    )
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -545,19 +537,6 @@ class TestCacheTier:
         # Degraded mode stops touching the remote entirely.
         tier.put("k-more", 8)
         assert tier.fetch("kind", {"x": 9}, lambda: 10) == 10
-
-    def test_degrade_disabled_reraises(self):
-        class _DeadStore:
-            def cache_get(self, key):
-                raise ConnectionResetError("store gone")
-
-        tier = CacheTier(
-            remote=_DeadStore(),
-            retry=_FAST_RETRY,
-            degrade_on_loss=False,
-        )
-        with pytest.raises(ConnectionResetError):
-            tier.lookup("k")
 
     def test_repeated_lookups_cost_one_shared_get(self):
         broker = Broker()
@@ -761,6 +740,36 @@ class TestWorkerFailureRecovery:
             survivor.terminate()
 
 
+    def test_worker_heals_a_lease_reply_torn_after_the_grant(
+        self, server, tmp_path
+    ):
+        """The connection drops right after the broker granted the
+        worker's one 16-job lease: the worker reconnects, its next
+        lease call gets the same jobs back, and the map finishes."""
+        from repro.faults import FaultEvent, FaultInjector, FaultPlan, install
+
+        server.broker.cost_model.observe({"kind": "echo", "units": 1.0}, 1e-3)
+        log = tmp_path / "faults.log"
+        plan = FaultPlan(
+            events=(FaultEvent("connection_drop", "worker.lease"),),
+            name="lease-reply-drop",
+        )
+        previous = install(FaultInjector(plan, log_path=str(log)))
+        try:
+            worker = _start_worker(server.address)  # forks the injector
+        finally:
+            install(previous)
+        try:
+            executor = DistExecutor(server.address, timeout=10)
+            items = list(range(16))
+            assert executor.map(echo, items) == items
+        finally:
+            worker.terminate()
+        assert "site=worker.lease" in log.read_text()
+        stats = server.broker.stats()
+        assert (stats["lease_grants"], stats["reaped_jobs"]) == (2, 16)
+
+
 class TestFleetMatrix:
     MATRIX = dict(
         budgets=[8, 16], replications=2, duration=100.0
@@ -913,7 +922,7 @@ class TestDriverDeathAndStalls:
         # Any traffic triggers the reap; the dead driver's batch (jobs,
         # results, bookkeeping) is gone and workers get nothing to burn
         # CPU on.
-        assert broker.lease_jobs("w1")["jobs"] == []
+        assert broker.lease_jobs("w1") == []
         assert broker.stats()["dropped_batches"] == 1
         assert broker.stats()["batches"] == 0
         with pytest.raises(ReproError):
@@ -1277,12 +1286,11 @@ class TestBrokerShutdown:
 
 class TestReaperIdempotence:
     """A worker reaped mid-result-upload must cost exactly one reap:
-    no double-counted steals/reaps/completions, no phantom worker."""
+    no double-counted reaps/completions, no phantom worker."""
 
     def _lease_one(self, broker):
         broker.submit("b", [JobPayload(echo, 1)])
-        (job_id, _), = _lease_each(broker, "stalled-worker", 1)
-        assert broker.start("stalled-worker", job_id)
+        (job_id, _), = broker.lease_jobs("stalled-worker")
         return job_id
 
     def test_late_completion_counts_once_and_never_resurrects(self):
@@ -1307,13 +1315,12 @@ class TestReaperIdempotence:
         # The re-enqueued copy is now moot: a second worker leasing it
         # gets nothing (the payload is settled), and its own late
         # "completion" of the same job is ignored.
-        assert broker.lease_jobs("healthy-worker")["jobs"] == []
+        assert broker.lease_jobs("healthy-worker") == []
         broker.complete_many(
             "healthy-worker", [(job_id, "duplicate-result", None)]
         )
         stats = broker.stats()
         assert stats["completed"] == 1  # not double-counted
-        assert stats["steals"] == 0
         assert broker.fetch_ready("b", 0) == ["late-result"]
         # Further reap cycles have nothing left to reap.
         clock.advance(20.0)
@@ -1327,10 +1334,10 @@ class TestReaperIdempotence:
         clock.advance(6.0)
         broker.fetch_ready("b", 0)
         assert broker.stats()["workers"] == 0
-        # start() on a reaped lease refuses (the job was re-enqueued)
-        # and does not resurrect either.
-        granted = broker.lease_jobs("stalled-worker")["jobs"]
-        assert len(granted) == 1  # honest re-registration via a lease
+        # Its next lease re-registers it honestly, with the job the
+        # reap re-enqueued.
+        granted = broker.lease_jobs("stalled-worker")
+        assert len(granted) == 1
         assert broker.stats()["workers"] == 1
 
 
@@ -1374,7 +1381,7 @@ def _sleepy(item):
 
 
 class TestCostScheduling:
-    """The broker's scheduler: LPT dispatch, sized leases, pinning.
+    """The broker's scheduler: LPT dispatch and sized leases.
 
     Every test here is about *when* jobs run, never *what* they
     return — the determinism matrix below pins down that the answers
@@ -1394,10 +1401,11 @@ class TestCostScheduling:
 
     @staticmethod
     def _drain(broker, worker_id):
-        """Job indices in lease order, leasing until the queue is dry."""
+        """Job indices in lease order, leasing until the queue is dry
+        (call ``n`` leases as ``{worker_id}.{n}``)."""
         order = []
-        while True:
-            jobs = broker.lease_jobs(worker_id)["jobs"]
+        for n in itertools.count():
+            jobs = broker.lease_jobs(f"{worker_id}.{n}")
             if not jobs:
                 return order
             order.extend(job_id[1] for job_id, _ in jobs)
@@ -1445,16 +1453,14 @@ class TestCostScheduling:
         broker.submit(
             "b", [JobPayload(echo, i) for i in range(10)], features=features
         )
-        (first, _), = _lease_each(broker, "w1", 1)
-        (second, _), = _lease_each(broker, "w2", 1)
+        (first, _), = broker.lease_jobs("w1")
+        (second, _), = broker.lease_jobs("w2")
         assert (first, second) == (("b", 0), ("b", 1))
         # The first completion trains the model: the rest of the batch
-        # is now cheap and known, so it leases in bulk and pinned.
-        assert broker.start("w1", first)
+        # is now cheap and known, so it leases in bulk.
         broker.complete_many("w1", [(first, 0, 0.01)])
         lease = broker.lease_jobs("w1")
-        assert [job_id[1] for job_id, _ in lease["jobs"]] == list(range(2, 10))
-        assert lease["pinned"]
+        assert [job_id[1] for job_id, _ in lease] == list(range(2, 10))
 
     def test_observed_kind_must_match_the_scenario(self):
         # A rate learnt on one scenario says nothing about another.
@@ -1472,7 +1478,7 @@ class TestCostScheduling:
         assert self._drain(broker, "w") == [0, 1, 2, 3]
         stats = broker.stats()
         assert stats["lease_grants"] == 3  # fig1 alone twice, amba in bulk
-        assert stats["pinned_leases"] == 1
+        assert stats["lease_jobs"] == 4
 
     def test_cheap_jobs_lease_in_bulk_and_pinned(self):
         # unit cost 0.1, lease target 0.5 -> five 1-unit jobs per lease.
@@ -1483,14 +1489,11 @@ class TestCostScheduling:
             features=self._features([1] * 8),
         )
         lease = broker.lease_jobs("w1")
-        assert len(lease["jobs"]) == 5
-        assert lease["pinned"]
-        assert broker.stats()["pinned_leases"] == 1
-        # Pinned jobs read as started: idle peers cannot steal them.
+        assert len(lease) == 5
+        # Leased jobs are started: an idle peer gets only the rest.
         tail = broker.lease_jobs("w2")
-        assert [job_id[1] for job_id, _ in tail["jobs"]] == [5, 6, 7]
-        assert broker.lease_jobs("w3")["jobs"] == []
-        assert broker.stats()["steals"] == 0
+        assert [job_id[1] for job_id, _ in tail] == [5, 6, 7]
+        assert broker.lease_jobs("w3") == []
 
     def test_long_job_leases_alone_unpinned(self):
         broker = self._trained_broker(unit_cost=0.1)
@@ -1500,14 +1503,11 @@ class TestCostScheduling:
             features=self._features([50, 1, 1]),
         )
         lease = broker.lease_jobs("w1")
-        assert [job_id for job_id, _ in lease["jobs"]] == [("b", 0)]
-        assert not lease["pinned"]  # predicted 5s > target: stealable
-        # Drain the cheap tail to w1 too (it leases pinned), leaving
-        # the long job as the only unstarted lease: a thief CAN take
-        # it, unlike the pinned pair.
-        tail = broker.lease_jobs("w1")
-        assert tail["pinned"] and len(tail["jobs"]) == 2
-        assert broker.lease_jobs("w2")["jobs"][0][0] == ("b", 0)
+        # Predicted 5 s, past the target: it leases alone.
+        assert [job_id for job_id, _ in lease] == [("b", 0)]
+        # The cheap tail leases in bulk to the next worker.
+        tail = broker.lease_jobs("w2")
+        assert [job_id[1] for job_id, _ in tail] == [1, 2]
 
     def test_cold_replicate_spreads_over_two_workers(self, server, amba):
         workers = [_start_worker(server.address) for _ in range(2)]
@@ -1782,7 +1782,7 @@ class TestLongPollDriver:
 
 class TestCoalescedBlocks:
     """One mega-batch block per leased cell: ``run_blocks``, and the
-    worker's groups of pinned ``run_block`` jobs."""
+    worker's groups of leased ``run_block`` jobs."""
 
     @pytest.fixture()
     def memo(self):
@@ -1811,8 +1811,8 @@ class TestCoalescedBlocks:
         )
 
     @staticmethod
-    def _run_pinned(broker, payloads, costs):
-        """Submit ``run_block`` payloads as one pinned lease (the model
+    def _run_one_lease(broker, payloads, costs):
+        """Submit ``run_block`` payloads as one bulk lease (the model
         has observed each job's cost); returns every result."""
         from repro.dist import job_features
 
@@ -1828,7 +1828,7 @@ class TestCoalescedBlocks:
         while len(results) < len(payloads):
             assert time.monotonic() < deadline, "fleet never finished"
             results.extend(broker.fetch_ready("b", len(results), wait=0.5))
-        assert broker.stats()["pinned_leases"] == 1
+        assert broker.stats()["lease_grants"] == 1
         return results
 
     def test_a_failing_block_falls_back_to_per_job_runs(self, server, memo):
@@ -1842,7 +1842,7 @@ class TestCoalescedBlocks:
         payloads.insert(2, dict(payloads[0], start=3, stop=4))
         worker = _start_worker(server.address)
         try:
-            results = self._run_pinned(
+            results = self._run_one_lease(
                 server.broker, payloads, [0.001] * len(payloads)
             )
         finally:
@@ -1883,7 +1883,7 @@ class TestCoalescedBlocks:
 
         def recording_lease_jobs(*args, **kwargs):
             lease = lease_jobs(*args, **kwargs)
-            granted.extend(job_id for job_id, _ in lease["jobs"])
+            granted.extend(job_id for job_id, _ in lease)
             return lease
 
         monkeypatch.setattr(server.broker, "lease_jobs", recording_lease_jobs)
@@ -1894,7 +1894,7 @@ class TestCoalescedBlocks:
         try:
             # The budget-16 cell costs more, so it leases first: lease
             # order is not submission order.
-            self._run_pinned(
+            self._run_one_lease(
                 server.broker, payloads, [0.001, 0.001, 0.002, 0.002]
             )
         finally:
@@ -1918,7 +1918,8 @@ class TestCoalescedBlocks:
             )
         finally:
             worker.terminate()
-        assert server.broker.stats()["pinned_leases"] > 0
+        stats = server.broker.stats()
+        assert stats["lease_jobs"] > stats["lease_grants"]  # bulk leases
         serial = run_matrix(["amba", "single-bus-4"], **matrix)
         assert fleet.to_jsonable() == serial.to_jsonable()
 
@@ -1964,7 +1965,7 @@ class TestCostModelPersistenceEndToEnd:
         ).cost_model
         assert model_state.observations == 1
 
-    def test_cost_seed_accepts_snapshot_and_bench_json(self):
+    def test_cost_seed_accepts_a_snapshot(self):
         source = Broker(lease_timeout=10.0)
         source.cost_model.observe({"kind": "echo", "units": 1.0}, 0.7)
         target = Broker(lease_timeout=10.0)
@@ -1972,22 +1973,6 @@ class TestCostModelPersistenceEndToEnd:
         assert target.cost_model.predict(
             {"kind": "echo", "units": 1.0}
         ) == pytest.approx(0.7)
-        bench_target = Broker(lease_timeout=10.0)
-        assert bench_target.cost_seed(
-            {
-                "benchmarks": [
-                    {
-                        "extra_info": {"scenario": "amba"},
-                        "stats": {"mean": 2.0},
-                    },
-                    {
-                        "extra_info": {"scenario": "netproc"},
-                        "stats": {"mean": 1.0},
-                    },
-                ]
-            }
-        )
-        assert bench_target.cost_model.stats()["priors"] == 2
 
 
 class TestCostDeterminismMatrix:
@@ -2000,9 +1985,9 @@ class TestCostDeterminismMatrix:
         self, server, monkeypatch, lane
     ):
         # The first pass meets a cold model, which dispatches in
-        # arrival (FIFO) order with one unpinned job per lease; a
-        # worker dies during it.  The second pass runs warm: cost
-        # order and pinned bulk leases.
+        # arrival (FIFO) order with one job per lease; a worker dies
+        # during it.  The second pass runs warm: cost order and bulk
+        # leases.
         if lane == "batched":
             # The counted no-kernel fallback, in the driver and in the
             # forked workers alike.
@@ -2028,8 +2013,8 @@ class TestCostDeterminismMatrix:
 
     def test_cost_schedule_with_steals_matches_serial_map(self, server):
         # Skewed sleeps + two workers: the second worker drains the
-        # cheap tail (steals or fresh leases) while the first grinds
-        # the long job the LPT order put first.
+        # cheap tail while the first grinds the long job the LPT order
+        # put first.
         workers = [_start_worker(server.address) for _ in range(2)]
         try:
             executor = DistExecutor(server.address, timeout=60)

@@ -59,7 +59,7 @@ class TestPool:
 
     def test_order_preserved_with_chunking(self):
         items = list(range(37))
-        assert parallel_map(_square, items, jobs=3, chunksize=5) == [
+        assert parallel_map(_square, items, jobs=3) == [
             x * x for x in items
         ]
 

@@ -330,7 +330,7 @@ class TestBrokerAggregation:
             "workers", "pending", "leased", "batches", "completed",
             "steals", "reaped_jobs", "dropped_batches",
             "lease_grants", "lease_jobs",
-            "pinned_leases", "batched_uploads", "batched_jobs",
+            "batched_uploads", "batched_jobs",
         }
         assert set(broker.cache_stats()) == {
             "entries", "bytes", "gets", "hits", "puts", "evictions",
@@ -339,11 +339,10 @@ class TestBrokerAggregation:
     def test_heartbeat_and_complete_merge_deltas(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, payload), = broker.lease_jobs("w1")["jobs"]
+        (job_id, payload), = broker.lease_jobs("w1")
         broker.heartbeat(
             "w1", _envelope({"worker.jobs": 1}, {"rss_mb": 10.0})
         )
-        broker.start("w1", job_id)
         broker.complete_many(
             "w1", [(job_id, payload.fn(payload.item), None)],
             _envelope({"worker.jobs": 2, "sim.windows": 5}, {"rss_mb": 12.0}),
@@ -397,7 +396,8 @@ class TestBrokerAggregation:
             "queue", "cache", "workers", "fleet", "broker", "scheduler",
             "time",
         }
-        assert snap["queue"] == broker.stats()
+        # stats() alone carries a fixed "steals": 0 for perfbench.
+        assert dict(snap["queue"], steals=0) == broker.stats()
         assert snap["cache"] == broker.cache_stats()
         assert set(snap["time"]) == {"monotonic", "wall"}
 
@@ -414,8 +414,7 @@ class TestBrokerAggregation:
         clock = _FakeClock()
         broker = Broker(lease_timeout=10.0, clock=clock)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, payload), = broker.lease_jobs("w1")["jobs"]
-        broker.start("w1", job_id)
+        (job_id, payload), = broker.lease_jobs("w1")
         broker.complete_many("w1", [(job_id, 0, 0.25)])
         hist = broker.obs_snapshot()["broker"]["histograms"][
             "broker.job_runtime_seconds"
@@ -466,7 +465,7 @@ class TestConsole:
     SNAPSHOT = {
         "queue": {
             "workers": 2, "pending": 1, "leased": 2, "batches": 1,
-            "completed": 7, "steals": 1, "reaped_jobs": 0,
+            "completed": 7, "reaped_jobs": 0,
             "dropped_batches": 0,
         },
         "cache": {
@@ -579,11 +578,11 @@ class TestConsole:
             queue=dict(
                 self.SNAPSHOT["queue"], batched_uploads=2, batched_jobs=16
             ),
-            scheduler={"cost": {}, "mean_lease_size": 4.0, "pinned_leases": 3},
+            scheduler={"cost": {}, "mean_lease_size": 4.0},
         )
         frame = render_top(snapshot)
         assert "batched uploads 2  jobs/upload 8.0" in frame
-        assert "scheduler: pred-err -  mean-lease 4.0  pinned 3" in frame
+        assert "scheduler: pred-err -  mean-lease 4.0\n" in frame
 
 
 class TestCli:

@@ -63,9 +63,9 @@ def _start_worker(address, **kwargs):
 def _populate(broker):
     """Drive a broker through enough protocol to light every section."""
     broker.submit("batch-1", ["p0", "p1", "p2"])
-    granted = [broker.lease_jobs("w1")["jobs"][0] for _ in range(2)]
-    for job_id, _ in granted:
-        broker.start("w1", job_id)
+    # Unobserved jobs lease alone; a second lease of w1's would hand
+    # back its first, so w2 takes the second job.
+    granted = broker.lease_jobs("w1") + broker.lease_jobs("w2")
     broker.complete_many(
         "w1", [(job_id, payload.upper(), 0.2) for job_id, payload in granted]
     )
