@@ -11,14 +11,21 @@ Each throughput bench reports ``events_per_second`` in its
 ``extra_info`` (arrivals plus service starts over mean wall time);
 ``make bench-quick`` groups the lanes per scenario so the ratio
 reads off directly.  ``test_fleet_cell_latency`` times the per-job
-work of a fleet worker instead, in ``ms_per_cell``.
+work of a fleet worker instead — one replication, and the 16-seed
+block a worker runs per leased cell — in ``ms_per_cell`` and
+``ms_per_replication``.
 """
 
 import pytest
 
 from repro import scenarios
 from repro.policies.uniform import UniformSizing
-from repro.sim.runner import _simulate_seed, simulate
+from repro.sim.runner import (
+    _simulate_seed,
+    replication_seeds,
+    simulate,
+    simulate_block,
+)
 from repro.sim.system import CommunicationSystem
 
 #: The bench rows: the two per-seed lanes and the mega-batch kernel.
@@ -149,41 +156,60 @@ def test_replication_throughput(benchmark, backend, replications):
 FLEET_CELL_DURATION = 200.0
 
 
+#: Replications per fleet cell: one, and the ~16-seed block a worker
+#: runs per leased cell as one ``simulate_block`` call.
+FLEET_CELL_RS = (1, 16)
+
+
+@pytest.mark.parametrize("replications", FLEET_CELL_RS)
 @pytest.mark.parametrize("backend", ("batched", "megabatch"))
-def test_fleet_cell_latency(benchmark, backend):
+def test_fleet_cell_latency(benchmark, backend, replications):
     """Milliseconds per fleet cell: the per-job work of a fleet worker.
 
     Shaped like :func:`repro.dist.jobs.run_block` once the cell's
     sizing is cached: build the scenario topology fresh, then simulate
-    one replication of amba at horizon 200.  Topology routing and lane
-    construction are inside the timed region, as they are on a worker.
+    ``replications`` seeds of amba at horizon 200 — through one
+    ``simulate_block`` on the mega-batch kernel, or one batched-lane
+    run per seed.  Topology routing and lane construction are inside
+    the timed region, as they are on a worker.  Reports
+    ``ms_per_cell`` and ``ms_per_replication``.
     """
     from repro.core.sizing import BufferSizer
 
-    benchmark.group = "fleet_cell_latency[amba]"
+    benchmark.group = f"fleet_cell_latency[amba,R={replications}]"
     spec = scenarios.get("amba")
     capacities = (
         BufferSizer(total_budget=spec.default_budget, **spec.sizer_kwargs)
         .size(spec.topology())
         .allocation.as_capacities()
     )
-
-    run = simulate if backend == "megabatch" else _simulate_seed
+    seeds = replication_seeds(replications, base_seed=3)
 
     def cell():
-        return run(
-            spec.topology(),
-            capacities,
-            duration=FLEET_CELL_DURATION,
-            seed=3,
-        )
+        topology = spec.topology()
+        if backend == "megabatch":
+            return simulate_block(
+                topology, capacities, duration=FLEET_CELL_DURATION,
+                seeds=seeds,
+            )
+        return [
+            _simulate_seed(
+                topology, capacities, duration=FLEET_CELL_DURATION,
+                seed=seed,
+            )
+            for seed in seeds
+        ]
 
-    result = benchmark(cell)
-    assert result.total_offered > 0
+    results = benchmark(cell)
+    assert len(results) == replications
+    assert all(result.total_offered > 0 for result in results)
     if benchmark.stats:  # absent under --benchmark-disable
+        mean = benchmark.stats["mean"]
         benchmark.extra_info["scenario"] = "amba"
-        benchmark.extra_info["ms_per_cell"] = round(
-            1e3 * benchmark.stats["mean"], 3
+        benchmark.extra_info["replications"] = replications
+        benchmark.extra_info["ms_per_cell"] = round(1e3 * mean, 3)
+        benchmark.extra_info["ms_per_replication"] = round(
+            1e3 * mean / replications, 3
         )
 
 

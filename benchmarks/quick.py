@@ -3,8 +3,10 @@
 Runs the simulator/sizing throughput benchmarks (every simulation
 lane, grouped per function so the ratios read off the table
 directly, plus ``test_fleet_cell_latency``: one fleet job's topology
-build and single-replication amba run, batched vs megabatch, in
-``ms_per_cell``), the compiled-kernel micro-benches, the
+build and amba run, batched vs megabatch, over a ``replications`` axis
+of 1 and 16 seeds (the block a worker runs per leased cell), in
+``ms_per_cell`` and ``ms_per_replication``), the compiled-kernel
+micro-benches, the
 execution-runtime benches (serial vs pooled replications, cold vs warm
 sweeps), the distributed-queue benches
 (``bench_dist_overhead``: trivial jobs through bulk leases and

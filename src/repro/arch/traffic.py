@@ -21,15 +21,6 @@ from repro.errors import ModelError
 class TrafficDescriptor(abc.ABC):
     """Interface every traffic model implements."""
 
-    #: Whether :meth:`sample_interarrivals` is a pure function of the
-    #: generator state — no mutable cursor on the descriptor itself.
-    #: The mega-batch lane shares one descriptor object across all
-    #: replications and interleaves their refills, which only preserves
-    #: the serial per-replication streams when this holds; stateful
-    #: descriptors (``TraceTraffic``'s replay cursor) set it False and
-    #: force the lane onto its sequential per-replication fallback.
-    stateless_sampling: bool = True
-
     @property
     @abc.abstractmethod
     def mean_rate(self) -> float:

@@ -339,12 +339,19 @@ class DistExecutor:
                     done, total = self._rpc(
                         "batch status", lambda b: b.batch_status(batch_id)
                     )
-                    stats = self._rpc("broker stats", lambda b: b.stats())
+                    live = self._rpc(
+                        "broker stats", lambda b: b.stats()
+                    )["workers"]
+                    cause = (
+                        "is a 'repro dist worker' connected?"
+                        if live == 0
+                        else "the live workers did not finish within "
+                        "--timeout"
+                    )
                     raise ReproError(
                         f"distributed batch timed out after "
                         f"{self.timeout:.1f}s with {done}/{total} jobs "
-                        f"done ({stats['workers']} live worker(s)); is "
-                        f"a 'repro dist worker' connected?"
+                        f"done ({live} live worker(s)); {cause}"
                     )
                 if ready:
                     last_progress = now

@@ -28,6 +28,7 @@ by ``repro.faults``'s package root — import it as
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import tempfile
@@ -92,11 +93,8 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _worker_env(plan: FaultPlan, log_path: Optional[Path]) -> Dict[str, str]:
-    env = {ENV_VAR: plan.to_json()}
-    if log_path is not None:
-        env["REPRO_FAULT_LOG"] = str(log_path)
-    return env
+def _worker_env(plan: FaultPlan, log_path: Path) -> Dict[str, str]:
+    return {ENV_VAR: plan.to_json(), "REPRO_FAULT_LOG": str(log_path)}
 
 
 #: Hook sites that only fire on cache *reads*: plans striking them need
@@ -165,13 +163,11 @@ def _spawn_worker(
 
 
 def _run_local_mode(
-    plan: FaultPlan, jobs: int, log_path: Optional[Path], matrix_kwargs
+    plan: FaultPlan, jobs: int, log_path: Path, matrix_kwargs
 ) -> Tuple[Any, FaultInjector, int]:
     from repro.dist.fleet import run_matrix
 
-    injector = FaultInjector(
-        plan, log_path=str(log_path) if log_path else None
-    )
+    injector = FaultInjector(plan, log_path=str(log_path))
     previous = install(injector)
     try:
         outcome = run_matrix(jobs=jobs, **matrix_kwargs)
@@ -183,7 +179,7 @@ def _run_local_mode(
 def _run_dist_mode(
     plan: FaultPlan,
     workers: int,
-    log_path: Optional[Path],
+    log_path: Path,
     matrix_kwargs,
 ) -> Tuple[Any, FaultInjector, int]:
     from repro.dist.executor import DistExecutor
@@ -193,9 +189,7 @@ def _run_dist_mode(
     server = BrokerServer(
         port=0, lease_timeout=CHAOS_LEASE_TIMEOUT
     ).start_in_thread()
-    injector = FaultInjector(
-        plan, log_path=str(log_path) if log_path else None
-    )
+    injector = FaultInjector(plan, log_path=str(log_path))
     # The harness owns broker loss: nothing inside the runtime may
     # kill the broker, so the plan names the block count after which
     # the harness pulls the plug.
@@ -310,8 +304,10 @@ def run_chaos_matrix(
     Parameters mirror :func:`~repro.dist.fleet.run_matrix` for the
     workload itself; ``plans`` defaults to
     :func:`~repro.faults.plan.standard_plans`, ``modes`` selects the
-    execution lanes, and ``log_dir`` (optional) collects one fault log
-    per (plan, mode) case.
+    execution lanes, and ``log_dir`` keeps the one fault log per (plan,
+    mode) case; without it the logs go to a temporary directory.  A
+    case counts its strikes from its log, which forked workers share, so
+    a fault that fires in a worker is counted either way.
     """
     bad = [mode for mode in modes if mode not in ("serial", "jobs", "dist")]
     if bad:
@@ -330,49 +326,51 @@ def run_chaos_matrix(
     reference = run_matrix(**matrix_kwargs).to_jsonable()
     report = ChaosReport(reference=reference)
     plans = plans if plans is not None else standard_plans()
-    if log_dir is not None:
-        log_dir = Path(log_dir)
-        log_dir.mkdir(parents=True, exist_ok=True)
-    for name, plan in plans.items():
-        for mode in modes:
-            log_path = (
-                log_dir / f"{name}-{mode}.log" if log_dir is not None
-                else None
-            )
-            if mode == "dist":
-                jsonable, injector, fallbacks = _run_dist_mode(
-                    plan, workers, log_path, matrix_kwargs
-                )
-            else:
-                jsonable, injector, fallbacks = _run_local_mode(
-                    plan, jobs if mode == "jobs" else 1,
-                    log_path, matrix_kwargs,
-                )
-            # The log file is shared with forked workers, so it sees
-            # injections the driver-side record list cannot.
-            strikes = [
-                f"{r['kind']}@{r['site']}" for r in injector.records
-            ]
-            if log_path is not None and log_path.exists():
-                strikes = []
-                for line in open(log_path):
-                    fields = dict(
-                        token.split("=", 1)
-                        for token in line.split()
-                        if "=" in token
+    logs = (
+        tempfile.TemporaryDirectory(prefix="repro-chaos-log-")
+        if log_dir is None
+        else contextlib.nullcontext(log_dir)
+    )
+    with logs as log_root:
+        log_root = Path(log_root)
+        log_root.mkdir(parents=True, exist_ok=True)
+        for name, plan in plans.items():
+            for mode in modes:
+                log_path = log_root / f"{name}-{mode}.log"
+                if mode == "dist":
+                    jsonable, injector, fallbacks = _run_dist_mode(
+                        plan, workers, log_path, matrix_kwargs
                     )
-                    strikes.append(
-                        f"{fields.get('kind', '?')}@"
-                        f"{fields.get('site', '?')}"
+                else:
+                    jsonable, injector, fallbacks = _run_local_mode(
+                        plan, jobs if mode == "jobs" else 1,
+                        log_path, matrix_kwargs,
                     )
-            report.cases.append(
-                ChaosCase(
-                    plan=name,
-                    mode=mode,
-                    matched=(jsonable == reference),
-                    injected=len(strikes),
-                    fallbacks=fallbacks,
-                    detail="; ".join(sorted(set(strikes))),
+                # The log file is shared with forked workers, so it
+                # sees injections the driver-side record list cannot.
+                strikes = [
+                    f"{r['kind']}@{r['site']}" for r in injector.records
+                ]
+                if log_path.exists():
+                    strikes = []
+                    for line in open(log_path):
+                        fields = dict(
+                            token.split("=", 1)
+                            for token in line.split()
+                            if "=" in token
+                        )
+                        strikes.append(
+                            f"{fields.get('kind', '?')}@"
+                            f"{fields.get('site', '?')}"
+                        )
+                report.cases.append(
+                    ChaosCase(
+                        plan=name,
+                        mode=mode,
+                        matched=(jsonable == reference),
+                        injected=len(strikes),
+                        fallbacks=fallbacks,
+                        detail="; ".join(sorted(set(strikes))),
+                    )
                 )
-            )
     return report

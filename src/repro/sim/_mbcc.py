@@ -17,31 +17,38 @@ replication axis ``R``:
   ``now - enqueued`` accumulations) matches the batched lane's
   operation order, keeping fixed-seed metrics bitwise identical.
 
-Refill protocol — the kernel never draws randomness.  Before
-dispatching an event it checks that every pre-drawn buffer the dispatch
-could consume (the source's gap row; the service row of each bus a
-grant might start on) still has a value.  If not, it sets
-``paused[r]`` and moves to the next replication; the lane refills
-exactly the exhausted rows (index == fill length, so no stream tail is
-ever discarded) and re-enters.  The conservative pre-check can pause on
-a draw the grant would not have made — harmless, because a refill only
-moves draws earlier in wall time, never changes their order within a
-stream.
+Random variates — the kernel draws its own.  ``mb_seed`` gives every
+replication the streams :class:`~repro.sim.system.CommunicationSystem`
+would build: a port of ``SeedSequence(seed).spawn(B + S)`` (bus
+streams first) and of numpy's PCG64 seeding, one ``rng[R, B + S, 4]``
+row per stream (state hi/lo, increment hi/lo).  Every draw is then
+numpy's own sampler — ``random_standard_exponential`` and friends from
+the ``libnpyrandom.a`` that numpy ships for C extensions — on numpy's
+own stream: a service duration is ``E * scale`` at each grant, and a
+source refills its one ``batch``-gap chunk row, when exhausted, with a
+port of its descriptor's ``sample_interarrivals(rng, batch)``
+(``src_kind``: 0 Poisson, 1 hyperexponential, 2 on-off; parameters in
+``src_par``, computed in Python exactly as the descriptors compute
+them).  ``mb_start`` draws every first chunk and schedules the first
+arrivals, so a simulation window is one ``mb_advance`` call.
 
 The source is compiled once with whatever system C compiler is present
-(``$CC``, else ``cc``/``gcc``/``clang`` on PATH), cached under a
-content hash, and exposed through :mod:`ctypes`.  No compiler, a failed
-build, or ``REPRO_SIM_CC=0`` all degrade to ``None`` — mega-batch cells
-then run through the batched lane per seed (bitwise the same results,
-counted in ``sim.megabatch.fallback.no_kernel``), so the C path is a
-pure speedup, never a dependency.
+(``$CC``, else ``cc``/``gcc``/``clang`` on PATH) against numpy's
+headers and sampler library, cached under a hash of both, and exposed
+through :mod:`ctypes`.  No compiler, no numpy C library or header, a
+failed build (a compiler without ``__int128`` fails it), or
+``REPRO_SIM_CC=0`` all degrade to ``None`` — mega-batch cells then run
+through the batched lane per seed (bitwise the same results, counted in
+``sim.megabatch.fallback.no_kernel``), so the C path is a pure
+speedup, never a dependency.
 
 Bitwise contract: the kernel is compiled with ``-ffp-contract=off`` so
 no multiply-add is fused, and every float expression mirrors the
-batched drain loop's operation order on IEEE doubles — x86-64 SSE2
-double arithmetic then reproduces numpy float64 results bit for bit.
-``tests/test_megabatch.py`` holds the kernel to that standard against
-the batched lane and the heap engine.
+batched drain loop's and the descriptors' operation order on IEEE
+doubles — x86-64 SSE2 double arithmetic then reproduces numpy float64
+results bit for bit.  ``tests/test_megabatch.py`` holds the kernel to
+that standard against the batched lane, the heap engine and numpy's
+own generators.
 
 All state crosses the boundary as one :class:`MBState` struct of
 dimensions and array pointers, built once per lane; per-invocation
@@ -59,18 +66,24 @@ import subprocess
 import tempfile
 import threading
 import warnings
-from typing import Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 #: The lane arrays in the pointer-field order of the C ``mb_state``
 #: struct, after the dimensions and ``timeout``.
 ARRAYS = (
     "cap", "slot_off", "ring_bus", "cl_off", "arb_kind", "flow_src",
-    "flow_last", "flow_ring", "flow_scale", "first_bus", "ev_time",
-    "ev_seq", "next_id", "head", "cnt", "busy", "granted", "rr_last",
-    "sflow", "shop", "screa", "senq", "sscale", "svc", "svc_idx",
-    "gaps", "gap_idx", "gap_len", "offered", "lost", "timed_out",
-    "delivered", "wait_sum", "wait_cnt", "e2e_sum", "paused",
+    "flow_last", "flow_ring", "flow_scale", "first_bus", "src_kind",
+    "src_par", "src_batch", "ev_time", "ev_seq", "next_id", "head",
+    "cnt", "busy", "granted", "rr_last", "sflow", "shop", "screa",
+    "senq", "sscale", "rng", "gaps", "gap_idx", "offered", "lost",
+    "timed_out", "delivered", "wait_sum", "wait_cnt", "e2e_sum",
 )
+
+#: Doubles per source in ``src_par`` (the on-off sampler needs four);
+#: the C source's ``SRC_PARAMS`` — keep the two in sync.
+SRC_PARAMS = 4
 
 _I64 = ctypes.c_longlong
 _F64 = ctypes.c_double
@@ -85,16 +98,49 @@ class MBState(ctypes.Structure):
     """
 
     _fields_ = (
-        [(name, _I64) for name in "RSBGPWDLH"]
+        [(name, _I64) for name in "RSBGPWLH"]
         + [("timeout", _F64)]
         + [(name, ctypes.c_void_p) for name in ARRAYS]
         + [("T", _I64)]
     )
 
 
+def entropy_words(seeds: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(words, offsets)``: each seed's ``SeedSequence`` run entropy.
+
+    A seed becomes its little-endian uint32 words (``0`` is ``[0]``),
+    zero-padded to the pool size of 4 because every stream carries a
+    spawn key — numpy's own assembly.  Replication ``r``'s words are
+    ``words[offsets[r]:offsets[r + 1]]``.  A negative seed raises the
+    ``ValueError`` ``SeedSequence`` raises.
+    """
+    words: List[int] = []
+    offsets = [0]
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        own = [
+            (seed >> shift) & 0xFFFFFFFF
+            for shift in range(0, max(seed.bit_length(), 1), 32)
+        ]
+        words.extend(own + [0] * (4 - len(own)))
+        offsets.append(len(words))
+    return (
+        np.array(words, dtype=np.uint32),
+        np.array(offsets, dtype=np.int64),
+    )
+
+
 _SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
+#include "numpy/random/bitgen.h"
+
+/* numpy's samplers, from the libnpyrandom.a it ships for C extensions
+ * (declared here: their header pulls in Python.h). */
+double random_standard_uniform(bitgen_t *bitgen_state);
+double random_standard_exponential(bitgen_t *bitgen_state);
+double random_exponential(bitgen_t *bitgen_state, double scale);
 
 /* Transliteration of the batched lane's drain loop
  * (repro/sim/batched.py:BatchedSystem.run_until) over R replications.
@@ -103,24 +149,235 @@ _SOURCE = r"""
  * below. */
 
 typedef struct {
-    int64_t R, S, B, G, P, W, D, L, H;
+    int64_t R, S, B, G, P, W, L, H;
     double timeout;
     const int64_t *cap, *slot_off, *ring_bus, *cl_off, *arb_kind;
     const int64_t *flow_src, *flow_last, *flow_ring;
     const double *flow_scale;
     const int64_t *first_bus;
+    const int64_t *src_kind; const double *src_par;
+    const int64_t *src_batch;
     double *ev_time; int64_t *ev_seq; int64_t *next_id;
     int64_t *head, *cnt, *busy, *granted, *rr_last;
     int64_t *sflow, *shop; double *screa, *senq, *sscale;
-    const double *svc; int64_t *svc_idx;
-    const double *gaps; int64_t *gap_idx; const int64_t *gap_len;
+    uint64_t *rng;
+    double *gaps; int64_t *gap_idx;
     int64_t *offered, *lost, *timed_out, *delivered;
     double *wait_sum; int64_t *wait_cnt; double *e2e_sum;
-    int64_t *paused;
     int64_t T;
 } mb_state;
 
 #define SEQ_SENTINEL ((int64_t)1 << 62)
+#define SRC_PARAMS 4
+
+/* ---- numpy's PCG64 (numpy/random/src/pcg64/pcg64.h) ------------- */
+
+typedef unsigned __int128 u128;
+
+typedef struct { u128 state, inc; } pcg64;
+
+#define PCG_MULT \
+    (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+static inline void pcg_step_(pcg64 *g)
+{
+    g->state = g->state * PCG_MULT + g->inc;
+}
+
+static uint64_t pcg_next64_(void *p)
+{
+    pcg64 *g = (pcg64 *)p;
+    pcg_step_(g);
+    uint64_t v = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (v >> rot) | (v << ((-rot) & 63));
+}
+
+static double pcg_next_double_(void *p)
+{
+    return (double)(pcg_next64_(p) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* A stream's rng row is state hi, state lo, inc hi, inc lo. */
+static inline pcg64 load_(const uint64_t *w)
+{
+    pcg64 g;
+    g.state = ((u128)w[0] << 64) | w[1];
+    g.inc = ((u128)w[2] << 64) | w[3];
+    return g;
+}
+
+static inline void store_(uint64_t *w, const pcg64 *g)
+{
+    w[0] = (uint64_t)(g->state >> 64);
+    w[1] = (uint64_t)g->state;
+}
+
+/* numpy's samplers only ever ask for 64-bit words and doubles. */
+static inline bitgen_t bitgen_(pcg64 *g)
+{
+    bitgen_t bg = {g, pcg_next64_, 0, pcg_next_double_, pcg_next64_};
+    return bg;
+}
+
+/* ---- SeedSequence(seed).spawn(n) + PCG64(child) ------------------
+ * numpy/random/bit_generator.pyx: mix_entropy over run entropy
+ * (zero-padded to the pool of 4) plus the spawn key [child], then
+ * generate_state(4, uint64) and pcg64_set_seed. */
+
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+
+static inline uint32_t hashmix_(uint32_t value, uint32_t *hc)
+{
+    value ^= *hc;
+    *hc *= MULT_A;
+    value *= *hc;
+    value ^= value >> 16;
+    return value;
+}
+
+static inline uint32_t mix_(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    result ^= result >> 16;
+    return result;
+}
+
+static void seed_stream_(uint64_t *w, const uint32_t pool_in[4],
+                         uint32_t hc, uint32_t child)
+{
+    uint32_t pool[4];
+    for (int i = 0; i < 4; i++)
+        pool[i] = pool_in[i];
+    for (int i = 0; i < 4; i++)
+        pool[i] = mix_(pool[i], hashmix_(child, &hc));
+    uint32_t words[8];
+    uint32_t hb = INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i & 3];
+        v ^= hb;
+        hb *= MULT_B;
+        v *= hb;
+        v ^= v >> 16;
+        words[i] = v;
+    }
+    uint64_t val[4];
+    for (int i = 0; i < 4; i++)
+        val[i] = (uint64_t)words[2 * i] | ((uint64_t)words[2 * i + 1] << 32);
+    pcg64 g;
+    g.state = 0;
+    g.inc = ((((u128)val[2] << 64) | val[3]) << 1) | 1u;
+    pcg_step_(&g);
+    g.state += ((u128)val[0] << 64) | val[1];
+    pcg_step_(&g);
+    store_(w, &g);
+    w[2] = (uint64_t)(g.inc >> 64);
+    w[3] = (uint64_t)g.inc;
+}
+
+void mb_seed(mb_state *st, const uint32_t *words, const int64_t *off)
+{
+    const int64_t W = st->W;
+    for (int64_t r = 0; r < st->R; r++) {
+        const uint32_t *e = words + off[r];
+        int64_t n = off[r + 1] - off[r];   /* >= 4: padded run entropy */
+        /* Everything before the spawn key is common to the children. */
+        uint32_t pool[4];
+        uint32_t hc = INIT_A;
+        for (int i = 0; i < 4; i++)
+            pool[i] = hashmix_(e[i], &hc);
+        for (int src = 0; src < 4; src++)
+            for (int dst = 0; dst < 4; dst++)
+                if (src != dst)
+                    pool[dst] = mix_(pool[dst], hashmix_(pool[src], &hc));
+        for (int64_t k = 4; k < n; k++)
+            for (int dst = 0; dst < 4; dst++)
+                pool[dst] = mix_(pool[dst], hashmix_(e[k], &hc));
+        for (int64_t c = 0; c < W; c++)
+            seed_stream_(st->rng + (r * W + c) * 4, pool, hc, (uint32_t)c);
+    }
+}
+
+/* ---- gap chunks: each descriptor's sample_interarrivals(rng, n) -- */
+
+static void fill_gaps_(mb_state *st, int64_t r, int64_t s)
+{
+    uint64_t *w = st->rng + (r * st->W + st->B + s) * 4;
+    pcg64 g = load_(w);
+    bitgen_t bg = bitgen_(&g);
+    const double *par = st->src_par + s * SRC_PARAMS;
+    const int64_t n = st->src_batch[s];
+    double *row = st->gaps + (r * st->S + s) * st->L;
+    if (st->src_kind[s] == 0) {
+        /* Poisson: exponential(1 / rate, n) */
+        for (int64_t k = 0; k < n; k++)
+            row[k] = random_exponential(&bg, par[0]);
+    } else if (st->src_kind[s] == 1) {
+        /* Hyperexponential: where(random(n) < p, exponential(1 / rate1,
+         * n), exponential(1 / rate2, n)); -1 marks a phase-2 slot (an
+         * exponential variate is never negative). */
+        for (int64_t k = 0; k < n; k++)
+            row[k] = random_standard_uniform(&bg);
+        for (int64_t k = 0; k < n; k++) {
+            double e1 = random_exponential(&bg, par[1]);
+            row[k] = row[k] < par[0] ? e1 : -1.0;
+        }
+        for (int64_t k = 0; k < n; k++) {
+            double e2 = random_exponential(&bg, par[2]);
+            if (row[k] < 0.0)
+                row[k] = e2;
+        }
+    } else {
+        /* On-off: a fresh phase, then the walk of OnOffTraffic._walk;
+         * par = p_on, mean_on, mean_off, 1 / peak_rate. */
+        int in_on = random_standard_uniform(&bg) < par[0];
+        double left = random_exponential(&bg, in_on ? par[1] : par[2]);
+        for (int64_t k = 0; k < n; k++) {
+            double gap = 0.0;
+            for (;;) {
+                if (in_on) {
+                    double candidate = random_exponential(&bg, par[3]);
+                    if (candidate <= left) {
+                        left -= candidate;
+                        gap += candidate;
+                        break;
+                    }
+                    gap += left;
+                    in_on = 0;
+                    left = random_exponential(&bg, par[2]);
+                } else {
+                    gap += left;
+                    in_on = 1;
+                    left = random_exponential(&bg, par[1]);
+                }
+            }
+            row[k] = gap;
+        }
+    }
+    store_(w, &g);
+    st->gap_idx[r * st->S + s] = 0;
+}
+
+void mb_start(mb_state *st)
+{
+    const int64_t S = st->S, W = st->W;
+    for (int64_t r = 0; r < st->R; r++) {
+        for (int64_t s = 0; s < S; s++) {
+            fill_gaps_(st, r, s);
+            st->ev_time[r * W + s] = 0.0 + st->gaps[(r * S + s) * st->L];
+            st->ev_seq[r * W + s] = s;
+            st->gap_idx[r * S + s] = 1;
+        }
+        st->next_id[r] = S;
+    }
+}
+
+/* ---- the drain loop ---------------------------------------------- */
 
 static void grant_(mb_state *st, int64_t r, int64_t b, double now)
 {
@@ -175,10 +432,12 @@ static void grant_(mb_state *st, int64_t r, int64_t b, double now)
         st->wait_cnt[r] += 1;
         st->busy[r * st->B + b] = 1;
         st->granted[r * st->B + b] = g;
-        int64_t sv = st->svc_idx[r * st->B + b];
+        uint64_t *w = st->rng + (r * st->W + b) * 4;
+        pcg64 pg = load_(w);
+        bitgen_t bg = bitgen_(&pg);
         double duration =
-            st->svc[(r * st->B + b) * st->D + sv] * st->sscale[r * st->T + si];
-        st->svc_idx[r * st->B + b] = sv + 1;
+            random_standard_exponential(&bg) * st->sscale[r * st->T + si];
+        store_(w, &pg);
         st->ev_time[r * st->W + st->S + b] = now + duration;
         st->ev_seq[r * st->W + st->S + b] = st->next_id[r];
         st->next_id[r] += 1;
@@ -186,10 +445,9 @@ static void grant_(mb_state *st, int64_t r, int64_t b, double now)
     }
 }
 
-int64_t mb_advance(mb_state *st, double end_time)
+void mb_advance(mb_state *st, double end_time)
 {
-    const int64_t R = st->R, S = st->S, W = st->W, D = st->D;
-    int64_t npaused = 0;
+    const int64_t R = st->R, S = st->S, W = st->W;
     for (int64_t r = 0; r < R; r++) {
         for (;;) {
             double bt = INFINITY;
@@ -205,17 +463,11 @@ int64_t mb_advance(mb_state *st, double end_time)
             }
             if (bj < 0 || bt > end_time)
                 break;
+            double now = bt;
             if (bj < S) {
                 /* arrival of source bj */
                 int64_t s = bj;
-                if (st->gap_idx[r * S + s] >= st->gap_len[r * S + s]) {
-                    st->paused[r] = 1; npaused += 1; break;
-                }
                 int64_t ab = st->first_bus[s];
-                if (st->svc_idx[r * st->B + ab] >= D) {
-                    st->paused[r] = 1; npaused += 1; break;
-                }
-                double now = bt;
                 int64_t src = st->flow_src[s];
                 st->offered[r * st->P + src] += 1;
                 int64_t g = st->flow_ring[s * st->H];
@@ -236,6 +488,8 @@ int64_t mb_advance(mb_state *st, double end_time)
                     if (st->busy[r * st->B + ab] == 0)
                         grant_(st, r, ab, now);
                 }
+                if (st->gap_idx[r * S + s] == st->src_batch[s])
+                    fill_gaps_(st, r, s);
                 int64_t gi = st->gap_idx[r * S + s];
                 st->ev_time[r * W + s] =
                     now + st->gaps[(r * S + s) * st->L + gi];
@@ -245,22 +499,11 @@ int64_t mb_advance(mb_state *st, double end_time)
             } else {
                 /* completion on bus bj - S */
                 int64_t b = bj - S;
-                if (st->svc_idx[r * st->B + b] >= D) {
-                    st->paused[r] = 1; npaused += 1; break;
-                }
                 int64_t g = st->granted[r * st->B + b];
                 int64_t h = st->head[r * st->G + g];
                 int64_t si = st->slot_off[g] + h;
                 int64_t f = st->sflow[r * st->T + si];
                 int64_t hp = st->shop[r * st->T + si];
-                if (hp != st->flow_last[f]) {
-                    int64_t b2 =
-                        st->ring_bus[st->flow_ring[f * st->H + hp + 1]];
-                    if (st->svc_idx[r * st->B + b2] >= D) {
-                        st->paused[r] = 1; npaused += 1; break;
-                    }
-                }
-                double now = bt;
                 double created = st->screa[r * st->T + si];
                 int64_t nh = h + 1;
                 if (nh == st->cap[g]) nh = 0;
@@ -299,7 +542,6 @@ int64_t mb_advance(mb_state *st, double end_time)
             }
         }
     }
-    return npaused;
 }
 """
 
@@ -332,13 +574,38 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), "repro-mbkernel")
 
 
+def _sampler_library() -> str:
+    """numpy's static sampler library, ``libnpyrandom.a``."""
+    return os.path.join(
+        os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a"
+    )
+
+
+def kernel_path(cc: str, library: str) -> str:
+    """The cached shared object for this source, compiler and sampler.
+
+    The name hashes the source, the compiler, the flags, numpy's
+    version and the sampler library's size and mtime, so a numpy
+    upgrade never loads a build linked against its predecessor.
+    """
+    info = os.stat(library)
+    digest = hashlib.sha256(
+        "\x00".join(
+            [_SOURCE, cc, *_CFLAGS, np.__version__,
+             str(info.st_size), str(info.st_mtime_ns)]
+        ).encode()
+    ).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"mbkernel-{digest}.so")
+
+
 def load_kernel() -> Optional[ctypes.CDLL]:
     """The compiled kernel library, building it on first use.
 
     Returns ``None`` when the C path is unavailable: no compiler on
-    PATH, the build failed (warned once), or ``REPRO_SIM_CC=0``.
-    The shared object is cached under a hash of source + compiler +
-    flags, so rebuilds happen only when the kernel changes.
+    PATH, numpy's sampler library or headers missing, the build failed
+    (each warned once), or ``REPRO_SIM_CC=0``.  The shared object is
+    cached under :func:`kernel_path`, so rebuilds happen only when the
+    kernel, the compiler or numpy changes.
     """
     global _cached, _tried, _warned
     if os.environ.get("REPRO_SIM_CC", "1") == "0":
@@ -350,28 +617,37 @@ def load_kernel() -> Optional[ctypes.CDLL]:
         cc = _compiler()
         if cc is None:
             return None
-        digest = hashlib.sha256(
-            "\x00".join([_SOURCE, cc] + _CFLAGS).encode()
-        ).hexdigest()[:16]
-        cache_dir = _cache_dir()
-        sofile = os.path.join(cache_dir, f"mbkernel-{digest}.so")
         try:
+            library = _sampler_library()
+            include = np.get_include()
+            header = os.path.join(include, "numpy", "random", "bitgen.h")
+            for path in (library, header):
+                if not os.path.exists(path):
+                    raise FileNotFoundError(f"no {path}")
+            sofile = kernel_path(cc, library)
             if not os.path.exists(sofile):
+                cache_dir = os.path.dirname(sofile)
                 os.makedirs(cache_dir, exist_ok=True)
-                src = os.path.join(cache_dir, f"mbkernel-{digest}.c")
+                src = sofile[: -len(".so")] + ".c"
                 with open(src, "w") as fh:
                     fh.write(_SOURCE)
                 tmp = sofile + f".tmp{os.getpid()}"
                 subprocess.run(
-                    [cc, *_CFLAGS, "-o", tmp, src],
+                    [cc, *_CFLAGS, "-I", include, "-o", tmp, src,
+                     library, "-lm"],
                     check=True,
                     capture_output=True,
                     timeout=120,
                 )
                 os.replace(tmp, sofile)  # atomic: racing builds agree
             lib = ctypes.CDLL(sofile)
-            lib.mb_advance.argtypes = [ctypes.POINTER(MBState), _F64]
-            lib.mb_advance.restype = _I64
+            state = ctypes.POINTER(MBState)
+            lib.mb_seed.argtypes = [state, ctypes.c_void_p, ctypes.c_void_p]
+            lib.mb_seed.restype = None
+            lib.mb_start.argtypes = [state]
+            lib.mb_start.restype = None
+            lib.mb_advance.argtypes = [state, _F64]
+            lib.mb_advance.restype = None
             _cached = lib
         except Exception as exc:  # degrade to the batched lane
             if not _warned:

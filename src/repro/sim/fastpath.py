@@ -58,9 +58,9 @@ class ExponentialPool:
         Stream-identical to ``count`` successive :meth:`next` calls —
         the pool still refills in ``chunk``-sized batches, so mixing
         :meth:`take` and :meth:`next` on one pool consumes the generator
-        exactly like scalar draws would.  The batched and mega-batch
-        simulation lanes use this to pre-draw service variates into flat
-        arrays they then index without any per-event method call.
+        exactly like scalar draws would.  The batched simulation lane
+        uses this to pre-draw service variates into flat arrays it then
+        indexes without any per-event method call.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")

@@ -6,36 +6,34 @@ into flat arrays with a leading replication axis, so **one kernel
 invocation advances every replication at once** instead of running the
 batched lane ``R`` times:
 
-* per-replication RNG streams are spawned exactly like
-  :class:`~repro.sim.system.CommunicationSystem` (``SeedSequence(seed)
-  .spawn(B + S)``, bus streams first), so every draw is bit-for-bit the
-  stream the serial lanes would consume;
-* interarrival gaps are pre-drawn per ``(replication, source)`` in
-  source-batch-sized chunks — the identical
-  ``sample_interarrivals(rng, batch)`` call sequence the heap engine's
-  :class:`~repro.sim.processor.FlowSource` makes, which matters for
-  descriptors that re-randomise per call;
-* service variates are pre-taken through one
-  :class:`~repro.sim.fastpath.ExponentialPool` per (bus, replication),
-  stream-identical to the pool inside each replication's own bus;
+* every random variate is drawn inside the C kernel, on the streams
+  :class:`~repro.sim.system.CommunicationSystem` would build
+  (``SeedSequence(seed).spawn(B + S)``, bus streams first) and with
+  numpy's own samplers, so every draw is bit-for-bit the one the serial
+  lanes make (see :mod:`repro.sim._mbcc`);
+* each source keeps one chunk row of exactly its batch size — the
+  ``sample_interarrivals(rng, batch)`` call sequence of the heap
+  engine's :class:`~repro.sim.processor.FlowSource`, which matters for
+  descriptors that re-randomise per call (``OnOffTraffic`` draws a
+  fresh phase each chunk);
 * queued packets live in replication-stacked
   :func:`~repro.sim.buffer.replicated_slot_arrays` slot arrays, and the
-  event calendar is a fixed ``(R, S + B)`` array (see
-  :mod:`repro.sim._mbcc`).
+  event calendar is a fixed ``(R, S + B)`` array.
 
 The kernel has one body, the :mod:`repro.sim._mbcc` C build.  The lane
-needs it: with no C kernel (no compiler, a failed build, or
-``REPRO_SIM_CC=0``) construction raises :class:`SimulationError`.
-The tests hold the kernel bitwise to the batched lane and to the heap
-engine, so the kernel is *not* part of scenario cache keys.
+needs it: with no C kernel (no compiler, no numpy C library, a failed
+build, or ``REPRO_SIM_CC=0``) construction raises
+:class:`SimulationError`.  The tests hold the kernel bitwise to the
+batched lane and to the heap engine, so the kernel is *not* part of
+scenario cache keys.
 
 The lane only takes the kernel path for configurations it can replay
 exactly: deterministic arbiters (:data:`~repro.sim.arbiter
-.KERNEL_ARBITERS`) and stateless traffic descriptors
-(:attr:`~repro.arch.traffic.TrafficDescriptor.stateless_sampling`).
-:func:`megabatch_supported` is the gate.  Unsupported cells — and every
-cell on a host where no C kernel could be built — fall back to
-sequential per-replication batched-lane runs in
+.KERNEL_ARBITERS`) and the traffic descriptors the kernel samples
+(:data:`SAMPLERS`).  :func:`megabatch_supported` is the gate.
+Unsupported cells — ``TraceTraffic`` among them — and every cell on a
+host where no C kernel could be built fall back to sequential
+per-replication batched-lane runs in
 :func:`repro.sim.runner.simulate_block`, which counts each fallback.
 """
 
@@ -48,27 +46,37 @@ import numpy as np
 
 from repro import obs
 from repro.arch.topology import Topology
+from repro.arch.traffic import (
+    HyperexponentialTraffic,
+    OnOffTraffic,
+    PoissonTraffic,
+)
 from repro.errors import SimulationError
 from repro.sim import _mbcc
 from repro.sim.arbiter import KERNEL_ARBITERS
 from repro.sim.batched import BatchedSystem
 from repro.sim.buffer import replicated_slot_arrays
-from repro.sim.fastpath import ExponentialPool
 from repro.sim.monitor import Monitor
 from repro.sim.system import CommunicationSystem
 
-#: Gap chunks pre-drawn per (replication, source) between kernel
-#: invocations.  Each chunk is one ``sample_interarrivals(rng, batch)``
-#: call of exactly the source's batch size — never merged into one big
-#: call, because descriptors may re-randomise per call (OnOffTraffic
-#: draws a fresh phase each chunk).
-GAP_CHUNKS = 4
-
-#: Service variates pre-taken per (replication, bus) between kernel
-#: invocations.  Any depth is stream-identical (the underlying pool
-#: refills in its own chunks); 2048 = four pool chunks keeps refill
-#: round-trips rare.
-SVC_DEPTH = 2048
+#: The kernel's gap samplers by descriptor type: the ``src_kind`` code
+#: and the ``src_par`` doubles, computed exactly as the descriptor's own
+#: ``sample_interarrivals`` computes them.
+SAMPLERS = {
+    PoissonTraffic: (0, lambda t: (1.0 / t.rate,)),
+    HyperexponentialTraffic: (
+        1, lambda t: (t.phase1_prob, 1.0 / t.rate1, 1.0 / t.rate2)
+    ),
+    OnOffTraffic: (
+        2,
+        lambda t: (
+            t.mean_on / (t.mean_on + t.mean_off),
+            t.mean_on,
+            t.mean_off,
+            1.0 / t.peak_rate,
+        ),
+    ),
+}
 
 #: Sequence sentinel for idle completion slots: larger than any real
 #: event id, so an idle slot can never win a ``(time, seq)`` tie.
@@ -79,17 +87,15 @@ def megabatch_supported(topology: Topology, arbiter_kind: str) -> bool:
     """Whether the kernel path can replay this cell exactly.
 
     Requires a deterministic arbiter (the kernel inlines those three
-    policies) and stateless traffic descriptors (a stateful descriptor
-    like TraceTraffic shares its replay cursor across replications, so
-    draws must not be interleaved).  Unsupported cells still run through
-    :func:`~repro.sim.runner.simulate_block` — via the sequential
-    batched fallback.
+    policies) and only descriptors the kernel samples
+    (:data:`SAMPLERS`, matched by exact type).  Unsupported cells still
+    run through :func:`~repro.sim.runner.simulate_block` — via the
+    sequential batched fallback.
     """
     if arbiter_kind not in KERNEL_ARBITERS:
         return False
     return all(
-        flow.traffic.stateless_sampling
-        for flow in topology.flows.values()
+        type(flow.traffic) in SAMPLERS for flow in topology.flows.values()
     )
 
 
@@ -98,15 +104,15 @@ class MegaBatchLane:
 
     Parameters mirror :func:`repro.sim.runner.simulate`, except
     ``seeds`` — one per replication — replaces the single ``seed``.
-    Construction builds one template system (structure only) plus the
-    per-replication RNG streams; :meth:`start` schedules first arrivals;
-    :meth:`run_until` advances every replication with kernel
-    invocations, refilling pre-drawn buffers between them;
-    :meth:`monitor_for` folds one replication's counters into a
-    :class:`Monitor` for result extraction.  Raises
-    :class:`SimulationError` when no C kernel can be built —
-    :func:`repro.sim.runner.simulate_block` checks for that case first
-    and takes its counted batched fallback instead.
+    Construction builds one template system (structure only) and seeds
+    every replication's streams in C; :meth:`start` draws the first gap
+    chunks and schedules first arrivals; :meth:`run_until` advances
+    every replication with one kernel call; :meth:`monitor_for` folds
+    one replication's counters into a :class:`Monitor` for result
+    extraction.  Raises :class:`SimulationError` when no C kernel can
+    be built — :func:`repro.sim.runner.simulate_block` checks for that
+    case first and takes its counted batched fallback instead — and
+    ``ValueError`` for a negative seed, as ``SeedSequence`` does.
     """
 
     def __init__(
@@ -123,15 +129,18 @@ class MegaBatchLane:
         if not megabatch_supported(topology, arbiter_kind):
             raise SimulationError(
                 "mega-batch kernel requires a deterministic arbiter "
-                f"({KERNEL_ARBITERS}) and stateless traffic descriptors"
+                f"({KERNEL_ARBITERS}) and traffic it samples "
+                f"({', '.join(t.__name__ for t in SAMPLERS)})"
             )
         lib = _mbcc.load_kernel()
         if lib is None:
             raise SimulationError(
                 "mega-batch engine 'cc' requested but no C kernel could "
-                "be built (no compiler, failed build, or REPRO_SIM_CC=0)"
+                "be built (no compiler, no numpy C library, failed "
+                "build, or REPRO_SIM_CC=0)"
             )
         self.seeds = [int(s) for s in seeds]
+        words, offsets = _mbcc.entropy_words(self.seeds)
         R = len(self.seeds)
         self.R = R
 
@@ -152,7 +161,6 @@ class MegaBatchLane:
         P = len(ref._proc_names)
         self.S, self.B, self.G, self.P = S, B, G, P
         self.W = S + B
-        self.svc_depth = SVC_DEPTH
         self.proc_names: List[str] = list(ref._proc_names)
         self.timeout = (
             float(ref.timeout_threshold)
@@ -199,8 +207,21 @@ class MegaBatchLane:
         self.flow_src = np.asarray(ref._flow_src, dtype=np.int64)
         self.flow_last = np.asarray(ref._flow_last, dtype=np.int64)
         self.first_bus = self.ring_bus[self.flow_ring[:, 0]]
-        self._traffic = list(ref._traffic)
-        self._src_batch = [int(n) for n in ref._src_batch]
+
+        # -- per-source samplers: one chunk row of ``batch`` gaps each
+        self.src_kind = np.zeros(S, dtype=np.int64)
+        self.src_par = np.zeros((S, _mbcc.SRC_PARAMS))
+        for s, traffic in enumerate(ref._traffic):
+            kind, params = SAMPLERS[type(traffic)]
+            self.src_kind[s] = kind
+            par = params(traffic)
+            self.src_par[s, : len(par)] = par
+        self.src_batch = np.asarray(ref._src_batch, dtype=np.int64)
+        self.gap_depth = int(self.src_batch.max())
+        self.gaps = np.zeros((R, S, self.gap_depth))
+        self.gap_idx = np.zeros((R, S), dtype=np.int64)
+        # Streams in spawn order: buses 0..B-1, then sources.
+        self.rng = np.zeros((R, self.W, 4), dtype=np.uint64)
 
         # -- replication-stacked dynamic state -----------------------
         self.slot_off, fields = replicated_slot_arrays(ref._cap, R)
@@ -220,16 +241,6 @@ class MegaBatchLane:
         self.granted = np.full((R, B), -1, dtype=np.int64)
         self.rr_last = np.full((R, B), -1, dtype=np.int64)
 
-        self.svc = np.zeros((R, B, SVC_DEPTH))
-        self.svc_idx = np.zeros((R, B), dtype=np.int64)
-        max_batch = max(self._src_batch) if self._src_batch else 1
-        self.gap_depth = GAP_CHUNKS * max_batch
-        self.gaps = np.zeros((R, S, self.gap_depth))
-        self.gap_idx = np.zeros((R, S), dtype=np.int64)
-        self.gap_len = np.zeros((R, S), dtype=np.int64)
-        for s, batch in enumerate(self._src_batch):
-            self.gap_len[:, s] = GAP_CHUNKS * batch
-
         self.offered = np.zeros((R, P), dtype=np.int64)
         self.lost = np.zeros((R, P), dtype=np.int64)
         self.timed_out = np.zeros((R, P), dtype=np.int64)
@@ -237,63 +248,21 @@ class MegaBatchLane:
         self.wait_sum = np.zeros(R)
         self.wait_cnt = np.zeros(R, dtype=np.int64)
         self.e2e_sum = np.zeros(R)
-        self.paused = np.zeros(R, dtype=np.int64)
-
-        # -- per-replication RNG streams: the exact CommunicationSystem
-        # layout — SeedSequence(seed).spawn(B + S), bus streams first,
-        # then flow streams in sources order.  Each bus stream feeds one
-        # ExponentialPool, which draws its first chunk at construction,
-        # exactly like the pool inside every replication's ClusterBus.
-        self._flow_rngs: List[List[np.random.Generator]] = []
-        self._svc_pools: List[List[ExponentialPool]] = []
-        for seed in self.seeds:
-            children = np.random.SeedSequence(seed).spawn(B + S)
-            self._svc_pools.append(
-                [ExponentialPool(np.random.default_rng(c))
-                 for c in children[:B]]
-            )
-            self._flow_rngs.append(
-                [np.random.default_rng(c) for c in children[B:]]
-            )
 
         self._started = False
         self._now = 0.0
         st = _mbcc.MBState(
             self.R, self.S, self.B, self.G, self.P, self.W,
-            self.svc_depth, self.gap_depth, self.Hmax, self.timeout,
+            self.gap_depth, self.Hmax, self.timeout,
             *(getattr(self, name).ctypes.data for name in _mbcc.ARRAYS),
             self.T,
         )
         # The byref keeps the struct alive; the arrays it points at are
         # lane attributes, so they outlive every kernel call.
-        ref = ctypes.byref(st)
-        self._advance = lambda end: int(lib.mb_advance(ref, end))
-
-    # ------------------------------------------------------------------
-
-    def _refill_gaps(self, r: int, s: int) -> None:
-        """Redraw source ``s``'s gap row for replication ``r``.
-
-        ``GAP_CHUNKS`` separate batch-sized ``sample_interarrivals``
-        calls — the serial lanes' exact call sequence, which stateful-
-        per-call descriptors (phase re-randomisation) depend on.
-        """
-        traffic = self._traffic[s]
-        rng = self._flow_rngs[r][s]
-        batch = self._src_batch[s]
-        row = self.gaps[r, s]
-        for k in range(GAP_CHUNKS):
-            row[k * batch : (k + 1) * batch] = (
-                traffic.sample_interarrivals(rng, batch)
-            )
-        self.gap_idx[r, s] = 0
-
-    def _refill_exhausted(self) -> None:
-        for r, s in np.argwhere(self.gap_idx >= self.gap_len):
-            self._refill_gaps(int(r), int(s))
-        for r, b in np.argwhere(self.svc_idx >= self.svc_depth):
-            self.svc[r, b] = self._svc_pools[r][b].take(self.svc_depth)
-            self.svc_idx[r, b] = 0
+        state = ctypes.byref(st)
+        lib.mb_seed(state, words.ctypes.data, offsets.ctypes.data)
+        self._start = lambda: lib.mb_start(state)
+        self._advance = lambda end: lib.mb_advance(state, end)
 
     # ------------------------------------------------------------------
 
@@ -306,26 +275,15 @@ class MegaBatchLane:
         if self._started:
             raise SimulationError("MegaBatchLane already started")
         self._started = True
-        for r in range(self.R):
-            for s in range(self.S):
-                self._refill_gaps(r, s)
-                self.ev_time[r, s] = 0.0 + self.gaps[r, s, 0]
-                self.ev_seq[r, s] = s
-                self.gap_idx[r, s] = 1
-            self.next_id[r] = self.S
-        for b in range(self.B):
-            for r in range(self.R):
-                self.svc[r, b] = self._svc_pools[r][b].take(self.svc_depth)
+        self._start()
 
     def run_until(self, end_time: float) -> None:
         """Advance every replication through ``end_time``.
 
         Same boundary semantics as the serial lanes: events scheduled
-        exactly at ``end_time`` execute.  Each kernel invocation runs
-        until every replication is drained or paused for a refill; the
-        wrapper refills exactly the exhausted rows and re-enters.
-        Instrumentation is per invocation — the kernel itself stays
-        allocation-free with obs disabled.
+        exactly at ``end_time`` execute.  One kernel invocation per
+        window; instrumentation is per invocation — the kernel itself
+        stays allocation-free with obs disabled.
         """
         if not self._started:
             raise SimulationError("call start() before run_until()")
@@ -333,18 +291,13 @@ class MegaBatchLane:
             raise SimulationError(
                 f"end time {end_time} is before now {self._now}"
             )
-        while True:
-            self.paused[:] = 0
-            with obs.span("sim.megabatch.kernel") as span:
-                span.set("replications", self.R)
-                npaused = self._advance(end_time)
-            obs.counter("sim.megabatch.invocations").inc()
-            obs.histogram(
-                "sim.megabatch.replications_per_invocation"
-            ).observe(float(self.R))
-            if not npaused:
-                break
-            self._refill_exhausted()
+        with obs.span("sim.megabatch.kernel") as span:
+            span.set("replications", self.R)
+            self._advance(end_time)
+        obs.counter("sim.megabatch.invocations").inc()
+        obs.histogram(
+            "sim.megabatch.replications_per_invocation"
+        ).observe(float(self.R))
         self._now = end_time
 
     # ------------------------------------------------------------------

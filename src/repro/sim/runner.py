@@ -195,7 +195,7 @@ def simulate_block(
     every replication per C kernel invocation.  Results are returned in
     seed order and are bitwise identical to running the batched lane
     per seed (``_simulate_seed``).  Cells the kernel cannot replay
-    exactly (randomised arbiters, stateful traffic descriptors) take
+    exactly (randomised arbiters, traffic it does not sample) take
     exactly that per-seed path as a fallback, counted once per block in
     ``sim.megabatch.fallback.unsupported``; so does every cell when no
     C kernel could be built (or ``REPRO_SIM_CC=0``), counted in

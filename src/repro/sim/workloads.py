@@ -103,15 +103,11 @@ class TraceTraffic(TrafficDescriptor):
 
     Cycles through the recorded gaps; the RNG argument of
     :meth:`sample_interarrivals` is unused (replay is deterministic) but
-    kept for interface compatibility.
+    kept for interface compatibility.  The replay cursor lives on the
+    descriptor, so replications sharing this object consume one global
+    gap sequence in call order; the mega-batch kernel does not sample
+    it, and its cells run per seed on the batched lane.
     """
-
-    #: The replay cursor lives on the descriptor, not the generator, so
-    #: sampling is stateful: replications sharing this object consume
-    #: one global gap sequence in call order.  The mega-batch lane must
-    #: therefore fall back to sequential per-replication runs (see
-    #: :attr:`TrafficDescriptor.stateless_sampling`).
-    stateless_sampling = False
 
     def __init__(self, gaps: Sequence[float]) -> None:
         arr = np.asarray(list(gaps), dtype=float)

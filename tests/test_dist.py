@@ -1779,6 +1779,24 @@ class TestLongPollDriver:
         with pytest.raises(ReproError, match="no live workers"):
             executor.map(echo, [0, 1])
 
+    @pytest.mark.parametrize(
+        "workers,cause",
+        [
+            (0, "is a 'repro dist worker' connected?"),
+            (2, "the live workers did not finish within --timeout"),
+        ],
+    )
+    def test_timeout_names_the_cause_by_live_workers(self, workers, cause):
+        executor = DistExecutor(
+            "127.0.0.1:1", timeout=0.2, no_worker_grace=60.0
+        )
+        _plant_fake_broker(executor, _QuietThenDone(workers=workers))
+        with pytest.raises(ReproError) as excinfo:
+            executor.map(echo, [0, 1])
+        message = str(excinfo.value)
+        assert f"({workers} live worker(s)); {cause}" in message
+        assert ("connected?" in message) == (workers == 0)
+
 
 class TestCoalescedBlocks:
     """One mega-batch block per leased cell: ``run_blocks``, and the

@@ -243,6 +243,23 @@ class TestChaosMatrix:
         assert case.injected >= 1  # the crash really happened
         assert "worker_crash" in case.detail
 
+    def test_dist_worker_crash_counted_without_log_dir(self):
+        # Without a log_dir the per-case logs go to a temporary
+        # directory, so a strike in a forked worker is still counted.
+        from repro.faults.chaos import run_chaos_matrix
+
+        plans = {"worker-crash": standard_plans()["worker-crash"]}
+        report = run_chaos_matrix(
+            plans=plans,
+            modes=("dist",),
+            workers=2,
+            **self._MATRIX,
+        )
+        case = report.cases[0]
+        assert case.matched, report.render()
+        assert case.injected >= 1
+        assert "worker_crash" in case.detail
+
     def test_dist_broker_loss_falls_back_identical(self, tmp_path):
         from repro.faults.chaos import run_chaos_matrix
 

@@ -4,12 +4,13 @@ The lane's whole value rests on one claim: stacking ``R`` replications
 into one array program changes *nothing* about the numbers.  So the
 suite is mostly equality matrices — the C kernel vs batched vs heap
 across scenarios, arbiters, timeout and warmup, including horizons
-long enough to cross the kernel's pause-and-refill path; serial vs
-``jobs=N`` vs distributed merges — plus the supporting contracts:
-argument validation, fallback gating, progress-event ordering, obs
-instrumentation, and the allocation-free hot path.  Tests of the
-kernel path itself skip, with a reason, where no C kernel can be built
-(no compiler, or ``REPRO_SIM_CC=0``).
+long enough that the kernel redraws gap chunks mid-window; serial vs
+``jobs=N`` vs distributed merges — plus the kernel's own draws held
+to numpy's (stream seeding, chunk samplers) and the supporting
+contracts: argument validation, fallback gating, progress-event
+ordering, obs instrumentation, and the allocation-free hot path.  Tests
+of the kernel path itself skip, with a reason, where no C kernel can be
+built (no compiler, no numpy C sampler library, or ``REPRO_SIM_CC=0``).
 """
 
 import math
@@ -17,9 +18,16 @@ import multiprocessing
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import obs, scenarios
+from repro.arch.topology import rebuilt_topology
+from repro.arch.traffic import (
+    HyperexponentialTraffic,
+    OnOffTraffic,
+    PoissonTraffic,
+)
 from repro.errors import PolicyError, SimulationError
 from repro.exec.pool import parallel_map, partition_blocks
 from repro.policies.uniform import UniformSizing
@@ -121,10 +129,9 @@ class TestEquivalenceMatrix:
         "timeout,warmup", [(None, 0.0), (4.0, 50.0)]
     )
     def test_refill_path_matches_batched(self, arbiter, timeout, warmup):
-        # At horizon 1000 netproc exhausts pre-drawn gap and service
-        # rows mid-window, so the kernel pauses, the lane refills and
-        # the kernel re-enters: the path where stream identity is
-        # subtlest.
+        # At horizon 1000 netproc's sources exhaust their gap chunks
+        # mid-window, so the kernel redraws them between events: the
+        # path where stream identity is subtlest.
         topology, capacities = _cell("netproc")
         seeds = [3, 1003, 77]
         kwargs = dict(
@@ -141,11 +148,252 @@ class TestEquivalenceMatrix:
             counters = obs.registry().counters_snapshot()
         finally:
             obs.reset()
-        # Without a refill each window (warm-up, measure) is exactly
-        # one kernel invocation.
+        # The kernel draws its own variates, so even with refills each
+        # window (warm-up, measure) is exactly one kernel invocation.
         windows = 2 if warmup > 0 else 1
-        assert counters["sim.megabatch.invocations"] > windows
+        assert counters["sim.megabatch.invocations"] == windows
         assert block == batched_runs(topology, capacities, seeds, **kwargs)
+
+
+# -- bursty traffic and large seeds ------------------------------------
+
+#: Seeds of the bursty and large-seed cells: one word, past 32 bits,
+#: past 64 bits, and the spawn scheme's 64-bit seeds.
+BURSTY_SEEDS = [0, 2**32, 2**70] + replication_seeds(
+    2, base_seed=5, scheme="spawn"
+)
+
+#: Long enough that every bursty fig1 source draws at least four
+#: 256-gap chunks (checked by ``_fewest_chunks``).
+BURSTY_HORIZON = 3000.0
+
+
+def _bursty_descriptor(index, rate):
+    """Poisson, hyperexponential or on-off by flow index, at mean ``rate``."""
+    kind = index % 3
+    if kind == 0:
+        return PoissonTraffic(rate)
+    if kind == 1:
+        # A tenth of the gaps are long (mean 5 / rate).
+        return HyperexponentialTraffic(0.2 * rate, 1.8 * rate, 0.1)
+    return OnOffTraffic(peak_rate=3.0 * rate, mean_on=1.0, mean_off=2.0)
+
+
+def _bursty_cell(name="fig1"):
+    """``name``'s cell with its flows cycled through all three kinds."""
+    topology, capacities = _cell(name)
+    order = {flow: i for i, flow in enumerate(sorted(topology.flows))}
+    bursty = rebuilt_topology(
+        topology,
+        name=f"{name}-bursty",
+        flow_traffic=lambda flow: _bursty_descriptor(
+            order[flow.name], flow.traffic.mean_rate
+        ),
+    )
+    return bursty, capacities
+
+
+def _fewest_chunks(topology, seed, horizon, batch=256):
+    """Fewest gap chunks any source draws in a run to ``horizon``.
+
+    Arrivals do not depend on the buses, so a source's chunk count
+    follows from its own stream: the flow streams are children
+    ``B..B+S-1`` of ``SeedSequence(seed)``, sources in flow-name order.
+    A source draws another chunk while its gaps so far end by
+    ``horizon``.
+    """
+    names = sorted(topology.flows)
+    buses = len(topology.bus_clusters())
+    children = np.random.SeedSequence(seed).spawn(buses + len(names))
+    fewest = None
+    for child, name in zip(children[buses:], names):
+        traffic = topology.flows[name].traffic
+        rng = np.random.default_rng(child)
+        elapsed, chunks = 0.0, 0
+        while elapsed <= horizon:
+            elapsed += float(traffic.sample_interarrivals(rng, batch).sum())
+            chunks += 1
+        fewest = chunks if fewest is None else min(fewest, chunks)
+    return fewest
+
+
+class TestBurstyTraffic:
+    """On-off and hyperexponential flows on the kernel, over many chunks."""
+
+    @pytest.fixture(scope="class")
+    def bursty(self):
+        return _bursty_cell()
+
+    def test_every_source_draws_four_chunks(self, bursty):
+        topology, _ = bursty
+        kinds = {type(flow.traffic) for flow in topology.flows.values()}
+        assert kinds == {
+            PoissonTraffic, HyperexponentialTraffic, OnOffTraffic
+        }
+        for seed in BURSTY_SEEDS:
+            assert _fewest_chunks(topology, seed, BURSTY_HORIZON) >= 4
+
+    @pytest.mark.parametrize("arbiter", KERNEL_ARBITERS)
+    @pytest.mark.parametrize(
+        "timeout,warmup", [(None, 0.0), (4.0, 50.0)]
+    )
+    def test_megabatch_matches_batched(self, bursty, arbiter, timeout,
+                                       warmup):
+        topology, capacities = bursty
+        kwargs = dict(
+            duration=BURSTY_HORIZON,
+            arbiter_kind=arbiter,
+            timeout_threshold=timeout,
+            warmup=warmup,
+        )
+        block = simulate_block(
+            topology, capacities, seeds=BURSTY_SEEDS, **kwargs
+        )
+        assert block == batched_runs(
+            topology, capacities, BURSTY_SEEDS, **kwargs
+        )
+
+    def test_megabatch_matches_heap(self, bursty):
+        topology, capacities = bursty
+        kwargs = dict(
+            duration=BURSTY_HORIZON, timeout_threshold=4.0, warmup=50.0
+        )
+        block = simulate_block(
+            topology, capacities, seeds=BURSTY_SEEDS, **kwargs
+        )
+        for seed, got in zip(BURSTY_SEEDS, block):
+            ref = _simulate_seed(
+                topology, capacities, seed=seed, lane="heap", **kwargs
+            )
+            assert got == ref, seed
+
+    def test_large_seeds_match_batched(self):
+        topology, capacities = _cell("netproc")
+        seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**70, 2**200 + 11]
+        block = simulate_block(
+            topology, capacities, duration=120.0, seeds=seeds
+        )
+        assert block == batched_runs(
+            topology, capacities, seeds, duration=120.0
+        )
+
+    def test_negative_seed_is_a_value_error_on_every_path(
+        self, monkeypatch
+    ):
+        topology, capacities = _cell("fig1")
+        cases = [{}, {"arbiter_kind": "weighted_random"}]
+        for kwargs in cases:
+            with pytest.raises(ValueError, match="non-negative"):
+                simulate_block(
+                    topology, capacities, duration=10.0, seeds=[3, -1],
+                    **kwargs,
+                )
+        monkeypatch.setenv("REPRO_SIM_CC", "0")
+        monkeypatch.setattr(_mbcc, "_tried", False)
+        monkeypatch.setattr(_mbcc, "_cached", None)
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate_block(
+                topology, capacities, duration=10.0, seeds=[3, -1]
+            )
+
+    @needs_kernel
+    def test_lane_rejects_negative_seed(self):
+        topology, capacities = _cell("fig1")
+        with pytest.raises(ValueError, match="non-negative"):
+            MegaBatchLane(topology, capacities, [3, -1])
+
+
+# -- the kernel's own draws against numpy -------------------------------
+
+
+@needs_kernel
+class TestKernelDraws:
+    """The C kernel seeds and samples exactly as numpy's generators do."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70, 2**200 + 11] + (
+        replication_seeds(3, base_seed=9, scheme="spawn")
+    )
+
+    def test_stream_seeding_matches_numpy(self):
+        topology, capacities = _cell("netproc")
+        lane = MegaBatchLane(topology, capacities, self.SEEDS)
+        for r, seed in enumerate(self.SEEDS):
+            children = np.random.SeedSequence(seed).spawn(lane.B + lane.S)
+            for c, child in enumerate(children):
+                want = np.random.PCG64(child).state["state"]
+                hi_s, lo_s, hi_i, lo_i = (int(w) for w in lane.rng[r, c])
+                assert (hi_s << 64 | lo_s, hi_i << 64 | lo_i) == (
+                    want["state"], want["inc"]
+                ), (seed, c)
+
+    def test_chunk_samplers_match_descriptors(self):
+        # mb_start draws one chunk per source from where its stream
+        # stands, so calling it again draws the next chunk.
+        topology, capacities = _bursty_cell()
+        seeds = self.SEEDS[:4]
+        lane = MegaBatchLane(topology, capacities, seeds)
+        traffic = [topology.flows[name].traffic
+                   for name in sorted(topology.flows)]
+        rngs = [
+            [np.random.default_rng(child) for child in
+             np.random.SeedSequence(seed).spawn(lane.B + lane.S)[lane.B:]]
+            for seed in seeds
+        ]
+        for chunk in range(5):
+            lane._start()
+            for r in range(lane.R):
+                for s, batch in enumerate(lane.src_batch):
+                    want = traffic[s].sample_interarrivals(
+                        rngs[r][s], int(batch)
+                    )
+                    got = lane.gaps[r, s, :batch]
+                    assert np.array_equal(got, want), (
+                        chunk, seeds[r], type(traffic[s]).__name__
+                    )
+
+
+class TestKernelBuild:
+    def test_cache_key_covers_numpy_and_its_sampler(
+        self, tmp_path, monkeypatch
+    ):
+        library = tmp_path / "libnpyrandom.a"
+        library.write_bytes(b"x" * 10)
+        os.utime(library, ns=(1, 10**9))
+        base = _mbcc.kernel_path("cc", str(library))
+        assert _mbcc.kernel_path("cc", str(library)) == base
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "__version__", np.__version__ + ".post1")
+            assert _mbcc.kernel_path("cc", str(library)) != base
+        os.utime(library, ns=(1, 2 * 10**9))
+        assert _mbcc.kernel_path("cc", str(library)) != base
+        library.write_bytes(b"x" * 11)
+        os.utime(library, ns=(1, 10**9))
+        assert _mbcc.kernel_path("cc", str(library)) != base
+
+    def test_missing_sampler_library_takes_the_no_kernel_fallback(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SIM_CC", raising=False)
+        monkeypatch.setattr(
+            _mbcc, "_sampler_library", lambda: str(tmp_path / "missing.a")
+        )
+        monkeypatch.setattr(_mbcc, "_tried", False)
+        monkeypatch.setattr(_mbcc, "_cached", None)
+        monkeypatch.setattr(_mbcc, "_warned", False)
+        if _mbcc._compiler() is not None:
+            with pytest.warns(RuntimeWarning, match="missing.a"):
+                assert _mbcc.load_kernel() is None
+        topology, capacities = _cell("amba")
+        seeds = [3, 1003]
+        got, counts = _fallback_counts(
+            lambda: simulate_block(
+                topology, capacities, duration=100.0, seeds=seeds
+            )
+        )
+        assert counts == {"unsupported": 0, "no_kernel": 1}
+        assert got == batched_runs(
+            topology, capacities, seeds, duration=100.0
+        )
 
 
 # -- the kernel's one body ----------------------------------------------
@@ -196,11 +444,14 @@ class TestSupportGate:
         assert not megabatch_supported(topology, "weighted_random")
 
     def test_stateful_traffic_not_supported(self):
-        from repro.arch.traffic import TrafficDescriptor
         from repro.sim.workloads import TraceTraffic
 
-        assert TrafficDescriptor.stateless_sampling is True
-        assert TraceTraffic.stateless_sampling is False
+        topology, _ = _cell("fig1")
+        traced = rebuilt_topology(
+            topology, flow_traffic=lambda flow: TraceTraffic([0.5, 1.5])
+        )
+        assert megabatch_supported(topology, "longest_queue")
+        assert not megabatch_supported(traced, "longest_queue")
 
     def test_unsupported_backend_falls_back_bitwise(self):
         topology, capacities = _cell("fig1")
