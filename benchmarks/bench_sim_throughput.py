@@ -51,15 +51,26 @@ def _setup(scenario):
     return topology, capacities
 
 
-def _run(topology, capacities, backend):
-    """One fixed-seed run returning the monitor (event counts)."""
-    if backend == "megabatch":
-        from repro.sim.megabatch import MegaBatchLane
+def _megabatch_events(seeds, topology, capacities):
+    """Events per replication of one mega-batch lane run over ``seeds``."""
+    from repro.sim.megabatch import MegaBatchLane
 
-        lane = MegaBatchLane(topology, capacities, [3])
-        lane.start()
-        lane.run_until(DURATION)
-        return lane.monitor_for(0)
+    lane = MegaBatchLane(topology, capacities, seeds)
+    lane.start()
+    lane.run_until(DURATION)
+    return (lane.offered.sum(axis=1) + lane.wait_cnt).tolist()
+
+
+def _monitor_events(monitor):
+    """Executed events = packet arrivals + service starts (the two
+    event kinds of this model)."""
+    return monitor.total_offered() + monitor.waiting_time_count
+
+
+def _run(topology, capacities, backend):
+    """One fixed-seed run; returns its executed event count."""
+    if backend == "megabatch":
+        return _megabatch_events([3], topology, capacities)[0]
     system = CommunicationSystem(topology, capacities, seed=3)
     if backend == "batched":
         from repro.sim.batched import BatchedSystem
@@ -71,7 +82,7 @@ def _run(topology, capacities, backend):
         for source in system.sources:
             source.start()
         system.simulator.run_until(DURATION)
-    return system.monitor
+    return _monitor_events(system.monitor)
 
 
 @pytest.mark.parametrize("scenario", BENCH_SCENARIOS)
@@ -80,10 +91,8 @@ def test_simulator_throughput(benchmark, scenario, backend):
     benchmark.group = f"simulator_throughput[{scenario}]"
     topology, capacities = _setup(scenario)
 
-    monitor = benchmark(_run, topology, capacities, backend)
-    # Executed events = packet arrivals + service starts (the two event
-    # kinds of this model); report throughput for the perf trajectory.
-    events = monitor.total_offered() + monitor.waiting_time_count
+    # Report throughput for the perf trajectory.
+    events = benchmark(_run, topology, capacities, backend)
     assert events > 0
     if benchmark.stats:  # absent under --benchmark-disable
         benchmark.extra_info["scenario"] = scenario
@@ -98,16 +107,11 @@ MEGABATCH_RS = (1, 8, 32)
 
 
 def _run_replications(topology, capacities, backend, replications):
-    """One fixed-seed replication batch; returns per-rep monitors."""
+    """One fixed-seed replication batch; returns per-rep event counts."""
     seeds = [3 + 1000 * r for r in range(replications)]
     if backend == "megabatch":
-        from repro.sim.megabatch import MegaBatchLane
-
-        lane = MegaBatchLane(topology, capacities, seeds)
-        lane.start()
-        lane.run_until(DURATION)
-        return [lane.monitor_for(r) for r in range(lane.R)]
-    monitors = []
+        return _megabatch_events(seeds, topology, capacities)
+    events = []
     for seed in seeds:
         from repro.sim.batched import BatchedSystem
 
@@ -116,8 +120,8 @@ def _run_replications(topology, capacities, backend, replications):
         )
         lane.start()
         lane.run_until(DURATION)
-        monitors.append(lane.monitor)
-    return monitors
+        events.append(_monitor_events(lane.monitor))
+    return events
 
 
 @pytest.mark.parametrize("replications", MEGABATCH_RS)
@@ -134,11 +138,10 @@ def test_replication_throughput(benchmark, backend, replications):
     benchmark.group = f"replication_throughput[netproc,R={replications}]"
     topology, capacities = _setup("netproc")
 
-    monitors = benchmark(
-        _run_replications, topology, capacities, backend, replications
-    )
     events = sum(
-        m.total_offered() + m.waiting_time_count for m in monitors
+        benchmark(
+            _run_replications, topology, capacities, backend, replications
+        )
     )
     assert events > 0
     if benchmark.stats:  # absent under --benchmark-disable

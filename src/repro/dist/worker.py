@@ -7,19 +7,21 @@ lease from its cost model and starts every job it grants; an idle
 worker's lease call long-polls, so new work starts the moment it is
 submitted, with no sleeps), runs each lease's consecutive
 :func:`~repro.dist.jobs.run_block` jobs of one cell as one mega-batch
-block (:func:`~repro.dist.jobs.run_blocks`), and ships results (or a
-:class:`~repro.dist.queue.JobFailure` wrapping the exception, with its
-text bounded by :func:`~repro.dist.queue.truncate_failure_text`) back
-in ``complete_many`` uploads of up to :data:`UPLOAD_BATCH` finished
-jobs — one RPC instead of N, flushed before every lease call so
-results never wait on future work.  Each completion carries the job's
+block (:func:`~repro.dist.jobs.run_blocks`), and ships the whole
+lease's results (or a :class:`~repro.dist.queue.JobFailure` wrapping
+the exception, with its text bounded by
+:func:`~repro.dist.queue.truncate_failure_text`) back in one
+``complete_many`` upload, made right before its next lease call — one
+RPC per lease, so a result waits at most for the rest of its own lease
+(at most :data:`~repro.dist.queue.DEFAULT_LEASE_TARGET` of predicted
+work), never on future work.  Each completion carries the job's
 measured wall time, which trains the broker's cost model.  Because
-completions are idempotent broker-side, a flush interrupted by a torn
-connection is simply replayed after the reconnect.  The worker leases
-again only after its previous lease ran and flushed: the broker's
-one-lease-per-worker contract, under which the next lease call hands
-back whatever a torn connection left unfinished (or a lost reply left
-unseen).
+completions are idempotent broker-side, an upload interrupted by a
+torn connection is simply replayed after the reconnect.  The worker
+leases again only after its previous lease ran and shipped: the
+broker's one-lease-per-worker contract, under which the next lease
+call hands back whatever a torn connection left unfinished (or a lost
+reply left unseen).
 
 Liveness is a side thread beating over its *own* broker connection
 (a connection serves one thread at a time), so a worker stays alive
@@ -77,12 +79,6 @@ from repro.dist.queue import (
 from repro.exec.cache import ResultCache
 
 __all__ = ["default_worker_id", "worker_loop"]
-
-#: Finished jobs buffered per ``complete_many`` upload (a coalesced
-#: group's results, which finish together, ship together).  The buffer
-#: also flushes before every lease call, so a result waits on at most
-#: the jobs of its own lease, never on future work.
-UPLOAD_BATCH = 8
 
 #: A leased job with its payload, as ``lease_jobs`` hands it out.
 Job = Tuple[JobId, JobPayload]
@@ -353,14 +349,15 @@ def worker_loop(
     )
     executed = 0
     idle_since = time.monotonic()  # end of the last lease's work
-    # Finished-but-unshipped completions: (job_id, result, runtime).
-    # Broker-side completion is idempotent, so this buffer is safe to
-    # replay wholesale after a reconnect — losing it to a worker death
-    # only re-runs the jobs, it never corrupts a result.
+    # The current lease's finished-but-unshipped completions: (job_id,
+    # result, runtime).  Broker-side completion is idempotent, so this
+    # buffer is safe to replay wholesale after a reconnect — losing it
+    # to a worker death only re-runs the jobs, it never corrupts a
+    # result.
     outbox: list = []
 
     def _flush() -> None:
-        """Upload every buffered completion in one RPC."""
+        """Upload the buffered lease's completions in one RPC."""
         if not outbox:
             return
         batch = list(outbox)
@@ -440,21 +437,16 @@ def worker_loop(
                             c_failed.inc()
                         else:
                             result = wire_pack(result, compress_threshold)
-                        # Buffered upload: the flush RPC carries the
-                        # metric delta too, so a worker that dies right
-                        # after its last flush has already shipped
-                        # those jobs' counters.
+                        # Shipped with the lease's other results
+                        # before the next lease call; that RPC carries
+                        # the metric delta too, so a worker that dies
+                        # right after it has already shipped those
+                        # jobs' counters.
                         outbox.append((job_id, result, runtime))
                         executed += 1
-                    if len(outbox) >= UPLOAD_BATCH:
-                        _flush()
                 except _BROKER_GONE:
                     if not _reconnect():
                         return executed
-                    try:
-                        _flush()  # idempotent replay of the outbox
-                    except _BROKER_GONE:
-                        pass  # next lease iteration reconnects again
                     # Run the rest of the lease; a group this left
                     # unfinished is handed back on the next lease call.
                     continue

@@ -10,7 +10,9 @@ replication axis ``R``:
 * the event calendar is a fixed ``(R, S + B)`` array — one pending
   arrival per source (columns ``0..S-1``) and at most one pending
   completion per bus (columns ``S..S+B-1``, ``+inf`` when idle) — so
-  "pop the heap" becomes a linear ``(time, seq)`` scan;
+  "pop the heap" becomes a linear, branch-free ``(time, seq)`` scan
+  (calendar times are never negative, so their bit patterns order like
+  their values);
 * sequence numbers are assigned at exactly the batched lane's logical
   scheduling points, so same-timestamp ties dispatch identically;
 * every float expression (``now + gap``, ``variate * scale``,
@@ -133,6 +135,7 @@ def entropy_words(seeds: List[int]) -> Tuple[np.ndarray, np.ndarray]:
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 #include <math.h>
 #include "numpy/random/bitgen.h"
 
@@ -445,22 +448,35 @@ static void grant_(mb_state *st, int64_t r, int64_t b, double now)
     }
 }
 
+/* Every calendar time is +0.0, a positive double or +inf (an idle
+ * slot): arrivals land at now + gap and completions at now + E * scale,
+ * with now, gap and E >= 0, scale > 0, and +0.0 + x is never -0.0.  On
+ * those values the IEEE order is the order of the bit patterns read as
+ * unsigned integers, so the calendar scan compares (time, seq) keys as
+ * integers and keeps the running minimum with selects, not branches. */
+#define INF_BITS 0x7ff0000000000000ULL
+
 void mb_advance(mb_state *st, double end_time)
 {
     const int64_t R = st->R, S = st->S, W = st->W;
     for (int64_t r = 0; r < R; r++) {
         for (;;) {
-            double bt = INFINITY;
+            uint64_t bk = INF_BITS;
             int64_t bs = SEQ_SENTINEL;
             int64_t bj = -1;
             const double *evt = st->ev_time + r * W;
             const int64_t *evs = st->ev_seq + r * W;
             for (int64_t j = 0; j < W; j++) {
-                double t = evt[j];
-                if (t < bt || (t == bt && evs[j] < bs)) {
-                    bt = t; bs = evs[j]; bj = j;
-                }
+                uint64_t k;
+                memcpy(&k, evt + j, sizeof k);
+                int64_t q = evs[j];
+                int better = (k < bk) | ((k == bk) & (q < bs));
+                bk = better ? k : bk;
+                bs = better ? q : bs;
+                bj = better ? j : bj;
             }
+            double bt;
+            memcpy(&bt, &bk, sizeof bt);
             if (bj < 0 || bt > end_time)
                 break;
             double now = bt;

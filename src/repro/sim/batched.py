@@ -174,7 +174,7 @@ class BatchedSystem:
             )
             self._flow_last.append(len(source.hops) - 1)
             self._flow_src.append(proc_index[source.flow.source])
-            self._traffic.append(source.flow.traffic)
+            self._traffic.append(source.traffic)
             self._src_rng.append(source.rng)
             self._src_batch.append(source.batch)
         self._flow_first = [bufs[0] for bufs in self._flow_bufs]

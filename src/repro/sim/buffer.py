@@ -183,15 +183,10 @@ def replicated_slot_arrays(
     (``flow``/``hop``: int64, ``created``/``enqueued``/``scale``:
     float64) to zero-initialised arrays.  Capacity-zero rings get an
     empty column span — legal and always full, exactly like the
-    object ring.
+    object ring.  The lane passes capacities
+    :func:`~repro.sim.system.wire` validated and ``replications >= 1``.
     """
-    if replications < 1:
-        raise SimulationError(
-            f"replications must be >= 1, got {replications}"
-        )
     caps = np.asarray(list(capacities), dtype=np.int64)
-    if caps.size and caps.min() < 0:
-        raise SimulationError("ring capacities must be >= 0")
     offsets = np.zeros(caps.size + 1, dtype=np.int64)
     np.cumsum(caps, out=offsets[1:])
     total = int(offsets[-1])

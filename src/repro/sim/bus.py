@@ -31,7 +31,9 @@ class ClusterBus:
         Cluster label (for diagnostics).
     buffers:
         Client buffers in deterministic order (processors first, then
-        bridge entries — the order fixes fixed-priority semantics).
+        bridge entries — the order fixes fixed-priority semantics), as
+        :func:`repro.sim.system.wire` lays them out and validates them:
+        non-empty, with distinct names.
     arbiter:
         Arbitration policy instance (not shared between clusters).
     simulator / monitor / rng:
@@ -40,10 +42,10 @@ class ClusterBus:
         Callback invoked with each packet whose transaction completed;
         the system routes it onward (next hop or delivery).
     timeout_threshold:
-        If not None, a packet whose waiting time at grant instant exceeds
-        the threshold is dropped (counted via
-        :meth:`Monitor.record_timeout`) and the arbiter picks again —
-        the paper's timeout-based policy.
+        If not None (then > 0, as ``wire`` checks), a packet whose
+        waiting time at grant instant exceeds the threshold is dropped
+        (counted via :meth:`Monitor.record_timeout`) and the arbiter
+        picks again — the paper's timeout-based policy.
 
     Service durations are drawn through a chunked
     :class:`~repro.sim.fastpath.ExponentialPool` whenever the arbiter
@@ -78,19 +80,9 @@ class ClusterBus:
         on_serviced: Callable[[Packet], None],
         timeout_threshold: Optional[float] = None,
     ) -> None:
-        if not buffers:
-            raise SimulationError(f"cluster {name!r} has no client buffers")
-        if timeout_threshold is not None and timeout_threshold <= 0:
-            raise SimulationError(
-                f"timeout threshold must be > 0, got {timeout_threshold}"
-            )
         self.name = name
         self.buffers = buffers
         self.buffer_by_name = {b.name: b for b in buffers}
-        if len(self.buffer_by_name) != len(buffers):
-            raise SimulationError(
-                f"cluster {name!r} has duplicate buffer names"
-            )
         self.arbiter = arbiter
         self.simulator = simulator
         self.monitor = monitor

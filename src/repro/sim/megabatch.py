@@ -11,8 +11,9 @@ batched lane ``R`` times:
   (``SeedSequence(seed).spawn(B + S)``, bus streams first) and with
   numpy's own samplers, so every draw is bit-for-bit the one the serial
   lanes make (see :mod:`repro.sim._mbcc`);
-* each source keeps one chunk row of exactly its batch size — the
-  ``sample_interarrivals(rng, batch)`` call sequence of the heap
+* each source keeps one chunk row of
+  :data:`~repro.sim.processor.GAP_CHUNK` gaps — the
+  ``sample_interarrivals(rng, GAP_CHUNK)`` call sequence of the heap
   engine's :class:`~repro.sim.processor.FlowSource`, which matters for
   descriptors that re-randomise per call (``OnOffTraffic`` draws a
   fresh phase each chunk);
@@ -40,7 +41,7 @@ per-replication batched-lane runs in
 from __future__ import annotations
 
 import ctypes
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,11 +54,10 @@ from repro.arch.traffic import (
 )
 from repro.errors import SimulationError
 from repro.sim import _mbcc
-from repro.sim.arbiter import KERNEL_ARBITERS
-from repro.sim.batched import BatchedSystem
+from repro.sim.arbiter import KERNEL_ARBITERS, kernel_tag, make_arbiter
 from repro.sim.buffer import replicated_slot_arrays
-from repro.sim.monitor import Monitor
-from repro.sim.system import CommunicationSystem
+from repro.sim.processor import GAP_CHUNK
+from repro.sim.system import wire
 
 #: The kernel's gap samplers by descriptor type: the ``src_kind`` code
 #: and the ``src_par`` doubles, computed exactly as the descriptor's own
@@ -104,14 +104,17 @@ class MegaBatchLane:
 
     Parameters mirror :func:`repro.sim.runner.simulate`, except
     ``seeds`` — one per replication — replaces the single ``seed``.
-    Construction builds one template system (structure only) and seeds
-    every replication's streams in C; :meth:`start` draws the first gap
-    chunks and schedules first arrivals; :meth:`run_until` advances
-    every replication with one kernel call; :meth:`monitor_for` folds
-    one replication's counters into a :class:`Monitor` for result
-    extraction.  Raises :class:`SimulationError` when no C kernel can
-    be built — :func:`repro.sim.runner.simulate_block` checks for that
-    case first and takes its counted batched fallback instead — and
+    Construction lays the cell out with :func:`~repro.sim.system.wire`
+    (so it validates exactly as :class:`CommunicationSystem` does) and
+    seeds every replication's streams in C; :meth:`start` draws the
+    first gap chunks and schedules first arrivals; :meth:`run_until`
+    advances every replication with one kernel call.  Results are read
+    from the replication-stacked counter arrays (``offered``, ``lost``,
+    ``timed_out``, ``delivered``: ``(R, P)`` over :attr:`proc_names`;
+    ``wait_sum``, ``wait_cnt``, ``e2e_sum``: ``(R,)``).  Raises
+    :class:`SimulationError` when no C kernel can be built —
+    :func:`repro.sim.runner.simulate_block` checks for that case first
+    and takes its counted batched fallback instead — and
     ``ValueError`` for a negative seed, as ``SeedSequence`` does.
     """
 
@@ -132,99 +135,89 @@ class MegaBatchLane:
                 f"({KERNEL_ARBITERS}) and traffic it samples "
                 f"({', '.join(t.__name__ for t in SAMPLERS)})"
             )
+        wiring = wire(topology, capacities, timeout_threshold)
         lib = _mbcc.load_kernel()
         if lib is None:
             raise SimulationError(
-                "mega-batch engine 'cc' requested but no C kernel could "
-                "be built (no compiler, no numpy C library, failed "
-                "build, or REPRO_SIM_CC=0)"
+                "the mega-batch lane runs only on its C kernel, and no C "
+                "kernel could be built (no compiler, no numpy C library, "
+                "failed build, or REPRO_SIM_CC=0)"
             )
         self.seeds = [int(s) for s in seeds]
         words, offsets = _mbcc.entropy_words(self.seeds)
         R = len(self.seeds)
         self.R = R
 
-        # -- template system: structure only (wiring, scales, batches);
-        # its RNG streams are never consumed.
-        template = CommunicationSystem(
-            topology,
-            capacities,
-            arbiter_kind=arbiter_kind,
-            arbiter_weights=arbiter_weights,
-            timeout_threshold=timeout_threshold,
-            seed=0,
-        )
-        ref = BatchedSystem(template)
-        S = len(ref._traffic)
-        B = len(ref.clusters)
-        G = len(ref.rings)
-        P = len(ref._proc_names)
+        # -- static structure arrays ---------------------------------
+        # One ring per buffer, cluster by cluster in arbiter order, so
+        # cluster b's rings are the span cl_off[b]:cl_off[b + 1].
+        ring_of: Dict[Tuple[int, str], int] = {}
+        caps: List[int] = []
+        ring_bus: List[int] = []
+        cl_off = [0]
+        for b, clients in enumerate(wiring.buffers):
+            for name, slots in clients:
+                ring_of[b, name] = len(caps)
+                caps.append(slots)
+                ring_bus.append(b)
+            cl_off.append(len(caps))
+        S = len(wiring.flows)
+        B = len(wiring.clusters)
+        G = len(caps)
+        self.proc_names: List[str] = sorted(topology.processors)
+        P = len(self.proc_names)
         self.S, self.B, self.G, self.P = S, B, G, P
         self.W = S + B
-        self.proc_names: List[str] = list(ref._proc_names)
         self.timeout = (
-            float(ref.timeout_threshold)
-            if ref.timeout_threshold is not None
-            else -1.0  # sentinel: ClusterBus validates real thresholds > 0
+            float(timeout_threshold)
+            if timeout_threshold is not None
+            else -1.0  # sentinel: wire() validates real thresholds > 0
+        )
+        self.cap = np.array(caps, dtype=np.int64)
+        self.ring_bus = np.array(ring_bus, dtype=np.int64)
+        self.cl_off = np.array(cl_off, dtype=np.int64)
+        self.arb_kind = np.full(
+            B, kernel_tag(make_arbiter(arbiter_kind)), dtype=np.int64
         )
 
-        # -- static structure arrays ---------------------------------
-        self.cap = np.asarray(ref._cap, dtype=np.int64)
-        self.ring_bus = np.asarray(ref._ring_cluster, dtype=np.int64)
-        # Rings are registered cluster by cluster, so each cluster's
-        # ring ids are one contiguous ascending span — the kernel
-        # depends on it, so verify rather than assume.
-        cl_off = np.zeros(B + 1, dtype=np.int64)
-        for b, ids in enumerate(ref._cl_rings):
-            if list(ids) != list(range(ids[0], ids[0] + len(ids))):
-                raise SimulationError(
-                    f"cluster {b} ring ids are not contiguous: {ids}"
-                )
-            if int(ids[0]) != int(cl_off[b]):
-                raise SimulationError(
-                    f"cluster {b} rings do not continue the global span"
-                )
-            cl_off[b + 1] = ids[0] + len(ids)
-        if int(cl_off[-1]) != G:
-            raise SimulationError("cluster ring spans do not cover all rings")
-        self.cl_off = cl_off
-        arb = np.asarray(ref._arb_kind, dtype=np.int64)
-        if arb.size and (arb.min() != arb.max()):
-            raise SimulationError(
-                "mega-batch kernel requires one arbiter policy per cell"
-            )
-        self.arb_kind = arb
-
-        Hmax = max(len(bufs) for bufs in ref._flow_bufs)
+        Hmax = max((len(hops) for hops in wiring.hops), default=1)
         self.Hmax = Hmax
         self.flow_ring = np.zeros((S, Hmax), dtype=np.int64)
         self.flow_scale = np.zeros((S, Hmax))
-        for s, (bufs, scales) in enumerate(
-            zip(ref._flow_bufs, ref._flow_scale)
-        ):
-            self.flow_ring[s, : len(bufs)] = bufs
-            self.flow_scale[s, : len(scales)] = scales
-        self.flow_src = np.asarray(ref._flow_src, dtype=np.int64)
-        self.flow_last = np.asarray(ref._flow_last, dtype=np.int64)
+        for s, hops in enumerate(wiring.hops):
+            self.flow_ring[s, : len(hops)] = [
+                ring_of[hop.cluster_index, hop.client] for hop in hops
+            ]
+            self.flow_scale[s, : len(hops)] = [
+                1.0 / hop.service_rate for hop in hops
+            ]
+        proc_index = {name: i for i, name in enumerate(self.proc_names)}
+        self.flow_src = np.array(
+            [proc_index[flow.source] for flow in wiring.flows],
+            dtype=np.int64,
+        )
+        self.flow_last = np.array(
+            [len(hops) - 1 for hops in wiring.hops], dtype=np.int64
+        )
         self.first_bus = self.ring_bus[self.flow_ring[:, 0]]
 
-        # -- per-source samplers: one chunk row of ``batch`` gaps each
+        # -- per-source samplers: one chunk row of GAP_CHUNK gaps each
         self.src_kind = np.zeros(S, dtype=np.int64)
         self.src_par = np.zeros((S, _mbcc.SRC_PARAMS))
-        for s, traffic in enumerate(ref._traffic):
-            kind, params = SAMPLERS[type(traffic)]
+        for s, flow in enumerate(wiring.flows):
+            kind, params = SAMPLERS[type(flow.traffic)]
             self.src_kind[s] = kind
-            par = params(traffic)
+            par = params(flow.traffic)
             self.src_par[s, : len(par)] = par
-        self.src_batch = np.asarray(ref._src_batch, dtype=np.int64)
-        self.gap_depth = int(self.src_batch.max())
+        self.src_batch = np.full(S, GAP_CHUNK, dtype=np.int64)
+        self.gap_depth = GAP_CHUNK
         self.gaps = np.zeros((R, S, self.gap_depth))
         self.gap_idx = np.zeros((R, S), dtype=np.int64)
         # Streams in spawn order: buses 0..B-1, then sources.
         self.rng = np.zeros((R, self.W, 4), dtype=np.uint64)
 
         # -- replication-stacked dynamic state -----------------------
-        self.slot_off, fields = replicated_slot_arrays(ref._cap, R)
+        self.slot_off, fields = replicated_slot_arrays(caps, R)
         self.sflow = fields["flow"]
         self.shop = fields["hop"]
         self.screa = fields["created"]
@@ -299,18 +292,3 @@ class MegaBatchLane:
             "sim.megabatch.replications_per_invocation"
         ).observe(float(self.R))
         self._now = end_time
-
-    # ------------------------------------------------------------------
-
-    def monitor_for(self, r: int) -> Monitor:
-        """Replication ``r``'s statistics as a fresh :class:`Monitor`."""
-        return Monitor.from_arrays(
-            self.proc_names,
-            self.offered[r],
-            self.lost[r],
-            self.timed_out[r],
-            self.delivered[r],
-            float(self.wait_sum[r]),
-            int(self.wait_cnt[r]),
-            float(self.e2e_sum[r]),
-        )

@@ -36,42 +36,6 @@ class Monitor:
     waiting_time_count: int = 0
     end_to_end_sum: float = 0.0
 
-    @classmethod
-    def from_arrays(
-        cls,
-        names: List[str],
-        offered,
-        lost,
-        timed_out,
-        delivered,
-        waiting_time_sum: float,
-        waiting_time_count: int,
-        end_to_end_sum: float,
-    ) -> "Monitor":
-        """Fold one replication's array counters into a fresh monitor.
-
-        The mega-batch lane keeps per-processor counts as integer rows;
-        this mirrors the batched lane's ``_sync_monitor`` fold — only
-        non-zero counts are written, so absent keys stay absent exactly
-        like the defaultdict the heap engine populates.  Values are cast
-        to builtin ``int``/``float`` so numpy scalars never leak into
-        results compared bitwise against the serial lanes.
-        """
-        monitor = cls()
-        for values, target in (
-            (offered, monitor.offered),
-            (lost, monitor.lost),
-            (timed_out, monitor.timed_out),
-            (delivered, monitor.delivered),
-        ):
-            for i, v in enumerate(values):
-                if v:
-                    target[names[i]] = int(v)
-        monitor.waiting_time_sum = float(waiting_time_sum)
-        monitor.waiting_time_count = int(waiting_time_count)
-        monitor.end_to_end_sum = float(end_to_end_sum)
-        return monitor
-
     def record_offered(self, packet: Packet) -> None:
         """A packet was generated by its source processor."""
         self.offered[packet.source] += 1

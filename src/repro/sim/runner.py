@@ -250,47 +250,53 @@ def simulate_block(
         timeout_threshold=timeout_threshold,
     )
     lane.start()
-    base_offered = base_lost = base_timeout = base_delivered = None
+    counters = (lane.offered, lane.lost, lane.timed_out, lane.delivered)
+    baselines = None
     if warmup > 0:
         with obs.span("sim.window") as span:
             span.set("backend", "megabatch")
             span.set("phase", "warmup")
             lane.run_until(warmup)
-        base_offered = lane.offered.copy()
-        base_lost = lane.lost.copy()
-        base_timeout = lane.timed_out.copy()
-        base_delivered = lane.delivered.copy()
+        baselines = [counts.copy() for counts in counters]
     with obs.span("sim.window") as span:
         span.set("backend", "megabatch")
         span.set("phase", "measure")
         lane.run_until(warmup + duration)
     obs.counter("sim.windows").inc()
+    # Every result straight from the lane's arrays: one tolist() per
+    # counter, processors in topology order as on the per-seed lanes.
+    names = list(topology.processors)
     index = {name: i for i, name in enumerate(lane.proc_names)}
-    results: List[SimulationResult] = []
-    for r in range(lane.R):
-        monitor = lane.monitor_for(r)
-
-        def window(counts, baseline):
-            return {
-                p: int(counts[r, index[p]])
-                - (int(baseline[r, index[p]]) if baseline is not None else 0)
-                for p in topology.processors
-            }
-
-        results.append(
-            SimulationResult(
-                duration=duration,
-                offered=window(lane.offered, base_offered),
-                lost=window(lane.lost, base_lost),
-                timed_out=window(lane.timed_out, base_timeout),
-                delivered=window(lane.delivered, base_delivered),
-                # Means are cumulative (warmup included), matching
-                # the per-seed lanes' monitor-level means.
-                mean_waiting_time=monitor.mean_waiting_time(),
-                mean_end_to_end=monitor.mean_end_to_end(),
-            )
+    columns = [index[name] for name in names]
+    if baselines is not None:
+        counters = [
+            counts - base for counts, base in zip(counters, baselines)
+        ]
+    offered, lost, timed_out, delivered = (
+        counts[:, columns].tolist() for counts in counters
+    )
+    # Means are cumulative (warmup included), matching the per-seed
+    # lanes' monitor-level means.
+    wait_sum = lane.wait_sum.tolist()
+    wait_cnt = lane.wait_cnt.tolist()
+    e2e_sum = lane.e2e_sum.tolist()
+    delivered_total = lane.delivered.sum(axis=1).tolist()
+    return [
+        SimulationResult(
+            duration=duration,
+            offered=dict(zip(names, offered[r])),
+            lost=dict(zip(names, lost[r])),
+            timed_out=dict(zip(names, timed_out[r])),
+            delivered=dict(zip(names, delivered[r])),
+            mean_waiting_time=(
+                wait_sum[r] / wait_cnt[r] if wait_cnt[r] else 0.0
+            ),
+            mean_end_to_end=(
+                e2e_sum[r] / delivered_total[r] if delivered_total[r] else 0.0
+            ),
         )
-    return results
+        for r in range(lane.R)
+    ]
 
 
 @dataclass

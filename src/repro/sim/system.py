@@ -10,13 +10,13 @@ output plugs straight in.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.topology import Topology
+from repro.arch.topology import Flow, Topology
 from repro.errors import SimulationError
-from repro.sim.arbiter import Arbiter, make_arbiter
+from repro.sim.arbiter import make_arbiter
 from repro.sim.bridge import (
     bridge_entry_bus,
     build_hops,
@@ -26,7 +26,7 @@ from repro.sim.buffer import FiniteBuffer
 from repro.sim.bus import ClusterBus
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Monitor
-from repro.sim.packet import Packet
+from repro.sim.packet import Hop, Packet
 from repro.sim.processor import FlowSource
 
 
@@ -43,6 +43,83 @@ def required_clients(topology: Topology) -> List[str]:
         bridge_names.append(client_name_for_bridge(bridge.name, bridge.bus_a))
         bridge_names.append(client_name_for_bridge(bridge.name, bridge.bus_b))
     return names + bridge_names
+
+
+class Wiring(NamedTuple):
+    """The structure of one simulation cell, shared by every lane.
+
+    ``buffers[b]`` lists cluster ``b``'s ``(client name, slots)`` in
+    arbiter order: processors (sorted), then bridge entries (sorted by
+    canonical name).  ``flows`` are sorted by name and ``hops[s]`` is
+    flow ``s``'s itinerary (:func:`~repro.sim.bridge.build_hops`).
+    """
+
+    clusters: List[frozenset]
+    buffers: List[List[Tuple[str, int]]]
+    flows: List[Flow]
+    hops: List[Tuple[Hop, ...]]
+
+
+def wire(
+    topology: Topology,
+    capacities: Dict[str, int],
+    timeout_threshold: Optional[float] = None,
+) -> Wiring:
+    """Validate one simulation cell and lay out its buffers and flows.
+
+    :class:`CommunicationSystem` and the mega-batch lane both build
+    from this, so they agree on the wiring and on every error: a
+    processor missing from ``capacities``, a negative capacity, a
+    non-positive ``timeout_threshold``, and a cluster with no buffers
+    or with two of one name raise :class:`SimulationError`.  Bridge
+    entries missing from ``capacities`` get zero slots.
+    """
+    topology.validate()
+    missing = [p for p in topology.processors if p not in capacities]
+    if missing:
+        raise SimulationError(
+            f"allocation missing processor buffers: {sorted(missing)}"
+        )
+    if timeout_threshold is not None and timeout_threshold <= 0:
+        raise SimulationError(
+            f"timeout threshold must be > 0, got {timeout_threshold}"
+        )
+    clusters = topology.bus_clusters()
+    buffers: List[List[Tuple[str, int]]] = []
+    for i, cluster in enumerate(clusters):
+        clients = [
+            (proc.name, int(capacities[proc.name]))
+            for proc in topology.cluster_processors(cluster)
+        ]
+        entries = sorted(
+            client_name_for_bridge(
+                bridge.name, bridge_entry_bus(bridge, cluster)
+            )
+            for bridge in topology.cluster_bridges(cluster)
+        )
+        clients += [(name, int(capacities.get(name, 0))) for name in entries]
+        for name, slots in clients:
+            if slots < 0:
+                raise SimulationError(
+                    f"buffer {name!r}: capacity must be >= 0, got {slots}"
+                )
+        if not clients:
+            raise SimulationError(
+                f"cluster 'cluster{i}' has no client buffers"
+            )
+        if len({name for name, _ in clients}) != len(clients):
+            raise SimulationError(
+                f"cluster 'cluster{i}' has duplicate buffer names"
+            )
+        buffers.append(clients)
+    cluster_index = {cluster: i for i, cluster in enumerate(clusters)}
+    names = sorted(topology.flows)
+    return Wiring(
+        clusters,
+        buffers,
+        [topology.flows[name] for name in names],
+        [build_hops(topology, name, cluster_index) for name in names],
+    )
 
 
 class CommunicationSystem:
@@ -68,6 +145,8 @@ class CommunicationSystem:
     seed:
         Master seed; flow sources and cluster buses draw independent
         substreams.
+
+    The cell is validated and laid out by :func:`wire`.
     """
 
     def __init__(
@@ -79,60 +158,29 @@ class CommunicationSystem:
         timeout_threshold: Optional[float] = None,
         seed: int = 0,
     ) -> None:
-        topology.validate()
+        wiring = wire(topology, capacities, timeout_threshold)
         self.topology = topology
         self.simulator = Simulator()
         self.monitor = Monitor()
-        self.clusters = topology.bus_clusters()
-        cluster_index = {c: i for i, c in enumerate(self.clusters)}
-
-        missing = [
-            p for p in topology.processors if p not in capacities
-        ]
-        if missing:
-            raise SimulationError(
-                f"allocation missing processor buffers: {sorted(missing)}"
-            )
+        self.clusters = wiring.clusters
 
         seed_seq = np.random.SeedSequence(seed)
-        children = seed_seq.spawn(len(self.clusters) + len(topology.flows))
+        children = seed_seq.spawn(len(self.clusters) + len(wiring.flows))
         bus_streams = children[: len(self.clusters)]
         flow_streams = children[len(self.clusters):]
 
-        # Build buffers per cluster: processors (sorted), then bridge
-        # entries (sorted by canonical name).
         self.buses: List[ClusterBus] = []
         self._buffers: Dict[str, FiniteBuffer] = {}
-        for i, cluster in enumerate(self.clusters):
-            buffers: List[FiniteBuffer] = []
-            for proc in topology.cluster_processors(cluster):
-                buf = FiniteBuffer(proc.name, int(capacities[proc.name]))
-                buffers.append(buf)
-                self._buffers[proc.name] = buf
-            entry_names = []
-            for bridge in topology.cluster_bridges(cluster):
-                if bridge.bus_a in cluster or bridge.bus_b in cluster:
-                    try:
-                        entry_bus = bridge_entry_bus(bridge, cluster)
-                    except Exception:  # pragma: no cover - defensive
-                        continue
-                    entry_names.append(
-                        client_name_for_bridge(bridge.name, entry_bus)
-                    )
-            for name in sorted(entry_names):
-                buf = FiniteBuffer(name, int(capacities.get(name, 0)))
-                buffers.append(buf)
-                self._buffers[name] = buf
-            arbiter = make_arbiter(
-                arbiter_kind, weights=arbiter_weights or {}
-            ) if arbiter_kind == "weighted_random" else make_arbiter(
-                arbiter_kind
-            )
+        for i, clients in enumerate(wiring.buffers):
+            buffers = [FiniteBuffer(name, slots) for name, slots in clients]
+            self._buffers.update((buf.name, buf) for buf in buffers)
             self.buses.append(
                 ClusterBus(
                     name=f"cluster{i}",
                     buffers=buffers,
-                    arbiter=arbiter,
+                    arbiter=make_arbiter(
+                        arbiter_kind, weights=arbiter_weights or {}
+                    ),
                     simulator=self.simulator,
                     monitor=self.monitor,
                     rng=np.random.default_rng(bus_streams[i]),
@@ -141,11 +189,8 @@ class CommunicationSystem:
                 )
             )
 
-        # Flow sources.
         self.sources: List[FlowSource] = []
-        for stream, flow_name in zip(flow_streams, sorted(topology.flows)):
-            flow = topology.flows[flow_name]
-            hops = build_hops(topology, flow_name, cluster_index)
+        for stream, flow, hops in zip(flow_streams, wiring.flows, wiring.hops):
             self.sources.append(
                 FlowSource(
                     flow=flow,

@@ -15,6 +15,7 @@ records), so this module provides both sides of the workflow:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -103,10 +104,10 @@ class TraceTraffic(TrafficDescriptor):
 
     Cycles through the recorded gaps; the RNG argument of
     :meth:`sample_interarrivals` is unused (replay is deterministic) but
-    kept for interface compatibility.  The replay cursor lives on the
-    descriptor, so replications sharing this object consume one global
-    gap sequence in call order; the mega-batch kernel does not sample
-    it, and its cells run per seed on the batched lane.
+    kept for interface compatibility.  Each simulated source samples
+    its own :meth:`fresh` copy, so every simulation replays the trace
+    from its first gap, whatever ran before it.  The mega-batch kernel
+    does not sample it, and its cells run per seed on the batched lane.
     """
 
     def __init__(self, gaps: Sequence[float]) -> None:
@@ -136,6 +137,12 @@ class TraceTraffic(TrafficDescriptor):
         out = gaps[(self._cursor + np.arange(count)) % gaps.size]
         self._cursor = (self._cursor + count) % gaps.size
         return out
+
+    def fresh(self) -> "TraceTraffic":
+        """A copy whose replay cursor is at the first gap."""
+        replay = copy.copy(self)
+        replay._cursor = 0
+        return replay
 
     def scaled(self, factor: float) -> "TraceTraffic":
         if factor <= 0:

@@ -429,20 +429,15 @@ class TestTraceWorkloads:
             assert got.tolist() == expected
 
     def test_trace_replay_equivalent_across_backends(self, fig1):
-        # TraceTraffic replay cursors are stateful across runs (a
-        # pre-existing property of the descriptor, lane-independent),
-        # so each lane gets its own freshly replayed topology.
-        trace = record_trace(fig1, duration=200.0, seed=4)
-        caps = UniformSizing().allocate(
-            replay_topology(fig1, trace), 40
-        ).as_capacities()
+        # Each simulation replays the trace from its first gap, so both
+        # lanes share one replayed topology.
+        replayed = replay_topology(
+            fig1, record_trace(fig1, duration=200.0, seed=4)
+        )
+        caps = UniformSizing().allocate(replayed, 40).as_capacities()
         kwargs = dict(duration=200.0, seed=0)
-        heap = _simulate_seed(
-            replay_topology(fig1, trace), caps, lane="heap", **kwargs
-        )
-        batched = _simulate_seed(
-            replay_topology(fig1, trace), caps, lane="batched", **kwargs
-        )
+        heap = _simulate_seed(replayed, caps, lane="heap", **kwargs)
+        batched = _simulate_seed(replayed, caps, lane="batched", **kwargs)
         assert heap == batched
 
     def test_simultaneous_trace_arrivals_tie_break_identically(self, fig1):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import obs, scenarios
-from repro.arch.topology import rebuilt_topology
+from repro.arch.topology import Topology, rebuilt_topology
 from repro.arch.traffic import (
     HyperexponentialTraffic,
     OnOffTraffic,
@@ -33,7 +33,8 @@ from repro.exec.pool import parallel_map, partition_blocks
 from repro.policies.uniform import UniformSizing
 from repro.sim import _mbcc
 from repro.sim.arbiter import KERNEL_ARBITERS
-from repro.sim.megabatch import MegaBatchLane, megabatch_supported
+from repro.sim.batched import BatchedSystem
+from repro.sim.megabatch import SAMPLERS, MegaBatchLane, megabatch_supported
 from repro.sim.runner import (
     _simulate_seed,
     replicate,
@@ -41,6 +42,7 @@ from repro.sim.runner import (
     simulate,
     simulate_block,
 )
+from repro.sim.system import CommunicationSystem
 
 #: Scenario axis of the equivalence matrix: the three fixed scenarios
 #: plus one generated random-mesh family member.
@@ -428,6 +430,191 @@ class TestEngines:
         topology, capacities = _cell("fig1")
         with pytest.raises(SimulationError, match="no C kernel"):
             MegaBatchLane(topology, capacities, [3])
+
+
+# -- the lane's wiring ---------------------------------------------------
+
+
+def _template_arrays(topology, capacities, arbiter, timeout):
+    """The lane's static arrays as ``BatchedSystem`` derives them.
+
+    The reference the lane's own wiring is held to: a template
+    ``CommunicationSystem`` adopted by a ``BatchedSystem``, laid out
+    the way the kernel reads it.
+    """
+    ref = BatchedSystem(
+        CommunicationSystem(
+            topology, capacities, arbiter_kind=arbiter,
+            timeout_threshold=timeout,
+        )
+    )
+    S = len(ref._traffic)
+    hmax = max(len(bufs) for bufs in ref._flow_bufs)
+    flow_ring = np.zeros((S, hmax), dtype=np.int64)
+    flow_scale = np.zeros((S, hmax))
+    for s, (bufs, scales) in enumerate(
+        zip(ref._flow_bufs, ref._flow_scale)
+    ):
+        flow_ring[s, : len(bufs)] = bufs
+        flow_scale[s, : len(scales)] = scales
+    src_kind = np.zeros(S, dtype=np.int64)
+    src_par = np.zeros((S, _mbcc.SRC_PARAMS))
+    for s, traffic in enumerate(ref._traffic):
+        kind, params = SAMPLERS[type(traffic)]
+        src_kind[s] = kind
+        par = params(traffic)
+        src_par[s, : len(par)] = par
+    # Each cluster's rings are one ascending span, clusters in order.
+    cl_off = [0]
+    for ids in ref._cl_rings:
+        assert list(ids) == list(range(cl_off[-1], cl_off[-1] + len(ids)))
+        cl_off.append(cl_off[-1] + len(ids))
+    ring_bus = np.asarray(ref._ring_cluster, dtype=np.int64)
+    return {
+        "cap": np.asarray(ref._cap, dtype=np.int64),
+        "ring_bus": ring_bus,
+        "cl_off": np.asarray(cl_off, dtype=np.int64),
+        "arb_kind": np.asarray(ref._arb_kind, dtype=np.int64),
+        "flow_ring": flow_ring,
+        "flow_scale": flow_scale,
+        "flow_src": np.asarray(ref._flow_src, dtype=np.int64),
+        "flow_last": np.asarray(ref._flow_last, dtype=np.int64),
+        "first_bus": ring_bus[flow_ring[:, 0]],
+        "src_kind": src_kind,
+        "src_par": src_par,
+        "src_batch": np.asarray(ref._src_batch, dtype=np.int64),
+        "proc_names": list(ref._proc_names),
+        "timeout": (
+            -1.0 if ref.timeout_threshold is None
+            else float(ref.timeout_threshold)
+        ),
+    }
+
+
+def _zero_bridge_cell():
+    """amba with one bridge entry at zero slots and the other absent."""
+    topology, capacities = _cell("amba")
+    entries = sorted(name for name in capacities if "@" in name)
+    assert len(entries) == 2, entries
+    capacities = dict(capacities)
+    capacities[entries[0]] = 0
+    del capacities[entries[1]]
+    return topology, capacities
+
+
+#: Every registry scenario plus bridged random-mesh members.
+WIRING_CELLS = tuple(scenarios.names()) + (
+    "random-mesh-2-7", "random-mesh-3-5", "random-mesh-8-1",
+)
+
+
+def _no_buffer_topology():
+    """A valid topology whose second cluster (two linked buses) has
+    neither processors nor bridges, hence no buffers."""
+    topology = Topology("no-buffers")
+    for bus in ("a", "x", "y"):
+        topology.add_bus(bus)
+    topology.add_link("x", "y")
+    topology.add_processor("p", "a", 5.0)
+    topology.add_processor("q", "a", 4.0)
+    topology.add_poisson_flow("f", "p", "q", 1.0)
+    return topology
+
+
+class TestLaneWiring:
+    """The lane lays a cell out from ``wire`` alone, like the template
+    systems it no longer builds."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("arbiter", KERNEL_ARBITERS)
+    @pytest.mark.parametrize("timeout", [None, 4.0])
+    @pytest.mark.parametrize("name", WIRING_CELLS + ("amba-zero-bridge",))
+    def test_static_arrays_match_the_template_systems(
+        self, name, arbiter, timeout
+    ):
+        if name == "amba-zero-bridge":
+            topology, capacities = _zero_bridge_cell()
+        else:
+            topology, capacities = _cell(name)
+        lane = MegaBatchLane(
+            topology, capacities, [3, 1003], arbiter_kind=arbiter,
+            timeout_threshold=timeout,
+        )
+        want = _template_arrays(topology, capacities, arbiter, timeout)
+        assert lane.proc_names == want.pop("proc_names")
+        assert lane.timeout == want.pop("timeout")
+        for field, array in want.items():
+            got = getattr(lane, field)
+            assert got.dtype == array.dtype, field
+            assert got.shape == array.shape, field
+            assert np.array_equal(got, array), field
+
+    @needs_kernel
+    def test_zero_capacity_bridge_runs_bitwise(self):
+        topology, capacities = _zero_bridge_cell()
+        seeds = [3, 1003]
+        block = simulate_block(
+            topology, capacities, duration=150.0, seeds=seeds
+        )
+        assert block == batched_runs(
+            topology, capacities, seeds, duration=150.0
+        )
+
+    @needs_kernel
+    def test_building_and_running_draws_no_numpy_generator(
+        self, monkeypatch
+    ):
+        topology, capacities = _cell("coreconnect")
+        seeds = [3, 1003]
+        want = simulate_block(
+            topology, capacities, duration=100.0, seeds=seeds,
+            warmup=20.0,
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the kernel path built a numpy RNG")
+
+        monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(np.random, "Generator", forbidden)
+        MegaBatchLane(topology, capacities, seeds)
+        assert simulate_block(
+            topology, capacities, duration=100.0, seeds=seeds,
+            warmup=20.0,
+        ) == want
+
+    @pytest.mark.parametrize(
+        "case", ["missing-processor", "zero-timeout", "negative-timeout",
+                 "negative-capacity", "no-buffers"],
+    )
+    def test_lane_raises_the_systems_error(self, case):
+        topology, capacities = _cell("amba")
+        capacities = dict(capacities)
+        timeout = None
+        if case == "missing-processor":
+            del capacities[sorted(topology.processors)[1]]
+        elif case == "zero-timeout":
+            timeout = 0.0
+        elif case == "negative-timeout":
+            timeout = -4.0
+        elif case == "negative-capacity":
+            capacities[sorted(topology.processors)[0]] = -1
+        else:
+            topology = _no_buffer_topology()
+            capacities = {"p": 2, "q": 2}
+        with pytest.raises(SimulationError) as system_error:
+            CommunicationSystem(
+                topology, capacities, timeout_threshold=timeout
+            )
+        with pytest.raises(SimulationError) as lane_error:
+            MegaBatchLane(
+                topology, capacities, [3], timeout_threshold=timeout
+            )
+        assert str(lane_error.value) == str(system_error.value)
+        if case == "no-buffers":
+            assert "cluster 'cluster1' has no client buffers" in str(
+                lane_error.value
+            )
 
 
 # -- kernel-path gating and fallback ------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch.templates import amba_like, single_bus
 from repro.errors import ModelError
-from repro.sim.runner import simulate
+from repro.sim.runner import replicate, simulate
 from repro.sim.workloads import (
     RequestTrace,
     TraceTraffic,
@@ -122,8 +122,34 @@ class TestRecordReplay:
 
         caps = {name: 4 for name in required_clients(replayed)}
         r1 = simulate(replayed, caps, duration=300.0, seed=11)
-        # Re-build (replay cursors are stateful) and run with another
-        # service seed: offered counts are trace-driven hence identical.
-        replayed2 = replay_topology(topo, trace)
-        r2 = simulate(replayed2, caps, duration=300.0, seed=99)
+        # Another service seed: offered counts are trace-driven hence
+        # identical.
+        r2 = simulate(replayed, caps, duration=300.0, seed=99)
         assert r1.offered == r2.offered
+
+
+def _amba_trace_cell():
+    """An amba topology replaying a recorded trace, and its allocation."""
+    from repro.sim.system import required_clients
+
+    topo = amba_like()
+    replayed = replay_topology(
+        topo, record_trace(topo, duration=150.0, seed=5)
+    )
+    return replayed, {name: 4 for name in required_clients(replayed)}
+
+
+class TestTraceReplayPerSimulation:
+    """Every simulation replays each trace from its first gap."""
+
+    def test_repeated_simulation_is_identical(self):
+        replayed, caps = _amba_trace_cell()
+        first = simulate(replayed, caps, duration=100.0, seed=3)
+        assert simulate(replayed, caps, duration=100.0, seed=3) == first
+
+    def test_serial_replicate_equals_pooled(self):
+        replayed, caps = _amba_trace_cell()
+        kwargs = dict(replications=4, duration=100.0)
+        serial = replicate(replayed, caps, **kwargs)
+        pooled = replicate(replayed, caps, jobs=2, **kwargs)
+        assert serial.results == pooled.results
