@@ -71,18 +71,17 @@ def test_bench_obs_scrape(benchmark):
     """Snapshots rendered to Prometheus text per second (the scrape path).
 
     One iteration is exactly what one ``GET /metrics`` costs the broker
-    side: ``obs_sample()`` (snapshot + history record) plus
-    ``render_prometheus``.  ``extra_info.snapshots_per_second`` lands in
-    ``BENCH_quick.json`` so a regression in the exposition path (which
-    runs on the broker's box, next to the queue) is caught like any
-    other hot-path slip.
+    side: ``obs_snapshot()`` plus ``render_prometheus``.
+    ``extra_info.snapshots_per_second`` lands in ``BENCH_quick.json`` so
+    a regression in the exposition path (which runs on the broker's
+    box, next to the queue) is caught like any other hot-path slip.
     """
     from repro.obs.promexport import render_prometheus
 
     broker = _populated_broker()
 
     def _scrape():
-        return render_prometheus(broker.obs_sample())
+        return render_prometheus(broker.obs_snapshot())
 
     text = benchmark(_scrape)
     assert "repro_queue_completed_total 32" in text

@@ -400,7 +400,6 @@ def _cmd_dist_serve(args: argparse.Namespace) -> int:
         authkey=args.authkey.encode("utf-8"),
         lease_timeout=args.lease_timeout,
         cache_max_bytes=int(args.cache_max_mb * 1024 * 1024),
-        cost_model_path=args.cost_model,
     )
     host, port = server.address
     log.info(f"repro dist broker listening on {host}:{port}")
@@ -468,11 +467,6 @@ def _cmd_dist_worker(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         cache_max_bytes=cache_max_bytes,
         max_idle=args.max_idle,
-        compress_threshold=(
-            int(args.compress_kb * 1024)
-            if args.compress_kb is not None
-            else None
-        ),
     )
     log.info(f"worker exiting after {executed} job(s)")
     return 0
@@ -512,20 +506,6 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             on_broker_loss=args.on_broker_loss,
         )
-    if executor is not None and journal is not None:
-        # Warm-start the broker's cost model from the journal: a
-        # resumed (or repeated) run schedules with the runtimes the
-        # first attempt observed.  Advisory only — a missing or stale
-        # file costs predictions, never results.
-        model_path = journal.costmodel_path()
-        if model_path.exists():
-            import json as json_module
-
-            try:
-                with open(model_path) as fh:
-                    executor.cost_seed(json_module.load(fh))
-            except (OSError, ValueError) as exc:
-                log.info(f"# cost model at {model_path} unreadable ({exc})")
 
     def stream(index, block):
         log.info(
@@ -565,18 +545,6 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
                 else ""
             )
         )
-    if executor is not None and journal is not None:
-        # Snapshot the refined model back so the next run (or a
-        # resume after a kill) warm-starts its schedule.
-        import json as json_module
-
-        try:
-            state = executor.cost_snapshot()
-            journal.costmodel_path().write_text(
-                json_module.dumps(state, sort_keys=True) + "\n"
-            )
-        except OSError as exc:
-            log.info(f"# cost model snapshot failed ({exc})")
     if args.verify_local:
         # The acceptance contract, end to end: the distributed (or
         # pooled) run must merge bitwise-identically to the serial
@@ -856,11 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound of the broker's in-memory shared cache store (MiB)",
     )
     p_serve.add_argument(
-        "--cost-model", default=None, metavar="PATH",
-        help="persist/warm-start the runtime cost model at this JSON "
-        "path (loaded on start, saved periodically and on shutdown)",
-    )
-    p_serve.add_argument(
         "--http", type=int, default=None, metavar="PORT",
         help="also serve the HTTP observability service on this port "
         "(/healthz, /snapshot, /metrics, /events, and the live "
@@ -889,11 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--cache-max-mb", type=float, default=None,
         help="LRU bound of the local tier (requires --cache-dir)",
-    )
-    p_worker.add_argument(
-        "--compress-kb", type=float, default=None,
-        help="zlib-compress result envelopes above this size (KiB; "
-        "default: never compress)",
     )
     p_worker.add_argument(
         "--max-idle", type=float, default=None,

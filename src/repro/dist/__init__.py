@@ -11,10 +11,10 @@ of worker count, lease order, or worker death mid-job:
   TCP (one authenticated socket per connection, framed by the stdlib's
   ``multiprocessing.connection``; no new dependencies) with
   heartbeats, dead-worker reaping, the shared cache store, cost-sized
-  leases and the batched/compressed wire transport;
+  leases and one batched upload per lease;
 * :mod:`repro.dist.costmodel` — :class:`CostModel`, the per-job
-  runtime predictor (EWMA-refined, JSON-persisted)
-  behind longest-first dispatch and lease sizing;
+  runtime predictor (EWMA-refined) behind longest-first dispatch and
+  lease sizing;
 * :mod:`repro.dist.worker` — the worker loop (``repro dist worker``);
 * :mod:`repro.dist.executor` — :class:`DistExecutor`, the driver-side
   handle that plugs into :class:`~repro.exec.ExecutionContext` behind
@@ -43,11 +43,8 @@ from repro.dist.queue import (
     BrokerServer,
     JobFailure,
     JobPayload,
-    WireBlob,
     connect,
     parse_address,
-    wire_pack,
-    wire_unpack,
 )
 from repro.dist.worker import worker_loop
 
@@ -65,13 +62,10 @@ __all__ = [
     "JobFailure",
     "JobPayload",
     "RunJournal",
-    "WireBlob",
     "build_matrix",
     "connect",
     "job_features",
     "parse_address",
     "run_matrix",
-    "wire_pack",
-    "wire_unpack",
     "worker_loop",
 ]

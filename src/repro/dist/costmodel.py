@@ -34,17 +34,13 @@ lock while predicting):
 The model is a pure *hint*: predictions order the queue and size
 leases, never touch a payload or a result, so a wildly wrong model can
 cost time but never a bit (the determinism contract of
-:mod:`repro.dist`).  State round-trips through JSON
-(:meth:`~CostModel.save` / :meth:`~CostModel.load`) so a broker —
-pointed at a journal or cache directory — warm-starts the next fleet
-with the last fleet's observed rates.
+:mod:`repro.dist`).  It lives as long as its broker: a fresh broker
+learns each kind's rate from that kind's first completion.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from typing import Any, Dict, List, Optional
 
 __all__ = ["CostModel", "job_features", "DEFAULT_UNIT_COST"]
@@ -62,18 +58,13 @@ DEFAULT_UNIT_COST = 1e-2
 #: blocks per cell.
 DEFAULT_ALPHA = 0.25
 
-#: Bump when the persisted-state layout changes; a mismatched file is
-#: ignored (cold start) instead of misread.  Schema 2 dropped the
-#: simulation backend from the rate keys.
-STATE_SCHEMA = 2
-
 
 def job_features(fn: Any, item: Any) -> Dict[str, Any]:
     """Reduce one (job function, payload) pair to scheduler features.
 
     Driver-side companion of the broker's model: the executor extracts
-    features once at submit time (payloads may cross the wire
-    compressed, so the broker never introspects them).  Works for any
+    features once at submit time, so the broker never introspects a
+    payload.  Works for any
     payload — unknown shapes reduce to ``kind`` plus one work unit,
     which predicts a flat cost and leaves the (stable) submission
     order untouched.
@@ -136,8 +127,8 @@ class CostModel:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = float(alpha)
         self.default_unit_cost = float(default_unit_cost)
-        # key -> [ewma unit cost, observation count]
-        self._rates: Dict[str, List[float]] = {}
+        # key -> ewma unit cost
+        self._rates: Dict[str, float] = {}
         self._global: Optional[float] = None
         self.observations = 0
         self.mean_abs_rel_err: Optional[float] = None
@@ -160,9 +151,9 @@ class CostModel:
             )
         units = float(features.get("units", 1.0)) or 1.0
         for key in _feature_keys(features):
-            entry = self._rates.get(key)
-            if entry is not None:
-                return entry[0] * units
+            rate = self._rates.get(key)
+            if rate is not None:
+                return rate * units
         if self._global is not None:
             return self._global * units
         return self.default_unit_cost * units
@@ -184,9 +175,9 @@ class CostModel:
         if features.get("scenario") is not None:
             keys = keys[:-1]
         for key in keys:
-            entry = self._rates.get(key)
-            if entry is not None:
-                return entry[0] * (float(features.get("units", 1.0)) or 1.0)
+            rate = self._rates.get(key)
+            if rate is not None:
+                return rate * (float(features.get("units", 1.0)) or 1.0)
         return None
 
     def observe(
@@ -218,66 +209,12 @@ class CostModel:
         if not features:
             return
         for key in _feature_keys(features):
-            entry = self._rates.get(key)
-            if entry is None:
-                self._rates[key] = [unit_cost, 1]
-            else:
-                entry[0] = (1 - self.alpha) * entry[0] + self.alpha * unit_cost
-                entry[1] += 1
-
-    # -- persistence ----------------------------------------------------
-
-    def to_state(self) -> Dict[str, Any]:
-        """JSON-compatible snapshot of the learned rates."""
-        return {
-            "schema": STATE_SCHEMA,
-            "alpha": self.alpha,
-            "default_unit_cost": self.default_unit_cost,
-            "rates": {
-                key: [entry[0], int(entry[1])]
-                for key, entry in self._rates.items()
-            },
-            "global": self._global,
-            "observations": self.observations,
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> bool:
-        """Restore a :meth:`to_state` snapshot; ``False`` = ignored.
-
-        A ``priors`` key, which older saved states carry, is ignored.
-        """
-        if not isinstance(state, dict) or state.get("schema") != STATE_SCHEMA:
-            return False
-        try:
-            self._rates = {
-                str(key): [float(value[0]), int(value[1])]
-                for key, value in state.get("rates", {}).items()
-            }
-            raw = state.get("global")
-            self._global = None if raw is None else float(raw)
-            self.observations = int(state.get("observations", 0))
-        except (TypeError, ValueError, IndexError):
-            self._rates, self._global = {}, None
-            self.observations = 0
-            return False
-        return True
-
-    def save(self, path) -> None:
-        """Atomically persist the model state as JSON."""
-        data = json.dumps(self.to_state(), sort_keys=True) + "\n"
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-
-    def load(self, path) -> bool:
-        """Restore a saved state; missing/damaged files are a cold
-        start (``False``), never an error."""
-        try:
-            with open(path) as fh:
-                return self.from_state(json.load(fh))
-        except (OSError, ValueError):
-            return False
+            rate = self._rates.get(key)
+            self._rates[key] = (
+                unit_cost
+                if rate is None
+                else (1 - self.alpha) * rate + self.alpha * unit_cost
+            )
 
     # -- diagnostics ----------------------------------------------------
 

@@ -53,14 +53,19 @@ from repro.dist.queue import (
     JobPayload,
     connect,
     parse_address,
-    wire_pack,
-    wire_unpack,
 )
 from repro.errors import BrokerUnavailableError, ReproError
 from repro.faults import injector as faults
 from repro.retry import DEFAULT_RETRY, RetryPolicy
 
 __all__ = ["DistExecutor"]
+
+#: Seconds without progress after which a fleet with **zero** live
+#: workers is an error instead of an indefinite hang.  Covers workers
+#: that were never started and fleets whose last worker died mid-run;
+#: generous enough for a `dist run` issued while the workers are still
+#: spinning up.
+NO_WORKER_GRACE = 60.0
 
 
 class DistExecutor:
@@ -72,20 +77,12 @@ class DistExecutor:
         Broker address (``"host:port"`` or an ``(host, port)`` pair).
     authkey:
         Shared secret of the fleet (must match ``repro dist serve``).
-    compress_threshold:
-        When set, payload items whose pickle is at least this many
-        bytes ship as zlib wire envelopes (workers apply the same
-        threshold to results); ``None`` (default) disables.
     timeout:
         Optional overall bound per :meth:`map` call; ``None`` waits as
         long as live workers exist (long fleet runs legitimately take
-        hours, so there is no default overall bound).
-    no_worker_grace:
-        Seconds without progress after which a fleet with **zero** live
-        workers is an error instead of an indefinite hang (covers
-        workers that were never started and fleets whose last worker
-        died mid-run; generous enough for `dist run` issued while the
-        workers are still spinning up).
+        hours, so there is no default overall bound).  A fleet with no
+        live worker fails after :data:`NO_WORKER_GRACE` seconds without
+        progress either way.
     retry:
         Backoff policy for broker connects and per-RPC transient
         failures (each retry reconnects from scratch).
@@ -108,11 +105,9 @@ class DistExecutor:
         address,
         authkey: bytes = DEFAULT_AUTHKEY,
         timeout: Optional[float] = None,
-        no_worker_grace: float = 60.0,
         retry: RetryPolicy = DEFAULT_RETRY,
         on_broker_loss: str = "fallback",
         fallback_jobs: Optional[int] = None,
-        compress_threshold: Optional[int] = None,
     ) -> None:
         if on_broker_loss not in ("fallback", "fail"):
             raise ReproError(
@@ -121,9 +116,7 @@ class DistExecutor:
             )
         self.address = parse_address(address)
         self.authkey = authkey
-        self.compress_threshold = compress_threshold
         self.timeout = timeout
-        self.no_worker_grace = float(no_worker_grace)
         self.retry = retry
         self.on_broker_loss = on_broker_loss
         self.fallback_jobs = fallback_jobs
@@ -205,37 +198,6 @@ class DistExecutor:
         """
         return self._rpc("obs snapshot", lambda b: b.obs_snapshot())
 
-    def obs_sample(self) -> dict:
-        """One snapshot, recorded into the broker's history ring.
-
-        The HTTP service's sampling RPC: the returned snapshot carries
-        the ring-stamped ``seq``, so SSE clients can resume from it.
-        """
-        return self._rpc("obs sample", lambda b: b.obs_sample())
-
-    def obs_history(self, since: int = 0, limit: Optional[int] = None):
-        """Ring-recorded snapshots with ``seq`` greater than ``since``."""
-        return self._rpc(
-            "obs history", lambda b: b.obs_history(since, limit)
-        )
-
-    def cost_snapshot(self) -> dict:
-        """The broker's cost-model state (``CostModel.to_state``).
-
-        Drivers persist this next to their journal so a later fleet
-        warm-starts scheduling with the rates this run observed.
-        """
-        return self._rpc("cost snapshot", lambda b: b.cost_snapshot())
-
-    def cost_seed(self, state: dict) -> bool:
-        """Seed the broker's cost model before submitting.
-
-        Accepts a prior :meth:`cost_snapshot` state; returns whether
-        the broker absorbed it.  Purely advisory — predictions shape
-        dispatch order and lease sizes, never results.
-        """
-        return self._rpc("cost seed", lambda b: b.cost_seed(state))
-
     # -- the map --------------------------------------------------------
 
     def map(
@@ -254,13 +216,8 @@ class DistExecutor:
         completed prefix grows.
         """
         item_list = list(items)
-        # Scheduler features come from the *raw* items (the broker
-        # never unpacks a compressed payload), packing after.
         features = [job_features(fn, item) for item in item_list]
-        payloads = [
-            JobPayload(fn, wire_pack(item, self.compress_threshold))
-            for item in item_list
-        ]
+        payloads = [JobPayload(fn, item) for item in item_list]
         if not payloads:
             return []
         results: List[Any] = []
@@ -319,7 +276,6 @@ class DistExecutor:
 
                 ready = self._rpc("result fetch", _fetch)
                 for result in ready:
-                    result = wire_unpack(result)
                     if isinstance(result, JobFailure):
                         raise ReproError(
                             f"distributed job {len(results)} failed: "
@@ -356,7 +312,7 @@ class DistExecutor:
                 if ready:
                     last_progress = now
                     continue
-                if now - last_progress > self.no_worker_grace:
+                if now - last_progress > NO_WORKER_GRACE:
                     # Stalled: fine while live workers grind a long
                     # job, an error once nobody is left to make
                     # progress — hanging forever helps no one.
@@ -369,7 +325,7 @@ class DistExecutor:
                         )
                         raise ReproError(
                             f"no live workers for "
-                            f"{self.no_worker_grace:.0f}s with "
+                            f"{NO_WORKER_GRACE:.0f}s with "
                             f"{done}/{total} jobs done; start "
                             f"'repro dist worker' processes against "
                             f"this broker"
@@ -414,9 +370,7 @@ class DistExecutor:
 
         tail = parallel_map(
             fn,
-            # Items may sit in compressed wire envelopes; the local
-            # pool wants the originals back.
-            [wire_unpack(payload.item) for payload in payloads[done:]],
+            [payload.item for payload in payloads[done:]],
             jobs=self.fallback_jobs,
             on_result=_shifted,
         )

@@ -191,18 +191,3 @@ class RunJournal:
     def completed(self) -> int:
         """Number of readable block entries currently on disk."""
         return sum(1 for _ in self._blocks_dir().glob("*.blk"))
-
-    # -- cost model -----------------------------------------------------
-
-    def costmodel_path(self) -> Path:
-        """Where this journal persists the scheduler's cost model.
-
-        The journal directory is the natural home: a resumed run
-        should warm-start scheduling with the rates the first attempt
-        observed.  ``repro dist run --journal`` seeds the broker from
-        this file before submitting and snapshots the refined model
-        back after the run (see the CLI); the file is a plain
-        :meth:`repro.dist.costmodel.CostModel.to_state` JSON, so losing
-        or corrupting it costs warm predictions, never results.
-        """
-        return self.path / "costmodel.json"

@@ -63,7 +63,6 @@ import socket
 import struct
 import threading
 import time
-import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from multiprocessing import AuthenticationError
@@ -77,7 +76,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.dist.costmodel import CostModel
 from repro.errors import ReproError
 from repro.faults import injector as faults
-from repro.obs.history import SnapshotHistory
 from repro.obs.metrics import MetricsRegistry
 
 #: Shared-secret default for the connection handshake.  Every process of a
@@ -95,11 +93,6 @@ DEFAULT_LEASE_TIMEOUT = 10.0
 
 #: Default bound of the broker-side shared cache store (bytes).
 DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
-
-#: Snapshots the broker-side :class:`~repro.obs.history.SnapshotHistory`
-#: ring retains for SSE backfill — at the HTTP service's default 2s
-#: sampling cadence this is ~17 minutes of history in a few MB.
-HISTORY_CAPACITY = 512
 
 #: Predicted seconds of work one bulk lease aims to hand out: enough
 #: that a worker rarely leases twice per second of work, yet small
@@ -119,46 +112,6 @@ LONG_POLL_WAIT = 0.5
 LEASE_MAX_JOBS = 32
 
 JobId = Tuple[str, int]
-
-
-@dataclass(frozen=True)
-class WireBlob:
-    """An opaque compressed envelope for large payloads or results.
-
-    ``data`` is a one-byte tag followed by the body: ``b"z"`` marks a
-    zlib-compressed pickle.  Blobs are packed by whichever side owns
-    the object (driver for payload items, worker for results) and
-    unpacked by the consumer; the broker stores them untouched, so
-    compression changes bytes on the wire, never bytes in a result.
-    """
-
-    data: bytes
-
-
-def wire_pack(obj: Any, threshold: Optional[int]) -> Any:
-    """Envelope ``obj`` if its pickle is at least ``threshold`` bytes.
-
-    ``threshold=None`` (the default everywhere) disables compression:
-    the object passes through untouched and costs nothing.  Below the
-    threshold the original object is returned too — small messages are
-    cheaper to pickle directly than to compress.
-    """
-    if threshold is None or isinstance(obj, WireBlob):
-        return obj
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(blob) < threshold:
-        return obj
-    return WireBlob(b"z" + zlib.compress(blob))
-
-
-def wire_unpack(obj: Any) -> Any:
-    """Undo :func:`wire_pack` (non-envelopes pass through untouched)."""
-    if not isinstance(obj, WireBlob):
-        return obj
-    tag, body = obj.data[:1], obj.data[1:]
-    if tag != b"z":
-        raise ReproError(f"unknown wire envelope tag {tag!r}")
-    return pickle.loads(zlib.decompress(body))
 
 
 def parse_address(address) -> Tuple[str, int]:
@@ -264,33 +217,21 @@ class Broker:
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
         clock: Callable[[], float] = time.monotonic,
-        batch_ttl: Optional[float] = None,
         cost_model: Optional[CostModel] = None,
-        cost_model_path: Optional[str] = None,
     ) -> None:
         if lease_timeout <= 0:
             raise ReproError(
                 f"lease_timeout must be > 0, got {lease_timeout}"
             )
         self.lease_timeout = float(lease_timeout)
-        # The scheduler's runtime predictor: warm-started from a saved
-        # state when `cost_model_path` exists, refined by every
-        # completion, and periodically re-persisted to the same path.
+        # The scheduler's runtime predictor, refined by every completion.
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.cost_model_path = cost_model_path
-        if cost_model_path is not None:
-            self.cost_model.load(cost_model_path)
-        self._unsaved_observations = 0
         # A live driver polls its batch at least every LONG_POLL_WAIT
         # seconds, so a batch unpolled for this long belongs to a dead
         # (or partitioned) driver: drop it, or a long-lived broker
         # accumulates orphaned payloads/results until OOM while
         # workers burn CPU on jobs nobody will fetch.
-        self.batch_ttl = (
-            float(batch_ttl)
-            if batch_ttl is not None
-            else max(30.0 * self.lease_timeout, 300.0)
-        )
+        self.batch_ttl = max(30.0 * self.lease_timeout, 300.0)
         self._clock = clock
         self._lock = threading.Lock()
         # Signalled on every change a long poll may be waiting for.
@@ -337,9 +278,6 @@ class Broker:
         # Completion latency distribution (worker-measured runtimes) —
         # the `dist top` latency row and the /metrics summary quantiles.
         self._h_runtime = self.metrics.histogram("broker.job_runtime_seconds")
-        # Sampled-snapshot ring: obs_sample() records here so SSE
-        # clients reconnecting mid-stream can backfill what they missed.
-        self.history = SnapshotHistory(HISTORY_CAPACITY)
         # Fleet telemetry: per-worker metric deltas shipped on
         # heartbeats/completions.  Reaped workers keep their totals
         # (marked dead) so fleet sums stay correct across deaths.
@@ -356,15 +294,14 @@ class Broker:
         """Register one ordered batch of jobs; returns the batch size.
 
         ``features`` (parallel to ``payloads``) are the driver-extracted
-        scheduler features — the broker never introspects payloads,
-        which may cross the wire compressed.  The batch is *enqueued*
-        longest-predicted-first (LPT), while job ids, result indices
-        and the driver's merge order stay the submission order —
-        dispatch order is scheduling, not semantics.  Python's sort is
-        stable, so jobs the model cannot tell apart keep their
-        submission order and a cold-start batch dispatches exactly like
-        FIFO.  A ``features`` list of another length is an error, raised
-        before any state changes.
+        scheduler features — the broker never introspects payloads.
+        The batch is *enqueued* longest-predicted-first (LPT), while job
+        ids, result indices and the driver's merge order stay the
+        submission order — dispatch order is scheduling, not semantics.
+        Python's sort is stable, so jobs the model cannot tell apart
+        keep their submission order and a cold-start batch dispatches
+        exactly like FIFO.  A ``features`` list of another length is an
+        error, raised before any state changes.
         """
         if features is not None and len(features) != len(payloads):
             raise ReproError(
@@ -518,44 +455,7 @@ class Broker:
                 runtime,
                 predicted=self._predicted.get(job_id),
             )
-            self._maybe_save_cost_model()
         self._forget_job(job_id)
-
-    def _maybe_save_cost_model(self) -> None:
-        """Persist the model every few observations (lock held).
-
-        Best-effort by design: the model is a scheduling hint, so a
-        read-only or vanished directory must never fail a completion.
-        """
-        if self.cost_model_path is None:
-            return
-        self._unsaved_observations += 1
-        if self._unsaved_observations < 16:
-            return
-        self._unsaved_observations = 0
-        try:
-            self.cost_model.save(self.cost_model_path)
-        except OSError:
-            pass
-
-    def cost_snapshot(self) -> Dict[str, Any]:
-        """The cost model's persistable state (drivers journal it)."""
-        with self._lock:
-            return self.cost_model.to_state()
-
-    def cost_seed(self, state: Dict[str, Any]) -> bool:
-        """Warm-start the model from a :meth:`CostModel.to_state`
-        snapshot (journaled by a previous ``repro dist run``)."""
-        with self._lock:
-            return self.cost_model.from_state(state)
-
-    def cost_save(self) -> bool:
-        """Persist the model to ``cost_model_path`` now (if configured)."""
-        with self._lock:
-            if self.cost_model_path is None:
-                return False
-            self.cost_model.save(self.cost_model_path)
-            return True
 
     def heartbeat(
         self,
@@ -719,23 +619,6 @@ class Broker:
                     "wall": time.time(),
                 },
             }
-
-    def obs_sample(self) -> Dict[str, Any]:
-        """One :meth:`obs_snapshot`, recorded into the history ring.
-
-        The returned snapshot carries the ``seq`` stamped by the ring,
-        so an HTTP client can later resume the SSE stream from exactly
-        this sample via :meth:`obs_history`.
-        """
-        snapshot = self.obs_snapshot()
-        self.history.record(snapshot)
-        return snapshot
-
-    def obs_history(
-        self, since: int = 0, limit: Optional[int] = None
-    ) -> List[Dict[str, Any]]:
-        """Recorded samples with ``seq`` greater than ``since``."""
-        return self.history.since(since, limit)
 
     # -- internals (call with the lock held) ---------------------------
 
@@ -980,14 +863,10 @@ class BrokerServer:
         authkey: bytes = DEFAULT_AUTHKEY,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
-        batch_ttl: Optional[float] = None,
-        cost_model_path: Optional[str] = None,
     ) -> None:
         self.broker = Broker(
             lease_timeout=lease_timeout,
             cache_max_bytes=cache_max_bytes,
-            batch_ttl=batch_ttl,
-            cost_model_path=cost_model_path,
         )
         self._authkey = authkey
         self._listener = socket.create_server((host, port))
@@ -1077,14 +956,6 @@ class BrokerServer:
         reset or end of file, the transient signals their retry
         policies already handle.
         """
-        # Final cost-model checkpoint: the periodic save only fires
-        # every N observations, and the whole point of persistence is
-        # that the *next* fleet inherits this one's learned rates.
-        if self.broker.cost_model_path is not None:
-            try:
-                self.broker.cost_save()
-            except OSError:
-                pass
         # Wake the long polls first: their threads then answer at once
         # instead of waiting out LONG_POLL_WAIT.
         self.broker.close()

@@ -69,12 +69,9 @@ from repro.dist.queue import (
     JobFailure,
     JobId,
     JobPayload,
-    MAX_FAILURE_TEXT,
     connect,
     parse_address,
     truncate_failure_text,
-    wire_pack,
-    wire_unpack,
 )
 from repro.exec.cache import ResultCache
 
@@ -91,24 +88,20 @@ def default_worker_id() -> str:
     )
 
 
-def _execute(payload: JobPayload, max_failure_text: int = MAX_FAILURE_TEXT):
+def _execute(payload: JobPayload):
     """Run one job; exceptions become a shippable :class:`JobFailure`.
 
-    Failure text is truncated to ``max_failure_text`` characters per
-    field — a job that crashes with a huge repr or locals dump must not
-    bloat the broker's result store or the driver's logs.
+    Failure text is truncated to
+    :data:`~repro.dist.queue.MAX_FAILURE_TEXT` characters per field — a
+    job that crashes with a huge repr or locals dump must not bloat the
+    broker's result store or the driver's logs.
     """
     try:
-        # Large payload items may arrive as compressed wire envelopes
-        # (the driver packs above its threshold); plain items pass
-        # through untouched.
-        return payload.fn(wire_unpack(payload.item))
+        return payload.fn(payload.item)
     except Exception as exc:
         return JobFailure(
-            error=truncate_failure_text(repr(exc), max_failure_text),
-            traceback=truncate_failure_text(
-                traceback.format_exc(), max_failure_text
-            ),
+            error=truncate_failure_text(repr(exc)),
+            traceback=truncate_failure_text(traceback.format_exc()),
         )
 
 
@@ -117,7 +110,7 @@ def _block_cell(payload: JobPayload) -> Optional[Dict[str, Any]]:
     if payload.fn is not dist_jobs.run_block:
         return None
     try:
-        return dist_jobs.block_cell(wire_unpack(payload.item))
+        return dist_jobs.block_cell(payload.item)
     except Exception:
         return None  # malformed: it runs alone and _execute reports it
 
@@ -141,9 +134,7 @@ def _groups(leased: List[Job]) -> List[List[Job]]:
     return groups
 
 
-def _execute_group(
-    group: List[Job], max_failure_text: int, fallbacks
-) -> List[Tuple[Any, float]]:
+def _execute_group(group: List[Job], fallbacks) -> List[Tuple[Any, float]]:
     """Run one group; ``(result, runtime)`` per job, in group order.
 
     Several blocks run as one :func:`~repro.dist.jobs.run_blocks` call,
@@ -157,7 +148,7 @@ def _execute_group(
         t0 = time.monotonic()
         try:
             outcomes = dist_jobs.run_blocks(
-                [wire_unpack(payload.item) for _, payload in group]
+                [payload.item for _, payload in group]
             )
         except Exception:
             fallbacks.inc()
@@ -172,7 +163,7 @@ def _execute_group(
     timed = []
     for _, payload in group:
         t0 = time.monotonic()
-        result = _execute(payload, max_failure_text)
+        result = _execute(payload)
         timed.append((result, time.monotonic() - t0))
     return timed
 
@@ -264,8 +255,6 @@ def worker_loop(
     max_idle: Optional[float] = None,
     worker_id: Optional[str] = None,
     retry: RetryPolicy = DEFAULT_RETRY,
-    max_failure_text: int = MAX_FAILURE_TEXT,
-    compress_threshold: Optional[int] = None,
 ) -> int:
     """Serve jobs from the broker at ``address`` until told to stop.
 
@@ -286,13 +275,6 @@ def worker_loop(
         Backoff policy for broker connects and reconnects (a broker
         restart is survivable; a permanently dead broker ends the
         loop cleanly).
-    max_failure_text:
-        Per-field bound on shipped :class:`JobFailure` text.
-    compress_threshold:
-        When set, results whose pickle is at least this many bytes
-        ship as zlib wire envelopes (``None`` disables — the
-        default; compression trades driver/worker CPU for wire
-        bytes, a win only on real networks with large results).
     """
     faults.install_from_env()
     obs.install_from_env()
@@ -428,15 +410,11 @@ def worker_loop(
                     with obs.span("worker.job") as job_span:
                         job_span.set("job", list(group[0][0]))
                         job_span.set("jobs", len(group))
-                        timed = _execute_group(
-                            group, max_failure_text, c_fallbacks
-                        )
+                        timed = _execute_group(group, c_fallbacks)
                     for (job_id, _), (result, runtime) in zip(group, timed):
                         c_jobs.inc()
                         if isinstance(result, JobFailure):
                             c_failed.inc()
-                        else:
-                            result = wire_pack(result, compress_threshold)
                         # Shipped with the lease's other results
                         # before the next lease call; that RPC carries
                         # the metric delta too, so a worker that dies

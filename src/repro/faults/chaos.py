@@ -256,7 +256,6 @@ def _run_dist_mode(
         executor = DistExecutor(
             server.address,
             timeout=300,
-            no_worker_grace=60,
             on_broker_loss="fallback",
             fallback_jobs=1,
         )

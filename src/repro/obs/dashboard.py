@@ -2,9 +2,10 @@
 
 One HTML string, zero build step, zero external assets: the page is
 plain HTML + CSS custom properties + a vanilla-JS ``EventSource``
-against ``/events`` (with ``?since=0`` so the broker-side history ring
-backfills the sparklines before the first live sample arrives; browser
-reconnects resume via the standard ``Last-Event-ID`` header).
+against ``/events`` (with ``?since=0`` so the service's own last
+samples backfill the sparklines before the first live sample arrives;
+browser reconnects resume via the standard ``Last-Event-ID`` header,
+which the service prefers over ``?since=``).
 
 Design notes (kept deliberately boring): stat tiles with 2px-line
 sparklines, one series each (so no legends), text in ink tokens rather

@@ -11,9 +11,15 @@ speaks HTTP:
 ``/snapshot``  the latest full fleet snapshot as JSON
 ``/metrics``   Prometheus text exposition v0.0.4 (``obs.promexport``)
 ``/events``    Server-Sent Events: one ``snapshot`` event per sample,
-               with counter deltas, backfilled from the broker-side
-               history ring via ``Last-Event-ID`` or ``?since=N``
+               with counter deltas, backfilled from this service's own
+               last 512 samples via ``Last-Event-ID`` or ``?since=N``
 ========== ==========================================================
+
+Every sample the service takes is stamped with ``seq``, its own count
+of successful samples (the SSE event id).  The count belongs to the
+service, not to the broker, so it keeps rising across a broker restart
+and a stream never mistakes the new broker's samples for ones it
+already sent.
 
 Two deployment modes, same server:
 
@@ -44,6 +50,7 @@ import asyncio
 import json
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -51,16 +58,65 @@ from urllib.parse import parse_qs, urlsplit
 from repro.errors import ReproError
 from repro.obs import log
 from repro.obs.dashboard import DASHBOARD_HTML
-from repro.obs.history import counter_deltas
 from repro.obs.promexport import render_prometheus
 
-__all__ = ["ObsServer", "LocalBrokerSource", "RemoteBrokerSource"]
+__all__ = [
+    "ObsServer",
+    "LocalBrokerSource",
+    "RemoteBrokerSource",
+    "counter_deltas",
+]
 
 #: Sampling cadence default (seconds) — also the dashboard's refresh.
 DEFAULT_INTERVAL = 2.0
 
 #: SSE keepalive comment cadence: detects dead client connections.
 _KEEPALIVE = 15.0
+
+#: Samples kept for SSE backfill — at the default 2 s cadence about 17
+#: minutes of history in a few MB.
+_MIRROR_CAPACITY = 512
+
+#: Snapshot sections whose numeric leaves are cumulative counts worth
+#: diffing for an SSE delta payload.  Gauges (pending, depth, rates)
+#: are levels, not counts — clients read those from the snapshot
+#: itself.
+_DELTA_SECTIONS = (
+    ("queue",),
+    ("cache",),
+    ("fleet", "counters"),
+)
+
+
+def counter_deltas(
+    previous: Optional[Dict[str, Any]], current: Dict[str, Any]
+) -> Dict[str, float]:
+    """Flat ``section.name -> increase`` between two fleet snapshots.
+
+    Only positive movement is reported: a key that shrank (a worker
+    reaped, a registry reset) is simply absent, so consumers summing
+    deltas never see fleet totals go backwards.
+    """
+    deltas: Dict[str, float] = {}
+    for path in _DELTA_SECTIONS:
+        cur: Any = current
+        prev: Any = previous
+        for key in path:
+            cur = cur.get(key, {}) if isinstance(cur, dict) else {}
+            prev = prev.get(key, {}) if isinstance(prev, dict) else {}
+        if not isinstance(cur, dict):
+            continue
+        prefix = ".".join(path)
+        for name, value in cur.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                continue
+            before = prev.get(name, 0) if isinstance(prev, dict) else 0
+            if not isinstance(before, (int, float)) or isinstance(before, bool):
+                before = 0
+            change = value - before
+            if change > 0:
+                deltas["%s.%s" % (prefix, name)] = change
+    return deltas
 
 
 class LocalBrokerSource:
@@ -73,12 +129,7 @@ class LocalBrokerSource:
         return "in-process broker"
 
     def sample(self) -> Dict[str, Any]:
-        return self._broker.obs_sample()
-
-    def history(
-        self, since: int = 0, limit: Optional[int] = None
-    ) -> List[Dict[str, Any]]:
-        return self._broker.obs_history(since, limit)
+        return self._broker.obs_snapshot()
 
 
 class RemoteBrokerSource:
@@ -108,12 +159,7 @@ class RemoteBrokerSource:
         return "broker at %s:%s" % (host, port)
 
     def sample(self) -> Dict[str, Any]:
-        return self._executor.obs_sample()
-
-    def history(
-        self, since: int = 0, limit: Optional[int] = None
-    ) -> List[Dict[str, Any]]:
-        return self._executor.obs_history(since, limit)
+        return self._executor.obs_snapshot()
 
 
 class ObsServer:
@@ -162,10 +208,9 @@ class ObsServer:
         self._broker_ok = False
         self._samples = 0
         self._failures = 0
-        # Local mirror of sampled entries: SSE backfill that works even
-        # when the broker (and its ring) is unreachable.
-        self._mirror: List[Dict[str, Any]] = []
-        self._mirror_cap = 512
+        # The last samples, for SSE backfill; it serves even while the
+        # broker is unreachable.
+        self._mirror: deque = deque(maxlen=_MIRROR_CAPACITY)
         self._subscribers: List[asyncio.Queue] = []
         # All broker RPCs go through this one thread (a broker
         # connection serves one thread at a time, and a slow RPC must
@@ -317,9 +362,8 @@ class ObsServer:
             self._sampled_at = time.monotonic()
             self._broker_ok = True
             self._samples += 1
+            snapshot["seq"] = self._samples
             self._mirror.append(snapshot)
-            if len(self._mirror) > self._mirror_cap:
-                del self._mirror[: -self._mirror_cap]
         payload = dict(snapshot)
         payload["stale"] = False
         payload["delta"] = counter_deltas(previous, snapshot)
@@ -500,19 +544,20 @@ class ObsServer:
         )
 
     async def _serve_events(self, writer, query, headers) -> None:
-        """The SSE stream: ring backfill, then live samples."""
-        params = parse_qs(query)
-        since: Optional[int] = None
-        if "since" in params:
-            try:
-                since = int(params["since"][0])
-            except ValueError:
-                since = None
-        elif "last-event-id" in headers:
-            try:
-                since = int(headers["last-event-id"])
-            except ValueError:
-                since = None
+        """The SSE stream: mirror backfill, then live samples.
+
+        A ``Last-Event-ID`` header wins over ``?since=``: a browser's
+        EventSource reconnects to the URL it first opened (the
+        dashboard's ``?since=0``) and names the last event it saw in
+        that header, so it must resume there, not replay the mirror.
+        """
+        raw = headers.get("last-event-id")
+        if raw is None:
+            raw = parse_qs(query).get("since", [None])[0]
+        try:
+            since = None if raw is None else int(raw)
+        except ValueError:
+            since = None
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"
@@ -529,8 +574,8 @@ class ObsServer:
         last_seq = 0
         try:
             if since is not None:
-                for entry in await self._backfill(since):
-                    seq = entry.get("seq", 0)
+                for entry in self._backfill(since):
+                    seq = entry["seq"]
                     payload = dict(entry)
                     payload["stale"] = False
                     payload.setdefault("delta", {})
@@ -569,18 +614,10 @@ class ObsServer:
             except ValueError:
                 pass
 
-    async def _backfill(self, since: int) -> List[Dict[str, Any]]:
-        """History entries after ``since`` — ring first, mirror second."""
-        assert self._loop is not None
-        try:
-            return await self._loop.run_in_executor(
-                self._rpc_pool, lambda: self.source.history(since)
-            )
-        except Exception:
-            with self._state_lock:
-                return [
-                    s for s in self._mirror if s.get("seq", 0) > since
-                ]
+    def _backfill(self, since: int) -> List[Dict[str, Any]]:
+        """Mirrored samples with ``seq`` greater than ``since``."""
+        with self._state_lock:
+            return [s for s in self._mirror if s["seq"] > since]
 
     async def _write_event(self, writer, event, data, seq) -> None:
         lines = []

@@ -916,9 +916,9 @@ class TestExecutionContextIntegration:
 class TestDriverDeathAndStalls:
     def test_abandoned_batches_dropped_after_ttl(self):
         clock = _FakeClock()
-        broker = Broker(lease_timeout=1.0, batch_ttl=5.0, clock=clock)
+        broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("orphan", [JobPayload(echo, i) for i in range(3)])
-        clock.advance(6.0)
+        clock.advance(broker.batch_ttl + 1.0)
         # Any traffic triggers the reap; the dead driver's batch (jobs,
         # results, bookkeeping) is gone and workers get nothing to burn
         # CPU on.
@@ -930,18 +930,22 @@ class TestDriverDeathAndStalls:
 
     def test_live_driver_polling_keeps_batch_alive(self):
         clock = _FakeClock()
-        broker = Broker(lease_timeout=1.0, batch_ttl=5.0, clock=clock)
+        broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("alive", [JobPayload(echo, 0)])
+        # Four polls, each 0.6 TTL apart: 2.4 TTLs in all.
         for _ in range(4):
-            clock.advance(3.0)
+            clock.advance(0.6 * broker.batch_ttl)
             broker.fetch_ready("alive", 0)  # refreshes the TTL
         assert broker.stats()["dropped_batches"] == 0
         assert broker.batch_status("alive") == (0, 1)
 
     def test_no_workers_errors_after_grace_instead_of_hanging(
-        self, server
+        self, server, monkeypatch
     ):
-        executor = DistExecutor(server.address, no_worker_grace=0.3)
+        from repro.dist import executor as executor_module
+
+        monkeypatch.setattr(executor_module, "NO_WORKER_GRACE", 0.3)
+        executor = DistExecutor(server.address)
         with pytest.raises(ReproError) as excinfo:
             executor.map(_double, [1, 2])
         assert "no live workers" in str(excinfo.value)
@@ -1358,15 +1362,13 @@ class TestFailureTextBounds:
         assert "characters truncated" in bounded
 
     def test_job_failure_payload_is_bounded(self):
-        from repro.dist.queue import JobFailure
+        from repro.dist.queue import MAX_FAILURE_TEXT, JobFailure
         from repro.dist.worker import _execute
 
-        failure = _execute(
-            JobPayload(_boom_with_huge_message, 1), max_failure_text=500
-        )
+        failure = _execute(JobPayload(_boom_with_huge_message, 1))
         assert isinstance(failure, JobFailure)
-        assert len(failure.error) <= 500
-        assert len(failure.traceback) <= 500
+        assert len(failure.error) <= MAX_FAILURE_TEXT
+        assert len(failure.traceback) <= MAX_FAILURE_TEXT
         assert "ValueError" in failure.error
 
     def test_default_bound_is_sane(self):
@@ -1538,24 +1540,6 @@ class TestCostScheduling:
 
 
 class TestBatchedTransport:
-    def test_wire_pack_roundtrip(self):
-        from repro.dist import WireBlob, wire_pack, wire_unpack
-
-        value = {"key": list(range(1000))}
-        packed = wire_pack(value, threshold=16)
-        assert isinstance(packed, WireBlob)
-        assert wire_unpack(packed) == value
-        # Below threshold (or disabled): passthrough, not an envelope.
-        assert wire_pack(7, threshold=16) == 7
-        assert wire_pack(value, threshold=None) is value
-        assert wire_unpack("plain") == "plain"
-
-    def test_wire_unpack_rejects_unknown_tag(self):
-        from repro.dist import WireBlob, wire_unpack
-
-        with pytest.raises(ReproError):
-            wire_unpack(WireBlob(data=b"?garbage"))
-
     def test_complete_many_is_idempotent_under_replay(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
@@ -1582,19 +1566,6 @@ class TestBatchedTransport:
             stats = server.broker.stats()
             assert stats["batched_uploads"] >= 1
             assert stats["batched_jobs"] >= len(items)
-        finally:
-            worker.terminate()
-
-    def test_compressed_payloads_and_results_roundtrip(self, server):
-        worker = _start_worker(server.address, compress_threshold=64)
-        try:
-            executor = DistExecutor(
-                server.address,
-                timeout=60,
-                compress_threshold=64,
-            )
-            items = [{"index": i, "blob": "x" * 4096} for i in range(4)]
-            assert executor.map(echo, items) == items
         finally:
             worker.terminate()
 
@@ -1774,7 +1745,8 @@ class TestLongPollDriver:
         assert time.monotonic() - start < 1.0
         assert max(fake.waits) <= 0.3
         # A fleet with no live worker fails after the grace period.
-        executor = DistExecutor("127.0.0.1:1", no_worker_grace=0.2)
+        monkeypatch.setattr(executor_module, "NO_WORKER_GRACE", 0.2)
+        executor = DistExecutor("127.0.0.1:1")
         _plant_fake_broker(executor, _QuietThenDone(workers=0))
         with pytest.raises(ReproError, match="no live workers"):
             executor.map(echo, [0, 1])
@@ -1787,9 +1759,7 @@ class TestLongPollDriver:
         ],
     )
     def test_timeout_names_the_cause_by_live_workers(self, workers, cause):
-        executor = DistExecutor(
-            "127.0.0.1:1", timeout=0.2, no_worker_grace=60.0
-        )
+        executor = DistExecutor("127.0.0.1:1", timeout=0.2)
         _plant_fake_broker(executor, _QuietThenDone(workers=workers))
         with pytest.raises(ReproError) as excinfo:
             executor.map(echo, [0, 1])
@@ -1940,57 +1910,6 @@ class TestCoalescedBlocks:
         assert stats["lease_jobs"] > stats["lease_grants"]  # bulk leases
         serial = run_matrix(["amba", "single-bus-4"], **matrix)
         assert fleet.to_jsonable() == serial.to_jsonable()
-
-
-class TestCostModelPersistenceEndToEnd:
-    def test_broker_saves_and_warm_starts_from_path(self, tmp_path):
-        path = tmp_path / "costmodel.json"
-        broker = Broker(lease_timeout=10.0, cost_model_path=str(path))
-        features = {"kind": "echo", "units": 1.0}
-        broker.submit(
-            "b",
-            [JobPayload(echo, i) for i in range(2)],
-            features=[features, features],
-        )
-        broker.complete_many(
-            "w",
-            [
-                (job_id, payload.item, 0.2)
-                for job_id, payload in _lease_each(broker, "w", 2)
-            ],
-        )
-        assert broker.cost_save()
-        assert path.exists()
-        reborn = Broker(lease_timeout=10.0, cost_model_path=str(path))
-        assert reborn.cost_model.predict(features) == pytest.approx(
-            broker.cost_model.predict(features)
-        )
-
-    def test_server_stop_persists_the_model(self, tmp_path):
-        path = tmp_path / "costmodel.json"
-        server = BrokerServer(
-            port=0,
-            lease_timeout=LEASE_TIMEOUT,
-            cost_model_path=str(path),
-        ).start_in_thread()
-        server.broker.cost_model.observe(
-            {"kind": "echo", "units": 1.0}, 0.3
-        )
-        server.stop()
-        assert path.exists()
-        model_state = Broker(
-            lease_timeout=10.0, cost_model_path=str(path)
-        ).cost_model
-        assert model_state.observations == 1
-
-    def test_cost_seed_accepts_a_snapshot(self):
-        source = Broker(lease_timeout=10.0)
-        source.cost_model.observe({"kind": "echo", "units": 1.0}, 0.7)
-        target = Broker(lease_timeout=10.0)
-        assert target.cost_seed(source.cost_snapshot())
-        assert target.cost_model.predict(
-            {"kind": "echo", "units": 1.0}
-        ) == pytest.approx(0.7)
 
 
 class TestCostDeterminismMatrix:

@@ -401,15 +401,6 @@ class TestBrokerAggregation:
         assert snap["cache"] == broker.cache_stats()
         assert set(snap["time"]) == {"monotonic", "wall"}
 
-    def test_obs_sample_records_into_history_ring(self):
-        broker = Broker(lease_timeout=10.0)
-        first = broker.obs_sample()
-        second = broker.obs_sample()
-        assert (first["seq"], second["seq"]) == (1, 2)
-        assert [s["seq"] for s in broker.obs_history()] == [1, 2]
-        assert [s["seq"] for s in broker.obs_history(since=1)] == [2]
-        assert broker.obs_history(since=2) == []
-
     def test_completion_runtime_feeds_latency_histogram(self):
         clock = _FakeClock()
         broker = Broker(lease_timeout=10.0, clock=clock)

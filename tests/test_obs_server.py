@@ -1,9 +1,9 @@
-"""Tests for the fleet observatory — HTTP service, exposition, history.
+"""Tests for the fleet observatory — HTTP service and exposition.
 
-Three layers, matching the module split:
+Three layers:
 
-* ``repro.obs.history`` — the broker-side snapshot ring and the SSE
-  delta computation (pure data structures, no sockets).
+* the SSE delta computation (``repro.obs.server.counter_deltas``, pure
+  data, no sockets).
 * ``repro.obs.promexport`` — the Prometheus text exposition and its
   strict conformance parser; the round-trip tests assert the scraped
   counter totals equal ``obs_snapshot()``'s for the same instant.
@@ -11,7 +11,8 @@ Three layers, matching the module split:
   actual sockets in both modes: in-process (``LocalBrokerSource``)
   against a populated broker, and standalone (``RemoteBrokerSource``)
   against a broker that is then stopped, asserting the service
-  degrades to stale data instead of dying.  The SSE test runs a real
+  degrades to stale data instead of dying, and that its event stream
+  carries on across a broker restart.  The SSE test runs a real
   two-worker fleet, SIGKILLs a worker mid-stream, and asserts the
   fleet counter totals reported by the event stream never shrink.
 """
@@ -29,13 +30,17 @@ import pytest
 
 from repro.dist import Broker, BrokerServer, DistExecutor, worker_loop
 from repro.errors import ReproError
-from repro.obs.history import SnapshotHistory, counter_deltas
 from repro.obs.promexport import (
     PromFormatError,
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.server import LocalBrokerSource, ObsServer, RemoteBrokerSource
+from repro.obs.server import (
+    LocalBrokerSource,
+    ObsServer,
+    RemoteBrokerSource,
+    counter_deltas,
+)
 from repro.retry import RetryPolicy
 
 #: Short lease so the reap after a SIGKILL happens in seconds (workers
@@ -144,12 +149,17 @@ def _read_sse_events(sock_file, count, deadline, stop=None):
     return events
 
 
-def _open_sse(address, path):
-    """Open ``/events`` raw (http.client buffers SSE unhelpfully)."""
+def _open_sse(address, path, headers=()):
+    """Open ``/events`` raw (http.client buffers SSE unhelpfully).
+
+    ``headers`` are extra ``(name, value)`` request headers.
+    """
     sock = socket.create_connection(address, timeout=10)
     request = (
         "GET %s HTTP/1.1\r\nHost: %s:%d\r\nAccept: text/event-stream\r\n"
-        "\r\n" % (path, address[0], address[1])
+        % (path, address[0], address[1])
+        + "".join("%s: %s\r\n" % header for header in headers)
+        + "\r\n"
     )
     sock.sendall(request.encode("latin-1"))
     sock_file = sock.makefile("rb")
@@ -161,36 +171,7 @@ def _open_sse(address, path):
 
 
 # ----------------------------------------------------------------------
-# The snapshot ring and delta computation.
-
-
-class TestSnapshotHistory:
-    def test_record_stamps_monotonic_seq(self):
-        ring = SnapshotHistory(capacity=8)
-        assert ring.record({"a": 1}) == 1
-        assert ring.record({"a": 2}) == 2
-        assert ring.latest()["seq"] == 2
-        assert ring.recorded == 2
-
-    def test_since_returns_strictly_newer_entries(self):
-        ring = SnapshotHistory(capacity=8)
-        for i in range(5):
-            ring.record({"i": i})
-        assert [s["i"] for s in ring.since(3)] == [3, 4]
-        assert ring.since(5) == []
-        assert [s["i"] for s in ring.since(0, limit=2)] == [3, 4]
-
-    def test_capacity_bounds_the_ring_but_not_the_seq(self):
-        ring = SnapshotHistory(capacity=3)
-        for i in range(10):
-            ring.record({"i": i})
-        entries = ring.since(0)
-        assert [s["seq"] for s in entries] == [8, 9, 10]
-        assert ring.recorded == 10
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SnapshotHistory(capacity=0)
+# The SSE delta computation.
 
 
 class TestCounterDeltas:
@@ -232,7 +213,7 @@ class TestCounterDeltas:
 class TestPromRoundTrip:
     def test_counter_totals_equal_obs_snapshot(self):
         broker = _populate(Broker(lease_timeout=LEASE_TIMEOUT))
-        snapshot = broker.obs_sample()
+        snapshot = broker.obs_snapshot()
         families = parse_prometheus(render_prometheus(snapshot))
 
         def only(family, **labels):
@@ -268,7 +249,7 @@ class TestPromRoundTrip:
 
     def test_scenario_counters_split_with_scenario_label(self):
         broker = _populate(Broker(lease_timeout=LEASE_TIMEOUT))
-        families = parse_prometheus(render_prometheus(broker.obs_sample()))
+        families = parse_prometheus(render_prometheus(broker.obs_snapshot()))
         replications = families["repro_fleet_scenario_replications_total"]
         assert replications["type"] == "counter"
         assert replications["samples"] == [
@@ -284,7 +265,7 @@ class TestPromRoundTrip:
 
     def test_runtime_histogram_exposed_as_summary(self):
         broker = _populate(Broker(lease_timeout=LEASE_TIMEOUT))
-        snapshot = broker.obs_sample()
+        snapshot = broker.obs_snapshot()
         families = parse_prometheus(render_prometheus(snapshot))
         summary = families["repro_broker_job_runtime_seconds"]
         assert summary["type"] == "summary"
@@ -304,7 +285,7 @@ class TestPromRoundTrip:
 
     def test_stale_flags(self):
         broker = _populate(Broker(lease_timeout=LEASE_TIMEOUT))
-        snapshot = broker.obs_sample()
+        snapshot = broker.obs_snapshot()
         fresh = parse_prometheus(render_prometheus(snapshot, stale=False))
         assert fresh["repro_scrape_stale"]["samples"][0][2] == 0
         assert "repro_scrape_age_seconds" not in fresh
@@ -318,7 +299,7 @@ class TestPromRoundTrip:
         broker = Broker(lease_timeout=LEASE_TIMEOUT)
         weird = 'wo"rk\\er\nid'
         broker.heartbeat(weird, metrics={"counters": {"worker.jobs": 1}})
-        families = parse_prometheus(render_prometheus(broker.obs_sample()))
+        families = parse_prometheus(render_prometheus(broker.obs_snapshot()))
         alive = families["repro_worker_alive"]["samples"]
         assert [labels["worker"] for _, labels, _ in alive] == [weird]
 
@@ -454,27 +435,47 @@ class TestObsServerEndpoints:
         assert status == 405
 
     def test_events_backfills_the_ring_then_streams_live(self, obs_http):
-        broker, server = obs_http
-        # Pre-record history so ?since=0 has a tail to replay.
-        first = broker.obs_sample()["seq"]
-        second = broker.obs_sample()["seq"]
+        _broker, server = obs_http
+        # Each /snapshot request is one sample, so ?since=0 has a tail
+        # to replay.
+        first = json.loads(_get(server.address, "/snapshot")[2])["seq"]
+        second = json.loads(_get(server.address, "/snapshot")[2])["seq"]
         sock, sock_file = _open_sse(server.address, "/events?since=0")
         try:
             sock.settimeout(10)
+            # The whole backfill (ids 1..second at least), then live.
             events = _read_sse_events(
-                sock_file, count=4, deadline=time.monotonic() + 10
+                sock_file, count=second + 2, deadline=time.monotonic() + 10
             )
         finally:
             sock.close()
-        assert len(events) >= 3
+        assert len(events) == second + 2
         assert all(e["event"] == "snapshot" for e in events)
         seqs = [e["id"] for e in events]
-        assert seqs[0] == first or seqs[0] == 1
-        assert second in seqs
+        assert seqs[0] == 1
+        assert first in seqs and second in seqs
         # Strictly increasing: the live tail never re-delivers what the
         # backfill already sent.
         assert seqs == sorted(set(seqs))
         assert all("queue" in e["data"] for e in events)
+
+    def test_last_event_id_wins_over_since(self, obs_http):
+        _broker, server = obs_http
+        for _ in range(6):  # one sample each: ids 1..6 at least
+            _get(server.address, "/snapshot")
+        # What an EventSource reconnect sends: the URL it first opened,
+        # plus the id of the last event it saw.
+        sock, sock_file = _open_sse(
+            server.address, "/events?since=0", [("Last-Event-ID", "5")]
+        )
+        try:
+            sock.settimeout(10)
+            events = _read_sse_events(
+                sock_file, count=1, deadline=time.monotonic() + 10
+            )
+        finally:
+            sock.close()
+        assert [e["id"] for e in events] == [6]
 
     def test_rejects_a_second_server_on_the_same_port(self, obs_http):
         _broker, server = obs_http
@@ -546,6 +547,62 @@ class TestStandaloneDegradation:
             assert json.loads(body)["stale"] is True
         finally:
             server.stop()
+
+    def test_stream_keeps_flowing_across_a_broker_restart(self):
+        interval = 0.05
+        first = BrokerServer(
+            port=0, lease_timeout=LEASE_TIMEOUT
+        ).start_in_thread()
+        _populate(first.broker)  # 2 completed; a fresh broker has 0
+        address = first.address
+        server = ObsServer(
+            RemoteBrokerSource(address, retry=_FAST_RETRY),
+            port=0,
+            interval=interval,
+        ).start_in_thread()
+        second = None
+        sock = None
+        try:
+            sock, sock_file = _open_sse(server.address, "/events")
+            sock.settimeout(10)
+            before = _read_sse_events(
+                sock_file, count=20, deadline=time.monotonic() + 10
+            )
+            assert [e["event"] for e in before] == ["snapshot"] * 20
+            first.stop()
+            second = BrokerServer(
+                port=address[1], lease_timeout=LEASE_TIMEOUT
+            ).start_in_thread()
+            restarted = time.monotonic()
+
+            def _from_new_broker(event):
+                return (
+                    event["event"] == "snapshot"
+                    and event["data"]["queue"]["completed"] == 0
+                )
+
+            after = _read_sse_events(
+                sock_file,
+                count=1000,
+                deadline=restarted + 10,
+                stop=_from_new_broker,
+            )
+            waited = time.monotonic() - restarted
+            assert after and _from_new_broker(after[-1]), after
+            # The sampler reconnects on its next tick; nothing may hold
+            # the new broker's samples back.
+            assert waited < 10 * interval, waited
+            ids = [
+                e["id"] for e in before + after if e["event"] == "snapshot"
+            ]
+            assert ids == sorted(set(ids))
+        finally:
+            if sock is not None:
+                sock.close()
+            server.stop()
+            first.stop()
+            if second is not None:
+                second.stop()
 
     def test_no_snapshot_yet_is_503_everywhere(self):
         # A broker that never answers: nothing sampled, nothing cached.
