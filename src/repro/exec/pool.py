@@ -71,6 +71,16 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return int(jobs)
 
 
+def _one_kernel_thread() -> None:
+    """Initialise a :func:`parallel_map` worker process: the pool
+    already spreads the jobs over processes, so each runs its kernel
+    windows on one thread (:data:`repro.sim.megabatch.KERNEL_THREADS`),
+    whatever the start method."""
+    from repro.sim import megabatch
+
+    megabatch.KERNEL_THREADS = 1
+
+
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -133,7 +143,9 @@ def parallel_map(
     with obs.span("pool.map") as span:
         span.set("jobs", len(job_list))
         span.set("workers", workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_one_kernel_thread
+        ) as pool:
             # Executor.map yields results in submission order
             # regardless of completion order: the ordered merge the
             # contract requires.

@@ -278,7 +278,7 @@ function renderWorkers(snap, nowMono) {
       "<td" + cls + ">" + id + "</td>" +
       "<td" + cls + ">" + stateText + "</td>" +
       "<td" + cls + ">" + fmt(rec.counters["worker.jobs"] || 0) + "</td>" +
-      "<td" + cls + ">" + fmt(rec.counters["worker.failed"] || 0) + "</td>" +
+      "<td" + cls + ">" + fmt(rec.counters["worker.jobs_failed"] || 0) + "</td>" +
       "</tr>";
   });
   body.innerHTML = rows.join("");

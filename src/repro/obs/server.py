@@ -52,7 +52,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ReproError
@@ -76,6 +76,11 @@ _KEEPALIVE = 15.0
 #: Samples kept for SSE backfill — at the default 2 s cadence about 17
 #: minutes of history in a few MB.
 _MIRROR_CAPACITY = 512
+
+#: Seconds ``stop()`` lets open connections finish before aborting
+#: them: a woken SSE stream ends within a few loop turns; a client that
+#: has sent no request yet or does not read would hold it up longer.
+_SHUTDOWN_GRACE = 1.0
 
 #: Snapshot sections whose numeric leaves are cumulative counts worth
 #: diffing for an SSE delta payload.  Gauges (pending, depth, rates)
@@ -212,6 +217,8 @@ class ObsServer:
         # broker is unreachable.
         self._mirror: deque = deque(maxlen=_MIRROR_CAPACITY)
         self._subscribers: List[asyncio.Queue] = []
+        # Every connection's writer until its transport has closed.
+        self._writers: Set[asyncio.StreamWriter] = set()
         # All broker RPCs go through this one thread (a broker
         # connection serves one thread at a time, and a slow RPC must
         # not stall the accept loop).
@@ -304,12 +311,33 @@ class ObsServer:
         finally:
             self._started.set()
             try:
+                # Closing the server closes its listening sockets at
+                # once.  Its wait_closed() would also wait (from Python
+                # 3.12.1) for every open connection, a silent client's
+                # too; the grace below bounds that wait instead.
                 if self._server is not None:
                     self._server.close()
-                    loop.run_until_complete(self._server.wait_closed())
                 pending = [
                     t for t in asyncio.all_tasks(loop) if not t.done()
                 ]
+                if pending:
+                    # The handlers _begin_shutdown woke close their
+                    # streams and end.
+                    _done, pending = loop.run_until_complete(
+                        asyncio.wait(pending, timeout=_SHUTDOWN_GRACE)
+                    )
+                if pending:
+                    # A connection still open has a client that sent no
+                    # request or does not read: abort it, and its
+                    # handler ends as on any lost connection, closing
+                    # its writer before the loop goes (a half-closed
+                    # transport is only noticed when collected).
+                    for writer in list(self._writers):
+                        writer.transport.abort()
+                    _done, pending = loop.run_until_complete(
+                        asyncio.wait(pending, timeout=_SHUTDOWN_GRACE)
+                    )
+                # Cancel only what outlasts both.
                 for task in pending:
                     task.cancel()
                 if pending:
@@ -395,6 +423,20 @@ class ObsServer:
     # -- HTTP plumbing --------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        self._writers.add(writer)
+        try:
+            await self._serve_request(reader, writer)
+        except ConnectionError:
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass  # the peer reset the connection: closed all the same
+            self._writers.discard(writer)
+
+    async def _serve_request(self, reader, writer) -> None:
         try:
             request = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=10.0
@@ -403,9 +445,7 @@ class ObsServer:
             asyncio.IncompleteReadError,
             asyncio.LimitOverrunError,
             asyncio.TimeoutError,
-            ConnectionError,
         ):
-            writer.close()
             return
         try:
             head = request.decode("latin-1").split("\r\n")
@@ -429,13 +469,7 @@ class ObsServer:
             )
             return
         parts = urlsplit(target)
-        try:
-            await self._route(writer, parts.path, parts.query, headers)
-        except ConnectionError:
-            pass
-        finally:
-            if not writer.is_closing():
-                writer.close()
+        await self._route(writer, parts.path, parts.query, headers)
 
     async def _route(self, writer, path, query, headers) -> None:
         if path == "/":

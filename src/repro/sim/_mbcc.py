@@ -1,9 +1,10 @@
 """The mega-batch kernel: C source, on-demand build, ctypes binding.
 
-``mb_advance`` drains every replication of one fleet cell through its
-event calendar up to ``end_time``, operating exclusively on the flat
-arrays laid out by :class:`repro.sim.megabatch.MegaBatchLane`.  It is a
-transliteration of the batched lane's drain loop
+``mb_advance`` drains a span ``[r0, r1)`` of one fleet cell's
+replications through their event calendars up to ``end_time``,
+operating exclusively on the flat arrays laid out by
+:class:`repro.sim.megabatch.MegaBatchLane`.  It is a transliteration of
+the batched lane's drain loop
 (:meth:`repro.sim.batched.BatchedSystem.run_until`) with a leading
 replication axis ``R``:
 
@@ -17,7 +18,10 @@ replication axis ``R``:
   scheduling points, so same-timestamp ties dispatch identically;
 * every float expression (``now + gap``, ``variate * scale``,
   ``now - enqueued`` accumulations) matches the batched lane's
-  operation order, keeping fixed-seed metrics bitwise identical.
+  operation order, keeping fixed-seed metrics bitwise identical;
+* replications share no state: a span call reads and writes only its
+  own replications' rows, so disjoint spans may run on separate threads
+  (the lane's windows do) with bitwise the output of one span.
 
 Random variates — the kernel draws its own.  ``mb_seed`` gives every
 replication the streams :class:`~repro.sim.system.CommunicationSystem`
@@ -31,8 +35,9 @@ source refills its one ``batch``-gap chunk row, when exhausted, with a
 port of its descriptor's ``sample_interarrivals(rng, batch)``
 (``src_kind``: 0 Poisson, 1 hyperexponential, 2 on-off; parameters in
 ``src_par``, computed in Python exactly as the descriptors compute
-them).  ``mb_start`` draws every first chunk and schedules the first
-arrivals, so a simulation window is one ``mb_advance`` call.
+them).  ``mb_start`` draws a span's first chunks and schedules its
+first arrivals, so a simulation window is one ``mb_advance`` call per
+span.
 
 The source is compiled once with whatever system C compiler is present
 (``$CC``, else ``cc``/``gcc``/``clang`` on PATH) against numpy's
@@ -54,8 +59,9 @@ own generators.
 
 All state crosses the boundary as one :class:`MBState` struct of
 dimensions and array pointers, built once per lane; per-invocation
-calls pass only the struct pointer and the window end time, keeping
-the hot path allocation-free.
+calls pass only the struct pointer, the window end time and the span,
+keeping the hot path allocation-free.  ctypes releases the GIL for
+every call.
 """
 
 from __future__ import annotations
@@ -306,16 +312,74 @@ void mb_seed(mb_state *st, const uint32_t *words, const int64_t *off)
     }
 }
 
+/* ---- one replication ----------------------------------------------
+ * A span call works on one replication at a time: its rows of every
+ * per-replication array, hoisted into restrict pointers, and its
+ * running scalars, kept in locals for the whole window and written
+ * back once at the end.  Replications share no state, so disjoint
+ * spans may run on separate threads.  This form ran faster than
+ * indexing st's arrays per event, on one thread as on two. */
+
+typedef struct {
+    double *restrict ev_time; int64_t *restrict ev_seq;
+    int64_t *restrict head, *restrict cnt, *restrict busy;
+    int64_t *restrict granted, *restrict rr_last;
+    int64_t *restrict sflow, *restrict shop;
+    double *restrict screa, *restrict senq, *restrict sscale;
+    uint64_t *restrict rng;
+    double *restrict gaps; int64_t *restrict gap_idx;
+    int64_t *restrict offered, *restrict lost;
+    int64_t *restrict timed_out, *restrict delivered;
+    int64_t next_id, wait_cnt;
+    double wait_sum, e2e_sum;
+} rep_t;
+
+static inline void rep_load_(const mb_state *st, int64_t r, rep_t *rp)
+{
+    const int64_t G = st->G, B = st->B, P = st->P, T = st->T;
+    rp->ev_time = st->ev_time + r * st->W;
+    rp->ev_seq = st->ev_seq + r * st->W;
+    rp->head = st->head + r * G;
+    rp->cnt = st->cnt + r * G;
+    rp->busy = st->busy + r * B;
+    rp->granted = st->granted + r * B;
+    rp->rr_last = st->rr_last + r * B;
+    rp->sflow = st->sflow + r * T;
+    rp->shop = st->shop + r * T;
+    rp->screa = st->screa + r * T;
+    rp->senq = st->senq + r * T;
+    rp->sscale = st->sscale + r * T;
+    rp->rng = st->rng + r * st->W * 4;
+    rp->gaps = st->gaps + r * st->S * st->L;
+    rp->gap_idx = st->gap_idx + r * st->S;
+    rp->offered = st->offered + r * P;
+    rp->lost = st->lost + r * P;
+    rp->timed_out = st->timed_out + r * P;
+    rp->delivered = st->delivered + r * P;
+    rp->next_id = st->next_id[r];
+    rp->wait_cnt = st->wait_cnt[r];
+    rp->wait_sum = st->wait_sum[r];
+    rp->e2e_sum = st->e2e_sum[r];
+}
+
+static inline void rep_store_(const mb_state *st, int64_t r, const rep_t *rp)
+{
+    st->next_id[r] = rp->next_id;
+    st->wait_cnt[r] = rp->wait_cnt;
+    st->wait_sum[r] = rp->wait_sum;
+    st->e2e_sum[r] = rp->e2e_sum;
+}
+
 /* ---- gap chunks: each descriptor's sample_interarrivals(rng, n) -- */
 
-static void fill_gaps_(mb_state *st, int64_t r, int64_t s)
+static void fill_gaps_(const mb_state *st, rep_t *rp, int64_t s)
 {
-    uint64_t *w = st->rng + (r * st->W + st->B + s) * 4;
+    uint64_t *w = rp->rng + (st->B + s) * 4;
     pcg64 g = load_(w);
     bitgen_t bg = bitgen_(&g);
     const double *par = st->src_par + s * SRC_PARAMS;
     const int64_t n = st->src_batch[s];
-    double *row = st->gaps + (r * st->S + s) * st->L;
+    double *row = rp->gaps + s * st->L;
     if (st->src_kind[s] == 0) {
         /* Poisson: exponential(1 / rate, n) */
         for (int64_t k = 0; k < n; k++)
@@ -363,33 +427,38 @@ static void fill_gaps_(mb_state *st, int64_t r, int64_t s)
         }
     }
     store_(w, &g);
-    st->gap_idx[r * st->S + s] = 0;
+    rp->gap_idx[s] = 0;
 }
 
-void mb_start(mb_state *st)
+/* Replications [r0, r1): draw every first chunk, schedule every first
+ * arrival. */
+void mb_start(mb_state *st, int64_t r0, int64_t r1)
 {
-    const int64_t S = st->S, W = st->W;
-    for (int64_t r = 0; r < st->R; r++) {
+    const int64_t S = st->S;
+    for (int64_t r = r0; r < r1; r++) {
+        rep_t rep;
+        rep_load_(st, r, &rep);
         for (int64_t s = 0; s < S; s++) {
-            fill_gaps_(st, r, s);
-            st->ev_time[r * W + s] = 0.0 + st->gaps[(r * S + s) * st->L];
-            st->ev_seq[r * W + s] = s;
-            st->gap_idx[r * S + s] = 1;
+            fill_gaps_(st, &rep, s);
+            rep.ev_time[s] = 0.0 + rep.gaps[s * st->L];
+            rep.ev_seq[s] = s;
+            rep.gap_idx[s] = 1;
         }
-        st->next_id[r] = S;
+        rep.next_id = S;
+        rep_store_(st, r, &rep);
     }
 }
 
 /* ---- the drain loop ---------------------------------------------- */
 
-static void grant_(mb_state *st, int64_t r, int64_t b, double now)
+static void grant_(const mb_state *st, rep_t *rp, int64_t b, double now)
 {
-    if (st->busy[r * st->B + b] != 0)
+    if (rp->busy[b] != 0)
         return;
     int64_t kind = st->arb_kind[b];
     int64_t lo = st->cl_off[b];
     int64_t ncl = st->cl_off[b + 1] - lo;
-    int64_t *cnt = st->cnt + r * st->G;
+    int64_t *restrict cnt = rp->cnt;
     for (;;) {
         int64_t i = -1;
         if (kind == 2) {            /* longest queue */
@@ -403,12 +472,12 @@ static void grant_(mb_state *st, int64_t r, int64_t b, double now)
                 if (cnt[lo + j] != 0) { i = j; break; }
             }
         } else {                    /* round robin */
-            int64_t j = st->rr_last[r * st->B + b];
+            int64_t j = rp->rr_last[b];
             for (int64_t o = 0; o < ncl; o++) {
                 j += 1;
                 if (j >= ncl) j -= ncl;
                 if (cnt[lo + j] != 0) {
-                    st->rr_last[r * st->B + b] = j;
+                    rp->rr_last[b] = j;
                     i = j;
                     break;
                 }
@@ -417,33 +486,32 @@ static void grant_(mb_state *st, int64_t r, int64_t b, double now)
         if (i < 0)
             return;
         int64_t g = lo + i;
-        int64_t h = st->head[r * st->G + g];
+        int64_t h = rp->head[g];
         int64_t si = st->slot_off[g] + h;
-        double enq = st->senq[r * st->T + si];
+        double enq = rp->senq[si];
         if (st->timeout >= 0.0 && now - enq > st->timeout) {
-            int64_t f = st->sflow[r * st->T + si];
+            int64_t f = rp->sflow[si];
             int64_t nh = h + 1;
             if (nh == st->cap[g]) nh = 0;
-            st->head[r * st->G + g] = nh;
+            rp->head[g] = nh;
             cnt[g] -= 1;
             int64_t src = st->flow_src[f];
-            st->timed_out[r * st->P + src] += 1;
-            st->lost[r * st->P + src] += 1;
+            rp->timed_out[src] += 1;
+            rp->lost[src] += 1;
             continue;
         }
-        st->wait_sum[r] += now - enq;
-        st->wait_cnt[r] += 1;
-        st->busy[r * st->B + b] = 1;
-        st->granted[r * st->B + b] = g;
-        uint64_t *w = st->rng + (r * st->W + b) * 4;
+        rp->wait_sum += now - enq;
+        rp->wait_cnt += 1;
+        rp->busy[b] = 1;
+        rp->granted[b] = g;
+        uint64_t *w = rp->rng + b * 4;
         pcg64 pg = load_(w);
         bitgen_t bg = bitgen_(&pg);
-        double duration =
-            random_standard_exponential(&bg) * st->sscale[r * st->T + si];
+        double duration = random_standard_exponential(&bg) * rp->sscale[si];
         store_(w, &pg);
-        st->ev_time[r * st->W + st->S + b] = now + duration;
-        st->ev_seq[r * st->W + st->S + b] = st->next_id[r];
-        st->next_id[r] += 1;
+        rp->ev_time[st->S + b] = now + duration;
+        rp->ev_seq[st->S + b] = rp->next_id;
+        rp->next_id += 1;
         return;
     }
 }
@@ -456,20 +524,26 @@ static void grant_(mb_state *st, int64_t r, int64_t b, double now)
  * integers and keeps the running minimum with selects, not branches. */
 #define INF_BITS 0x7ff0000000000000ULL
 
-void mb_advance(mb_state *st, double end_time)
+/* Replications [r0, r1) through end_time. */
+void mb_advance(mb_state *st, double end_time, int64_t r0, int64_t r1)
 {
-    const int64_t R = st->R, S = st->S, W = st->W;
-    for (int64_t r = 0; r < R; r++) {
+    const int64_t S = st->S, W = st->W, H = st->H, L = st->L;
+    const int64_t *restrict cap = st->cap;
+    const int64_t *restrict slot_off = st->slot_off;
+    const int64_t *restrict flow_src = st->flow_src;
+    const int64_t *restrict flow_ring = st->flow_ring;
+    const int64_t *restrict src_batch = st->src_batch;
+    for (int64_t r = r0; r < r1; r++) {
+        rep_t rep;
+        rep_load_(st, r, &rep);
         for (;;) {
             uint64_t bk = INF_BITS;
             int64_t bs = SEQ_SENTINEL;
             int64_t bj = -1;
-            const double *evt = st->ev_time + r * W;
-            const int64_t *evs = st->ev_seq + r * W;
             for (int64_t j = 0; j < W; j++) {
                 uint64_t k;
-                memcpy(&k, evt + j, sizeof k);
-                int64_t q = evs[j];
+                memcpy(&k, rep.ev_time + j, sizeof k);
+                int64_t q = rep.ev_seq[j];
                 int better = (k < bk) | ((k == bk) & (q < bs));
                 bk = better ? k : bk;
                 bs = better ? q : bs;
@@ -484,79 +558,78 @@ void mb_advance(mb_state *st, double end_time)
                 /* arrival of source bj */
                 int64_t s = bj;
                 int64_t ab = st->first_bus[s];
-                int64_t src = st->flow_src[s];
-                st->offered[r * st->P + src] += 1;
-                int64_t g = st->flow_ring[s * st->H];
-                int64_t n = st->cnt[r * st->G + g];
-                if (n == st->cap[g]) {
-                    st->lost[r * st->P + src] += 1;
+                int64_t src = flow_src[s];
+                rep.offered[src] += 1;
+                int64_t g = flow_ring[s * H];
+                int64_t n = rep.cnt[g];
+                if (n == cap[g]) {
+                    rep.lost[src] += 1;
                 } else {
-                    int64_t pos = st->head[r * st->G + g] + n;
-                    int64_t c = st->cap[g];
+                    int64_t pos = rep.head[g] + n;
+                    int64_t c = cap[g];
                     if (pos >= c) pos -= c;
-                    int64_t si = st->slot_off[g] + pos;
-                    st->sflow[r * st->T + si] = s;
-                    st->shop[r * st->T + si] = 0;
-                    st->screa[r * st->T + si] = now;
-                    st->senq[r * st->T + si] = now;
-                    st->sscale[r * st->T + si] = st->flow_scale[s * st->H];
-                    st->cnt[r * st->G + g] = n + 1;
-                    if (st->busy[r * st->B + ab] == 0)
-                        grant_(st, r, ab, now);
+                    int64_t si = slot_off[g] + pos;
+                    rep.sflow[si] = s;
+                    rep.shop[si] = 0;
+                    rep.screa[si] = now;
+                    rep.senq[si] = now;
+                    rep.sscale[si] = st->flow_scale[s * H];
+                    rep.cnt[g] = n + 1;
+                    if (rep.busy[ab] == 0)
+                        grant_(st, &rep, ab, now);
                 }
-                if (st->gap_idx[r * S + s] == st->src_batch[s])
-                    fill_gaps_(st, r, s);
-                int64_t gi = st->gap_idx[r * S + s];
-                st->ev_time[r * W + s] =
-                    now + st->gaps[(r * S + s) * st->L + gi];
-                st->ev_seq[r * W + s] = st->next_id[r];
-                st->next_id[r] += 1;
-                st->gap_idx[r * S + s] = gi + 1;
+                if (rep.gap_idx[s] == src_batch[s])
+                    fill_gaps_(st, &rep, s);
+                int64_t gi = rep.gap_idx[s];
+                rep.ev_time[s] = now + rep.gaps[s * L + gi];
+                rep.ev_seq[s] = rep.next_id;
+                rep.next_id += 1;
+                rep.gap_idx[s] = gi + 1;
             } else {
                 /* completion on bus bj - S */
                 int64_t b = bj - S;
-                int64_t g = st->granted[r * st->B + b];
-                int64_t h = st->head[r * st->G + g];
-                int64_t si = st->slot_off[g] + h;
-                int64_t f = st->sflow[r * st->T + si];
-                int64_t hp = st->shop[r * st->T + si];
-                double created = st->screa[r * st->T + si];
+                int64_t g = rep.granted[b];
+                int64_t h = rep.head[g];
+                int64_t si = slot_off[g] + h;
+                int64_t f = rep.sflow[si];
+                int64_t hp = rep.shop[si];
+                double created = rep.screa[si];
                 int64_t nh = h + 1;
-                if (nh == st->cap[g]) nh = 0;
-                st->head[r * st->G + g] = nh;
-                st->cnt[r * st->G + g] -= 1;
-                st->busy[r * st->B + b] = 0;
-                st->ev_time[r * W + S + b] = INFINITY;
-                st->ev_seq[r * W + S + b] = SEQ_SENTINEL;
+                if (nh == cap[g]) nh = 0;
+                rep.head[g] = nh;
+                rep.cnt[g] -= 1;
+                rep.busy[b] = 0;
+                rep.ev_time[S + b] = INFINITY;
+                rep.ev_seq[S + b] = SEQ_SENTINEL;
                 if (hp == st->flow_last[f]) {
-                    st->delivered[r * st->P + st->flow_src[f]] += 1;
-                    st->e2e_sum[r] += now - created;
+                    rep.delivered[flow_src[f]] += 1;
+                    rep.e2e_sum += now - created;
                 } else {
                     hp += 1;
-                    int64_t g2 = st->flow_ring[f * st->H + hp];
-                    int64_t n2 = st->cnt[r * st->G + g2];
-                    if (n2 == st->cap[g2]) {
-                        st->lost[r * st->P + st->flow_src[f]] += 1;
+                    int64_t g2 = flow_ring[f * H + hp];
+                    int64_t n2 = rep.cnt[g2];
+                    if (n2 == cap[g2]) {
+                        rep.lost[flow_src[f]] += 1;
                     } else {
-                        int64_t pos = st->head[r * st->G + g2] + n2;
-                        int64_t c2 = st->cap[g2];
+                        int64_t pos = rep.head[g2] + n2;
+                        int64_t c2 = cap[g2];
                         if (pos >= c2) pos -= c2;
-                        int64_t s2 = st->slot_off[g2] + pos;
-                        st->sflow[r * st->T + s2] = f;
-                        st->shop[r * st->T + s2] = hp;
-                        st->screa[r * st->T + s2] = created;
-                        st->senq[r * st->T + s2] = now;
-                        st->sscale[r * st->T + s2] =
-                            st->flow_scale[f * st->H + hp];
-                        st->cnt[r * st->G + g2] = n2 + 1;
+                        int64_t s2 = slot_off[g2] + pos;
+                        rep.sflow[s2] = f;
+                        rep.shop[s2] = hp;
+                        rep.screa[s2] = created;
+                        rep.senq[s2] = now;
+                        rep.sscale[s2] = st->flow_scale[f * H + hp];
+                        rep.cnt[g2] = n2 + 1;
                         int64_t bb2 = st->ring_bus[g2];
-                        if (st->busy[r * st->B + bb2] == 0)
-                            grant_(st, r, bb2, now);
+                        if (rep.busy[bb2] == 0)
+                            grant_(st, &rep, bb2, now);
                     }
                 }
-                grant_(st, r, b, now);
+                grant_(st, &rep, b, now);
             }
         }
+        rep_store_(st, r, &rep);
     }
 }
 """
@@ -660,9 +733,9 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             state = ctypes.POINTER(MBState)
             lib.mb_seed.argtypes = [state, ctypes.c_void_p, ctypes.c_void_p]
             lib.mb_seed.restype = None
-            lib.mb_start.argtypes = [state]
+            lib.mb_start.argtypes = [state, _I64, _I64]
             lib.mb_start.restype = None
-            lib.mb_advance.argtypes = [state, _F64]
+            lib.mb_advance.argtypes = [state, _F64, _I64, _I64]
             lib.mb_advance.restype = None
             _cached = lib
         except Exception as exc:  # degrade to the batched lane

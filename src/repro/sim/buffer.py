@@ -17,9 +17,7 @@ Two representations of the same finite FIFO live here:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Deque, List, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.packet import Packet
@@ -167,34 +165,3 @@ class PacketRing:
                 (self.flow[i], self.hop[i], self.created[i], self.enqueued[i])
             )
         return out
-
-
-def replicated_slot_arrays(
-    capacities: Sequence[int], replications: int
-) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """Replication-stacked slot storage for a bank of packet rings.
-
-    The mega-batch lane stores ``R`` replications of every
-    :class:`PacketRing` as flat ``(R, total_slots)`` arrays — the same
-    five parallel fields a single ring keeps as lists, with ring ``g``'s
-    slots occupying columns ``offsets[g]:offsets[g + 1]`` of every row.
-    Returns ``(offsets, fields)`` where ``offsets`` has length
-    ``len(capacities) + 1`` and ``fields`` maps the slot-field names
-    (``flow``/``hop``: int64, ``created``/``enqueued``/``scale``:
-    float64) to zero-initialised arrays.  Capacity-zero rings get an
-    empty column span — legal and always full, exactly like the
-    object ring.  The lane passes capacities
-    :func:`~repro.sim.system.wire` validated and ``replications >= 1``.
-    """
-    caps = np.asarray(list(capacities), dtype=np.int64)
-    offsets = np.zeros(caps.size + 1, dtype=np.int64)
-    np.cumsum(caps, out=offsets[1:])
-    total = int(offsets[-1])
-    fields = {
-        "flow": np.zeros((replications, total), dtype=np.int64),
-        "hop": np.zeros((replications, total), dtype=np.int64),
-        "created": np.zeros((replications, total)),
-        "enqueued": np.zeros((replications, total)),
-        "scale": np.zeros((replications, total)),
-    }
-    return offsets, fields

@@ -3,8 +3,10 @@
 :class:`MegaBatchLane` stacks ``R`` replications of one simulation cell
 (same topology, capacities, arbiter and timeout — only the seed varies)
 into flat arrays with a leading replication axis, so **one kernel
-invocation advances every replication at once** instead of running the
-batched lane ``R`` times:
+invocation advances a whole span of replications** instead of running
+the batched lane ``R`` times, and a window runs up to
+:data:`KERNEL_THREADS` contiguous spans at the same time, one per CPU
+the process may use:
 
 * every random variate is drawn inside the C kernel, on the streams
   :class:`~repro.sim.system.CommunicationSystem` would build
@@ -17,9 +19,10 @@ batched lane ``R`` times:
   engine's :class:`~repro.sim.processor.FlowSource`, which matters for
   descriptors that re-randomise per call (``OnOffTraffic`` draws a
   fresh phase each chunk);
-* queued packets live in replication-stacked
-  :func:`~repro.sim.buffer.replicated_slot_arrays` slot arrays, and the
-  event calendar is a fixed ``(R, S + B)`` array.
+* queued packets live in replication-stacked ``(R, total_slots)``
+  slot arrays, and the event calendar is a fixed ``(R, S + B)`` array;
+* replications share no state, so spans on separate threads give
+  bitwise the same output as one span.
 
 The kernel has one body, the :mod:`repro.sim._mbcc` C build.  The lane
 needs it: with no C kernel (no compiler, no numpy C library, a failed
@@ -41,6 +44,9 @@ per-replication batched-lane runs in
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,9 +59,9 @@ from repro.arch.traffic import (
     PoissonTraffic,
 )
 from repro.errors import SimulationError
+from repro.exec.pool import partition_blocks
 from repro.sim import _mbcc
 from repro.sim.arbiter import KERNEL_ARBITERS, kernel_tag, make_arbiter
-from repro.sim.buffer import replicated_slot_arrays
 from repro.sim.processor import GAP_CHUNK
 from repro.sim.system import wire
 
@@ -83,6 +89,58 @@ SAMPLERS = {
 SEQ_SENTINEL = np.int64(2**62)
 
 
+def _cpus() -> int:
+    """The CPUs in this process's affinity mask (every CPU where the
+    platform has no mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+#: Most replication spans one window runs at the same time: the CPUs
+#: in this process's affinity mask, so ``taskset`` is the control (a
+#: CPU quota below the mask is not read).  A forked child and every
+#: :func:`~repro.exec.pool.parallel_map` worker run one span (see
+#: :func:`_forked`): the fork or the pool already spread the work over
+#: processes.
+KERNEL_THREADS = _cpus()
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _kernel_pool() -> ThreadPoolExecutor:
+    """The process-wide pool that runs every span but a window's first.
+
+    Sized on first use, one thread short of :data:`KERNEL_THREADS`.  A
+    pool thread only ever runs one kernel call and returns, so no pool
+    thread waits on another, whichever threads run lanes.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=max(KERNEL_THREADS - 1, 1),
+                thread_name_prefix="repro-mbkernel",
+            )
+        return _pool
+
+
+def _forked() -> None:
+    """In a forked child: the parent's pool threads do not exist here,
+    so drop the pool (work queued to it would wait forever), and run
+    every window on one thread.  ``parallel_map`` sets the one thread
+    in its workers itself, under every start method."""
+    global KERNEL_THREADS, _pool, _pool_lock
+    KERNEL_THREADS = 1
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forked)
+
+
 def megabatch_supported(topology: Topology, arbiter_kind: str) -> bool:
     """Whether the kernel path can replay this cell exactly.
 
@@ -106,9 +164,10 @@ class MegaBatchLane:
     ``seeds`` — one per replication — replaces the single ``seed``.
     Construction lays the cell out with :func:`~repro.sim.system.wire`
     (so it validates exactly as :class:`CommunicationSystem` does) and
-    seeds every replication's streams in C; :meth:`start` draws the
-    first gap chunks and schedules first arrivals; :meth:`run_until`
-    advances every replication with one kernel call.  Results are read
+    seeds every replication's streams in C; :meth:`start` arms it, and
+    the first :meth:`run_until` draws the first gap chunks and schedules
+    first arrivals before it advances; each :meth:`run_until` makes one
+    kernel call per span of replications.  Results are read
     from the replication-stacked counter arrays (``offered``, ``lost``,
     ``timed_out``, ``delivered``: ``(R, P)`` over :attr:`proc_names`;
     ``wait_sum``, ``wait_cnt``, ``e2e_sum``: ``(R,)``).  Raises
@@ -167,21 +226,29 @@ class MegaBatchLane:
         self.proc_names: List[str] = sorted(topology.processors)
         P = len(self.proc_names)
         self.S, self.B, self.G, self.P = S, B, G, P
-        self.W = S + B
+        W = self.W = S + B
+        # Ring g's slots are columns slot_off[g]:slot_off[g + 1] of
+        # every replication's slot rows (a capacity-zero ring gets an
+        # empty span: always full, like the object ring).
+        slot_off = [0]
+        for slots in caps:
+            slot_off.append(slot_off[-1] + slots)
+        T = self.T = slot_off[-1]
+        Hmax = self.Hmax = max((len(hops) for hops in wiring.hops), default=1)
+        L = self.gap_depth = GAP_CHUNK
         self.timeout = (
             float(timeout_threshold)
             if timeout_threshold is not None
             else -1.0  # sentinel: wire() validates real thresholds > 0
         )
+
         self.cap = np.array(caps, dtype=np.int64)
+        self.slot_off = np.array(slot_off, dtype=np.int64)
         self.ring_bus = np.array(ring_bus, dtype=np.int64)
         self.cl_off = np.array(cl_off, dtype=np.int64)
         self.arb_kind = np.full(
             B, kernel_tag(make_arbiter(arbiter_kind)), dtype=np.int64
         )
-
-        Hmax = max((len(hops) for hops in wiring.hops), default=1)
-        self.Hmax = Hmax
         self.flow_ring = np.zeros((S, Hmax), dtype=np.int64)
         self.flow_scale = np.zeros((S, Hmax))
         for s, hops in enumerate(wiring.hops):
@@ -210,30 +277,25 @@ class MegaBatchLane:
             par = params(flow.traffic)
             self.src_par[s, : len(par)] = par
         self.src_batch = np.full(S, GAP_CHUNK, dtype=np.int64)
-        self.gap_depth = GAP_CHUNK
-        self.gaps = np.zeros((R, S, self.gap_depth))
+        self.gaps = np.zeros((R, S, L))
         self.gap_idx = np.zeros((R, S), dtype=np.int64)
         # Streams in spawn order: buses 0..B-1, then sources.
-        self.rng = np.zeros((R, self.W, 4), dtype=np.uint64)
+        self.rng = np.zeros((R, W, 4), dtype=np.uint64)
 
         # -- replication-stacked dynamic state -----------------------
-        self.slot_off, fields = replicated_slot_arrays(caps, R)
-        self.sflow = fields["flow"]
-        self.shop = fields["hop"]
-        self.screa = fields["created"]
-        self.senq = fields["enqueued"]
-        self.sscale = fields["scale"]
-        self.T = int(self.slot_off[-1])
-
-        self.ev_time = np.full((R, self.W), np.inf)
-        self.ev_seq = np.full((R, self.W), SEQ_SENTINEL, dtype=np.int64)
+        self.sflow = np.zeros((R, T), dtype=np.int64)
+        self.shop = np.zeros((R, T), dtype=np.int64)
+        self.screa = np.zeros((R, T))
+        self.senq = np.zeros((R, T))
+        self.sscale = np.zeros((R, T))
+        self.ev_time = np.full((R, W), np.inf)
+        self.ev_seq = np.full((R, W), SEQ_SENTINEL, dtype=np.int64)
         self.next_id = np.zeros(R, dtype=np.int64)
         self.head = np.zeros((R, G), dtype=np.int64)
         self.cnt = np.zeros((R, G), dtype=np.int64)
         self.busy = np.zeros((R, B), dtype=np.int64)
         self.granted = np.full((R, B), -1, dtype=np.int64)
         self.rr_last = np.full((R, B), -1, dtype=np.int64)
-
         self.offered = np.zeros((R, P), dtype=np.int64)
         self.lost = np.zeros((R, P), dtype=np.int64)
         self.timed_out = np.zeros((R, P), dtype=np.int64)
@@ -243,24 +305,24 @@ class MegaBatchLane:
         self.e2e_sum = np.zeros(R)
 
         self._started = False
+        self._drawn = False
         self._now = 0.0
         st = _mbcc.MBState(
-            self.R, self.S, self.B, self.G, self.P, self.W,
-            self.gap_depth, self.Hmax, self.timeout,
+            R, S, B, G, P, W, L, Hmax, self.timeout,
             *(getattr(self, name).ctypes.data for name in _mbcc.ARRAYS),
-            self.T,
+            T,
         )
         # The byref keeps the struct alive; the arrays it points at are
         # lane attributes, so they outlive every kernel call.
-        state = ctypes.byref(st)
-        lib.mb_seed(state, words.ctypes.data, offsets.ctypes.data)
-        self._start = lambda: lib.mb_start(state)
-        self._advance = lambda end: lib.mb_advance(state, end)
+        self._lib = lib
+        self._state = ctypes.byref(st)
+        lib.mb_seed(self._state, words.ctypes.data, offsets.ctypes.data)
 
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Draw first gap chunks and schedule every first arrival.
+        """Arm the lane: the first window draws every first gap chunk
+        and schedules every first arrival before it advances.
 
         First arrivals get sequence numbers ``0..S-1`` per replication,
         exactly like each replication's own heap engine.
@@ -268,15 +330,16 @@ class MegaBatchLane:
         if self._started:
             raise SimulationError("MegaBatchLane already started")
         self._started = True
-        self._start()
 
     def run_until(self, end_time: float) -> None:
         """Advance every replication through ``end_time``.
 
         Same boundary semantics as the serial lanes: events scheduled
-        exactly at ``end_time`` execute.  One kernel invocation per
-        window; instrumentation is per invocation — the kernel itself
-        stays allocation-free with obs disabled.
+        exactly at ``end_time`` execute.  The replications split into
+        at most :data:`KERNEL_THREADS` contiguous spans, one kernel
+        call each, run at the same time; the calling thread runs the
+        first.  Instrumentation is per window — the kernel itself stays
+        allocation-free with obs disabled.
         """
         if not self._started:
             raise SimulationError("call start() before run_until()")
@@ -286,9 +349,33 @@ class MegaBatchLane:
             )
         with obs.span("sim.megabatch.kernel") as span:
             span.set("replications", self.R)
-            self._advance(end_time)
+            draw = not self._drawn
+            spans = partition_blocks(self.R, KERNEL_THREADS)
+            if len(spans) == 1:
+                self._span(end_time, draw, 0, self.R)
+            else:
+                # Each queued call holds the lane, so the arrays it
+                # writes outlive it even if this thread stops waiting.
+                pool = _kernel_pool()
+                futures = [
+                    pool.submit(self._span, end_time, draw, lo, hi)
+                    for lo, hi in spans[1:]
+                ]
+                self._span(end_time, draw, *spans[0])
+                for future in futures:
+                    future.result()
+        self._drawn = True
+        # Per window, whatever the span count: the spans cover all R.
         obs.counter("sim.megabatch.invocations").inc()
         obs.histogram(
             "sim.megabatch.replications_per_invocation"
         ).observe(float(self.R))
         self._now = end_time
+
+    def _span(self, end_time: float, draw: bool, lo: int, hi: int) -> None:
+        """Replications ``[lo, hi)`` through ``end_time``, drawing their
+        first chunks first when ``draw``.  ctypes releases the GIL for
+        each call, so spans on separate threads run at the same time."""
+        if draw:
+            self._lib.mb_start(self._state, lo, hi)
+        self._lib.mb_advance(self._state, end_time, lo, hi)

@@ -16,11 +16,17 @@ built (no compiler, no numpy C sampler library, or ``REPRO_SIM_CC=0``).
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs, scenarios
 from repro.arch.topology import Topology, rebuilt_topology
 from repro.arch.traffic import (
@@ -31,7 +37,7 @@ from repro.arch.traffic import (
 from repro.errors import PolicyError, SimulationError
 from repro.exec.pool import parallel_map, partition_blocks
 from repro.policies.uniform import UniformSizing
-from repro.sim import _mbcc
+from repro.sim import _mbcc, megabatch
 from repro.sim.arbiter import KERNEL_ARBITERS
 from repro.sim.batched import BatchedSystem
 from repro.sim.megabatch import SAMPLERS, MegaBatchLane, megabatch_supported
@@ -151,7 +157,8 @@ class TestEquivalenceMatrix:
         finally:
             obs.reset()
         # The kernel draws its own variates, so even with refills each
-        # window (warm-up, measure) is exactly one kernel invocation.
+        # window (warm-up, measure) counts once, however many spans of
+        # replications it runs.
         windows = 2 if warmup > 0 else 1
         assert counters["sim.megabatch.invocations"] == windows
         assert block == batched_runs(topology, capacities, seeds, **kwargs)
@@ -305,6 +312,253 @@ class TestBurstyTraffic:
             MegaBatchLane(topology, capacities, [3, -1])
 
 
+# -- replication spans on threads ----------------------------------------
+
+#: Seeds of the span cells: five, so two and three spans are uneven.
+SPAN_SEEDS = [3, 1003, 77, 2**40 + 5, 12]
+
+
+def _python(*args, timeout=120, **kwargs):
+    """Run this interpreter on ``args`` with the tree's ``src`` importable.
+
+    In its own session: on a timeout the whole process group is killed,
+    so a hung child and any pool workers it forked cannot outlive the
+    test.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
+    with subprocess.Popen(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, **kwargs,
+    ) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail(f"the child interpreter did not finish in {timeout} s")
+    return subprocess.CompletedProcess(
+        child.args, child.returncode, stdout, stderr
+    )
+
+
+def _span_run(topology, capacities, arbiter, threads, monkeypatch):
+    """A warm-up window then a measure window on ``threads`` spans.
+
+    Returns every state array after each window, and the span calls
+    the windows made as sorted ``(end_time, lo, hi, draw)`` tuples.
+    """
+    calls = []
+    span = MegaBatchLane._span
+
+    def recording(lane, end_time, draw, lo, hi):
+        calls.append((end_time, lo, hi, draw))
+        span(lane, end_time, draw, lo, hi)
+
+    monkeypatch.setattr(megabatch, "KERNEL_THREADS", threads)
+    monkeypatch.setattr(MegaBatchLane, "_span", recording)
+    lane = MegaBatchLane(
+        topology, capacities, SPAN_SEEDS, arbiter_kind=arbiter,
+        timeout_threshold=4.0,
+    )
+    lane.start()
+    states = []
+    for end_time in (50.0, 400.0):
+        lane.run_until(end_time)
+        states.append(
+            {name: getattr(lane, name).tobytes() for name in _mbcc.ARRAYS}
+        )
+    return states, sorted(calls)
+
+
+@needs_kernel
+class TestReplicationSpans:
+    """Spans of replications on separate threads change nothing."""
+
+    @pytest.fixture(scope="class")
+    def bursty(self):
+        return _bursty_cell()
+
+    @pytest.mark.parametrize("arbiter", KERNEL_ARBITERS)
+    def test_every_split_equals_one_span(self, bursty, arbiter, monkeypatch):
+        topology, capacities = bursty
+        kinds = {type(flow.traffic) for flow in topology.flows.values()}
+        assert kinds == set(SAMPLERS)
+        R = len(SPAN_SEEDS)
+        want, one = _span_run(topology, capacities, arbiter, 1, monkeypatch)
+        assert one == [(50.0, 0, R, True), (400.0, 0, R, False)]
+        for threads in (2, 3, R):
+            got, calls = _span_run(
+                topology, capacities, arbiter, threads, monkeypatch
+            )
+            spans = partition_blocks(R, threads)
+            assert calls == sorted(
+                [(50.0, lo, hi, True) for lo, hi in spans]
+                + [(400.0, lo, hi, False) for lo, hi in spans]
+            ), threads
+            for window, (a, b) in enumerate(zip(got, want)):
+                for name in _mbcc.ARRAYS:
+                    assert a[name] == b[name], (threads, window, name)
+
+    def test_a_span_call_touches_only_its_replications(self, bursty):
+        topology, capacities = bursty
+        R = len(SPAN_SEEDS)
+        lanes = [
+            MegaBatchLane(
+                topology, capacities, SPAN_SEEDS, arbiter_kind="round_robin",
+                timeout_threshold=4.0,
+            )
+            for _ in range(3)
+        ]
+        seeded, full, part = lanes
+        for lane, (lo, hi) in ((full, (0, R)), (part, (1, 3))):
+            lane._lib.mb_start(lane._state, lo, hi)
+            lane._lib.mb_advance(lane._state, 100.0, lo, hi)
+        rows = _mbcc.ARRAYS[_mbcc.ARRAYS.index("ev_time"):]
+        for name in rows:
+            for r in range(R):
+                want = full if 1 <= r < 3 else seeded
+                assert (
+                    getattr(part, name)[r].tobytes()
+                    == getattr(want, name)[r].tobytes()
+                ), (name, r)
+
+    def test_threads_are_capped_at_the_replications(self, monkeypatch):
+        topology, capacities = _cell("amba")
+        seeds = [3, 1003]
+        want = simulate_block(
+            topology, capacities, duration=100.0, seeds=seeds
+        )
+        monkeypatch.setattr(megabatch, "KERNEL_THREADS", 8)
+        spans = []
+        span = MegaBatchLane._span
+
+        def recording(lane, end_time, draw, lo, hi):
+            spans.append((lo, hi))
+            span(lane, end_time, draw, lo, hi)
+
+        monkeypatch.setattr(MegaBatchLane, "_span", recording)
+        got = simulate_block(
+            topology, capacities, duration=100.0, seeds=seeds
+        )
+        assert sorted(spans) == [(0, 1), (1, 2)]
+        assert got == want
+
+    def test_lanes_on_many_threads_share_the_pool(self, monkeypatch):
+        # Four threads run lanes at once on one pool of more threads
+        # than CPUs, switching often: a span lost, run twice or run on
+        # another lane's state would change some result.
+        cells = [_cell(name) for name in ("amba", "fig1", "netproc")]
+        seeds = [3, 1003, 77, 12, 2**40 + 5]
+        want = [
+            simulate_block(topology, capacities, duration=80.0, seeds=seeds)
+            for topology, capacities in cells
+        ]
+        monkeypatch.setattr(megabatch, "KERNEL_THREADS", 4)
+        monkeypatch.setattr(megabatch, "_pool", None)
+        got = {}
+
+        def run(k):
+            for repeat in range(3):
+                topology, capacities = cells[(k + repeat) % len(cells)]
+                got[k, repeat] = simulate_block(
+                    topology, capacities, duration=80.0, seeds=seeds
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(k,)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            if megabatch._pool is not None:
+                megabatch._pool.shutdown()
+        assert len(got) == 12
+        for (k, repeat), results in got.items():
+            assert results == want[(k + repeat) % len(cells)], (k, repeat)
+
+    def test_thread_count_is_the_affinity_mask(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        probe = (
+            "-c",
+            "from repro.sim import megabatch; print(megabatch.KERNEL_THREADS)",
+        )
+        pinned = _python(
+            *probe, preexec_fn=lambda: os.sched_setaffinity(0, cpus[:1])
+        )
+        assert pinned.stdout.split() == ["1"], pinned.stderr
+        free = _python(*probe)
+        assert free.stdout.split() == [str(len(cpus))], free.stderr
+
+    def test_fork_after_a_threaded_window_completes(self):
+        # A pool made before a fork has no threads in the child: work
+        # queued to it would wait forever.  In a subprocess, so a hang
+        # fails this test instead of stalling the suite.
+        script = textwrap.dedent("""
+            from repro import scenarios
+            from repro.exec.pool import parallel_map
+            from repro.policies.uniform import UniformSizing
+            from repro.sim import megabatch
+            from repro.sim.runner import replicate, simulate_block
+
+            def kernel_threads(_):
+                return megabatch.KERNEL_THREADS
+
+            if __name__ == "__main__":
+                megabatch.KERNEL_THREADS = 2  # threaded on any host
+                spec = scenarios.get("amba")
+                topology = spec.topology()
+                capacities = UniformSizing().allocate(
+                    topology, spec.default_budget
+                ).as_capacities()
+                simulate_block(
+                    topology, capacities, duration=50.0, seeds=[1, 2, 3, 4]
+                )
+                assert megabatch._pool is not None
+                print(parallel_map(kernel_threads, [0, 1], jobs=2))
+                summary = replicate(
+                    topology, capacities, replications=4, duration=50.0,
+                    jobs=2,
+                )
+                print(len(summary.results))
+        """)
+        done = _python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:2] == ["[1, 1]", "4"], done.stdout
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_workers_run_one_kernel_thread(self, method, tmp_path):
+        # No fork handler runs in a spawned or forkserver child: the
+        # pool's own initializer must set its one thread.  A script
+        # file, so the child can import the probe.
+        script = tmp_path / "probe.py"
+        script.write_text(textwrap.dedent(f"""
+            import multiprocessing
+            from repro.exec.pool import parallel_map
+            from repro.sim import megabatch
+
+            def kernel_threads(_):
+                return megabatch.KERNEL_THREADS
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method({method!r})
+                print(parallel_map(kernel_threads, [0, 1], jobs=2))
+        """))
+        done = _python(str(script))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[1,", "1]"], done.stdout
+
+
 # -- the kernel's own draws against numpy -------------------------------
 
 
@@ -342,7 +596,7 @@ class TestKernelDraws:
             for seed in seeds
         ]
         for chunk in range(5):
-            lane._start()
+            lane._lib.mb_start(lane._state, 0, lane.R)
             for r in range(lane.R):
                 for s, batch in enumerate(lane.src_batch):
                     want = traffic[s].sample_interarrivals(

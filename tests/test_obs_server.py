@@ -17,19 +17,26 @@ Three layers:
   fleet counter totals reported by the event stream never shrink.
 """
 
+import ast
+import gc
 import http.client
 import json
+import logging
 import multiprocessing
 import os
+import re
 import signal
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
+import repro
 from repro.dist import Broker, BrokerServer, DistExecutor, worker_loop
 from repro.errors import ReproError
+from repro.obs.dashboard import DASHBOARD_HTML
 from repro.obs.promexport import (
     PromFormatError,
     parse_prometheus,
@@ -427,6 +434,30 @@ class TestObsServerEndpoints:
         assert "EventSource" in page
         assert "<canvas" in page or "canvas" in page
 
+    def test_dashboard_reads_only_counters_the_program_creates(self):
+        # A name the dashboard reads but nothing increments shows 0
+        # forever: every counters["..."] in its script must be a counter
+        # some module creates with a literal name.
+        read = set(re.findall(r'counters\["([^"]+)"\]', DASHBOARD_HTML))
+        assert read
+        src = os.path.dirname(os.path.abspath(repro.__file__))
+        created = set()
+        for folder, _dirs, files in os.walk(src):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                with open(os.path.join(folder, name)) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if (
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "counter"
+                        and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                    ):
+                        created.add(node.args[0].value)
+        assert read <= created, sorted(read - created)
+
     def test_unknown_path_is_404_and_post_is_405(self, obs_http):
         _broker, server = obs_http
         status, _headers, _body = _get(server.address, "/nope")
@@ -476,6 +507,65 @@ class TestObsServerEndpoints:
         finally:
             sock.close()
         assert [e["id"] for e in events] == [6]
+
+    @pytest.mark.parametrize("client", ["hung-up", "streaming", "silent"])
+    def test_stop_closes_every_connection(self, client, monkeypatch, caplog):
+        # A connection open at stop() must be closed before the loop is:
+        # an /events stream whose client just hung up or still reads,
+        # and a client that has sent no request yet.  A transport left
+        # half-closed shows only when it is collected, as a
+        # ResourceWarning, so every one raised across stop() is a
+        # failure.  Whether a handler closes its stream before the loop
+        # goes is a race; asyncio's debug mode (what `python -X dev`
+        # turns on) loses it often, and each stream case stops a few
+        # servers.  A silent client waits out the grace every time, and
+        # is aborted, not cancelled: a handler cancelled in its read
+        # makes asyncio log "Exception in callback" on 3.11 and 3.12.
+        monkeypatch.setenv("PYTHONASYNCIODEBUG", "1")
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        broker = _populate(Broker(lease_timeout=LEASE_TIMEOUT))
+        unclosed = []
+        for _ in range(1 if client == "silent" else 4):
+            server = ObsServer(
+                LocalBrokerSource(broker), port=0, interval=0.05
+            ).start_in_thread()
+            if client == "silent":
+                sock = socket.create_connection(server.address, timeout=10)
+                sock_file = sock.makefile("rb")
+                # The server accepts connections in order: once a later
+                # one is answered, the silent one has its handler.
+                assert _get(server.address, "/healthz")[0] == 200
+            else:
+                sock, sock_file = _open_sse(
+                    server.address, "/events?since=0"
+                )
+                sock.settimeout(10)
+                assert _read_sse_events(
+                    sock_file, count=1, deadline=time.monotonic() + 10
+                )
+            try:
+                if client == "hung-up":
+                    sock_file.close()
+                    sock.close()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", ResourceWarning)
+                    begin = time.monotonic()
+                    server.stop()
+                    took = time.monotonic() - begin
+                    gc.collect()
+            finally:
+                sock_file.close()
+                sock.close()
+            # A silent client is cut off after the grace, not waited for.
+            assert took < 5.0, took
+            unclosed += [
+                str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)
+            ]
+        assert not unclosed, unclosed
+        assert not [
+            r.getMessage() for r in caplog.records if r.name == "asyncio"
+        ]
 
     def test_rejects_a_second_server_on_the_same_port(self, obs_http):
         _broker, server = obs_http
