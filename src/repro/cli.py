@@ -144,8 +144,9 @@ def _add_runtime_flags(
         type=int,
         default=1,
         help="worker processes for replication batches (1 = serial, "
-        "0 = all cores); sweep sizings additionally fan out when solved "
-        "cold (--no-warm-start); results are identical for any value",
+        "0 = every CPU this process may use); sweep sizings additionally "
+        "fan out when solved cold (--no-warm-start); results are "
+        "identical for any value",
     )
     parser.add_argument(
         "--cache-dir",
@@ -427,19 +428,12 @@ def _cmd_dist_serve(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Standalone observability service against a remote broker."""
     from repro.obs.server import ObsServer, RemoteBrokerSource
-    from repro.retry import RetryPolicy
 
     source = RemoteBrokerSource(
-        args.broker,
-        authkey=args.authkey.encode("utf-8"),
-        retry=RetryPolicy(attempts=args.retry_attempts),
+        args.broker, authkey=args.authkey.encode("utf-8")
     )
     server = ObsServer(
-        source,
-        host=args.host,
-        port=args.port,
-        interval=args.interval,
-        stale_after=args.stale_after,
+        source, host=args.host, port=args.port, interval=args.interval
     )
     try:
         server.serve_forever()
@@ -1022,18 +1016,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_http.add_argument(
         "--interval", type=float, default=2.0,
-        help="broker sampling cadence (seconds); also the SSE cadence",
-    )
-    p_http.add_argument(
-        "--stale-after", type=float, default=None,
-        help="mark served data stale after this many seconds without "
-        "a successful sample (default: 3x --interval); the service "
-        "keeps serving the last snapshot and recovers on its own",
-    )
-    p_http.add_argument(
-        "--retry-attempts", type=int, default=4,
-        help="retry attempts per broker sample before degrading to "
-        "stale mode",
+        help="broker sampling cadence (seconds); also the SSE cadence. "
+        "Data older than 3x this (at least 5 s) is served marked stale",
     )
     p_http.set_defaults(func=_cmd_serve)
 

@@ -92,7 +92,8 @@ class DistExecutor:
         raises instead.
     fallback_jobs:
         Process count for the local fallback pool (``None``/``0`` =
-        all cores, matching :func:`~repro.exec.pool.resolve_jobs`).
+        every CPU this process may use, matching
+        :func:`~repro.exec.pool.resolve_jobs`).
 
     Attributes
     ----------

@@ -102,7 +102,8 @@ class ExecutionContext:
     ----------
     jobs:
         Worker processes for replication batches and cold sweep points
-        (``1`` = serial reference path, ``0``/``None`` = all cores).
+        (``1`` = serial reference path, ``0``/``None`` = every CPU this
+        process may use).
     cache:
         Optional :class:`ResultCache`; sizing results and replication
         summaries are memoised under content-addressed keys.

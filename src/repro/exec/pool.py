@@ -58,14 +58,25 @@ def partition_blocks(total: int, blocks: int) -> List[Tuple[int, int]]:
     return spans
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may use: those in its affinity mask (every
+    CPU where the platform has no mask), so ``taskset`` is the control
+    (a CPU quota below the mask is not read)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalise a job-count request.
 
-    ``None`` or ``0`` means "all cores"; negative values are rejected;
-    anything else passes through.
+    ``None`` or ``0`` means "every CPU this process may use"
+    (:func:`usable_cpus`); negative values are rejected; anything else
+    passes through.
     """
     if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
+        return usable_cpus()
     if jobs < 0:
         raise SimulationError(f"jobs must be >= 0 or None, got {jobs}")
     return int(jobs)
@@ -98,8 +109,8 @@ def parallel_map(
         Job descriptions; each must be picklable when ``jobs > 1``.
     jobs:
         Worker process count.  ``1`` (default) runs serially in-process;
-        ``None``/``0`` uses every core.  Each job ships to a worker
-        on its own.
+        ``None``/``0`` uses every CPU this process may use.  Each job
+        ships to a worker on its own.
     executor:
         Optional remote executor — any object with
         ``map(fn, items, on_result=...) -> list`` merging by submission

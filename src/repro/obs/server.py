@@ -1,4 +1,4 @@
-"""The fleet observatory: a stdlib asyncio HTTP service over ``obs``.
+"""The fleet observatory: a stdlib threaded HTTP service over ``obs``.
 
 One :class:`ObsServer` exposes the broker's existing telemetry — the
 very same :meth:`~repro.dist.queue.Broker.obs_snapshot` dict that
@@ -12,7 +12,7 @@ speaks HTTP:
 ``/metrics``   Prometheus text exposition v0.0.4 (``obs.promexport``)
 ``/events``    Server-Sent Events: one ``snapshot`` event per sample,
                with counter deltas, backfilled from this service's own
-               last 512 samples via ``Last-Event-ID`` or ``?since=N``
+               last 512 events via ``Last-Event-ID`` or ``?since=N``
 ========== ==========================================================
 
 Every sample the service takes is stamped with ``seq``, its own count
@@ -38,21 +38,23 @@ Two deployment modes, same server:
 
 The HTTP side is deliberately minimal (GET only, ``Connection:
 close`` except for the event stream) — it is an observability
-endpoint, not a web framework.  Broker RPCs never run on the event
-loop: they are funneled through a dedicated single-thread executor,
-both to keep the loop responsive and because one broker connection
-serves one thread at a time.
+endpoint, not a web framework.  It runs like the broker's server: one
+thread per connection (:class:`socketserver.ThreadingTCPServer`) and
+one sampler thread.  One condition wakes every event stream when a
+sample or a status event lands, and one lock keeps broker RPCs to one
+at a time, because one broker connection serves one thread at a time.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
+import socketserver
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Set, Tuple
+from http.server import BaseHTTPRequestHandler
+from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ReproError
@@ -73,14 +75,14 @@ DEFAULT_INTERVAL = 2.0
 #: SSE keepalive comment cadence: detects dead client connections.
 _KEEPALIVE = 15.0
 
-#: Samples kept for SSE backfill — at the default 2 s cadence about 17
-#: minutes of history in a few MB.
-_MIRROR_CAPACITY = 512
+#: Seconds a connection may send nothing while its request is read, or
+#: hold up one write of the response (an event stream's too).
+_REQUEST_TIMEOUT = 10.0
 
-#: Seconds ``stop()`` lets open connections finish before aborting
-#: them: a woken SSE stream ends within a few loop turns; a client that
-#: has sent no request yet or does not read would hold it up longer.
-_SHUTDOWN_GRACE = 1.0
+#: Events kept for SSE backfill — at the default 2 s cadence about 17
+#: minutes of samples in a few MB (a broker outage adds one ``status``
+#: event).
+_MIRROR_CAPACITY = 512
 
 #: Snapshot sections whose numeric leaves are cumulative counts worth
 #: diffing for an SSE delta payload.  Gauges (pending, depth, rates)
@@ -167,6 +169,88 @@ class RemoteBrokerSource:
         return self._executor.obs_snapshot()
 
 
+def _shut_down(sock: socket.socket) -> None:
+    """Wake every thread blocked on ``sock``: a read returns end of
+    file, a write fails, an ``accept()`` or ``select()`` returns."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not connected (any more)
+
+
+def _sse_event(event: str, data: Dict[str, Any], seq: Optional[int]) -> bytes:
+    lines = []
+    if seq is not None:
+        lines.append("id: %s" % seq)
+    lines.append("event: %s" % event)
+    lines.append("data: %s" % json.dumps(data))
+    return ("\n".join(lines) + "\n\n").encode("utf-8")
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: one GET, answered by the server's
+    :class:`ObsServer`."""
+
+    protocol_version = "HTTP/1.1"  # every response sends Connection: close
+    timeout = _REQUEST_TIMEOUT
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.observatory._track(self.connection)
+
+    def finish(self) -> None:
+        # Untracked before the server closes the socket, so stop()
+        # only ever shuts down a socket that is still open.
+        self.server.observatory._untrack(self.connection)
+        super().finish()
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client hung up, or stop() shut the connection down
+
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False  # the stdlib answered 400 already
+        if self.command != "GET":
+            self.respond(
+                405, "text/plain; charset=utf-8", b"only GET is supported\n"
+            )
+            return False
+        return True
+
+    def do_GET(self) -> None:
+        self.server.observatory._route(self)
+
+    def respond(self, status: int, content_type: str, body: bytes) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Cache-Control", "no-store")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """No log line per request."""
+
+
+class _Listener(socketserver.ThreadingTCPServer):
+    """The listening socket.  Each connection gets its own non-daemon
+    thread, which :meth:`server_close` joins.
+
+    Not :class:`http.server.HTTPServer`: its ``server_bind`` makes a
+    reverse-DNS lookup of the host every time it starts.
+    """
+
+    allow_reuse_address = True  # a restarted service rebinds at once
+
+    def __init__(self, observatory: "ObsServer") -> None:
+        self.observatory = observatory
+        super().__init__((observatory.host, observatory.port), _Handler)
+
+
 class ObsServer:
     """The HTTP observability service (see module docstring).
 
@@ -178,10 +262,10 @@ class ObsServer:
         Bind address; ``port=0`` picks an ephemeral port (tests), the
         real one is :attr:`address` after start.
     interval:
-        Sampling cadence in seconds; also the SSE event cadence.
-    stale_after:
-        Age (seconds) past which the served data is marked stale and
-        ``/healthz`` degrades; default ``max(3 * interval, 5)``.
+        Sampling cadence in seconds; also the SSE event cadence.  The
+        served data is marked stale, and ``/healthz`` degrades, once
+        the last sample is older than :attr:`stale_after`,
+        ``max(3 * interval, 5)`` seconds.
     """
 
     def __init__(
@@ -190,7 +274,6 @@ class ObsServer:
         host: str = "127.0.0.1",
         port: int = 0,
         interval: float = DEFAULT_INTERVAL,
-        stale_after: Optional[float] = None,
     ) -> None:
         if interval <= 0:
             raise ReproError(f"interval must be > 0, got {interval}")
@@ -198,219 +281,174 @@ class ObsServer:
         self.host = host
         self.port = port
         self.interval = float(interval)
-        self.stale_after = (
-            float(stale_after)
-            if stale_after is not None
-            else max(3.0 * self.interval, 5.0)
-        )
+        self.stale_after = max(3.0 * self.interval, 5.0)
         self.address: Optional[Tuple[str, int]] = None
-        # Sampler state, guarded by _state_lock (the sampler thread pool
-        # and request handlers both read it).
-        self._state_lock = threading.Lock()
+        self._listener: Optional[_Listener] = None
+        self._accepter: Optional[threading.Thread] = None
+        self._sampler: Optional[threading.Thread] = None
+        # Broker RPCs one at a time: a broker connection serves one
+        # thread at a time.
+        self._rpc_lock = threading.Lock()
+        # Everything below is guarded by _changed, which wakes every
+        # event stream when an event lands, and every waiter at stop().
+        self._changed = threading.Condition()
         self._latest: Optional[Dict[str, Any]] = None
-        self._previous: Optional[Dict[str, Any]] = None
         self._sampled_at: Optional[float] = None
         self._broker_ok = False
         self._samples = 0
         self._failures = 0
-        # The last samples, for SSE backfill; it serves even while the
-        # broker is unreachable.
-        self._mirror: deque = deque(maxlen=_MIRROR_CAPACITY)
-        self._subscribers: List[asyncio.Queue] = []
-        # Every connection's writer until its transport has closed.
-        self._writers: Set[asyncio.StreamWriter] = set()
-        # All broker RPCs go through this one thread (a broker
-        # connection serves one thread at a time, and a slow RPC must
-        # not stall the accept loop).
-        self._rpc_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-obs-rpc"
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._sampler_task: Optional[asyncio.Task] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        # The last events as (number, event, data, seq), for SSE
+        # backfill and live delivery; it serves even while the broker
+        # is unreachable.
+        self._events: deque = deque(maxlen=_MIRROR_CAPACITY)
+        self._published = 0
+        self._connections: Set[socket.socket] = set()
+        self._stopping = False
 
     # -- lifecycle ------------------------------------------------------
 
     def start_in_thread(self) -> "ObsServer":
-        """Run the service on a daemon thread; returns ``self``."""
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-obs-http", daemon=True
+        """Bind, then accept on a daemon thread; returns ``self``."""
+        self._accepter = threading.Thread(
+            target=self._accept,
+            args=(self._start(),),
+            name="repro-obs-http",
+            daemon=True,
         )
-        self._thread.start()
-        self._started.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise ReproError(
-                f"observability server failed to start on "
-                f"{self.host}:{self.port}: {self._startup_error!r}"
-            )
-        if self.address is None:
-            raise ReproError(
-                "observability server did not start within 10s"
-            )
+        self._accepter.start()
         return self
 
     def serve_forever(self) -> None:
-        """Run the service in this thread (blocks until stopped)."""
-        self._run_loop()
-        if self._startup_error is not None:
+        """Bind, then accept in this thread until :meth:`stop`."""
+        self._accept(self._start())
+
+    def _start(self) -> _Listener:
+        """Bind the listener and start the sampler."""
+        try:
+            self._listener = listener = _Listener(self)
+        except OSError as exc:
             raise ReproError(
                 f"observability server failed to start on "
-                f"{self.host}:{self.port}: {self._startup_error!r}"
-            )
+                f"{self.host}:{self.port}: {exc!r}"
+            ) from exc
+        self.address = listener.server_address[:2]
+        self._sampler = threading.Thread(
+            target=self._sample_forever, name="repro-obs-sampler", daemon=True
+        )
+        self._sampler.start()
+        log.info(
+            "obs server listening on http://%s:%s/ (%s)",
+            self.address[0],
+            self.address[1],
+            self.source.describe(),
+        )
+        return listener
+
+    def _accept(self, listener: _Listener) -> None:
+        while not self._stopping:
+            # Returns after each connection, and at once when stop()
+            # shuts the listener down.
+            listener.handle_request()
 
     def stop(self) -> None:
-        """Stop sampling, close the listener, end the thread."""
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(self._begin_shutdown)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self._rpc_pool.shutdown(wait=False)
+        """Stop serving; on return every connection and the listener are
+        closed and every thread of the service is joined.
 
-    def _begin_shutdown(self) -> None:
-        if self._sampler_task is not None:
-            self._sampler_task.cancel()
-        for queue in list(self._subscribers):
-            queue.put_nowait(None)  # wake handlers so they close
-        if self._server is not None:
-            self._server.close()
-        assert self._loop is not None
-        self._loop.stop()
+        Idempotent.  Socket shutdown bounds it, not a timer: the woken
+        event streams end, and ``shutdown(SHUT_RDWR)`` wakes a handler
+        blocked reading from a client that sent no request, or writing
+        to one that does not read (as :meth:`BrokerServer.stop
+        <repro.dist.queue.BrokerServer.stop>` does).
+        """
+        with self._changed:
+            self._stopping = True
+            self._changed.notify_all()
+        listener = self._listener
+        if listener is None:
+            return
+        self._listener = None
+        _shut_down(listener.socket)  # wakes the accept loop
+        if self._accepter is not None:
+            self._accepter.join()
+            self._accepter = None
+        with self._changed:
+            for connection in self._connections:
+                _shut_down(connection)
+        listener.server_close()  # closes the listener, joins each handler
+        if self._sampler is not None:
+            self._sampler.join()
+            self._sampler = None
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            try:
-                self._server = loop.run_until_complete(
-                    asyncio.start_server(
-                        self._handle_connection, self.host, self.port
-                    )
-                )
-            except OSError as exc:
-                self._startup_error = exc
-                return
-            sockets = self._server.sockets or ()
-            for sock in sockets:
-                self.address = sock.getsockname()[:2]
-                break
-            self._sampler_task = loop.create_task(self._sampler())
-            self._started.set()
-            log.info(
-                "obs server listening on http://%s:%s/ (%s)",
-                self.address[0],
-                self.address[1],
-                self.source.describe(),
-            )
-            loop.run_forever()
-        finally:
-            self._started.set()
-            try:
-                # Closing the server closes its listening sockets at
-                # once.  Its wait_closed() would also wait (from Python
-                # 3.12.1) for every open connection, a silent client's
-                # too; the grace below bounds that wait instead.
-                if self._server is not None:
-                    self._server.close()
-                pending = [
-                    t for t in asyncio.all_tasks(loop) if not t.done()
-                ]
-                if pending:
-                    # The handlers _begin_shutdown woke close their
-                    # streams and end.
-                    _done, pending = loop.run_until_complete(
-                        asyncio.wait(pending, timeout=_SHUTDOWN_GRACE)
-                    )
-                if pending:
-                    # A connection still open has a client that sent no
-                    # request or does not read: abort it, and its
-                    # handler ends as on any lost connection, closing
-                    # its writer before the loop goes (a half-closed
-                    # transport is only noticed when collected).
-                    for writer in list(self._writers):
-                        writer.transport.abort()
-                    _done, pending = loop.run_until_complete(
-                        asyncio.wait(pending, timeout=_SHUTDOWN_GRACE)
-                    )
-                # Cancel only what outlasts both.
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-            finally:
-                loop.close()
-                self._loop = None
+    def _track(self, connection: socket.socket) -> None:
+        with self._changed:
+            self._connections.add(connection)
+            if self._stopping:  # accepted as stop() ran: end it too
+                _shut_down(connection)
+
+    def _untrack(self, connection: socket.socket) -> None:
+        with self._changed:
+            self._connections.discard(connection)
 
     # -- sampling -------------------------------------------------------
 
-    async def _sampler(self) -> None:
-        """Sample the broker forever, fanning events to subscribers."""
+    def _sample_forever(self) -> None:
+        """Sample the broker every ``interval`` seconds until stop()."""
         while True:
-            await self._sample_once()
-            await asyncio.sleep(self.interval)
+            self._sample_once()
+            with self._changed:
+                if self._changed.wait_for(
+                    lambda: self._stopping, self.interval
+                ):
+                    return
 
-    async def _sample_once(self) -> bool:
-        assert self._loop is not None
-        try:
-            snapshot = await self._loop.run_in_executor(
-                self._rpc_pool, self.source.sample
-            )
-        except Exception as exc:  # broker gone: degrade, never die
-            transitioned = False
-            with self._state_lock:
-                if self._broker_ok or self._samples == 0:
-                    transitioned = self._broker_ok
-                self._broker_ok = False
-                self._failures += 1
-            if transitioned:
-                log.info(
-                    "obs server: %s unreachable (%r); serving stale data",
-                    self.source.describe(),
-                    exc,
+    def _sample_once(self) -> None:
+        """One broker sample, published as an event; a failed one marks
+        the broker unreachable."""
+        # Held until the sample is published, so seq follows the
+        # order in which the broker answered.
+        with self._rpc_lock:
+            try:
+                snapshot = self.source.sample()
+            except Exception as exc:  # broker gone: degrade, never die
+                with self._changed:
+                    lost = self._broker_ok
+                    self._broker_ok = False
+                    self._failures += 1
+                    if lost:
+                        self._publish(
+                            "status", {"broker": "unreachable"}, None
+                        )
+                if lost:
+                    log.info(
+                        "obs server: %s unreachable (%r); serving stale data",
+                        self.source.describe(),
+                        exc,
+                    )
+                return
+            with self._changed:
+                self._samples += 1
+                snapshot["seq"] = self._samples
+                payload = dict(
+                    snapshot,
+                    stale=False,
+                    delta=counter_deltas(self._latest, snapshot),
                 )
-                self._publish(
-                    {
-                        "event": "status",
-                        "data": {"broker": "unreachable"},
-                        "id": None,
-                    }
-                )
-            return False
-        with self._state_lock:
-            previous = self._latest
-            self._previous = previous
-            self._latest = snapshot
-            self._sampled_at = time.monotonic()
-            self._broker_ok = True
-            self._samples += 1
-            snapshot["seq"] = self._samples
-            self._mirror.append(snapshot)
-        payload = dict(snapshot)
-        payload["stale"] = False
-        payload["delta"] = counter_deltas(previous, snapshot)
-        self._publish(
-            {
-                "event": "snapshot",
-                "data": payload,
-                "id": snapshot.get("seq"),
-            }
-        )
-        return True
+                self._latest = snapshot
+                self._sampled_at = time.monotonic()
+                self._broker_ok = True
+                self._publish("snapshot", payload, self._samples)
 
-    def _publish(self, event: Dict[str, Any]) -> None:
-        for queue in list(self._subscribers):
-            queue.put_nowait(event)
+    def _publish(
+        self, event: str, data: Dict[str, Any], seq: Optional[int]
+    ) -> None:
+        """Log one event and wake every stream (holding ``_changed``)."""
+        self._published += 1
+        self._events.append((self._published, event, data, seq))
+        self._changed.notify_all()
 
     def _current(self) -> Tuple[Optional[Dict[str, Any]], bool, float]:
         """``(snapshot, stale, age_seconds)`` of the served view."""
-        with self._state_lock:
+        with self._changed:
             snapshot = self._latest
             sampled_at = self._sampled_at
             broker_ok = self._broker_ok
@@ -420,108 +458,35 @@ class ObsServer:
         stale = (not broker_ok) or age > self.stale_after
         return snapshot, stale, age
 
-    # -- HTTP plumbing --------------------------------------------------
+    # -- endpoints ------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._writers.add(writer)
-        try:
-            await self._serve_request(reader, writer)
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass  # the peer reset the connection: closed all the same
-            self._writers.discard(writer)
-
-    async def _serve_request(self, reader, writer) -> None:
-        try:
-            request = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=10.0
-            )
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            asyncio.TimeoutError,
-        ):
-            return
-        try:
-            head = request.decode("latin-1").split("\r\n")
-            method, target, _version = head[0].split(" ", 2)
-            headers = {}
-            for line in head[1:]:
-                if ":" in line:
-                    key, _, value = line.partition(":")
-                    headers[key.strip().lower()] = value.strip()
-        except ValueError:
-            await self._respond(
-                writer, 400, "text/plain; charset=utf-8", b"bad request\n"
-            )
-            return
-        if method != "GET":
-            await self._respond(
-                writer,
-                405,
-                "text/plain; charset=utf-8",
-                b"only GET is supported\n",
-            )
-            return
-        parts = urlsplit(target)
-        await self._route(writer, parts.path, parts.query, headers)
-
-    async def _route(self, writer, path, query, headers) -> None:
-        if path == "/":
-            await self._respond(
-                writer,
+    def _route(self, handler: _Handler) -> None:
+        parts = urlsplit(handler.path)
+        if parts.path == "/":
+            handler.respond(
                 200,
                 "text/html; charset=utf-8",
                 DASHBOARD_HTML.encode("utf-8"),
             )
-        elif path == "/healthz":
-            await self._serve_healthz(writer)
-        elif path == "/snapshot":
-            await self._serve_snapshot(writer)
-        elif path == "/metrics":
-            await self._serve_metrics(writer)
-        elif path == "/events":
-            await self._serve_events(writer, query, headers)
+        elif parts.path == "/healthz":
+            self._serve_healthz(handler)
+        elif parts.path == "/snapshot":
+            self._serve_snapshot(handler)
+        elif parts.path == "/metrics":
+            self._serve_metrics(handler)
+        elif parts.path == "/events":
+            self._serve_events(handler, parts.query)
         else:
-            await self._respond(
-                writer,
+            handler.respond(
                 404,
                 "text/plain; charset=utf-8",
                 b"unknown path; try /, /healthz, /snapshot, /metrics, "
                 b"/events\n",
             )
 
-    async def _respond(
-        self, writer, status: int, content_type: str, body: bytes
-    ) -> None:
-        reasons = {
-            200: "OK",
-            400: "Bad Request",
-            404: "Not Found",
-            405: "Method Not Allowed",
-            503: "Service Unavailable",
-        }
-        head = (
-            "HTTP/1.1 %d %s\r\n"
-            "Content-Type: %s\r\n"
-            "Content-Length: %d\r\n"
-            "Cache-Control: no-store\r\n"
-            "Connection: close\r\n"
-            "\r\n" % (status, reasons[status], content_type, len(body))
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
-
-    # -- endpoints ------------------------------------------------------
-
-    async def _serve_healthz(self, writer) -> None:
-        snapshot, stale, age = self._current()
-        with self._state_lock:
+    def _serve_healthz(self, handler: _Handler) -> None:
+        with self._changed:
+            snapshot, stale, age = self._current()
             body = {
                 "status": "ok" if (snapshot and not stale) else "stale",
                 "broker": "ok" if self._broker_ok else "unreachable",
@@ -530,19 +495,17 @@ class ObsServer:
                 "samples": self._samples,
                 "failures": self._failures,
             }
-        await self._respond(
-            writer,
+        handler.respond(
             200 if body["status"] == "ok" else 503,
             "application/json",
             (json.dumps(body) + "\n").encode("utf-8"),
         )
 
-    async def _serve_snapshot(self, writer) -> None:
-        await self._sample_once()  # serve this instant when reachable
+    def _serve_snapshot(self, handler: _Handler) -> None:
+        self._sample_once()  # serve this instant when reachable
         snapshot, stale, age = self._current()
         if snapshot is None:
-            await self._respond(
-                writer,
+            handler.respond(
                 503,
                 "application/json",
                 b'{"error": "no snapshot sampled yet"}\n',
@@ -551,113 +514,74 @@ class ObsServer:
         payload = dict(snapshot)
         payload["stale"] = stale
         payload["age_seconds"] = age
-        await self._respond(
-            writer,
+        handler.respond(
             200,
             "application/json",
             (json.dumps(payload) + "\n").encode("utf-8"),
         )
 
-    async def _serve_metrics(self, writer) -> None:
-        await self._sample_once()  # a scrape reads this instant's truth
+    def _serve_metrics(self, handler: _Handler) -> None:
+        self._sample_once()  # a scrape reads this instant's truth
         snapshot, stale, age = self._current()
         if snapshot is None:
-            await self._respond(
-                writer,
+            handler.respond(
                 503,
                 "text/plain; charset=utf-8",
                 b"# no snapshot sampled yet\n",
             )
             return
         text = render_prometheus(snapshot, stale=stale, age_seconds=age)
-        await self._respond(
-            writer,
+        handler.respond(
             200,
             "text/plain; version=0.0.4; charset=utf-8",
             text.encode("utf-8"),
         )
 
-    async def _serve_events(self, writer, query, headers) -> None:
-        """The SSE stream: mirror backfill, then live samples.
+    def _serve_events(self, handler: _Handler, query: str) -> None:
+        """The SSE stream: backfill, then live events until stop().
 
         A ``Last-Event-ID`` header wins over ``?since=``: a browser's
         EventSource reconnects to the URL it first opened (the
         dashboard's ``?since=0``) and names the last event it saw in
-        that header, so it must resume there, not replay the mirror.
+        that header, so it must resume there, not replay the backfill.
         """
-        raw = headers.get("last-event-id")
+        raw = handler.headers.get("Last-Event-ID")
         if raw is None:
             raw = parse_qs(query).get("since", [None])[0]
         try:
             since = None if raw is None else int(raw)
         except ValueError:
             since = None
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-store\r\n"
-            b"Connection: keep-alive\r\n"
-            b"\r\n"
-        )
-        await writer.drain()
-        queue: asyncio.Queue = asyncio.Queue()
-        # Subscribe *before* backfilling so no sample lands between the
-        # backfill read and the live tail; duplicates are filtered by
-        # seq below.
-        self._subscribers.append(queue)
-        last_seq = 0
-        try:
-            if since is not None:
-                for entry in self._backfill(since):
-                    seq = entry["seq"]
-                    payload = dict(entry)
-                    payload["stale"] = False
-                    payload.setdefault("delta", {})
-                    await self._write_event(
-                        writer, "snapshot", payload, seq
-                    )
-                    last_seq = max(last_seq, seq)
-            while True:
-                try:
-                    event = await asyncio.wait_for(
-                        queue.get(), timeout=_KEEPALIVE
-                    )
-                except asyncio.TimeoutError:
-                    writer.write(b": keepalive\n\n")
-                    await writer.drain()
-                    continue
-                if event is None:  # server shutting down
-                    break
-                seq = event.get("id")
-                if (
-                    event["event"] == "snapshot"
-                    and seq is not None
-                    and seq <= last_seq
-                ):
-                    continue  # already delivered by the backfill
-                await self._write_event(
-                    writer, event["event"], event["data"], seq
+        handler.send_response(200)
+        handler.send_header("Content-Type", "text/event-stream")
+        handler.send_header("Cache-Control", "no-store")
+        handler.send_header("Connection", "keep-alive")
+        handler.end_headers()
+        handler.close_connection = True  # one stream per connection
+        with self._changed:
+            # The backfill and the live position are read at one
+            # instant, so no event is sent twice or skipped.
+            pending = [
+                (event, dict(data, delta={}), seq)
+                for _, event, data, seq in self._events
+                if since is not None and event == "snapshot" and seq > since
+            ]
+            seen = self._published
+        while True:
+            for event, data, seq in pending:
+                handler.wfile.write(_sse_event(event, data, seq))
+            with self._changed:
+                woken = self._changed.wait_for(
+                    lambda: self._stopping or self._published > seen,
+                    _KEEPALIVE,
                 )
-                if seq is not None:
-                    last_seq = max(last_seq, seq)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                self._subscribers.remove(queue)
-            except ValueError:
-                pass
-
-    def _backfill(self, since: int) -> List[Dict[str, Any]]:
-        """Mirrored samples with ``seq`` greater than ``since``."""
-        with self._state_lock:
-            return [s for s in self._mirror if s["seq"] > since]
-
-    async def _write_event(self, writer, event, data, seq) -> None:
-        lines = []
-        if seq is not None:
-            lines.append("id: %s" % seq)
-        lines.append("event: %s" % event)
-        lines.append("data: %s" % json.dumps(data))
-        writer.write(("\n".join(lines) + "\n\n").encode("utf-8"))
-        await writer.drain()
+                if self._stopping:
+                    return
+                pending = [
+                    (event, data, seq)
+                    for number, event, data, seq in self._events
+                    if number > seen
+                ]
+                seen = self._published
+            if not woken:
+                handler.wfile.write(b": keepalive\n\n")

@@ -59,7 +59,7 @@ from repro.arch.traffic import (
     PoissonTraffic,
 )
 from repro.errors import SimulationError
-from repro.exec.pool import partition_blocks
+from repro.exec.pool import partition_blocks, usable_cpus
 from repro.sim import _mbcc
 from repro.sim.arbiter import KERNEL_ARBITERS, kernel_tag, make_arbiter
 from repro.sim.processor import GAP_CHUNK
@@ -89,22 +89,12 @@ SAMPLERS = {
 SEQ_SENTINEL = np.int64(2**62)
 
 
-def _cpus() -> int:
-    """The CPUs in this process's affinity mask (every CPU where the
-    platform has no mask)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 #: Most replication spans one window runs at the same time: the CPUs
-#: in this process's affinity mask, so ``taskset`` is the control (a
-#: CPU quota below the mask is not read).  A forked child and every
-#: :func:`~repro.exec.pool.parallel_map` worker run one span (see
-#: :func:`_forked`): the fork or the pool already spread the work over
-#: processes.
-KERNEL_THREADS = _cpus()
+#: this process may use (:func:`~repro.exec.pool.usable_cpus`).  A
+#: forked child and every :func:`~repro.exec.pool.parallel_map` worker
+#: run one span (see :func:`_forked`): the fork or the pool already
+#: spread the work over processes.
+KERNEL_THREADS = usable_cpus()
 
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()

@@ -488,17 +488,20 @@ class TestReplicationSpans:
             assert results == want[(k + repeat) % len(cells)], (k, repeat)
 
     def test_thread_count_is_the_affinity_mask(self):
+        # Kernel threads and `--jobs 0` workers count the same CPUs.
         cpus = sorted(os.sched_getaffinity(0))
         probe = (
             "-c",
-            "from repro.sim import megabatch; print(megabatch.KERNEL_THREADS)",
+            "from repro.exec.pool import resolve_jobs; "
+            "from repro.sim import megabatch; "
+            "print(megabatch.KERNEL_THREADS, resolve_jobs(0))",
         )
         pinned = _python(
             *probe, preexec_fn=lambda: os.sched_setaffinity(0, cpus[:1])
         )
-        assert pinned.stdout.split() == ["1"], pinned.stderr
+        assert pinned.stdout.split() == ["1", "1"], pinned.stderr
         free = _python(*probe)
-        assert free.stdout.split() == [str(len(cpus))], free.stderr
+        assert free.stdout.split() == [str(len(cpus))] * 2, free.stderr
 
     def test_fork_after_a_threaded_window_completes(self):
         # A pool made before a fork has no threads in the child: work
