@@ -23,8 +23,11 @@ script entry point)::
 :mod:`repro.scenarios` registry instead (``repro scenarios list``
 enumerates them).  The runtime flags ``--jobs`` / ``--cache-dir`` /
 ``--cache-max-mb`` / ``--no-warm-start`` control the :mod:`repro.exec`
-execution runtime; none of them changes any reported number (see
-``docs/execution.md``).
+execution runtime on this host; none of them changes any reported
+number (see ``docs/execution.md``).  ``dist run`` is the one command
+that reaches a broker fleet: it ships whole scenario×budget cells,
+sizing included, and merges them bitwise-identically to the serial
+run (see ``docs/distributed.md``).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import time
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import obs
-from repro.errors import ReproError
+from repro.errors import BrokerUnavailableError, ReproError
 from repro.obs import log
 
 if TYPE_CHECKING:
@@ -124,8 +127,6 @@ def _context_from_args(
         cache_dir=getattr(args, "cache_dir", None),
         warm_start=not getattr(args, "no_warm_start", False),
         cache_max_mb=getattr(args, "cache_max_mb", None),
-        dist=getattr(args, "dist", None),
-        dist_authkey=getattr(args, "authkey", None),
         progress=(
             _progress_printer()
             if getattr(args, "progress", False)
@@ -162,24 +163,10 @@ def _add_runtime_flags(
         "least-recently-used eviction (requires --cache-dir)",
     )
     parser.add_argument(
-        "--dist",
-        default=None,
-        metavar="HOST:PORT",
-        help="fan replication batches (and cold sweep points) over the "
-        "'repro dist serve' broker at this address instead of the "
-        "local pool; results are identical (see docs/distributed.md)",
-    )
-    parser.add_argument(
-        "--authkey",
-        default=None,
-        help="shared fleet secret for --dist (must match 'repro dist "
-        "serve'; default: the fleet default)",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="print one stderr line per completed replication / sweep "
-        "point (long local sweeps, fleet runs)",
+        "point (long sweeps)",
     )
     if warm_start:
         parser.add_argument(
@@ -551,23 +538,42 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
             )
         log.info("verify-local: merged results bitwise-identical to serial")
     print(outcome.render())
-    if executor is not None:
-        stats = executor.stats()
-        cache_stats = executor.cache_stats()
-        log.info(
-            f"# fleet: "
-            f"{stats['completed'] - stats_before['completed']} job(s) "
-            f"completed, "
-            f"{stats['reaped_jobs'] - stats_before['reaped_jobs']} "
-            f"re-enqueued; shared cache "
-            f"{cache_stats['hits'] - cache_before['hits']}/"
-            f"{cache_stats['gets'] - cache_before['gets']} hit(s), "
-            f"{cache_stats['entries']} entr(ies)"
-        )
+    # The artifact first: the fleet summary below needs the broker,
+    # which a run that fell back to the local pool may have lost.
     if args.json:
         outcome.write_json(args.json)
         log.info(f"# wrote {args.json}")
+    if executor is not None:
+        _log_fleet_summary(executor, stats_before, cache_before)
     return 0
+
+
+def _log_fleet_summary(executor, stats_before, cache_before) -> None:
+    """One line of this run's broker counters, or one warning when
+    the run lost its broker (the counters would be partial or
+    unreadable)."""
+    if executor.fallbacks:
+        log.warn(
+            f"no fleet counters: the broker was lost and "
+            f"{executor.fallbacks} batch(es) finished on the local pool"
+        )
+        return
+    try:
+        stats = executor.stats()
+        cache_stats = executor.cache_stats()
+    except BrokerUnavailableError as exc:
+        log.warn(f"no fleet counters: {exc}")
+        return
+    log.info(
+        f"# fleet: "
+        f"{stats['completed'] - stats_before['completed']} job(s) "
+        f"completed, "
+        f"{stats['reaped_jobs'] - stats_before['reaped_jobs']} "
+        f"re-enqueued; shared cache "
+        f"{cache_stats['hits'] - cache_before['hits']}/"
+        f"{cache_stats['gets'] - cache_before['gets']} hit(s), "
+        f"{cache_stats['entries']} entr(ies)"
+    )
 
 
 def _cmd_dist_chaos(args: argparse.Namespace) -> int:

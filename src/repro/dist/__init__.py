@@ -17,12 +17,12 @@ of worker count, lease order, or worker death mid-job:
   lease sizing;
 * :mod:`repro.dist.worker` — the worker loop (``repro dist worker``);
 * :mod:`repro.dist.executor` — :class:`DistExecutor`, the driver-side
-  handle that plugs into :class:`~repro.exec.ExecutionContext` behind
-  the same interface as the local pool;
+  handle whose ``map`` merges by submission index like the local pool;
 * :mod:`repro.dist.cachetier` — the read-through/write-through shared
   cache tier layered over :class:`~repro.exec.ResultCache`;
 * :mod:`repro.dist.fleet` — the fleet driver (``repro dist run``)
-  enumerating registry scenarios into a job matrix;
+  enumerating registry scenarios into a job matrix of whole cells,
+  sizing included: the one road from the experiments to a fleet;
 * :mod:`repro.dist.journal` — :class:`RunJournal`, the checkpoint
   store behind ``repro dist run --journal/--resume``.
 

@@ -1,13 +1,11 @@
 """``DistExecutor`` — the driver-side handle on a broker fleet.
 
-It implements the one-method executor protocol
-:func:`repro.exec.pool.parallel_map` accepts (``map(fn, items)`` with
-an ordered merge), so an :class:`~repro.exec.ExecutionContext` built
-with ``executor=DistExecutor("host:port")`` (or the CLI's ``--dist``)
-fans every replication batch and cold sweep over the fleet with **no
-API change anywhere above the pool** — and, by the same contract, no
-change to any number: results are merged by submission index, never by
-completion order or worker identity.
+``map(fn, items)`` runs a batch of pure jobs on the fleet under the
+determinism contract of :func:`repro.exec.pool.parallel_map`: results
+are merged by submission index, never by completion order or worker
+identity, so a map returns exactly what the serial loop would.
+:func:`repro.dist.fleet.run_matrix` (``repro dist run``) is its
+experiment caller, one whole scenario×budget cell per job block.
 
 The map is a long-poll loop over :meth:`Broker.fetch_ready`: each call
 returns as soon as the next result lands, so results stream back as a

@@ -252,25 +252,26 @@ def run_matrix(
             journal.record(payloads[index], block)
         _flush()
 
-    # Local paths get a run-scoped sizing memo (fleet workers install
-    # their own CacheTier instead): each cell's sizing is solved once
-    # per process, and the memo dies with the run — never accumulating
-    # across calls.  Installed before the pool fan-out so forked pool
-    # workers inherit (an empty) one too.
-    memo_installed = executor is None and dist_jobs.active_cache() is None
-    previous = (
-        dist_jobs.set_active_cache(ProcessMemo()) if memo_installed else None
-    )
-    try:
-        parallel_map(
-            run_block,
-            [payloads[index] for index in todo_indices],
-            jobs=jobs,
-            executor=executor,
-            on_result=_on_block,
+    todo = [payloads[index] for index in todo_indices]
+    if executor is not None:
+        # Fleet workers install their own CacheTier; the executor
+        # merges by submission index, as parallel_map does.
+        executor.map(run_block, todo, on_result=_on_block)
+    else:
+        # Local paths get a run-scoped sizing memo: each cell's sizing
+        # is solved once per process, and the memo dies with the run —
+        # never accumulating across calls.  Installed before the pool
+        # fan-out so forked pool workers inherit (an empty) one too.
+        memo_installed = dist_jobs.active_cache() is None
+        previous = (
+            dist_jobs.set_active_cache(ProcessMemo())
+            if memo_installed
+            else None
         )
-    finally:
-        if memo_installed:
-            dist_jobs.set_active_cache(previous)
+        try:
+            parallel_map(run_block, todo, jobs=jobs, on_result=_on_block)
+        finally:
+            if memo_installed:
+                dist_jobs.set_active_cache(previous)
     _flush()
     return _merge_blocks(blocks)

@@ -358,11 +358,13 @@ def worker_loop(
         except Exception:
             return False
         broker = connection.broker
-        # The tier must follow the new connection: proxies bound to
-        # the dead broker raise forever.
+        # The tier must follow the new connection (proxies bound to
+        # the dead broker raise forever) and use it again: a call torn
+        # with the old one may have marked the shared store down.
         tier = dist_jobs.active_cache()
         if isinstance(tier, CacheTier):
             tier.remote = broker
+            tier.remote_down = False
         return True
 
     try:

@@ -22,6 +22,11 @@ number they produce:
 drivers and the CLI pass around.  The default context is serial,
 uncached and warm; replication batches always run on the mega-batch
 kernel (:func:`repro.sim.runner.simulate_block`).
+
+This package runs on one host and never imports :mod:`repro.dist`: the
+fleet builds on it.  ``repro dist run``
+(:func:`repro.dist.fleet.run_matrix`) is the one road to a broker
+fleet, and it ships whole scenario×budget cells, sizing included.
 """
 
 from __future__ import annotations
@@ -77,10 +82,10 @@ def _replicate_defaults() -> Dict[str, Any]:
     omitted defaults must hash identically, or callers that spell their
     calls differently (CLI vs ``compare_policies``) silently never
     share cache entries.  ``seed`` is simulate's per-run seed (derived
-    by replicate, not a batch kwarg); ``jobs``/``executor`` cannot
-    change the result (the pool/fleet determinism contract) and
-    ``on_result`` is pure observation — all are excluded, keeping keys
-    identical across local, pooled and distributed runs.
+    by replicate, not a batch kwarg); ``jobs`` cannot change the
+    result (the pool's determinism contract) and ``on_result`` is pure
+    observation — all are excluded, keeping keys identical across
+    serial and pooled runs and the fleet's workers.
     """
     from repro.sim import runner
 
@@ -89,7 +94,7 @@ def _replicate_defaults() -> Dict[str, Any]:
         for name, param in inspect.signature(fn).parameters.items():
             if param.default is not inspect.Parameter.empty:
                 merged[name] = param.default
-    for excluded in ("seed", "jobs", "executor", "on_result"):
+    for excluded in ("seed", "jobs", "on_result"):
         merged.pop(excluded, None)
     return merged
 
@@ -116,12 +121,6 @@ class ExecutionContext:
         context builds carries it, so cached sizing/replication results
         are scoped per scenario; ``None`` (the default) leaves payloads
         unscoped.
-    executor:
-        Optional remote executor (:class:`repro.dist.DistExecutor`):
-        replication batches and cold sweep fan-outs run on the fleet
-        instead of the local pool.  Like ``jobs`` it cannot change any
-        result (the distributed merge is by submission index) and is
-        excluded from every cache key.
     progress:
         Optional ``progress(kind, key)`` observer, called once per
         completed unit — ``("replication", index)`` per simulation run,
@@ -134,7 +133,6 @@ class ExecutionContext:
     cache: Optional[ResultCache] = None
     warm_start: bool = True
     scenario: Optional[Any] = None
-    executor: Optional[Any] = None
     progress: Optional[Any] = None
 
     def __post_init__(self) -> None:
@@ -151,8 +149,6 @@ class ExecutionContext:
         warm_start: bool = True,
         cache_max_mb: Optional[float] = None,
         scenario: Optional[Any] = None,
-        dist: Optional[str] = None,
-        dist_authkey: Optional[str] = None,
         progress: Optional[Any] = None,
     ) -> "ExecutionContext":
         """Build a context from plain CLI-style values.
@@ -160,10 +156,6 @@ class ExecutionContext:
         ``cache_max_mb`` bounds the cache directory (LRU eviction, in
         MiB); it requires ``cache_dir``.  ``scenario`` accepts the same
         values as :meth:`scoped` (a ``ScenarioSpec`` or a plain scope).
-        ``dist`` is a broker address (``"host:port"``, the CLI's
-        ``--dist``): batches fan out over that fleet via a
-        :class:`repro.dist.DistExecutor` instead of the local pool,
-        authenticated with ``dist_authkey`` (``--authkey``) when given.
         """
         if cache_max_mb is not None and cache_dir is None:
             raise ReproError("cache_max_mb requires a cache directory")
@@ -172,14 +164,6 @@ class ExecutionContext:
             if cache_max_mb is not None
             else None
         )
-        executor = None
-        if dist is not None:
-            from repro.dist import DistExecutor
-
-            dist_kwargs: Dict[str, Any] = {}
-            if dist_authkey is not None:
-                dist_kwargs["authkey"] = dist_authkey.encode("utf-8")
-            executor = DistExecutor(dist, **dist_kwargs)
         context = cls(
             jobs=resolve_jobs(jobs),
             cache=(
@@ -188,7 +172,6 @@ class ExecutionContext:
                 else None
             ),
             warm_start=bool(warm_start),
-            executor=executor,
             progress=progress,
         )
         return context if scenario is None else context.scoped(scenario)
@@ -255,7 +238,6 @@ class ExecutionContext:
             cache=self.cache,
             jobs=self.jobs,
             scope=self.scenario,
-            executor=self.executor,
             on_result=on_result,
         )
 
@@ -271,9 +253,8 @@ class ExecutionContext:
         from repro.sim.runner import replicate
 
         # Execution-path knobs never reach the cache payload: they are
-        # pure observation (on_result) or answer-preserving (executor,
-        # jobs) by the pool/fleet determinism contract.
-        executor = kwargs.pop("executor", self.executor)
+        # pure observation (on_result) or answer-preserving (jobs) by
+        # the pool's determinism contract.
         on_result = kwargs.pop("on_result", None)
         if on_result is None and self.progress is not None:
             progress = self.progress
@@ -284,7 +265,6 @@ class ExecutionContext:
                 topology,
                 capacities,
                 jobs=self.jobs,
-                executor=executor,
                 on_result=on_result,
                 **kwargs,
             )

@@ -96,7 +96,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: Optional[int] = 1,
-    executor: Optional[object] = None,
     on_result: Optional[Callable[[int, R], None]] = None,
 ) -> List[R]:
     """Map ``fn`` over ``items`` with an ordered, deterministic merge.
@@ -111,13 +110,6 @@ def parallel_map(
         Worker process count.  ``1`` (default) runs serially in-process;
         ``None``/``0`` uses every CPU this process may use.  Each job
         ships to a worker on its own.
-    executor:
-        Optional remote executor — any object with
-        ``map(fn, items, on_result=...) -> list`` merging by submission
-        index (:class:`repro.dist.DistExecutor` is the one in-tree).
-        When given it replaces the process pool entirely and ``jobs``
-        is ignored; by its own determinism contract the results are
-        the same either way.
     on_result:
         Optional ``on_result(index, result)`` progress callback, fired
         in submission order as the completed prefix grows (for the
@@ -129,16 +121,6 @@ def parallel_map(
     job_list = list(items)
     obs.counter("pool.maps").inc()
     obs.counter("pool.jobs").inc(len(job_list))
-    if executor is not None:
-        # Fleet path: the executor owns dispatch — including the
-        # cost-model LPT schedule and lease sizing (see
-        # repro.dist.costmodel) — but merges by submission index, so
-        # the determinism contract above is its contract too.  Counted
-        # separately from local maps so `repro obs dump` shows how much
-        # work left the host.
-        obs.counter("pool.dist_maps").inc()
-        obs.counter("pool.dist_jobs").inc(len(job_list))
-        return executor.map(fn, job_list, on_result=on_result)
     workers = resolve_jobs(jobs)
     if workers <= 1 or len(job_list) <= 1:
         with obs.span("pool.map_serial") as span:

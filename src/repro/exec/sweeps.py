@@ -159,7 +159,6 @@ def sweep_budgets(
     cache: Optional[ResultCache] = None,
     jobs: int = 1,
     scope: Optional[Any] = None,
-    executor: Optional[Any] = None,
     on_result: Optional[Callable[[int, SizingResult], None]] = None,
 ) -> BudgetSweepOutcome:
     """Size one topology at several budgets, chaining warm starts.
@@ -188,11 +187,6 @@ def sweep_budgets(
     scope:
         Optional scenario scope added to every point's cache payload
         (see :func:`sizing_payload`).
-    executor:
-        Optional remote executor (:class:`repro.dist.DistExecutor`)
-        the cold fan-out runs on instead of the local pool; like
-        ``jobs``, it is ignored while warm starting (the chain is
-        inherently sequential) and cannot change any result.
     on_result:
         Optional ``on_result(budget, result)`` progress callback,
         fired once per unique budget as its result becomes known —
@@ -238,7 +232,6 @@ def sweep_budgets(
             _size_cold,
             [(topology, budget, sizer_kwargs) for budget in to_solve],
             jobs=jobs,
-            executor=executor,
             on_result=(
                 None
                 if on_result is None

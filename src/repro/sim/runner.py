@@ -385,13 +385,6 @@ def _simulate_block_job(
     )
 
 
-#: Replications per mega-batch block on a distributed executor: small
-#: enough that a batch splits into blocks for every worker (a cold block
-#: leases alone, so each idle worker takes one), large enough to
-#: amortise one kernel per block.
-MEGABATCH_DIST_BLOCK = 8
-
-
 def replicate(
     topology: Topology,
     capacities: Dict[str, int],
@@ -400,7 +393,6 @@ def replicate(
     base_seed: int = 0,
     jobs: int = 1,
     seed_scheme: str = "legacy",
-    executor=None,
     on_result=None,
     **kwargs,
 ) -> ReplicationSummary:
@@ -408,22 +400,17 @@ def replicate(
 
     The seed list is partitioned into contiguous blocks, one
     :func:`simulate_block` cell each.  ``jobs`` fans the blocks over a
-    process pool via :mod:`repro.exec.pool` — or over a distributed
-    fleet when ``executor`` (e.g. :class:`repro.dist.DistExecutor`) is
-    given.  Seeds are derived up front, the per-replication streams are
-    independent, and results are merged in replication order, so any
-    ``jobs``/executor choice produces a bitwise-identical
-    :class:`ReplicationSummary`.  ``on_result(index, result)`` fires in
-    replication order as runs complete.  ``seed_scheme`` selects how
-    per-replication seeds are derived (see :func:`replication_seeds`).
-    Remaining keyword arguments pass through to :func:`simulate_block`.
+    process pool via :mod:`repro.exec.pool`.  Seeds are derived up
+    front, the per-replication streams are independent, and results
+    are merged in replication order, so any ``jobs`` value produces a
+    bitwise-identical :class:`ReplicationSummary`.
+    ``on_result(index, result)`` fires in replication order as runs
+    complete.  ``seed_scheme`` selects how per-replication seeds are
+    derived (see :func:`replication_seeds`).  Remaining keyword
+    arguments pass through to :func:`simulate_block`.
     """
     seeds = replication_seeds(replications, base_seed, seed_scheme)
-    if executor is not None:
-        nblocks = -(-replications // MEGABATCH_DIST_BLOCK)
-    else:
-        nblocks = min(resolve_jobs(jobs), replications)
-    spans = partition_blocks(replications, nblocks)
+    spans = partition_blocks(replications, resolve_jobs(jobs))
     block_jobs = [
         (topology, capacities, duration, seeds[lo:hi], kwargs)
         for lo, hi in spans
@@ -443,7 +430,6 @@ def replicate(
         _simulate_block_job,
         block_jobs,
         jobs=jobs,
-        executor=executor,
         on_result=block_on_result,
     )
     return ReplicationSummary([result for block in blocks for result in block])

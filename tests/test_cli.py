@@ -210,12 +210,17 @@ class TestProgressFlag:
         assert "progress: replication 0 done" in err
         assert "progress: replication 1 done" in err
 
-    def test_table1_accepts_progress_and_dist_flags(self):
-        args = build_parser().parse_args(
-            ["table1", "--progress", "--dist", "broker:7070"]
-        )
+    def test_table1_accepts_progress_rejects_dist(self, capsys):
+        args = build_parser().parse_args(["table1", "--progress"])
         assert args.progress is True
-        assert args.dist == "broker:7070"
+        # The fleet runs whole cells through `dist run`; the local
+        # commands have no broker flags.
+        for command in (["table1"], ["figure3"], ["simulate", "a.soc"]):
+            for flags in (["--dist", "broker:7070"], ["--authkey", "k"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args(command + flags)
+                assert excinfo.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDistCli:
@@ -283,10 +288,3 @@ class TestDistCliValidation:
         ]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "--budgets" in err
-
-    def test_authkey_runtime_flag_parses(self):
-        args = build_parser().parse_args([
-            "simulate", "a.soc", "--budget", "8",
-            "--dist", "h:1", "--authkey", "secret",
-        ])
-        assert args.authkey == "secret"

@@ -10,6 +10,8 @@ reuses the first worker's converged sizing through the shared store.
 
 import itertools
 import multiprocessing
+import os
+import socket
 import threading
 import time
 from pathlib import Path
@@ -31,8 +33,6 @@ from repro.dist.jobs import echo, run_block
 from repro.errors import ReproError
 from repro.exec import ExecutionContext, ResultCache
 from repro.retry import RetryPolicy
-from repro.exec.pool import parallel_map
-from repro.sim.runner import replicate
 
 #: Short lease so dead-worker tests run in seconds; long enough that a
 #: loaded CI box never reaps a live worker (they beat every lease/4).
@@ -99,6 +99,27 @@ def _lease_each(broker, worker_id, count):
         assert len(lease) == 1
         leased.extend(lease)
     return leased
+
+
+def _tear_first_cache_get(broker):
+    """Make ``broker`` tear the connection its first ``cache_get``
+    arrives on: the socket is shut down before the reply goes out.
+    Returns the list of torn keys."""
+    from repro.dist import queue
+
+    real = broker.cache_get
+    torn = []
+
+    def cache_get(key):
+        if not torn:
+            torn.append(key)
+            fd = os.dup(queue._serving.conn.fileno())
+            with socket.socket(fileno=fd) as sock:
+                sock.shutdown(socket.SHUT_RDWR)
+        return real(key)
+
+    broker.cache_get = cache_get
+    return torn
 
 
 def _start_worker(address, **kwargs):
@@ -664,28 +685,6 @@ class TestDistExecutor:
             executor.map(_double, [1, 2])
         assert "worker" in str(excinfo.value)
 
-    def test_plugs_into_parallel_map_and_replicate(self, server, amba):
-        worker = _start_worker(server.address)
-        try:
-            executor = DistExecutor(server.address, timeout=120)
-            assert parallel_map(_double, range(5), executor=executor) == [
-                2 * x for x in range(5)
-            ]
-            capacities = {name: 3 for name in amba.processors}
-            distributed = replicate(
-                amba,
-                capacities,
-                replications=2,
-                duration=150.0,
-                executor=executor,
-            )
-            serial = replicate(
-                amba, capacities, replications=2, duration=150.0
-            )
-            assert distributed.results == serial.results
-        finally:
-            worker.terminate()
-
 
 @pytest.fixture(scope="module")
 def amba():
@@ -768,6 +767,43 @@ class TestWorkerFailureRecovery:
         assert "site=worker.lease" in log.read_text()
         stats = server.broker.stats()
         assert (stats["lease_grants"], stats["reaped_jobs"]) == (2, 16)
+
+    def test_shared_cache_is_used_again_after_a_torn_connection(
+        self, server
+    ):
+        """The broker tears the worker's connection during its first
+        shared-cache get.  The worker reconnects, and its tier reads
+        and publishes through the new connection from the next cell
+        on."""
+        torn = _tear_first_cache_get(server.broker)
+        first = dict(budgets=[8], replications=2, duration=100.0)
+        later = dict(budgets=[20], replications=2, duration=100.0)
+        worker = _start_worker(server.address)
+        try:
+            executor = DistExecutor(server.address, timeout=120)
+            torn_run = run_matrix(["single-bus-4"], executor=executor, **first)
+            assert len(torn) == 1
+            before = server.broker.cache_stats()
+            later_run = run_matrix(
+                ["amba", "fig1"], executor=executor, **later
+            )
+            after = server.broker.cache_stats()
+            (record,) = server.broker.obs_snapshot()["workers"].values()
+        finally:
+            worker.terminate()
+        # The tear took the tier down once; the reconnect re-armed it.
+        assert record["counters"].get("cachetier.remote_down") == 1
+        assert server.broker.stats()["reaped_jobs"] == 0
+        # Each later cell missed its sizing in the shared store and
+        # published the one it solved.
+        assert after["gets"] - before["gets"] >= 2
+        assert after["puts"] - before["puts"] == 2
+        assert torn_run.to_jsonable() == run_matrix(
+            ["single-bus-4"], **first
+        ).to_jsonable()
+        assert later_run.to_jsonable() == run_matrix(
+            ["amba", "fig1"], **later
+        ).to_jsonable()
 
 
 class TestFleetMatrix:
@@ -859,6 +895,28 @@ class TestFleetMatrix:
         assert stats_after_second["puts"] == stats_after_first["puts"]
         assert run_two.to_jsonable() == run_one.to_jsonable()
 
+    @pytest.mark.parametrize("name", ["amba", "fig1", "coreconnect"])
+    def test_a_cell_is_simulate_with_the_ctmdp_policy(self, name):
+        """A `dist run` cell is `simulate --policy ctmdp`: its sizes are
+        the CTMDP policy's allocation, its replications the context's
+        batch at those sizes."""
+        from repro import scenarios
+        from repro.policies import CTMDPSizing
+
+        spec = scenarios.get(name)
+        budget = spec.default_budget
+        runs = dict(replications=3, duration=200.0, base_seed=5)
+        cell = run_matrix([name], budgets=[budget], **runs).cells[0]
+        topology = spec.topology()
+        allocation = CTMDPSizing(**spec.sizer_kwargs).allocate(
+            topology, budget
+        )
+        assert cell.sizes == dict(allocation.sizes)
+        summary = ExecutionContext().scoped(spec).replicate(
+            topology, allocation.as_capacities(), **runs
+        )
+        assert cell.summary.results == summary.results
+
     def test_run_block_is_pure_in_its_payload(self):
         payload = {
             "scenario": "single-bus-4",
@@ -888,29 +946,6 @@ class TestFleetMatrix:
         payload = json.loads(path.read_text())
         assert payload[0]["scenario"] == "single-bus-4"
         assert payload[0]["budget"] == 8
-
-
-class TestExecutionContextIntegration:
-    def test_create_dist_builds_executor(self):
-        context = ExecutionContext.create(dist="127.0.0.1:1")
-        assert isinstance(context.executor, DistExecutor)
-        assert context.executor.address == ("127.0.0.1", 1)
-
-    def test_context_replicate_runs_on_fleet(self, server, amba):
-        worker = _start_worker(server.address)
-        try:
-            executor = DistExecutor(server.address, timeout=120)
-            context = ExecutionContext(executor=executor)
-            capacities = {name: 3 for name in amba.processors}
-            distributed = context.replicate(
-                amba, capacities, replications=2, duration=150.0
-            )
-            serial = ExecutionContext().replicate(
-                amba, capacities, replications=2, duration=150.0
-            )
-            assert distributed.results == serial.results
-        finally:
-            worker.terminate()
 
 
 class TestDriverDeathAndStalls:
@@ -1071,6 +1106,49 @@ class TestDriverRobustness:
         ) == [2, 4, 6]
         assert executor.fallbacks == 1
         assert seen == [(0, 2), (1, 4), (2, 6)]
+
+    def test_dist_run_that_lost_its_broker_writes_its_json(
+        self, server, tmp_path, capsys
+    ):
+        """The broker dies once the matrix is submitted: the run
+        finishes on the local pool, exits 0 and writes the serial
+        run's JSON, with one warning in place of the fleet counters."""
+        from repro.cli import main
+
+        real_submit = server.broker.submit
+        stoppers = []
+
+        def submit(*args, **kwargs):
+            count = real_submit(*args, **kwargs)
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stoppers.append(stopper)
+            return count
+
+        server.broker.submit = submit
+        host, port = server.address
+        matrix = [
+            "--scenario", "single-bus-4", "--budgets", "8", "--reps", "2",
+            "--block-reps", "2", "--duration", "100",
+        ]
+        fleet_json = tmp_path / "fleet.json"
+        serial_json = tmp_path / "serial.json"
+        try:
+            assert main([
+                "dist", "run", "--dist", f"{host}:{port}", *matrix,
+                "--json", str(fleet_json),
+            ]) == 0
+        finally:
+            for stopper in stoppers:
+                stopper.join(timeout=30)
+        assert len(stoppers) == 1 and not stoppers[0].is_alive()
+        err = capsys.readouterr().err
+        assert "warning: no fleet counters" in err
+        assert "# fleet:" not in err
+        assert main(
+            ["dist", "run", *matrix, "--json", str(serial_json)]
+        ) == 0
+        assert fleet_json.read_text() == serial_json.read_text()
 
     def test_worker_against_down_broker_is_a_clean_error(self):
         with pytest.raises(ReproError) as excinfo:
@@ -1448,10 +1526,10 @@ class TestCostScheduling:
         assert self._drain(broker, "w") == [0, 1, 2, 3, 4]
 
     def test_cold_jobs_lease_alone_until_observed(self):
-        # A cold replicate() batch: unit-less features of one kind.
-        # Bulk-leasing it would pin all ten jobs to the first worker.
+        # A cold batch: unit-less features of one kind.  Bulk-leasing
+        # it would pin all ten jobs to the first worker.
         broker = Broker(lease_timeout=10.0)
-        features = [{"kind": "_simulate_block_job", "units": 1.0}] * 10
+        features = [{"kind": "run_block", "units": 1.0}] * 10
         broker.submit(
             "b", [JobPayload(echo, i) for i in range(10)], features=features
         )
@@ -1511,21 +1589,21 @@ class TestCostScheduling:
         tail = broker.lease_jobs("w2")
         assert [job_id[1] for job_id, _ in tail] == [1, 2]
 
-    def test_cold_replicate_spreads_over_two_workers(self, server, amba):
+    def test_cold_replicate_spreads_over_two_workers(self, server):
+        # One amba cell, its ten replications in two blocks.
+        matrix = dict(
+            budgets=[12], replications=10, duration=2000.0, block_reps=5
+        )
         workers = [_start_worker(server.address) for _ in range(2)]
         try:
-            # Both workers poll before the batch lands; each ~0.1 s job
-            # outlasts a poll interval, so each takes a cold job.
+            # Both workers long-poll before the cell lands; its blocks
+            # are cold, so each leases alone and each worker takes one.
             deadline = time.monotonic() + 30
             while server.broker.stats()["workers"] < 2:
                 assert time.monotonic() < deadline, "workers never leased"
                 time.sleep(0.02)
             executor = DistExecutor(server.address, timeout=120)
-            capacities = {name: 3 for name in amba.processors}
-            kwargs = dict(replications=10, duration=2000.0)
-            distributed = replicate(
-                amba, capacities, executor=executor, **kwargs
-            )
+            distributed = run_matrix(["amba"], executor=executor, **matrix)
             fleet = server.broker.obs_snapshot()["workers"]
         finally:
             for worker in workers:
@@ -1535,8 +1613,8 @@ class TestCostScheduling:
             record["counters"].get("worker.jobs", 0) > 0
             for record in fleet.values()
         )
-        serial = replicate(amba, capacities, **kwargs)
-        assert distributed.results == serial.results
+        serial = run_matrix(["amba"], **matrix)
+        assert distributed.to_jsonable() == serial.to_jsonable()
 
 
 class TestBatchedTransport:

@@ -598,25 +598,7 @@ class TestWarmSweeps:
 
 
 # ----------------------------------------------------------------------
-# Progress reporting (on_result / ExecutionContext.progress) and the
-# pluggable-executor seam the distributed runtime uses.
-
-
-class _RecordingExecutor:
-    """Stub executor implementing the parallel_map executor protocol."""
-
-    def __init__(self):
-        self.maps = 0
-
-    def map(self, fn, items, on_result=None):
-        self.maps += 1
-        results = []
-        for index, item in enumerate(items):
-            result = fn(item)
-            if on_result is not None:
-                on_result(index, result)
-            results.append(result)
-        return results
+# Progress reporting (on_result / ExecutionContext.progress).
 
 
 class TestOnResult:
@@ -707,34 +689,11 @@ class TestContextProgressAndExecutor:
         assert seen == [0, 1]
         assert events == []
 
-    def test_parallel_map_executor_replaces_pool(self):
-        stub = _RecordingExecutor()
-        assert parallel_map(
-            _square, range(5), jobs=8, executor=stub
-        ) == [i * i for i in range(5)]
-        assert stub.maps == 1
-
-    def test_context_executor_preserves_results(self, amba, amba_caps):
-        stub = _RecordingExecutor()
-        via_executor = ExecutionContext(executor=stub).replicate(
-            amba, amba_caps, replications=2, duration=150.0
-        )
-        serial = ExecutionContext().replicate(
-            amba, amba_caps, replications=2, duration=150.0
-        )
-        assert stub.maps == 1
-        assert via_executor.results == serial.results
-
-    def test_progress_and_executor_never_reach_cache_keys(
+    def test_progress_never_reaches_cache_keys(
         self, tmp_path, amba, amba_caps
     ):
-        import dataclasses
-
-        observed = dataclasses.replace(
-            ExecutionContext.create(
-                cache_dir=tmp_path, progress=lambda kind, key: None
-            ),
-            executor=_RecordingExecutor(),
+        observed = ExecutionContext.create(
+            cache_dir=tmp_path, progress=lambda kind, key: None
         )
         observed.replicate(amba, amba_caps, replications=2, duration=150.0)
         plain = ExecutionContext.create(cache_dir=tmp_path)

@@ -161,3 +161,77 @@ def test_listing_inspecting_and_help_load_no_sizing(tmp_path):
         "        assert exc.code == 0"
     )
     assert _loaded_after(commands, SIZING) == []
+
+
+#: Layers below the fleet: ``repro.dist`` builds on them, never the
+#: other way round.
+BELOW_THE_FLEET = (
+    "arch",
+    "core",
+    "sim",
+    "exec",
+    "analysis",
+    "policies",
+    "scenarios",
+    "queueing",
+    "experiments",
+)
+
+
+def _imports(path, module):
+    """Every module ``path`` (module ``module``) names in an import,
+    at any depth: function bodies count too."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    package = module if path.endswith("__init__.py") else (
+        module.rpartition(".")[0]
+    )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                base = ".".join(parts[: len(parts) - node.level + 1])
+                source = f"{base}.{source}" if source else base
+            yield source
+            # ``from repro import dist`` names the package in an alias.
+            yield from (f"{source}.{alias.name}" for alias in node.names)
+
+
+def _modules(root, prefix):
+    """``(path, module)`` for every ``.py`` file under ``root``."""
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            relative = os.path.relpath(path, root)[: -len(".py")]
+            parts = [prefix, *relative.split(os.sep)]
+            if parts[-1] == "__init__":
+                parts.pop()
+            yield path, ".".join(parts)
+
+
+def _imports_dist(path, module):
+    return sorted(
+        name
+        for name in set(_imports(path, module))
+        if name == "repro.dist" or name.startswith("repro.dist.")
+    )
+
+
+def test_no_layer_below_the_fleet_imports_it():
+    offenders = {}
+    for layer in BELOW_THE_FLEET:
+        root = os.path.join(SRC, "repro", layer)
+        assert os.path.isdir(root), root
+        for path, module in _modules(root, f"repro.{layer}"):
+            found = _imports_dist(path, module)
+            if found:
+                offenders[module] = found
+    assert offenders == {}
+    # The walk is live: the CLI imports the fleet inside its commands.
+    cli = os.path.join(SRC, "repro", "cli.py")
+    assert "repro.dist" in _imports_dist(cli, "repro.cli")

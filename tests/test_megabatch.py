@@ -1086,7 +1086,7 @@ class TestDistMerge:
         broker_server.stop()
 
     def test_dist_merge_bitwise_identical(self, server):
-        from repro.dist import DistExecutor, worker_loop
+        from repro.dist import DistExecutor, run_matrix, worker_loop
 
         fork = multiprocessing.get_context("fork")
         worker = fork.Process(
@@ -1097,20 +1097,23 @@ class TestDistMerge:
         worker.start()
         try:
             executor = DistExecutor(server.address, timeout=120)
-            topology, capacities = _cell("amba")
-            kwargs = dict(replications=5, duration=120.0)
-            distributed = replicate(
-                topology,
-                capacities,
+            (cell,) = run_matrix(
+                ["amba"],
+                budgets=[18],
+                replications=5,
+                duration=120.0,
+                block_reps=2,
                 executor=executor,
-                **kwargs,
-            )
-            serial = batched_runs(
-                topology, capacities, replication_seeds(5), duration=120.0
-            )
-            assert distributed.results == serial
+            ).cells
         finally:
             worker.terminate()
+        serial = batched_runs(
+            scenarios.get("amba").topology(),
+            cell.sizes,
+            replication_seeds(5),
+            duration=120.0,
+        )
+        assert cell.summary.results == serial
 
 
 class TestChaosSmoke:
