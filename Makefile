@@ -6,8 +6,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench-quick bench
 
+# Tier-1, CI's first step.  The slowest tests print on every run, so
+# the suite's ~2-minute budget stays in view.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=20
 
 # Perf smoke for every PR: the throughput benches plus the
 # compiled-kernel and execution-runtime benches, 3 rounds minimum each.

@@ -8,8 +8,8 @@ The package is organised as:
 
 ``repro.queueing``
     Analytic continuous-time queueing substrate: CTMC steady-state solvers,
-    birth-death chains, M/M/1/K and Erlang loss formulas, loss-network
-    fixed points.
+    birth-death chains, M/M/1/K loss formulas, GI/M/1 tail estimates and
+    phase-type distributions.
 
 ``repro.arch``
     SoC communication-architecture modelling: processors, buses, bridges,

@@ -12,7 +12,7 @@ from repro.analysis.stats import (
     relative_improvement,
     summarise,
 )
-from repro.analysis.sweep import budget_sweep, load_sweep
+from repro.analysis.sweep import load_sweep
 from repro.analysis.validation import (
     ValidationPoint,
     full_validation_suite,
@@ -24,7 +24,6 @@ __all__ = [
     "ValidationPoint",
     "bar_chart",
     "batch_means",
-    "budget_sweep",
     "compare_policies",
     "confidence_interval",
     "format_table",

@@ -1,11 +1,10 @@
-"""Parameter sweeps: budget (Table 1) and load (ablation).
+"""The load sweep of the policy-robustness ablation.
 
-Both sweeps accept an :class:`~repro.exec.ExecutionContext`, which fans
-the replication batches of every point over a process pool and memoises
-them in the result cache.  CTMDP-policy *sizing* warm starts across a
-budget axis live one level up, in :func:`repro.exec.sweeps.sweep_budgets`
-(these helpers size through arbitrary policy objects, which have no
-warm-start state to chain).
+:func:`load_sweep` accepts an :class:`~repro.exec.ExecutionContext`,
+which fans the replication batches of every point over a process pool
+and memoises them in the result cache.  Table 1's budget axis is swept
+by :func:`repro.exec.sweeps.sweep_budgets`, which chains CTMDP sizing
+warm starts across budgets.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.loss import PolicyComparison, compare_policies
 from repro.arch.topology import Topology
-from repro.core.sizing import BufferAllocation
 from repro.errors import ReproError
 from repro.exec import ExecutionContext
 
@@ -26,41 +24,6 @@ class SweepPoint:
 
     parameter: float
     comparison: PolicyComparison
-
-
-def budget_sweep(
-    topology: Topology,
-    budgets: Sequence[int],
-    policy_factories: Dict[str, Callable[[], object]],
-    replications: int = 10,
-    duration: float = 3_000.0,
-    base_seed: int = 0,
-    context: Optional[ExecutionContext] = None,
-) -> List[SweepPoint]:
-    """Re-size and re-simulate at several total budgets (Table 1's axis).
-
-    ``policy_factories`` maps policy names to zero-argument callables
-    returning fresh policy objects (fresh because CTMDP sizing caches its
-    last result).
-    """
-    if not budgets:
-        raise ReproError("budget sweep needs at least one budget")
-    points: List[SweepPoint] = []
-    for budget in budgets:
-        allocations: Dict[str, BufferAllocation] = {}
-        for name, factory in policy_factories.items():
-            policy = factory()
-            allocations[name] = policy.allocate(topology, int(budget))
-        comparison = compare_policies(
-            topology,
-            allocations,
-            replications=replications,
-            duration=duration,
-            base_seed=base_seed,
-            context=context,
-        )
-        points.append(SweepPoint(parameter=float(budget), comparison=comparison))
-    return points
 
 
 def load_sweep(

@@ -117,6 +117,31 @@ class Bridge:
         )
 
 
+def client_name_for_bridge(bridge_name: str, entry_bus: str) -> str:
+    """Canonical name of a bridge's entry buffer on one side.
+
+    A bridge owns one entry buffer per direction: a packet crossing
+    into cluster B waits in ``"<bridge>@<entry_bus>"``, where
+    ``entry_bus`` is the bridge endpoint inside cluster B.  The sizing
+    pipeline and the simulator both name buffers this way, so a
+    :class:`~repro.core.sizing.BufferAllocation` maps directly onto
+    simulator buffers.
+    """
+    return f"{bridge_name}@{entry_bus}"
+
+
+def bridge_entry_bus(bridge: Bridge, entry_cluster: frozenset) -> str:
+    """The bridge endpoint bus that lies inside ``entry_cluster``."""
+    if bridge.bus_a in entry_cluster:
+        return bridge.bus_a
+    if bridge.bus_b in entry_cluster:
+        return bridge.bus_b
+    raise TopologyError(
+        f"bridge {bridge.name!r} has no endpoint in cluster "
+        f"{sorted(entry_cluster)}"
+    )
+
+
 @dataclass(frozen=True)
 class BusLink:
     """A rigid (buffer-less) join between two buses of the same cluster."""

@@ -36,15 +36,6 @@ class TrafficDescriptor(abc.ABC):
         """A descriptor with the mean rate scaled by ``factor``."""
         raise NotImplementedError
 
-    def fresh(self) -> "TrafficDescriptor":
-        """The descriptor one simulated source samples from.
-
-        No sampling state may pass from one simulation to the next, so
-        a descriptor that keeps state between calls returns a copy
-        whose state starts afresh.  Stateless ones return themselves.
-        """
-        return self
-
 
 @dataclass(frozen=True)
 class PoissonTraffic(TrafficDescriptor):

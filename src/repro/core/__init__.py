@@ -27,16 +27,6 @@ from repro.core.bus_model import (
 )
 from repro.core.ctmdp import CTMDP
 from repro.core.dp import policy_iteration, relative_value_iteration
-from repro.core.lagrangian import DualSolution, solve_constrained_dual
-from repro.core.sensitivity import (
-    ClientSensitivity,
-    client_sensitivities,
-    robustness_sweep,
-)
-from repro.core.transient import (
-    time_to_steady_state,
-    transient_loss_profile,
-)
 from repro.core.kswitching import (
     ClientDemand,
     SwitchingMixture,
@@ -64,9 +54,7 @@ __all__ = [
     "BusClient",
     "CTMDP",
     "ClientDemand",
-    "ClientSensitivity",
     "ConstraintSpec",
-    "DualSolution",
     "IDLE",
     "LPSolution",
     "QuadraticCoupledSizer",
@@ -81,15 +69,10 @@ __all__ = [
     "bridge_arrival_rates",
     "build_client_chain_ctmdp",
     "build_joint_bus_ctmdp",
-    "client_sensitivities",
     "policy_from_occupation_measure",
     "policy_iteration",
     "quadratic_coupling_count",
     "relative_value_iteration",
-    "robustness_sweep",
-    "solve_constrained_dual",
     "split",
     "switching_mixture",
-    "time_to_steady_state",
-    "transient_loss_profile",
 ]

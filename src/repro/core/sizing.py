@@ -91,10 +91,6 @@ class BufferAllocation:
         """Plain dict for :func:`repro.sim.runner.simulate`."""
         return dict(self.sizes)
 
-    def size_of(self, client: str) -> int:
-        """Slots given to one client (0 if absent)."""
-        return self.sizes.get(client, 0)
-
 
 @dataclass
 class WarmStartState:

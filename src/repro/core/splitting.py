@@ -26,10 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.topology import Topology
+from repro.arch.topology import (
+    Topology,
+    bridge_entry_bus,
+    client_name_for_bridge,
+)
 from repro.core.bus_model import BusClient
 from repro.errors import TopologyError
-from repro.sim.bridge import bridge_entry_bus, client_name_for_bridge
 
 
 @dataclass(frozen=True)

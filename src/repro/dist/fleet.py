@@ -253,25 +253,22 @@ def run_matrix(
         _flush()
 
     todo = [payloads[index] for index in todo_indices]
-    if executor is not None:
-        # Fleet workers install their own CacheTier; the executor
-        # merges by submission index, as parallel_map does.
-        executor.map(run_block, todo, on_result=_on_block)
-    else:
-        # Local paths get a run-scoped sizing memo: each cell's sizing
-        # is solved once per process, and the memo dies with the run —
-        # never accumulating across calls.  Installed before the pool
-        # fan-out so forked pool workers inherit (an empty) one too.
-        memo_installed = dist_jobs.active_cache() is None
-        previous = (
-            dist_jobs.set_active_cache(ProcessMemo())
-            if memo_installed
-            else None
-        )
-        try:
+    # A run-scoped sizing memo: each cell's sizing is solved once per
+    # process, and the memo dies with the run.  Installed before any
+    # fan-out, so forked pool workers inherit (an empty) one, and on
+    # the fleet path too, for the blocks a lost broker leaves to the
+    # local pool.  Fleet workers install their own CacheTier.
+    memo_installed = dist_jobs.active_cache() is None
+    if memo_installed:
+        dist_jobs.set_active_cache(ProcessMemo())
+    try:
+        if executor is not None:
+            # The executor merges by submission index, as parallel_map does.
+            executor.map(run_block, todo, on_result=_on_block)
+        else:
             parallel_map(run_block, todo, jobs=jobs, on_result=_on_block)
-        finally:
-            if memo_installed:
-                dist_jobs.set_active_cache(previous)
+    finally:
+        if memo_installed:
+            dist_jobs.set_active_cache(None)
     _flush()
     return _merge_blocks(blocks)

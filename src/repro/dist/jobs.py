@@ -28,13 +28,14 @@ from repro.exec.cache import ResultStore
 class ProcessMemo(ResultStore):
     """In-process fallback store behind the ``fetch`` cache interface.
 
-    A local (non-fleet) matrix run has no worker tier installed, yet
-    every replication block of a cell would otherwise repeat the same
-    expensive sizing solve.  ``run_matrix`` installs one of these for
-    the duration of a local run, deduplicating the solves within each
-    process — the driver's serial loop, or each (forked) pool worker —
-    under the same content addresses and the same ``should_store`` gate
-    as the real tiers, so its presence can never change a number.
+    A matrix run's driver has no worker tier installed, yet every
+    replication block of a cell it runs locally would otherwise repeat
+    the same expensive sizing solve.  ``run_matrix`` installs one of
+    these for the duration of a run, deduplicating the solves within
+    each process — the driver's serial loop, each (forked) pool worker,
+    or the local pool a lost broker falls back to — under the same
+    content addresses and the same ``should_store`` gate as the real
+    tiers, so its presence can never change a number.
     Scoped to the run (installed before, uninstalled after), it can
     never grow past one run's distinct cells.
     """

@@ -14,7 +14,7 @@ the :mod:`repro.scenarios` registry (default: ``netproc``, the paper's
 testbed), and the execution runtime scopes its cache keys per scenario.
 """
 
-from repro.experiments.common import NetprocExperiment, ScenarioExperiment
+from repro.experiments.common import ScenarioExperiment
 from repro.experiments.figure3 import Figure3Result, run_figure3
 from repro.experiments.headline import HeadlineResult, run_headline
 from repro.experiments.table1 import Table1Result, run_table1
@@ -37,7 +37,6 @@ __all__ = [
     "BurstinessResult",
     "Figure3Result",
     "HeadlineResult",
-    "NetprocExperiment",
     "PolicySweepResult",
     "ScenarioExperiment",
     "SolverAgreementResult",

@@ -14,9 +14,7 @@ Every paper experiment uses the same three configurations:
 
 :class:`ScenarioExperiment` builds the three configurations for any
 registered scenario (see :mod:`repro.scenarios`); the paper's testbed is
-just the default registry entry (``netproc``), and
-:class:`NetprocExperiment` remains as the netproc-pinned alias the
-original drivers were written against.
+just the default registry entry (``netproc``).
 """
 
 from __future__ import annotations
@@ -147,36 +145,3 @@ class ScenarioExperiment:
         """Per-configuration thresholds for the comparison harness."""
         return {TIMEOUT: self.timeout_threshold}
 
-
-class NetprocExperiment(ScenarioExperiment):
-    """The 17-processor testbed experiment (netproc-pinned alias).
-
-    The historical entry point: ``build`` keeps its original signature
-    (``budget`` first) and always resolves the ``netproc`` scenario.
-    The timeout-threshold multiplier that used to live here as a class
-    constant is now the netproc :class:`~repro.scenarios.ScenarioSpec`'s
-    ``timeout_multiplier``.
-    """
-
-    @classmethod
-    def build(  # type: ignore[override]
-        cls,
-        budget: int,
-        arch_seed: int = 2005,
-        load_scale: float = 1.0,
-        calibration_duration: float = 3_000.0,
-        sizer_kwargs: Optional[dict] = None,
-        timeout_multiplier: Optional[float] = None,
-        context: Optional[ExecutionContext] = None,
-    ) -> "NetprocExperiment":
-        """Size the three netproc configurations for one budget."""
-        return super().build(
-            scenario="netproc",
-            budget=budget,
-            arch_seed=arch_seed,
-            load_scale=load_scale,
-            calibration_duration=calibration_duration,
-            sizer_kwargs=sizer_kwargs,
-            timeout_multiplier=timeout_multiplier,
-            context=context,
-        )

@@ -4,43 +4,25 @@ This subpackage provides the exact stochastic machinery the paper's models
 are built from:
 
 * :mod:`repro.queueing.markov_chain` — finite continuous-time Markov
-  chains: generator validation, steady-state and transient analysis,
+  chains: generator validation, steady-state analysis, hitting times,
   uniformization.
 * :mod:`repro.queueing.birth_death` — birth-death chains with the
   product-form stationary distribution.
-* :mod:`repro.queueing.mm1k` — M/M/1/K and M/M/c/K loss queues with
-  closed-form blocking, loss-rate, occupancy and sojourn metrics.
-* :mod:`repro.queueing.erlang` — numerically stable Erlang-B / Erlang-C
-  formulas and their inverses.
-* :mod:`repro.queueing.network` — reduced-load (Erlang fixed point)
-  approximation for loss networks and carried-traffic thinning used by the
-  bridge-rate fixed point.
+* :mod:`repro.queueing.mm1k` — the M/M/1/K loss queue with closed-form
+  blocking, loss-rate, occupancy and sojourn metrics.
+* :mod:`repro.queueing.mg1` — GI/M/1 tail estimates for buffer sizing
+  under bursty arrivals.
+* :mod:`repro.queueing.phase_type` — phase-type distributions and
+  Markovian arrival processes.
 
 Everything here is deterministic and analytic; the discrete-event
 counterpart lives in :mod:`repro.sim`.
 """
 
 from repro.queueing.birth_death import BirthDeathChain
-from repro.queueing.erlang import (
-    erlang_b,
-    erlang_b_inverse,
-    erlang_c,
-    offered_load_for_blocking,
-)
 from repro.queueing.markov_chain import ContinuousTimeMarkovChain
-from repro.queueing.mg1 import (
-    MG1Queue,
-    buffer_for_loss_target,
-    gim1_tail_decay,
-    mg1k_loss_approximation,
-)
-from repro.queueing.mm1k import MM1KQueue, MMcKQueue
-from repro.queueing.network import (
-    LossNetwork,
-    TandemLossChain,
-    carried_rate,
-    reduced_load_fixed_point,
-)
+from repro.queueing.mg1 import buffer_for_loss_target, gim1_tail_decay
+from repro.queueing.mm1k import MM1KQueue
 from repro.queueing.phase_type import (
     MarkovianArrivalProcess,
     PhaseType,
@@ -54,25 +36,14 @@ from repro.queueing.phase_type import (
 __all__ = [
     "BirthDeathChain",
     "ContinuousTimeMarkovChain",
-    "LossNetwork",
-    "MG1Queue",
     "MM1KQueue",
-    "MMcKQueue",
     "MarkovianArrivalProcess",
     "PhaseType",
-    "TandemLossChain",
     "buffer_for_loss_target",
-    "carried_rate",
-    "erlang_b",
-    "erlang_b_inverse",
-    "erlang_c",
     "erlang_ph",
     "exponential_ph",
     "fit_two_moment_ph",
     "gim1_tail_decay",
     "hyperexponential_ph",
-    "mg1k_loss_approximation",
     "mmpp2",
-    "offered_load_for_blocking",
-    "reduced_load_fixed_point",
 ]

@@ -6,8 +6,6 @@ A CTMC on states ``0..n-1`` is described by its generator (rate) matrix
 
 * structural validation of generators,
 * steady-state (stationary) distributions via a dense linear solve,
-* transient distributions via uniformization (no matrix exponential
-  needed, numerically robust),
 * expected hitting times,
 * uniformized discrete-time transition matrices, the bridge between the
   continuous-time models of the paper and discrete dynamic programming.
@@ -225,58 +223,6 @@ class ContinuousTimeMarkovChain:
                 f"{self.num_states} states"
             )
         return float(self.stationary_distribution() @ v)
-
-    # ------------------------------------------------------------------
-    # Transient analysis
-    # ------------------------------------------------------------------
-
-    def transient_distribution(
-        self,
-        initial: np.ndarray,
-        t: float,
-        tol: float = 1e-12,
-        max_terms: int = 100_000,
-    ) -> np.ndarray:
-        """Distribution at time ``t`` from ``initial`` via uniformization.
-
-        Evaluates ``initial @ expm(Q t)`` as a Poisson-weighted sum of
-        powers of the uniformized DTMC, truncating once the remaining
-        Poisson tail mass falls below ``tol``.
-        """
-        if t < 0:
-            raise ModelError(f"time must be non-negative, got {t}")
-        p0 = np.asarray(initial, dtype=float)
-        if p0.shape != (self.num_states,):
-            raise ModelError(
-                f"initial distribution shape {p0.shape} does not match "
-                f"{self.num_states} states"
-            )
-        if abs(p0.sum() - 1.0) > 1e-8 or (p0 < -1e-12).any():
-            raise ModelError("initial distribution must be a probability vector")
-        if t == 0.0:
-            return p0.copy()
-        p_mat, rate = uniformize(self.generator)
-        lam = rate * t
-        # Poisson(lam) weights computed in log space so large lam does not
-        # underflow: log w_k = -lam + k log lam - log k!.
-        result = np.zeros_like(p0)
-        vec = p0.copy()
-        log_w = -lam
-        accumulated = 0.0
-        k = 0
-        while k < max_terms:
-            w = np.exp(log_w)
-            if w > 0.0:
-                result += w * vec
-                accumulated += w
-            if accumulated > 1.0 - tol and k > lam:
-                break
-            k += 1
-            vec = vec @ p_mat
-            log_w += np.log(lam) - np.log(k)
-        if accumulated <= 0.0:
-            raise ModelError("uniformization failed to accumulate mass")
-        return result / result.sum()
 
     # ------------------------------------------------------------------
     # Hitting times

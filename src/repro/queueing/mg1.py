@@ -1,113 +1,14 @@
-"""M/G/1 and M/G/1/K approximations.
+"""GI/M/1 tail estimates for buffer sizing under bursty arrivals.
 
 When traffic profiling (the paper's suggested improvement) produces
-non-exponential service or interarrival statistics, the exact CTMDP
-machinery no longer applies directly.  These classical results provide
-the analytic yardsticks the extension experiments compare against:
-
-* Pollaczek-Khinchine mean waiting time for M/G/1,
-* the two-moment loss approximation for M/G/1/K (Gelenbe-style
-  diffusion/interpolation between M/M/1/K and M/D/1/K behaviour),
-* a GI/M/1-style geometric-tail estimate for bursty arrivals.
+non-exponential interarrival statistics, the exact CTMDP machinery no
+longer applies directly.  A GI/M/1-style geometric-tail estimate gives
+the analytic yardstick the burstiness extension compares against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.errors import ModelError
-from repro.queueing.mm1k import MM1KQueue
-
-
-@dataclass(frozen=True)
-class MG1Queue:
-    """An M/G/1 queue described by its service-time moments.
-
-    Parameters
-    ----------
-    arrival_rate:
-        Poisson arrival rate.
-    service_mean:
-        Mean service time ``E[S]``.
-    service_scv:
-        Squared coefficient of variation of service times
-        (1 = exponential, 0 = deterministic, > 1 = heavy-tailed).
-    """
-
-    arrival_rate: float
-    service_mean: float
-    service_scv: float
-
-    def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ModelError(
-                f"arrival rate must be > 0, got {self.arrival_rate}"
-            )
-        if self.service_mean <= 0:
-            raise ModelError(
-                f"service mean must be > 0, got {self.service_mean}"
-            )
-        if self.service_scv < 0:
-            raise ModelError(
-                f"service SCV must be >= 0, got {self.service_scv}"
-            )
-
-    @property
-    def rho(self) -> float:
-        """Utilisation ``lambda E[S]``."""
-        return self.arrival_rate * self.service_mean
-
-    def mean_waiting_time(self) -> float:
-        """Pollaczek-Khinchine: ``W = rho E[S] (1 + c^2) / (2 (1 - rho))``.
-
-        Requires ``rho < 1``.
-        """
-        rho = self.rho
-        if rho >= 1.0:
-            raise ModelError(
-                f"M/G/1 waiting time requires rho < 1, got {rho:.3f}"
-            )
-        return (
-            rho * self.service_mean * (1.0 + self.service_scv)
-            / (2.0 * (1.0 - rho))
-        )
-
-    def mean_number_in_system(self) -> float:
-        """Little's law on sojourn time."""
-        return self.arrival_rate * (
-            self.mean_waiting_time() + self.service_mean
-        )
-
-
-def mg1k_loss_approximation(
-    arrival_rate: float,
-    service_mean: float,
-    service_scv: float,
-    capacity: int,
-) -> float:
-    """Two-moment blocking approximation for M/G/1/K.
-
-    Interpolates the exact M/M/1/K blocking through the effective-load
-    transformation ``rho_eff = rho^(2 / (1 + c^2))`` — exact at
-    ``c^2 = 1``, asymptotically correct for ``c^2 -> 0`` (lighter
-    blocking for smoother service) and conservative for bursty service.
-    This is the standard engineering interpolation used when only two
-    moments of the profiled service time are trusted.
-    """
-    if capacity < 1:
-        raise ModelError(f"capacity must be >= 1, got {capacity}")
-    if arrival_rate <= 0 or service_mean <= 0:
-        raise ModelError("arrival rate and service mean must be > 0")
-    if service_scv < 0:
-        raise ModelError(f"service SCV must be >= 0, got {service_scv}")
-    rho = arrival_rate * service_mean
-    exponent = 2.0 / (1.0 + service_scv) if service_scv >= 0 else 2.0
-    rho_eff = rho**exponent
-    # Build an equivalent M/M/1/K at the effective load.
-    queue = MM1KQueue(rho_eff, 1.0, capacity)
-    return queue.blocking_probability()
 
 
 def gim1_tail_decay(arrival_scv: float, utilisation: float) -> float:

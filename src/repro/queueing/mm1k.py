@@ -1,15 +1,13 @@
-"""M/M/1/K and M/M/c/K loss queues.
+"""The M/M/1/K loss queue.
 
-These closed-form models serve three roles in the reproduction:
+This closed-form model serves two roles in the reproduction:
 
-1. They validate the discrete-event simulator (:mod:`repro.sim`): a single
+1. It validates the discrete-event simulator (:mod:`repro.sim`): a single
    processor on an otherwise idle bus is exactly an M/M/1/K queue, so the
    simulated blocking probability must match :meth:`MM1KQueue.blocking_probability`.
-2. They power the *analytic-greedy* baseline sizing policy
+2. It powers the *analytic-greedy* baseline sizing policy
    (:mod:`repro.policies.analytic`): marginal loss improvements per extra
    buffer slot are computed from these formulas.
-3. They provide the per-client decomposed model used by
-   :mod:`repro.core.bus_model` when the joint bus state space is too large.
 """
 
 from __future__ import annotations
@@ -117,68 +115,3 @@ class MM1KQueue:
             f"mu={self.service_rate:.3g}, K={self.capacity})"
         )
 
-
-class MMcKQueue:
-    """An M/M/c/K queue: ``c`` parallel servers, total capacity ``K >= c``.
-
-    Used to model a bus that can carry several concurrent transactions
-    (e.g. a crossbar-like interconnect layer in the extended experiments).
-    """
-
-    def __init__(
-        self,
-        arrival_rate: float,
-        service_rate: float,
-        servers: int,
-        capacity: int,
-    ) -> None:
-        if arrival_rate <= 0:
-            raise ModelError(f"arrival rate must be positive, got {arrival_rate}")
-        if service_rate <= 0:
-            raise ModelError(f"service rate must be positive, got {service_rate}")
-        if servers < 1:
-            raise ModelError(f"servers must be >= 1, got {servers}")
-        if capacity < servers:
-            raise ModelError(
-                f"capacity {capacity} must be >= number of servers {servers}"
-            )
-        self.arrival_rate = float(arrival_rate)
-        self.service_rate = float(service_rate)
-        self.servers = int(servers)
-        self.capacity = int(capacity)
-
-    def to_birth_death(self) -> BirthDeathChain:
-        """Birth-death representation with state-dependent service rates."""
-        births = [self.arrival_rate] * self.capacity
-        deaths = [
-            min(i + 1, self.servers) * self.service_rate
-            for i in range(self.capacity)
-        ]
-        return BirthDeathChain(births, deaths)
-
-    def state_probabilities(self) -> np.ndarray:
-        """Stationary distribution over ``0..K`` requests present."""
-        return self.to_birth_death().stationary_distribution()
-
-    def blocking_probability(self) -> float:
-        """Probability an arrival is lost (PASTA)."""
-        return float(self.state_probabilities()[-1])
-
-    def loss_rate(self) -> float:
-        """Long-run rate of lost requests."""
-        return self.arrival_rate * self.blocking_probability()
-
-    def carried_rate(self) -> float:
-        """Rate of accepted requests."""
-        return self.arrival_rate * (1.0 - self.blocking_probability())
-
-    def mean_number_in_system(self) -> float:
-        """Expected number of requests present."""
-        probs = self.state_probabilities()
-        return float(probs @ np.arange(self.capacity + 1))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MMcKQueue(lambda={self.arrival_rate:.3g}, "
-            f"mu={self.service_rate:.3g}, c={self.servers}, K={self.capacity})"
-        )

@@ -41,7 +41,7 @@ from repro.sim.runner import (
     simulate,
     simulate_block,
 )
-from repro.sim.system import CommunicationSystem, client_name_for_bridge
+from repro.sim.system import CommunicationSystem
 
 __all__ = [
     "Arbiter",
@@ -56,7 +56,6 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "WeightedRandomArbiter",
-    "client_name_for_bridge",
     "make_arbiter",
     "megabatch_supported",
     "replicate",

@@ -35,9 +35,10 @@ random draw happens through the same generator objects in the same
 order, and events execute in the same ``(time, sequence)`` order —
 sequence numbers are assigned at the same logical scheduling points the
 heap engine assigns its event ids, so even exact-timestamp ties (e.g.
-simultaneous trace replays) resolve identically.  This holds for the
-deterministic arbiters (fixed priority, round robin, longest queue),
-whose event order is total, and extends to ``weighted_random`` because
+two sources with equal deterministic gaps) resolve identically.  This
+holds for the deterministic arbiters (fixed priority, round robin,
+longest queue), whose event order is total, and extends to
+``weighted_random`` because
 :meth:`~repro.sim.arbiter.WeightedRandomArbiter.grant_counts` performs
 the identical generator calls; the *guaranteed* contract for randomised
 arbiters is nevertheless only statistical equivalence (batch-means CI),
@@ -174,7 +175,7 @@ class BatchedSystem:
             )
             self._flow_last.append(len(source.hops) - 1)
             self._flow_src.append(proc_index[source.flow.source])
-            self._traffic.append(source.traffic)
+            self._traffic.append(source.flow.traffic)
             self._src_rng.append(source.rng)
             self._src_batch.append(source.batch)
         self._flow_first = [bufs[0] for bufs in self._flow_bufs]

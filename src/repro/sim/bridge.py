@@ -1,38 +1,22 @@
-"""Bridge-entry buffer naming and hop construction.
+"""Hop construction: the buffers a flow's packets pass through.
 
-A bridge between two buses owns one *entry buffer per direction*: a
-packet crossing from cluster A into cluster B waits in the buffer
-``"<bridge>@<entry_bus>"`` where ``entry_bus`` is the bridge endpoint
-inside cluster B.  The same canonical names are used by the sizing
-pipeline (:mod:`repro.core.splitting`), so a
-:class:`~repro.core.sizing.BufferAllocation` maps directly onto simulator
-buffers.
+A packet waits first in its source processor's buffer, then in the
+entry buffer of every bridge it crosses, named by
+:func:`repro.arch.topology.client_name_for_bridge` as the sizing
+pipeline names them.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.arch.topology import Bridge, Route, Topology
-from repro.errors import TopologyError
+from repro.arch.topology import (
+    Route,
+    Topology,
+    bridge_entry_bus,
+    client_name_for_bridge,
+)
 from repro.sim.packet import Hop
-
-
-def client_name_for_bridge(bridge_name: str, entry_bus: str) -> str:
-    """Canonical name of a bridge's entry buffer on one side."""
-    return f"{bridge_name}@{entry_bus}"
-
-
-def bridge_entry_bus(bridge: Bridge, entry_cluster: frozenset) -> str:
-    """The bridge endpoint bus that lies inside ``entry_cluster``."""
-    if bridge.bus_a in entry_cluster:
-        return bridge.bus_a
-    if bridge.bus_b in entry_cluster:
-        return bridge.bus_b
-    raise TopologyError(
-        f"bridge {bridge.name!r} has no endpoint in cluster "
-        f"{sorted(entry_cluster)}"
-    )
 
 
 def build_hops(

@@ -149,9 +149,9 @@ class BatchedSimulator:
     sharing the earliest timestamp and returns them as one grouped code
     list (in sequence order) instead of dispatching one callback per
     pop.  With continuous interarrival and service distributions the
-    group is almost always a single event; exact ties — simultaneous
-    trace replays, degenerate zero gaps — come out as one batch, which
-    the caller can dispatch as a single array operation.
+    group is almost always a single event; exact ties — sources with
+    equal deterministic gaps, degenerate zero gaps — come out as one
+    batch, which the caller can dispatch as a single array operation.
 
     There is no cancellation: the batched lane's pending set (one
     arrival per source, at most one completion per bus) never retracts

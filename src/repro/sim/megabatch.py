@@ -35,10 +35,11 @@ The lane only takes the kernel path for configurations it can replay
 exactly: deterministic arbiters (:data:`~repro.sim.arbiter
 .KERNEL_ARBITERS`) and the traffic descriptors the kernel samples
 (:data:`SAMPLERS`).  :func:`megabatch_supported` is the gate.
-Unsupported cells — ``TraceTraffic`` among them — and every cell on a
-host where no C kernel could be built fall back to sequential
-per-replication batched-lane runs in
-:func:`repro.sim.runner.simulate_block`, which counts each fallback.
+Unsupported cells (a ``weighted_random`` arbiter, or a descriptor the
+kernel does not sample) and every cell on a host where no C kernel
+could be built fall back to sequential per-replication batched-lane
+runs in :func:`repro.sim.runner.simulate_block`, which counts each
+fallback.
 """
 
 from __future__ import annotations

@@ -21,18 +21,15 @@ GAP_CHUNK = 256
 class FlowSource:
     """Generates the packets of one flow.
 
-    Draws interarrival times from ``traffic`` — the source's own
-    :meth:`~repro.arch.traffic.TrafficDescriptor.fresh` copy of the
-    flow's descriptor, so no sampling state outlives one simulation —
-    using its own RNG substream, refilled in chunks of ``batch`` so the
-    per-event cost is one array index, not a generator call.  Stamps
-    each packet with the flow's hop itinerary and hands it to
-    ``deliver`` (the system's injection point).
+    Draws interarrival times from the flow's traffic descriptor using its
+    own RNG substream — refilled in chunks of ``batch`` so the per-event
+    cost is one array index, not a generator call — stamps each packet
+    with the flow's hop itinerary, and hands it to ``deliver`` (the
+    system's injection point).
     """
 
     __slots__ = (
         "flow",
-        "traffic",
         "hops",
         "simulator",
         "rng",
@@ -54,7 +51,6 @@ class FlowSource:
         batch: int = GAP_CHUNK,
     ) -> None:
         self.flow = flow
-        self.traffic = flow.traffic.fresh()
         self.hops = hops
         self.simulator = simulator
         self.rng = rng
@@ -69,7 +65,7 @@ class FlowSource:
 
     def _next_gap(self) -> float:
         if self._gaps is None or self._gap_index >= len(self._gaps):
-            self._gaps = self.traffic.sample_interarrivals(
+            self._gaps = self.flow.traffic.sample_interarrivals(
                 self.rng, self.batch
             )
             self._gap_index = 0

@@ -3,9 +3,10 @@
 :class:`CommunicationSystem` wires together flow sources, finite buffers,
 cluster buses and the monitor.  Buffer capacities come from an allocation
 mapping ``client name -> slots``; client names are processor names and
-canonical bridge-entry names (:func:`repro.sim.bridge.client_name_for_bridge`),
-the same vocabulary :mod:`repro.core.splitting` uses — so the CTMDP sizing
-output plugs straight in.
+canonical bridge-entry names
+(:func:`repro.arch.topology.client_name_for_bridge`), the same
+vocabulary :mod:`repro.core.splitting` uses — so the CTMDP sizing output
+plugs straight in.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.topology import Flow, Topology
-from repro.errors import SimulationError
-from repro.sim.arbiter import make_arbiter
-from repro.sim.bridge import (
+from repro.arch.topology import (
+    Flow,
+    Topology,
     bridge_entry_bus,
-    build_hops,
     client_name_for_bridge,
 )
+from repro.errors import SimulationError
+from repro.sim.arbiter import make_arbiter
+from repro.sim.bridge import build_hops
 from repro.sim.buffer import FiniteBuffer
 from repro.sim.bus import ClusterBus
 from repro.sim.engine import Simulator

@@ -11,7 +11,7 @@ from repro.analysis.stats import (
     summarise,
     t_half_width,
 )
-from repro.analysis.sweep import budget_sweep, load_sweep
+from repro.analysis.sweep import load_sweep
 from repro.arch.templates import single_bus
 from repro.core.sizing import BufferAllocation
 from repro.errors import ReproError
@@ -170,25 +170,6 @@ class TestCompare:
 
 
 class TestSweeps:
-    def test_budget_sweep(self):
-        topo = single_bus(arrival_rate=2.0, service_rate=3.0)
-        points = budget_sweep(
-            topo,
-            budgets=[6, 12],
-            policy_factories={"uniform": UniformSizing},
-            replications=1,
-            duration=300.0,
-        )
-        assert len(points) == 2
-        # More budget, less loss.
-        assert points[1].comparison.mean_total_loss(
-            "uniform"
-        ) <= points[0].comparison.mean_total_loss("uniform")
-
-    def test_budget_sweep_empty(self):
-        with pytest.raises(ReproError):
-            budget_sweep(single_bus(), [], {"u": UniformSizing})
-
     def test_load_sweep(self):
         points = load_sweep(
             topology_factory=lambda s: single_bus(

@@ -18,6 +18,8 @@ import pytest
 
 from repro.arch.netproc import network_processor
 from repro.arch.templates import amba_like, paper_figure1
+from repro.arch.topology import rebuilt_topology
+from repro.arch.traffic import TrafficDescriptor
 from repro.errors import SimulationError
 from repro.policies.uniform import UniformSizing
 from repro.sim.arbiter import (
@@ -39,12 +41,6 @@ from repro.sim.runner import (
     simulate,
 )
 from repro.sim.system import CommunicationSystem
-from repro.sim.workloads import (
-    RequestTrace,
-    TraceTraffic,
-    record_trace,
-    replay_topology,
-)
 
 DETERMINISTIC_ARBITERS = ("fixed_priority", "round_robin", "longest_queue")
 
@@ -414,53 +410,31 @@ class TestPooledBatchedReplication:
             assert a == b
 
 
-class TestTraceWorkloads:
-    def test_vectorised_sampler_matches_loop_reference(self):
-        gaps = [0.5, 1.25, 0.0, 2.0, 0.75]
-        traffic = TraceTraffic(gaps)
-        reference_cursor = 0
-        rng = np.random.default_rng(0)
-        for count in (3, 7, 1, 0, 11, 5):
-            got = traffic.sample_interarrivals(rng, count)
-            expected = []
-            for _ in range(count):
-                expected.append(gaps[reference_cursor])
-                reference_cursor = (reference_cursor + 1) % len(gaps)
-            assert got.tolist() == expected
-
-    def test_trace_replay_equivalent_across_backends(self, fig1):
-        # Each simulation replays the trace from its first gap, so both
-        # lanes share one replayed topology.
-        replayed = replay_topology(
-            fig1, record_trace(fig1, duration=200.0, seed=4)
-        )
-        caps = UniformSizing().allocate(replayed, 40).as_capacities()
-        kwargs = dict(duration=200.0, seed=0)
-        heap = _simulate_seed(replayed, caps, lane="heap", **kwargs)
-        batched = _simulate_seed(replayed, caps, lane="batched", **kwargs)
-        assert heap == batched
-
-    def test_simultaneous_trace_arrivals_tie_break_identically(self, fig1):
-        # Two flows replaying the *same* timestamps produce genuine
+class TestSimultaneousArrivals:
+    def test_simultaneous_arrivals_tie_break_identically(self, fig1):
+        # Every flow arrives at the *same* times, producing genuine
         # same-timestamp event batches; the lane must resolve them in
         # heap order (event ids), not merely by chance.
-        flows = sorted(fig1.flows)[:2]
-        times = [0.4 * (k + 1) for k in range(12)]
-        events = sorted(
-            ((t, f) for t in times for f in flows),
-            key=lambda e: (e[0], e[1]),
+        class ConstantGap(TrafficDescriptor):
+            """Evenly spaced arrivals, the same on every source."""
+
+            def __init__(self, gap):
+                self.gap = gap
+
+            @property
+            def mean_rate(self):
+                return 1.0 / self.gap
+
+            def sample_interarrivals(self, rng, count):
+                return np.full(count, self.gap)
+
+        topology = rebuilt_topology(
+            fig1, flow_traffic=lambda flow: ConstantGap(0.4)
         )
-        trace = RequestTrace(tuple(events))
-        caps = UniformSizing().allocate(
-            replay_topology(fig1, trace), 12
-        ).as_capacities()
+        caps = UniformSizing().allocate(topology, 26).as_capacities()
         kwargs = dict(duration=30.0, seed=0, arbiter_kind="fixed_priority")
-        heap = _simulate_seed(
-            replay_topology(fig1, trace), caps, lane="heap", **kwargs
-        )
-        batched = _simulate_seed(
-            replay_topology(fig1, trace), caps, lane="batched", **kwargs
-        )
+        heap = _simulate_seed(topology, caps, lane="heap", **kwargs)
+        batched = _simulate_seed(topology, caps, lane="batched", **kwargs)
         assert heap == batched
 
 

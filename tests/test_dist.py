@@ -1178,6 +1178,35 @@ class TestLocalSizingMemo:
         # The run-scoped memo is uninstalled afterwards.
         assert dist_jobs.active_cache() is None
 
+    def test_fallback_after_broker_loss_solves_each_cell_once(
+        self, monkeypatch
+    ):
+        # The broker is lost at the first poll, so every block runs on
+        # the driver's local pool under the run's memo.
+        from repro.core.sizing import BufferSizer
+        from repro.dist import jobs as dist_jobs
+
+        matrix = dict(budgets=[12], replications=6, duration=100.0)
+        serial = run_matrix(["amba"], **matrix)
+        calls = []
+        original = BufferSizer.size
+
+        def counting(self, topology):
+            calls.append(1)
+            return original(self, topology)
+
+        monkeypatch.setattr(BufferSizer, "size", counting)
+        executor = DistExecutor(
+            "127.0.0.1:1", timeout=5, retry=_FAST_RETRY, fallback_jobs=1
+        )
+        _plant_fake_broker(executor, _DyingBroker())
+        outcome = run_matrix(["amba"], executor=executor, **matrix)
+        assert executor.fallbacks == 1
+        # Six replication blocks share one cell: one solve, not six.
+        assert len(calls) == 1
+        assert outcome.to_jsonable() == serial.to_jsonable()
+        assert dist_jobs.active_cache() is None
+
     def test_process_memo_supports_the_full_store_interface(self, amba):
         # sweeps and context.replicate address the cache piecewise
         # (key/lookup/put), not only through fetch — a memo-backed

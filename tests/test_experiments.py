@@ -13,7 +13,7 @@ from repro.experiments.ablations import (
     run_solver_agreement,
     run_split_vs_quadratic,
 )
-from repro.experiments.common import POST, PRE, TIMEOUT, NetprocExperiment
+from repro.experiments.common import POST, PRE, TIMEOUT, ScenarioExperiment
 from repro.experiments.figure3 import run_figure3
 from repro.experiments.headline import run_headline
 from repro.experiments.table1 import run_table1
@@ -23,14 +23,15 @@ FAST_SIZER = {"joint_state_limit": 300}
 
 @pytest.fixture(scope="module")
 def small_experiment():
-    return NetprocExperiment.build(
+    return ScenarioExperiment.build(
+        "netproc",
         budget=80,
         calibration_duration=300.0,
         sizer_kwargs=FAST_SIZER,
     )
 
 
-class TestNetprocExperiment:
+class TestNetprocScenarioExperiment:
     def test_three_configurations(self, small_experiment):
         assert set(small_experiment.allocations) == {PRE, POST, TIMEOUT}
 
@@ -53,7 +54,7 @@ class TestNetprocExperiment:
 
     def test_bad_budget(self):
         with pytest.raises(ReproError):
-            NetprocExperiment.build(budget=0)
+            ScenarioExperiment.build("netproc", budget=0)
 
 
 class TestFigure3:

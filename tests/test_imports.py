@@ -70,6 +70,21 @@ def test_sizing_loads_the_highs_extension_alone():
     assert _loaded_after(size, UNUSED + SIZING) == sorted(SIZING)
 
 
+def test_sizing_loads_no_simulator():
+    # Bridge-buffer names live in repro.arch, so sizing never pays for
+    # the simulator's lanes, kernel loader and thread pool.
+    size = (
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['size', '--scenario', 'amba']) == 0"
+    )
+    root = os.path.join(SRC, "repro", "sim")
+    sim = tuple(module for _, module in _modules(root, "repro.sim"))
+    assert "repro.sim.megabatch" in sim
+    assert _loaded_after(size, sim) == []
+
+
 def test_scipy_optimize_reuses_the_loaded_extension():
     reuse = (
         "import sys\n"

@@ -178,51 +178,6 @@ class TestStationary:
         assert pi[0] * a == pytest.approx(pi[1] * b, rel=1e-6)
 
 
-class TestTransient:
-    def test_time_zero_returns_initial(self):
-        chain = ContinuousTimeMarkovChain(two_state_generator())
-        p0 = np.array([1.0, 0.0])
-        assert np.allclose(chain.transient_distribution(p0, 0.0), p0)
-
-    def test_matches_closed_form_two_state(self):
-        a, b = 2.0, 3.0
-        chain = ContinuousTimeMarkovChain(two_state_generator(a, b))
-        t = 0.7
-        p = chain.transient_distribution(np.array([1.0, 0.0]), t)
-        # Closed form for 2-state chain starting in state 0.
-        s = a + b
-        expected0 = b / s + a / s * np.exp(-s * t)
-        assert p[0] == pytest.approx(expected0, abs=1e-9)
-
-    def test_converges_to_stationary(self):
-        chain = ContinuousTimeMarkovChain(two_state_generator(2.0, 3.0))
-        p = chain.transient_distribution(np.array([1.0, 0.0]), 200.0)
-        assert np.allclose(p, chain.stationary_distribution(), atol=1e-7)
-
-    def test_large_lambda_stable(self):
-        # Large rate * t exercises the log-space Poisson weights.
-        q = two_state_generator(500.0, 300.0)
-        chain = ContinuousTimeMarkovChain(q)
-        p = chain.transient_distribution(np.array([0.0, 1.0]), 5.0)
-        assert p.sum() == pytest.approx(1.0)
-        assert np.allclose(p, chain.stationary_distribution(), atol=1e-6)
-
-    def test_negative_time_rejected(self):
-        chain = ContinuousTimeMarkovChain(two_state_generator())
-        with pytest.raises(ModelError, match="non-negative"):
-            chain.transient_distribution(np.array([1.0, 0.0]), -1.0)
-
-    def test_bad_initial_rejected(self):
-        chain = ContinuousTimeMarkovChain(two_state_generator())
-        with pytest.raises(ModelError, match="probability vector"):
-            chain.transient_distribution(np.array([0.7, 0.7]), 1.0)
-
-    def test_wrong_shape_rejected(self):
-        chain = ContinuousTimeMarkovChain(two_state_generator())
-        with pytest.raises(ModelError, match="shape"):
-            chain.transient_distribution(np.array([1.0, 0.0, 0.0]), 1.0)
-
-
 class TestHittingTimes:
     def test_birth_death_hitting_time(self):
         # 3-state chain 0 <-> 1 <-> 2; hitting time of 2 from 0.

@@ -33,6 +33,7 @@ from repro.arch.traffic import (
     HyperexponentialTraffic,
     OnOffTraffic,
     PoissonTraffic,
+    TrafficDescriptor,
 )
 from repro.errors import PolicyError, SimulationError
 from repro.exec.pool import parallel_map, partition_blocks
@@ -887,15 +888,35 @@ class TestSupportGate:
         topology, _ = _cell("fig1")
         assert not megabatch_supported(topology, "weighted_random")
 
-    def test_stateful_traffic_not_supported(self):
-        from repro.sim.workloads import TraceTraffic
+    def test_unsampled_traffic_not_supported(self):
+        class ConstantGap(TrafficDescriptor):
+            """Evenly spaced arrivals: a descriptor the kernel does not
+            sample."""
 
-        topology, _ = _cell("fig1")
-        traced = rebuilt_topology(
-            topology, flow_traffic=lambda flow: TraceTraffic([0.5, 1.5])
+            def __init__(self, gap):
+                self.gap = gap
+
+            @property
+            def mean_rate(self):
+                return 1.0 / self.gap
+
+            def sample_interarrivals(self, rng, count):
+                return np.full(count, self.gap)
+
+        topology, capacities = _cell("fig1")
+        unsampled = rebuilt_topology(
+            topology, flow_traffic=lambda flow: ConstantGap(1.0 / flow.rate)
         )
         assert megabatch_supported(topology, "longest_queue")
-        assert not megabatch_supported(traced, "longest_queue")
+        assert not megabatch_supported(unsampled, "longest_queue")
+        kwargs = dict(duration=100.0, seed=3)
+        got, counts = _fallback_counts(
+            lambda: simulate(unsampled, capacities, **kwargs)
+        )
+        assert counts == {"unsupported": 1, "no_kernel": 0}
+        assert got == _simulate_seed(
+            unsampled, capacities, lane="batched", **kwargs
+        )
 
     def test_unsupported_backend_falls_back_bitwise(self):
         topology, capacities = _cell("fig1")

@@ -5,69 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.queueing.mg1 import (
-    MG1Queue,
-    buffer_for_loss_target,
-    gim1_tail_decay,
-    mg1k_loss_approximation,
-)
-from repro.queueing.mm1k import MM1KQueue
-
-
-class TestMG1:
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            MG1Queue(0.0, 1.0, 1.0)
-        with pytest.raises(ModelError):
-            MG1Queue(1.0, 0.0, 1.0)
-        with pytest.raises(ModelError):
-            MG1Queue(1.0, 1.0, -0.5)
-
-    def test_mm1_special_case(self):
-        # scv = 1 reduces PK to the M/M/1 value rho/(mu - lambda) ... in
-        # waiting-time form W = rho / (mu (1 - rho)).
-        lam, mu = 2.0, 3.0
-        q = MG1Queue(lam, 1.0 / mu, 1.0)
-        expected = (lam / mu) / (mu * (1.0 - lam / mu))
-        assert q.mean_waiting_time() == pytest.approx(expected)
-
-    def test_deterministic_halves_waiting(self):
-        lam, mu = 2.0, 3.0
-        exp_wait = MG1Queue(lam, 1.0 / mu, 1.0).mean_waiting_time()
-        det_wait = MG1Queue(lam, 1.0 / mu, 0.0).mean_waiting_time()
-        assert det_wait == pytest.approx(0.5 * exp_wait)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(ModelError):
-            MG1Queue(2.0, 1.0, 1.0).mean_waiting_time()
-
-    def test_littles_law(self):
-        q = MG1Queue(1.0, 0.25, 2.0)
-        assert q.mean_number_in_system() == pytest.approx(
-            1.0 * (q.mean_waiting_time() + 0.25)
-        )
-
-
-class TestMG1KApproximation:
-    def test_exact_at_scv_one(self):
-        lam, mu, k = 2.0, 3.0, 4
-        approx = mg1k_loss_approximation(lam, 1.0 / mu, 1.0, k)
-        exact = MM1KQueue(lam, mu, k).blocking_probability()
-        assert approx == pytest.approx(exact, rel=1e-9)
-
-    def test_smoother_service_blocks_less(self):
-        b_det = mg1k_loss_approximation(2.0, 0.4, 0.0, 4)
-        b_exp = mg1k_loss_approximation(2.0, 0.4, 1.0, 4)
-        b_bursty = mg1k_loss_approximation(2.0, 0.4, 4.0, 4)
-        assert b_det < b_exp < b_bursty
-
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            mg1k_loss_approximation(1.0, 1.0, 1.0, 0)
-        with pytest.raises(ModelError):
-            mg1k_loss_approximation(-1.0, 1.0, 1.0, 2)
-        with pytest.raises(ModelError):
-            mg1k_loss_approximation(1.0, 1.0, -1.0, 2)
+from repro.queueing.mg1 import buffer_for_loss_target, gim1_tail_decay
 
 
 class TestTailDecay:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.queueing.mm1k import MM1KQueue, MMcKQueue
+from repro.queueing.mm1k import MM1KQueue
 
 
 class TestMM1KValidation:
@@ -36,8 +36,8 @@ class TestMM1KClosedForm:
         q = MM1KQueue(2.0, 2.0, 4)
         assert np.allclose(q.state_probabilities(), 0.2)
 
-    def test_blocking_k1_is_erlang_b(self):
-        # M/M/1/1 blocking = E/(1+E).
+    def test_blocking_k1_closed_form(self):
+        # M/M/1/1 blocking = E/(1+E), E the offered load.
         q = MM1KQueue(3.0, 2.0, 1)
         e = 1.5
         assert q.blocking_probability() == pytest.approx(e / (1 + e))
@@ -97,43 +97,3 @@ class TestMM1KClosedForm:
         b2 = MM1KQueue(lam, mu, k + 1).blocking_probability()
         assert b2 <= b1 + 1e-12
 
-
-class TestMMcK:
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            MMcKQueue(1.0, 1.0, 0, 3)
-        with pytest.raises(ModelError):
-            MMcKQueue(1.0, 1.0, 4, 3)
-        with pytest.raises(ModelError):
-            MMcKQueue(-1.0, 1.0, 1, 3)
-        with pytest.raises(ModelError):
-            MMcKQueue(1.0, 0.0, 1, 3)
-
-    def test_single_server_reduces_to_mm1k(self):
-        mmck = MMcKQueue(1.3, 2.1, 1, 5)
-        mm1k = MM1KQueue(1.3, 2.1, 5)
-        assert np.allclose(
-            mmck.state_probabilities(), mm1k.state_probabilities()
-        )
-
-    def test_mmcc_blocking_is_erlang_b(self):
-        from repro.queueing.erlang import erlang_b
-
-        lam, mu, c = 3.0, 1.0, 4
-        q = MMcKQueue(lam, mu, c, c)
-        assert q.blocking_probability() == pytest.approx(
-            erlang_b(lam / mu, c)
-        )
-
-    def test_more_servers_less_blocking(self):
-        b1 = MMcKQueue(4.0, 1.0, 2, 8).blocking_probability()
-        b2 = MMcKQueue(4.0, 1.0, 4, 8).blocking_probability()
-        assert b2 < b1
-
-    def test_flow_conservation(self):
-        q = MMcKQueue(5.0, 1.0, 3, 9)
-        assert q.loss_rate() + q.carried_rate() == pytest.approx(5.0)
-
-    def test_mean_number_bounded_by_capacity(self):
-        q = MMcKQueue(50.0, 1.0, 2, 6)
-        assert q.mean_number_in_system() <= 6.0

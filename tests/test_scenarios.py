@@ -5,17 +5,9 @@ import pytest
 from repro import scenarios
 from repro.errors import ReproError
 from repro.exec import ExecutionContext
-from repro.experiments.common import (
-    POST,
-    PRE,
-    TIMEOUT,
-    NetprocExperiment,
-    ScenarioExperiment,
-)
+from repro.experiments.common import POST, PRE, TIMEOUT, ScenarioExperiment
 from repro.scenarios import ScenarioSpec, scaled_topology
 from repro.scenarios.spec import template_builder
-
-FAST_SIZER = {"joint_state_limit": 300}
 
 
 class TestRegistry:
@@ -158,24 +150,9 @@ class TestScenarioExperiment:
     def test_threshold_positive(self, amba_experiment):
         assert amba_experiment.timeout_threshold > 0
 
-    def test_netproc_alias_equivalent(self):
-        """The netproc alias and the generic builder agree exactly."""
-        legacy = NetprocExperiment.build(
-            budget=80, calibration_duration=200.0, sizer_kwargs=FAST_SIZER
-        )
-        generic = ScenarioExperiment.build(
-            scenario="netproc",
-            budget=80,
-            calibration_duration=200.0,
-            sizer_kwargs=FAST_SIZER,
-        )
-        assert legacy.allocations[POST].sizes == generic.allocations[POST].sizes
-        assert legacy.timeout_threshold == generic.timeout_threshold
-        assert legacy.processors == generic.processors
-
     def test_timeout_multiplier_from_spec(self):
         """The multiplier knob lives on the spec, not a class constant."""
-        assert not hasattr(NetprocExperiment, "TIMEOUT_MULTIPLIER")
+        assert not hasattr(ScenarioExperiment, "TIMEOUT_MULTIPLIER")
         spec = scenarios.get("amba")
         base = ScenarioExperiment.build(
             scenario="amba", calibration_duration=200.0

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from repro.arch.templates import paper_figure1, single_bus
-from repro.arch.topology import Topology
+from repro.arch.topology import Topology, client_name_for_bridge
 from repro.errors import SimulationError
 from repro.queueing.mm1k import MM1KQueue
-from repro.sim.bridge import client_name_for_bridge
 from repro.sim.runner import ReplicationSummary, replicate, simulate
 from repro.sim.system import CommunicationSystem, required_clients
 

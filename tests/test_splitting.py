@@ -4,13 +4,13 @@ import pytest
 
 from repro.arch.templates import amba_like, paper_figure1, single_bus
 from repro.arch.netproc import network_processor
+from repro.arch.topology import client_name_for_bridge
 from repro.core.splitting import (
     bridge_arrival_rates,
     quadratic_coupling_count,
     split,
 )
 from repro.errors import TopologyError
-from repro.sim.bridge import client_name_for_bridge
 
 
 class TestSplit:

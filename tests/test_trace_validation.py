@@ -1,4 +1,4 @@
-"""Tests for repro.sim.trace and repro.analysis.validation."""
+"""Tests for repro.analysis.validation."""
 
 import pytest
 
@@ -9,63 +9,7 @@ from repro.analysis.validation import (
     validate_mm1k_blocking,
     validate_mm1k_occupancy,
 )
-from repro.arch.templates import paper_figure1, single_bus
-from repro.errors import ReproError, SimulationError
-from repro.sim.system import CommunicationSystem, required_clients
-from repro.sim.trace import TraceRecorder
-
-
-def traced_system(topology, capacities, seed=0):
-    system = CommunicationSystem(topology, capacities, seed=seed)
-    recorder = TraceRecorder()
-    # Swap the shared monitor: all components reference system.monitor's
-    # object via their constructor, so rebuild with the recorder.
-    system.monitor = recorder
-    for bus in system.buses:
-        bus.monitor = recorder
-    return system, recorder
-
-
-class TestTraceRecorder:
-    def test_records_offered_and_outcomes(self):
-        topo = single_bus(num_processors=3, arrival_rate=2.0, service_rate=3.0)
-        caps = {p: 2 for p in topo.processors}
-        system, recorder = traced_system(topo, caps)
-        system.run(200.0)
-        offered = recorder.events_of_kind("offered")
-        assert offered
-        total = recorder.total_offered()
-        assert len(offered) == total
-        kinds = {e.kind for e in recorder.events}
-        assert "service" in kinds
-        assert "delivery" in kinds
-
-    def test_loss_sites_bounded_by_losses(self):
-        topo = single_bus(num_processors=3, arrival_rate=3.0, service_rate=2.0)
-        caps = {p: 1 for p in topo.processors}
-        system, recorder = traced_system(topo, caps)
-        system.run(300.0)
-        sites = recorder.loss_sites()
-        assert sum(sites.values()) == recorder.total_lost()
-
-    def test_packet_history_ordered(self):
-        topo = paper_figure1()
-        caps = {name: 6 for name in required_clients(topo)}
-        system, recorder = traced_system(topo, caps)
-        system.run(100.0)
-        delivered = recorder.events_of_kind("delivery")
-        assert delivered
-        history = recorder.packet_history(delivered[0].packet_id)
-        assert history[0].kind == "offered"
-        assert history[-1].kind == "delivery"
-        times = [e.time for e in history]
-        assert times == sorted(times)
-
-    def test_bounded_log(self):
-        recorder = TraceRecorder(max_events=10)
-        assert recorder.events.maxlen == 10
-        with pytest.raises(SimulationError):
-            TraceRecorder(max_events=0)
+from repro.errors import ReproError
 
 
 class TestValidationHarness:
