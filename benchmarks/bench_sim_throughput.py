@@ -182,7 +182,7 @@ def test_fleet_cell_latency(benchmark, backend, replications):
     benchmark.group = f"fleet_cell_latency[amba,R={replications}]"
     spec = scenarios.get("amba")
     capacities = (
-        BufferSizer(total_budget=spec.default_budget, **spec.sizer_kwargs)
+        BufferSizer(total_budget=spec.default_budget)
         .size(spec.topology())
         .allocation.as_capacities()
     )
@@ -247,7 +247,7 @@ def test_sizing_throughput(benchmark, scenario):
 
     def run():
         return BufferSizer(
-            total_budget=spec.default_budget, **spec.sizer_kwargs
+            total_budget=spec.default_budget
         ).size(topology)
 
     result = benchmark.pedantic(run, iterations=1, rounds=2)

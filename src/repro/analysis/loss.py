@@ -62,7 +62,6 @@ def compare_policies(
     allocations: Dict[str, BufferAllocation],
     replications: int = 10,
     duration: float = 3_000.0,
-    base_seed: int = 0,
     timeout_thresholds: Optional[Dict[str, float]] = None,
     arbiter_kind: str = "longest_queue",
     processors: Optional[List[str]] = None,
@@ -97,7 +96,6 @@ def compare_policies(
             allocation.as_capacities(),
             replications=replications,
             duration=duration,
-            base_seed=base_seed,
             arbiter_kind=arbiter_kind,
             timeout_threshold=threshold,
         )

@@ -33,7 +33,6 @@ def load_sweep(
     policy_factories: Dict[str, Callable[[], object]],
     replications: int = 5,
     duration: float = 2_000.0,
-    base_seed: int = 0,
     context: Optional[ExecutionContext] = None,
 ) -> List[SweepPoint]:
     """Sweep offered load at a fixed budget (policy-robustness ablation)."""
@@ -51,7 +50,6 @@ def load_sweep(
             allocations,
             replications=replications,
             duration=duration,
-            base_seed=base_seed,
             context=context,
         )
         points.append(SweepPoint(parameter=float(scale), comparison=comparison))

@@ -106,16 +106,6 @@ class Bridge:
                 f"bridge {self.name!r}: service rate must be > 0"
             )
 
-    def other_end(self, bus: str) -> str:
-        """The bus on the opposite side of ``bus``."""
-        if bus == self.bus_a:
-            return self.bus_b
-        if bus == self.bus_b:
-            return self.bus_a
-        raise TopologyError(
-            f"bus {bus!r} is not an endpoint of bridge {self.name!r}"
-        )
-
 
 def client_name_for_bridge(bridge_name: str, entry_bus: str) -> str:
     """Canonical name of a bridge's entry buffer on one side.
@@ -191,11 +181,6 @@ class Route:
     def __post_init__(self) -> None:
         if len(self.clusters) != len(self.bridges) + 1:
             raise TopologyError("malformed route")
-
-    @property
-    def crosses_bridge(self) -> bool:
-        """Whether the flow leaves its source cluster at all."""
-        return bool(self.bridges)
 
 
 class Topology:

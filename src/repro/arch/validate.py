@@ -1,9 +1,9 @@
-"""Load-level analysis and feasibility checks for topologies.
+"""Load-level analysis of topologies.
 
-:meth:`repro.arch.topology.Topology.validate` checks *structure*; the
-functions here check *load*: whether each bus cluster could keep up with
-its offered traffic at all (utilisation), which the sizing experiments use
-to place themselves in the loss regime the paper studies.
+:meth:`repro.arch.topology.Topology.validate` checks *structure*;
+:func:`cluster_loads` reports *load*: whether each bus cluster could
+keep up with its offered traffic at all (utilisation), as ``repro
+inspect`` prints it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.arch.topology import Topology
-from repro.errors import TopologyError
 
 
 @dataclass(frozen=True)
@@ -69,18 +68,3 @@ def cluster_loads(topology: Topology) -> List[ClusterLoad]:
             )
         )
     return loads
-
-
-def assert_not_overloaded(topology: Topology, limit: float = 1.0) -> None:
-    """Raise if any cluster's optimistic utilisation exceeds ``limit``.
-
-    The sizing method redistributes buffers; it cannot create bandwidth.
-    Experiments that want a *lossy but feasible* regime call this with
-    ``limit`` slightly above their target utilisation.
-    """
-    for load in cluster_loads(topology):
-        if load.utilisation > limit:
-            raise TopologyError(
-                f"cluster {sorted(load.cluster)} utilisation "
-                f"{load.utilisation:.3f} exceeds limit {limit:.3f}"
-            )

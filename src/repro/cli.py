@@ -307,10 +307,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def _cmd_size(args: argparse.Namespace) -> int:
     from repro.core.sizing import BufferSizer
 
-    topology, spec, budget = _resolve_architecture(args)
-    sizer_kwargs = dict(spec.sizer_kwargs) if spec is not None else {}
-    sizer = BufferSizer(total_budget=budget, **sizer_kwargs)
-    result = sizer.size(topology)
+    topology, _spec, budget = _resolve_architecture(args)
+    result = BufferSizer(total_budget=budget).size(topology)
     print(f"# allocation (budget {budget})")
     for name in sorted(result.allocation.sizes):
         print(f"{name} {result.allocation.sizes[name]}")
@@ -327,13 +325,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     topology, spec, budget = _resolve_architecture(args)
-    if args.policy == "ctmdp" and spec is not None:
-        # The scenario's declared sizer knobs apply to every sizing run
-        # of that scenario — keep `simulate` consistent with `size`.
-        policy = _policy("ctmdp")(**spec.sizer_kwargs)
-    else:
-        policy = _policy(args.policy)()
-    allocation = policy.allocate(topology, budget)
+    allocation = _policy(args.policy)().allocate(topology, budget)
     context = _context_from_args(args, spec)
     summary = context.replicate(
         topology,
@@ -341,7 +333,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         replications=args.reps,
         duration=args.duration,
         base_seed=args.seed,
-        seed_scheme=args.seed_scheme,
     )
     print(f"policy {args.policy}, budget {budget}:")
     print(f"  mean total loss {summary.mean_total_loss():.1f} "
@@ -485,7 +476,6 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
             args.dist,
             authkey=args.authkey.encode("utf-8"),
             timeout=args.timeout,
-            on_broker_loss=args.on_broker_loss,
         )
 
     def stream(index, block):
@@ -500,8 +490,6 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
         replications=args.reps,
         duration=args.duration,
         base_seed=args.seed,
-        seed_scheme=args.seed_scheme,
-        block_reps=args.block_reps,
     )
     # Broker counters are lifetime-cumulative (the broker is long-
     # lived and shared); snapshot them so the summary reports *this
@@ -600,7 +588,6 @@ def _cmd_dist_chaos(args: argparse.Namespace) -> int:
         replications=args.reps,
         duration=args.duration,
         base_seed=args.seed,
-        block_reps=args.block_reps,
         plans=plans,
         modes=tuple(args.mode) if args.mode else ("serial", "jobs", "dist"),
         jobs=args.jobs,
@@ -764,13 +751,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--duration", type=float, default=5_000.0)
     p_sim.add_argument("--reps", type=int, default=5)
-    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument(
-        "--seed-scheme",
-        choices=("legacy", "spawn"),
-        default="legacy",
-        help="per-replication seed derivation (spawn = collision-free "
-        "SeedSequence children; legacy = base_seed + 1000*r)",
+        "--seed", type=int, default=0,
+        help="base seed; replication r runs with seed + 1000*r",
     )
     _add_runtime_flags(p_sim)
     _add_obs_flags(p_sim)
@@ -884,14 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--duration", type=float, default=500.0)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
-        "--seed-scheme", choices=("legacy", "spawn"), default="legacy"
-    )
-    p_run.add_argument(
-        "--block-reps", type=int, default=1,
-        help="replications per job block (smaller = more blocks to "
-        "spread over the fleet, sharing each cell's cached sizing)",
-    )
-    p_run.add_argument(
         "--jobs", type=int, default=1,
         help="local pool width when --dist is omitted",
     )
@@ -924,13 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an existing --journal: journaled blocks are "
         "reused without recomputing (the matrix configuration must "
         "be identical)",
-    )
-    p_run.add_argument(
-        "--on-broker-loss", choices=("fallback", "fail"),
-        default="fallback",
-        help="when the broker dies mid-run: 'fallback' finishes the "
-        "unfinished blocks on the local pool (same results), 'fail' "
-        "raises (default: fallback)",
     )
     _add_obs_flags(p_run)
     p_run.set_defaults(func=_cmd_dist_run)
@@ -971,7 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--reps", type=int, default=2)
     p_chaos.add_argument("--duration", type=float, default=60.0)
     p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--block-reps", type=int, default=1)
     p_chaos.add_argument(
         "--fault", action="append", default=None, metavar="PLAN",
         help="fault plan to run (repeatable; default: the full "

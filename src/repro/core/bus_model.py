@@ -126,14 +126,6 @@ def _check_clients(clients: Sequence[BusClient]) -> List[BusClient]:
     return clients
 
 
-def joint_state_space_size(clients: Sequence[BusClient]) -> int:
-    """Number of states of the joint occupancy lattice."""
-    size = 1
-    for client in _check_clients(clients):
-        size *= client.capacity + 1
-    return size
-
-
 def build_joint_bus_ctmdp(clients: Sequence[BusClient]) -> CTMDP:
     """Exact joint CTMDP of one bus (see module docstring).
 
@@ -260,16 +252,6 @@ def bus_time_coefficients(
     return coeffs
 
 
-def space_coefficients(model: CTMDP) -> Dict[Tuple, float]:
-    """Coefficients of one block in a shared buffer-space row."""
-    coeffs: Dict[Tuple, float] = {}
-    for s, a in model.state_action_pairs():
-        value = model.constraint_rate(SPACE, s, a)
-        if value != 0.0:
-            coeffs[(s, a)] = value
-    return coeffs
-
-
 def joint_client_marginals(
     clients: Sequence[BusClient],
     occupation: Dict[Tuple, float],
@@ -305,19 +287,3 @@ def joint_client_marginals(
             )
         marginals[name] = p / total
     return marginals
-
-
-def chain_client_marginal(
-    client: BusClient,
-    occupation: Dict[Tuple, float],
-) -> np.ndarray:
-    """Occupancy marginal of one client from its *decomposed* block."""
-    p = np.zeros(client.capacity + 1)
-    for (state, _action), mass in occupation.items():
-        p[state] += max(mass, 0.0)
-    total = p.sum()
-    if total <= 0:
-        raise ModelError(
-            f"occupation measure has no mass for client {client.name!r}"
-        )
-    return p / total

@@ -133,17 +133,18 @@ class ClientDemand:
 
 
 def allocate_greedy(
-    demands: Sequence[ClientDemand],
-    budget: int,
-    min_size: int = 1,
+    demands: Sequence[ClientDemand], budget: int
 ) -> Dict[str, int]:
     """Integer allocation summing exactly to ``budget``.
+
+    Every client starts with one slot (or its cap, if that is zero);
+    the rest go one at a time to the largest marginal value.
 
     Raises
     ------
     InfeasibleError
-        If the budget cannot cover ``min_size`` per client, or exceeds
-        the sum of the per-client caps.
+        If the budget cannot cover one slot per client, or exceeds the
+        sum of the per-client caps.
     """
     demands = list(demands)
     if not demands:
@@ -151,20 +152,17 @@ def allocate_greedy(
     names = [d.name for d in demands]
     if len(set(names)) != len(names):
         raise PolicyError(f"duplicate client names: {names}")
-    if min_size < 0:
-        raise PolicyError(f"min size must be >= 0, got {min_size}")
-    floor_total = min_size * len(demands)
-    if budget < floor_total:
+    if budget < len(demands):
         raise InfeasibleError(
-            f"budget {budget} below minimum {floor_total} "
-            f"({len(demands)} clients x {min_size})"
+            f"budget {budget} below minimum {len(demands)} "
+            f"({len(demands)} clients x 1)"
         )
     cap_total = sum(min(d.max_size, budget) for d in demands)
     if budget > cap_total:
         raise InfeasibleError(
             f"budget {budget} exceeds total capacity cap {cap_total}"
         )
-    sizes = {d.name: min(min_size, d.max_size) for d in demands}
+    sizes = {d.name: min(1, d.max_size) for d in demands}
     remaining = budget - sum(sizes.values())
     # Max-heap of (negative marginal value, name order) for determinism.
     heap: List[Tuple[float, str]] = []
@@ -191,15 +189,6 @@ def allocate_greedy(
     return sizes
 
 
-def expected_sizes(demands: Sequence[ClientDemand]) -> Dict[str, float]:
-    """Expected occupancy per client — the fractional "ideal" sizes."""
-    result = {}
-    for d in demands:
-        levels = np.arange(d.marginal.size)
-        result[d.name] = float(d.marginal @ levels)
-    return result
-
-
 @dataclass(frozen=True)
 class SwitchingMixture:
     """A two-point randomisation over deterministic allocations.
@@ -214,20 +203,10 @@ class SwitchingMixture:
     high: Dict[str, int]
     probability: float
 
-    def expected_total(self) -> float:
-        """Expected number of slots used by the mixture."""
-        low_total = sum(self.low.values())
-        high_total = sum(self.high.values())
-        return (
-            low_total * (1.0 - self.probability)
-            + high_total * self.probability
-        )
-
 
 def switching_mixture(
     demands: Sequence[ClientDemand],
     fractional_budget: float,
-    min_size: int = 1,
 ) -> SwitchingMixture:
     """Mixture of floor/ceil allocations hitting a fractional budget.
 
@@ -243,8 +222,8 @@ def switching_mixture(
     lo = int(np.floor(fractional_budget))
     hi = int(np.ceil(fractional_budget))
     frac = fractional_budget - lo
-    low = allocate_greedy(demands, lo, min_size=min_size)
+    low = allocate_greedy(demands, lo)
     if hi == lo:
         return SwitchingMixture(low=low, high=dict(low), probability=0.0)
-    high = allocate_greedy(demands, hi, min_size=min_size)
+    high = allocate_greedy(demands, hi)
     return SwitchingMixture(low=low, high=high, probability=frac)

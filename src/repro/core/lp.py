@@ -104,24 +104,16 @@ class AverageCostLP:
         self.model = model
 
     def solve(
-        self,
-        constraints: Sequence[ConstraintSpec] = (),
-        maximise: bool = False,
+        self, constraints: Sequence[ConstraintSpec] = ()
     ) -> LPSolution:
         """Solve the (constrained) average-cost problem.
 
-        Parameters
-        ----------
-        constraints:
-            Local constraint bounds, referencing the model's named
-            constraint rates.
-        maximise:
-            Maximise the cost instead of minimising (useful for reward
-            formulations in tests).
+        ``constraints`` are local constraint bounds, referencing the
+        model's named constraint rates.
         """
         block = BlockLP()
         block.add_block(self.model, constraints=constraints)
-        return block.solve(maximise=maximise)
+        return block.solve()
 
 
 class BlockProgram:
@@ -297,25 +289,23 @@ class BlockProgram:
         b_ub = np.array([bound for (_k, _c, _v, bound) in ub_rows])
         return a_ub, b_ub, [(k, cols, vals) for (k, cols, vals, _b) in ub_rows]
 
-    def cost_vector(self, maximise: bool = False) -> np.ndarray:
+    def cost_vector(self) -> np.ndarray:
         """Current weighted objective coefficients across all blocks."""
-        cost = np.concatenate(
+        return np.concatenate(
             [
                 w * provider.cost_rates
                 for provider, w in zip(self.providers, self.weights)
             ]
         )
-        return -cost if maximise else cost
 
     # ------------------------------------------------------------------
 
     def solve(
         self,
-        maximise: bool = False,
         bound_overrides: Optional[Dict[object, float]] = None,
         warm: bool = True,
     ) -> Tuple[SparseLPResult, Dict[object, float]]:
-        """Assemble from current provider values and solve.
+        """Assemble from current provider values and minimise the cost.
 
         Returns the raw backend result plus the achieved value of every
         inequality row.  ``bound_overrides`` replaces the stored bound of
@@ -330,7 +320,7 @@ class BlockProgram:
         SolverError
             For any other backend failure.
         """
-        cost = self.cost_vector(maximise)
+        cost = self.cost_vector()
         a_eq, b_eq = self._assemble_equalities()
         a_ub, b_ub, row_coeffs = self._assemble_inequalities(bound_overrides)
         result = solve_sparse_lp(
@@ -486,8 +476,8 @@ class BlockLP:
             )
         return program
 
-    def solve(self, maximise: bool = False) -> LPSolution:
-        """Assemble and solve the joint LP with HiGHS.
+    def solve(self) -> LPSolution:
+        """Assemble and solve (minimise) the joint LP with HiGHS.
 
         Raises
         ------
@@ -498,7 +488,7 @@ class BlockLP:
             For any other backend failure.
         """
         program = self.compile()
-        result, achieved = program.solve(maximise=maximise, warm=False)
+        result, achieved = program.solve(warm=False)
         x = np.clip(result.x, 0.0, None)
         occupations: List[Dict[Tuple[State, Action], float]] = []
         policies: List[StationaryPolicy] = []
@@ -512,11 +502,8 @@ class BlockLP:
             occupations.append(occ)
             policies.append(policy_from_occupation_measure(model, occ))
             block_costs.append(float(xb @ comp.cost_rates))
-        objective = float(
-            result.objective if not maximise else -result.objective
-        )
         return LPSolution(
-            objective=objective,
+            objective=float(result.objective),
             occupations=occupations,
             policies=policies,
             block_costs=block_costs,

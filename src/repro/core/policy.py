@@ -159,21 +159,6 @@ class StationaryPolicy:
             prob * self.model.cost_rate(s, a) for (s, a), prob in x.items()
         )
 
-    def average_constraint_rate(self, name: str) -> float:
-        """Long-run average of a named constraint cost."""
-        x = self.stationary_state_action()
-        return sum(
-            prob * self.model.constraint_rate(name, s, a)
-            for (s, a), prob in x.items()
-        )
-
-    def state_marginals(self) -> Dict[State, float]:
-        """Stationary probability of each state under this policy."""
-        pi = self.induced_chain().stationary_distribution()
-        return {
-            s: float(pi[self.model.state_index(s)]) for s in self.model.states
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "deterministic" if self.is_deterministic() else "randomised"
         return f"StationaryPolicy({kind}, states={self.model.num_states})"

@@ -37,6 +37,9 @@ from repro.arch.topology import Topology
 from repro.core.splitting import SplitSystem, split
 from repro.errors import SolverError
 
+#: Max constraint violation accepted as "actually solved".
+RESIDUAL_TOL = 1e-5
+
 
 @dataclass
 class QuadraticDiagnostics:
@@ -46,7 +49,8 @@ class QuadraticDiagnostics:
     ----------
     success:
         Whether SLSQP reported success *and* the constraint residual is
-        below ``residual_tol`` — both must hold for the solution to count.
+        below :data:`RESIDUAL_TOL` — both must hold for the solution to
+        count.
     solver_reported_success / message / iterations:
         Raw backend status.
     max_residual:
@@ -83,23 +87,15 @@ class QuadraticCoupledSizer:
         state count is the product over clients per subsystem).
     max_iter:
         SLSQP iteration budget.
-    residual_tol:
-        Max constraint violation accepted as "actually solved".
     """
 
-    def __init__(
-        self,
-        capacity: int = 1,
-        max_iter: int = 200,
-        residual_tol: float = 1e-5,
-    ) -> None:
+    def __init__(self, capacity: int = 1, max_iter: int = 200) -> None:
         if capacity < 1:
             raise SolverError(f"capacity must be >= 1, got {capacity}")
         if max_iter < 1:
             raise SolverError(f"max_iter must be >= 1, got {max_iter}")
         self.capacity = int(capacity)
         self.max_iter = int(max_iter)
-        self.residual_tol = float(residual_tol)
 
     # ------------------------------------------------------------------
 
@@ -314,7 +310,7 @@ class QuadraticCoupledSizer:
             final_residual = float(np.abs(residuals(result.x)).max())
             solver_ok = bool(result.success)
             return QuadraticDiagnostics(
-                success=solver_ok and final_residual <= self.residual_tol,
+                success=solver_ok and final_residual <= RESIDUAL_TOL,
                 solver_reported_success=solver_ok,
                 message=str(result.message),
                 iterations=int(result.nit),

@@ -63,6 +63,10 @@ from repro.errors import InfeasibleError, SolverError
 #: (the tails are extrapolated geometrically either way).
 DEFAULT_JOINT_STATE_LIMIT = 2000
 
+#: The bridge fixed point has converged once no bridge-entry rate moved
+#: by this much in one step.
+FIXED_POINT_TOL = 1e-3
+
 
 @dataclass
 class BufferAllocation:
@@ -130,7 +134,7 @@ class SizingResult:
     fixed_point_iterations:
         Outer bridge-rate iterations performed.
     converged:
-        Whether the bridge fixed point met ``fixed_point_tol`` (False
+        Whether the bridge fixed point met :data:`FIXED_POINT_TOL` (False
         when the loop exhausted ``max_fixed_point_iterations``).  A
         non-converged result depends on the starting iterate, so the
         runtime's warm-vs-cold equivalence only holds when this is True
@@ -246,7 +250,7 @@ class _SizingProgram:
     # ------------------------------------------------------------------
 
     def refresh(self, split_system: SplitSystem) -> None:
-        """Pull the current (damped) arrival rates into every block."""
+        """Pull the current arrival rates into every block."""
         sub_by_index = {sub.index: sub for sub in split_system.subsystems}
         for e, (old_sub, kind, old_clients, blocks) in enumerate(self.entries):
             sub = sub_by_index[old_sub.index]
@@ -384,49 +388,33 @@ class BufferSizer:
     capacity_cap:
         Per-client upper bound defining the CTMDP lattices.  ``None``
         derives a heuristic from the budget and client count.
-    space_fraction:
-        The LP bounds *expected* occupied space by
-        ``space_fraction * total_budget``; the default 1.0 mirrors the
-        paper's hard budget (expected occupancy can never exceed the
-        physical slots anyway).
     joint_state_limit:
         Subsystems whose joint lattice exceeds this use the decomposed
         model.
-    max_fixed_point_iterations / fixed_point_tol / damping:
-        Bridge-rate outer loop controls.
-    min_size:
-        Minimum slots per client (default 1).
+    max_fixed_point_iterations:
+        Bridge-rate outer loop bound; the loop stops earlier once it
+        meets :data:`FIXED_POINT_TOL`.
+
+    The LP bounds *expected* occupied space by the total budget, the
+    paper's hard budget (expected occupancy can never exceed the
+    physical slots anyway), and every client gets at least one slot.
     """
 
     def __init__(
         self,
         total_budget: int,
         capacity_cap: Optional[int] = None,
-        space_fraction: float = 1.0,
         joint_state_limit: int = DEFAULT_JOINT_STATE_LIMIT,
         max_fixed_point_iterations: int = 6,
-        fixed_point_tol: float = 1e-3,
-        damping: float = 1.0,
-        min_size: int = 1,
     ) -> None:
         if total_budget < 1:
             raise SolverError(
                 f"total budget must be >= 1, got {total_budget}"
             )
-        if not 0.0 < space_fraction <= 1.0:
-            raise SolverError(
-                f"space fraction must be in (0, 1], got {space_fraction}"
-            )
-        if not 0.0 < damping <= 1.0:
-            raise SolverError(f"damping must be in (0, 1], got {damping}")
         self.total_budget = int(total_budget)
         self.capacity_cap = capacity_cap
-        self.space_fraction = float(space_fraction)
         self.joint_state_limit = int(joint_state_limit)
         self.max_fixed_point_iterations = int(max_fixed_point_iterations)
-        self.fixed_point_tol = float(fixed_point_tol)
-        self.damping = float(damping)
-        self.min_size = int(min_size)
 
     # ------------------------------------------------------------------
 
@@ -503,8 +491,8 @@ class BufferSizer:
         Raises
         ------
         InfeasibleError
-            If the budget cannot give every client its minimum size, or
-            the LP stays infeasible after adaptive relaxation.
+            If the budget cannot give every client one slot, or the LP
+            stays infeasible after adaptive relaxation.
         """
         result, _state = self.size_warm(topology, warm_start)
         return result
@@ -529,10 +517,10 @@ class BufferSizer:
         cap = self._derive_cap(topology)
         split_system = split(topology, cap)
         num_clients = len(split_system.all_client_names())
-        if self.total_budget < self.min_size * num_clients:
+        if self.total_budget < num_clients:
             raise InfeasibleError(
                 f"budget {self.total_budget} cannot give {num_clients} "
-                f"clients {self.min_size} slot(s) each"
+                f"clients 1 slot each"
             )
         if warm_start is not None and warm_start.bridge_rates:
             known = set()
@@ -564,7 +552,7 @@ class BufferSizer:
         marginals: Dict[str, np.ndarray],
         fair_share: int,
     ) -> Tuple[Dict[str, float], Dict[str, float], float]:
-        """One bridge-rate update: blocking, damped rates, max delta."""
+        """One bridge-rate update: blocking, new rates, max delta."""
         blocking: Dict[str, float] = {}
         for name, marg in marginals.items():
             k = min(fair_share, marg.size - 1)
@@ -578,12 +566,7 @@ class BufferSizer:
                 current[name] = sub.client(name).arrival_rate
         for name, rate in new_rates.items():
             max_delta = max(max_delta, abs(rate - current.get(name, 0.0)))
-        damped = {
-            name: self.damping * rate
-            + (1.0 - self.damping) * current.get(name, 0.0)
-            for name, rate in new_rates.items()
-        }
-        return blocking, damped, max_delta
+        return blocking, new_rates, max_delta
 
     def _fixed_point(
         self,
@@ -601,7 +584,7 @@ class BufferSizer:
         ):
             program.program.seed_basis(warm_start.basis)
         fair_share = max(self.total_budget // num_clients, 1)
-        initial_bound = self.space_fraction * self.total_budget
+        initial_bound = float(self.total_budget)
         x: Optional[np.ndarray] = None
         achieved: Dict[object, float] = {}
         bound_used = initial_bound
@@ -624,14 +607,14 @@ class BufferSizer:
                     name: self._extend_marginal(marg, self.total_budget)
                     for name, marg in program.marginals(x).items()
                 }
-                _blocking, damped, max_delta = self._fixed_point_step(
+                _blocking, rates, max_delta = self._fixed_point_step(
                     split_system, marginals, fair_share
                 )
-                if max_delta < self.fixed_point_tol:
+                if max_delta < FIXED_POINT_TOL:
                     converged = True
                     break
                 split_system.subsystems = [
-                    sub.with_rates(damped) for sub in split_system.subsystems
+                    sub.with_rates(rates) for sub in split_system.subsystems
                 ]
                 # Refresh only when another solve will happen:
                 # lp_solution below prices x with the providers' current
@@ -685,9 +668,7 @@ class BufferSizer:
                         max_size=self.total_budget,
                     )
                 )
-        sizes = allocate_greedy(
-            demands, self.total_budget, min_size=self.min_size
-        )
+        sizes = allocate_greedy(demands, self.total_budget)
         allocation = BufferAllocation(sizes=sizes, budget=self.total_budget)
         # Final blocking estimates at the *allocated* sizes (the fixed
         # point above used a fair-share probe size; the allocation is now

@@ -24,7 +24,7 @@ here compute offered/carried rates for a given blocking estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.arch.topology import (
     Topology,
@@ -98,10 +98,6 @@ class SplitSystem:
     subsystems: List[Subsystem]
     flow_hops: Dict[str, Tuple[FlowHop, ...]]
 
-    @property
-    def num_subsystems(self) -> int:
-        return len(self.subsystems)
-
     def all_client_names(self) -> List[str]:
         """Every buffer client across all subsystems (unique names)."""
         names: List[str] = []
@@ -117,11 +113,7 @@ class SplitSystem:
         raise TopologyError(f"no subsystem owns client {name!r}")
 
 
-def split(
-    topology: Topology,
-    capacity_cap: int,
-    bridge_loss_weight: Optional[float] = None,
-) -> SplitSystem:
+def split(topology: Topology, capacity_cap: int) -> SplitSystem:
     """Split a topology into bridge-separated linear subsystems.
 
     Parameters
@@ -131,9 +123,7 @@ def split(
     capacity_cap:
         Upper bound on any single buffer's size; defines the CTMDP state
         spaces (the optimiser may allocate anything from 1 to the cap).
-    bridge_loss_weight:
-        Loss weight of bridge-entry buffers.  Defaults to each bridge's
-        own ``loss_weight``.
+        Bridge-entry buffers take their bridge's ``loss_weight``.
 
     Returns
     -------
@@ -200,18 +190,13 @@ def split(
                 # No flow enters this cluster over this bridge; no buffer
                 # needs to be inserted on this side.
                 continue
-            weight = (
-                bridge.loss_weight
-                if bridge_loss_weight is None
-                else bridge_loss_weight
-            )
             clients.append(
                 BusClient(
                     name=name,
                     arrival_rate=rate,
                     service_rate=bridge.service_rate,
                     capacity=capacity_cap,
-                    loss_weight=weight,
+                    loss_weight=bridge.loss_weight,
                 )
             )
             bridge_client_names.append(name)

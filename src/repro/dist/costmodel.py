@@ -56,7 +56,7 @@ DEFAULT_UNIT_COST = 1e-2
 #: outlier block (cold solver, page cache miss) cannot flip the LPT
 #: order, light enough that a fleet's rates converge within a few
 #: blocks per cell.
-DEFAULT_ALPHA = 0.25
+ALPHA = 0.25
 
 
 def job_features(fn: Any, item: Any) -> Dict[str, Any]:
@@ -118,15 +118,7 @@ class CostModel:
         top`` shows.
     """
 
-    def __init__(
-        self,
-        alpha: float = DEFAULT_ALPHA,
-        default_unit_cost: float = DEFAULT_UNIT_COST,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-        self.default_unit_cost = float(default_unit_cost)
+    def __init__(self) -> None:
         # key -> ewma unit cost
         self._rates: Dict[str, float] = {}
         self._global: Optional[float] = None
@@ -147,7 +139,7 @@ class CostModel:
             return (
                 self._global
                 if self._global is not None
-                else self.default_unit_cost
+                else DEFAULT_UNIT_COST
             )
         units = float(features.get("units", 1.0)) or 1.0
         for key in _feature_keys(features):
@@ -156,7 +148,7 @@ class CostModel:
                 return rate * units
         if self._global is not None:
             return self._global * units
-        return self.default_unit_cost * units
+        return DEFAULT_UNIT_COST * units
 
     def observed_cost(
         self, features: Optional[Dict[str, Any]]
@@ -204,7 +196,7 @@ class CostModel:
         self._global = (
             unit_cost
             if self._global is None
-            else (1 - self.alpha) * self._global + self.alpha * unit_cost
+            else (1 - ALPHA) * self._global + ALPHA * unit_cost
         )
         if not features:
             return
@@ -213,7 +205,7 @@ class CostModel:
             self._rates[key] = (
                 unit_cost
                 if rate is None
-                else (1 - self.alpha) * rate + self.alpha * unit_cost
+                else (1 - ALPHA) * rate + ALPHA * unit_cost
             )
 
     # -- diagnostics ----------------------------------------------------

@@ -18,16 +18,12 @@ Robustness: every broker RPC runs under a
 :class:`~repro.retry.RetryPolicy` — a dropped connection tears down
 the cached proxy and reconnects on the next attempt, so transient
 transport blips are invisible above the executor.  A broker that stays
-gone (or that restarted and forgot the batch) is *broker loss*; what
-happens then is the ``on_broker_loss`` policy:
-
-* ``"fallback"`` (default) — the unfinished tail of the batch is
-  re-run on the **local process pool** with the same submission-order
-  merge, so the combined results are bitwise-identical to what the
-  fleet would have produced (jobs are pure; completed prefix + locally
-  computed tail = the serial answer).  Degraded, not dead.
-* ``"fail"`` — raise a :class:`~repro.errors.ReproError` describing
-  the loss, for callers that must not silently absorb a fleet outage.
+gone (or that restarted and forgot the batch) is *broker loss*: the
+unfinished tail of the batch is re-run on the **local process pool**
+with the same submission-order merge, so the combined results are
+bitwise-identical to what the fleet would have produced (jobs are
+pure; completed prefix + locally computed tail = the serial answer).
+Degraded, not dead; :attr:`DistExecutor.fallbacks` counts it.
 
 Fault plans (:mod:`repro.faults`) inject at the ``executor.submit``
 and ``executor.fetch_ready`` hooks.
@@ -84,10 +80,6 @@ class DistExecutor:
     retry:
         Backoff policy for broker connects and per-RPC transient
         failures (each retry reconnects from scratch).
-    on_broker_loss:
-        ``"fallback"`` re-runs the unfinished batch tail on the local
-        process pool (same merge order, same numbers); ``"fail"``
-        raises instead.
     fallback_jobs:
         Process count for the local fallback pool (``None``/``0`` =
         every CPU this process may use, matching
@@ -105,19 +97,12 @@ class DistExecutor:
         authkey: bytes = DEFAULT_AUTHKEY,
         timeout: Optional[float] = None,
         retry: RetryPolicy = DEFAULT_RETRY,
-        on_broker_loss: str = "fallback",
         fallback_jobs: Optional[int] = None,
     ) -> None:
-        if on_broker_loss not in ("fallback", "fail"):
-            raise ReproError(
-                f"on_broker_loss must be 'fallback' or 'fail', got "
-                f"{on_broker_loss!r}"
-            )
         self.address = parse_address(address)
         self.authkey = authkey
         self.timeout = timeout
         self.retry = retry
-        self.on_broker_loss = on_broker_loss
         self.fallback_jobs = fallback_jobs
         self.fallbacks = 0
         self._connection: Optional[BrokerConnection] = None
@@ -154,8 +139,8 @@ class DistExecutor:
         attempt reconnects from scratch — the only way back to a
         restarted broker, since a proxy never outlives its TCP
         connection.  Exhausted retries raise
-        :class:`BrokerUnavailableError` for :meth:`map` to translate
-        into the ``on_broker_loss`` policy.
+        :class:`BrokerUnavailableError` for :meth:`map` to answer with
+        the local-pool fallback.
         """
 
         def attempt():
@@ -209,8 +194,8 @@ class DistExecutor:
 
         Equivalent to ``[fn(item) for item in items]`` for pure ``fn``
         (the :mod:`repro.exec.pool` determinism contract), for any
-        number of workers, lease order, or worker death mid-job — and,
-        under ``on_broker_loss="fallback"``, for broker death too.
+        number of workers, lease order, or worker death mid-job — and
+        for broker death too.
         ``on_result(index, result)`` fires in index order as the
         completed prefix grows.
         """
@@ -229,11 +214,6 @@ class DistExecutor:
         except BrokerUnavailableError as exc:
             # Broker loss: ``results`` holds the contiguous completed
             # prefix at the moment of loss.
-            if self.on_broker_loss != "fallback":
-                raise ReproError(
-                    f"broker lost with {len(results)}/{len(payloads)} "
-                    f"jobs done and on_broker_loss='fail': {exc}"
-                )
             return self._map_fallback(fn, payloads, results, on_result, exc)
 
     def _map_fleet(

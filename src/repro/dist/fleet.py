@@ -2,7 +2,7 @@
 
 ``run_matrix`` enumerates registry scenarios into the flat, ordered
 job list the queue executes — one :func:`repro.dist.jobs.run_block`
-payload per (scenario, budget, replication block) — and merges the
+payload per (scenario, budget, replication) — and merges the
 block outcomes back into per-cell results *by submission order*.  The
 same function body runs the matrix serially (``executor=None,
 jobs=1``), on the local pool (``jobs=N``) or on a broker fleet
@@ -85,16 +85,14 @@ def build_matrix(
     replications: int = 3,
     duration: float = 500.0,
     base_seed: int = 0,
-    seed_scheme: str = "legacy",
-    block_reps: int = 1,
 ) -> List[Dict[str, Any]]:
     """The ordered job payload list of one matrix.
 
     ``budgets=None`` uses each scenario's declared budget axis;
-    an explicit list applies to every scenario.  ``block_reps`` sets
-    the replication-slice size per job — smaller blocks give the queue
-    more to balance (and more blocks sharing each cell's cached
-    sizing), at proportionally more per-job round-trips.
+    an explicit list applies to every scenario.  Each job is one
+    replication of one cell (``start``..``stop`` spans one index), so
+    the queue has the most to balance and every block of a cell shares
+    the cell's cached sizing.
 
     Scenarios and budgets are deduplicated (first spelling wins, by
     *canonical* scenario name, so family aliases collapse too): a cell
@@ -107,8 +105,6 @@ def build_matrix(
         raise ReproError(
             f"replications must be >= 1, got {replications}"
         )
-    if block_reps < 1:
-        raise ReproError(f"block_reps must be >= 1, got {block_reps}")
     specs = list(
         {
             spec.name: spec
@@ -123,17 +119,16 @@ def build_matrix(
             )
         )
         for budget in axis:
-            for start in range(0, replications, block_reps):
+            for start in range(replications):
                 payloads.append(
                     {
                         "scenario": spec.name,
                         "budget": budget,
                         "replications": int(replications),
                         "start": start,
-                        "stop": min(start + block_reps, replications),
+                        "stop": start + 1,
                         "duration": float(duration),
                         "base_seed": int(base_seed),
-                        "seed_scheme": seed_scheme,
                     }
                 )
     return payloads
@@ -188,8 +183,6 @@ def run_matrix(
     replications: int = 3,
     duration: float = 500.0,
     base_seed: int = 0,
-    seed_scheme: str = "legacy",
-    block_reps: int = 1,
     jobs: int = 1,
     executor: Optional[Any] = None,
     on_result: Optional[Callable[[int, BlockOutcome], None]] = None,
@@ -217,8 +210,6 @@ def run_matrix(
         replications=replications,
         duration=duration,
         base_seed=base_seed,
-        seed_scheme=seed_scheme,
-        block_reps=block_reps,
     )
     blocks: List[Optional[BlockOutcome]] = [None] * len(payloads)
     todo_indices: List[int] = []

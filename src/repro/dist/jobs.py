@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import obs, scenarios
+from repro.errors import ReproError
 from repro.exec import ExecutionContext
 from repro.exec.cache import ResultStore
 
@@ -139,79 +140,57 @@ def block_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def run_block(payload: Dict[str, Any]) -> BlockOutcome:
-    """Size one scenario×budget cell and simulate one replication slice.
+    """Size one scenario×budget cell and simulate one replication.
 
     The payload fully determines the outcome: scenario name, budget,
-    the *global* replication layout (count, base seed, scheme — seeds
-    are derived for the whole cell and indexed by the slice, so the
-    block decomposition can never change a seed) and horizon.  The
-    sizing runs through the active cache when
-    one is installed: on a fleet, the worker loop installs its
-    :class:`CacheTier` (the first worker to converge a cell's sizing
-    publishes it and every other block reuses it); for local runs,
-    ``run_matrix`` installs a run-scoped :class:`ProcessMemo` instead.
+    the *global* replication layout (count and base seed — seeds are
+    derived for the whole cell and indexed by the block's ``start``,
+    so the block decomposition can never change a seed) and horizon.
+    The sizing runs through the active cache when one is installed: on
+    a fleet, the worker loop installs its :class:`CacheTier` (the first
+    worker to converge a cell's sizing publishes it and every other
+    block reuses it); for local runs, ``run_matrix`` installs a
+    run-scoped :class:`ProcessMemo` instead.
     """
     return run_blocks([payload])[0]
 
 
 def run_blocks(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
-    """:func:`run_block` over many payloads, set up once per cell.
+    """:func:`run_block` over the blocks of one cell, set up once.
 
-    Each run of consecutive payloads with equal :func:`block_cell`
-    builds the topology, looks up the sizing and simulates once: the
-    slices' seeds are concatenated into one call, whose results are
-    split back into one :class:`BlockOutcome` per payload, in order.
-    A seed's result does not depend on which seeds share its
-    simulation (the :func:`~repro.sim.runner.simulate_block`
-    contract), so the outcomes equal ``[run_block(p) for p in
-    payloads]`` bit for bit.  A fleet worker runs each lease's
-    consecutive blocks of a cell through here.
+    Every payload must have the same :func:`block_cell`; a mixed list
+    raises :class:`~repro.errors.ReproError`.  The cell's topology is
+    built, its sizing looked up and its replications simulated in one
+    call, whose results are split back into one :class:`BlockOutcome`
+    per payload, in order.  A seed's result does not depend on which
+    seeds share its simulation (the
+    :func:`~repro.sim.runner.simulate_block` contract), so the
+    outcomes equal ``[run_block(p) for p in payloads]`` bit for bit.
+    A fleet worker runs each lease's consecutive blocks of a cell
+    through here.
     """
-    outcomes: List[BlockOutcome] = []
-    begin = 0
-    while begin < len(payloads):
-        cell = block_cell(payloads[begin])
-        end = begin + 1
-        while end < len(payloads) and block_cell(payloads[end]) == cell:
-            end += 1
-        outcomes.extend(_run_cell(payloads[begin:end]))
-        begin = end
-    return outcomes
-
-
-def _run_cell(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
-    """The blocks of one cell: one set-up, one simulation call."""
     from repro.sim.runner import replication_seeds, simulate_block
 
-    cell = payloads[0]
+    cell = block_cell(payloads[0])
+    if any(block_cell(payload) != cell for payload in payloads[1:]):
+        raise ReproError("run_blocks takes the blocks of one cell only")
     spec = scenarios.get(cell["scenario"])
     topology = spec.topology()
     context = ExecutionContext(jobs=1, cache=active_cache()).scoped(spec)
-    sizing = context.size(
-        topology, cell["budget"], sizer_kwargs=dict(spec.sizer_kwargs)
-    )
-    capacities = sizing.allocation.as_capacities()
-    seeds = replication_seeds(
-        cell["replications"], cell["base_seed"], cell["seed_scheme"]
-    )
-    slices = [
-        [seeds[r] for r in range(payload["start"], payload["stop"])]
-        for payload in payloads
-    ]
-    cell_seeds = [seed for block in slices for seed in block]
-    # One kernel cell for every replication of every slice: they
-    # advance in lockstep.  Per-replication streams are derived from
-    # the global seed list, so each result is bitwise the per-seed run
-    # the serial path would produce.
+    sizing = context.size(topology, cell["budget"])
+    seeds = replication_seeds(cell["replications"], cell["base_seed"])
+    # One kernel cell for every block: they advance in lockstep.
+    # Per-replication streams are derived from the global seed list,
+    # so each result is bitwise the per-seed run the serial path would
+    # produce.
     results = simulate_block(
         topology,
-        capacities,
+        sizing.allocation.as_capacities(),
         duration=cell["duration"],
-        seeds=cell_seeds,
+        seeds=[seeds[payload["start"]] for payload in payloads],
     )
     outcomes: List[BlockOutcome] = []
-    offset = 0
-    for payload, block in zip(payloads, slices):
+    for payload, result in zip(payloads, results):
         # Scenario-labeled fleet telemetry, per block: shipped to the
         # broker with the worker's other counters, split out by the
         # Prometheus exposition as
@@ -219,7 +198,7 @@ def _run_cell(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
         # a disabled registry hands back shared no-op stubs, so the
         # zero-overhead contract holds.
         obs.counter("scenario.blocks.%s" % spec.name).inc()
-        obs.counter("scenario.replications.%s" % spec.name).inc(len(block))
+        obs.counter("scenario.replications.%s" % spec.name).inc()
         outcomes.append(
             BlockOutcome(
                 scenario=spec.name,
@@ -229,8 +208,7 @@ def _run_cell(payloads: Sequence[Dict[str, Any]]) -> List[BlockOutcome]:
                 sizes=dict(sizing.allocation.sizes),
                 expected_loss_rate=sizing.expected_loss_rate,
                 converged=sizing.converged,
-                results=results[offset:offset + len(block)],
+                results=[result],
             )
         )
-        offset += len(block)
     return outcomes

@@ -217,7 +217,6 @@ class Broker:
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
         clock: Callable[[], float] = time.monotonic,
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         if lease_timeout <= 0:
             raise ReproError(
@@ -225,7 +224,7 @@ class Broker:
             )
         self.lease_timeout = float(lease_timeout)
         # The scheduler's runtime predictor, refined by every completion.
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.cost_model = CostModel()
         # A live driver polls its batch at least every LONG_POLL_WAIT
         # seconds, so a batch unpolled for this long belongs to a dead
         # (or partitioned) driver: drop it, or a long-lived broker

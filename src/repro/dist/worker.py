@@ -138,8 +138,8 @@ def _execute_group(group: List[Job], fallbacks) -> List[Tuple[Any, float]]:
     """Run one group; ``(result, runtime)`` per job, in group order.
 
     Several blocks run as one :func:`~repro.dist.jobs.run_blocks` call,
-    and each job reports its share of the call's wall time, split by
-    replications, so the broker's cost model keeps learning per-job
+    and each job (one replication) reports an equal share of the
+    call's wall time, so the broker's cost model keeps learning per-job
     rates.  If the call raises, every job of the group re-runs alone
     through :func:`_execute`, so a failure stays one job's own
     :class:`JobFailure`; each such fallback bumps ``fallbacks``.
@@ -153,13 +153,8 @@ def _execute_group(group: List[Job], fallbacks) -> List[Tuple[Any, float]]:
         except Exception:
             fallbacks.inc()
         else:
-            wall = time.monotonic() - t0
-            reps = [outcome.stop - outcome.start for outcome in outcomes]
-            total = sum(reps) or 1
-            return [
-                (outcome, wall * count / total)
-                for outcome, count in zip(outcomes, reps)
-            ]
+            share = (time.monotonic() - t0) / len(outcomes)
+            return [(outcome, share) for outcome in outcomes]
     timed = []
     for _, payload in group:
         t0 = time.monotonic()

@@ -78,8 +78,8 @@ def _replicate_defaults() -> Dict[str, Any]:
 
     Read off the live signatures of ``simulate`` and ``replicate`` so
     cache keys stay in sync with the code: a batch requested with
-    explicit defaults (``seed_scheme="legacy"``) and one relying on the
-    omitted defaults must hash identically, or callers that spell their
+    explicit defaults (``arbiter_kind="longest_queue"``) and one relying
+    on the omitted defaults must hash identically, or callers that spell their
     calls differently (CLI vs ``compare_policies``) silently never
     share cache entries.  ``seed`` is simulate's per-run seed (derived
     by replicate, not a batch kwarg); ``jobs`` cannot change the

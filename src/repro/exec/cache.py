@@ -8,7 +8,7 @@ that payload wrapped in an envelope carrying the computation *kind*, the
 cache schema version and the package code version, so
 
 * the same experiment re-run (or an overlapping sweep) hits;
-* any config change — a different seed scheme, arbiter, budget, solver
+* any config change — a different base seed, arbiter, budget, solver
   knob — misses;
 * upgrading the package (or the cache schema) invalidates everything,
   because results may legitimately change across code versions.

@@ -49,9 +49,9 @@ def _sizer_defaults() -> Dict[str, Any]:
     """Default values of every optional :class:`BufferSizer` argument.
 
     Read off the live signature so cache keys stay caller-independent:
-    passing a default explicitly (``damping=1.0``) and omitting
-    it must hash identically (same rationale as the replication-key
-    normalisation in :mod:`repro.exec`).
+    passing a default explicitly (``max_fixed_point_iterations=6``) and
+    omitting it must hash identically (same rationale as the
+    replication-key normalisation in :mod:`repro.exec`).
     """
     return {
         name: param.default

@@ -196,7 +196,6 @@ def run_policy_sweep(
     budget: Optional[int] = None,
     replications: int = 5,
     duration: float = 1_500.0,
-    arch_seed: Optional[int] = None,
     sizer_kwargs: dict | None = None,
     context: Optional[ExecutionContext] = None,
     scenario=None,
@@ -220,9 +219,7 @@ def run_policy_sweep(
         "ctmdp": lambda: CTMDPSizing(**(merged_sizer or {})),
     }
     points = load_sweep(
-        topology_factory=lambda scale: spec.topology(
-            arch_seed=arch_seed, load_scale=scale
-        ),
+        topology_factory=lambda scale: spec.topology(load_scale=scale),
         load_scales=load_scales,
         budget=budget,
         policy_factories=factories,

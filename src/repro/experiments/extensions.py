@@ -94,7 +94,6 @@ def run_burstiness(
     budget: Optional[int] = None,
     replications: int = 3,
     duration: float = 1_000.0,
-    arch_seed: Optional[int] = None,
     sizer_kwargs: dict | None = None,
     context: Optional[ExecutionContext] = None,
     scenario: Union[str, ScenarioSpec, None] = None,
@@ -105,7 +104,7 @@ def run_burstiness(
     spec, context, sizer_kwargs = scenario_setup(
         scenario, context, sizer_kwargs
     )
-    topology = spec.topology(arch_seed=arch_seed)
+    topology = spec.topology()
     budget = spec.default_budget if budget is None else budget
     allocation = context.size(
         topology, budget, sizer_kwargs=sizer_kwargs
@@ -208,7 +207,6 @@ def run_weighted_loss(
     budget: Optional[int] = None,
     replications: int = 3,
     duration: float = 1_000.0,
-    arch_seed: Optional[int] = None,
     sizer_kwargs: dict | None = None,
     context: Optional[ExecutionContext] = None,
     scenario: Union[str, ScenarioSpec, None] = None,
@@ -224,7 +222,7 @@ def run_weighted_loss(
     spec, context, sizer_kwargs = scenario_setup(
         scenario, context, sizer_kwargs
     )
-    base = spec.topology(arch_seed=arch_seed)
+    base = spec.topology()
     budget = spec.default_budget if budget is None else budget
     if critical is None:
         if spec.critical_processors is not None:

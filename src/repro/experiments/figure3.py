@@ -21,6 +21,8 @@ from repro.analysis.report import bar_chart, format_table
 from repro.analysis.stats import relative_improvement
 from repro.exec import ExecutionContext
 from repro.experiments.common import (
+    PAPER_DURATION,
+    PAPER_REPLICATIONS,
     POST,
     PRE,
     TIMEOUT,
@@ -89,19 +91,18 @@ def run_figure3(
     budget: Optional[int] = None,
     duration: Optional[float] = None,
     replications: Optional[int] = None,
-    arch_seed: Optional[int] = None,
-    base_seed: int = 0,
     sizer_kwargs: dict | None = None,
     context: Optional[ExecutionContext] = None,
     scenario: Union[str, ScenarioSpec, None] = None,
 ) -> Figure3Result:
     """Regenerate Figure 3 on one scenario (default: netproc).
 
-    ``budget``/``duration``/``replications``/``arch_seed`` default to
-    the scenario's declared values (netproc: 160, 3000, 10, 2005 — the
-    paper configuration).  ``context`` routes the sizing run and the
-    three replication batches through the execution runtime (process
-    pool + result cache), with cache keys scoped to the scenario.
+    ``budget`` defaults to the scenario's declared budget (netproc:
+    160), ``duration``/``replications`` to :data:`PAPER_DURATION` and
+    :data:`PAPER_REPLICATIONS` (3000, 10 — the paper configuration).
+    ``context`` routes the sizing run and the three replication batches
+    through the execution runtime (process pool + result cache), with
+    cache keys scoped to the scenario.
     """
     # build() re-runs the same prologue on the resolved spec/scoped
     # context/merged sizer; scenario_setup is idempotent on its own
@@ -112,20 +113,18 @@ def run_figure3(
     experiment = ScenarioExperiment.build(
         scenario=spec,
         budget=budget,
-        arch_seed=arch_seed,
         sizer_kwargs=sizer_kwargs,
         context=context,
     )
-    duration = spec.default_duration if duration is None else duration
+    duration = PAPER_DURATION if duration is None else duration
     replications = (
-        spec.default_replications if replications is None else replications
+        PAPER_REPLICATIONS if replications is None else replications
     )
     comparison = compare_policies(
         experiment.topology,
         experiment.allocations,
         replications=replications,
         duration=duration,
-        base_seed=base_seed,
         timeout_thresholds=experiment.timeout_thresholds(),
         processors=experiment.processors,
         context=context,

@@ -53,8 +53,6 @@ def run_headline(
     budget: int | None = None,
     duration: float | None = None,
     replications: int | None = None,
-    arch_seed: int | None = None,
-    base_seed: int = 0,
     sizer_kwargs: dict | None = None,
     scenario=None,
 ) -> HeadlineResult:
@@ -63,8 +61,6 @@ def run_headline(
         budget=budget,
         duration=duration,
         replications=replications,
-        arch_seed=arch_seed,
-        base_seed=base_seed,
         sizer_kwargs=sizer_kwargs,
         scenario=scenario,
     )

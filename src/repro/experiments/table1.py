@@ -16,7 +16,13 @@ from repro.analysis.report import format_table
 from repro.arch.topology import processor_names
 from repro.errors import ReproError
 from repro.exec import ExecutionContext
-from repro.experiments.common import POST, PRE, scenario_setup
+from repro.experiments.common import (
+    PAPER_DURATION,
+    PAPER_REPLICATIONS,
+    POST,
+    PRE,
+    scenario_setup,
+)
 from repro.policies.uniform import UniformSizing
 from repro.scenarios import ScenarioSpec
 
@@ -87,8 +93,6 @@ def run_table1(
     budgets: Optional[Sequence[int]] = None,
     duration: Optional[float] = None,
     replications: Optional[int] = None,
-    arch_seed: Optional[int] = None,
-    base_seed: int = 0,
     sizer_kwargs: dict | None = None,
     context: Optional[ExecutionContext] = None,
     scenario: Union[str, ScenarioSpec, None] = None,
@@ -96,9 +100,10 @@ def run_table1(
     """Sweep the total budget and compare pre/post losses.
 
     ``scenario`` selects the architecture (default: netproc, whose
-    declared budget axis is the paper's 160/320/640); ``budgets``,
-    ``duration``, ``replications`` and ``arch_seed`` default to the
-    scenario's values.  The CTMDP sizings run through the execution
+    declared budget axis is the paper's 160/320/640); ``budgets``
+    defaults to the scenario's axis, ``duration``/``replications`` to
+    :data:`~repro.experiments.common.PAPER_DURATION` and
+    :data:`~repro.experiments.common.PAPER_REPLICATIONS`.  The CTMDP sizings run through the execution
     runtime's budget-sweep scheduler: consecutive budgets warm-start
     each other's bridge fixed point (disable via the context's
     ``warm_start=False``), results are memoised in the context's cache
@@ -112,11 +117,11 @@ def run_table1(
         budgets = spec.budgets
     if not budgets:
         raise ReproError("table 1 needs at least one budget")
-    duration = spec.default_duration if duration is None else duration
+    duration = PAPER_DURATION if duration is None else duration
     replications = (
-        spec.default_replications if replications is None else replications
+        PAPER_REPLICATIONS if replications is None else replications
     )
-    topology = spec.topology(arch_seed=arch_seed)
+    topology = spec.topology()
     processors = processor_names(topology)
     budget_list = [int(b) for b in budgets]
     sweep = context.sweep(topology, budget_list, sizer_kwargs=sizer_kwargs)
@@ -130,7 +135,6 @@ def run_table1(
             },
             replications=replications,
             duration=duration,
-            base_seed=base_seed,
             processors=processors,
             context=context,
         )

@@ -256,7 +256,6 @@ def _run_dist_mode(
         executor = DistExecutor(
             server.address,
             timeout=300,
-            on_broker_loss="fallback",
             fallback_jobs=1,
         )
         if any(event.site in _CACHE_SITES for event in plan.events):
@@ -290,8 +289,6 @@ def run_chaos_matrix(
     replications: int = 2,
     duration: float = 60.0,
     base_seed: int = 0,
-    seed_scheme: str = "legacy",
-    block_reps: int = 1,
     plans: Optional[Dict[str, FaultPlan]] = None,
     modes: Sequence[str] = ("serial", "jobs", "dist"),
     jobs: int = 2,
@@ -317,8 +314,6 @@ def run_chaos_matrix(
         replications=replications,
         duration=duration,
         base_seed=base_seed,
-        seed_scheme=seed_scheme,
-        block_reps=block_reps,
     )
     from repro.dist.fleet import run_matrix
 

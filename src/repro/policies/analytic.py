@@ -16,7 +16,6 @@ from typing import Dict, List, Tuple
 
 from repro.arch.topology import Topology
 from repro.core.sizing import BufferAllocation
-from repro.errors import PolicyError
 from repro.policies.base import SizingPolicy, sizing_clients
 from repro.queueing.mm1k import MM1KQueue
 
@@ -26,11 +25,6 @@ class AnalyticGreedySizing(SizingPolicy):
 
     name = "analytic_greedy"
 
-    def __init__(self, min_size: int = 1) -> None:
-        if min_size < 1:
-            raise PolicyError(f"min size must be >= 1, got {min_size}")
-        self.min_size = min_size
-
     @staticmethod
     def _loss(rate: float, mu: float, k: int, weight: float) -> float:
         if rate <= 0:
@@ -39,8 +33,8 @@ class AnalyticGreedySizing(SizingPolicy):
 
     def allocate(self, topology: Topology, budget: int) -> BufferAllocation:
         clients = sizing_clients(topology)
-        self._check_budget(budget, len(clients), self.min_size)
-        sizes: Dict[str, int] = {c.name: self.min_size for c in clients}
+        self._check_budget(budget, len(clients))
+        sizes: Dict[str, int] = {c.name: 1 for c in clients}
         effective_mu = {
             c.name: c.service_rate / max(c.competitors, 1) for c in clients
         }

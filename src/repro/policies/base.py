@@ -73,32 +73,31 @@ class SizingPolicy(abc.ABC):
         """Distribute ``budget`` slots over all sizing clients."""
 
     @staticmethod
-    def _check_budget(budget: int, num_clients: int, min_size: int = 1) -> None:
-        if budget < min_size * num_clients:
+    def _check_budget(budget: int, num_clients: int) -> None:
+        if budget < num_clients:
             raise PolicyError(
                 f"budget {budget} cannot give {num_clients} clients "
-                f"{min_size} slot(s) each"
+                f"1 slot each"
             )
 
 
 def largest_remainder_rounding(
-    shares: Dict[str, float], budget: int, min_size: int = 1
+    shares: Dict[str, float], budget: int
 ) -> Dict[str, int]:
     """Round fractional shares to integers summing exactly to ``budget``.
 
-    Every client first receives ``min_size``; the remaining slots are
+    Every client first receives one slot; the remaining slots are
     apportioned by the largest-remainder method on the shares, with ties
     broken by name for determinism.
     """
     if not shares:
         raise PolicyError("no clients to size")
     names = sorted(shares)
-    floor_total = min_size * len(names)
-    if budget < floor_total:
+    if budget < len(names):
         raise PolicyError(
-            f"budget {budget} below minimum {floor_total}"
+            f"budget {budget} below minimum {len(names)}"
         )
-    spare = budget - floor_total
+    spare = budget - len(names)
     total_share = sum(max(shares[n], 0.0) for n in names)
     if total_share <= 0:
         # Degenerate: no traffic at all; spread evenly.
@@ -107,7 +106,7 @@ def largest_remainder_rounding(
         quotas = {
             n: spare * max(shares[n], 0.0) / total_share for n in names
         }
-    sizes = {n: min_size + int(quotas[n]) for n in names}
+    sizes = {n: 1 + int(quotas[n]) for n in names}
     remainders = sorted(
         names,
         key=lambda n: (-(quotas[n] - int(quotas[n])), n),

@@ -4,8 +4,7 @@ This subpackage provides the exact stochastic machinery the paper's models
 are built from:
 
 * :mod:`repro.queueing.markov_chain` — finite continuous-time Markov
-  chains: generator validation, steady-state analysis, hitting times,
-  uniformization.
+  chains: generator validation and steady-state analysis.
 * :mod:`repro.queueing.birth_death` — birth-death chains with the
   product-form stationary distribution.
 * :mod:`repro.queueing.mm1k` — the M/M/1/K loss queue with closed-form

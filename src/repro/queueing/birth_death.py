@@ -96,26 +96,6 @@ class BirthDeathChain:
         """Probability of being in the top state ``K``."""
         return float(self.stationary_distribution()[-1])
 
-    def mean_level(self) -> float:
-        """Expected state (mean queue length for a queueing interpretation)."""
-        pi = self.stationary_distribution()
-        return float(pi @ np.arange(self.num_states))
-
-    def level_variance(self) -> float:
-        """Variance of the stationary level."""
-        pi = self.stationary_distribution()
-        levels = np.arange(self.num_states)
-        mean = pi @ levels
-        return float(pi @ (levels - mean) ** 2)
-
-    def tail_probability(self, level: int) -> float:
-        """``P(state >= level)`` under the stationary law."""
-        if level <= 0:
-            return 1.0
-        if level > self.capacity:
-            return 0.0
-        return float(self.stationary_distribution()[level:].sum())
-
     def quantile(self, prob: float) -> int:
         """Smallest level ``l`` with ``P(state <= l) >= prob``."""
         if not 0.0 < prob <= 1.0:

@@ -3,20 +3,13 @@
 A CTMC on states ``0..n-1`` is described by its generator (rate) matrix
 ``Q`` where ``Q[i, j] >= 0`` for ``i != j`` is the transition rate from
 ``i`` to ``j`` and each row sums to zero.  This module provides
-
-* structural validation of generators,
-* steady-state (stationary) distributions via a dense linear solve,
-* expected hitting times,
-* uniformized discrete-time transition matrices, the bridge between the
-  continuous-time models of the paper and discrete dynamic programming.
-
-The CTMDP machinery in :mod:`repro.core.ctmdp` reuses the validation and
-uniformization helpers defined here.
+structural validation of generators and steady-state (stationary)
+distributions via a dense linear solve.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,47 +62,6 @@ def validate_generator(matrix: np.ndarray, tol: float = ROW_SUM_TOL) -> np.ndarr
             f"generator row {i} sums to {row_sums[i]:.3g}, expected 0"
         )
     return q
-
-
-def uniformization_rate(q: np.ndarray, slack: float = 1.0 + 1e-9) -> float:
-    """Return a valid uniformization constant for generator ``q``.
-
-    The constant is ``slack * max_i |q[i, i]|`` (at least a small positive
-    number for the degenerate all-absorbing chain), guaranteeing that the
-    uniformized matrix ``I + Q / rate`` is stochastic.
-    """
-    rate = float(np.abs(np.diag(q)).max()) * slack
-    if rate <= 0.0:
-        rate = 1.0
-    return rate
-
-
-def uniformize(q: np.ndarray, rate: Optional[float] = None) -> tuple[np.ndarray, float]:
-    """Uniformize a generator into a DTMC transition matrix.
-
-    Returns ``(P, rate)`` with ``P = I + Q / rate`` row-stochastic.  If
-    ``rate`` is not given a safe one is chosen via
-    :func:`uniformization_rate`.
-
-    Raises
-    ------
-    ModelError
-        If a caller-supplied ``rate`` is smaller than the largest exit
-        rate, which would produce negative probabilities.
-    """
-    q = np.asarray(q, dtype=float)
-    max_exit = float(np.abs(np.diag(q)).max())
-    if rate is None:
-        rate = uniformization_rate(q)
-    elif rate < max_exit:
-        raise ModelError(
-            f"uniformization rate {rate:.3g} below max exit rate {max_exit:.3g}"
-        )
-    p = np.eye(q.shape[0]) + q / rate
-    # Clip tiny negative round-off and renormalise each row.
-    p = np.clip(p, 0.0, None)
-    p /= p.sum(axis=1, keepdims=True)
-    return p, rate
 
 
 class ContinuousTimeMarkovChain:
@@ -209,66 +161,6 @@ class ContinuousTimeMarkovChain:
             )
         self._stationary = pi
         return pi
-
-    def stationary_probability(self, label) -> float:
-        """Stationary probability of one state."""
-        return float(self.stationary_distribution()[self.index_of(label)])
-
-    def expected_stationary(self, values: Iterable[float]) -> float:
-        """Expectation of a per-state value vector under the stationary law."""
-        v = np.asarray(list(values), dtype=float)
-        if v.shape[0] != self.num_states:
-            raise ModelError(
-                f"value vector has {v.shape[0]} entries for "
-                f"{self.num_states} states"
-            )
-        return float(self.stationary_distribution() @ v)
-
-    # ------------------------------------------------------------------
-    # Hitting times
-    # ------------------------------------------------------------------
-
-    def expected_hitting_times(self, targets: Iterable) -> np.ndarray:
-        """Expected time to reach any state in ``targets`` from each state.
-
-        Solves the standard first-passage linear system; entries for target
-        states are zero.
-
-        Raises
-        ------
-        ModelError
-            If some state cannot reach the target set (singular system).
-        """
-        target_idx = {self.index_of(t) for t in targets}
-        if not target_idx:
-            raise ModelError("targets must be non-empty")
-        n = self.num_states
-        others = [i for i in range(n) if i not in target_idx]
-        if not others:
-            return np.zeros(n)
-        sub = self.generator[np.ix_(others, others)]
-        rhs = -np.ones(len(others))
-        try:
-            h_others = np.linalg.solve(sub, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ModelError(
-                "hitting-time system is singular; target set may be "
-                "unreachable from some state"
-            ) from exc
-        if (h_others < -1e-9).any():
-            raise ModelError("negative hitting time computed; check generator")
-        h = np.zeros(n)
-        for pos, i in enumerate(others):
-            h[i] = max(h_others[pos], 0.0)
-        return h
-
-    # ------------------------------------------------------------------
-    # Uniformization
-    # ------------------------------------------------------------------
-
-    def uniformized(self, rate: Optional[float] = None) -> tuple[np.ndarray, float]:
-        """Return ``(P, rate)`` for the uniformized discrete-time chain."""
-        return uniformize(self.generator, rate)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

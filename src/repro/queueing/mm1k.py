@@ -77,10 +77,6 @@ class MM1KQueue:
         """Rate of accepted (eventually served) requests."""
         return self.arrival_rate * (1.0 - self.blocking_probability())
 
-    def utilization(self) -> float:
-        """Fraction of time the server is busy, ``1 - P(N = 0)``."""
-        return float(1.0 - self.state_probabilities()[0])
-
     def mean_number_in_system(self) -> float:
         """Expected number of requests present."""
         probs = self.state_probabilities()

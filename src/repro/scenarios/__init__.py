@@ -2,7 +2,7 @@
 
 One :class:`ScenarioSpec` describes everything a driver needs to run an
 experiment end to end on one architecture family (topology builder,
-budget axis, sizer/calibration config, per-scenario policy knobs); the
+budget axis, calibration horizon, weighted-loss critical set); the
 registry resolves names — fixed (``netproc``, ``fig1``, ``amba``,
 ``coreconnect``) and parametric (``random-mesh-<clusters>-<seed>``,
 ``single-bus-<n>``) — so every layer above (experiments, CLI, exec

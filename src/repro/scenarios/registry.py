@@ -124,7 +124,6 @@ register(
         default_budget=160,
         budgets=(160, 320, 640),
         calibration_duration=3_000.0,
-        timeout_multiplier=6.0,
         critical_processors=("p1", "p16"),
     )
 )

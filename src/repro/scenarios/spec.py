@@ -2,9 +2,8 @@
 
 A :class:`ScenarioSpec` bundles everything an experiment driver needs to
 run end to end on one architecture family: the topology builder, the
-default budget axis, the sizer configuration, the simulation/calibration
-horizons and the per-scenario policy knobs (the timeout-threshold
-multiplier, the weighted-loss critical set).  Every driver in
+default budget axis, the calibration horizon and the weighted-loss
+critical set.  Every driver in
 :mod:`repro.experiments`, the CLI and the benchmarks resolve a spec by
 name from :mod:`repro.scenarios.registry` instead of hardcoding the
 network-processor testbed.
@@ -73,31 +72,15 @@ class ScenarioSpec:
         ``builder(arch_seed, load_scale) -> Topology``; the topology
         every driver of this scenario simulates and sizes.
     arch_seed:
-        Default seed passed to the builder (deterministic templates
-        ignore it).
+        Seed passed to the builder (deterministic templates ignore
+        it).
     default_budget:
         Total buffer budget for single-budget drivers (figure3, the
         extension studies).
     budgets:
         Budget axis for sweep drivers (table1).
-    sizer_kwargs:
-        Extra :class:`~repro.core.sizing.BufferSizer` arguments applied
-        to every sizing run of the scenario.
     calibration_duration:
         Horizon of the timeout-threshold calibration simulation.
-    timeout_multiplier:
-        Scales the calibrated mean buffer waiting time into the timeout
-        threshold.  The paper fixes the threshold at "the average time
-        spent by a request in a buffer" without saying how the average
-        was measured; the netproc default (6.0) places the timeout
-        policy's total loss at roughly twice the CTMDP configuration,
-        the regime the paper's 50% claim implies.  Non-netproc scenarios
-        calibrate their own regime here.
-    default_duration / default_replications:
-        Simulation horizon and replication count the paper-artefact
-        drivers (figure3, table1, headline) fall back to when the
-        caller passes ``None``; the lighter extension/ablation drivers
-        keep their own quick defaults.
     critical_processors:
         Default critical set of the weighted-loss extension (``None``
         falls back to the first and last processor in report order).
@@ -112,11 +95,7 @@ class ScenarioSpec:
     arch_seed: int = 2005
     default_budget: int = 160
     budgets: Tuple[int, ...] = (160, 320, 640)
-    sizer_kwargs: Dict[str, Any] = field(default_factory=dict)
     calibration_duration: float = 3_000.0
-    timeout_multiplier: float = 6.0
-    default_duration: float = 3_000.0
-    default_replications: int = 10
     critical_processors: Optional[Tuple[str, ...]] = None
     params: Dict[str, Any] = field(default_factory=dict)
 
@@ -129,22 +108,12 @@ class ScenarioSpec:
             )
         if not self.budgets:
             raise ReproError(f"scenario {self.name!r} needs a budget axis")
-        if self.timeout_multiplier <= 0:
-            raise ReproError(
-                f"timeout_multiplier must be > 0, "
-                f"got {self.timeout_multiplier}"
-            )
 
     # ------------------------------------------------------------------
 
-    def topology(
-        self,
-        arch_seed: Optional[int] = None,
-        load_scale: float = 1.0,
-    ) -> Topology:
+    def topology(self, load_scale: float = 1.0) -> Topology:
         """Build the scenario's topology (validated)."""
-        seed = self.arch_seed if arch_seed is None else int(arch_seed)
-        return self.builder(seed, float(load_scale))
+        return self.builder(self.arch_seed, float(load_scale))
 
     def cache_scope(self) -> Dict[str, Any]:
         """The scenario's contribution to execution-runtime cache keys.

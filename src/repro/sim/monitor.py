@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import DefaultDict, Dict, List
+from typing import DefaultDict
 
 from repro.sim.packet import Packet
 
@@ -82,6 +82,3 @@ class Monitor:
         """Total packets generated."""
         return sum(self.offered.values())
 
-    def loss_by_processor(self, processors: List[str]) -> Dict[str, int]:
-        """Loss counts in a fixed processor order (zeros filled in)."""
-        return {p: self.lost.get(p, 0) for p in processors}

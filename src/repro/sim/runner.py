@@ -335,44 +335,20 @@ class ReplicationSummary:
         return {p: self.mean_loss(p) for p in processors}
 
 
-#: Replication seed schemes accepted by :func:`replication_seeds`.
-SEED_SCHEMES = ("legacy", "spawn")
+def replication_seeds(replications: int, base_seed: int = 0) -> List[int]:
+    """Derive one simulation seed per replication: ``base_seed + 1000 * r``.
 
-
-def replication_seeds(
-    replications: int,
-    base_seed: int = 0,
-    scheme: str = "legacy",
-) -> List[int]:
-    """Derive one simulation seed per replication.
-
-    ``"legacy"`` (default) is the historical ``base_seed + 1000 * r``
-    arithmetic progression, kept so all existing fixed-seed outputs are
-    unchanged.  It collides as soon as ``replications > 1000`` or when
-    two batches use base seeds less than ``1000 * replications`` apart
-    (batch ``base_seed=0`` replication 1 is batch ``base_seed=1000``
-    replication 0).
-
-    ``"spawn"`` derives seeds through
-    :meth:`numpy.random.SeedSequence.spawn`: each replication gets an
-    independent child stream whose first 64-bit word becomes the
-    simulation seed, making collisions across replications *and* across
-    nearby base seeds cryptographically unlikely.
+    The seeds strictly increase with ``r``, so one batch never repeats
+    a seed.  Two batches share seeds exactly when their base seeds
+    differ by a nonzero multiple of 1000 that is below ``1000 *
+    replications``: replication 1 of the batch with ``base_seed=0`` is
+    replication 0 of the batch with ``base_seed=1000``.
     """
     if replications < 1:
         raise SimulationError(
             f"replications must be >= 1, got {replications}"
         )
-    if scheme == "legacy":
-        return [base_seed + 1000 * r for r in range(replications)]
-    if scheme == "spawn":
-        children = np.random.SeedSequence(base_seed).spawn(replications)
-        return [
-            int(child.generate_state(1, np.uint64)[0]) for child in children
-        ]
-    raise SimulationError(
-        f"unknown seed scheme {scheme!r}; choose from {SEED_SCHEMES}"
-    )
+    return [base_seed + 1000 * r for r in range(replications)]
 
 
 def _simulate_block_job(
@@ -392,7 +368,6 @@ def replicate(
     duration: float = 10_000.0,
     base_seed: int = 0,
     jobs: int = 1,
-    seed_scheme: str = "legacy",
     on_result=None,
     **kwargs,
 ) -> ReplicationSummary:
@@ -405,11 +380,10 @@ def replicate(
     are merged in replication order, so any ``jobs`` value produces a
     bitwise-identical :class:`ReplicationSummary`.
     ``on_result(index, result)`` fires in replication order as runs
-    complete.  ``seed_scheme`` selects how per-replication seeds are
-    derived (see :func:`replication_seeds`).  Remaining keyword
-    arguments pass through to :func:`simulate_block`.
+    complete.  Seeds come from :func:`replication_seeds`.  Remaining
+    keyword arguments pass through to :func:`simulate_block`.
     """
-    seeds = replication_seeds(replications, base_seed, seed_scheme)
+    seeds = replication_seeds(replications, base_seed)
     spans = partition_blocks(replications, resolve_jobs(jobs))
     block_jobs = [
         (topology, capacities, duration, seeds[lo:hi], kwargs)

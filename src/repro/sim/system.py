@@ -32,21 +32,6 @@ from repro.sim.packet import Hop, Packet
 from repro.sim.processor import FlowSource
 
 
-def required_clients(topology: Topology) -> List[str]:
-    """All buffer client names a topology needs, in deterministic order.
-
-    Processors (sorted) first, then every bridge direction that at least
-    one flow actually crosses plus — for sizing headroom — every bridge
-    direction at all.
-    """
-    names = sorted(topology.processors)
-    bridge_names = []
-    for bridge in sorted(topology.bridges.values(), key=lambda b: b.name):
-        bridge_names.append(client_name_for_bridge(bridge.name, bridge.bus_a))
-        bridge_names.append(client_name_for_bridge(bridge.name, bridge.bus_b))
-    return names + bridge_names
-
-
 class Wiring(NamedTuple):
     """The structure of one simulation cell, shared by every lane.
 

@@ -91,22 +91,6 @@ class TestMetrics:
         pi = chain.stationary_distribution()
         assert chain.blocking_probability() == pytest.approx(pi[-1])
 
-    def test_mean_level_bounds(self):
-        chain = BirthDeathChain([1.0] * 5, [1.0] * 5)
-        assert 0.0 <= chain.mean_level() <= 5.0
-        assert chain.mean_level() == pytest.approx(2.5)
-
-    def test_level_variance_nonnegative(self):
-        chain = BirthDeathChain([3.0] * 4, [1.5] * 4)
-        assert chain.level_variance() >= 0.0
-
-    def test_tail_probability_monotone(self):
-        chain = BirthDeathChain([1.0] * 6, [1.2] * 6)
-        tails = [chain.tail_probability(l) for l in range(8)]
-        assert tails[0] == 1.0
-        assert tails[-1] == 0.0
-        assert all(a >= b for a, b in zip(tails, tails[1:]))
-
     def test_quantile_extremes(self):
         chain = BirthDeathChain([1.0] * 4, [4.0] * 4)
         assert chain.quantile(1e-9) == 0

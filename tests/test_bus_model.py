@@ -1,6 +1,5 @@
 """Tests for repro.core.bus_model."""
 
-import numpy as np
 import pytest
 
 from repro.core.bus_model import (
@@ -11,10 +10,7 @@ from repro.core.bus_model import (
     build_client_chain_ctmdp,
     build_joint_bus_ctmdp,
     bus_time_coefficients,
-    chain_client_marginal,
     joint_client_marginals,
-    joint_state_space_size,
-    space_coefficients,
 )
 from repro.core.lp import AverageCostLP, BlockLP, ConstraintSpec
 from repro.errors import ModelError
@@ -54,7 +50,6 @@ class TestJointModel:
             BusClient("a", 1.0, 1.0, 2),
             BusClient("b", 1.0, 1.0, 3),
         ]
-        assert joint_state_space_size(clients) == 12
         model = build_joint_bus_ctmdp(clients)
         assert model.num_states == 12
 
@@ -149,27 +144,6 @@ class TestChainModel:
         assert all(a == "serve" for (_s, a) in coeffs)
         assert len(coeffs) == 2  # states 1 and 2
 
-    def test_space_coefficients(self):
-        client = BusClient("p", 1.0, 2.0, 2)
-        model = build_client_chain_ctmdp(client)
-        coeffs = space_coefficients(model)
-        # States 1 (idle+serve) and 2 (idle+serve) have space > 0.
-        assert len(coeffs) == 4
-        assert coeffs[(2, "serve")] == 2.0
-
-    def test_chain_marginal(self):
-        client = BusClient("p", 1.0, 2.0, 3)
-        model = build_client_chain_ctmdp(client)
-        solution = AverageCostLP(model).solve()
-        p = chain_client_marginal(client, solution.occupations[0])
-        assert p.sum() == pytest.approx(1.0)
-        expected = MM1KQueue(1.0, 2.0, 3).state_probabilities()
-        assert np.allclose(p, expected, atol=1e-8)
-
-    def test_chain_marginal_rejects_empty(self):
-        client = BusClient("p", 1.0, 2.0, 2)
-        with pytest.raises(ModelError, match="no mass"):
-            chain_client_marginal(client, {})
 
 
 class TestDecompositionQuality:

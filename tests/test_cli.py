@@ -1,5 +1,8 @@
 """Tests for repro.cli."""
 
+import argparse
+from pathlib import Path
+
 import pytest
 
 from repro.arch.dsl import serialize_topology
@@ -63,19 +66,15 @@ class TestCommands:
     def test_size_reports_and_counts_unconverged_fixed_point(
         self, monkeypatch, capsys
     ):
-        import dataclasses
+        from repro import obs
+        from repro.core import sizing
 
-        from repro import obs, scenarios
-
-        real_get = scenarios.get
-
-        def capped(name):
+        class Capped(sizing.BufferSizer):
             # One fixed-point step cannot converge amba's bridge rates.
-            return dataclasses.replace(
-                real_get(name), sizer_kwargs={"max_fixed_point_iterations": 1}
-            )
+            def __init__(self, total_budget):
+                super().__init__(total_budget, max_fixed_point_iterations=1)
 
-        monkeypatch.setattr(scenarios, "get", capped)
+        monkeypatch.setattr(sizing, "BufferSizer", Capped)
         obs.reset()
         obs.enable_metrics()
         try:
@@ -154,14 +153,6 @@ class TestRuntimeFlags:
         # Third run hits the populated cache and still agrees.
         assert main(argv) == 0
         assert capsys.readouterr().out == pooled
-
-    def test_simulate_spawn_seed_scheme(self, arch_file, capsys):
-        assert main([
-            "simulate", arch_file, "--budget", "12",
-            "--policy", "uniform", "--duration", "200", "--reps", "2",
-            "--seed-scheme", "spawn",
-        ]) == 0
-        assert "mean total loss" in capsys.readouterr().out
 
     def test_cache_max_mb_flag(self, arch_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
@@ -288,3 +279,51 @@ class TestDistCliValidation:
         ]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "--budgets" in err
+
+
+#: Every (command, option) pair the parser accepts, one per line.
+CLI_OPTIONS = Path(__file__).with_name("cli_options.txt")
+
+
+def _options(parser, command=()):
+    """``(command, longest option string)`` of every parser option."""
+    pairs = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                pairs += _options(sub, command + (name,))
+        elif action.option_strings and not isinstance(
+            action, argparse._HelpAction
+        ):
+            pairs.append(
+                (" ".join(command), max(action.option_strings, key=len))
+            )
+    return pairs
+
+
+class TestCliSurface:
+    def test_options_match_the_committed_list(self):
+        # An added or dropped flag must change tests/cli_options.txt
+        # in the same change, so it is seen in review.
+        walked = sorted(
+            f"{command} {option}"
+            for command, option in _options(build_parser())
+        )
+        assert walked == CLI_OPTIONS.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "a.soc", "--seed-scheme", "spawn"],
+            ["dist", "run", "--seed-scheme", "legacy"],
+            ["dist", "run", "--block-reps", "2"],
+            ["dist", "run", "--on-broker-loss", "fail"],
+            ["dist", "chaos", "--block-reps", "2"],
+        ],
+        ids=lambda argv: " ".join(argv[:-1]),
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

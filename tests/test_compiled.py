@@ -393,7 +393,7 @@ def dict_block_lp(sizer, topology):
             f"bus_time[{sub.index}]", coefficients, bound=1.0
         )
     block_lp.add_shared_budget(
-        "budget", SPACE, bound=sizer.space_fraction * sizer.total_budget
+        "budget", SPACE, bound=sizer.total_budget
     )
     return block_lp
 
@@ -743,7 +743,7 @@ class TestColumnArrays:
     @pytest.mark.parametrize("name,budget", ORACLE_PROGRAMS)
     def test_sizing_lp_matches_scipy_bitwise(self, monkeypatch, name, budget):
         spec = scenarios.get(name)
-        sizer = BufferSizer(total_budget=budget, **spec.sizer_kwargs)
+        sizer = BufferSizer(total_budget=budget)
         _cost, a_eq, _b_eq, a_ub, _b_ub = first_lp(
             monkeypatch, lambda: sizer.size(spec.topology())
         )

@@ -125,11 +125,6 @@ class TestObserve:
         assert model.observations == 0
         assert model.predict(features) == pytest.approx(DEFAULT_UNIT_COST)
 
-    def test_invalid_alpha_rejected(self):
-        for alpha in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                CostModel(alpha=alpha)
-
 
 class TestStats:
     def test_stats_keys(self):

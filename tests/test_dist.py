@@ -813,13 +813,12 @@ class TestFleetMatrix:
 
     def test_build_matrix_enumerates_in_order(self):
         payloads = build_matrix(
-            ["single-bus-4"], budgets=[8, 16], replications=3,
-            block_reps=2,
+            ["single-bus-4"], budgets=[8, 16], replications=2
         )
         slices = [
             (p["budget"], p["start"], p["stop"]) for p in payloads
         ]
-        assert slices == [(8, 0, 2), (8, 2, 3), (16, 0, 2), (16, 2, 3)]
+        assert slices == [(8, 0, 1), (8, 1, 2), (16, 0, 1), (16, 1, 2)]
         assert all(p["scenario"] == "single-bus-4" for p in payloads)
 
     def test_build_matrix_defaults_to_scenario_axis(self):
@@ -835,8 +834,6 @@ class TestFleetMatrix:
             build_matrix([])
         with pytest.raises(ReproError):
             build_matrix(["single-bus-4"], replications=0)
-        with pytest.raises(ReproError):
-            build_matrix(["single-bus-4"], block_reps=0)
         with pytest.raises(ReproError):
             build_matrix(["no-such-scenario"])
 
@@ -908,7 +905,7 @@ class TestFleetMatrix:
         runs = dict(replications=3, duration=200.0, base_seed=5)
         cell = run_matrix([name], budgets=[budget], **runs).cells[0]
         topology = spec.topology()
-        allocation = CTMDPSizing(**spec.sizer_kwargs).allocate(
+        allocation = CTMDPSizing().allocate(
             topology, budget
         )
         assert cell.sizes == dict(allocation.sizes)
@@ -922,11 +919,10 @@ class TestFleetMatrix:
             "scenario": "single-bus-4",
             "budget": 8,
             "replications": 2,
-            "start": 0,
+            "start": 1,
             "stop": 2,
             "duration": 100.0,
             "base_seed": 0,
-            "seed_scheme": "legacy",
         }
         first = run_block(dict(payload))
         second = run_block(dict(payload))
@@ -1079,18 +1075,6 @@ class TestDriverRobustness:
         assert "timed out" in str(excinfo.value)
         assert fake.dropped  # cleanup still ran
 
-    def test_dead_broker_with_fail_policy_is_a_clean_error(self):
-        executor = DistExecutor(
-            "127.0.0.1:1", timeout=5, retry=_FAST_RETRY,
-            on_broker_loss="fail",
-        )
-        _plant_fake_broker(executor, _DyingBroker())
-        # The broker loss propagates as a clean error; the failing
-        # drop_batch in the finally clause must not mask it.
-        with pytest.raises(ReproError) as excinfo:
-            executor.map(echo, [1])
-        assert "broker lost" in str(excinfo.value)
-
     def test_dead_broker_falls_back_to_local_pool_by_default(self):
         executor = DistExecutor(
             "127.0.0.1:1", timeout=5, retry=_FAST_RETRY, fallback_jobs=1
@@ -1129,7 +1113,7 @@ class TestDriverRobustness:
         host, port = server.address
         matrix = [
             "--scenario", "single-bus-4", "--budgets", "8", "--reps", "2",
-            "--block-reps", "2", "--duration", "100",
+            "--duration", "100",
         ]
         fleet_json = tmp_path / "fleet.json"
         serial_json = tmp_path / "serial.json"
@@ -1619,10 +1603,8 @@ class TestCostScheduling:
         assert [job_id[1] for job_id, _ in tail] == [1, 2]
 
     def test_cold_replicate_spreads_over_two_workers(self, server):
-        # One amba cell, its ten replications in two blocks.
-        matrix = dict(
-            budgets=[12], replications=10, duration=2000.0, block_reps=5
-        )
+        # One amba cell, its ten replications in ten blocks.
+        matrix = dict(budgets=[12], replications=10, duration=2000.0)
         workers = [_start_worker(server.address) for _ in range(2)]
         try:
             # Both workers long-poll before the cell lands; its blocks
@@ -1896,14 +1878,17 @@ class TestCoalescedBlocks:
             # The counted no-kernel fallback: the batched lane per seed.
             monkeypatch.setenv("REPRO_SIM_CC", "0")
         payloads = build_matrix(
-            ["amba", "single-bus-4"], budgets=[12], replications=5,
-            duration=100.0, block_reps=2,
+            ["amba", "single-bus-4"], budgets=[12], replications=3,
+            duration=100.0,
         )
-        # Two cells of three blocks each, the last one short.
-        assert [p["stop"] - p["start"] for p in payloads] == [2, 2, 1] * 2
-        assert canonicalize(run_blocks(payloads)) == canonicalize(
-            [run_block(p) for p in payloads]
-        )
+        # Two cells of three one-replication blocks each, one call each.
+        cells = [payloads[:3], payloads[3:]]
+        assert [p["stop"] - p["start"] for p in payloads] == [1] * 6
+        assert canonicalize(
+            [outcome for cell in cells for outcome in run_blocks(cell)]
+        ) == canonicalize([run_block(p) for p in payloads])
+        with pytest.raises(ReproError):
+            run_blocks(payloads)
 
     @staticmethod
     def _run_one_lease(broker, payloads, costs):

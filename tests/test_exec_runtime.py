@@ -75,27 +75,17 @@ class TestSeedSchemes:
         ]
 
     def test_legacy_collides_across_nearby_batches(self):
-        # The defect the spawn scheme fixes: replication 1 of batch 0 is
-        # replication 0 of batch 1000.
+        # Base seeds a nonzero multiple of 1000 apart, below 1000 x
+        # replications: replication 1 of batch 0 is replication 0 of
+        # batch 1000.  1000 x replications apart, they share nothing.
         batch_a = replication_seeds(2, base_seed=0)
         batch_b = replication_seeds(2, base_seed=1000)
         assert batch_a[1] == batch_b[0]
+        assert not set(batch_a) & set(replication_seeds(2, base_seed=2000))
 
-    def test_spawn_unique_across_replications_and_batches(self):
-        seeds = set()
-        for base in range(6):
-            batch = replication_seeds(50, base_seed=base, scheme="spawn")
-            seeds.update(batch)
-        assert len(seeds) == 6 * 50
-
-    def test_spawn_deterministic(self):
-        assert replication_seeds(8, 3, "spawn") == replication_seeds(
-            8, 3, "spawn"
-        )
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(SimulationError):
-            replication_seeds(2, scheme="quantum")
+    def test_distinct_within_a_batch_of_any_size(self):
+        seeds = replication_seeds(2500, base_seed=3)
+        assert len(set(seeds)) == 2500
 
     def test_bad_replications_rejected(self):
         with pytest.raises(SimulationError):
@@ -140,25 +130,6 @@ class TestParallelReplicate:
             amba, amba_caps, replications=3, duration=200.0, jobs=2, **kwargs
         )
         assert serial.results == pooled.results
-
-    def test_spawn_scheme_pooled_identical(self, amba, amba_caps):
-        serial = replicate(
-            amba, amba_caps, replications=4, duration=150.0,
-            jobs=1, seed_scheme="spawn",
-        )
-        pooled = replicate(
-            amba, amba_caps, replications=4, duration=150.0,
-            jobs=2, seed_scheme="spawn",
-        )
-        assert serial.results == pooled.results
-
-    def test_spawn_differs_from_legacy(self, amba, amba_caps):
-        legacy = replicate(amba, amba_caps, replications=3, duration=150.0)
-        spawn = replicate(
-            amba, amba_caps, replications=3, duration=150.0,
-            seed_scheme="spawn",
-        )
-        assert legacy.results != spawn.results
 
 
 class TestCanonicalize:
@@ -461,7 +432,7 @@ class TestExecutionContext:
     def test_size_explicit_defaults_share_cache_entry(self, tmp_path, amba):
         context = ExecutionContext.create(cache_dir=tmp_path)
         context.size(amba, 12)
-        context.size(amba, 12, sizer_kwargs={"damping": 1.0})
+        context.size(amba, 12, sizer_kwargs={"max_fixed_point_iterations": 6})
         assert context.cache.hits == 1
 
     def test_jobs_do_not_affect_cache_key(self, tmp_path, amba, amba_caps):
@@ -480,7 +451,7 @@ class TestExecutionContext:
         context.replicate(amba, amba_caps, replications=2, duration=150.0)
         context.replicate(
             amba, amba_caps, replications=2, duration=150.0,
-            seed_scheme="legacy", arbiter_kind="longest_queue",
+            base_seed=0, arbiter_kind="longest_queue",
             timeout_threshold=None, warmup=0.0,
         )
         assert context.cache.hits == 1

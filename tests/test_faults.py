@@ -219,11 +219,19 @@ class TestChaosMatrix:
     )
 
     def test_local_modes_are_noops_with_identical_outcomes(self):
+        from repro.dist import jobs as dist_jobs
         from repro.faults.chaos import run_chaos_matrix
 
-        report = run_chaos_matrix(
-            modes=("serial", "jobs"), jobs=2, **self._MATRIX
-        )
+        # One sizing memo for all 19 runs, which use it in place of a
+        # run-scoped one: each cell is sized once, and the forked
+        # jobs=2 workers inherit the solved entries.
+        previous = dist_jobs.set_active_cache(dist_jobs.ProcessMemo())
+        try:
+            report = run_chaos_matrix(
+                modes=("serial", "jobs"), jobs=2, **self._MATRIX
+            )
+        finally:
+            dist_jobs.set_active_cache(previous)
         assert report.all_match, report.render()
         assert len(report.cases) == 2 * len(standard_plans())
 

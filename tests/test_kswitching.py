@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.kswitching import (
     ClientDemand,
     allocate_greedy,
-    expected_sizes,
     switching_mixture,
 )
 from repro.errors import InfeasibleError, PolicyError
@@ -95,7 +94,7 @@ class TestAllocateGreedy:
 
     def test_min_size_respected(self):
         demands = [demand("a", 0.9), demand("b", 0.0)]
-        sizes = allocate_greedy(demands, 6, min_size=1)
+        sizes = allocate_greedy(demands, 6)
         assert sizes["b"] >= 1
 
     def test_heavier_tail_gets_more(self):
@@ -120,7 +119,7 @@ class TestAllocateGreedy:
     def test_budget_below_minimum_rejected(self):
         demands = [demand("a", 0.5), demand("b", 0.5)]
         with pytest.raises(InfeasibleError):
-            allocate_greedy(demands, 1, min_size=1)
+            allocate_greedy(demands, 1)
 
     def test_budget_above_caps_rejected(self):
         demands = [demand("a", 0.5, max_size=2), demand("b", 0.5, max_size=2)]
@@ -152,7 +151,7 @@ class TestAllocateGreedy:
         demands = [
             demand("a", t1), demand("b", t2), demand("c", t3),
         ]
-        sizes = allocate_greedy(demands, budget, min_size=1)
+        sizes = allocate_greedy(demands, budget)
         assert sum(sizes.values()) == budget
         assert all(v >= 1 for v in sizes.values())
 
@@ -166,19 +165,12 @@ class TestAllocateGreedy:
         assert all(large[k] >= small[k] for k in small)
 
 
-class TestExpectedSizes:
-    def test_expected_occupancy(self):
-        d = ClientDemand("a", np.array([0.25, 0.5, 0.25]), arrival_rate=1.0)
-        assert expected_sizes([d])["a"] == pytest.approx(1.0)
-
-
 class TestSwitchingMixture:
     def test_integer_budget_degenerates(self):
         demands = [demand("a", 0.4), demand("b", 0.2)]
         mix = switching_mixture(demands, 6.0)
         assert mix.probability == 0.0
         assert mix.low == mix.high
-        assert mix.expected_total() == pytest.approx(6.0)
 
     def test_fractional_budget_mixes(self):
         demands = [demand("a", 0.4), demand("b", 0.2)]
@@ -186,7 +178,6 @@ class TestSwitchingMixture:
         assert mix.probability == pytest.approx(0.3)
         assert sum(mix.low.values()) == 6
         assert sum(mix.high.values()) == 7
-        assert mix.expected_total() == pytest.approx(6.3)
 
     def test_invalid_budget(self):
         with pytest.raises(PolicyError):

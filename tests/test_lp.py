@@ -92,13 +92,6 @@ class TestUnconstrainedLP:
         achieved = solution.policies[0].average_cost_rate()
         assert achieved == pytest.approx(solution.objective, abs=1e-7)
 
-    def test_maximise_flag(self):
-        model, _ = forced_serve_queue()
-        low = AverageCostLP(model).solve().objective
-        high = AverageCostLP(model).solve(maximise=True).objective
-        # Single action => same stationary law either way.
-        assert low == pytest.approx(high)
-
 
 class TestConstrainedLP:
     def test_space_constraint_binds(self):

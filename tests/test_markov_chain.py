@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import ModelError
 from repro.queueing.markov_chain import (
     ContinuousTimeMarkovChain,
-    uniformization_rate,
-    uniformize,
     validate_generator,
 )
 
@@ -51,37 +49,6 @@ class TestValidateGenerator:
     def test_accepts_absorbing_state(self):
         q = np.array([[-1.0, 1.0], [0.0, 0.0]])
         validate_generator(q)
-
-
-class TestUniformization:
-    def test_rate_covers_max_exit(self):
-        q = two_state_generator(2.0, 5.0)
-        rate = uniformization_rate(q)
-        assert rate >= 5.0
-
-    def test_zero_generator_gets_positive_rate(self):
-        assert uniformization_rate(np.zeros((3, 3))) > 0
-
-    def test_uniformized_matrix_is_stochastic(self):
-        p, rate = uniformize(two_state_generator())
-        assert np.allclose(p.sum(axis=1), 1.0)
-        assert (p >= 0).all()
-
-    def test_explicit_rate_respected(self):
-        p, rate = uniformize(two_state_generator(1.0, 1.0), rate=10.0)
-        assert rate == 10.0
-        assert np.isclose(p[0, 0], 0.9)
-
-    def test_too_small_rate_rejected(self):
-        with pytest.raises(ModelError, match="below max exit rate"):
-            uniformize(two_state_generator(2.0, 8.0), rate=4.0)
-
-    def test_uniformized_stationary_matches_ctmc(self):
-        q = two_state_generator(2.0, 3.0)
-        p, _ = uniformize(q)
-        chain = ContinuousTimeMarkovChain(q)
-        pi = chain.stationary_distribution()
-        assert np.allclose(pi @ p, pi, atol=1e-10)
 
 
 class TestCTMCConstruction:
@@ -132,21 +99,6 @@ class TestStationary:
         chain = ContinuousTimeMarkovChain(two_state_generator())
         assert chain.stationary_distribution() is chain.stationary_distribution()
 
-    def test_stationary_probability_by_label(self):
-        chain = ContinuousTimeMarkovChain(
-            two_state_generator(1.0, 1.0), state_labels=["a", "b"]
-        )
-        assert chain.stationary_probability("a") == pytest.approx(0.5)
-
-    def test_expected_stationary(self):
-        chain = ContinuousTimeMarkovChain(two_state_generator(1.0, 1.0))
-        assert chain.expected_stationary([0.0, 10.0]) == pytest.approx(5.0)
-
-    def test_expected_stationary_wrong_length(self):
-        chain = ContinuousTimeMarkovChain(two_state_generator())
-        with pytest.raises(ModelError, match="value vector"):
-            chain.expected_stationary([1.0])
-
     def test_three_state_cycle(self):
         # Symmetric cycle: uniform stationary distribution.
         q = np.array(
@@ -176,45 +128,3 @@ class TestStationary:
         assert pi.sum() == pytest.approx(1.0)
         # Detailed balance holds for any two-state chain.
         assert pi[0] * a == pytest.approx(pi[1] * b, rel=1e-6)
-
-
-class TestHittingTimes:
-    def test_birth_death_hitting_time(self):
-        # 3-state chain 0 <-> 1 <-> 2; hitting time of 2 from 0.
-        lam, mu = 1.0, 2.0
-        q = np.array(
-            [
-                [-lam, lam, 0.0],
-                [mu, -(lam + mu), lam],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-        chain = ContinuousTimeMarkovChain(q)
-        h = chain.expected_hitting_times([2])
-        # From 1: h1 = 1/(lam+mu) + mu/(lam+mu) h0 ; h0 = 1/lam + h1.
-        h1 = (1.0 + mu / lam) / lam  # solving by hand: h1 = (1 + mu/lam)/lam
-        # Derive properly: h0 = 1/lam + h1, h1 = 1/(l+m) + m/(l+m) h0
-        # => h1 = (1/(l+m)) + (m/(l+m))(1/lam + h1)
-        # => h1 (1 - m/(l+m)) = 1/(l+m) + m/(lam (l+m))
-        # => h1 (l/(l+m)) = (lam + m)/(lam (l+m)) => h1 = (lam+m)/(lam*l)
-        expected_h1 = (lam + mu) / (lam * lam)
-        expected_h0 = 1.0 / lam + expected_h1
-        assert h[1] == pytest.approx(expected_h1)
-        assert h[0] == pytest.approx(expected_h0)
-        assert h[2] == 0.0
-
-    def test_empty_targets_rejected(self):
-        chain = ContinuousTimeMarkovChain(two_state_generator())
-        with pytest.raises(ModelError, match="non-empty"):
-            chain.expected_hitting_times([])
-
-    def test_all_states_targets(self):
-        chain = ContinuousTimeMarkovChain(two_state_generator())
-        assert np.allclose(chain.expected_hitting_times([0, 1]), 0.0)
-
-    def test_unreachable_target(self):
-        # State 1 absorbing, target state 0 unreachable from 1.
-        q = np.array([[-1.0, 1.0], [0.0, 0.0]])
-        chain = ContinuousTimeMarkovChain(q)
-        with pytest.raises(ModelError, match="singular|unreachable"):
-            chain.expected_hitting_times([0])

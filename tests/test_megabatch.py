@@ -168,10 +168,9 @@ class TestEquivalenceMatrix:
 # -- bursty traffic and large seeds ------------------------------------
 
 #: Seeds of the bursty and large-seed cells: one word, past 32 bits,
-#: past 64 bits, and the spawn scheme's 64-bit seeds.
-BURSTY_SEEDS = [0, 2**32, 2**70] + replication_seeds(
-    2, base_seed=5, scheme="spawn"
-)
+#: past 64 bits, and two full 64-bit seeds (the first words of
+#: ``SeedSequence(5).spawn(2)``).
+BURSTY_SEEDS = [0, 2**32, 2**70, 15658875773272509128, 6924645418555453511]
 
 #: Long enough that every bursty fig1 source draws at least four
 #: 256-gap chunks (checked by ``_fewest_chunks``).
@@ -570,9 +569,12 @@ class TestReplicationSpans:
 class TestKernelDraws:
     """The C kernel seeds and samples exactly as numpy's generators do."""
 
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70, 2**200 + 11] + (
-        replication_seeds(3, base_seed=9, scheme="spawn")
-    )
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70, 2**200 + 11] + [
+        # The first words of ``SeedSequence(9).spawn(3)``: full 64-bit.
+        5941392204501240012,
+        9624548280144602028,
+        14257372463384944814,
+    ]
 
     def test_stream_seeding_matches_numpy(self):
         topology, capacities = _cell("netproc")
@@ -1123,7 +1125,6 @@ class TestDistMerge:
                 budgets=[18],
                 replications=5,
                 duration=120.0,
-                block_reps=2,
                 executor=executor,
             ).cells
         finally:

@@ -58,8 +58,9 @@ class TestMM1KClosedForm:
 
     def test_carried_equals_service_flow(self):
         q = MM1KQueue(2.0, 3.0, 5)
-        # Carried rate equals mu * utilization in steady state.
-        assert q.carried_rate() == pytest.approx(3.0 * q.utilization())
+        # Carried rate equals mu * P(server busy) in steady state.
+        busy = 1.0 - q.state_probabilities()[0]
+        assert q.carried_rate() == pytest.approx(3.0 * busy)
 
     def test_mean_number_monotone_in_load(self):
         low = MM1KQueue(0.5, 1.0, 5).mean_number_in_system()

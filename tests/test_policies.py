@@ -118,9 +118,6 @@ class TestAnalyticGreedy:
         alloc = AnalyticGreedySizing().allocate(topo, 12)
         assert alloc.sizes["hot"] > alloc.sizes["cold"]
 
-    def test_min_size_validation(self):
-        with pytest.raises(PolicyError):
-            AnalyticGreedySizing(min_size=0)
 
 
 class TestCTMDPPolicy:

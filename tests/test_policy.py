@@ -92,23 +92,12 @@ class TestEvaluation:
         pol = StationaryPolicy.deterministic(m, {"lo": "slow", "hi": "drain"})
         assert pol.average_cost_rate() == pytest.approx(0.25)
 
-    def test_average_constraint_rate(self):
-        m = make_mdp()
-        pol = StationaryPolicy.deterministic(m, {"lo": "slow", "hi": "drain"})
-        assert pol.average_constraint_rate("load") == pytest.approx(0.25)
-
     def test_occupation_measure_sums_to_one(self):
         m = make_mdp()
         pol = StationaryPolicy.uniform(m)
         x = pol.stationary_state_action()
         assert sum(x.values()) == pytest.approx(1.0)
 
-    def test_state_marginals_match_chain(self):
-        m = make_mdp()
-        pol = StationaryPolicy.deterministic(m, {"lo": "fast", "hi": "drain"})
-        marg = pol.state_marginals()
-        # fast: rates 5 up, 3 down -> pi_lo = 3/8.
-        assert marg["lo"] == pytest.approx(3.0 / 8.0)
 
 
 class TestFromOccupation:

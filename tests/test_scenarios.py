@@ -21,7 +21,6 @@ class TestRegistry:
         assert isinstance(spec, ScenarioSpec)
         assert spec.default_budget == 160
         assert spec.budgets == (160, 320, 640)
-        assert spec.timeout_multiplier == 6.0
 
     def test_unknown_scenario_lists_options(self):
         with pytest.raises(ReproError, match="random-mesh"):
@@ -150,20 +149,21 @@ class TestScenarioExperiment:
     def test_threshold_positive(self, amba_experiment):
         assert amba_experiment.timeout_threshold > 0
 
-    def test_timeout_multiplier_from_spec(self):
-        """The multiplier knob lives on the spec, not a class constant."""
-        assert not hasattr(ScenarioExperiment, "TIMEOUT_MULTIPLIER")
-        spec = scenarios.get("amba")
-        base = ScenarioExperiment.build(
-            scenario="amba", calibration_duration=200.0
+    def test_threshold_is_the_scaled_mean_wait(self, amba_experiment):
+        """Every scenario scales its calibrated mean buffer wait by the
+        one TIMEOUT_MULTIPLIER."""
+        from repro.experiments.common import TIMEOUT_MULTIPLIER
+        from repro.policies import calibrate_timeout_threshold
+
+        spec = amba_experiment.scenario
+        mean_wait = calibrate_timeout_threshold(
+            amba_experiment.topology,
+            amba_experiment.allocations[PRE].as_capacities(),
+            duration=200.0,
+            seed=spec.arch_seed,
         )
-        doubled = ScenarioExperiment.build(
-            scenario="amba",
-            calibration_duration=200.0,
-            timeout_multiplier=2 * spec.timeout_multiplier,
-        )
-        assert doubled.timeout_threshold == pytest.approx(
-            2 * base.timeout_threshold
+        assert amba_experiment.timeout_threshold == pytest.approx(
+            TIMEOUT_MULTIPLIER * mean_wait
         )
 
 

@@ -198,9 +198,6 @@ class TestMonitor:
         assert m.mean_waiting_time() == 0.0
         assert m.mean_end_to_end() == 0.0
 
-    def test_loss_by_processor_fills_zeros(self):
-        m = Monitor()
-        assert m.loss_by_processor(["a", "b"]) == {"a": 0, "b": 0}
 
 
 def buffers_with_occupancy(*counts):

@@ -13,7 +13,8 @@ from repro.arch.topology import Topology, client_name_for_bridge
 from repro.errors import SimulationError
 from repro.queueing.mm1k import MM1KQueue
 from repro.sim.runner import ReplicationSummary, replicate, simulate
-from repro.sim.system import CommunicationSystem, required_clients
+from repro.policies.base import sizing_clients
+from repro.sim.system import CommunicationSystem
 
 
 def one_queue_topology(lam=2.0, mu=3.0):
@@ -82,7 +83,7 @@ class TestConservation:
 class TestBridgedRouting:
     def test_paper_topology_delivers_across_bridges(self):
         topo = paper_figure1()
-        caps = {name: 8 for name in required_clients(topo)}
+        caps = {c.name: 8 for c in sizing_clients(topo)}
         result = simulate(topo, caps, duration=5_000.0, seed=2)
         # p2 -> p5 crosses two bridges; deliveries must happen.
         assert result.delivered["p2"] > 0
@@ -90,7 +91,7 @@ class TestBridgedRouting:
 
     def test_missing_bridge_buffer_loses_crossing_traffic(self):
         topo = paper_figure1()
-        caps = {name: 8 for name in required_clients(topo)}
+        caps = {c.name: 8 for c in sizing_clients(topo)}
         # Remove all bridge buffers: cross-cluster flows die at the first
         # bridge, attributed to their source processors.
         for name in list(caps):
@@ -104,7 +105,7 @@ class TestBridgedRouting:
 
     def test_bigger_bridge_buffers_reduce_loss(self):
         topo = paper_figure1()
-        small = {name: 2 for name in required_clients(topo)}
+        small = {c.name: 2 for c in sizing_clients(topo)}
         big = dict(small)
         for name in big:
             if "@" in name:
@@ -182,7 +183,7 @@ class TestRunnerMechanics:
 
     def test_buffer_accessor(self):
         topo = paper_figure1()
-        caps = {name: 2 for name in required_clients(topo)}
+        caps = {c.name: 2 for c in sizing_clients(topo)}
         system = CommunicationSystem(topo, caps)
         assert system.buffer("p1").capacity == 2
         bridge_buf = client_name_for_bridge("b1", "f")

@@ -31,16 +31,6 @@ class TestBufferSizerValidation:
         with pytest.raises(SolverError):
             BufferSizer(total_budget=0)
 
-    def test_bad_space_fraction(self):
-        with pytest.raises(SolverError):
-            BufferSizer(total_budget=4, space_fraction=0.0)
-        with pytest.raises(SolverError):
-            BufferSizer(total_budget=4, space_fraction=1.5)
-
-    def test_bad_damping(self):
-        with pytest.raises(SolverError):
-            BufferSizer(total_budget=4, damping=0.0)
-
     def test_bad_capacity_cap(self):
         sizer = BufferSizer(total_budget=8, capacity_cap=0)
         with pytest.raises(SolverError):

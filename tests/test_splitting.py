@@ -16,14 +16,14 @@ from repro.errors import TopologyError
 class TestSplit:
     def test_single_bus_one_subsystem(self):
         system = split(single_bus(), capacity_cap=4)
-        assert system.num_subsystems == 1
+        assert len(system.subsystems) == 1
         sub = system.subsystems[0]
         assert sub.bridge_client_names == []
         assert len(sub.processor_names) == 4
 
     def test_paper_figure1_four_subsystems(self):
         system = split(paper_figure1(), capacity_cap=3)
-        assert system.num_subsystems == 4
+        assert len(system.subsystems) == 4
 
     def test_paper_figure1_bridge_buffers_where_flows_cross(self):
         system = split(paper_figure1(), capacity_cap=3)
